@@ -81,8 +81,9 @@ def main() -> int:
                         default="full")
     parser.add_argument("--smoke", action="store_true",
                         help="shortcut for --matrix smoke (the CI gate)")
-    parser.add_argument("--backend", default=None,
-                        choices=("thread", "process", "batch"))
+    parser.add_argument("--backend", default=None, choices=("process",),
+                        help="score across a process pool "
+                             "(default: in-process)")
     parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--transfer", default="shm",
                         choices=("shm", "pickle"))
@@ -96,7 +97,7 @@ def main() -> int:
     print(format_scorecard(card1))
     print()
     print(f"replay wall time: {seconds1:.3f}s / {seconds2:.3f}s "
-          f"(two runs, backend={args.backend or 'inline'})")
+          f"(two runs, backend={args.backend or 'in-process'})")
     check_determinism(card1, card2)
     if matrix == "smoke":
         check_floors(card1)

@@ -30,6 +30,9 @@ from repro.workloads import scenarios as scenario_module
 #: Worker count used when ``--workers`` is not given.
 DEFAULT_WORKERS = 4
 
+#: ``--backend`` choices; leaving the flag out scores in-process.
+POOL_BACKENDS = [b for b in BACKENDS if b is not None]
+
 SCENARIOS: dict[str, Callable] = {
     "5.1": scenario_module.fault_injection_scenario,
     "5.2": scenario_module.conditioning_scenario,
@@ -80,14 +83,13 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--condition", default=None,
                          help="family to condition on (or 'none')")
     explain.add_argument("--backend", default=None,
-                         choices=list(BACKENDS),
-                         help="execution backend (default: in-line "
-                              "sequential; 'batch' vectorizes across "
-                              "hypotheses)")
+                         choices=POOL_BACKENDS,
+                         help="score across a worker pool (default: "
+                              "in-process, stacked numpy calls over "
+                              "hypotheses sharing a target)")
     explain.add_argument("--workers", type=_positive_int, default=None,
-                         help="worker count for the thread/process "
-                              f"backends (default {DEFAULT_WORKERS}; "
-                              "ignored by the others)")
+                         help="worker count for --backend process "
+                              f"(default {DEFAULT_WORKERS})")
     explain.add_argument("--transfer", default=None,
                          choices=list(TRANSFERS),
                          help="matrix transfer for --backend process: "
@@ -115,12 +117,12 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--ks", type=_positive_int, nargs="+",
                         default=[1, 3, 5, 10], metavar="K",
                         help="precision/recall cutoffs")
-    replay.add_argument("--backend", default=None, choices=list(BACKENDS),
-                        help="execution backend for ranking (default: "
-                             "in-line sequential)")
+    replay.add_argument("--backend", default=None, choices=POOL_BACKENDS,
+                        help="score rankings across a worker pool "
+                             "(default: in-process)")
     replay.add_argument("--workers", type=_positive_int, default=None,
-                        help="worker count for the thread/process "
-                             f"backends (default {DEFAULT_WORKERS})")
+                        help="worker count for --backend process "
+                             f"(default {DEFAULT_WORKERS})")
     replay.add_argument("--transfer", default=None,
                         choices=list(TRANSFERS),
                         help="matrix transfer for --backend process")
@@ -157,9 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
                             f"(default {DEFAULT_WORKERS})")
     serve.add_argument("--cache-entries", type=_positive_int, default=None,
                        help="result-cache bound (default 256)")
-    serve.add_argument("--backend", default=None, choices=list(BACKENDS),
+    serve.add_argument("--backend", default=None, choices=POOL_BACKENDS,
                        help="default ranking backend for \\explain "
-                            "requests")
+                            "requests (default: in-process)")
     serve.add_argument("--rows", type=int, default=20,
                        help="rows printed per SQL result")
     return parser
@@ -189,29 +191,20 @@ def resolve_exec_args(backend: str | None,
     """Resolve executor options, warning about ignored combinations.
 
     The argparse layer already rejects unknown ``--backend`` /
-    ``--transfer`` values; this resolves the cross-argument cases that
-    argparse cannot express — options that are valid on their own but
-    silently unused under the selected backend — into explicit warnings
-    instead of silent no-ops.  Returns ``(n_workers, transfer,
+    ``--transfer`` values; this resolves the cross-argument case that
+    argparse cannot express — ``--workers`` / ``--transfer`` are valid on
+    their own but configure the process pool only — into explicit
+    warnings instead of silent no-ops.  Returns ``(n_workers, transfer,
     warnings)``.
     """
-    warnings: list[str] = []
-    if workers is not None:
-        if backend is None:
-            warnings.append(
-                "--workers is ignored without --backend "
-                "(the default execution is the in-line sequential loop)")
-        elif backend == "batch":
-            warnings.append(
-                "--workers is ignored by --backend batch "
-                "(the batch planner runs stacked numpy calls, not a pool)")
-        elif workers < 1:
-            raise ValueError(f"--workers must be >= 1, got {workers}")
-    if transfer is not None and backend != "process":
-        target = "--backend None" if backend is None else f"--backend {backend}"
-        warnings.append(
-            f"--transfer is only used by --backend process; "
-            f"ignored with {target}")
+    if workers is not None and workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {workers}")
+    warnings = [
+        f"{flag} is only used by --backend process; ignored by the "
+        "default in-process scoring"
+        for flag, value in (("--workers", workers), ("--transfer", transfer))
+        if value is not None and backend is None
+    ]
     return (workers if workers is not None else DEFAULT_WORKERS,
             transfer if transfer is not None else "shm",
             warnings)

@@ -133,14 +133,13 @@ class ExplainItSession:
                 transfer: str = "shm") -> ScoreTable:
         """Run one iteration of Algorithm 1 and return the Score Table.
 
-        ``backend`` picks the execution backend ("thread", "process" or
-        "batch"); ``None`` keeps the in-line sequential loop.
-        ``transfer`` selects the process backend's matrix transfer
-        ("shm" for zero-copy shared memory, "pickle" for per-hypothesis
-        serialisation); other backends ignore it.  The ranking is
-        identical either way — "batch" shares the target/
-        condition-side work across all candidate families and is the
-        fast choice for interactive sessions.
+        ``backend=None`` scores in-process, sharing the target/
+        condition-side work across all candidate families in stacked
+        numpy calls; ``backend="process"`` scores across a pool of
+        ``n_workers`` processes, with ``transfer`` selecting how matrices
+        reach them ("shm" for zero-copy shared memory, "pickle" for
+        per-hypothesis serialisation).  The ranking is identical either
+        way.
         """
         if self._target is None:
             raise FamilyError("set_target before explain()")

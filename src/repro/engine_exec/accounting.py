@@ -8,8 +8,7 @@ scoring time — reproducing the measurement, not merely asserting the
 number.  Three transfer mechanisms are measured:
 
 - :meth:`SerializationAccounting.round_trip` — raw C-order bytes out,
-  numpy back in: the gRPC stand-in used by the sequential and thread
-  paths (the seed behaviour).
+  numpy back in: the gRPC stand-in used by in-process scoring.
 - :meth:`SerializationAccounting.pickle_round_trip` — a real
   ``pickle.dumps``/``loads`` cycle, what ``backend="process"`` with
   ``transfer="pickle"`` actually pays per hypothesis.

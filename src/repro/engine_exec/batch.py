@@ -1,12 +1,10 @@
-"""Batched execution planner: group hypotheses, score groups vectorized.
+"""Batch planner: group hypotheses, score each group in stacked calls.
 
-The sequential executor scores one hypothesis per Python-level call,
-rebuilding Y/Z-side work (validation, standardisation, the residual
-projection on Z, cross-validation fold statistics) for every candidate
-X.  But Algorithm 1 scores *thousands* of hypotheses against the same
-target in one interactive iteration — the work is almost entirely
-shared.  This module is the planning layer of the ``backend="batch"``
-execution path:
+Algorithm 1 scores *thousands* of hypotheses against the same target in
+one interactive iteration, so almost all Y/Z-side work (validation,
+standardisation, the residual projection on Z, cross-validation fold
+statistics) is shared.  This module is how every in-process ranking is
+scored:
 
 1. :func:`plan_batches` groups hypotheses by their shared ``(Y, Z)``
    family objects (``generate_hypotheses`` builds Y and Z once and
@@ -14,41 +12,44 @@ execution path:
    the per-iteration structure).
 2. :func:`execute_batches` hands each group to the scorer's
    ``score_batch`` — one stacked numpy call per group instead of one
-   Python call per hypothesis.  Every built-in scorer implements the
-   :class:`~repro.scoring.base.BatchScorer` protocol (L1 shares its
-   Y/Z-side work even though coordinate descent can't stack the X
-   fits); custom scorers without one are adapted through the
-   definitional per-hypothesis loop, so this module has a single
-   execution path.
+   Python call per hypothesis.  Scorers written as a per-hypothesis
+   ``score`` get :class:`~repro.scoring.base.Scorer`'s looping
+   ``score_batch``, so there is a single execution path.
 
-Scores are bitwise identical to the sequential path by the
-``BatchScorer`` contract, so the resulting Score Table matches the
-``thread``/``process`` backends exactly (ranks, scores, p-values).
 Per-hypothesis wall times are not individually observable inside a
-stacked call, but the stacked call itself decomposes: batch scorers
-stack same-shaped X matrices, so :func:`execute_batches` issues one
-``score_batch`` call *per shape group* and measures each call's wall
-time individually.  Only within one shape group is the elapsed time
-attributed as an equal share, and the returned ``attributed`` flags
-mark exactly those shared rows so aggregate consumers (Figure 10's
-max-per-family, the bench harness) can distinguish measured from
-attributed times.  Splitting by shape cannot change any score: the
-``BatchScorer`` contract makes ``score_batch`` independent of batch
-composition.
+stacked call, but the stacked call itself decomposes: scorers stack
+same-shaped X matrices, so :func:`execute_batches` issues one
+``score_batch`` call *per shape group* (a large group in several
+size-bounded calls) and measures each call's wall time individually.
+Only within one call is the elapsed time attributed as an equal share,
+and the returned ``attributed`` flags mark exactly those shared rows so
+aggregate consumers (Figure 10's max-per-family, the bench harness) can
+distinguish measured from attributed times.  Splitting cannot change
+any score: ``score_batch`` is independent of batch composition.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from repro.core.families import FeatureFamily
-from repro.core.hypothesis import Hypothesis
 from repro.engine_exec.accounting import SerializationAccounting
-from repro.scoring.base import Scorer, as_batch_scorer, group_by_shape
+from repro.scoring.base import Scorer, group_by_shape
+
+if TYPE_CHECKING:
+    from repro.core.families import FeatureFamily
+    from repro.core.hypothesis import Hypothesis
+
+#: Largest X block handed to one ``score_batch`` call, in matrix elements
+#: (1 MiB of float64).  Scorers allocate several temporaries the size of
+#: the stack they score, so scoring every same-shaped hypothesis of a
+#: search space in one call makes peak memory grow with the number of
+#: hypotheses, while the gain from stacking saturates within a few dozen
+#: matrices per call.
+STACK_ELEMENTS = 1 << 17
 
 #: Stands in for ``z=None`` in grouping keys.  A dedicated module-level
 #: object (always alive, so its id() can never be recycled) rather than
@@ -105,6 +106,14 @@ def plan_batches(hypotheses: Sequence[Hypothesis]) -> list[HypothesisBatch]:
     return list(groups.values())
 
 
+def _stacked_calls(xs: Sequence[np.ndarray]) -> Iterator[list[int]]:
+    """Indices of ``xs`` per ``score_batch`` call: same shape, bounded size."""
+    for members in group_by_shape(xs).values():
+        step = max(1, STACK_ELEMENTS // max(1, xs[members[0]].size))
+        for k in range(0, len(members), step):
+            yield members[k:k + step]
+
+
 def execute_batches(hypotheses: Sequence[Hypothesis], scorer: Scorer,
                     accounting: SerializationAccounting | None = None
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -114,30 +123,27 @@ def execute_batches(hypotheses: Sequence[Hypothesis], scorer: Scorer,
     input order; ``attributed[i]`` is True when ``seconds[i]`` is an
     equal share of a stacked call's elapsed time rather than an
     individually measured wall time.  Scorers are invoked once per
-    *shape group* (the unit batch scorers stack internally), so the
-    elapsed time of each stacked call is measured per group and only
-    the within-group split is attributed; scorers without a native
-    ``score_batch`` are adapted (:func:`~repro.scoring.base.
-    as_batch_scorer`) and follow the same accounting.  ``accounting``
-    performs the same per-hypothesis serialisation round-trip as the
-    sequential path (restored arrays are bitwise equal, so scores are
-    unaffected).
+    *shape group* (the unit scorers stack internally) — in slices of at
+    most :data:`STACK_ELEMENTS` so temporaries stay bounded — and the
+    elapsed time of each stacked call is measured individually; only
+    the split within one call is attributed.  ``accounting`` performs one
+    serialisation round-trip per hypothesis (restored arrays are bitwise
+    equal, so scores are unaffected).
     """
     n = len(hypotheses)
     scores = np.empty(n)
     seconds = np.empty(n)
     attributed = np.zeros(n, dtype=bool)
-    batch_scorer = as_batch_scorer(scorer)
     for batch in plan_batches(hypotheses):
         y = batch.y.matrix
         z = batch.z.matrix if batch.z is not None else None
         xs = [h.x.matrix for h in batch.hypotheses]
         if accounting is not None:
             xs = [accounting.round_trip(x, y, z)[0] for x in xs]
-        for members in group_by_shape(xs).values():
+        for members in _stacked_calls(xs):
             group_xs = [xs[j] for j in members]
             start = time.perf_counter()
-            values = batch_scorer.score_batch(group_xs, y, z)
+            values = scorer.score_batch(group_xs, y, z)
             elapsed = time.perf_counter() - start
             if accounting is not None:
                 accounting.record_score_time(elapsed)

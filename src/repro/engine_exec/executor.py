@@ -1,52 +1,50 @@
-"""Parallel hypothesis executor: one hypothesis per worker (§4).
+"""Hypothesis executor: score a search space, report timings (§4).
 
 "For feature matrices in this size range, a hypothesis can be scored
 easily on one machine; thus, our unit of parallelisation is the
 hypothesis.  This avoids the parallelisation cost and complexity of
 distributed machine learning across multiple machines."
 
-Three execution backends schedule the same scoring work:
+Two backends schedule the same scoring work:
 
-- ``"thread"`` (default, the seed behaviour) — a thread pool; numpy
-  releases the GIL inside the SVD/BLAS kernels that dominate scoring of
-  large matrices.
-- ``"process"`` — a process pool; sidesteps the GIL entirely.  The
-  ``transfer`` switch picks how matrices reach the workers:
-  ``"shm"`` (default) places each batch group's matrices into a
+- ``None`` (default) — in-process, through the planner of
+  :mod:`repro.engine_exec.batch`: hypotheses sharing (Y, Z) are grouped,
+  Y/Z-side work is done once per group, and the X-side linear algebra
+  runs as stacked numpy calls.  This is the interactive Algorithm 1
+  path — many hypotheses, each individually small.
+- ``"process"`` — one hypothesis per job across a process pool.  The
+  ``transfer`` switch picks how matrices reach the workers: ``"shm"``
+  (default) places each batch group's matrices into a
   :mod:`multiprocessing.shared_memory` segment once and ships tiny
   zero-copy handles, while ``"pickle"`` reproduces the paper's §6.2
   per-hypothesis serialisation overhead faithfully.
-- ``"batch"`` — the vectorized planner of
-  :mod:`repro.engine_exec.batch`: hypotheses sharing (Y, Z) are grouped,
-  Y/Z-side work is done once per group, and the X-side linear algebra
-  runs as stacked numpy calls.  Fastest when hypotheses are many and
-  individually small — exactly the interactive Algorithm 1 workload —
-  and bitwise identical to the other backends by the
-  :class:`~repro.scoring.base.BatchScorer` contract.
 
-With ``n_workers=1`` (or a single hypothesis) every backend except
-``"batch"`` degenerates to the plain sequential loop.
+Both produce scores aligned with the hypothesis list by position and
+hand them to :func:`~repro.scoring.table.build_score_table`, so the
+Score Table is bitwise identical whichever backend ran.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.hypothesis import Hypothesis
-from repro.core.ranking import DEFAULT_TOP_K, ScoreTable, rank_families
 from repro.engine_exec.accounting import TRANSFERS, SerializationAccounting
 from repro.engine_exec.batch import execute_batches, plan_batches
 from repro.engine_exec.shm import MatrixRef, SharedMatrixPool, resolve_ref
 from repro.scoring.base import Scorer, get_scorer
+from repro.scoring.table import DEFAULT_TOP_K, ScoreTable, build_score_table
+
+if TYPE_CHECKING:
+    from repro.core.hypothesis import Hypothesis
 
 #: Recognised values for ``HypothesisExecutor(backend=...)``.
-BACKENDS = ("thread", "process", "batch")
+BACKENDS = (None, "process")
 
 
 @dataclass
@@ -68,14 +66,14 @@ class HypothesisTiming:
 
 @dataclass
 class ExecutionReport:
-    """Outcome of a parallel scoring run."""
+    """Outcome of one scoring run."""
 
     score_table: ScoreTable
     timings: list[HypothesisTiming]
     wall_seconds: float
     n_workers: int
     accounting: SerializationAccounting | None = None
-    backend: str = "thread"
+    backend: str | None = None
     transfer: str | None = None
 
     def mean_seconds_per_family(self) -> float:
@@ -91,8 +89,8 @@ class ExecutionReport:
     def max_seconds_per_family(self) -> float:
         """Figure 10's 'max score time for a feature family'.
 
-        Under ``backend="batch"`` the per-family times inside a stacked
-        call are equal shares, so this collapses toward the mean; check
+        In-process the per-family times inside a stacked call are equal
+        shares, so this collapses toward the mean; check
         :meth:`has_attributed_timings` before reading it as a true max.
         """
         if not self.timings:
@@ -104,61 +102,50 @@ class ExecutionReport:
         return any(t.attributed for t in self.timings)
 
 
-def _score_in_process(scorer: Scorer,
-                      hypothesis: Hypothesis) -> tuple[HypothesisTiming,
-                                                       float]:
+#: One shm scoring job: ``(input position, X ref, Y ref, Z ref-or-None)``
+#: — what actually crosses the process boundary under ``transfer="shm"``.
+#: Jobs are emitted group-wise; the position restores input order.
+ShmJob = tuple[int, MatrixRef, MatrixRef, MatrixRef | None]
+
+
+def _timed_score(scorer: Scorer, index: int, load
+                 ) -> tuple[int, float, float, float]:
+    """Score the ``(x, y, z)`` that ``load()`` returns, in a pool worker.
+
+    Returns ``(input position, score, seconds, scoring seconds)`` — the
+    wall time of the whole job, loading included, and the pure scoring
+    share of it for the parent's accounting.
+    """
+    start = time.perf_counter()
+    x, y, z = load()
+    score_start = time.perf_counter()
+    value = scorer.score(x, y, z)
+    end = time.perf_counter()
+    return index, float(value), end - start, end - score_start
+
+
+def _score_in_process(scorer: Scorer, job: tuple[int, Hypothesis]
+                      ) -> tuple[int, float, float, float]:
     """Process-pool worker (``transfer="pickle"``): score one hypothesis.
 
     Module-level so it pickles; the scorer rides along in a
-    ``functools.partial``.  Returns the timing row plus the pure scoring
-    seconds for the parent's accounting.
+    ``functools.partial``.
     """
-    start = time.perf_counter()
-    x, y, z = hypothesis.matrices()
-    score_start = time.perf_counter()
-    value = scorer.score(x, y, z)
-    score_elapsed = time.perf_counter() - score_start
-    timing = HypothesisTiming(
-        family=hypothesis.name,
-        score=float(value),
-        seconds=time.perf_counter() - start,
-        n_features=hypothesis.x.n_features,
-    )
-    return timing, score_elapsed
+    index, hypothesis = job
+    return _timed_score(scorer, index, hypothesis.matrices)
 
 
-def _score_from_refs(scorer: Scorer,
-                     job: tuple[int, str, int, MatrixRef, MatrixRef,
-                                MatrixRef | None]
-                     ) -> tuple[int, HypothesisTiming, float]:
+def _score_from_refs(scorer: Scorer, job: ShmJob
+                     ) -> tuple[int, float, float, float]:
     """Process-pool worker (``transfer="shm"``): score one hypothesis.
 
     The job carries only shared-memory handles; the matrices are
     resolved as zero-copy views of segments the parent populated once
-    per batch group.  Returns the original position so the parent can
-    restore input order (jobs are emitted group-wise).
+    per batch group.
     """
-    index, family, n_features, x_ref, y_ref, z_ref = job
-    start = time.perf_counter()
-    x = resolve_ref(x_ref)
-    y = resolve_ref(y_ref)
-    z = resolve_ref(z_ref)
-    score_start = time.perf_counter()
-    value = scorer.score(x, y, z)
-    score_elapsed = time.perf_counter() - score_start
-    timing = HypothesisTiming(
-        family=family,
-        score=float(value),
-        seconds=time.perf_counter() - start,
-        n_features=n_features,
-    )
-    return index, timing, score_elapsed
-
-
-#: One shm scoring job: ``(input position, family name, n_features,
-#: X ref, Y ref, Z ref-or-None)`` — what actually crosses the process
-#: boundary under ``transfer="shm"``.
-ShmJob = tuple[int, str, int, MatrixRef, MatrixRef, MatrixRef | None]
+    index, *refs = job
+    return _timed_score(scorer, index,
+                        lambda: [resolve_ref(ref) for ref in refs])
 
 
 def share_shm_jobs(hypotheses: Sequence[Hypothesis],
@@ -183,42 +170,43 @@ def share_shm_jobs(hypotheses: Sequence[Hypothesis],
         y_ref = refs[0]
         z_ref = refs[1] if batch.z is not None else None
         x_refs = refs[2 if batch.z is not None else 1:]
-        for i, h, x_ref in zip(batch.indices, batch.hypotheses, x_refs):
-            jobs.append((i, h.name, h.x.n_features, x_ref, y_ref, z_ref))
+        jobs.extend((i, x_ref, y_ref, z_ref)
+                    for i, x_ref in zip(batch.indices, x_refs))
     return jobs
 
 
 class HypothesisExecutor:
-    """Schedules hypothesis scoring across a worker pool or batch planner.
+    """Scores a hypothesis list in-process or across a process pool.
 
     Parameters
     ----------
     n_workers:
-        Pool size for the ``"thread"``/``"process"`` backends (ignored
-        by ``"batch"``, which runs stacked numpy calls in-process).
+        Pool size for ``backend="process"``; no effect in-process, where
+        the stacked numpy calls run on the calling thread.
     measure_serialization:
         When True, wrap matrix transfers in
         :class:`~repro.engine_exec.accounting.SerializationAccounting`
         so the report carries bytes-moved and serialise/score shares —
         the §6.2 overhead measurement.  Adds a real round-trip cost
-        under ``transfer="pickle"``; leave False outside benchmarks.
+        in-process and under ``transfer="pickle"``; leave False outside
+        benchmarks.
     backend:
-        One of :data:`BACKENDS`.  All backends produce bitwise-identical
-        Score Tables; they differ only in scheduling (see the module
-        docstring).  ``"batch"`` timings are equal shares of each
-        stacked call, flagged via ``HypothesisTiming.attributed``.
+        One of :data:`BACKENDS`.  Both produce bitwise-identical Score
+        Tables; they differ only in scheduling (see the module
+        docstring).  In-process timings are equal shares of each stacked
+        call, flagged via ``HypothesisTiming.attributed``.
     transfer:
         Matrix transport for ``backend="process"``: ``"shm"`` places
         each batch group's (Y, Z, stacked X) into one shared-memory
         segment and ships tiny :class:`~repro.engine_exec.shm.MatrixRef`
         handles; ``"pickle"`` serialises full matrices per hypothesis.
-        Ignored by the other backends (the CLI warns on that
-        combination; this constructor only validates the value).
+        No effect in-process (the CLI warns on that combination; this
+        constructor only validates the value).
     """
 
     def __init__(self, n_workers: int = 4,
                  measure_serialization: bool = False,
-                 backend: str = "thread",
+                 backend: str | None = None,
                  transfer: str = "shm") -> None:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
@@ -255,53 +243,55 @@ class HypothesisExecutor:
             scorer = get_scorer(scorer)
         accounting = (SerializationAccounting()
                       if self.measure_serialization else None)
-
-        def score_one(hypothesis: Hypothesis) -> HypothesisTiming:
-            start = time.perf_counter()
-            x, y, z = hypothesis.matrices()
-            if accounting is not None:
-                x, y, z = accounting.round_trip(x, y, z)
-            score_start = time.perf_counter()
-            value = scorer.score(x, y, z)
-            score_elapsed = time.perf_counter() - score_start
-            if accounting is not None:
-                accounting.record_score_time(score_elapsed)
-            return HypothesisTiming(
-                family=hypothesis.name,
-                score=float(value),
-                seconds=time.perf_counter() - start,
-                n_features=hypothesis.x.n_features,
-            )
-
         wall_start = time.perf_counter()
-        # The sequential fast path below means no matrices actually
-        # cross a process boundary; the report's transfer label must
-        # only name a mechanism that ran.
-        transfer_used: str | None = None
-        if self.backend == "batch":
+        if self.backend is None:
             scores, seconds, attributed = execute_batches(
                 hypotheses, scorer, accounting=accounting)
-            timings = [
-                HypothesisTiming(
-                    family=h.name,
-                    score=float(scores[i]),
-                    seconds=float(seconds[i]),
-                    n_features=h.x.n_features,
-                    attributed=bool(attributed[i]),
-                )
-                for i, h in enumerate(hypotheses)
-            ]
-        elif self.n_workers == 1 or len(hypotheses) <= 1:
-            timings = [score_one(h) for h in hypotheses]
-        elif self.backend == "thread":
-            with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
-                timings = list(pool.map(score_one, hypotheses))
-        elif self.transfer == "shm":
-            transfer_used = "shm"
-            timings = self._run_process_shm(hypotheses, scorer, accounting,
-                                            jobs=shm_jobs, procs=process_pool)
-        else:   # process, transfer="pickle"
-            transfer_used = "pickle"
+        else:
+            scores, seconds = self._run_processes(
+                hypotheses, scorer, accounting, shm_jobs, process_pool)
+            attributed = np.zeros(len(hypotheses), dtype=bool)
+        wall = time.perf_counter() - wall_start
+        timings = [
+            HypothesisTiming(
+                family=h.name,
+                score=float(scores[i]),
+                seconds=float(seconds[i]),
+                n_features=h.x.n_features,
+                attributed=bool(attributed[i]),
+            )
+            for i, h in enumerate(hypotheses)
+        ]
+        return ExecutionReport(
+            score_table=build_score_table(hypotheses, scores, seconds,
+                                          scorer.name, top_k, wall),
+            timings=timings,
+            wall_seconds=wall,
+            n_workers=self.n_workers,
+            accounting=accounting,
+            backend=self.backend,
+            transfer=self.transfer if self.backend == "process" else None,
+        )
+
+    def _run_processes(self, hypotheses: Sequence[Hypothesis],
+                       scorer: Scorer,
+                       accounting: SerializationAccounting | None,
+                       jobs: Sequence[ShmJob] | None,
+                       procs: ProcessPoolExecutor | None
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """Score one hypothesis per pool job; position-aligned arrays.
+
+        Under ``transfer="shm"`` with ``jobs=None`` (the one-shot case)
+        matrices are published through a run-scoped
+        :class:`SharedMatrixPool` that is closed — segments unlinked —
+        when the run ends.  A caller that passes pre-shared ``jobs``
+        (see :func:`share_shm_jobs`) owns the backing pool, so its
+        segments survive this run and can serve the next request without
+        another copy-in; likewise a provided ``procs`` pool is reused,
+        not shut down.
+        """
+        own_pool = None
+        if self.transfer == "pickle":
             if accounting is not None:
                 # The round-trip is measured in the parent; restored
                 # arrays are bitwise equal so the children can score the
@@ -309,59 +299,14 @@ class HypothesisExecutor:
                 for hypothesis in hypotheses:
                     accounting.pickle_round_trip(*hypothesis.matrices())
             worker = partial(_score_in_process, scorer)
-            if process_pool is not None:
-                outcomes = list(process_pool.map(worker, hypotheses))
-            else:
-                with ProcessPoolExecutor(max_workers=self.n_workers) as pool:
-                    outcomes = list(pool.map(worker, hypotheses))
-            timings = [timing for timing, _ in outcomes]
+            jobs = list(enumerate(hypotheses))
+        else:
             if accounting is not None:
-                for _, score_elapsed in outcomes:
-                    accounting.record_score_time(score_elapsed)
-        wall = time.perf_counter() - wall_start
-
-        by_name = {t.family: t for t in timings}
-        score_table = rank_families(
-            hypotheses, scorer=scorer, top_k=top_k,
-            score_fn=lambda h: by_name[h.name].score,
-        )
-        # Replace the (trivial) re-ranking timings with the measured ones.
-        for row in score_table.results:
-            row.seconds = by_name[row.family].seconds
-        score_table.total_seconds = wall
-        return ExecutionReport(
-            score_table=score_table,
-            timings=timings,
-            wall_seconds=wall,
-            n_workers=self.n_workers,
-            accounting=accounting,
-            backend=self.backend,
-            transfer=transfer_used,
-        )
-
-    def _run_process_shm(self, hypotheses: Sequence[Hypothesis],
-                         scorer: Scorer,
-                         accounting: SerializationAccounting | None,
-                         jobs: Sequence[ShmJob] | None = None,
-                         procs: ProcessPoolExecutor | None = None
-                         ) -> list[HypothesisTiming]:
-        """The zero-copy process path: share per batch group, map refs.
-
-        With ``jobs=None`` (the one-shot case) matrices are published
-        through a run-scoped :class:`SharedMatrixPool` that is closed —
-        segments unlinked — when the run ends.  A caller that passes
-        pre-shared ``jobs`` (see :func:`share_shm_jobs`) owns the
-        backing pool, so its segments survive this run and can serve
-        the next request without another copy-in; likewise a provided
-        ``procs`` pool is reused, not shut down.
-        """
-        if accounting is not None:
-            accounting.transfer = "shm"
-        own_pool = None
-        if jobs is None:
-            own_pool = SharedMatrixPool(accounting=accounting)
-            jobs = share_shm_jobs(hypotheses, own_pool)
-        worker = partial(_score_from_refs, scorer)
+                accounting.transfer = "shm"
+            if jobs is None:
+                own_pool = SharedMatrixPool(accounting=accounting)
+                jobs = share_shm_jobs(hypotheses, own_pool)
+            worker = partial(_score_from_refs, scorer)
         try:
             if procs is not None:
                 outcomes = list(procs.map(worker, jobs))
@@ -371,9 +316,11 @@ class HypothesisExecutor:
         finally:
             if own_pool is not None:
                 own_pool.close()
-        timings: list[HypothesisTiming | None] = [None] * len(hypotheses)
-        for index, timing, score_elapsed in outcomes:
-            timings[index] = timing
+        scores = np.empty(len(hypotheses))
+        seconds = np.empty(len(hypotheses))
+        for index, value, elapsed, score_elapsed in outcomes:
+            scores[index] = value
+            seconds[index] = elapsed
             if accounting is not None:
                 accounting.record_score_time(score_elapsed)
-        return timings
+        return scores, seconds

@@ -245,7 +245,7 @@ def replay_matrix(specs: Sequence[ScenarioSpec],
     """Replay every spec through ingest -> hypotheses -> rank -> grade.
 
     ``backend``/``n_workers``/``transfer`` are forwarded to
-    :func:`~repro.core.ranking.rank_families`; every backend produces
+    :func:`~repro.core.ranking.rank_families`; both backends produce
     the same scorecard (rankings are bitwise identical), which the
     parity regression test pins.  ``scale`` multiplies every scenario's
     trace length (see :func:`~repro.workloads.matrix.build_scenario`) —
@@ -356,6 +356,6 @@ def format_scorecard(card: Scorecard, recall_k: int = 3) -> str:
         f"Stages: build {total_build:.3f}s | hypotheses {total_hyp:.3f}s "
         f"| rank {total_rank:.3f}s | grade {total_grade:.3f}s "
         f"({len(card.runs)} scenarios x {len(card.scorers)} scorers, "
-        f"backend={card.backend or 'inline'})"
+        f"backend={card.backend or 'in-process'})"
     )
     return "\n".join(lines)

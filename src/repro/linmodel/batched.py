@@ -1,9 +1,9 @@
 """Batched linear-model kernels for vectorized hypothesis scoring.
 
-The batched execution backend (:mod:`repro.engine_exec.batch`) groups
-hypotheses that share the same (Y, Z) matrices and scores each group in
-stacked ``numpy`` operations instead of one Python-level call per
-hypothesis.  The kernels here are the building blocks:
+In-process scoring (:mod:`repro.engine_exec.batch`) groups hypotheses
+that share the same (Y, Z) matrices and scores each group in stacked
+``numpy`` operations instead of one Python-level call per hypothesis.
+The kernels here are the building blocks:
 
 - :func:`batched_standardize` — column standardisation of a ``(H, T, F)``
   stack, mirroring :class:`~repro.linmodel.preprocessing.StandardScaler`.
@@ -23,15 +23,18 @@ hypothesis.  The kernels here are the building blocks:
 
 Bitwise parity
 --------------
-All three kernels are written so that slice ``h`` of the batched result
-is *bitwise identical* to the corresponding sequential call.  numpy's
+All the kernels are written so that slice ``h`` of the batched result
+is *bitwise identical* to the corresponding 2-D call (and therefore to
+the same slice scored in any other batch).  numpy's
 linalg gufuncs (``svd``, ``matmul``) loop the underlying LAPACK/BLAS
 kernel over the leading axes, so each slice sees exactly the operand
 shapes and strides of the 2-D call; elementwise ops and axis reductions
 likewise preserve per-slice evaluation order.  The few places where a
 stacked op could take a different BLAS path (the ``(F,) @ (F, ny)``
-intercept GEMV) fall back to a tiny per-slice Python loop.  The backend
-parity tests assert exact float equality against the sequential path.
+intercept GEMV) fall back to a tiny per-slice Python loop, and fold
+rows are gathered with ``take`` so every slice stays contiguous.  The
+parity tests assert exact float equality against the sequential
+reference scorers in ``tests/scoring/reference.py``.
 """
 
 from __future__ import annotations
@@ -130,8 +133,12 @@ def batched_cross_val_r2(x_stack: np.ndarray, y: np.ndarray,
     rss = {float(a): np.zeros(n_stack) for a in alphas}
     tss = 0.0
     for train_idx, valid_idx in splitter.split(n_samples):
-        x_train = x_stack[:, train_idx, :]
-        x_valid = x_stack[:, valid_idx, :]
+        # ``take`` rather than ``x_stack[:, idx, :]``: fancy indexing a
+        # middle axis returns a stack whose slices are not contiguous,
+        # and reductions over such slices round differently from the 2-D
+        # call for single-column designs.
+        x_train = np.take(x_stack, train_idx, axis=1)
+        x_valid = np.take(x_stack, valid_idx, axis=1)
         y_valid = y[valid_idx]
         train_mean = y[train_idx].mean(axis=0)
         yc = y[train_idx] - train_mean

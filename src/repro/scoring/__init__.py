@@ -20,7 +20,6 @@ Bonferroni / Benjamini-Hochberg multiple-testing corrections.
 """
 
 from repro.scoring.base import (
-    BatchScorer,
     Scorer,
     get_scorer,
     list_scorers,
@@ -45,7 +44,6 @@ from repro.scoring.significance import (
 )
 
 __all__ = [
-    "BatchScorer",
     "Scorer",
     "get_scorer",
     "list_scorers",

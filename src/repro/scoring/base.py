@@ -1,23 +1,32 @@
 """Scorer protocol and registry.
 
-Scorers are stateless callables with a ``score(x, y, z)`` method.  The
+Scorers are stateless objects scoring the dependence ``Y ~ X | Z``.  The
 registry maps the names used throughout the paper's evaluation
 (``CorrMean``, ``CorrMax``, ``L2``, ``L2-P50``, ``L2-P500``) to factory
 functions, so harness code can sweep scorers by name.
 
-Scorers that can amortise work across many hypotheses sharing the same
-``(Y, Z)`` pair additionally implement the :class:`BatchScorer` protocol:
-``score_batch(xs, y, z)`` scores a whole list of candidate ``X`` matrices
-in stacked ``numpy`` operations and must return exactly the scores the
-sequential ``score`` calls would (the batched execution backend relies on
-this for bitwise-identical Score Tables).  Scorers without a vectorized
-path simply don't implement the protocol; the backend falls back to the
-per-hypothesis loop for them.
+A scorer is written once, as either method of :class:`Scorer`:
+
+- ``score_batch(xs, y, z)`` scores a whole list of candidate ``X``
+  matrices against one shared ``(Y, Z)`` in stacked ``numpy``
+  operations.  Every built-in scorer is written this way, because
+  Algorithm 1 scores hundreds of hypotheses against the same target per
+  interactive step; ``score(x, y, z)`` is then the batch of one.
+- ``score(x, y, z)`` scores one hypothesis.  Scorers with no work to
+  share across hypotheses (custom scorers,
+  :class:`~repro.core.autoselect.AutoScorer`) are written this way;
+  ``score_batch`` is then the per-X loop.
+
+``score_batch`` must not depend on batch composition: element ``i`` of
+its result is exactly ``score(xs[i], y, z)`` whatever else is in the
+batch, which is what lets the execution layer regroup hypotheses freely
+without changing any Score Table.  ``tests/scoring/reference.py`` keeps
+the plain 2-D sequential implementation of every built-in scorer as the
+oracle the stacked kernels are compared against, bit for bit.
 """
 
 from __future__ import annotations
 
-import abc
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,16 +36,33 @@ class ScoringError(Exception):
     """Raised when a hypothesis cannot be scored."""
 
 
-class Scorer(abc.ABC):
-    """Scores the dependence Y ~ X | Z into [0, 1]."""
+class Scorer:
+    """Scores the dependence Y ~ X | Z into [0, 1].
+
+    Subclasses override exactly one of :meth:`score` and
+    :meth:`score_batch`; the other is derived from it.
+    """
 
     #: Human-readable name used in reports and benchmarks.
     name: str = "scorer"
 
-    @abc.abstractmethod
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if (cls.score is Scorer.score
+                and cls.score_batch is Scorer.score_batch):
+            raise TypeError(
+                f"{cls.__name__} must override score or score_batch")
+
     def score(self, x: np.ndarray, y: np.ndarray,
               z: np.ndarray | None = None) -> float:
         """Return the causal-relevance score for the triple (X, Y, Z)."""
+        return float(self.score_batch([x], y, z)[0])
+
+    def score_batch(self, xs: Sequence[np.ndarray], y: np.ndarray,
+                    z: np.ndarray | None = None) -> np.ndarray:
+        """Scores for every X in ``xs``, aligned with the input order."""
+        return np.asarray([float(self.score(x, y, z)) for x in xs],
+                          dtype=np.float64)
 
     def __call__(self, x: np.ndarray, y: np.ndarray,
                  z: np.ndarray | None = None) -> float:
@@ -44,50 +70,6 @@ class Scorer(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
-
-
-class BatchScorer(abc.ABC):
-    """Mixin protocol: score many X hypotheses against one shared (Y, Z).
-
-    ``score_batch(xs, y, z)`` must be score-equivalent to
-    ``np.array([self.score(x, y, z) for x in xs])`` — not merely close,
-    but bitwise identical — so the batched execution backend can swap it
-    in without changing any Score Table.  Implementations share the
-    Y/Z-side work (validation, standardisation, residual projections,
-    fold statistics) across the batch and stack the X-side linear algebra
-    into 3-D gufunc calls, which numpy evaluates per slice with the same
-    kernels as the 2-D sequential path.
-    """
-
-    @abc.abstractmethod
-    def score_batch(self, xs: Sequence[np.ndarray], y: np.ndarray,
-                    z: np.ndarray | None = None) -> np.ndarray:
-        """Scores for every X in ``xs``, aligned with the input order."""
-
-
-class _SequentialBatchAdapter(BatchScorer):
-    """Presents a plain :class:`Scorer` through the batch protocol.
-
-    ``score_batch`` is the definitional per-hypothesis loop, so the
-    bitwise-identity contract holds trivially.  This exists so the batch
-    execution backend has exactly one code path: every scorer — built-in
-    or custom — is driven through ``score_batch``.
-    """
-
-    def __init__(self, scorer: Scorer) -> None:
-        self._scorer = scorer
-
-    def score_batch(self, xs: Sequence[np.ndarray], y: np.ndarray,
-                    z: np.ndarray | None = None) -> np.ndarray:
-        return np.asarray([float(self._scorer.score(x, y, z)) for x in xs],
-                          dtype=np.float64)
-
-
-def as_batch_scorer(scorer: Scorer) -> BatchScorer:
-    """The scorer itself when it batches natively, else a loop adapter."""
-    if isinstance(scorer, BatchScorer):
-        return scorer
-    return _SequentialBatchAdapter(scorer)
 
 
 def validate_batch(xs: Sequence[np.ndarray], y: np.ndarray,
@@ -153,7 +135,11 @@ def validate_triple(x: np.ndarray, y: np.ndarray,
 
 
 def _as_matrix(a: np.ndarray, label: str) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.float64)
+    # One memory layout for every scorer: family matrices built from a
+    # store are column-major, copies that crossed shared memory are
+    # row-major, and BLAS/reduction order — the last bits of a score —
+    # follows the layout.
+    arr = np.ascontiguousarray(a, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:

@@ -9,18 +9,15 @@ non-empty Z the three-regression conditional procedure is used instead.
 slower (no shared factorisation across the penalty path) but yields
 similar rankings, which the ablation benchmark confirms.
 
-Both scorers implement the :class:`~repro.scoring.base.BatchScorer`
-protocol.  ``L2Scorer.score_batch`` standardises Y (and Z) once,
-residualises Y on Z once per group, and runs the per-fold design SVDs of
-the cross-validation as stacked 3-D operations over every same-shaped X
-in the batch — bitwise identical to the sequential path, hypothesis by
-hypothesis.  ``L1Scorer.score_batch`` cannot stack the X-side work
+``L2Scorer.score_batch`` standardises Y (and Z) once, residualises Y
+on Z once per batch, and runs the per-fold design SVDs of the
+cross-validation as stacked 3-D operations over every same-shaped X in
+the batch.  ``L1Scorer.score_batch`` cannot stack the X-side work
 (coordinate descent shares no factorisation across designs), but it
 amortises everything Y/Z-sided: validation, standardisation, the
 residual projection of Y on Z, the fold split, and the per-fold total
 sum of squares are computed once per batch instead of once per
-hypothesis.  The per-X arithmetic is exactly the sequential loop's, so
-scores stay bitwise identical.
+hypothesis.
 """
 
 from __future__ import annotations
@@ -37,21 +34,18 @@ from repro.linmodel.batched import (
 )
 from repro.linmodel.lasso import Lasso
 from repro.linmodel.crossval import TimeSeriesKFold
-from repro.linmodel.model_selection import cross_val_r2
 from repro.linmodel.preprocessing import StandardScaler
 from repro.linmodel.ridge import DEFAULT_ALPHAS
 from repro.scoring.base import (
-    BatchScorer,
     Scorer,
     group_by_shape,
     register_scorer,
     validate_batch,
-    validate_triple,
 )
-from repro.scoring.conditional import RESIDUAL_ALPHA, conditional_score
+from repro.scoring.conditional import RESIDUAL_ALPHA, residualize
 
 
-class L2Scorer(Scorer, BatchScorer):
+class L2Scorer(Scorer):
     """Joint ridge-regression scoring (grid-searched, cross-validated)."""
 
     name = "L2"
@@ -61,21 +55,6 @@ class L2Scorer(Scorer, BatchScorer):
         self.alphas = tuple(float(a) for a in alphas)
         self.n_splits = n_splits
         self.standardize = standardize
-
-    def score(self, x: np.ndarray, y: np.ndarray,
-              z: np.ndarray | None = None) -> float:
-        x, y, z = validate_triple(x, y, z)
-        if self.standardize:
-            x = StandardScaler().fit_transform(x)
-            y = StandardScaler().fit_transform(y)
-            if z is not None:
-                z = StandardScaler().fit_transform(z)
-        if z is not None:
-            return conditional_score(x, y, z, alphas=self.alphas,
-                                     n_splits=self.n_splits)
-        result = cross_val_r2(x, y, alphas=self.alphas,
-                              n_splits=self.n_splits)
-        return float(np.clip(result.best_score, 0.0, 1.0))
 
     def score_batch(self, xs: Sequence[np.ndarray], y: np.ndarray,
                     z: np.ndarray | None = None) -> np.ndarray:
@@ -106,7 +85,7 @@ class L2Scorer(Scorer, BatchScorer):
         return out
 
 
-class L1Scorer(Scorer, BatchScorer):
+class L1Scorer(Scorer):
     """Joint Lasso scoring (penalty ablation variant)."""
 
     name = "L1"
@@ -116,34 +95,6 @@ class L1Scorer(Scorer, BatchScorer):
         self.alphas = tuple(float(a) for a in alphas)
         self.n_splits = n_splits
 
-    def score(self, x: np.ndarray, y: np.ndarray,
-              z: np.ndarray | None = None) -> float:
-        x, y, z = validate_triple(x, y, z)
-        x = StandardScaler().fit_transform(x)
-        y = StandardScaler().fit_transform(y)
-        if z is not None:
-            z = StandardScaler().fit_transform(z)
-            from repro.scoring.conditional import residualize
-            x = residualize(x, z)
-            y = residualize(y, z)
-        splitter = TimeSeriesKFold(n_splits=self.n_splits)
-        rss = {alpha: 0.0 for alpha in self.alphas}
-        tss = 0.0
-        for train_idx, valid_idx in splitter.split(x.shape[0]):
-            y_valid = y[valid_idx]
-            train_mean = y[train_idx].mean(axis=0)
-            tss += float(np.sum((y_valid - train_mean) ** 2))
-            for alpha in self.alphas:
-                model = Lasso(alpha=alpha).fit(x[train_idx], y[train_idx])
-                pred = model.predict(x[valid_idx])
-                if pred.ndim == 1:
-                    pred = pred[:, None]
-                rss[alpha] += float(np.sum((y_valid - pred) ** 2))
-        if tss <= 1e-12:
-            return 0.0
-        best = max(max(0.0, 1.0 - fold_rss / tss) for fold_rss in rss.values())
-        return float(np.clip(best, 0.0, 1.0))
-
     def score_batch(self, xs: Sequence[np.ndarray], y: np.ndarray,
                     z: np.ndarray | None = None) -> np.ndarray:
         """Batch scoring sharing all Y/Z-side work across the batch.
@@ -152,12 +103,8 @@ class L1Scorer(Scorer, BatchScorer):
         descent has no cross-design factorisation to share), but the
         shared inputs — standardised/residualised Y, the fold split,
         each fold's validation block and training mean, the total sum
-        of squares — are computed once.  The per-hypothesis arithmetic
-        is the sequential :meth:`score` loop verbatim, so results are
-        bitwise identical.
+        of squares — are computed once.
         """
-        from repro.scoring.conditional import residualize
-
         out = np.empty(len(xs))
         if not len(xs):
             return out

@@ -7,11 +7,10 @@ a scorer wrapper that augments X with its own past values before scoring,
 which detects delayed effects (queueing, batching) that instantaneous
 regression misses.
 
-``LaggedScorer`` implements the :class:`~repro.scoring.base.BatchScorer`
-protocol and is registered (as ``L2-lag2``, the default (0, 1, 2) lags
-over the inner L2): lagging is per-X and deterministic, so the batch
-path lags each X once and delegates the whole group to the inner
-scorer's vectorized path — bitwise equal to the sequential loop.
+``LaggedScorer`` is registered as ``L2-lag2`` (the default (0, 1, 2)
+lags over the inner L2): lagging is per-X and deterministic, so
+``score_batch`` lags each X once and hands the whole batch to the inner
+scorer.
 """
 
 from __future__ import annotations
@@ -21,12 +20,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.scoring.base import (
-    BatchScorer,
     Scorer,
     ScoringError,
     register_scorer,
     validate_batch,
-    validate_triple,
 )
 from repro.scoring.joint import L2Scorer
 
@@ -62,7 +59,7 @@ def lag_matrix(matrix: np.ndarray, lags: Sequence[int]) -> np.ndarray:
     return np.hstack(blocks)
 
 
-class LaggedScorer(Scorer, BatchScorer):
+class LaggedScorer(Scorer):
     """Wraps another scorer, augmenting X (and Z) with lagged copies."""
 
     def __init__(self, lags: Sequence[int] = (0, 1, 2),
@@ -73,32 +70,20 @@ class LaggedScorer(Scorer, BatchScorer):
         self._inner = inner if inner is not None else L2Scorer()
         self.name = f"{self._inner.name}-lag{max(self.lags)}"
 
-    def score(self, x: np.ndarray, y: np.ndarray,
-              z: np.ndarray | None = None) -> float:
-        x, y, z = validate_triple(x, y, z)
-        x_lagged = lag_matrix(x, self.lags)
-        z_lagged = lag_matrix(z, self.lags) if z is not None else None
-        return self._inner.score(x_lagged, y, z_lagged)
-
     def score_batch(self, xs: Sequence[np.ndarray], y: np.ndarray,
                     z: np.ndarray | None = None) -> np.ndarray:
         """Vectorized scoring: lag each X once, batch the inner scorer.
 
         Lagging Z preserves the shared-(Y, Z) structure (one lagged Z
-        per group), so the inner scorer's ``score_batch`` — when it has
-        one — amortises all Y/Z-side work exactly as for unlagged
-        hypotheses; inner scorers without a vectorized path fall back to
-        their sequential ``score`` per lagged design.
+        per batch), so the inner scorer amortises all Y/Z-side work
+        exactly as for unlagged hypotheses.
         """
         if not len(xs):
             return np.empty(0)
         validated, y_v, z_v = validate_batch(xs, y, z)
         lagged = [lag_matrix(x, self.lags) for x in validated]
         z_lagged = lag_matrix(z_v, self.lags) if z_v is not None else None
-        if isinstance(self._inner, BatchScorer):
-            return self._inner.score_batch(lagged, y_v, z_lagged)
-        return np.array([self._inner.score(x, y_v, z_lagged)
-                         for x in lagged])
+        return self._inner.score_batch(lagged, y_v, z_lagged)
 
 
 def best_lag(x: np.ndarray, y: np.ndarray, max_lag: int = 10,

@@ -7,23 +7,20 @@ three scores", and prefers random projection over PCA because PCA models
 *normal* behaviour and discards exactly the anomalies the target needs
 (§4.2) — the ablation benchmark reproduces that comparison.
 
-``ProjectedL2Scorer`` implements the :class:`~repro.scoring.base.
-BatchScorer` protocol: every hypothesis draws its own sketches from a
-fresh seeded generator (exactly as the sequential path does), but the
-projected designs all share one shape ``(T, d)``, so the inner L2
-cross-validation of the whole batch — all hypotheses times all
-projection rounds — runs as one stacked call.  When Y or Z itself needs
-projection, the key observation is that the sequential path seeds a
-fresh generator *per hypothesis*: within one X-shape group every
-hypothesis consumes the identical draw sequence, so the X sketch and
-the projected Y/Z of each round are shared across the group and the
-round still scores as one stacked call.
+``ProjectedL2Scorer.score_batch``: every hypothesis draws its own
+sketches from a fresh seeded generator, but the projected designs all
+share one shape ``(T, d)``, so the inner L2 cross-validation of the whole
+batch — all hypotheses times all projection rounds — runs as one stacked
+call.  When Y or Z itself needs projection, the key observation is that
+the generator is seeded afresh *per hypothesis*: within one X-shape
+group every hypothesis consumes the identical draw sequence, so the X
+sketch and the projected Y/Z of each round are shared across the group
+and the round still scores as one stacked call.
 
-``PcaL2Scorer`` also implements the protocol: per-X truncation is
-independent, so the whole batch truncates through one stacked SVD
+``PcaL2Scorer.score_batch``: per-X truncation is independent, so the
+whole batch truncates through one stacked SVD
 (:func:`~repro.linmodel.batched.batched_pca_truncate`) and the truncated
-designs delegate to the inner L2 batch path — bitwise equal to the
-sequential loop.
+designs go to the inner L2 together.
 """
 
 from __future__ import annotations
@@ -35,12 +32,10 @@ import numpy as np
 from repro.linmodel.batched import as_stack, batched_pca_truncate
 from repro.linmodel.ridge import DEFAULT_ALPHAS
 from repro.scoring.base import (
-    BatchScorer,
     Scorer,
     group_by_shape,
     register_scorer,
     validate_batch,
-    validate_triple,
 )
 from repro.scoring.joint import L2Scorer
 
@@ -60,7 +55,7 @@ def random_projection(matrix: np.ndarray, d: int,
     return matrix @ sketch
 
 
-class ProjectedL2Scorer(Scorer, BatchScorer):
+class ProjectedL2Scorer(Scorer):
     """L2 scoring after random projection to ``d`` dimensions."""
 
     def __init__(self, d: int, n_projections: int = 3,
@@ -76,25 +71,6 @@ class ProjectedL2Scorer(Scorer, BatchScorer):
         self.name = f"L2-P{d}"
         self._inner = L2Scorer(alphas=alphas, n_splits=n_splits)
 
-    def score(self, x: np.ndarray, y: np.ndarray,
-              z: np.ndarray | None = None) -> float:
-        x, y, z = validate_triple(x, y, z)
-        needs_projection = (
-            x.shape[1] > self.d
-            or y.shape[1] > self.d
-            or (z is not None and z.shape[1] > self.d)
-        )
-        if not needs_projection:
-            return self._inner.score(x, y, z)
-        rng = np.random.default_rng(self.seed)
-        scores = []
-        for _ in range(self.n_projections):
-            px = random_projection(x, self.d, rng)
-            py = random_projection(y, self.d, rng)
-            pz = random_projection(z, self.d, rng) if z is not None else None
-            scores.append(self._inner.score(px, py, pz))
-        return float(np.mean(scores))
-
     def score_batch(self, xs: Sequence[np.ndarray], y: np.ndarray,
                     z: np.ndarray | None = None) -> np.ndarray:
         """Vectorized scoring: all projection rounds in one stacked call."""
@@ -103,8 +79,8 @@ class ProjectedL2Scorer(Scorer, BatchScorer):
             return out
         # A Y or Z that itself needs projection is re-projected every
         # round, so rounds cannot stack *across* rounds — but they still
-        # stack across hypotheses: the sequential path seeds a fresh
-        # generator per hypothesis, so every member of one X-shape group
+        # stack across hypotheses: each hypothesis's draws come from a
+        # freshly seeded generator, so every member of one X-shape group
         # consumes the identical draw sequence.  The X sketch (when X is
         # wide) and each round's projected Y/Z are therefore shared by
         # the whole group, and each round scores as one stacked inner
@@ -121,7 +97,7 @@ class ProjectedL2Scorer(Scorer, BatchScorer):
                 x_wide = shape[1] > self.d
                 rounds = np.empty((self.n_projections, len(indices)))
                 for r in range(self.n_projections):
-                    # Draw order matches the sequential path exactly:
+                    # Draw order is part of the score's definition:
                     # the X sketch (only when X is wide — narrow X
                     # passes through and consumes no draws), then Y's
                     # sketch, then Z's.
@@ -166,7 +142,7 @@ class ProjectedL2Scorer(Scorer, BatchScorer):
         return out
 
 
-class PcaL2Scorer(Scorer, BatchScorer):
+class PcaL2Scorer(Scorer):
     """PCA-truncated L2 scoring — the alternative §4.2 argues *against*.
 
     PCA keeps the top-variance directions of X, which model its normal
@@ -183,14 +159,6 @@ class PcaL2Scorer(Scorer, BatchScorer):
         self.name = f"L2-PCA{d}"
         self._inner = L2Scorer(alphas=alphas, n_splits=n_splits)
 
-    def score(self, x: np.ndarray, y: np.ndarray,
-              z: np.ndarray | None = None) -> float:
-        x, y, z = validate_triple(x, y, z)
-        x = self._truncate(x)
-        if z is not None:
-            z = self._truncate(z)
-        return self._inner.score(x, y, z)
-
     def score_batch(self, xs: Sequence[np.ndarray], y: np.ndarray,
                     z: np.ndarray | None = None) -> np.ndarray:
         """Vectorized scoring: all truncations in one stacked SVD.
@@ -199,7 +167,7 @@ class PcaL2Scorer(Scorer, BatchScorer):
         designs truncate through one
         :func:`~repro.linmodel.batched.batched_pca_truncate` call and
         every design then rides the inner L2 batch path against the
-        shared (Y, Z) — bitwise equal to the sequential loop.
+        shared (Y, Z).
         """
         if not len(xs):
             return np.empty(0)

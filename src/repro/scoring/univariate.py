@@ -10,11 +10,9 @@ to the unified conditional mechanism: X and Y are first residualised on Z
 and the correlations are computed between the residuals (which for a
 single pair is exactly the partial correlation).
 
-The scorers also implement the :class:`~repro.scoring.base.BatchScorer`
-protocol: ``score_batch`` centres/normalises Y once per group, projects
-the whole batch of X matrices through one shared SVD of Z when
-conditioning, and computes all cross-correlation matrices as stacked
-3-D matmuls — bitwise identical to the sequential path.
+``score_batch`` centres/normalises Y once per batch, projects the whole
+batch of X matrices through one shared SVD of Z when conditioning, and
+computes all cross-correlation matrices as stacked 3-D matmuls.
 """
 
 from __future__ import annotations
@@ -25,12 +23,10 @@ import numpy as np
 
 from repro.linmodel.batched import as_stack, batched_residualize
 from repro.scoring.base import (
-    BatchScorer,
     Scorer,
     group_by_shape,
     register_scorer,
     validate_batch,
-    validate_triple,
 )
 from repro.scoring.conditional import RESIDUAL_ALPHA, residualize
 
@@ -58,7 +54,7 @@ def correlation_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.abs(np.clip(rho, -1.0, 1.0))
 
 
-class _CorrScorer(Scorer, BatchScorer):
+class _CorrScorer(Scorer):
     """Shared implementation of both correlation summarisers."""
 
     def __init__(self, mode: str) -> None:
@@ -66,17 +62,6 @@ class _CorrScorer(Scorer, BatchScorer):
             raise ValueError(f"mode must be 'mean' or 'max', got {mode!r}")
         self._mode = mode
         self.name = "CorrMean" if mode == "mean" else "CorrMax"
-
-    def score(self, x: np.ndarray, y: np.ndarray,
-              z: np.ndarray | None = None) -> float:
-        x, y, z = validate_triple(x, y, z)
-        if z is not None:
-            x = residualize(x, z)
-            y = residualize(y, z)
-        rho = correlation_matrix(x, y)
-        if self._mode == "mean":
-            return float(np.mean(rho))
-        return float(np.max(rho))
 
     def score_batch(self, xs: Sequence[np.ndarray], y: np.ndarray,
                     z: np.ndarray | None = None) -> np.ndarray:

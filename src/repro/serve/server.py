@@ -165,8 +165,8 @@ class _VersionState:
 
         The first request of a given explain shape copies the batch
         groups' Y/Z/X matrices into shared memory; every later request
-        at this version replays the same refs.  Returns a fresh list is
-        not needed — jobs are immutable tuples.
+        at this version replays the same refs.  Callers share the
+        returned list — jobs are immutable tuples and nobody mutates it.
         """
         with self._lock:
             if self._closed:
@@ -230,9 +230,9 @@ class QueryServer:
         if keep_versions < 1:
             raise ValueError(
                 f"keep_versions must be >= 1, got {keep_versions}")
-        if backend is not None and backend not in BACKENDS:
+        if backend not in BACKENDS:
             raise ValueError(
-                f"backend must be None or one of {BACKENDS}, got {backend!r}")
+                f"backend must be one of {BACKENDS}, got {backend!r}")
         self._store = store
         self._group_by = group_by
         self._columnar = columnar
@@ -353,8 +353,9 @@ class QueryServer:
         with self._state_lock:
             versions = sorted(self._states)
             segments = sum(s.shm_segments for s in self._states.values())
+            requests = dict(self._requests)
         return {
-            "requests": dict(self._requests),
+            "requests": requests,
             "cache": self._cache.stats.as_dict(),
             "store_version": self._store.version,
             "warm_versions": versions,
@@ -372,6 +373,12 @@ class QueryServer:
     def _check_open(self) -> None:
         if self._closed:
             raise RuntimeError("QueryServer is closed")
+
+    def _count(self, kind: str) -> None:
+        # Request bodies run on pool threads, and ``+=`` on a dict slot
+        # is a read-modify-write that nothing makes atomic.
+        with self._state_lock:
+            self._requests[kind] += 1
 
     def _pin(self) -> _VersionState:
         """Get-or-create the state for the version current right now."""
@@ -424,7 +431,7 @@ class QueryServer:
 
     # -- request bodies (run on the worker pool) ------------------------
     def _run_sql(self, query: str, started: float) -> ServedResult:
-        self._requests["sql"] += 1
+        self._count("sql")
         key = ("sql", normalize_query(query), self._columnar)
         state = self._pin()
         try:
@@ -447,7 +454,7 @@ class QueryServer:
                      condition: Any, search: tuple | None, exclude: tuple,
                      top_k: int, backend: str | None, transfer: str,
                      started: float) -> ServedResult:
-        self._requests[kind] += 1
+        self._count(kind)
         # Only plain-data request shapes are cacheable; a caller passing
         # a live Scorer or FeatureFamily object gets a fresh run.
         cacheable = isinstance(scorer, str) \
@@ -483,10 +490,7 @@ class QueryServer:
         hypotheses = generate_hypotheses(
             families, target, condition=condition, search=search,
             exclude=exclude)
-        use_shared = (backend == "process" and transfer == "shm"
-                      and shareable and self._rank_workers > 1
-                      and len(hypotheses) > 1)
-        if use_shared:
+        if backend == "process" and transfer == "shm" and shareable:
             jobs = state.shm_jobs(
                 (target, condition, search, exclude), hypotheses)
             executor = HypothesisExecutor(

@@ -5,7 +5,11 @@ import pytest
 
 from repro.core.families import FamilySet, FeatureFamily
 from repro.core.hypothesis import generate_hypotheses
-from repro.core.ranking import DEFAULT_TOP_K, rank_families
+from repro.core.ranking import (
+    DEFAULT_TOP_K,
+    build_score_table,
+    rank_families,
+)
 
 
 @pytest.fixture
@@ -75,12 +79,18 @@ class TestRankFamilies:
         table = rank_families([], scorer="CorrMax")
         assert table.results == []
 
-    def test_custom_score_fn(self, toy_families):
+    def test_table_built_from_position_aligned_scores(self, toy_families):
         hyps = generate_hypotheses(toy_families, "target")
         fixed = {"strong": 0.1, "weak": 0.9, "noise": 0.5}
-        table = rank_families(hyps, scorer="CorrMax",
-                              score_fn=lambda h: fixed[h.name])
-        assert table.results[0].family == "weak"
+        table = build_score_table(
+            hyps, [fixed[h.name] for h in hyps],
+            [float(i) for i in range(len(hyps))], "fixed", total_seconds=9.0)
+        assert [r.family for r in table.results] == ["weak", "noise",
+                                                     "strong"]
+        assert table.all_scores == fixed
+        assert table.scorer_name == "fixed" and table.total_seconds == 9.0
+        by_name = {h.name: i for i, h in enumerate(hyps)}
+        assert all(r.seconds == by_name[r.family] for r in table.results)
 
     def test_default_top_k_is_20(self):
         assert DEFAULT_TOP_K == 20

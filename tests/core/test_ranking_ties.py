@@ -15,7 +15,11 @@ import pytest
 
 from repro.core.families import FamilySet, FeatureFamily
 from repro.core.hypothesis import generate_hypotheses
-from repro.core.ranking import rank_families, ranking_sort_key
+from repro.core.ranking import (
+    build_score_table,
+    rank_families,
+    ranking_sort_key,
+)
 
 #: Deliberately non-alphabetical insertion order.
 TIED_NAMES = ("zeta", "alpha", "mid", "beta", "omega")
@@ -73,10 +77,9 @@ class TestTiedScores:
         assert rankings[0] == rankings[1] == rankings[2] == sorted(TIED_NAMES)
 
     @pytest.mark.parametrize("backend,transfer", [
-        ("thread", "shm"),
+        (None, "shm"),
         ("process", "shm"),
         ("process", "pickle"),
-        ("batch", "shm"),
     ])
     def test_tie_break_identical_across_backends(self, backend, transfer):
         hyps = generate_hypotheses(tied_families(), "target")
@@ -90,12 +93,8 @@ class TestNanScores:
         families = tied_families()
         hyps = generate_hypotheses(families, "target")
         nan_families = {"zeta", "beta"}
-
-        def score_fn(hypothesis):
-            if hypothesis.x.name in nan_families:
-                return math.nan
-            return 0.5
-
-        table = rank_families(hyps, score_fn=score_fn)
+        scores = [math.nan if h.x.name in nan_families else 0.5
+                  for h in hyps]
+        table = build_score_table(hyps, scores, [0.0] * len(hyps), "fixed")
         names = [r.family for r in table.results]
         assert names == ["alpha", "mid", "omega", "beta", "zeta"]

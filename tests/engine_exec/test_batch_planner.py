@@ -9,6 +9,7 @@ from repro.core.families import FamilySet, FeatureFamily
 from repro.core.hypothesis import generate_hypotheses
 from repro.engine_exec import HypothesisExecutor, execute_batches, plan_batches
 from repro.scoring import get_scorer
+from tests.scoring.reference import reference_for
 
 
 def _families(rng, n=5, n_samples=40):
@@ -118,9 +119,10 @@ class TestPlanBatches:
         for batch in batches:
             for h in batch.hypotheses:
                 assert np.array_equal(batch.y.matrix, h.y.matrix)
-        scorer = get_scorer("CorrMax")
-        scores, _, _ = execute_batches(hypotheses, scorer)
-        expected = np.array([scorer.score(*h.matrices()) for h in hypotheses])
+        scores, _, _ = execute_batches(hypotheses, get_scorer("CorrMax"))
+        reference = reference_for("CorrMax")
+        expected = np.array([reference.score(*h.matrices())
+                             for h in hypotheses])
         assert np.array_equal(scores, expected)
 
 
@@ -161,24 +163,26 @@ class TestAttributedTimings:
         # The 3-member group shares one measured elapsed time.
         assert attributed[narrow].all()
         assert np.all(seconds[narrow] == seconds[narrow[0]])
-        # Scores stay bitwise identical to the sequential path.
-        expected = np.array([scorer.score(*h.matrices())
+        # Scores stay bitwise identical to the sequential oracle.
+        reference = reference_for("L2")
+        expected = np.array([reference.score(*h.matrices())
                              for h in hypotheses])
         assert np.array_equal(scores, expected)
 
     def test_l1_batches_like_every_other_scorer(self, rng):
-        """L1 implements score_batch (shared Y-side work), so its
+        """L1 shares only its Y-side work across a batch, but its
         same-shape groups get attributed shares like L2's — and scores
-        stay bitwise identical to the sequential path."""
+        stay bitwise identical to the sequential oracle."""
         hypotheses = generate_hypotheses(_families(rng), "target")
-        scorer = get_scorer("L1")
-        scores, _, attributed = execute_batches(hypotheses, scorer)
+        scores, _, attributed = execute_batches(hypotheses,
+                                                get_scorer("L1"))
         assert attributed.all()
-        expected = np.array([scorer.score(*h.matrices())
+        reference = reference_for("L1")
+        expected = np.array([reference.score(*h.matrices())
                              for h in hypotheses])
         assert np.array_equal(scores, expected)
 
-    def test_custom_scorer_without_batch_path_is_adapted(self, rng):
+    def test_custom_scorer_without_batch_path_loops(self, rng):
         from repro.scoring.base import Scorer
 
         class Plain(Scorer):
@@ -193,7 +197,7 @@ class TestAttributedTimings:
         expected = np.array([scorer.score(*h.matrices())
                              for h in hypotheses])
         assert np.array_equal(scores, expected)
-        assert attributed.all()    # adapted loop is timed per shape group
+        assert attributed.all()    # the loop is timed per shape group
 
     def test_single_hypothesis_batch_is_measured(self, rng):
         hypotheses = generate_hypotheses(_families(rng, n=1), "target")
@@ -202,11 +206,32 @@ class TestAttributedTimings:
 
     def test_report_exposes_attribution(self, rng):
         hypotheses = generate_hypotheses(_families(rng), "target")
-        batch = HypothesisExecutor(backend="batch").run(hypotheses,
-                                                        scorer="L2")
-        assert batch.has_attributed_timings()
-        assert all(t.attributed for t in batch.timings)
-        sequential = HypothesisExecutor(n_workers=1).run(hypotheses,
-                                                         scorer="L2")
-        assert not sequential.has_attributed_timings()
-        assert all(not t.attributed for t in sequential.timings)
+        in_process = HypothesisExecutor().run(hypotheses, scorer="L2")
+        assert in_process.has_attributed_timings()
+        assert all(t.attributed for t in in_process.timings)
+        pooled = HypothesisExecutor(n_workers=2, backend="process").run(
+            hypotheses, scorer="L2")
+        assert not pooled.has_attributed_timings()
+        assert all(not t.attributed for t in pooled.timings)
+
+    def test_large_shape_group_scored_in_bounded_calls(self, rng,
+                                                       monkeypatch):
+        """One shape group larger than the stack bound is split into
+        several ``score_batch`` calls, each timed on its own, without
+        changing a score."""
+        from repro.engine_exec import batch as batch_module
+
+        hypotheses = generate_hypotheses(_families(rng, n=7), "target")
+        scorer = get_scorer("L2")
+        whole, _, _ = execute_batches(hypotheses, scorer)
+        calls = []
+        original = scorer.score_batch
+        monkeypatch.setattr(
+            scorer, "score_batch",
+            lambda xs, y, z=None: calls.append(len(xs)) or original(xs, y, z))
+        x_size = hypotheses[0].x.matrix.size
+        monkeypatch.setattr(batch_module, "STACK_ELEMENTS", 3 * x_size)
+        split, _, attributed = execute_batches(hypotheses, scorer)
+        assert calls == [3, 3, 1]
+        assert np.array_equal(split, whole)
+        assert attributed.tolist() == [True] * 6 + [False]

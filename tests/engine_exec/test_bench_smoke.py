@@ -2,8 +2,8 @@
 
 Loads ``benchmarks/bench_figure10_score_time.py`` by path (the benchmark
 tree is not an importable package) and runs its backend comparison on a
-tiny workload, checking that both the legacy thread backend and the
-batched backend produce complete, sane timing rows.
+tiny workload, checking that the script's own per-hypothesis baseline
+loop and both executor backends produce complete, sane timing rows.
 """
 
 import importlib.util
@@ -25,15 +25,17 @@ def _load_bench_module():
 def test_backend_rows_well_formed():
     bench = _load_bench_module()
     hypotheses = bench.synthetic_hypotheses(n_families=8, n_samples=60)
-    rows = bench.backend_timing_rows(hypotheses, scorer="L2",
-                                     backends=("thread", "batch"),
-                                     n_workers=2)
-    assert [row["backend"] for row in rows] == ["thread", "batch"]
+    rows = bench.backend_timing_rows(
+        hypotheses, scorer="L2",
+        backends=(bench.SCORE_LOOP, None, "process"), n_workers=2)
+    assert [row["backend"] for row in rows] == [
+        "score-loop", "in-process", "process"]
     for row in rows:
         assert set(row) == set(bench.BACKEND_ROW_FIELDS)
         assert row["scorer"] == "L2"
         assert row["n_hypotheses"] == 8
-        assert row["n_workers"] == 2
+        assert row["n_workers"] == (1 if row["backend"] == "score-loop"
+                                    else 2)
         for key in ("wall_seconds", "mean_seconds_per_family",
                     "max_seconds_per_family"):
             assert isinstance(row[key], float)
@@ -42,12 +44,13 @@ def test_backend_rows_well_formed():
         assert (row["max_seconds_per_family"]
                 >= row["mean_seconds_per_family"])
     by_backend = {row["backend"]: row for row in rows}
-    # Thread timings are individually measured; batch ones are equal
-    # shares of the stacked call and flagged as such.
-    assert by_backend["thread"]["share_attributed"] is False
-    assert by_backend["batch"]["share_attributed"] is True
+    # Loop and pool timings are individually measured; in-process ones
+    # are equal shares of the stacked call and flagged as such.
+    assert by_backend["score-loop"]["share_attributed"] is False
+    assert by_backend["process"]["share_attributed"] is False
+    assert by_backend["in-process"]["share_attributed"] is True
     rendered = bench.format_backend_rows(rows)
-    assert "thread" in rendered and "batch" in rendered
+    assert "score-loop" in rendered and "in-process" in rendered
     assert "attributed" in rendered
 
 

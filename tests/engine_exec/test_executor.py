@@ -1,4 +1,4 @@
-"""Unit tests for the parallel hypothesis executor."""
+"""Unit tests for the hypothesis executor."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import pytest
 from repro.core.families import FamilySet, FeatureFamily
 from repro.core.hypothesis import generate_hypotheses
 from repro.engine_exec import HypothesisExecutor
+from tests.scoring.reference import reference_rank
 
 
 @pytest.fixture
@@ -27,18 +28,20 @@ def hypotheses(rng):
 
 class TestHypothesisExecutor:
     def test_parallel_matches_serial_ranking(self, hypotheses):
-        serial = HypothesisExecutor(n_workers=1).run(
-            hypotheses, scorer="L2")
-        parallel = HypothesisExecutor(n_workers=4).run(
-            hypotheses, scorer="L2")
-        serial_rank = [r.family for r in serial.score_table.results]
-        parallel_rank = [r.family for r in parallel.score_table.results]
-        assert serial_rank == parallel_rank
+        serial_rank = [r.family
+                       for r in reference_rank(hypotheses, "L2").results]
+        for backend in (None, "process"):
+            report = HypothesisExecutor(n_workers=4, backend=backend).run(
+                hypotheses, scorer="L2")
+            assert report.backend == backend
+            assert [r.family
+                    for r in report.score_table.results] == serial_rank
         assert serial_rank[0] == "fam_0"
 
     def test_timings_per_hypothesis(self, hypotheses):
-        report = HypothesisExecutor(n_workers=2).run(hypotheses,
-                                                     scorer="L2")
+        report = HypothesisExecutor(n_workers=2, backend="process").run(
+            hypotheses, scorer="L2")
+        assert not report.has_attributed_timings()
         assert len(report.timings) == len(hypotheses)
         assert report.mean_seconds_per_family() > 0.0
         assert report.max_seconds_per_family() >= \

@@ -2,7 +2,8 @@
 
 Edge cases the satellite checklist calls out: empty hypothesis list,
 single hypothesis, more workers than hypotheses, and determinism of the
-ranking across worker counts and backends.
+ranking across worker counts and backends.  The expected ranking comes
+from the sequential oracle in ``tests/scoring/reference.py``.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from repro.core.families import FamilySet, FeatureFamily
 from repro.core.hypothesis import generate_hypotheses
 from repro.engine_exec import BACKENDS, HypothesisExecutor
+from tests.scoring.reference import reference_rank
 
 
 def _build_hypotheses(n_families: int, n_samples: int = 48):
@@ -30,16 +32,15 @@ def _build_hypotheses(n_families: int, n_samples: int = 48):
 
 
 HYPOTHESES = _build_hypotheses(7)
-REFERENCE = HypothesisExecutor(n_workers=1).run(HYPOTHESES, scorer="CorrMax")
-REFERENCE_RANKING = [r.family for r in REFERENCE.score_table.results]
-REFERENCE_SCORES = dict(REFERENCE.score_table.all_scores)
+REFERENCE = reference_rank(HYPOTHESES, "CorrMax")
+REFERENCE_RANKING = [r.family for r in REFERENCE.results]
+REFERENCE_SCORES = dict(REFERENCE.all_scores)
 
 
-@given(n_workers=st.integers(min_value=1, max_value=9),
-       backend=st.sampled_from(["thread", "batch"]))
+@given(n_workers=st.integers(min_value=1, max_value=9))
 @settings(max_examples=12, deadline=None)
-def test_ranking_deterministic_across_worker_counts(n_workers, backend):
-    report = HypothesisExecutor(n_workers=n_workers, backend=backend).run(
+def test_ranking_deterministic_across_worker_counts(n_workers):
+    report = HypothesisExecutor(n_workers=n_workers).run(
         HYPOTHESES, scorer="CorrMax")
     assert [r.family for r in report.score_table.results] == REFERENCE_RANKING
     assert dict(report.score_table.all_scores) == REFERENCE_SCORES
@@ -76,8 +77,18 @@ def test_more_workers_than_hypotheses(backend):
     assert len(report.timings) == len(HYPOTHESES)
 
 
-def test_batch_timings_cover_every_hypothesis():
-    report = HypothesisExecutor(backend="batch").run(HYPOTHESES, scorer="L2")
+@pytest.mark.parametrize("n_workers", [1, 3])
+def test_process_ranking_deterministic_across_worker_counts(n_workers):
+    report = HypothesisExecutor(n_workers=n_workers, backend="process").run(
+        HYPOTHESES, scorer="CorrMax")
+    assert [r.family for r in report.score_table.results] == REFERENCE_RANKING
+    assert dict(report.score_table.all_scores) == REFERENCE_SCORES
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_timings_cover_every_hypothesis(backend):
+    report = HypothesisExecutor(n_workers=2, backend=backend).run(
+        HYPOTHESES, scorer="L2")
     assert len(report.timings) == len(HYPOTHESES)
     assert all(t.seconds > 0.0 for t in report.timings)
     assert {t.family for t in report.timings} == {h.name for h in HYPOTHESES}

@@ -11,6 +11,7 @@ from repro.engine_exec import (
     SharedMatrixPool,
 )
 from repro.engine_exec.shm import attach_segment, resolve_ref
+from tests.scoring.reference import reference_rank
 
 
 def _make_hypotheses(rng, n_families=6, n_samples=60, with_z=False):
@@ -122,30 +123,32 @@ class TestShmBackendParity:
 
     def test_shm_matches_sequential_with_condition(self, rng):
         hypotheses = _make_hypotheses(rng, with_z=True)
-        sequential = HypothesisExecutor(n_workers=1).run(
-            hypotheses, scorer="L2")
+        sequential = reference_rank(hypotheses, "L2")
         shm = HypothesisExecutor(n_workers=2, backend="process",
                                  transfer="shm").run(hypotheses, scorer="L2")
-        assert (shm.score_table.all_scores
-                == sequential.score_table.all_scores)
+        assert shm.score_table.all_scores == sequential.all_scores
 
     def test_report_records_transfer_mode(self, rng):
         hypotheses = _make_hypotheses(rng, n_families=3)
         shm = HypothesisExecutor(n_workers=2, backend="process",
                                  transfer="shm").run(hypotheses, scorer="CorrMax")
         assert shm.transfer == "shm"
-        thread = HypothesisExecutor(n_workers=2).run(hypotheses,
-                                                     scorer="CorrMax")
-        assert thread.transfer is None
+        in_process = HypothesisExecutor(n_workers=2).run(hypotheses,
+                                                         scorer="CorrMax")
+        assert in_process.transfer is None
 
-    def test_degenerate_sequential_run_reports_no_transfer(self, rng):
-        """n_workers=1 takes the in-line loop: no transfer mechanism ran,
-        so the report must not claim one."""
+    def test_single_worker_pool_still_transfers(self, rng):
+        """n_workers=1 is a pool of one, not a different code path: the
+        matrices cross the process boundary and the report says how."""
         hypotheses = _make_hypotheses(rng, n_families=3)
         report = HypothesisExecutor(n_workers=1, backend="process",
-                                    transfer="shm").run(hypotheses,
-                                                        scorer="CorrMax")
-        assert report.transfer is None
+                                    transfer="shm",
+                                    measure_serialization=True).run(
+            hypotheses, scorer="CorrMax")
+        assert report.transfer == "shm"
+        assert report.accounting.bytes_moved > 0
+        assert (report.score_table.all_scores
+                == reference_rank(hypotheses, "CorrMax").all_scores)
 
     def test_shm_moves_fewer_bytes_than_pickle(self, rng):
         hypotheses = _make_hypotheses(rng)

@@ -164,19 +164,30 @@ class TestFormatScorecard:
 class TestBackendParity:
     """Satellite: the scorecard is identical across execution backends.
 
-    All backends funnel through ``rank_families``'s deterministic sort,
-    and the scorers are bitwise reproducible — so the graded scorecard
-    must not depend on how the ranking work was scheduled.
+    All backends funnel through ``build_score_table``'s deterministic
+    sort, and the scorers are bitwise reproducible — so the graded
+    scorecard must not depend on how the ranking work was scheduled.
     """
 
-    @pytest.mark.parametrize("backend,transfer", [
-        ("thread", "shm"),
-        ("process", "shm"),
-        ("batch", "shm"),
-    ])
-    def test_backend_matches_inline(self, smoke_card, backend, transfer):
+    @pytest.mark.parametrize("transfer", ["shm", "pickle"])
+    def test_process_backend_matches_in_process(self, smoke_card, transfer):
         card = replay_matrix(SMOKE, scorers=DEFAULT_SCORERS,
-                             backend=backend, n_workers=2,
+                             backend="process", n_workers=2,
                              transfer=transfer, matrix="smoke")
+        assert (card.to_json(with_timings=False, with_meta=False)
+                == smoke_card.to_json(with_timings=False, with_meta=False))
+
+    def test_in_process_matches_sequential_oracle(self, smoke_card,
+                                                  monkeypatch):
+        """Ranking each scenario with the per-hypothesis reference loop
+        instead grades to the byte-identical scorecard."""
+        import repro.evalkit.replay as replay_module
+        from tests.scoring.reference import reference_rank
+
+        monkeypatch.setattr(
+            replay_module, "rank_families",
+            lambda hypotheses, scorer, **_: reference_rank(hypotheses,
+                                                           scorer))
+        card = replay_matrix(SMOKE, scorers=DEFAULT_SCORERS, matrix="smoke")
         assert (card.to_json(with_timings=False, with_meta=False)
                 == smoke_card.to_json(with_timings=False, with_meta=False))

@@ -20,10 +20,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["explain", "9.9"])
 
-    def test_invalid_backend_rejected_at_parse_time(self):
+    @pytest.mark.parametrize("verb", [("explain", "5.1"), ("replay",),
+                                      ("serve", "5.1")])
+    @pytest.mark.parametrize("backend", ["spark", "thread", "batch"])
+    def test_invalid_backend_rejected_at_parse_time(self, verb, backend):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["explain", "5.1",
-                                       "--backend", "spark"])
+            build_parser().parse_args([*verb, "--backend", backend])
+        args = build_parser().parse_args([*verb, "--backend", "process"])
+        assert args.backend == "process"
+        assert build_parser().parse_args([*verb]).backend is None
 
     def test_invalid_transfer_rejected_at_parse_time(self):
         with pytest.raises(SystemExit):
@@ -65,27 +70,27 @@ class TestResolveExecArgs:
         assert transfer == "shm"
         assert warnings == []
 
-    def test_workers_warn_under_batch(self):
-        _, _, warnings = resolve_exec_args("batch", 8, None)
-        assert len(warnings) == 1
-        assert "--workers" in warnings[0] and "batch" in warnings[0]
-
     def test_workers_warn_without_backend(self):
-        _, _, warnings = resolve_exec_args(None, 8, None)
+        n_workers, _, warnings = resolve_exec_args(None, 8, None)
+        assert n_workers == 8
         assert len(warnings) == 1
-        assert "--workers" in warnings[0]
+        assert "--workers" in warnings[0] and "in-process" in warnings[0]
 
-    def test_workers_used_by_pools(self):
-        for backend in ("thread", "process"):
-            n_workers, _, warnings = resolve_exec_args(backend, 8, None)
-            assert n_workers == 8
-            assert warnings == []
+    def test_workers_used_by_the_pool(self):
+        n_workers, _, warnings = resolve_exec_args("process", 8, None)
+        assert n_workers == 8
+        assert warnings == []
 
-    def test_transfer_warn_for_non_process_backends(self):
-        for backend in (None, "thread", "batch"):
-            _, transfer, warnings = resolve_exec_args(backend, None, "shm")
-            assert transfer == "shm"
-            assert any("--transfer" in w for w in warnings)
+    def test_transfer_warns_without_backend(self):
+        _, transfer, warnings = resolve_exec_args(None, None, "shm")
+        assert transfer == "shm"
+        assert len(warnings) == 1
+        assert "--transfer" in warnings[0]
+
+    def test_both_ignored_flags_warn(self):
+        _, _, warnings = resolve_exec_args(None, 2, "pickle")
+        assert [w.split()[0] for w in warnings] == ["--workers",
+                                                    "--transfer"]
 
     def test_transfer_used_by_process(self):
         _, transfer, warnings = resolve_exec_args("process", None, "pickle")
@@ -93,8 +98,9 @@ class TestResolveExecArgs:
         assert warnings == []
 
     def test_invalid_worker_count(self):
-        with pytest.raises(ValueError):
-            resolve_exec_args("thread", 0, None)
+        for backend in (None, "process"):
+            with pytest.raises(ValueError):
+                resolve_exec_args(backend, 0, None)
 
 
 class TestCommands:
@@ -129,8 +135,7 @@ class TestCommands:
 
     def test_explain_warns_on_ignored_workers(self, capsys):
         assert main(["explain", "fig14", "--scorer", "CorrMax",
-                     "--backend", "batch", "--workers", "8",
-                     "--top", "5"]) == 0
+                     "--workers", "8", "--top", "5"]) == 0
         captured = capsys.readouterr()
         assert "warning" in captured.err and "--workers" in captured.err
 

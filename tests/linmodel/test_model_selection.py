@@ -75,3 +75,24 @@ class TestGridSearchCV:
     def test_predict_before_fit(self):
         with pytest.raises(RuntimeError):
             GridSearchCV().predict(np.zeros((3, 1)))
+
+
+class TestBatchedCrossVal:
+    @pytest.mark.parametrize("n_features", [1, 3])
+    def test_stacked_slices_equal_the_2d_call_bitwise(self, n_features):
+        """Regression: fancy-indexing the fold rows out of the stack left
+        non-contiguous slices, and for one-column designs their fold
+        means rounded differently from the 2-D call's — so a score
+        depended on what else was in the batch."""
+        from repro.linmodel.batched import as_stack, batched_cross_val_r2
+
+        rng = np.random.default_rng(5)
+        y = rng.standard_normal((72, 1))
+        xs = [0.3 * y + 3.0 + rng.standard_normal((72, n_features))
+              for _ in range(40)]
+        stacked = batched_cross_val_r2(as_stack(xs), y)
+        for x, got in zip(xs, stacked):
+            want = cross_val_r2(x, y)
+            assert got.scores_by_alpha == want.scores_by_alpha
+            assert got.best_alpha == want.best_alpha
+            assert got == batched_cross_val_r2(as_stack([x]), y)[0]

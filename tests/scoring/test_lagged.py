@@ -6,6 +6,7 @@ import pytest
 from repro.scoring.base import ScoringError
 from repro.scoring.joint import L2Scorer
 from repro.scoring.lagged import LaggedScorer, best_lag, lag_matrix
+from tests.scoring.reference import reference_for
 
 
 class TestLagMatrix:
@@ -71,30 +72,47 @@ class TestLaggedScorer:
 class TestLaggedBatchPath:
     def test_batch_matches_sequential_bitwise(self, rng):
         scorer = LaggedScorer(lags=(0, 1, 2))
+        reference = reference_for(scorer)
         y = rng.standard_normal((60, 1))
         z = rng.standard_normal((60, 2))
         xs = [rng.standard_normal((60, 2)) for _ in range(4)]
         for condition in (None, z):
             batch = scorer.score_batch(xs, y, condition)
-            sequential = np.array([scorer.score(x, y, condition)
+            sequential = np.array([reference.score(x, y, condition)
                                    for x in xs])
             assert np.array_equal(batch, sequential)
 
-    def test_registered_and_vectorized(self):
-        from repro.scoring import BatchScorer, get_scorer, list_scorers
+    def test_registered(self):
+        from repro.scoring import get_scorer, list_scorers
         assert "l2-lag2" in list_scorers()
         scorer = get_scorer("L2-lag2")
         assert isinstance(scorer, LaggedScorer)
-        assert isinstance(scorer, BatchScorer)
         assert scorer.lags == (0, 1, 2)
 
-    def test_non_batch_inner_still_scores(self, rng):
+    def test_score_only_inner_goes_through_its_default_batch(self, rng):
+        from repro.scoring import Scorer
+
+        class LastColumnVariance(Scorer):
+            name = "last-col"
+
+            def score(self, x, y, z=None):
+                return float(np.var(x[:, -1]))
+
+        scorer = LaggedScorer(lags=(0, 2), inner=LastColumnVariance())
+        y = rng.standard_normal((30, 1))
+        xs = [rng.standard_normal((30, 2)) for _ in range(3)]
+        expected = [float(np.var(lag_matrix(x, (0, 2))[:, -1])) for x in xs]
+        assert scorer.score_batch(xs, y).tolist() == expected
+        assert [scorer.score(x, y) for x in xs] == expected
+
+    def test_inner_that_cannot_stack_still_scores(self, rng):
         from repro.scoring.joint import L1Scorer
         scorer = LaggedScorer(lags=(0, 1), inner=L1Scorer())
+        reference = reference_for(scorer)
         y = rng.standard_normal((50, 1))
         xs = [rng.standard_normal((50, 2)) for _ in range(3)]
         batch = scorer.score_batch(xs, y)
-        sequential = np.array([scorer.score(x, y) for x in xs])
+        sequential = np.array([reference.score(x, y) for x in xs])
         assert np.array_equal(batch, sequential)
 
     def test_empty_batch(self):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.scoring import ProjectedL2Scorer, random_projection
 from repro.scoring.projection import PcaL2Scorer
+from tests.scoring.reference import ReferencePcaL2, reference_for
 
 
 class TestRandomProjection:
@@ -69,6 +70,7 @@ class TestProjectedL2Scorer:
 class TestProjectedBatchPath:
     def test_narrow_y_batch_matches_sequential_bitwise(self, rng):
         scorer = ProjectedL2Scorer(d=10, seed=7)
+        reference = reference_for(scorer)
         y = rng.standard_normal((60, 1))
         z = rng.standard_normal((60, 2))
         # Mixed widths: narrow pass-throughs and wide sketches.
@@ -77,7 +79,7 @@ class TestProjectedBatchPath:
               + [rng.standard_normal((60, 18))])
         for condition in (None, z):
             batch = scorer.score_batch(xs, y, condition)
-            sequential = np.array([scorer.score(x, y, condition)
+            sequential = np.array([reference.score(x, y, condition)
                                    for x in xs])
             assert np.array_equal(batch, sequential)
 
@@ -86,21 +88,23 @@ class TestProjectedBatchPath:
         hypotheses share the draw sequence, so the stacked path must
         still match the per-hypothesis loop bitwise."""
         scorer = ProjectedL2Scorer(d=10, seed=7)
+        reference = reference_for(scorer)
         y = rng.standard_normal((60, 25))
         xs = ([rng.standard_normal((60, 25)) for _ in range(3)]
               + [rng.standard_normal((60, 4)) for _ in range(2)])
         batch = scorer.score_batch(xs, y)
-        sequential = np.array([scorer.score(x, y) for x in xs])
+        sequential = np.array([reference.score(x, y) for x in xs])
         assert np.array_equal(batch, sequential)
 
     def test_wide_z_batch_matches_sequential_bitwise(self, rng):
         scorer = ProjectedL2Scorer(d=10, seed=3)
+        reference = reference_for(scorer)
         y = rng.standard_normal((60, 1))
         z = rng.standard_normal((60, 30))
         xs = ([rng.standard_normal((60, 20)) for _ in range(3)]
               + [rng.standard_normal((60, 5)) for _ in range(2)])
         batch = scorer.score_batch(xs, y, z)
-        sequential = np.array([scorer.score(x, y, z) for x in xs])
+        sequential = np.array([reference.score(x, y, z) for x in xs])
         assert np.array_equal(batch, sequential)
 
     def test_wide_y_rounds_stack_one_inner_call_per_round(self, rng):
@@ -125,6 +129,7 @@ class TestPcaBatchPath:
     def test_batch_matches_sequential_bitwise(self, rng):
         """The stacked-SVD truncation equals the per-hypothesis loop."""
         scorer = PcaL2Scorer(d=10)
+        reference = reference_for(scorer)
         y = rng.standard_normal((60, 1))
         z = rng.standard_normal((60, 2))
         # Mixed widths: narrow pass-throughs and wide truncations.
@@ -133,26 +138,27 @@ class TestPcaBatchPath:
               + [rng.standard_normal((60, 18))])
         for condition in (None, z):
             batch = scorer.score_batch(xs, y, condition)
-            sequential = np.array([scorer.score(x, y, condition)
+            sequential = np.array([reference.score(x, y, condition)
                                    for x in xs])
             assert np.array_equal(batch, sequential)
 
     def test_wide_z_truncated_once(self, rng):
         scorer = PcaL2Scorer(d=10)
+        reference = reference_for(scorer)
         y = rng.standard_normal((60, 1))
         z = rng.standard_normal((60, 25))       # wider than d
         xs = [rng.standard_normal((60, 15)) for _ in range(3)]
         batch = scorer.score_batch(xs, y, z)
-        sequential = np.array([scorer.score(x, y, z) for x in xs])
+        sequential = np.array([reference.score(x, y, z) for x in xs])
         assert np.array_equal(batch, sequential)
 
     def test_batched_truncate_kernel_bitwise(self, rng):
         from repro.linmodel.batched import as_stack, batched_pca_truncate
         xs = [rng.standard_normal((40, 12)) for _ in range(5)]
         stacked = batched_pca_truncate(as_stack(xs), 7)
-        scorer = PcaL2Scorer(d=7)
+        reference = ReferencePcaL2(7, inner=None)
         for pos, x in enumerate(xs):
-            assert np.array_equal(stacked[pos], scorer._truncate(x))
+            assert np.array_equal(stacked[pos], reference._truncate(x))
 
     def test_empty_batch(self):
         assert PcaL2Scorer(d=5).score_batch([], np.zeros((5, 1))).size == 0

@@ -1,6 +1,7 @@
 """QueryServer: pinned-version serving, caching, invalidation, staleness."""
 
 import struct
+import sys
 import threading
 import time
 
@@ -16,6 +17,7 @@ from repro.tsdb.adapter import register_store
 from repro.tsdb.model import SeriesId
 from repro.tsdb.sharded import ShardedTimeSeriesStore
 from repro.tsdb.storage import TimeSeriesStore
+from tests.scoring.reference import reference_rank
 
 N = 96
 GROUP_QUERY = ("SELECT metric_name, COUNT(*) AS n, AVG(value) AS v "
@@ -259,6 +261,8 @@ def test_explain_matches_direct_ranking(server, store):
     hypotheses = generate_hypotheses(families, "target_metric")
     direct = rank_families(hypotheses, scorer="L2-P50")
     assert rank_fields(served) == rank_fields(direct)
+    assert rank_fields(served) == rank_fields(
+        reference_rank(hypotheses, "L2-P50"))
 
 
 def test_repeat_explain_hits_cache(server):
@@ -295,15 +299,27 @@ def test_process_backend_publishes_matrices_once_per_version(store):
         assert server.stats()["shm_segments"] == segments_after_first
         assert [r.family for r in a.results]  # both produced rankings
         assert [r.family for r in b.results]
-        # Bitwise parity against the same backend run standalone (the
-        # executor's own parity tests pin process == batch == thread).
-        direct = rank_families(
-            generate_hypotheses(
-                families_from_store(store.snapshot(), group_by="name"),
-                "target_metric"),
-            scorer="L2-P50", backend="process", n_workers=2,
-            transfer="shm")
+        # Bitwise parity against the same backend run standalone and
+        # against the sequential oracle.
+        hypotheses = generate_hypotheses(
+            families_from_store(store.snapshot(), group_by="name"),
+            "target_metric")
+        direct = rank_families(hypotheses, scorer="L2-P50",
+                               backend="process", n_workers=2,
+                               transfer="shm")
         assert rank_fields(a) == rank_fields(direct)
+        assert rank_fields(a) == rank_fields(
+            reference_rank(hypotheses, "L2-P50"))
+
+
+def test_single_rank_worker_still_uses_the_shared_pool(store):
+    """One rank worker is a pool of one, not a different code path."""
+    with QueryServer(store, backend="process", rank_workers=1) as server:
+        table = server.explain("target_metric", scorer="CorrMax")
+        assert server.stats()["shm_segments"] > 0
+        with QueryServer(store) as in_process:
+            assert rank_fields(table) == rank_fields(
+                in_process.explain("target_metric", scorer="CorrMax"))
 
 
 def test_old_version_states_retire(store):
@@ -315,6 +331,42 @@ def test_old_version_states_retire(store):
         server.sql(GROUP_QUERY)
         warm = server.stats()["warm_versions"]
         assert warm == [store.version]
+
+
+def test_request_counters_exact_under_concurrency(store):
+    """Request bodies bump ``stats()["requests"]`` from pool threads; an
+    unguarded ``+=`` is a read-modify-write that may drop counts (no
+    CPython guarantee makes it atomic), so the bump takes a lock and N
+    threads x M mixed requests must report exactly N*M."""
+    n_threads, per_thread = 8, 60
+    mix = [("sql", lambda s: s.submit_sql(GROUP_QUERY)),
+           ("explain", lambda s: s.submit_explain("target_metric",
+                                                  scorer="CorrMax")),
+           ("drill_down", lambda s: s.submit_explain(
+               "target_metric", scorer="CorrMax",
+               search=["cause_metric", "decoy_0"], kind="drill_down"))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with QueryServer(store, n_workers=16) as server:
+            def client(offset):
+                futures = [mix[(offset + i) % 3][1](server)
+                           for i in range(per_thread)]
+                for future in futures:
+                    future.result(timeout=60)
+
+            threads = [threading.Thread(target=client, args=(t,))
+                       for t in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            requests = server.stats()["requests"]
+    finally:
+        sys.setswitchinterval(interval)
+    assert sum(requests.values()) == n_threads * per_thread
+    assert requests == {"sql": 160, "explain": 160, "drill_down": 160}
 
 
 def test_stats_shape(server):
