@@ -25,6 +25,7 @@ from typing import Callable, Sequence
 from repro.engine_exec.accounting import TRANSFERS
 from repro.engine_exec.executor import BACKENDS
 from repro.scoring.base import list_scorers
+from repro.versioned import DEFAULT_CACHE_ENTRIES
 from repro.workloads import scenarios as scenario_module
 
 #: Worker count used when ``--workers`` is not given.
@@ -157,8 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=_positive_int, default=None,
                        help="request worker pool size "
                             f"(default {DEFAULT_WORKERS})")
-    serve.add_argument("--cache-entries", type=_positive_int, default=None,
-                       help="result-cache bound (default 256)")
+    serve.add_argument("--cache-entries", type=_positive_int,
+                       default=DEFAULT_CACHE_ENTRIES,
+                       help="result-cache bound "
+                            f"(default {DEFAULT_CACHE_ENTRIES})")
     serve.add_argument("--backend", default=None, choices=POOL_BACKENDS,
                        help="default ranking backend for \\explain "
                             "requests (default: in-process)")
@@ -296,17 +299,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
     well as used interactively; every response ends with a ``--
     version=… cached=…`` trailer so cache behaviour is observable.
     """
-    from repro.serve import DEFAULT_CACHE_ENTRIES, QueryServer
+    from repro.serve import QueryServer
 
     scenario = SCENARIOS[args.scenario](seed=args.seed)
     workers = args.workers if args.workers is not None else DEFAULT_WORKERS
-    entries = (args.cache_entries if args.cache_entries is not None
-               else DEFAULT_CACHE_ENTRIES)
     with QueryServer(scenario.store, n_workers=workers,
-                     cache_entries=entries,
+                     cache_entries=args.cache_entries,
                      backend=args.backend) as server:
         print(f"serving {scenario.name} ({args.scenario}) — "
-              f"{workers} workers, cache {entries} entries; "
+              f"{workers} workers, cache {args.cache_entries} entries; "
               "SQL, \\explain TARGET [SCORER], \\stats, \\quit",
               file=sys.stderr)
         for line in sys.stdin:

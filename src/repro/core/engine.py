@@ -31,6 +31,7 @@ from repro.scoring.base import Scorer
 from repro.sql.catalog import Database
 from repro.tsdb.adapter import register_store
 from repro.tsdb.storage import TimeSeriesStore
+from repro.versioned import VersionedCache
 
 
 @dataclass
@@ -78,7 +79,7 @@ class ExplainItSession:
         self._ranges: TimeRanges | None = None
         self._target: str | None = None
         self._condition: str | FeatureFamily | None = None
-        self._families: FamilySet | None = None
+        self._families = VersionedCache(1)
         self.history: list[ScoreTable] = []
 
     # ------------------------------------------------------------------
@@ -90,7 +91,6 @@ class ExplainItSession:
         """Select the learning horizon and (optionally) the event window."""
         self._ranges = TimeRanges(total_start, total_end,
                                   explain_start, explain_end)
-        self._families = None   # grids changed; rebuild lazily
 
     def set_target(self, family: str) -> None:
         """Select the target family Y (e.g. ``pipeline_runtime``)."""
@@ -183,12 +183,13 @@ class ExplainItSession:
         series = target.matrix.mean(axis=1)
         event = suggest_explain_range(series, window=window,
                                       threshold=threshold)
-        if event is not None and self._ranges is not None:
+        if event is not None:
+            ranges = self._horizon(self.store.read_view())
             lo = int(target.grid[event.start])
             hi = int(target.grid[min(event.end, target.grid.size - 1)])
-            if self._ranges.total_start <= lo < hi <= self._ranges.total_end:
+            if ranges.total_start <= lo < hi <= ranges.total_end:
                 self._ranges = TimeRanges(
-                    self._ranges.total_start, self._ranges.total_end,
+                    ranges.total_start, ranges.total_end,
                     explain_start=lo, explain_end=hi,
                 )
         return event
@@ -219,15 +220,20 @@ class ExplainItSession:
         z_scores = np.abs((fam.matrix[inside] - mean) / std)
         return float(z_scores.mean())
 
+    def _horizon(self, view: TimeSeriesStore) -> TimeRanges:
+        """The selected ranges, else ``view``'s whole time range — so a
+        session that never called :meth:`set_time_ranges` follows ingest."""
+        if self._ranges is not None:
+            return self._ranges
+        lo, hi = view.time_range()
+        return TimeRanges(lo, hi + 1)
+
     def _ensure_families(self) -> FamilySet:
-        if self._families is None:
-            if self._ranges is None:
-                lo, hi = self.store.time_range()
-                self._ranges = TimeRanges(lo, hi + 1)
-            self._families = families_from_store(
-                self.store,
-                group_by=self.group_by,
-                start=self._ranges.total_start,
-                end=self._ranges.total_end,
-            )
-        return self._families
+        """The family set for the current horizon at the store's version."""
+        view = self.store.read_view()
+        ranges = self._horizon(view)
+        return self._families.get_or_build(
+            (ranges.total_start, ranges.total_end), view.version,
+            lambda: families_from_store(
+                view, group_by=self.group_by,
+                start=ranges.total_start, end=ranges.total_end))

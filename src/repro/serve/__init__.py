@@ -3,23 +3,16 @@
 ``QueryServer`` is the long-lived front end for dashboard-style
 workloads: repeat SQL / ``explain`` / ``drill_down`` requests served
 concurrently against pinned per-version snapshots, with batch-group
-matrices published to shared memory once per store version and a
-bounded version-keyed result cache (see :mod:`repro.serve.server`).
+matrices published to shared memory once per store version and
+results kept in a :class:`~repro.versioned.VersionedCache` (see
+:mod:`repro.serve.server`).
 """
 
-from repro.serve.cache import (
-    DEFAULT_CACHE_ENTRIES,
-    CacheStats,
-    ResultCache,
-    normalize_query,
-)
+from repro.serve.cache import normalize_query
 from repro.serve.server import QueryServer, ServedResult
 
 __all__ = [
-    "DEFAULT_CACHE_ENTRIES",
-    "CacheStats",
     "QueryServer",
-    "ResultCache",
     "ServedResult",
     "normalize_query",
 ]

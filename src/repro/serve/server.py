@@ -21,11 +21,12 @@ arrive.  ``QueryServer`` is the long-lived front end for that workload:
   (:func:`~repro.engine_exec.executor.share_shm_jobs`); repeat explain
   requests replay the same zero-copy handles into a long-lived process
   pool instead of pickling matrices per request;
-- a bounded **result cache** (:class:`~repro.serve.cache.ResultCache`)
-  keyed on ``(normalized query, store.version, backend/transfer knobs)``
-  returns the identical result object for repeat requests, and is swept
-  whenever ingest bumps the version — a result computed at version
-  ``v`` is never served to a request that observed a later version.
+- a bounded **result cache** — a
+  :class:`~repro.versioned.VersionedCache` keyed on the normalized
+  query or the explain shape — returns the identical result object for
+  repeat requests at the same version, and the first request to observe
+  a newer version drops the superseded results: a result computed at
+  version ``v`` is never served to a request that observed a later one.
 
 Results must be treated as read-only: cache hits share one
 :class:`~repro.sql.table.Table` / score-table object across callers.
@@ -33,8 +34,7 @@ Results must be treated as read-only: cache hits share one
 The server wraps either a plain :class:`~repro.tsdb.TimeSeriesStore`
 (single-writer; snapshots isolate readers from later mutations) or a
 :class:`~repro.tsdb.sharded.ShardedTimeSeriesStore` (the concurrent
-ingest tier; snapshots are lock-free-readable and cached per version,
-and the store's version-bump hook sweeps the result cache eagerly).
+ingest tier; snapshots are lock-free-readable and cached per version).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Hashable, Iterable, Sequence
 
 from repro.core.families import FamilySet, families_from_store
@@ -55,15 +55,17 @@ from repro.engine_exec.executor import (
     share_shm_jobs,
 )
 from repro.engine_exec.shm import SharedMatrixPool, detach_segments
-from repro.serve.cache import (
-    DEFAULT_CACHE_ENTRIES,
-    ResultCache,
-    normalize_query,
-)
+from repro.serve.cache import normalize_query
 from repro.sql.catalog import Database
 from repro.sql.table import Table
 from repro.tsdb.adapter import register_store
 from repro.tsdb.storage import TimeSeriesStore
+from repro.versioned import DEFAULT_CACHE_ENTRIES, VersionedCache
+
+#: Version states kept warm.  Two, not one: a request that snapshotted
+#: just before a bump may pin its (older) state after a newer one
+#: exists, and must not retire the state current requests are using.
+KEEP_VERSIONS = 2
 
 
 @dataclass
@@ -98,10 +100,10 @@ class _VersionState:
     """Everything the server amortises across requests at one version."""
 
     def __init__(self, version: Any, snapshot: TimeSeriesStore,
-                 group_by: str, columnar: bool) -> None:
+                 group_by: str) -> None:
         self.version = version
         self.snapshot = snapshot
-        self.db = Database(columnar=columnar)
+        self.db = Database()
         register_store(self.db, snapshot)
         self._group_by = group_by
         self._families: FamilySet | None = None
@@ -200,47 +202,33 @@ class QueryServer:
         Size of the request worker pool (threads).
     cache_entries:
         Bound of the version-keyed result cache.
-    keep_versions:
-        How many recent version states stay warm.  Older states retire
-        (their shared-memory segments are unlinked once idle); their
-        cached results were already swept by the version bump.
     group_by:
         Family grouping for ``explain``/``drill_down`` (as in
         :class:`~repro.core.engine.ExplainItSession`).
-    backend / rank_workers / transfer:
-        Default execution knobs for ranking requests; per-request
-        overrides are accepted by :meth:`explain` / :meth:`drill_down`.
-        ``backend="process"`` with ``transfer="shm"`` engages the
-        per-version shared-memory publication and a long-lived process
-        pool of ``rank_workers`` workers.
-    columnar:
-        Forwarded to each per-version :class:`~repro.sql.Database`.
+    backend / rank_workers:
+        How ranking requests score: in-process (``None``), or
+        ``"process"`` — per-version shared-memory publication replayed
+        into a long-lived pool of ``rank_workers`` processes.
+
+    The two newest version states stay warm; older ones retire (their
+    shared-memory segments are unlinked once idle).
     """
 
     def __init__(self, store, n_workers: int = 8,
                  cache_entries: int = DEFAULT_CACHE_ENTRIES,
-                 keep_versions: int = 2,
                  group_by: str = "name",
                  backend: str | None = None,
-                 rank_workers: int = 4,
-                 transfer: str = "shm",
-                 columnar: bool = True) -> None:
+                 rank_workers: int = 4) -> None:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if keep_versions < 1:
-            raise ValueError(
-                f"keep_versions must be >= 1, got {keep_versions}")
         if backend not in BACKENDS:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {backend!r}")
         self._store = store
         self._group_by = group_by
-        self._columnar = columnar
-        self._default_backend = backend
+        self._backend = backend
         self._rank_workers = rank_workers
-        self._default_transfer = transfer
-        self._keep_versions = keep_versions
-        self._cache = ResultCache(cache_entries)
+        self._cache = VersionedCache(cache_entries)
         self._pool = ThreadPoolExecutor(
             max_workers=n_workers, thread_name_prefix="repro-serve")
         self._procs: ProcessPoolExecutor | None = None
@@ -249,17 +237,6 @@ class QueryServer:
         self._closed = False
         self._requests = {"sql": 0, "explain": 0, "drill_down": 0}
         self._started = time.monotonic()
-        self._unsubscribe = None
-        add_listener = getattr(store, "add_version_listener", None)
-        if add_listener is not None:
-            # Eager sweep: ingest bumping the version drops every cached
-            # result from superseded versions at once.  The cache is a
-            # lock-order leaf, so this is safe under shard locks.
-            add_listener(self._cache.evict_superseded)
-            remove = getattr(store, "remove_version_listener", None)
-            if remove is not None:
-                self._unsubscribe = \
-                    lambda: remove(self._cache.evict_superseded)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -269,8 +246,6 @@ class QueryServer:
         if self._closed:
             return
         self._closed = True
-        if self._unsubscribe is not None:
-            self._unsubscribe()
         self._pool.shutdown(wait=True)
         with self._state_lock:
             states = list(self._states.values())
@@ -308,41 +283,31 @@ class QueryServer:
                 condition: Any = None,
                 search: Iterable[str] | None = None,
                 exclude: Iterable[str] = (),
-                top_k: int = DEFAULT_TOP_K,
-                backend: str | None = None,
-                transfer: str | None = None) -> ScoreTable:
+                top_k: int = DEFAULT_TOP_K) -> ScoreTable:
         """Rank candidate causes for ``target`` (Algorithm 1, served)."""
         return self.submit_explain(
             target, scorer=scorer, condition=condition, search=search,
-            exclude=exclude, top_k=top_k, backend=backend,
-            transfer=transfer).result().value
+            exclude=exclude, top_k=top_k).result().value
 
     def submit_explain(self, target: str, scorer: Any = "L2-P50",
                        condition: Any = None,
                        search: Iterable[str] | None = None,
                        exclude: Iterable[str] = (),
                        top_k: int = DEFAULT_TOP_K,
-                       backend: str | None = None,
-                       transfer: str | None = None,
                        kind: str = "explain") -> "Future[ServedResult]":
         self._check_open()
         started = time.perf_counter()
         return self._pool.submit(
             self._run_explain, kind, target, scorer, condition,
             None if search is None else tuple(search), tuple(exclude),
-            top_k,
-            self._default_backend if backend is None else backend,
-            self._default_transfer if transfer is None else transfer,
-            started)
+            top_k, started)
 
     def drill_down(self, target: str, families: Sequence[str],
-                   scorer: Any = "L2-P50", top_k: int = DEFAULT_TOP_K,
-                   backend: str | None = None,
-                   transfer: str | None = None) -> ScoreTable:
+                   scorer: Any = "L2-P50",
+                   top_k: int = DEFAULT_TOP_K) -> ScoreTable:
         """Re-rank within a narrowed search space (the §5.4 workflow)."""
         return self.submit_explain(
             target, scorer=scorer, search=families, top_k=top_k,
-            backend=backend, transfer=transfer,
             kind="drill_down").result().value
 
     # ------------------------------------------------------------------
@@ -356,7 +321,7 @@ class QueryServer:
             requests = dict(self._requests)
         return {
             "requests": requests,
-            "cache": self._cache.stats.as_dict(),
+            "cache": asdict(self._cache.stats),
             "store_version": self._store.version,
             "warm_versions": versions,
             "shm_segments": segments,
@@ -364,7 +329,7 @@ class QueryServer:
         }
 
     @property
-    def cache(self) -> ResultCache:
+    def cache(self) -> VersionedCache:
         return self._cache
 
     # ------------------------------------------------------------------
@@ -384,33 +349,21 @@ class QueryServer:
         """Get-or-create the state for the version current right now."""
         snapshot = self._store.snapshot()
         version = snapshot.version
+        retired: list[str] = []
         with self._state_lock:
             state = self._states.get(version)
             if state is None:
-                state = _VersionState(version, snapshot,
-                                      self._group_by, self._columnar)
-                self._states[version] = state
-                # Lazy sweep for stores without a version-bump hook (the
-                # hooked path already swept when ingest bumped).
-                self._cache.evict_superseded(version)
-                retired_names = self._retire_old_locked(version)
-            else:
-                retired_names = []
+                state = self._states[version] = _VersionState(
+                    version, snapshot, self._group_by)
+                # Retire all but the newest states — never the one just
+                # created, should it be a late-arriving older version.
+                for old in sorted(self._states)[:-KEEP_VERSIONS]:
+                    if old != version:
+                        retired.extend(self._states.pop(old).retire())
             state.acquire()
-        if retired_names:
-            self._broadcast_detach(retired_names)
+        if retired:
+            self._broadcast_detach(retired)
         return state
-
-    def _retire_old_locked(self, current: Any) -> list[str]:
-        """Retire all but the newest ``keep_versions`` states."""
-        versions = sorted(self._states)
-        names: list[str] = []
-        while len(versions) > self._keep_versions:
-            oldest = versions.pop(0)
-            if oldest == current:
-                continue
-            names.extend(self._states.pop(oldest).retire())
-        return names
 
     def _broadcast_detach(self, names: list[str]) -> None:
         """Best-effort: ask pool workers to unmap retired segments."""
@@ -430,67 +383,56 @@ class QueryServer:
             return self._procs
 
     # -- request bodies (run on the worker pool) ------------------------
-    def _run_sql(self, query: str, started: float) -> ServedResult:
-        self._count("sql")
-        key = ("sql", normalize_query(query), self._columnar)
+    def _serve(self, kind: str, key: Hashable | None, started: float,
+               compute) -> ServedResult:
+        """Pin a version, answer from the result cache or ``compute(state)``.
+
+        ``key=None`` marks a request shape that is not cacheable.
+        """
         state = self._pin()
         try:
-            hit = self._cache.get(key, state.version)
-            if hit is not None:
-                return ServedResult(
-                    kind="sql", value=hit, version=state.version,
-                    cached=True, seconds=time.perf_counter() - started,
-                    snapshot=state.snapshot)
-            table = state.db.sql(query)
-            self._cache.put(key, state.version, table)
+            value = None if key is None \
+                else self._cache.get(key, state.version)
+            cached = value is not None
+            if not cached:
+                value = compute(state)
+                if key is not None:
+                    self._cache.put(key, state.version, value)
             return ServedResult(
-                kind="sql", value=table, version=state.version,
-                cached=False, seconds=time.perf_counter() - started,
+                kind=kind, value=value, version=state.version,
+                cached=cached, seconds=time.perf_counter() - started,
                 snapshot=state.snapshot)
         finally:
             state.release()
 
+    def _run_sql(self, query: str, started: float) -> ServedResult:
+        self._count("sql")
+        return self._serve("sql", ("sql", normalize_query(query)), started,
+                           lambda state: state.db.sql(query))
+
     def _run_explain(self, kind: str, target: str, scorer: Any,
                      condition: Any, search: tuple | None, exclude: tuple,
-                     top_k: int, backend: str | None, transfer: str,
-                     started: float) -> ServedResult:
+                     top_k: int, started: float) -> ServedResult:
         self._count(kind)
         # Only plain-data request shapes are cacheable; a caller passing
         # a live Scorer or FeatureFamily object gets a fresh run.
         cacheable = isinstance(scorer, str) \
             and (condition is None or isinstance(condition, str))
-        key = ("explain", target, scorer, condition, search, exclude,
-               top_k, backend, transfer if backend == "process" else None)
-        state = self._pin()
-        try:
-            if cacheable:
-                hit = self._cache.get(key, state.version)
-                if hit is not None:
-                    return ServedResult(
-                        kind=kind, value=hit, version=state.version,
-                        cached=True, seconds=time.perf_counter() - started,
-                        snapshot=state.snapshot)
-            table = self._rank(state, target, scorer, condition, search,
-                               exclude, top_k, backend, transfer,
-                               shareable=cacheable)
-            if cacheable:
-                self._cache.put(key, state.version, table)
-            return ServedResult(
-                kind=kind, value=table, version=state.version,
-                cached=False, seconds=time.perf_counter() - started,
-                snapshot=state.snapshot)
-        finally:
-            state.release()
+        key = ("explain", target, scorer, condition, search, exclude, top_k)
+        return self._serve(
+            kind, key if cacheable else None, started,
+            lambda state: self._rank(state, target, scorer, condition,
+                                     search, exclude, top_k,
+                                     shareable=cacheable))
 
     def _rank(self, state: _VersionState, target: str, scorer: Any,
               condition: Any, search: tuple | None, exclude: tuple,
-              top_k: int, backend: str | None, transfer: str,
-              shareable: bool) -> ScoreTable:
+              top_k: int, shareable: bool) -> ScoreTable:
         families = state.families()
         hypotheses = generate_hypotheses(
             families, target, condition=condition, search=search,
             exclude=exclude)
-        if backend == "process" and transfer == "shm" and shareable:
+        if self._backend == "process" and shareable:
             jobs = state.shm_jobs(
                 (target, condition, search, exclude), hypotheses)
             executor = HypothesisExecutor(
@@ -501,5 +443,5 @@ class QueryServer:
                                   process_pool=self._process_pool())
             return report.score_table
         return rank_families(hypotheses, scorer=scorer, top_k=top_k,
-                             backend=backend, n_workers=self._rank_workers,
-                             transfer=transfer)
+                             backend=self._backend,
+                             n_workers=self._rank_workers)

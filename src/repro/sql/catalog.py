@@ -16,8 +16,7 @@ can prune series and sealed chunks before materialising anything.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.sql.errors import SchemaError
@@ -29,15 +28,35 @@ from repro.sql.planner import Plan, Planner
 from repro.sql.scan import ScanPredicate, ScanReport
 from repro.sql.stats import TableStats, table_stats
 from repro.sql.table import Table
+from repro.versioned import VersionedCache
 
 TableProvider = Callable[[], Table]
 ScanFn = Callable[[ScanPredicate], "tuple[Table, ScanReport]"]
 
-#: Pruned scan results are cached per (version, predicate), bounded
-#: *per provider* — a dashboard re-issuing the same selective query hits
-#: memory, the cap bounds the footprint when predicates vary, and one
-#: provider's cold-scan churn can never evict another's hot entries.
+#: Pruned scan results are cached per predicate, bounded *per source* —
+#: a dashboard re-issuing the same selective query hits memory, the cap
+#: bounds the footprint when predicates vary, and one source's cold-scan
+#: churn can never evict another's hot entries.
 _SCAN_CACHE_SIZE = 8
+
+
+@dataclass
+class _Source:
+    """One lazily materialised table: its callbacks and what they built.
+
+    The full table and the planner statistics each live in their own
+    single-slot cache so that scan churn can never evict them; all three
+    caches are keyed on ``version_fn()``.
+    """
+
+    provider: TableProvider
+    version_fn: Callable[[], Any]
+    scan_fn: ScanFn | None = None
+    stats_fn: Callable[[], TableStats] | None = None
+    table: VersionedCache = field(default_factory=lambda: VersionedCache(1))
+    stats: VersionedCache = field(default_factory=lambda: VersionedCache(1))
+    scans: VersionedCache = field(
+        default_factory=lambda: VersionedCache(_SCAN_CACHE_SIZE))
 
 
 class Database:
@@ -49,26 +68,16 @@ class Database:
     baseline the fast path must match bit for bit.  The planner runs in
     both modes (both executors follow the same plan, so physical
     decisions like join build side never change observable results).
+
+    Serving runs many worker threads through one Database: the read
+    path only reads the catalog dicts, and every cache it fills is a
+    leaf-locked :class:`~repro.versioned.VersionedCache`.
     """
 
     def __init__(self, optimize_queries: bool = True,
                  columnar: bool = True) -> None:
         self._tables: dict[str, Table] = {}
-        self._providers: dict[str, TableProvider] = {}
-        self._versioned: dict[str, tuple[TableProvider,
-                                         Callable[[], Any]]] = {}
-        self._version_cache: dict[str, tuple[Any, Table]] = {}
-        self._scan_fns: dict[str, ScanFn] = {}
-        self._stats_fns: dict[str, Callable[[], TableStats]] = {}
-        self._stats_cache: dict[str, tuple[Any, TableStats]] = {}
-        self._scan_cache: dict[str, OrderedDict[
-            tuple, tuple[Any, Table, ScanReport]]] = {}
-        self._scan_hits = 0
-        self._scan_misses = 0
-        # Serving runs many worker threads through one Database; the
-        # version/stats/scan caches mutate on the read path, so they
-        # share one leaf lock (never held across provider calls).
-        self._cache_lock = threading.Lock()
+        self._sources: dict[str, _Source] = {}
         self._udfs: dict[str, Callable[..., Any]] = {}
         self._optimize = optimize_queries
         self._columnar = columnar
@@ -79,29 +88,24 @@ class Database:
     # ------------------------------------------------------------------
     def register(self, name: str, table: Table) -> None:
         """Register (or replace) a materialised table."""
+        self._sources.pop(name.lower(), None)
         self._tables[name.lower()] = table
-        self._forget_lazy(name.lower())
 
     def register_provider(self, name: str, provider: TableProvider) -> None:
         """Register a lazy table provider (evaluated on first reference)."""
-        key = name.lower()
-        self._forget_lazy(key)
-        self._providers[key] = provider
-        self._tables.pop(key, None)
+        self.register_versioned_provider(name, provider, lambda: 0)
 
     def register_versioned_provider(self, name: str, provider: TableProvider,
                                     version_fn: Callable[[], Any]) -> None:
         """Register a lazy provider whose result is keyed on a version.
 
         The provider materialises on first reference and is re-invoked
-        whenever ``version_fn()`` returns a value different from the one
-        the cached table was built at — the cache-coherence hook for
-        tables backed by a mutable store (``store.version``).
+        once ``version_fn()`` returns a newer value than the one the
+        cached table was built at — the cache-coherence hook for tables
+        backed by a mutable store (``store.version``).
         """
-        key = name.lower()
-        self._forget_lazy(key)
-        self._versioned[key] = (provider, version_fn)
-        self._tables.pop(key, None)
+        self._tables.pop(name.lower(), None)
+        self._sources[name.lower()] = _Source(provider, version_fn)
 
     def register_scannable_provider(self, name: str, provider: TableProvider,
                                     version_fn: Callable[[], Any],
@@ -117,10 +121,9 @@ class Database:
         materialising the table.  Both are keyed on ``version_fn()``
         like the full materialisation.
         """
-        self.register_versioned_provider(name, provider, version_fn)
-        key = name.lower()
-        self._scan_fns[key] = scan_fn
-        self._stats_fns[key] = stats_fn
+        self._tables.pop(name.lower(), None)
+        self._sources[name.lower()] = _Source(provider, version_fn,
+                                              scan_fn, stats_fn)
 
     def register_udf(self, name: str, fn: Callable[..., Any]) -> None:
         """Register a scalar user-defined function, e.g. ``hostgroup``."""
@@ -129,51 +132,24 @@ class Database:
     def drop(self, name: str) -> None:
         """Remove a table from the catalog (no error if absent)."""
         self._tables.pop(name.lower(), None)
-        self._forget_lazy(name.lower())
-
-    def _forget_lazy(self, key: str) -> None:
-        self._providers.pop(key, None)
-        self._versioned.pop(key, None)
-        self._scan_fns.pop(key, None)
-        self._stats_fns.pop(key, None)
-        with self._cache_lock:
-            self._version_cache.pop(key, None)
-            self._stats_cache.pop(key, None)
-            self._scan_cache.pop(key, None)
+        self._sources.pop(name.lower(), None)
 
     def table_names(self) -> list[str]:
         """All registered table names, sorted."""
-        return sorted(set(self._tables) | set(self._providers)
-                      | set(self._versioned))
+        return sorted(set(self._tables) | set(self._sources))
 
     def table(self, name: str) -> Table:
         """Resolve a table by name, materialising lazy providers."""
         key = name.lower()
         if key in self._tables:
             return self._tables[key]
-        entry = self._versioned.get(key)
-        if entry is not None:
-            provider, version_fn = entry
-            version = version_fn()
-            with self._cache_lock:
-                cached = self._version_cache.get(key)
-                if cached is not None and cached[0] == version:
-                    return cached[1]
-            # Materialise outside the lock: a concurrent thread racing
-            # the same version may duplicate the work, but never blocks
-            # every other table's cache behind one materialisation.
-            table = provider()
-            with self._cache_lock:
-                self._version_cache[key] = (version, table)
-            return table
-        provider = self._providers.get(key)
-        if provider is not None:
-            table = provider()
-            self._tables[key] = table
-            return table
-        raise SchemaError(
-            f"unknown table {name!r}; registered: {self.table_names()}"
-        )
+        source = self._sources.get(key)
+        if source is None:
+            raise SchemaError(
+                f"unknown table {name!r}; registered: {self.table_names()}"
+            )
+        return source.table.get_or_build(
+            None, source.version_fn(), source.provider)
 
     # ------------------------------------------------------------------
     # Planner hooks
@@ -186,19 +162,10 @@ class Database:
         materialised — execution would do so anyway — and summarised
         with a one-pass scan cached on the table object.
         """
-        key = name.lower()
-        stats_fn = self._stats_fns.get(key)
-        if stats_fn is not None:
-            _, version_fn = self._versioned[key]
-            version = version_fn()
-            with self._cache_lock:
-                cached = self._stats_cache.get(key)
-                if cached is not None and cached[0] == version:
-                    return cached[1]
-            stats = stats_fn()
-            with self._cache_lock:
-                self._stats_cache[key] = (version, stats)
-            return stats
+        source = self._sources.get(name.lower())
+        if source is not None and source.stats_fn is not None:
+            return source.stats.get_or_build(
+                None, source.version_fn(), source.stats_fn)
         try:
             return table_stats(self.table(name))
         except SchemaError:
@@ -208,48 +175,27 @@ class Database:
                    ) -> tuple[Table, ScanReport] | None:
         """Pruned scan through a scannable provider, or ``None``.
 
-        Results are cached per ``(version, predicate)`` in a small LRU
-        *per provider*, so repeated dashboard queries skip the scan
-        entirely.  Entries from superseded versions are evicted as soon
-        as a scan observes a newer version — they could never hit again
-        (the version is part of the key) and would otherwise squat in
-        the LRU until pressure pushed them out.
+        Results are cached per predicate in a small LRU *per source*,
+        so repeated dashboard queries skip the scan entirely; a scan
+        that observes a newer version drops the superseded entries.
         """
-        key = name.lower()
-        scan_fn = self._scan_fns.get(key)
-        if scan_fn is None:
+        source = self._sources.get(name.lower())
+        if source is None or source.scan_fn is None:
             return None
-        _, version_fn = self._versioned[key]
-        version = version_fn()
-        cache_key = (version, predicate)
-        with self._cache_lock:
-            cache = self._scan_cache.setdefault(key, OrderedDict())
-            stale = [k for k, entry in cache.items() if entry[0] != version]
-            for k in stale:
-                del cache[k]
-            hit = cache.get(cache_key)
-            if hit is not None:
-                cache.move_to_end(cache_key)
-                self._scan_hits += 1
-                return hit[1], hit[2]
-            self._scan_misses += 1
-        result = scan_fn(predicate)
-        with self._cache_lock:
-            cache = self._scan_cache.setdefault(key, OrderedDict())
-            cache[cache_key] = (version, result[0], result[1])
-            while len(cache) > _SCAN_CACHE_SIZE:
-                cache.popitem(last=False)
-        return result
+        return source.scans.get_or_build(
+            predicate, source.version_fn(),
+            lambda: source.scan_fn(predicate))
 
     def cache_info(self) -> dict[str, Any]:
-        """Scan-cache behaviour: hit/miss totals and entries per provider."""
-        with self._cache_lock:
-            return {
-                "scan_hits": self._scan_hits,
-                "scan_misses": self._scan_misses,
-                "scan_entries": {k: len(c)
-                                 for k, c in self._scan_cache.items()},
-            }
+        """Scan-cache behaviour: hit/miss totals and entries per source."""
+        scans = {name: source.scans.stats
+                 for name, source in self._sources.items()
+                 if source.scan_fn is not None}
+        return {
+            "scan_hits": sum(s.hits for s in scans.values()),
+            "scan_misses": sum(s.misses for s in scans.values()),
+            "scan_entries": {name: s.entries for name, s in scans.items()},
+        }
 
     # ------------------------------------------------------------------
     # Query execution

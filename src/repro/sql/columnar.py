@@ -83,6 +83,7 @@ from repro.sql.nodes import (
     Star,
     Subscript,
     UnaryOp,
+    flatten_and,
     walk,
 )
 from repro.sql.semantics import (
@@ -1651,10 +1652,4 @@ def join_shape_eligible(join) -> bool:
     if join.kind == "CROSS" or join.condition is None:
         return False
     return any(isinstance(conj, BinaryOp) and conj.op == "="
-               for conj in _flatten_conjuncts(join.condition))
-
-
-def _flatten_conjuncts(node: Node) -> list[Node]:
-    if isinstance(node, BinaryOp) and node.op == "AND":
-        return _flatten_conjuncts(node.left) + _flatten_conjuncts(node.right)
-    return [node]
+               for conj in flatten_and(join.condition))

@@ -57,6 +57,7 @@ from repro.sql.nodes import (
     TableRef,
     UnaryOp,
     Union,
+    flatten_and,
     walk,
 )
 from repro.sql.semantics import (
@@ -533,7 +534,7 @@ class Executor:
         """Split an ON condition into hashable equi-pairs and a residual."""
         if condition is None:
             return [], None
-        conjuncts = self._flatten_and(condition)
+        conjuncts = flatten_and(condition)
         pairs: list[tuple[Node, Node]] = []
         residual: list[Node] = []
         for conj in conjuncts:
@@ -591,13 +592,6 @@ class Executor:
             return True
         except SchemaError:
             return False
-
-    @staticmethod
-    def _flatten_and(node: Node) -> list[Node]:
-        if isinstance(node, BinaryOp) and node.op == "AND":
-            return (Executor._flatten_and(node.left)
-                    + Executor._flatten_and(node.right))
-        return [node]
 
     # ------------------------------------------------------------------
     # Plain (non-aggregate) select

@@ -206,3 +206,10 @@ def walk(node: Node):
         children = (node.expr,)
     for child in children:
         yield from walk(child)
+
+
+def flatten_and(node: Node) -> list[Node]:
+    """The conjuncts of a predicate: ``a AND (b AND c)`` -> ``[a, b, c]``."""
+    if isinstance(node, BinaryOp) and node.op == "AND":
+        return flatten_and(node.left) + flatten_and(node.right)
+    return [node]

@@ -45,6 +45,7 @@ from repro.sql.nodes import (
     TableRef,
     UnaryOp,
     Union,
+    flatten_and,
     walk,
 )
 from repro.sql.functions import is_aggregate
@@ -71,7 +72,7 @@ def _optimize_select(stmt: Select) -> Select:
                   offset=stmt.offset, distinct=stmt.distinct)
     if stmt.where is None or not isinstance(stmt.source, Join):
         return stmt
-    conjuncts = _flatten_and(stmt.where)
+    conjuncts = flatten_and(stmt.where)
     remaining: list[Node] = []
     pushed: dict[str, list[Node]] = {}
     qualifier_sides = _qualifier_map(stmt.source)
@@ -256,12 +257,6 @@ def _fold_children(node: Node) -> Node:
                 isinstance(v, Node) for v in value):
             changes[f.name] = tuple(fold_constants(v) for v in value)
     return replace(node, **changes) if changes else node
-
-
-def _flatten_and(node: Node) -> list[Node]:
-    if isinstance(node, BinaryOp) and node.op == "AND":
-        return _flatten_and(node.left) + _flatten_and(node.right)
-    return [node]
 
 
 def _conjoin(conjuncts: list[Node]) -> Node | None:

@@ -27,6 +27,7 @@ from repro.sql.nodes import (
     Literal,
     Node,
     Subscript,
+    flatten_and,
 )
 
 _FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
@@ -90,7 +91,7 @@ def extract_scan_predicate(where: Node | None,
     ranges: dict[str, list[float | int | None]] = {}
     equals: list[tuple[str, Any]] = []
     map_equals: list[tuple[str, str, Any]] = []
-    for conjunct in _flatten_and(where):
+    for conjunct in flatten_and(where):
         _extract_conjunct(conjunct, qualifier, ranges, equals, map_equals)
     if not (ranges or equals or map_equals):
         return None
@@ -99,12 +100,6 @@ def extract_scan_predicate(where: Node | None,
         equals=tuple(equals),
         map_equals=tuple(map_equals),
     )
-
-
-def _flatten_and(node: Node) -> list[Node]:
-    if isinstance(node, BinaryOp) and node.op == "AND":
-        return _flatten_and(node.left) + _flatten_and(node.right)
-    return [node]
 
 
 def _extract_conjunct(node: Node, qualifier: str | None,

@@ -37,6 +37,7 @@ from repro.sql.nodes import (
     Node,
     Subscript,
     UnaryOp,
+    flatten_and,
 )
 
 #: Default selectivity for a conjunct the estimator cannot reason about —
@@ -213,15 +214,9 @@ def estimate_selectivity(predicate: Node | None,
     if predicate is None:
         return 1.0
     fraction = 1.0
-    for conjunct in _flatten_and(predicate):
+    for conjunct in flatten_and(predicate):
         fraction *= _conjunct_selectivity(conjunct, stats)
     return fraction
-
-
-def _flatten_and(node: Node) -> list[Node]:
-    if isinstance(node, BinaryOp) and node.op == "AND":
-        return _flatten_and(node.left) + _flatten_and(node.right)
-    return [node]
 
 
 def _conjunct_selectivity(node: Node, stats: TableStats | None) -> float:

@@ -239,30 +239,20 @@ def register_store(db, store: TimeSeriesStore, name: str = "tsdb") -> None:
     The provider is keyed on ``store.version``: the table materialises
     on first query and re-materialises only after the store mutates
     (including in-place ``apply`` fault overlays, which leave
-    ``num_points()`` unchanged).  When the Database supports scannable
-    providers, time-range / metric / tag / value predicates are pushed
-    into the store scan (:func:`scan_store`) and the planner reads
-    zone-map statistics (:func:`store_stats`) instead of materialising.
+    ``num_points()`` unchanged).  Time-range / metric / tag / value
+    predicates are pushed into the store scan (:func:`scan_store`) and
+    the planner reads zone-map statistics (:func:`store_stats`) instead
+    of materialising.
 
-    For a concurrent (sharded) store every provider callback reads from
-    one :meth:`snapshot` taken at entry — a multi-series scan must not
-    straddle a version change mid-walk.  Snapshots are cached per
-    version, so while writers are quiet this costs a version compare.
+    Every provider callback reads from one ``store.read_view()`` taken
+    at entry — for the sharded store a multi-series scan must not
+    straddle a version change mid-walk (its view is the per-version
+    snapshot); the plain store's view is the store itself.
     """
-    if getattr(store, "concurrent", False):
-        read = store.snapshot
-    else:
-        def read() -> TimeSeriesStore:
-            return store
-    register_scannable = getattr(db, "register_scannable_provider", None)
-    if register_scannable is not None:
-        register_scannable(
-            name,
-            provider=lambda: tsdb_table(read()),
-            version_fn=lambda: store.version,
-            scan_fn=lambda predicate: scan_store(read(), predicate),
-            stats_fn=lambda: store_stats(read()),
-        )
-        return
-    db.register_versioned_provider(
-        name, lambda: tsdb_table(read()), lambda: store.version)
+    db.register_scannable_provider(
+        name,
+        provider=lambda: tsdb_table(store.read_view()),
+        version_fn=lambda: store.version,
+        scan_fn=lambda predicate: scan_store(store.read_view(), predicate),
+        stats_fn=lambda: store_stats(store.read_view()),
+    )

@@ -92,8 +92,7 @@ def write_chunkfile(store, path: str | Path) -> int:
     Concurrent stores are snapshotted first, so the file is a consistent
     cut at one version.  Returns bytes written.
     """
-    if getattr(store, "concurrent", False):
-        store = store.snapshot()
+    store = store.read_view()
     path = Path(path)
     directory: list[dict] = []
     with path.open("wb") as handle:

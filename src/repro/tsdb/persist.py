@@ -118,10 +118,8 @@ def save_store(store: TimeSeriesStore, path: str | Path,
     if format != "text":
         raise SeriesFormatError(
             f"unknown snapshot format {format!r}; use 'text' or 'binary'")
-    if getattr(store, "concurrent", False):
-        store = store.snapshot()
     with path.open("w", encoding="utf-8") as handle:
-        return dump_store(store, handle)
+        return dump_store(store.read_view(), handle)
 
 
 def read_store(path: str | Path) -> TimeSeriesStore:

@@ -23,6 +23,7 @@ from repro.tsdb.adapter import observations_to_table
 from repro.tsdb.model import SeriesFormatError
 from repro.tsdb.query import Downsampler, ScanQuery
 from repro.tsdb.storage import TimeSeriesStore
+from repro.versioned import VersionedCache
 
 
 @dataclass(frozen=True)
@@ -47,12 +48,12 @@ class RollupCatalog:
     def __init__(self, store: TimeSeriesStore) -> None:
         self._store = store
         self._specs: dict[str, RollupSpec] = {}
-        self._cache: dict[str, tuple[int, Table]] = {}
+        self._cache = VersionedCache()
 
     def define(self, spec: RollupSpec) -> None:
         """Register (or replace) a rollup definition."""
         self._specs[spec.name] = spec
-        self._cache.pop(spec.name, None)
+        self._cache.discard(spec.name)
 
     def names(self) -> list[str]:
         return sorted(self._specs)
@@ -72,19 +73,12 @@ class RollupCatalog:
             raise SeriesFormatError(
                 f"unknown rollup {name!r}; defined: {self.names()}"
             )
-        version = self._store.version
-        cached = self._cache.get(name)
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        table = self._materialise(spec)
-        self._cache[name] = (version, table)
-        return table
+        return self._cache.get_or_build(
+            name, self._store.version, lambda: self._materialise(spec))
 
     def is_cached(self, name: str) -> bool:
         """True when the rollup is materialised and current."""
-        cached = self._cache.get(name)
-        return (cached is not None
-                and cached[0] == self._store.version)
+        return self._cache.get(name, self._store.version) is not None
 
     def _materialise(self, spec: RollupSpec) -> Table:
         query = ScanQuery(

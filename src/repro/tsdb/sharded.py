@@ -73,8 +73,6 @@ def shard_index(series: SeriesId, n_shards: int) -> int:
 class ShardedTimeSeriesStore:
     """Hash-sharded, lock-per-shard store with snapshot reads and a WAL."""
 
-    concurrent = True
-
     def __init__(self, n_shards: int = DEFAULT_SHARDS,
                  wal: str | Path | WriteAheadLog | None = None,
                  fsync_every: int = 64) -> None:
@@ -85,7 +83,6 @@ class ShardedTimeSeriesStore:
         self._version_lock = threading.Lock()
         self._version = 0
         self._snap: tuple[int, TimeSeriesStore] | None = None
-        self._listeners: list[Callable[[int], None]] = []
         if wal is None or isinstance(wal, WriteAheadLog):
             self._wal = wal
         else:
@@ -207,37 +204,6 @@ class ShardedTimeSeriesStore:
     def _bump(self) -> None:
         with self._version_lock:
             self._version += 1
-            version = self._version
-            # Listeners run under the version lock so they observe bumps
-            # in order (two shards bumping concurrently cannot deliver
-            # notifications out of sequence).  They must therefore be
-            # leaf callbacks: never touch this store, only their own
-            # leaf-locked state — the serving tier's result-cache sweep
-            # is the intended shape.
-            for listener in self._listeners:
-                listener(version)
-
-    def add_version_listener(self, listener: Callable[[int], None]) -> None:
-        """Register a callback invoked with the new version on every bump.
-
-        Called synchronously from inside the mutating writer — under the
-        shard lock and the version lock — so listeners must be cheap and
-        must not call back into the store (``version``, ``snapshot`` or
-        any mutator would deadlock).  The query-serving tier uses this
-        to sweep superseded entries from its result cache the moment
-        ingest invalidates them.
-        """
-        with self._version_lock:
-            self._listeners.append(listener)
-
-    def remove_version_listener(self,
-                                listener: Callable[[int], None]) -> None:
-        """Unregister a callback added by :meth:`add_version_listener`."""
-        with self._version_lock:
-            try:
-                self._listeners.remove(listener)
-            except ValueError:
-                pass
 
     # ------------------------------------------------------------------
     # Snapshots — the read path
@@ -266,6 +232,10 @@ class ShardedTimeSeriesStore:
             for lock in reversed(self._locks):
                 lock.release()
 
+    #: What the SQL/persistence seams read through: a multi-series walk
+    #: must not straddle a version change (cf. the plain ``read_view``).
+    read_view = snapshot
+
     def _snapshot_locked(self) -> TimeSeriesStore:
         """Snapshot body; caller holds every shard lock (in index order)."""
         version = self._version
@@ -273,8 +243,7 @@ class ShardedTimeSeriesStore:
             return self._snap[1]
         snap = TimeSeriesStore()
         for shard in self._shards:
-            for column in shard._data.values():
-                snap._adopt_column(column.freeze())
+            shard._freeze_into(snap)
         snap._version = version
         self._snap = (version, snap)
         return snap

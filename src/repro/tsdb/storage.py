@@ -39,12 +39,6 @@ from repro.tsdb.model import (
 class TimeSeriesStore:
     """Mutable collection of time series with index-accelerated scans."""
 
-    #: Single-threaded store: callers must serialise mutations
-    #: themselves.  :class:`~repro.tsdb.sharded.ShardedTimeSeriesStore`
-    #: overrides this, which is how the SQL/persistence seams decide to
-    #: take a consistent :meth:`snapshot` before reading.
-    concurrent = False
-
     @classmethod
     def from_arrays(cls, series_arrays: Mapping[
             SeriesId, tuple[Iterable[int], Iterable[float]]]
@@ -116,8 +110,8 @@ class TimeSeriesStore:
     def _adopt_column(self, column: SeriesData) -> None:
         """Register an already-built column without copying its data.
 
-        Internal fast path for :meth:`snapshot` clones and the binary
-        load (:mod:`repro.tsdb.chunkfile`): the column's invariants are
+        Internal fast path for the binary load
+        (:mod:`repro.tsdb.chunkfile`): the column's invariants are
         trusted and :attr:`version` is *not* bumped — the caller decides
         what version the assembled store carries.
         """
@@ -157,9 +151,9 @@ class TimeSeriesStore:
         call that changes stored data.  Any value derived from the
         store (rollup tables, the lazy ``tsdb`` SQL provider via
         :meth:`~repro.sql.catalog.Database.register_versioned_provider`,
-        score matrices, …) should be cached as ``(version, value)`` and
-        rebuilt when the stored version differs; never key on
-        ``num_points()``, which misses in-place ``apply`` rewrites
+        score matrices, …) belongs in a
+        :class:`~repro.versioned.VersionedCache` keyed on it; never key
+        on ``num_points()``, which misses in-place ``apply`` rewrites
         (fault injection).  Reading the version never mutates state, and
         equal versions guarantee identical store contents.
         """
@@ -382,6 +376,15 @@ class TimeSeriesStore:
     # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------
+    def read_view(self) -> "TimeSeriesStore":
+        """The store a multi-call read should run against: this one.
+
+        Callers serialise mutations on the plain store themselves, so
+        reading in place is consistent and free; the sharded store
+        answers the same call with its per-version :meth:`snapshot`.
+        """
+        return self
+
     def snapshot(self) -> "TimeSeriesStore":
         """A read-stable copy sharing sealed chunk storage with this store.
 
@@ -396,18 +399,26 @@ class TimeSeriesStore:
         (mutating it only diverges the copy).
 
         Not safe against *concurrent* mutation of this store — the
-        sharded tier takes its per-shard locks around exactly this call.
+        sharded tier takes its per-shard locks around the freeze.
         """
         snap = TimeSeriesStore()
+        self._freeze_into(snap)
+        snap._version = self._version
+        return snap
+
+    def _freeze_into(self, snap: "TimeSeriesStore") -> None:
+        """Merge frozen clones of every column, and the indexes, into ``snap``.
+
+        The one freeze routine: :meth:`snapshot` and the sharded tier
+        (once per shard, into one merged store) both call it; the
+        caller stamps the version the assembled snapshot carries.
+        """
         for series, column in self._data.items():
             snap._data[series] = column.freeze()
         for name, ids in self._by_name.items():
-            snap._by_name[name] = set(ids)
+            snap._by_name[name] |= ids
         for pair, ids in self._by_tag.items():
-            snap._by_tag[pair] = set(ids)
+            snap._by_tag[pair] |= ids
         for key, values in self._tag_values.items():
-            snap._tag_values[key] = set(values)
-        snap._min_ts = self._min_ts
-        snap._max_ts = self._max_ts
-        snap._version = self._version
-        return snap
+            snap._tag_values[key] |= values
+        snap._observe(self._min_ts, self._max_ts)

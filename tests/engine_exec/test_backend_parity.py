@@ -263,5 +263,6 @@ class TestDeletedBackendsRejected:
         with pytest.raises(ValueError, match="backend"):
             QueryServer(small_store, backend=backend)
         with QueryServer(small_store, n_workers=1) as server:
-            with pytest.raises(ValueError, match="backend"):
+            # The constructor is the only place a server takes a backend.
+            with pytest.raises(TypeError, match="backend"):
                 server.explain("runtime", scorer="CorrMax", backend=backend)

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.engine import ExplainItSession
 from repro.core.families import families_from_store
 from repro.core.hypothesis import generate_hypotheses
 from repro.core.ranking import rank_families
@@ -139,17 +140,33 @@ MUTATIONS = {
 }
 
 
+def session_view(session):
+    """What a session ranks and the exact matrices it ranked from."""
+    table = session.explain(scorer="CorrMax")
+    return (rank_fields(table),
+            {family.name: (family.matrix.tobytes(), family.grid.tobytes())
+             for family in session.families()})
+
+
 @pytest.mark.parametrize("mutate", MUTATIONS.values(), ids=MUTATIONS.keys())
 def test_mutation_invalidates_cached_results(server, store, mutate):
+    session = ExplainItSession(store)
+    session.set_target("target_metric")
+    session_view(session)
     before = server.query(GROUP_QUERY)
     mutate(store)
     after = server.query(GROUP_QUERY)
     assert not after.cached
     assert after.version > before.version
     assert after.version == store.version
-    # The sharded store's version listener swept the superseded entry
-    # the moment the mutation landed — before the re-query.
+    # The re-query observed the new version, which dropped the
+    # superseded entry: lookup is the one invalidation trigger.
     assert server.cache.stats.invalidations >= 1
+    # A long-lived session is one more consumer of store-derived state:
+    # its family matrices follow the mutation like a fresh session's.
+    fresh = ExplainItSession(store)
+    fresh.set_target("target_metric")
+    assert session_view(session) == session_view(fresh)
 
 
 def test_wal_replay_invalidates_cached_results(tmp_path):
@@ -179,8 +196,8 @@ def test_plain_store_sweeps_lazily_on_next_request():
         second = server.query(GROUP_QUERY)
         assert not second.cached
         assert second.version > first.version
-        # No version-bump hook on the plain store: the sweep happened
-        # when the next request observed the new version.
+        # The sweep happened when the next request observed the new
+        # version — the same single trigger as for the sharded store.
         assert server.cache.stats.invalidations >= 1
 
 
@@ -195,6 +212,25 @@ def test_stale_cache_entry_never_served_after_version_moves(server, store):
 # ---------------------------------------------------------------------------
 # Staleness + parity under concurrent ingest (the acceptance regression)
 # ---------------------------------------------------------------------------
+
+#: One dashboard refresh: the grouped aggregate, a zone-map-pruned range
+#: scan and a tag cut (hot, repeated every cycle) plus one range scan
+#: nobody asked before — submitted as a burst, so pushed-down scans and
+#: the scan cache are exercised under ingest too.
+HOT_PANELS = (
+    GROUP_QUERY,
+    "SELECT metric_name, MIN(value) AS lo, MAX(value) AS hi FROM tsdb "
+    "WHERE timestamp BETWEEN 16 AND 64 GROUP BY metric_name "
+    "ORDER BY metric_name",
+    "SELECT metric_name, COUNT(*) AS n FROM tsdb "
+    "WHERE tag['host'] = 'h1' GROUP BY metric_name ORDER BY metric_name",
+)
+
+
+def cold_query(i):
+    return ("SELECT COUNT(*) AS n, AVG(value) AS v FROM tsdb "
+            f"WHERE timestamp BETWEEN {7 * i} AND {7 * i + 32}")
+
 
 def test_no_stale_results_under_four_writer_ingest(store):
     stop = threading.Event()
@@ -218,31 +254,35 @@ def test_no_stale_results_under_four_writer_ingest(store):
         for thread in threads:
             thread.start()
         try:
-            for _ in range(25):
+            for cycle in range(25):
                 floor = store.version
-                result = server.query(GROUP_QUERY)
-                # Pinned at request start: at least as new as any version
-                # observed before submission — a result cached at some
-                # superseded version can never come back.
-                if result.version < floor:
-                    errors.append((result.version, floor))
-                results.append(result)
+                futures = [(query, server.submit_sql(query))
+                           for query in HOT_PANELS + (cold_query(cycle),)]
+                for query, future in futures:
+                    result = future.result(timeout=60)
+                    # Pinned at request start: at least as new as any
+                    # version observed before submission — a result
+                    # cached at some superseded version can never come
+                    # back.
+                    if result.version < floor:
+                        errors.append((query, result.version, floor))
+                    results.append((query, result))
         finally:
             stop.set()
             for thread in threads:
                 thread.join()
         assert not errors
-        versions = sorted({r.version for r in results})
+        versions = sorted({r.version for _, r in results})
         # Quiesced: the next request serves exactly the final version...
         final = server.query(GROUP_QUERY)
         assert final.version == store.version
         # ...and every mid-ingest result re-verifies bitwise against a
         # fresh computation on its own pinned snapshot.
-        for result in [results[0], results[len(results) // 2], results[-1]]:
+        for query, result in results[::7] + results[-1:]:
             check = Database()
             register_store(check, result.snapshot)
             assert result.snapshot.version == result.version
-            assert_bitwise_equal(result.value, check.sql(GROUP_QUERY))
+            assert_bitwise_equal(result.value, check.sql(query))
         assert versions[0] <= versions[-1]
 
 
@@ -323,14 +363,47 @@ def test_single_rank_worker_still_uses_the_shared_pool(store):
 
 
 def test_old_version_states_retire(store):
-    with QueryServer(store, keep_versions=1) as server:
+    with QueryServer(store) as server:
         server.sql(GROUP_QUERY)
         store.insert(SeriesId.make("bump_metric"), 0, 1.0)
         server.sql(GROUP_QUERY)
         store.insert(SeriesId.make("bump_metric"), 1, 2.0)
         server.sql(GROUP_QUERY)
         warm = server.stats()["warm_versions"]
-        assert warm == [store.version]
+        assert warm == [store.version - 1, store.version]
+
+
+class LatePin:
+    """The store, except that the next ``snapshot()`` is one cut earlier —
+    a request that read the store just before ingest moved it on."""
+
+    def __init__(self, store):
+        self._store = store
+        self.late = None
+
+    def snapshot(self):
+        late, self.late = self.late, None
+        return late or self._store.snapshot()
+
+    def __getattr__(self, name):
+        return getattr(self._store, name)
+
+
+def test_late_pin_at_a_retired_version_keeps_current_results_hot(store):
+    proxy = LatePin(store)
+    with QueryServer(proxy) as server:
+        old = store.snapshot()
+        for i in range(2):
+            store.insert(SeriesId.make("bump_metric"), i, 1.0)
+            server.query(GROUP_QUERY)
+        proxy.late = old
+        late = server.query(GROUP_QUERY)
+        assert late.version == old.version and not late.cached
+        # The straggler recreated a state for its long-retired version;
+        # that must not cost the current version its cached results.
+        hot = server.query(GROUP_QUERY)
+        assert hot.cached and hot.version == store.version
+        assert server.stats()["warm_versions"][-1] == store.version
 
 
 def test_request_counters_exact_under_concurrency(store):

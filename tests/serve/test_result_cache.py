@@ -1,14 +1,15 @@
-"""ResultCache: hits, LRU eviction, version invalidation, thread safety."""
+"""VersionedCache: hits, LRU eviction, version invalidation, thread safety."""
 
 import threading
+import time
 
 import pytest
 
-from repro.serve.cache import ResultCache
+from repro.versioned import VersionedCache
 
 
 def test_miss_then_hit_roundtrip():
-    cache = ResultCache()
+    cache = VersionedCache()
     assert cache.get("q", 1) is None
     cache.put("q", 1, "result")
     assert cache.get("q", 1) == "result"
@@ -17,15 +18,17 @@ def test_miss_then_hit_roundtrip():
 
 
 def test_version_mismatch_is_a_miss():
-    cache = ResultCache()
+    cache = VersionedCache()
     cache.put("q", 1, "old")
     assert cache.get("q", 2) is None
-    # The old entry still serves a reader that (validly) pinned v1.
-    assert cache.get("q", 1) == "old"
+    # Observing v2 dropped the superseded entry; a reader still pinned
+    # at v1 recomputes rather than pinning dead results in the LRU.
+    assert cache.get("q", 1) is None
+    assert cache.stats.invalidations == 1
 
 
 def test_lru_eviction_order_and_bound():
-    cache = ResultCache(max_entries=2)
+    cache = VersionedCache(max_entries=2)
     cache.put("a", 1, "A")
     cache.put("b", 1, "B")
     assert cache.get("a", 1) == "A"     # refresh a; b becomes LRU
@@ -37,27 +40,40 @@ def test_lru_eviction_order_and_bound():
     assert cache.stats.evictions == 1
 
 
-def test_evict_superseded_drops_only_stale_versions():
-    cache = ResultCache()
+def test_newer_version_drops_only_stale_entries():
+    cache = VersionedCache()
     cache.put("a", 1, "A1")
     cache.put("b", 1, "B1")
     cache.put("a", 2, "A2")
-    removed = cache.evict_superseded(2)
-    assert removed == 2
     assert cache.get("a", 2) == "A2"
     assert cache.get("a", 1) is None
     assert cache.stats.invalidations == 2
 
 
-def test_evict_superseded_noop_when_all_current():
-    cache = ResultCache()
+def test_same_version_observation_invalidates_nothing():
+    cache = VersionedCache()
     cache.put("a", 3, "A")
-    assert cache.evict_superseded(3) == 0
+    assert cache.get("b", 3) is None
     assert cache.get("a", 3) == "A"
+    assert cache.stats.invalidations == 0
+
+
+def test_older_version_never_evicts_newer_entries():
+    """The out-of-order pin: a request that snapshotted at v1 reaches
+    the cache after another already cached at v3."""
+    cache = VersionedCache()
+    cache.put("a", 3, "A3")
+    assert cache.get("a", 1) is None
+    cache.put("a", 1, "A1")              # superseded on arrival: dropped
+    assert cache.get_or_build("b", 1, lambda: "B1") == "B1"
+    assert cache.get("a", 3) == "A3"
+    assert cache.get("b", 3) is None
+    assert cache.stats.invalidations == 0
+    assert len(cache) == 1
 
 
 def test_clear_empties_but_keeps_counters():
-    cache = ResultCache()
+    cache = VersionedCache()
     cache.put("a", 1, "A")
     cache.get("a", 1)
     cache.clear()
@@ -67,11 +83,11 @@ def test_clear_empties_but_keeps_counters():
 
 def test_rejects_nonpositive_bound():
     with pytest.raises(ValueError):
-        ResultCache(max_entries=0)
+        VersionedCache(max_entries=0)
 
 
 def test_concurrent_puts_gets_and_sweeps_stay_consistent():
-    cache = ResultCache(max_entries=64)
+    cache = VersionedCache(max_entries=64)
     errors = []
 
     def worker(tid):
@@ -81,8 +97,6 @@ def test_concurrent_puts_gets_and_sweeps_stay_consistent():
                 cache.put((tid, i % 10), version, i)
                 value = cache.get((tid, i % 10), version)
                 assert value is None or isinstance(value, int)
-                if i % 50 == 0:
-                    cache.evict_superseded(version)
         except Exception as exc:      # pragma: no cover - failure path
             errors.append(exc)
 
@@ -90,6 +104,42 @@ def test_concurrent_puts_gets_and_sweeps_stay_consistent():
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
     assert not errors
     assert len(cache) <= 64
+
+
+def test_get_or_build_builds_once_per_key_and_version_under_races():
+    cache = VersionedCache()
+    built = []                           # list.append is atomic
+
+    def build(version):
+        built.append(version)
+        time.sleep(0.02)     # hold the build open so every racer arrives
+        return object()
+
+    for version in (1, 2):
+        gate = threading.Barrier(8)
+        seen = []
+
+        def worker():
+            gate.wait(timeout=30)
+            seen.append(cache.get_or_build(
+                "k", version, lambda: build(version)))
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 8 and len({id(value) for value in seen}) == 1
+    assert built == [1, 2]
+
+
+def test_get_or_build_propagates_build_errors_and_recovers():
+    cache = VersionedCache()
+    with pytest.raises(KeyError):
+        cache.get_or_build("k", 1, lambda: {}["boom"])
+    assert cache.get_or_build("k", 1, lambda: "ok") == "ok"

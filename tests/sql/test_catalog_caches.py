@@ -5,7 +5,12 @@ import numpy as np
 from repro.sql import Database
 from repro.sql.catalog import _SCAN_CACHE_SIZE
 from repro.sql.scan import ScanPredicate
-from repro.tsdb.adapter import register_store
+from repro.tsdb.adapter import (
+    register_store,
+    scan_store,
+    store_stats,
+    tsdb_table,
+)
 from repro.tsdb.model import SeriesId
 from repro.tsdb.storage import TimeSeriesStore
 
@@ -83,3 +88,32 @@ def test_drop_clears_provider_caches():
     db.sql("SELECT COUNT(*) FROM tsdb")
     db.drop("tsdb")
     assert db.cache_info()["scan_entries"] == {}
+
+
+def test_scan_churn_never_evicts_or_rebuilds_table_or_stats():
+    store = make_store()
+    calls = {"table": 0, "stats": 0}
+
+    def counted(kind, fn):
+        def run():
+            calls[kind] += 1
+            return fn(store)
+        return run
+
+    db = Database()
+    db.register_scannable_provider(
+        "tsdb", provider=counted("table", tsdb_table),
+        version_fn=lambda: store.version,
+        scan_fn=lambda predicate: scan_store(store, predicate),
+        stats_fn=counted("stats", store_stats))
+    table, stats = db.table("tsdb"), db.stats_for("tsdb")
+    for i in range(20):
+        db.scan_table("tsdb", pred(i, i + 1))
+    assert db.cache_info()["scan_entries"]["tsdb"] == _SCAN_CACHE_SIZE
+    assert db.table("tsdb") is table and db.stats_for("tsdb") is stats
+    assert calls == {"table": 1, "stats": 1}
+    # Only a version bump rebuilds them, once each.
+    store.insert(SeriesId.make("metric_0", {"host": "h0"}), 10_000, 1.0)
+    assert db.table("tsdb") is not table
+    assert db.stats_for("tsdb") is not stats
+    assert calls == {"table": 2, "stats": 2}
