@@ -6,12 +6,13 @@ inventory/machine databases for metadata joins), users register UDFs such
 as ``hostgroup``, and intermediate results are saved as temporary tables
 tied to the interactive session.
 
-Every query is planned before execution (:mod:`repro.sql.planner`):
-catalog statistics — provider-supplied for scannable tables, one-pass
-cached summaries otherwise — drive per-stage cardinality estimates, the
-columnar-vs-row engine choice, and join build sides; scannable
-providers additionally receive the sargable part of the WHERE so they
-can prune series and sealed chunks before materialising anything.
+Every query gets a plan tree before execution
+(:mod:`repro.sql.planner`): catalog statistics — provider-supplied for
+scannable tables, one-pass cached summaries otherwise — give each stage
+an estimated cardinality, and the executor records what actually ran
+next to it.  Scannable providers additionally receive the sargable part
+of the WHERE so they can prune series and sealed chunks before
+materialising anything.
 """
 
 from __future__ import annotations
@@ -64,10 +65,8 @@ class Database:
 
     ``columnar=False`` disables the vectorized execution tier and runs
     every query through the row-at-a-time reference interpreter; the
-    parity tests and ``benchmarks/bench_sql_columnar.py`` use it as the
-    baseline the fast path must match bit for bit.  The planner runs in
-    both modes (both executors follow the same plan, so physical
-    decisions like join build side never change observable results).
+    parity tests use it as the baseline the fast path must match bit
+    for bit.  The planner runs in both modes (it only annotates).
 
     Serving runs many worker threads through one Database: the read
     path only reads the catalog dicts, and every cache it fills is a

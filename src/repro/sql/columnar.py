@@ -1,9 +1,9 @@
 """Columnar SQL execution: numpy masks, vector selects, segmented aggregates.
 
 This module is the fast path :class:`~repro.sql.executor.Executor` tries
-first when a scan yields a column-backed relation (a table built with
-:meth:`~repro.sql.table.Table.from_columns`, e.g. the tsdb adapter's
-output).  Four entry points mirror the executor's stages:
+first when a stage's input is a column-backed relation (a table built
+with :meth:`~repro.sql.table.Table.from_columns`, e.g. the tsdb
+adapter's output).  Four entry points mirror the executor's stages:
 
 - :func:`try_filter` — compiles a WHERE tree to a three-valued-logic
   pair of boolean masks (``true``, ``null``) over whole column vectors
@@ -32,9 +32,11 @@ output).  Four entry points mirror the executor's stages:
   predicates compile to masks over the gathered candidate pairs.
 
 Every entry point returns ``None`` when any part of the statement falls
-outside the compilable subset — the executor then runs its row-at-a-time
-interpreter, which remains the semantics reference.  The subset is
-chosen so results are *identical* to the row path (property-tested):
+outside the compilable subset — that return value is the only
+definition of columnar eligibility; there is no separate static check —
+and the executor then runs its row-at-a-time interpreter, which remains
+the semantics reference.  The subset is chosen so results are
+*identical* to the row path (property-tested):
 numeric kernels perform the same IEEE operations in the same order the
 scalar evaluator would (``np.sum`` on a group slice is the row path's
 ``np.sum`` on the same values), and anything without an exact vector
@@ -70,7 +72,6 @@ from repro.sql.functions import (
 from repro.sql.nodes import (
     Between,
     BinaryOp,
-    Case,
     Cast,
     ColumnRef,
     FuncCall,
@@ -83,7 +84,6 @@ from repro.sql.nodes import (
     Star,
     Subscript,
     UnaryOp,
-    flatten_and,
     walk,
 )
 from repro.sql.semantics import (
@@ -1044,7 +1044,7 @@ def _val_to_vector(val: _Val, n: int) -> np.ndarray:
 
 
 def try_aggregate(stmt: Select, relation):
-    """Columnar GROUP BY + aggregates; returns the result Table or None.
+    """Columnar GROUP BY: ``(Table, groups before HAVING)`` or None.
 
     Groups appear in first-occurrence order — the row path's dict
     insertion order — and each supported aggregate reduces over the
@@ -1067,6 +1067,18 @@ def try_aggregate(stmt: Select, relation):
                 raise _Ineligible    # row path raises; let it
         if not stmt.group_by and ctx.n == 0:
             raise _Ineligible        # synthesized empty-group row: row path
+        # Refuse aggregates this tier lacks before paying for grouping.
+        roots = [item.expr for item in stmt.items]
+        roots += [o.expr for o in stmt.order_by]
+        if stmt.having is not None:
+            roots.append(stmt.having)
+        for root in roots:
+            for node in walk(root):
+                if isinstance(node, FuncCall) and node.window is None \
+                        and is_aggregate(node.name) and (
+                            node.distinct
+                            or node.name not in _COLUMNAR_AGGREGATES):
+                    raise _Ineligible
         columns = Executor._dedupe_columns(
             [Executor._output_name(item, idx)
              for idx, item in enumerate(stmt.items)])
@@ -1100,7 +1112,7 @@ def try_aggregate(stmt: Select, relation):
             vectors.append(vec)
     except _FALLBACK:
         return None
-    return Table.from_columns(columns, vectors)
+    return Table.from_columns(columns, vectors), n_groups
 
 
 class _SynthCtx:
@@ -1213,8 +1225,6 @@ class _Groups:
         return _gather_val(_compile_any(expr, self.ctx), self.first_rows)
 
     def aggregate(self, call: FuncCall) -> _Val:
-        if call.name not in _COLUMNAR_AGGREGATES or call.distinct:
-            raise _Ineligible
         if call.name == "COUNT" and (
                 not call.args or isinstance(call.args[0], Star)):
             return _Val(data=self.counts.copy())
@@ -1352,8 +1362,8 @@ def try_join(kind: str, left, right, equi_pairs, residual,
     side; candidate pairs expand with ``np.repeat``.  With the default
     ``build="right"`` the pairs come out in exactly the row path's order
     (left-major, right buckets in right-row order); ``build="left"``
-    (the planner's choice when the left side is estimated smaller;
-    INNER only) sorts the smaller left side instead and restores that
+    (the executor's choice when the left side is smaller; INNER only)
+    sorts the smaller left side instead and restores that
     same order with one lexsort, so the build side never changes the
     output.  Residual conjuncts compile to a 3VL mask over the gathered
     candidate columns.  LEFT/FULL null rows interleave at their left
@@ -1551,105 +1561,3 @@ def _gather_or_null(col: np.ndarray, idx: np.ndarray) -> np.ndarray:
     for slot, cell in zip(present.tolist(), cells):
         out[slot] = cell
     return out
-
-
-# ---------------------------------------------------------------------------
-# Plan annotation support
-# ---------------------------------------------------------------------------
-def predicate_shape_eligible(expr: Node) -> bool:
-    """Static shape check: could this WHERE tree compile to masks?
-
-    Used by EXPLAIN to annotate filters; the actual compile also depends
-    on runtime column dtypes, so this is a necessary-but-not-sufficient
-    hint.
-    """
-    allowed_ops = set(_NP_COMPARE) | {"AND", "OR", "+", "-", "*", "/", "%"}
-    for node in walk(expr):
-        if isinstance(node, (ColumnRef, Literal, Between, IsNull, Subscript,
-                             Cast)):
-            continue
-        if isinstance(node, BinaryOp) and node.op in allowed_ops:
-            continue
-        if isinstance(node, UnaryOp) and node.op in ("NOT", "-"):
-            continue
-        if isinstance(node, InList):
-            if all(isinstance(item, Literal) for item in node.items):
-                continue
-            return False
-        if isinstance(node, Like):
-            if isinstance(node.pattern, Literal):
-                continue
-            return False
-        if isinstance(node, (FuncCall, Case, Star)):
-            return False
-        return False
-    return True
-
-
-def _agg_expr_eligible(expr: Node) -> bool:
-    """Shape check for one expression in aggregate context."""
-    if isinstance(expr, (Literal, ColumnRef)):
-        return True
-    if isinstance(expr, FuncCall):
-        if expr.window is not None or expr.distinct \
-                or expr.name not in _COLUMNAR_AGGREGATES:
-            return False
-        if expr.name == "COUNT" and (
-                not expr.args or isinstance(expr.args[0], Star)):
-            return True
-        return len(expr.args) == 1 \
-            and predicate_shape_eligible(expr.args[0])
-    if isinstance(expr, BinaryOp):
-        return _agg_expr_eligible(expr.left) \
-            and _agg_expr_eligible(expr.right)
-    if isinstance(expr, UnaryOp):
-        return _agg_expr_eligible(expr.operand)
-    if isinstance(expr, Cast):
-        return _agg_expr_eligible(expr.expr)
-    return predicate_shape_eligible(expr)    # whole-subtree first-row leaf
-
-
-def aggregate_shape_eligible(stmt: Select) -> bool:
-    """Static shape check for the segmented-aggregation path.
-
-    True when every GROUP BY key is a bare column and every item,
-    HAVING clause, and ORDER BY key is an expression over supported
-    aggregates, columns, and literals.  Like
-    :func:`predicate_shape_eligible`, runtime dtypes can still force
-    the row path (e.g. MIN over an object column).
-    """
-    if not all(isinstance(e, ColumnRef) for e in stmt.group_by):
-        return False
-    for item in stmt.items:
-        if isinstance(item.expr, Star) or not _agg_expr_eligible(item.expr):
-            return False
-    if stmt.having is not None and not _agg_expr_eligible(stmt.having):
-        return False
-    return all(_agg_expr_eligible(o.expr) for o in stmt.order_by)
-
-
-def order_shape_eligible(order_by) -> bool:
-    """Static shape check for a plain SELECT's ORDER BY clause."""
-    return all(isinstance(o.expr, (Literal, ColumnRef))
-               or predicate_shape_eligible(o.expr)
-               for o in order_by)
-
-
-def window_shape_eligible(call: FuncCall) -> bool:
-    """Static shape check for one windowed function call."""
-    if call.window is None or call.name not in WINDOW_FUNCTIONS:
-        return False
-    spec = call.window
-    subs = (list(spec.partition_by) + [o.expr for o in spec.order_by]
-            + list(call.args))
-    return all(isinstance(sub, (Literal, ColumnRef))
-               or predicate_shape_eligible(sub)
-               for sub in subs)
-
-
-def join_shape_eligible(join) -> bool:
-    """Static shape check for the hash-join path: any ``=`` conjunct."""
-    if join.kind == "CROSS" or join.condition is None:
-        return False
-    return any(isinstance(conj, BinaryOp) and conj.op == "="
-               for conj in flatten_and(join.condition))

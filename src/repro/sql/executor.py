@@ -7,16 +7,20 @@ hash equi-joins (inner / left / right / full outer) with residual
 predicates, cross joins, UNION (ALL), window functions, and subqueries in
 FROM.  NULL handling follows SQL three-valued logic.
 
-Execution is two-tier.  When the scanned table carries column vectors
-(:meth:`~repro.sql.table.Table.from_columns` — the tsdb adapter and
-rollup views build these), the executor first tries the columnar fast
-path of :mod:`repro.sql.columnar`: WHERE compiles to numpy boolean
-masks, projections become zero-copy vector selects, and GROUP BY
-aggregates run as segmented reductions.  Any statement (or stage) the
-columnar compiler cannot express raises ineligibility internally and
-falls back to the row-at-a-time interpreter below, which remains the
-semantics reference; the fast path is property-tested to produce
-bitwise-identical tables.
+Execution is two-tier, and this module is the only place a physical
+choice is made — always from relations it already holds, never from an
+estimate.  A stage attempts the columnar tier of
+:mod:`repro.sql.columnar` whenever its input is column-backed (built
+with :meth:`~repro.sql.table.Table.from_columns` — the tsdb adapter and
+rollup views build these; columnar stages emit them); an INNER
+equi-join hashes whichever side is smaller.  The
+compiler's ``try_*`` entry points returning ``None`` are the single
+definition of what the columnar tier cannot express; the stage then
+runs on the row-at-a-time interpreter below, which remains the
+semantics reference (the fast path is property-tested to produce
+bitwise-identical tables).  Whatever ran is recorded per stage into the
+plan, when one is given: actual rows, engine, join build side, scan
+report.  Execution itself is identical with and without a plan.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ from repro.sql.semantics import (
     sql_arith as _sql_arith,
     sql_cast as _cast,
     sql_compare as _sql_compare,
+    sql_negate as _sql_negate,
 )
 from repro.sql.table import Table, _hashable_row, _column_cells
 
@@ -230,22 +235,28 @@ def render(node: Node) -> str:
     return type(node).__name__.lower()
 
 
+def _call_builtin(name: str, fn: Callable[..., Any], *args: Any) -> Any:
+    """Call a built-in function; a bad argument is the query's error."""
+    try:
+        return fn(*args)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ExecutionError(f"{name} failed: {exc}") from exc
+
+
 class Executor:
     """Evaluates statements against a table resolver and a UDF registry.
 
     ``columnar=True`` (the default) enables the vectorized fast path for
-    scans of column-backed tables; ``columnar=False`` forces every stage
+    column-backed relations; ``columnar=False`` forces every stage
     through the row-at-a-time interpreter — the reference the fast path
-    is verified against (and what benchmarks compare to).
+    is verified against.
 
     ``plan`` (a :class:`repro.sql.planner.Plan` built for the *same* AST
-    objects) carries the planner's physical decisions: stages whose
-    engine the plan resolved to ``"row"`` skip the columnar attempt, and
-    INNER equi-joins hash the side the plan chose.  The executor writes
-    per-stage actual row counts (and scan reports) back into the plan so
-    EXPLAIN shows estimated vs actual.  ``scan_table(name, predicate)``
-    is the predicate-pushdown hook: given the sargable part of a WHERE
-    it may return a pruned ``(table, report)`` superset for a TableRef
+    objects) is write-only here: the executor records each stage's
+    actual rows, engine and scan report into it so EXPLAIN shows what
+    ran next to what was estimated.  ``scan_table(name, predicate)`` is
+    the predicate-pushdown hook: given the sargable part of a WHERE it
+    may return a pruned ``(table, report)`` superset for a TableRef
     scan (the full WHERE is still re-applied afterwards, so pruning
     never changes results).
     """
@@ -264,20 +275,15 @@ class Executor:
         self._plan = plan
         self._scan_table = scan_table
 
-    def _record(self, node: Node, role: str, rows: int) -> None:
+    def _record(self, node: Node, role: str, rows: int,
+                engine: str | None = None, note: str = "") -> None:
         if self._plan is not None:
-            self._plan.record_rows(node, role, rows)
+            self._plan.record(node, role, rows, engine, note)
 
-    def _engine_allows(self, node: Node, role: str) -> bool:
-        """Whether the plan permits the columnar tier for this stage.
-
-        ``"row"`` is the only veto; stages the planner never saw (no
-        plan, or a sub-statement executed standalone) keep the historical
-        columnar-whenever-eligible behaviour.
-        """
-        if self._plan is None:
-            return True
-        return self._plan.engine_for(node, role) != "row"
+    def _vectorizes(self, *inputs: _Relation) -> bool:
+        """The engine choice: can the columnar tier read this stage's input?"""
+        return self._columnar \
+            and all(rel.coldata is not None for rel in inputs)
 
     # ------------------------------------------------------------------
     # Statement dispatch
@@ -313,44 +319,44 @@ class Executor:
         relation = self._build_source(stmt.source, where=stmt.where)
         if stmt.where is not None:
             self._reject_aggregates(stmt.where, "WHERE")
-            filtered = None
-            if self._columnar and relation.coldata is not None \
-                    and self._engine_allows(stmt, "filter"):
-                filtered = columnar.try_filter(relation, stmt.where)
+            filtered = (columnar.try_filter(relation, stmt.where)
+                        if self._vectorizes(relation) else None)
+            engine = "columnar"
             if filtered is None:
+                engine = "row"
                 rows = [row for row in relation.rows
                         if self._eval(stmt.where, relation, row) is True]
-                relation = _Relation(relation.columns, rows)
-            else:
-                relation = filtered
-            self._record(stmt, "filter", len(relation))
+                filtered = _Relation(relation.columns, rows)
+            relation = filtered
+            self._record(stmt, "filter", len(relation), engine)
 
         aggregate_query = bool(stmt.group_by) or any(
             self._contains_aggregate(item.expr) for item in stmt.items
         ) or (stmt.having is not None)
 
-        table: Table | None = None
-        if self._columnar and relation.coldata is not None:
-            if aggregate_query:
-                if self._engine_allows(stmt, "aggregate"):
-                    table = columnar.try_aggregate(stmt, relation)
-            elif self._engine_allows(stmt, "sort") \
-                    and self._engine_allows(stmt, "window"):
-                table = columnar.try_project(stmt, relation)
-        if table is None:
-            if aggregate_query:
-                table = self._execute_aggregate(stmt, relation)
-            else:
-                table = self._execute_plain(stmt, relation)
+        vectorize = self._vectorizes(relation)
+        engine = "columnar"
         if aggregate_query:
-            # The row path applies HAVING inside the aggregate, so the
-            # recorded actual is post-HAVING (matching what EXPLAIN's
-            # innermost surviving stage would see).
-            role = "having" if stmt.having is not None else "aggregate"
-            self._record(stmt, role, len(table))
-        else:
-            self._record(stmt, "window", len(table))
+            # One operator groups, applies HAVING and sorts its output:
+            # its engine is recorded once, on the Aggregate stage.
+            aggregated = (columnar.try_aggregate(stmt, relation)
+                          if vectorize else None)
+            if aggregated is None:
+                engine = "row"
+                aggregated = self._execute_aggregate(stmt, relation)
+            table, n_groups = aggregated
+            self._record(stmt, "aggregate", n_groups, engine)
+            self._record(stmt, "having", len(table))
             self._record(stmt, "sort", len(table))
+        else:
+            # Likewise one operator projects, windows and sorts.
+            table = (columnar.try_project(stmt, relation)
+                     if vectorize else None)
+            if table is None:
+                engine = "row"
+                table = self._execute_plain(stmt, relation)
+            self._record(stmt, "window", len(table), engine)
+            self._record(stmt, "sort", len(table), engine)
 
         if stmt.distinct:
             table = table.distinct()
@@ -416,33 +422,23 @@ class Executor:
 
         if join.kind == "CROSS":
             rows = [lrow + rrow for lrow in left.rows for rrow in right.rows]
-            self._record(join, "join", len(rows))
+            self._record(join, "join", len(rows), "row")
             return _Relation(combined_columns, rows)
 
         equi_pairs, residual = self._extract_equi_keys(
             join.condition, left, right, combined
         )
-        # The plan's cost decision: INNER equi-joins hash the side with
-        # the smaller estimated cardinality (default: right).  Output
-        # row order is canonicalised to the build-right emission order,
-        # so the choice never changes results.
-        build_left = bool(
-            equi_pairs and join.kind == "INNER" and self._plan is not None
-            and self._plan.build_side(join) == "left")
-        if equi_pairs and self._columnar and left.coldata is not None \
-                and right.coldata is not None \
-                and self._engine_allows(join, "join"):
+        if equi_pairs and self._vectorizes(left, right):
+            # Hash the smaller side (INNER only); try_join emits the
+            # same row order either way, so the choice never shows.
+            build = ("left" if join.kind == "INNER"
+                     and len(left) < len(right) else "right")
             joined = columnar.try_join(join.kind, left, right,
-                                       equi_pairs, residual,
-                                       build="left" if build_left else "right")
+                                       equi_pairs, residual, build=build)
             if joined is not None:
-                self._record(join, "join", len(joined))
+                self._record(join, "join", len(joined), "columnar",
+                             "build=left" if build == "left" else "")
                 return joined
-        if build_left:
-            relation = self._inner_join_build_left(
-                join, left, right, combined, equi_pairs, residual)
-            self._record(join, "join", len(relation))
-            return relation
         rows: list[tuple] = []
         matched_right: set[int] = set()
 
@@ -490,43 +486,8 @@ class Executor:
             for r_idx, rrow in enumerate(right.rows):
                 if r_idx not in matched_right:
                     rows.append(left_nulls + rrow)
-        self._record(join, "join", len(rows))
+        self._record(join, "join", len(rows), "row")
         return _Relation(combined_columns, rows)
-
-    def _inner_join_build_left(self, join: Join, left: _Relation,
-                               right: _Relation, combined: _Relation,
-                               equi_pairs: list[tuple[Node, Node]],
-                               residual: Node | None) -> _Relation:
-        """INNER hash join building on the left side.
-
-        Matched index pairs are collected and sorted by ``(left row,
-        right row)`` — exactly the order the build-right probe emits
-        (left-major, bucket lists in ascending right order) — so the
-        build side is invisible in the output.
-        """
-        buckets: dict[tuple, list[int]] = {}
-        left_exprs = [pair[0] for pair in equi_pairs]
-        right_exprs = [pair[1] for pair in equi_pairs]
-        for l_idx, lrow in enumerate(left.rows):
-            key = tuple(_hashable_row(
-                tuple(self._eval(expr, left, lrow) for expr in left_exprs)))
-            if any(part is None for part in key):
-                continue
-            buckets.setdefault(key, []).append(l_idx)
-        pairs: list[tuple[int, int]] = []
-        for r_idx, rrow in enumerate(right.rows):
-            key = tuple(_hashable_row(
-                tuple(self._eval(expr, right, rrow) for expr in right_exprs)))
-            if any(part is None for part in key):
-                continue
-            for l_idx in buckets.get(key, ()):
-                candidate = left.rows[l_idx] + rrow
-                if residual is None or self._eval(
-                        residual, combined, candidate) is True:
-                    pairs.append((l_idx, r_idx))
-        pairs.sort()
-        rows = [left.rows[l_idx] + right.rows[r_idx] for l_idx, r_idx in pairs]
-        return _Relation(left.columns + right.columns, rows)
 
     def _extract_equi_keys(self, condition: Node | None, left: _Relation,
                            right: _Relation, combined: _Relation
@@ -672,7 +633,8 @@ class Executor:
                 for i in ordered
             ]
             for pos, i in enumerate(ordered):
-                result[i] = eval_window_function(call.name, arg_rows, pos)
+                result[i] = _call_builtin(call.name, eval_window_function,
+                                          call.name, arg_rows, pos)
         return result
 
     def _apply_directions(self, indexes: list[int],
@@ -691,7 +653,9 @@ class Executor:
     # ------------------------------------------------------------------
     # Aggregate select
     # ------------------------------------------------------------------
-    def _execute_aggregate(self, stmt: Select, relation: _Relation) -> Table:
+    def _execute_aggregate(self, stmt: Select, relation: _Relation
+                           ) -> tuple[Table, int]:
+        """The result table and the number of groups before HAVING."""
         items = list(stmt.items)
         for item in items:
             if isinstance(item.expr, Star):
@@ -744,7 +708,7 @@ class Executor:
                 ),
             )
             out_rows = [out_rows[i] for i in order]
-        return Table(columns, out_rows)
+        return Table(columns, out_rows), len(groups)
 
     def _eval_aggregate_expr(self, expr: Node, relation: _Relation,
                              rows: list[tuple], env_row: tuple | None,
@@ -788,7 +752,7 @@ class Executor:
                                               env_row, output)
             if expr.op == "NOT":
                 return None if value is None else (not value)
-            return None if value is None else -value
+            return _sql_negate(value)
         if isinstance(expr, FuncCall):
             args = [self._eval_aggregate_expr(a, relation, rows, env_row,
                                               output)
@@ -823,7 +787,8 @@ class Executor:
                                             call.distinct)
             fraction = self._eval(call.args[1], relation,
                                   rows[0] if rows else ())
-            return percentile_aggregate(values, float(fraction))
+            return _call_builtin(call.name, lambda: percentile_aggregate(
+                values, float(fraction)))
         fn = AGGREGATES[call.name]
         if call.name == "COUNT" and (not call.args
                                      or isinstance(call.args[0], Star)):
@@ -832,7 +797,7 @@ class Executor:
             raise ExecutionError(f"{call.name} expects exactly one argument")
         values = self._aggregate_values(call.args[0], relation, rows,
                                         call.distinct)
-        return fn(values)
+        return _call_builtin(call.name, fn, values)
 
     def _aggregate_values(self, arg: Node, relation: _Relation,
                           rows: list[tuple], distinct: bool) -> list[Any]:
@@ -889,7 +854,7 @@ class Executor:
                                row_index)
             if expr.op == "NOT":
                 return None if value is None else (not value)
-            return None if value is None else -value
+            return _sql_negate(value)
         if isinstance(expr, Subscript):
             base = self._eval(expr.base, relation, row, window_cache,
                               row_index)
@@ -987,7 +952,7 @@ class Executor:
     def _call_scalar(self, name: str, args: list[Any]) -> Any:
         fn = SCALARS.get(name)
         if fn is not None:
-            return fn(*args)
+            return _call_builtin(name, fn, *args)
         udf = self._udfs.get(name)
         if udf is not None:
             try:

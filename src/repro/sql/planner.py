@@ -1,26 +1,17 @@
-"""Cost-based physical planning over column statistics.
+"""Plan trees: estimated rows per stage, annotated with what ran.
 
-This replaces the old render-only ``plan.py`` with a real plan tree:
-:class:`Planner` walks an optimised AST once, bottom-up, estimating the
-cardinality of every stage from catalog statistics (zone-map-backed for
-scannable providers, one-pass cached summaries for materialised tables)
-and recording three physical decisions the executor then follows:
-
-- **engine** — each shape-eligible stage runs columnar only when its
-  estimated input amortises the fixed vectorization cost
-  (:data:`~repro.sql.stats.COLUMNAR_MIN_ROWS`); the old behaviour was
-  "columnar whenever eligible".
-- **join build side** — each INNER equi-join hashes (columnar: sorts)
-  the side with the smaller estimated cardinality, the per-join form of
-  cost-based join ordering.  Probe order is chosen so the output row
-  order is bitwise-identical either way.
-- **scan pushdown** — sargable WHERE conjuncts over a scannable table
-  are extracted so the provider can prune series and sealed chunks
-  before any column materialises.
-
-The executor writes *actuals* (rows per stage, chunks scanned/pruned)
-back into the same tree, so ``EXPLAIN`` renders estimated vs actual
-rows per stage — planner quality is observable and regression-testable.
+:class:`Planner` walks an optimised AST once, bottom-up, and builds the
+tree EXPLAIN renders: one :class:`PlanNode` per stage, carrying the
+cardinality estimated from catalog statistics (zone-map-backed for
+scannable providers, one-pass cached summaries for materialised
+tables).  It makes no physical decision.  Which engine runs a stage,
+which side of a join is hashed and what a scan prunes are all decided
+by :class:`~repro.sql.executor.Executor` from the relations it actually
+holds; the executor then writes each stage's actual row count, the
+engine that produced its output, the join build side and the scan
+report into the same tree.  ``EXPLAIN`` therefore shows an estimate
+next to a recording of the run, and ``est`` vs ``actual`` is the
+estimator's observable quality.
 
 Stages are keyed by ``(id(ast_node), role)``: the executor runs the
 very AST objects the planner walked, so object identity links a running
@@ -31,15 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
-from repro.sql.columnar import (
-    aggregate_shape_eligible,
-    join_shape_eligible,
-    order_shape_eligible,
-    predicate_shape_eligible,
-    window_shape_eligible,
-)
 from repro.sql.executor import render
 from repro.sql.nodes import (
     ColumnRef,
@@ -58,7 +42,6 @@ from repro.sql.nodes import (
 )
 from repro.sql.scan import ScanReport
 from repro.sql.stats import (
-    COLUMNAR_MIN_ROWS,
     DEFAULT_SELECTIVITY,
     TableStats,
     estimate_selectivity,
@@ -71,16 +54,20 @@ StatsFor = Callable[[str], "TableStats | None"]
 class PlanNode:
     """One stage of the physical plan.
 
-    ``label`` is the stable EXPLAIN text (``Filter((v > 0))``); costs
-    and actuals render as a trailing annotation so existing substring
-    expectations keep holding.
+    ``label`` is the stable EXPLAIN text (``Filter((v > 0))``) and
+    ``est_rows`` the planner's estimate; the executor records the rest.
+    ``engine`` stays ``None`` on stages that are not an engine choice of
+    their own (scans, LIMIT/DISTINCT, and the HAVING and ORDER BY an
+    aggregate operator applies to its own output).  Known gap: a plain
+    SELECT's operator records its engine on the Window and Sort stages,
+    so one with neither clause (``SELECT UPPER(s) FROM t``) shows no
+    engine, whichever tier projected it.
     """
 
     label: str
-    tag: str = ""                     # " [columnar-eligible]" or ""
     est_rows: float | None = None
-    engine: str | None = None         # "columnar" | "row" | None
-    note: str = ""                    # e.g. "build=left"
+    engine: str | None = None         # "columnar" | "row", as run
+    note: str = ""                    # "build=left", as run
     actual_rows: int | None = None
     scan: ScanReport | None = None
     children: list["PlanNode"] = field(default_factory=list)
@@ -121,10 +108,13 @@ class Plan:
     def stage(self, ast_node: Node, role: str) -> PlanNode | None:
         return self._stages.get((id(ast_node), role))
 
-    def record_rows(self, ast_node: Node, role: str, rows: int) -> None:
+    def record(self, ast_node: Node, role: str, rows: int,
+               engine: str | None = None, note: str = "") -> None:
         node = self.stage(ast_node, role)
         if node is not None:
             node.actual_rows = rows
+            node.engine = engine
+            node.note = note
 
     def record_scan(self, ast_node: Node, report: ScanReport) -> None:
         node = self.stage(ast_node, "scan")
@@ -132,22 +122,11 @@ class Plan:
             node.scan = report
             node.actual_rows = report.rows
 
-    def engine_for(self, ast_node: Node, role: str) -> str | None:
-        node = self.stage(ast_node, role)
-        return node.engine if node is not None else None
-
-    def build_side(self, join_node: Node) -> str:
-        node = self.stage(join_node, "join")
-        if node is not None and node.note == "build=left":
-            return "left"
-        return "right"
-
     def render(self) -> str:
         lines: list[str] = []
 
         def emit(node: PlanNode, depth: int) -> None:
-            lines.append(f"{'  ' * depth}{node.label}{node.tag}"
-                         f"{node.annotation()}")
+            lines.append(f"{'  ' * depth}{node.label}{node.annotation()}")
             for child in node.children:
                 emit(child, depth + 1)
 
@@ -160,9 +139,7 @@ class Planner:
 
     ``stats_for`` resolves a table name to its :class:`TableStats` (or
     ``None`` when unknown); the planner never materialises a table
-    itself.  With the default ``stats_for`` every estimate is unknown
-    and every eligible stage keeps the columnar engine — the behaviour
-    of the pre-cost planner.
+    itself.  With the default ``stats_for`` every estimate is unknown.
     """
 
     def __init__(self, stats_for: StatsFor | None = None) -> None:
@@ -205,50 +182,30 @@ class Planner:
         return node, est
 
     def _plan_select(self, stmt: Select) -> tuple[PlanNode, float | None]:
-        source, source_est, source_stats = self._plan_source(stmt.source)
+        source, est, source_stats = self._plan_source(stmt.source)
 
+        # Stages in execution order; rendered outermost-first below.
         stages: list[PlanNode] = []
-        est = source_est
-        if stmt.where is not None:
-            selectivity = estimate_selectivity(stmt.where, source_stats)
-            filtered = est * selectivity if est is not None else None
-            eligible = predicate_shape_eligible(stmt.where)
-            node = PlanNode(label=f"Filter({render(stmt.where)})",
-                            tag=_tag(eligible),
-                            est_rows=filtered,
-                            engine=_engine(eligible, est))
-            self._stages[(id(stmt), "filter")] = node
-            stages.append(node)
-            est = filtered
 
-        aggregated = bool(stmt.group_by) or stmt.having is not None
-        if aggregated:
-            keys = ", ".join(render(g) for g in stmt.group_by) or "<global>"
-            eligible = aggregate_shape_eligible(stmt)
-            groups = self._estimate_groups(stmt, est, source_stats)
-            node = PlanNode(label=f"Aggregate(groupBy={keys})",
-                            tag=_tag(eligible),
-                            est_rows=groups,
-                            engine=_engine(eligible, est))
-            self._stages[(id(stmt), "aggregate")] = node
+        def stage(role: str, label: str, est_rows: float | None) -> None:
+            node = PlanNode(label=label, est_rows=est_rows)
+            self._stages[(id(stmt), role)] = node
             stages.append(node)
-            est = groups
+
+        if stmt.where is not None:
+            if est is not None:
+                est *= estimate_selectivity(stmt.where, source_stats)
+            stage("filter", f"Filter({render(stmt.where)})", est)
+
+        if stmt.group_by or stmt.having is not None \
+                or self._contains_aggregate_items(stmt):
+            keys = ", ".join(render(g) for g in stmt.group_by) or "<global>"
+            est = self._estimate_groups(stmt, est, source_stats)
+            stage("aggregate", f"Aggregate(groupBy={keys})", est)
             if stmt.having is not None:
                 if est is not None:
                     est *= DEFAULT_SELECTIVITY
-                having = PlanNode(label=f"Having({render(stmt.having)})",
-                                  est_rows=est)
-                self._stages[(id(stmt), "having")] = having
-                stages.append(having)
-        elif self._contains_aggregate_items(stmt):
-            eligible = aggregate_shape_eligible(stmt)
-            node = PlanNode(label="Aggregate(groupBy=<global>)",
-                            tag=_tag(eligible),
-                            est_rows=1.0,
-                            engine=_engine(eligible, est))
-            self._stages[(id(stmt), "aggregate")] = node
-            stages.append(node)
-            est = 1.0
+                stage("having", f"Having({render(stmt.having)})", est)
 
         window_calls = [node for item in stmt.items
                         if not isinstance(item.expr, Star)
@@ -257,54 +214,25 @@ class Planner:
                         and node.window is not None]
         if window_calls:
             names = ", ".join(dict.fromkeys(c.name for c in window_calls))
-            eligible = all(window_shape_eligible(c) for c in window_calls)
-            node = PlanNode(label=f"Window({names})", tag=_tag(eligible),
-                            est_rows=est,
-                            engine=_engine(eligible, est))
-            self._stages[(id(stmt), "window")] = node
-            stages.append(node)
+            stage("window", f"Window({names})", est)
 
         if stmt.order_by:
             keys = ", ".join(
                 render(o.expr) + ("" if o.ascending else " DESC")
                 for o in stmt.order_by)
-            eligible = not aggregated and order_shape_eligible(stmt.order_by)
-            node = PlanNode(label=f"Sort({keys})", tag=_tag(eligible),
-                            est_rows=est,
-                            engine=_engine(eligible, est)
-                            if not aggregated else None)
-            self._stages[(id(stmt), "sort")] = node
-            stages.append(node)
+            stage("sort", f"Sort({keys})", est)
 
         est = _clip_limit(est, stmt.limit, stmt.offset)
         project = PlanNode(label=self._project_label(stmt), est_rows=est)
         self._stages[(id(stmt), "project")] = project
 
-        # Thread the stage chain: Project > Sort > Window > Aggregate >
-        # Having > Filter > source (matching the execution pipeline
-        # bottom-up and the historical EXPLAIN layout top-down).
-        ordered = self._ordered_stages(stmt, stages)
+        # Project > Sort > Window > Having > Aggregate > Filter > source.
         parent = project
-        for node in ordered:
+        for node in reversed(stages):
             parent.children.append(node)
             parent = node
         parent.children.append(source)
         return project, est
-
-    def _ordered_stages(self, stmt: Select,
-                        stages: list[PlanNode]) -> list[PlanNode]:
-        """Stages in render order (Sort, Window, Aggregate, Having,
-        Filter) regardless of construction order."""
-        order = {"Sort(": 0, "Window(": 1, "Aggregate(": 2, "Having(": 3,
-                 "Filter(": 4}
-
-        def rank(node: PlanNode) -> int:
-            for prefix, value in order.items():
-                if node.label.startswith(prefix):
-                    return value
-            return 5
-
-        return sorted(stages, key=rank)
 
     def _project_label(self, stmt: Select) -> str:
         projection = ", ".join(_item_text(item) for item in stmt.items[:6])
@@ -381,22 +309,10 @@ class Planner:
             right, right_est, right_stats = self._plan_source(source.right)
             condition = (f" on {render(source.condition)}"
                          if source.condition is not None else "")
-            eligible = join_shape_eligible(source)
             est = self._estimate_join(source, left_est, right_est,
                                       left_stats, right_stats)
-            build = ""
-            if source.kind == "INNER" and left_est is not None \
-                    and right_est is not None and left_est < right_est:
-                build = "build=left"
-            input_est = None
-            if left_est is not None and right_est is not None:
-                input_est = left_est + right_est
             node = PlanNode(label=f"{source.kind.title()}Join{condition}",
-                            tag=_tag(eligible),
-                            est_rows=est,
-                            engine=_engine(eligible, input_est),
-                            note=build,
-                            children=[left, right])
+                            est_rows=est, children=[left, right])
             self._stages[(id(source), "join")] = node
             return node, est, None
         node = PlanNode(label=type(source).__name__)
@@ -488,22 +404,6 @@ def _group_key_summary(key: Node, stats: TableStats | None):
     if hasattr(key, "name"):            # aliased/other named expressions
         return stats.column(getattr(key, "name"))
     return None
-
-
-def _tag(eligible: bool) -> str:
-    return " [columnar-eligible]" if eligible else ""
-
-
-def _engine(eligible: bool, input_est: float | None) -> str:
-    """The cost decision: columnar only when the stage's estimated input
-    amortises vectorization overhead.  Unknown input defaults to
-    columnar — wrongly vectorizing a small input costs microseconds,
-    wrongly interpreting a large one costs orders of magnitude."""
-    if not eligible:
-        return "row"
-    if input_est is not None and input_est < COLUMNAR_MIN_ROWS:
-        return "row"
-    return "columnar"
 
 
 def _item_text(item: SelectItem) -> str:

@@ -91,6 +91,17 @@ def sql_arith(op: str, left: Any, right: Any) -> Any:
     raise ExecutionError(f"unknown arithmetic operator {op}")
 
 
+def sql_negate(value: Any) -> Any:
+    """SQL unary minus: NULL-propagating."""
+    if value is None:
+        return None
+    try:
+        return -value
+    except TypeError:
+        raise ExecutionError(
+            f"cannot apply unary - to {type(value).__name__}") from None
+
+
 def like_to_predicate(pattern: str) -> Callable[[str], bool]:
     """Compile a SQL LIKE pattern (``%``/``_`` wildcards) to a matcher."""
     import re

@@ -12,10 +12,11 @@ Two producers feed :class:`TableStats`:
   versioned providers hand out a new object per version, so the cache
   never goes stale.
 
-The estimates drive three planner decisions: per-conjunct WHERE
-selectivity (hence estimated rows per stage), join build-side choice by
-estimated input cardinality, and the columnar-vs-row engine choice for
-stages whose estimated input is too small to amortise vectorization.
+The estimates are diagnostics: they give every EXPLAIN stage its
+``est=`` (per-conjunct WHERE selectivity, group and join cardinality),
+to be read against the ``actual=`` the executor records.  No execution
+decision reads them — the executor chooses engine and join build side
+from the sizes of the relations it holds.
 """
 
 from __future__ import annotations
@@ -43,13 +44,6 @@ from repro.sql.nodes import (
 #: Default selectivity for a conjunct the estimator cannot reason about —
 #: the classic System R fallback for an arbitrary predicate.
 DEFAULT_SELECTIVITY = 1.0 / 3.0
-
-#: Below this many estimated input rows the row interpreter beats the
-#: columnar tier: compiling predicates to masks and factorizing keys has
-#: a fixed per-query cost that tiny inputs never amortise.  The
-#: crossover is genuinely small — the interpreter pays Python dispatch
-#: per row, so numpy wins almost immediately.
-COLUMNAR_MIN_ROWS = 8
 
 
 @dataclass(frozen=True)

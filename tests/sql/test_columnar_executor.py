@@ -14,13 +14,13 @@ import math
 import numpy as np
 import pytest
 
+from repro.sql import columnar
 from repro.sql.catalog import Database
-from repro.sql.columnar import (
-    aggregate_shape_eligible,
-    predicate_shape_eligible,
-)
 from repro.sql.errors import ExecutionError
+from repro.sql.executor import Executor
+from repro.sql.optimizer import optimize
 from repro.sql.parser import parse
+from repro.sql.planner import Planner
 from repro.sql.table import Table
 
 
@@ -380,29 +380,139 @@ class TestColumnarAggregate:
             assert fa[2].hex() == ro[2].hex()
 
 
-class TestShapeEligibility:
-    def test_predicate_shapes(self):
-        eligible = parse("SELECT a FROM t WHERE a > 1 AND b IN (1, 2)")
-        assert predicate_shape_eligible(eligible.where)
-        udf = parse("SELECT a FROM t WHERE myudf(a) > 1")
-        assert not predicate_shape_eligible(udf.where)
+def _plan_db() -> Database:
+    n = 12
+    db = Database()
+    db.register("t", Table.from_columns(
+        ["k", "v", "s", "u"],
+        [np.arange(n) % 3, np.arange(n, dtype=np.float64) * 1e4,
+         np.array([f"s{i}" for i in range(n)], dtype=object),
+         np.arange(n, dtype=np.uint64)]))
+    db.register("d", Table.from_columns(
+        ["k", "w"], [np.arange(4), np.arange(4) * 10]))
+    return db
 
-    def test_aggregate_shapes(self):
-        good = parse("SELECT k, COUNT(*) FROM t GROUP BY k")
-        assert aggregate_shape_eligible(good)
-        having = parse("SELECT k, SUM(v * v) / COUNT(*) AS r FROM t "
-                       "GROUP BY k HAVING COUNT(*) > 1 ORDER BY r DESC")
-        assert aggregate_shape_eligible(having)
-        bad = parse("SELECT k, COUNT(DISTINCT v) FROM t GROUP BY k")
-        assert not aggregate_shape_eligible(bad)
-        bad_pct = parse("SELECT k, PERCENTILE(v, 50) FROM t GROUP BY k")
-        assert not aggregate_shape_eligible(bad_pct)
 
-    def test_explain_tags_columnar_stages(self):
-        fast, _ = _pair(_tsdb_like())
-        plan = fast.explain("SELECT metric_name, COUNT(*) AS n FROM tsdb "
-                            "WHERE value > 0 GROUP BY metric_name")
-        assert plan.count("[columnar-eligible]") == 2
+#: Which compiler entry point serves each engine-bearing EXPLAIN stage.
+_STAGE_FN = {"Filter": "try_filter", "Aggregate": "try_aggregate",
+             "Window": "try_project", "Sort": "try_project",
+             "Join": "try_join"}
+
+#: (query, engine EXPLAIN must show per stage).  No query has two stages
+#: served by the same entry point unless one call serves both, so "did
+#: that entry point return a result" names the engine that ran exactly.
+PLAN_QUERIES = [
+    ("SELECT k, SUM(v) AS s FROM t GROUP BY k HAVING SUM(v) > 200000 "
+     "ORDER BY s", {"Aggregate": "columnar"}),
+    ("SELECT v, LAG(v) OVER (ORDER BY v) AS p FROM t WHERE v >= 0 "
+     "ORDER BY v DESC",
+     {"Filter": "columnar", "Window": "columnar", "Sort": "columnar"}),
+    ("SELECT t.k, d.w FROM t JOIN d ON t.k = d.k ORDER BY t.v",
+     {"Join": "columnar", "Sort": "columnar"}),
+    # Shapes the compiler accepts, refused on what the columns hold.
+    ("SELECT k, MIN(s) FROM t GROUP BY k", {"Aggregate": "row"}),
+    ("SELECT k, MAX(s) FROM t WHERE v >= 0 GROUP BY k",
+     {"Filter": "columnar", "Aggregate": "row"}),
+    ("SELECT v FROM t WHERE u - 5 < 0", {"Filter": "row"}),
+    ("SELECT v FROM t WHERE k * 9223372036854775807 > 0", {"Filter": "row"}),
+    # Shapes the compiler refuses.
+    ("SELECT k, COUNT(DISTINCT v) FROM t GROUP BY k", {"Aggregate": "row"}),
+    ("SELECT k % 2 AS p, COUNT(*) FROM t GROUP BY k % 2",
+     {"Aggregate": "row"}),
+    ("SELECT UPPER(s) AS x FROM t ORDER BY v DESC", {"Sort": "row"}),
+    ("SELECT t.k, d.w FROM t CROSS JOIN d", {"Join": "row"}),
+    ("SELECT t.k, d.w FROM t JOIN d ON t.k < d.w", {"Join": "row"}),
+    # A handful of rows, or none, is no reason to leave the tier.
+    ("SELECT v FROM t WHERE v < 30000 ORDER BY v DESC",
+     {"Filter": "columnar", "Sort": "columnar"}),
+    ("SELECT w FROM d WHERE w > 99 ORDER BY w",
+     {"Filter": "columnar", "Sort": "columnar"}),
+]
+
+
+@pytest.fixture
+def compiler_calls(monkeypatch):
+    """Every ``columnar.try_*`` call: (entry point, returned a result)."""
+    calls: list[tuple[str, bool]] = []
+
+    def spy(name):
+        real = getattr(columnar, name)
+
+        def wrapped(*args, **kwargs):
+            result = real(*args, **kwargs)
+            calls.append((name, result is not None))
+            return result
+        return wrapped
+
+    for name in set(_STAGE_FN.values()):
+        monkeypatch.setattr(columnar, name, spy(name))
+    return calls
+
+
+def _recorded_engines(plan) -> dict[str, str]:
+    engines, todo = {}, [plan.root]
+    while todo:
+        node = todo.pop()
+        todo.extend(node.children)
+        if node.engine is not None:
+            kind = next(k for k in _STAGE_FN if k in node.label.split("(")[0])
+            assert kind not in engines
+            engines[kind] = node.engine
+    return engines
+
+
+class TestPlanRecordsExecution:
+    @pytest.mark.parametrize("query, expected", PLAN_QUERIES)
+    def test_recorded_engine_is_the_engine_that_ran(self, query, expected,
+                                                    compiler_calls):
+        db = _plan_db()
+        db.sql(query)
+        assert len({name for name, _ in compiler_calls}) \
+            == len(compiler_calls)
+        ran = dict(compiler_calls)
+        recorded = _recorded_engines(db.last_plan)
+        assert recorded == expected
+        for kind, engine in recorded.items():
+            # An entry point that was never called ran nothing columnar.
+            assert (engine == "columnar") is ran.get(_STAGE_FN[kind], False)
+
+    @pytest.mark.parametrize("query", [q for q, _ in PLAN_QUERIES])
+    def test_plan_does_not_steer_execution(self, query, compiler_calls):
+        db = _plan_db()
+        stmt = optimize(parse(query))
+        runs = []
+        for plan in (None, Planner(db.stats_for).plan(stmt)):
+            del compiler_calls[:]
+            table = Executor(db.table, {}, plan=plan,
+                             scan_table=db.scan_table).execute(stmt)
+            runs.append((table.columns, table.rows, list(compiler_calls)))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("source", [
+        "t JOIN d ON t.k = d.k WHERE d.w > 10",
+        "t JOIN (SELECT k, w FROM d WHERE w > 10) d ON t.k = d.k",
+    ])
+    def test_tiny_filtered_side_keeps_the_join_columnar(self, source):
+        # A two-row filtered dim side must not send the join (and
+        # everything above it) to the row interpreter.
+        query = f"SELECT t.v, d.w FROM {source} ORDER BY t.v"
+        db = _plan_db()
+        result = db.sql(query)
+        assert _recorded_engines(db.last_plan)["Join"] == "columnar"
+        assert not result.is_materialised()
+        slow = Database(columnar=False)
+        for name in ("t", "d"):
+            slow.register(name, db.table(name))
+        assert _rows_equal(result.rows, slow.sql(query).rows)
+        assert len(result) == 4
+
+    def test_explain_shows_stages_in_execution_order_with_actuals(self):
+        lines = _plan_db().explain(PLAN_QUERIES[0][0]).splitlines()
+        assert [line.split("(")[0].strip() for line in lines] == [
+            "Project", "Sort", "Having", "Aggregate", "Scan"]
+        assert [line.count("actual=") for line in lines] == [1] * 5
+        assert "actual=2 rows" in lines[2]              # after HAVING
+        assert "actual=3 rows, engine=columnar" in lines[3]   # groups
 
 
 class TestTableColumnarHelpers:
@@ -473,6 +583,24 @@ class TestColumnarJoin:
         assert_join_parity(
             "SELECT tsdb.timestamp, tsdb.metric_name, dim.owner "
             "FROM tsdb JOIN dim ON tsdb.metric_name = dim.name",
+            expect_lazy=True)
+
+    def test_inner_join_hashes_the_smaller_side_invisibly(self):
+        fast, _ = _join_pair()
+        for source, note in (("tsdb JOIN dim", False),     # |L| > |R|
+                             ("dim JOIN tsdb", True)):      # |L| < |R|
+            query = (f"SELECT tsdb.timestamp, tsdb.value, dim.owner "
+                     f"FROM {source} ON tsdb.metric_name = dim.name")
+            assert_join_parity(query, expect_lazy=True)
+            assert ("build=left" in fast.explain(query)) is note
+
+    def test_join_order_window_over_dim_table(self):
+        assert_join_parity(
+            "SELECT t.timestamp, t.metric_name, d.owner, "
+            "LAG(t.value) OVER (PARTITION BY t.metric_name "
+            "ORDER BY t.timestamp) AS prev_value "
+            "FROM tsdb t JOIN dim d ON t.metric_name = d.name "
+            "AND d.weight > 0 ORDER BY t.metric_name, t.timestamp DESC",
             expect_lazy=True)
 
     def test_left_join_interleaves_null_rows(self):

@@ -73,6 +73,27 @@ class TestMiscBehaviour:
         with pytest.raises(ExecutionError):
             edge_db.sql("SELECT k FROM t WHERE s > 1")
 
+    @pytest.mark.parametrize("columnar", [True, False])
+    @pytest.mark.parametrize("query, culprit", [
+        ("SELECT -s FROM c", "unary -"),
+        ("SELECT ROUND(s) FROM c", "ROUND"),
+        ("SELECT SUBSTR(s, 'a') FROM c", "SUBSTR"),
+        ("SELECT POWER(v, 'x') FROM c", "POWER"),
+        ("SELECT LAG(v, 'a') OVER (ORDER BY v) FROM c", "LAG"),
+        ("SELECT k, SUM(s) FROM c GROUP BY k", "SUM"),
+    ])
+    def test_bad_argument_is_an_execution_error(self, columnar, query,
+                                                culprit):
+        # Regression: TypeError / ValueError escaped from unary minus,
+        # built-in scalars, window offsets and aggregates.
+        db = Database(columnar=columnar)
+        db.register("c", Table.from_columns(
+            ["k", "v", "s"],
+            [[i % 3 for i in range(9)], [float(i) for i in range(9)],
+             [f"s{i}" for i in range(9)]]))
+        with pytest.raises(ExecutionError, match=culprit):
+            db.sql(query)
+
     def test_select_distinct_on_map_cells(self):
         db = Database()
         db.register("m", Table(["tag"], [

@@ -1,6 +1,6 @@
 """Property tests for zone maps and zone-map-pruned scans.
 
-Two guarantees back the cost-based planner and the predicate-pushdown
+Two guarantees back the planner's estimates and the predicate-pushdown
 scan path:
 
 1. **Zone maps are exact**: after any mix of point appends, bulk
@@ -185,11 +185,15 @@ WHERE_CLAUSES = [
     "WHERE value > 0",
     "WHERE metric_name = 'runtime' AND value <= 100 AND timestamp >= 2",
     "WHERE metric_name = 'nope'",
+    "WHERE metric_name = 'disk' AND tag['host'] = 'h1' "
+    "AND timestamp BETWEEN 3 AND 20",
 ]
 QUERIES = [
     "SELECT * FROM tsdb {where}",
     "SELECT timestamp, value FROM tsdb {where} LIMIT 7",
     ("SELECT metric_name, COUNT(*) AS n, MIN(value) AS lo "
+     "FROM tsdb {where} GROUP BY metric_name"),
+    ("SELECT metric_name, COUNT(*) AS n, AVG(value) AS avg_value "
      "FROM tsdb {where} GROUP BY metric_name"),
 ]
 
