@@ -16,15 +16,19 @@ adapter's output).  Four entry points mirror the executor's stages:
   kernels of :mod:`repro.sql.functions`), and ORDER BY becomes one
   ``np.lexsort`` over dense sort codes that encode the row path's
   ``_SortKey`` type-rank ordering.
-- :func:`try_aggregate` — factorizes the GROUP BY keys into group
-  codes (numpy ``unique`` for a single numeric key, a first-occurrence
-  dict otherwise), stable-sorts rows by code, and reduces each
-  aggregate over the resulting segments (``reduceat`` for MIN/MAX, one
-  numpy reduction per segment for SUM/AVG, ``bincount`` for COUNT).
-  Aggregate arguments may be value expressions (``SUM(a*b)``), items
-  may combine aggregates (``SUM(v)/COUNT(*)``), HAVING is applied as a
-  three-valued-logic mask over the aggregated output, and ORDER BY
-  lexsorts the group rows.
+- :func:`try_aggregate` — compiles the GROUP BY keys (any row-local
+  expressions: ``tag['tenant']``, ``k % 2``) to vectors, factorizes
+  each into codes and combines them by mixed radix, stable-sorts rows
+  by code, and reduces each aggregate over the resulting segments:
+  ``reduceat`` for MIN/MAX, one numpy call per segment for SUM/AVG/
+  STDDEV/VARIANCE, one ``lexsort`` over (segment, value) plus numpy's
+  own index/lerp arithmetic for MEDIAN/PERCENTILE, segment sizes for
+  COUNT, and distinct (segment, value-code) pairs for
+  ``COUNT(DISTINCT ...)``.  Aggregate arguments may be value
+  expressions (``SUM(a*b)``), items may combine aggregates
+  (``SUM(v)/COUNT(*)``), HAVING is applied as a three-valued-logic
+  mask over the aggregated output, and ORDER BY lexsorts the group
+  rows.
 - :func:`try_join` — hash equi-join over key-code vectors: both sides'
   equi-key expressions compile to vectors, factorize to shared integer
   codes (NULL/NaN keys get a never-matching code, exactly like the row
@@ -44,10 +48,28 @@ counterpart — object-typed cells, LIKE, map subscripts — is evaluated
 element-wise through the very scalar functions of
 :mod:`repro.sql.semantics` that the row path calls.
 
-Known deliberate fallbacks: DISTINCT aggregates, PERCENTILE/STDDEV-class
-aggregates, scalar/UDF calls, CASE, ``||`` string concatenation, MIN/MAX
-over float columns containing NaN or a -0.0/0.0 mix (the row path's
-builtin ``min`` is order-dependent there), non-equi joins, and window
+Dictionary-encoded columns (:class:`~repro.sql.table.DictColumn`: the
+tsdb ``metric_name`` and ``tag``, constants of a row's series) are
+operands in their own right.  A row-local expression over one — a
+``tag['k']`` subscript, ``=``/``<>``/``IN``/``LIKE``/``IS NULL``
+against constants, CAST — is evaluated once per dictionary entry by the
+same element-wise code and gathered by code (:func:`_on_dictionary`);
+the factorizers behind GROUP BY, PARTITION BY, DISTINCT, ORDER BY and
+join keys code the dictionary and remap; filters, joins and outputs
+move codes only.  :func:`_decode` is the single place an encoded
+operand is expanded per row, for whatever was not taught the encoding,
+so there is one engine and parity holds by construction.
+
+Known deliberate fallbacks, each because no vector form is bitwise the
+row path's: ``SUM/AVG/MIN/MAX(DISTINCT ...)`` (which duplicate survives
+fixes the summation order) and ``COLLECT_LIST``; PERCENTILE with a
+per-row or out-of-range fraction (the row path evaluates it on each
+group's first row, or raises) and PERCENTILE/MEDIAN over anything but
+float64 (numpy sees a differently-typed array); MIN/MAX and PERCENTILE
+over floats with a -0.0 (equal zeros: builtin ``min`` keeps the first,
+``partition`` an arbitrary one) and MIN/MAX over NaN (builtin ``min``
+is order-dependent there); scalar/UDF calls, CASE and ``||`` string
+concatenation (no vector kernels yet); non-equi joins; and window
 calls with non-constant offset/window parameters.
 """
 
@@ -66,6 +88,7 @@ from repro.sql.functions import (
     segment_bounds,
     segment_positions,
     segmented_moving_avg,
+    segmented_order_stat,
     segmented_rank,
     segmented_shift_targets,
 )
@@ -92,7 +115,7 @@ from repro.sql.semantics import (
     sql_cast,
     sql_compare,
 )
-from repro.sql.table import Table, _column_cells, _hashable_row
+from repro.sql.table import DictColumn, Table, _column_cells, _hashable_row
 
 
 class _Ineligible(Exception):
@@ -118,9 +141,6 @@ _NP_COMPARE: dict[str, Callable] = {
     ">=": np.greater_equal,
 }
 
-_COLUMNAR_AGGREGATES = frozenset({"COUNT", "SUM", "MIN", "MAX", "AVG"})
-
-
 # ---------------------------------------------------------------------------
 # Compiled values: a column vector (with an optional NULL mask) or a constant
 # ---------------------------------------------------------------------------
@@ -132,15 +152,41 @@ class _Val:
     None) or a vector: ``data`` is a numpy array of length ``ctx.n`` and
     ``null`` marks SQL-NULL positions (None meaning "no NULLs").  NaN is
     *not* NULL — it is a float value, exactly as in the row evaluator.
+
+    A vector may be *dictionary-encoded*: ``codes`` is then an integer
+    vector of length ``ctx.n``, ``data``/``null`` range over the
+    dictionary, and row ``i`` holds ``data[codes[i]]``.  Row-local
+    kernels run over the dictionary and keep the codes
+    (:func:`_on_dictionary`), factorizers code the dictionary and gather
+    (:func:`_factorize`, :func:`_sort_codes`, :func:`_pair_codes`);
+    whatever was not taught the encoding asks :func:`_decode` first.
     """
 
     data: np.ndarray | None = None
     null: np.ndarray | None = None
     const: Any = None
+    codes: np.ndarray | None = None
 
     @property
     def is_const(self) -> bool:
         return self.data is None
+
+
+def _none_mask(cells: np.ndarray) -> np.ndarray | None:
+    """NULL mask of a stored vector (only object vectors hold None)."""
+    if cells.dtype != object:
+        return None
+    mask = np.fromiter((cell is None for cell in cells),
+                       dtype=bool, count=cells.size)
+    return mask if mask.any() else None
+
+
+def _column_val(col: "np.ndarray | DictColumn") -> _Val:
+    """A stored column vector as a value; encoded columns stay encoded."""
+    if isinstance(col, DictColumn):
+        return _Val(data=col.values, null=_none_mask(col.values),
+                    codes=col.codes)
+    return _Val(data=col, null=_none_mask(col))
 
 
 class _Ctx:
@@ -149,26 +195,16 @@ class _Ctx:
     def __init__(self, relation) -> None:
         self.relation = relation
         self.n = len(relation)
-        self._null_cache: dict[int, np.ndarray | None] = {}
+        self._columns: dict[int, _Val] = {}
         #: Pre-compiled window-function results, keyed by AST node id —
         #: the vector analogue of the executor's per-row window cache.
         self.windows: dict[int, _Val] = {}
 
     def column(self, ref: ColumnRef) -> _Val:
         idx = self.relation.resolve(ref.name, ref.table)
-        return _Val(data=self.relation.coldata[idx], null=self.null_for(idx))
-
-    def null_for(self, idx: int) -> np.ndarray | None:
-        """NULL mask of one stored column (only object columns have one)."""
-        if idx not in self._null_cache:
-            col = self.relation.coldata[idx]
-            if col.dtype == object:
-                mask = np.fromiter((cell is None for cell in col),
-                                   dtype=bool, count=col.size)
-                self._null_cache[idx] = mask if mask.any() else None
-            else:
-                self._null_cache[idx] = None
-        return self._null_cache[idx]
+        if idx not in self._columns:
+            self._columns[idx] = _column_val(self.relation.coldata[idx])
+        return self._columns[idx]
 
     def zeros(self) -> np.ndarray:
         return np.zeros(self.n, dtype=bool)
@@ -184,6 +220,68 @@ def _merge_null(a: np.ndarray | None, b: np.ndarray | None
     if b is None:
         return a
     return a | b
+
+
+def _decode(val: _Val) -> _Val:
+    """The flat equivalent of a possibly dictionary-encoded value.
+
+    The only place an encoded operand is expanded to one cell per row
+    (through :meth:`DictColumn.decode`, like stored columns), so code
+    that was not taught the encoding sees exactly the object vector the
+    adapter used to build — parity with the row path by construction.
+    """
+    if val.codes is None:
+        return val
+    return _Val(data=DictColumn(val.codes, val.data).decode(),
+                null=_flat_null(val))
+
+
+def _flat_null(val: _Val) -> np.ndarray | None:
+    """The per-row NULL mask of a (possibly encoded) vector value."""
+    if val.null is None or val.codes is None:
+        return val.null
+    return val.null[val.codes]
+
+
+def _dictionary(val: _Val) -> _Val:
+    """An encoded value's dictionary as a flat value of its own."""
+    return _Val(data=val.data, null=val.null)
+
+
+def _on_dictionary(ctx, *vals: _Val):
+    """Where a row-local kernel over ``vals`` should run.
+
+    Returns ``(ctx, vals, codes)``.  When every vector operand is
+    encoded by one and the same code vector (constants ride along), a
+    row-local result is a function of the code alone: the kernel runs
+    over the dictionary — a size-only context of its length, operands
+    stripped to their dictionaries — and ``codes`` says how to gather
+    the result back to rows (value kernels just keep it on the
+    ``_Val``).  Otherwise every operand is decoded and ``codes`` is
+    None.  Dictionary entries no row refers to are evaluated too; an
+    error there only sends the statement to the row interpreter.
+    """
+    codes = None
+    for val in vals:
+        if val.is_const:
+            continue
+        if val.codes is None or (codes is not None
+                                 and val.codes is not codes):
+            return ctx, [_decode(v) for v in vals], None
+        codes = val.codes
+    if codes is None:
+        return ctx, list(vals), None
+    size = next(v.data.size for v in vals if not v.is_const)
+    return (_SynthCtx(size),
+            [v if v.is_const else _dictionary(v) for v in vals], codes)
+
+
+def _by_code(masks: tuple[np.ndarray, np.ndarray], codes
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """A (true, null) pair computed over a dictionary, gathered to rows."""
+    if codes is None:
+        return masks
+    return masks[0][codes], masks[1][codes]
 
 
 def _cells(val: _Val, ctx: _Ctx) -> list:
@@ -217,6 +315,8 @@ def _gather_val(val: _Val, idx: np.ndarray) -> _Val:
     """The value restricted to (or permuted by) an index vector."""
     if val.is_const:
         return val
+    if val.codes is not None:
+        return _Val(data=val.data, null=val.null, codes=val.codes[idx])
     return _Val(data=val.data[idx],
                 null=val.null[idx] if val.null is not None else None)
 
@@ -257,6 +357,7 @@ def _bool_from_val(val: _Val, ctx: "_Ctx"
         if val.const is None:
             return ctx.zeros(), ctx.ones()
         raise _Ineligible
+    val = _decode(val)
     kind = val.data.dtype.kind
     if kind == "b":
         null = val.null
@@ -291,7 +392,7 @@ def _compile_value(expr: Node, ctx: _Ctx) -> _Val:
             raise _Ineligible    # window in an unsupported position
         return cached
     if isinstance(expr, UnaryOp) and expr.op == "-":
-        val = _compile_value(expr.operand, ctx)
+        val = _decode(_compile_value(expr.operand, ctx))
         if val.is_const:
             if val.const is None:
                 return _Val(const=None)
@@ -315,6 +416,7 @@ def _compile_value(expr: Node, ctx: _Ctx) -> _Val:
         val = _compile_value(expr.expr, ctx)
         if val.is_const:
             return _Val(const=sql_cast(val.const, expr.type_name))
+        ctx, (val,), codes = _on_dictionary(ctx, val)
         out = np.empty(ctx.n, dtype=object)
         null = ctx.zeros()
         for i, cell in enumerate(_cells(val, ctx)):
@@ -322,7 +424,8 @@ def _compile_value(expr: Node, ctx: _Ctx) -> _Val:
             out[i] = cast
             if cast is None:
                 null[i] = True
-        return _Val(data=out, null=null if null.any() else None)
+        return _Val(data=out, null=null if null.any() else None,
+                    codes=codes)
     raise _Ineligible
 
 
@@ -381,8 +484,8 @@ def _int_arith_in_range(op: str, l_data: Any, r_data: Any) -> bool:
 
 
 def _compile_arith(expr: BinaryOp, ctx: _Ctx) -> _Val:
-    left = _compile_value(expr.left, ctx)
-    right = _compile_value(expr.right, ctx)
+    left = _decode(_compile_value(expr.left, ctx))
+    right = _decode(_compile_value(expr.right, ctx))
     if left.is_const and right.is_const:
         return _Val(const=sql_arith(expr.op, left.const, right.const))
     if (left.is_const and left.const is None) or (
@@ -429,12 +532,17 @@ def _compile_arith(expr: BinaryOp, ctx: _Ctx) -> _Val:
 
 
 def _compile_subscript(expr: Subscript, ctx: _Ctx) -> _Val:
-    """``tag['host']``-style map/list access, element-wise."""
+    """``tag['host']``-style map/list access, element-wise.
+
+    Over an encoded base (the tsdb ``tag`` column) the elements are the
+    dictionary's: one lookup per series, and the result stays encoded.
+    """
     base = _compile_value(expr.base, ctx)
     index = _compile_value(expr.index, ctx)
     if not index.is_const:
         raise _Ineligible
     key = index.const
+    ctx, (base,), codes = _on_dictionary(ctx, base)
     out = np.empty(ctx.n, dtype=object)
     null = ctx.zeros()
     for i, cell in enumerate(_cells(base, ctx)):
@@ -450,7 +558,7 @@ def _compile_subscript(expr: Subscript, ctx: _Ctx) -> _Val:
         out[i] = value
         if value is None:
             null[i] = True
-    return _Val(data=out, null=null if null.any() else None)
+    return _Val(data=out, null=null if null.any() else None, codes=codes)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +619,7 @@ def _compile_bool(expr: Node, ctx: _Ctx) -> tuple[np.ndarray, np.ndarray]:
         elif val.null is None:
             is_null = ctx.zeros()
         else:
-            is_null = val.null.copy()
+            is_null = _flat_null(val).copy()
         return (~is_null if expr.negated else is_null), ctx.zeros()
     raise _Ineligible
 
@@ -526,6 +634,9 @@ def _compile_compare(op: str, left: _Val, right: _Val, ctx: _Ctx
     if (left.is_const and left.const is None) or (
             right.is_const and right.const is None):
         return ctx.zeros(), ctx.ones()
+    ctx, (left, right), codes = _on_dictionary(ctx, left, right)
+    if codes is not None:
+        return _by_code(_compile_compare(op, left, right, ctx), codes)
 
     l_num = _numeric_operand(left)
     r_num = _numeric_operand(right)
@@ -607,6 +718,7 @@ def _compile_in_list(expr: InList, ctx: _Ctx
     saw_null = any(v is None for v in literals)
     if value.is_const and value.const is None:
         return ctx.zeros(), ctx.ones()
+    ctx, (value,), codes = _on_dictionary(ctx, value)
     found = ctx.zeros()
     value_null = ctx.zeros()
     for lit in literals:
@@ -622,8 +734,8 @@ def _compile_in_list(expr: InList, ctx: _Ctx
     not_found = ~found & ~value_null
     null = value_null | (not_found & saw_null)
     if expr.negated:
-        return not_found & ~null, null
-    return found, null
+        found = not_found & ~null
+    return _by_code((found, null), codes)
 
 
 def _compile_like(expr: Like, ctx: _Ctx) -> tuple[np.ndarray, np.ndarray]:
@@ -634,6 +746,7 @@ def _compile_like(expr: Like, ctx: _Ctx) -> tuple[np.ndarray, np.ndarray]:
     if pattern.const is None or (value.is_const and value.const is None):
         return ctx.zeros(), ctx.ones()
     predicate = like_to_predicate(str(pattern.const))
+    ctx, (value,), codes = _on_dictionary(ctx, value)
     true = ctx.zeros()
     null = ctx.zeros()
     for i, cell in enumerate(_cells(value, ctx)):
@@ -642,8 +755,8 @@ def _compile_like(expr: Like, ctx: _Ctx) -> tuple[np.ndarray, np.ndarray]:
         elif predicate(str(cell)):
             true[i] = True
     if expr.negated:
-        return ~true & ~null, null
-    return true, null
+        true = ~true & ~null
+    return _by_code((true, null), codes)
 
 
 # ---------------------------------------------------------------------------
@@ -658,10 +771,14 @@ def _sort_codes(val: _Val, n: int) -> np.ndarray:
     ``float(value)``, so int64 cells collapse precisely where the row
     path collapses them) < NaN < strings < everything else (by
     ``str``).  DESC keys negate the codes; all NaNs share one bucket,
-    keeping the order transitive.
+    keeping the order transitive.  An encoded value ranks its
+    dictionary and gathers (codes then skip the ranks of entries no row
+    holds, which changes neither order nor ties).
     """
     if val.is_const:
         return np.zeros(n, dtype=np.int64)
+    if val.codes is not None:
+        return _sort_codes(_dictionary(val), val.data.size)[val.codes]
     data, null = val.data, val.null
     kind = data.dtype.kind
     if kind in "iubf":
@@ -804,8 +921,8 @@ def _window_val(call: FuncCall, ctx: _Ctx) -> _Val:
                  + [o.expr for o in spec.order_by] + list(call.args))
     if any(_has_window(sub) for sub in sub_exprs):
         raise _Ineligible            # nested window: row path raises
-    pcodes = _partition_codes(
-        [_compile_any(e, ctx) for e in spec.partition_by], ctx)
+    pcodes = _key_codes(
+        [_compile_any(e, ctx) for e in spec.partition_by], n)
     keys = [pcodes]
     for o in spec.order_by:
         codes = _sort_codes(_compile_any(o.expr, ctx), n)
@@ -815,46 +932,70 @@ def _window_val(call: FuncCall, ctx: _Ctx) -> _Val:
     else:
         order = np.argsort(pcodes, kind="stable")
     starts, ends = segment_bounds(pcodes[order])
-    args = [_compile_any(a, ctx) for a in call.args]
+    args = [_decode(_compile_any(a, ctx)) for a in call.args]
     ordered = _window_kernel(call, args, ctx, order, starts, ends)
     inverse = np.empty(n, dtype=np.intp)
     inverse[order] = np.arange(n, dtype=np.intp)
     return _gather_val(ordered, inverse)
 
 
-def _partition_codes(vals: list[_Val], ctx) -> np.ndarray:
-    """Codes equal exactly when the row path's partition keys are equal.
+def _factorize(val: _Val, n: int) -> tuple[np.ndarray, int]:
+    """``(codes, size)``: one key's codes in ``[0, size)``, equal exactly
+    when the row path's hashed keys are.
 
-    Partition identity is Python ``==`` over ``_hashable_row``-converted
-    key tuples, so the general path hashes cells through the very same
-    conversion.  NaN keys fall out naturally: the converted tuples
-    compare unequal, putting every NaN-keyed row in its own partition,
-    just as the row path's dict does.  A single NULL-free numeric or
-    string key skips the Python loop entirely.
+    Key identity on the row path is Python ``==`` over
+    ``_hashable_row``-converted cells (dict insertion, partition and
+    DISTINCT sets alike), so the general path hashes cells through the
+    very same conversion.  NaN keys fall out naturally: two NaN cells
+    compare unequal unless they are one object, here as there.  A
+    NULL-free numeric or all-string vector skips the Python loop with
+    one ``np.unique`` (plain strings and NaN-free numbers hash, compare
+    and sort identically under numpy and Python).  An encoded value
+    factorizes its dictionary — at most one entry per series — and
+    gathers by code.
     """
-    n = ctx.n
-    if not vals:
-        return np.zeros(n, dtype=np.int64)
-    if len(vals) == 1:
-        v = vals[0]
-        if not v.is_const and v.null is None:
-            kind = v.data.dtype.kind
-            if kind in "iub" or kind == "U" or (
-                    kind == "f" and not np.isnan(v.data).any()) or (
-                    kind == "O" and _all_strings(_column_cells(v.data))):
-                _, inverse = np.unique(v.data, return_inverse=True)
-                return inverse.reshape(-1).astype(np.int64)
-    cell_lists = [_val_cells(v, n) for v in vals]
+    if val.is_const:
+        return np.zeros(n, dtype=np.int64), 1
+    if val.codes is not None:
+        codes, size = _factorize(_dictionary(val), val.data.size)
+        return codes[val.codes], size
+    if val.null is None:
+        kind = val.data.dtype.kind
+        if kind in "iubU" or (
+                kind == "f" and not np.isnan(val.data).any()) or (
+                kind == "O" and _all_strings(_column_cells(val.data))):
+            uniq, inverse = np.unique(val.data, return_inverse=True)
+            return inverse.reshape(-1).astype(np.int64), int(uniq.size)
     seen: dict = {}
     codes = np.empty(n, dtype=np.int64)
-    for i, cells in enumerate(zip(*cell_lists)):
-        key = _hashable_row(cells)
+    for i, cell in enumerate(_val_cells(val, n)):
+        # Scalars hash/compare the same bare or tuple-wrapped.
+        key = (cell if not isinstance(cell, (dict, list, tuple))
+               else _hashable_row((cell,)))
         code = seen.get(key)
         if code is None:
             code = len(seen)
             seen[key] = code
         codes[i] = code
-    return codes
+    return codes, len(seen)
+
+
+def _key_codes(vals: list[_Val], n: int) -> np.ndarray:
+    """One int64 code per row, equal exactly when the key tuples are.
+
+    GROUP BY and PARTITION BY keys alike: each key factorizes on its
+    own and the per-key codes combine by mixed radix — tuple equality
+    is element-wise equality.  Codes are not dense.
+    """
+    total: np.ndarray | None = None
+    radix = 1
+    for val in vals:
+        codes, size = _factorize(val, n)
+        radix *= max(size, 1)
+        if radix > 2 ** 62:
+            raise _Ineligible        # combined code could overflow int64
+        total = codes if total is None else total * size + codes
+    return np.zeros(n, dtype=np.int64) if total is None else total
 
 
 def _window_kernel(call: FuncCall, args: list[_Val], ctx: _Ctx,
@@ -1024,13 +1165,17 @@ def try_project(stmt: Select, relation):
     return Table.from_columns(columns, vectors)
 
 
-def _val_to_vector(val: _Val, n: int) -> np.ndarray:
+def _val_to_vector(val: _Val, n: int) -> "np.ndarray | DictColumn":
     """One compiled value as an output column vector.
 
     NULL-free vectors pass through as-is (views, not copies); vectors
     with NULLs are rebuilt as object arrays holding None exactly where
-    the row evaluator would have produced it.
+    the row evaluator would have produced it.  An encoded value leaves
+    as a :class:`DictColumn` over its dictionary's output vector.
     """
+    if val.codes is not None:
+        return DictColumn(val.codes,
+                          _val_to_vector(_dictionary(val), val.data.size))
     if val.is_const:
         out = np.empty(n, dtype=object)
         out.fill(val.const)
@@ -1054,38 +1199,26 @@ def try_aggregate(stmt: Select, relation):
     (``SUM(a*b)``): both compile through the same value/bool compilers,
     re-rooted on a synthetic per-group relation.  HAVING keeps groups
     where its compiled mask is true; ORDER BY lexsorts the group rows.
+    GROUP BY keys are any row-local expressions (Listing 1's
+    ``tag['tenant']``), compiled like any other value.
     """
     from repro.sql.executor import Executor
 
     try:
         ctx = _Ctx(relation)
-        for expr in stmt.group_by:
-            if not isinstance(expr, ColumnRef):
-                raise _Ineligible
         for item in stmt.items:
             if isinstance(item.expr, Star):
                 raise _Ineligible    # row path raises; let it
         if not stmt.group_by and ctx.n == 0:
             raise _Ineligible        # synthesized empty-group row: row path
-        # Refuse aggregates this tier lacks before paying for grouping.
-        roots = [item.expr for item in stmt.items]
-        roots += [o.expr for o in stmt.order_by]
-        if stmt.having is not None:
-            roots.append(stmt.having)
-        for root in roots:
-            for node in walk(root):
-                if isinstance(node, FuncCall) and node.window is None \
-                        and is_aggregate(node.name) and (
-                            node.distinct
-                            or node.name not in _COLUMNAR_AGGREGATES):
-                    raise _Ineligible
+        if any(_has_window(expr) for expr in stmt.group_by):
+            raise _Ineligible        # row path raises (no window cache)
         columns = Executor._dedupe_columns(
             [Executor._output_name(item, idx)
              for idx, item in enumerate(stmt.items)])
-        key_idx = [ctx.relation.resolve(e.name, e.table)
-                   for e in stmt.group_by]
-        codes, n_groups = _group_codes(key_idx, ctx)
-        groups = _Groups(ctx, codes, n_groups)
+        groups = _Groups(ctx, _key_codes(
+            [_compile_any(expr, ctx) for expr in stmt.group_by], ctx.n))
+        n_groups = groups.n_groups
         item_vals = [groups.compile(item.expr) for item in stmt.items]
         keep: np.ndarray | None = None
         if stmt.having is not None:
@@ -1159,18 +1292,26 @@ class _Groups:
     ordinary compilers evaluate them per *group* instead of per row.
     """
 
-    def __init__(self, ctx: _Ctx, codes: np.ndarray, n_groups: int) -> None:
+    def __init__(self, ctx: _Ctx, codes: np.ndarray) -> None:
+        """Segment the rows by ``codes`` (:func:`_key_codes`).
+
+        One stable argsort lays every group out as a contiguous segment
+        of ``order`` (``starts``/``ends``, ascending by code) — the
+        layout ``reduceat`` and the sorted-segment kernels need.  The
+        row path emits groups in first-occurrence order instead: a
+        segment's first element is its group's first row, so ``emit``
+        (the argsort of those rows, one entry per group) is the gather
+        that takes any per-segment vector to output order.
+        """
         self.ctx = ctx
-        self.n_groups = n_groups
         self.order = np.argsort(codes, kind="stable")
-        self.counts = np.bincount(codes, minlength=n_groups).astype(np.int64)
-        starts = np.zeros(n_groups, dtype=np.intp)
-        if n_groups:
-            np.cumsum(self.counts[:-1], out=starts[1:])
-        self.starts = starts
-        self.ends = starts + self.counts
-        self.first_rows = self.order[starts]
-        self.vals_ctx = _SynthCtx(n_groups)
+        self.starts, self.ends = segment_bounds(codes[self.order])
+        self.counts = (self.ends - self.starts).astype(np.int64)
+        self.n_groups = int(self.starts.size)
+        first = self.order[self.starts]
+        self.emit = np.argsort(first)
+        self.first_rows = first[self.emit]
+        self.vals_ctx = _SynthCtx(self.n_groups)
 
     def compile(self, expr: Node) -> _Val:
         return _compile_any(self.rewrite(expr, None, None), self.vals_ctx)
@@ -1211,13 +1352,8 @@ class _Groups:
 
     def first_row_column(self, ref: ColumnRef) -> _Val:
         idx = self.ctx.relation.resolve(ref.name, ref.table)
-        data = self.ctx.relation.coldata[idx][self.first_rows]
-        null = None
-        if data.dtype == object:     # derive NULLs from the few gathered
-            mask = np.fromiter((cell is None for cell in data),
-                               dtype=bool, count=data.size)
-            null = mask if mask.any() else None
-        return _Val(data=data, null=null)
+        # NULLs derive from the few gathered cells, not the whole column.
+        return _column_val(self.ctx.relation.coldata[idx][self.first_rows])
 
     def first_row_expr(self, expr: Node) -> _Val:
         if _has_window(expr):
@@ -1225,17 +1361,37 @@ class _Groups:
         return _gather_val(_compile_any(expr, self.ctx), self.first_rows)
 
     def aggregate(self, call: FuncCall) -> _Val:
+        """One aggregate call as a per-group value, in output order."""
         if call.name == "COUNT" and (
                 not call.args or isinstance(call.args[0], Star)):
-            return _Val(data=self.counts.copy())
-        if len(call.args) != 1:
+            return _Val(data=self.counts[self.emit])
+        q = None
+        if call.name == "PERCENTILE":
+            if len(call.args) != 2:
+                raise _Ineligible    # row path raises ExecutionError
+            q = _percentile_quantile(_compile_value(call.args[1], self.ctx))
+        elif len(call.args) != 1:
             raise _Ineligible        # row path raises ExecutionError
         if _has_window(call.args[0]):
             raise _Ineligible        # row path raises (no window cache)
-        return self.reduce(call.name, _compile_any(call.args[0], self.ctx))
+        val = _compile_any(call.args[0], self.ctx)
+        if not call.distinct:
+            reduced = self.reduce(call.name, val, q)
+        elif call.name == "COUNT":
+            reduced = self.count_distinct(val)
+        else:
+            # Which duplicate survives fixes the order SUM/AVG(DISTINCT)
+            # add in: outside bitwise parity, like every other DISTINCT.
+            raise _Ineligible
+        return _gather_val(reduced, self.emit)
 
-    def reduce(self, name: str, val: _Val) -> _Val:
-        """One aggregate over every group segment, NULLs excluded."""
+    def reduce(self, name: str, val: _Val, q: float | None = None) -> _Val:
+        """One aggregate over every group segment, NULLs excluded.
+
+        Per-segment values in segment order; a group left with fewer
+        non-NULL values than the aggregate needs (one; two for STDDEV /
+        VARIANCE) yields NULL, as the scalar aggregates do.
+        """
         if val.is_const:
             if val.const is None:
                 if name == "COUNT":
@@ -1245,47 +1401,100 @@ class _Groups:
             if data.dtype == object:
                 raise _Ineligible
             val = _Val(data=data)
-        null = val.null if val.null is not None and val.null.any() else None
+        dtype = val.data.dtype
+        null = _flat_null(val)
+        counts = self.counts
+        if null is not None and null.any():
+            ordered_null = null[self.order]
+            counts = counts - np.add.reduceat(
+                ordered_null.astype(np.int64), self.starts)
+        else:
+            null = None
         if name == "COUNT":
-            if val.data.dtype.kind not in _NUMERIC_KINDS \
-                    and val.data.dtype.kind not in "UO":
+            if dtype.kind not in _NUMERIC_KINDS and dtype.kind not in "UO":
                 raise _Ineligible
-            if null is None:
-                return _Val(data=self.counts.copy())
-            null_per_group = np.add.reduceat(
-                null[self.order].astype(np.int64), self.starts)
-            return _Val(data=self.counts - null_per_group)
-        if val.data.dtype.kind not in _NUMERIC_KINDS:
+            return _Val(data=counts)
+        need = 2 if name in ("STDDEV", "VARIANCE") else 1
+        if name == "PERCENTILE":
+            def kernel(values, starts, ends):
+                return segmented_order_stat(values, starts, ends - starts, q)
+        else:
+            kernel = SEGMENTED_AGGREGATES.get(name)
+            if kernel is None:
+                raise _Ineligible    # COLLECT_LIST: list cells, row path
+        # The row path hands numpy a list of Python cells: only a
+        # float64 (or, for the spread, int64) column is that same array.
+        if name in ("PERCENTILE", "MEDIAN"):
+            accepted = dtype == np.float64
+        elif need == 2:
+            accepted = dtype == np.float64 or dtype == np.int64
+        else:
+            accepted = dtype.kind in _NUMERIC_KINDS
+        if not accepted:
             raise _Ineligible
-        ordered = val.data[self.order]
-        if null is None:
-            if name in ("MIN", "MAX"):
-                _guard_minmax(ordered)
-            return _Val(data=SEGMENTED_AGGREGATES[name](
-                ordered, self.starts, self.ends))
-        ordered_null = null[self.order]
-        kept = ordered[~ordered_null]
+        kept = _decode(val).data[self.order]
+        if null is not None:
+            kept = kept[~ordered_null]
         if name in ("MIN", "MAX"):
             _guard_minmax(kept)
-        null_per_group = np.add.reduceat(
-            ordered_null.astype(np.int64), self.starts)
-        new_counts = self.counts - null_per_group
-        nonzero = new_counts > 0
-        nz_counts = new_counts[nonzero].astype(np.intp)
-        new_starts = np.zeros(nz_counts.size, dtype=np.intp)
-        if nz_counts.size:
-            np.cumsum(nz_counts[:-1], out=new_starts[1:])
-        part = SEGMENTED_AGGREGATES[name](
-            kept, new_starts, new_starts + nz_counts)
-        if nonzero.all():
+        elif name == "PERCENTILE":
+            _guard_signed_zeros(kept)
+        if null is None and need == 1:
+            return _Val(data=kernel(kept, self.starts, self.ends))
+        # ``kept`` holds the groups' surviving values back to back;
+        # groups with too few are skipped (MIN/MAX/order statistics need
+        # contiguous segments, and with need == 1 a skipped group holds
+        # no value at all).
+        enough = counts >= need
+        starts = np.cumsum(counts) - counts
+        part = kernel(kept, starts[enough], (starts + counts)[enough])
+        if enough.all():
             return _Val(data=part)
-        # All-NULL groups aggregate to None: rebuild as an object vector.
-        out = np.empty(self.n_groups, dtype=object)
-        out[~nonzero] = None
-        cells = part.tolist()
-        for slot, cell in zip(np.flatnonzero(nonzero).tolist(), cells):
+        out = np.empty(self.n_groups, dtype=object)    # initialised to None
+        for slot, cell in zip(np.flatnonzero(enough).tolist(),
+                              part.tolist()):
             out[slot] = cell
-        return _Val(data=out, null=~nonzero)
+        return _Val(data=out, null=~enough)
+
+    def count_distinct(self, val: _Val) -> _Val:
+        """``COUNT(DISTINCT expr)`` per segment.
+
+        The value factorizes exactly as a group key would — so DISTINCT
+        identity is the row path's set identity, and an encoded operand
+        de-duplicates its dictionary first (two series share a tenant) —
+        and the distinct (segment, value code) pairs are counted.
+        """
+        if val.is_const and val.const is None:
+            return _Val(data=np.zeros(self.n_groups, dtype=np.int64))
+        codes, size = _factorize(val, self.ctx.n)
+        size = max(size, 1)
+        segment = np.repeat(np.arange(self.n_groups, dtype=np.int64),
+                            self.counts)
+        pairs = segment * size + codes[self.order]
+        null = _flat_null(val)
+        if null is not None:
+            pairs = pairs[~null[self.order]]
+        return _Val(data=np.bincount(
+            np.unique(pairs) // size,
+            minlength=self.n_groups).astype(np.int64))
+
+
+def _percentile_quantile(fraction: _Val) -> float:
+    """``PERCENTILE``'s fraction as the quantile ``np.percentile`` derives.
+
+    The row path calls ``np.percentile(values, fraction * 100.0)``,
+    which divides the percent by 100 again before indexing; replaying
+    both steps gives the kernel bit-identical input.  A per-row,
+    non-numeric or out-of-range fraction is the row path's to evaluate
+    (or to reject, once per non-empty group).
+    """
+    if not fraction.is_const or isinstance(fraction.const, bool) \
+            or not isinstance(fraction.const, (int, float)):
+        raise _Ineligible
+    value = float(fraction.const)
+    if not 0.0 <= value <= 1.0:
+        raise _Ineligible
+    return np.true_divide(value * 100.0, 100)
 
 
 def _guard_minmax(values: np.ndarray) -> None:
@@ -1299,53 +1508,20 @@ def _guard_minmax(values: np.ndarray) -> None:
         return
     if np.isnan(values).any():
         raise _Ineligible
+    _guard_signed_zeros(values)
+
+
+def _guard_signed_zeros(values: np.ndarray) -> None:
+    """Fall back where *which* of two equal zeros is picked would show.
+
+    -0.0 and 0.0 compare equal, so builtin ``min`` keeps the first, a
+    stable sort keeps them in row order and numpy's ``partition`` in
+    whatever order introselect leaves — a PERCENTILE landing on one
+    (MEDIAN folds the sign away) is outside the bitwise-parity subset.
+    """
     zeros = values == 0.0
     if zeros.any() and np.signbit(values[zeros]).any():
         raise _Ineligible
-
-
-def _group_codes(key_idx: list[int], ctx: _Ctx) -> tuple[np.ndarray, int]:
-    """First-occurrence-ordered group codes for the key columns."""
-    n = ctx.n
-    if not key_idx:
-        return np.zeros(n, dtype=np.intp), 1
-    if len(key_idx) == 1:
-        col = ctx.relation.coldata[key_idx[0]]
-        if col.dtype.kind in "iubU" or (
-                col.dtype.kind == "f" and not np.isnan(col).any()) or (
-                col.dtype.kind == "O" and _all_strings(_column_cells(col))):
-            # np.unique orders groups by value; remap to first-occurrence
-            # order, which is what the row path's dict iteration yields.
-            _, first, inverse = np.unique(
-                col, return_index=True, return_inverse=True)
-            rank = np.empty(first.size, dtype=np.intp)
-            rank[np.argsort(first, kind="stable")] = np.arange(first.size)
-            return rank[inverse.reshape(-1)], int(first.size)
-    # General path: Python dict keyed exactly like the row executor.
-    # (Scalar keys hash/compare the same bare or tuple-wrapped, so the
-    # single-key loop skips the tuple for speed.)
-    seen: dict = {}
-    codes = np.empty(n, dtype=np.intp)
-    if len(key_idx) == 1:
-        cells = _column_cells(ctx.relation.coldata[key_idx[0]])
-        for row_i, cell in enumerate(cells):
-            key = (cell if not isinstance(cell, (dict, list, tuple))
-                   else _hashable_row((cell,)))
-            code = seen.get(key)
-            if code is None:
-                code = len(seen)
-                seen[key] = code
-            codes[row_i] = code
-        return codes, len(seen)
-    key_cells = [_column_cells(ctx.relation.coldata[i]) for i in key_idx]
-    for row_i, key in enumerate(zip(*key_cells)):
-        hashable = _hashable_row(key)
-        code = seen.get(hashable)
-        if code is None:
-            code = len(seen)
-            seen[hashable] = code
-        codes[row_i] = code
-    return codes, len(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -1482,7 +1658,17 @@ def _pair_codes(lval: _Val, rval: _Val, nl: int, nr: int
     ints stay float64-representable; NaN keys fall back entirely,
     because a dict matches two NaNs only when they are the *same object*
     (possible in self-joins), which no value-based coding can express.
+    An encoded side contributes its dictionary to the shared coding and
+    gathers its codes from it.
     """
+    if lval.codes is not None:
+        lcodes, rcodes, size = _pair_codes(
+            _dictionary(lval), rval, lval.data.size, nr)
+        return lcodes[lval.codes], rcodes, size
+    if rval.codes is not None:
+        lcodes, rcodes, size = _pair_codes(
+            lval, _dictionary(rval), nl, rval.data.size)
+        return lcodes, rcodes[rval.codes], size
     if not lval.is_const and not rval.is_const:
         lk, rk = lval.data.dtype.kind, rval.data.dtype.kind
         if lk in "iubf" and rk in "iubf":

@@ -783,12 +783,19 @@ class Executor:
         if call.name == "PERCENTILE":
             if len(call.args) != 2:
                 raise ExecutionError("PERCENTILE expects (expr, fraction)")
+            if not rows:
+                return None          # the empty group has no first row
             values = self._aggregate_values(call.args[0], relation, rows,
                                             call.distinct)
-            fraction = self._eval(call.args[1], relation,
-                                  rows[0] if rows else ())
-            return _call_builtin(call.name, lambda: percentile_aggregate(
-                values, float(fraction)))
+            fraction = self._eval(call.args[1], relation, rows[0])
+            try:
+                fraction = float(fraction)
+            except (TypeError, ValueError):
+                raise ExecutionError(
+                    "PERCENTILE fraction must be a number in [0, 1], "
+                    f"got {fraction!r}") from None
+            return _call_builtin(call.name, percentile_aggregate,
+                                 values, fraction)
         fn = AGGREGATES[call.name]
         if call.name == "COUNT" and (not call.args
                                      or isinstance(call.args[0], Star)):

@@ -101,10 +101,12 @@ def is_aggregate(name: str) -> bool:
 #
 # Parity with the per-group scalar aggregates above is deliberate and
 # exact: MIN/MAX use ``reduceat``, which applies the same sequential
-# ufunc reduction ``np.min``/``np.max`` apply to each slice; SUM/AVG
-# issue one ``np.sum``/``np.mean`` per segment because numpy's pairwise
-# float summation is *not* what ``np.add.reduceat`` computes — a
-# reduceat-based SUM would differ in the last bits.
+# ufunc reduction ``np.min``/``np.max`` apply to each slice; SUM/AVG/
+# STDDEV/VARIANCE issue the scalar aggregate's own numpy call once per
+# segment because numpy's pairwise float summation is *not* what
+# ``np.add.reduceat`` computes — a reduceat-based SUM would differ in
+# the last bits; MEDIAN/PERCENTILE sort every segment at once and index
+# (:func:`segmented_order_stat`).
 # ---------------------------------------------------------------------------
 def _segmented_min(values: np.ndarray, starts: np.ndarray,
                    ends: np.ndarray) -> np.ndarray:
@@ -116,28 +118,102 @@ def _segmented_max(values: np.ndarray, starts: np.ndarray,
     return np.maximum.reduceat(values, starts)
 
 
-def _segmented_sum(values: np.ndarray, starts: np.ndarray,
-                   ends: np.ndarray) -> np.ndarray:
-    out = np.empty(starts.size, dtype=np.float64)
-    for g in range(starts.size):
-        out[g] = np.sum(values[starts[g]:ends[g]])
-    return out
+def _per_segment(fn: Callable[[np.ndarray], Any]):
+    """A kernel issuing one ``fn(slice)`` per segment."""
+    def kernel(values: np.ndarray, starts: np.ndarray,
+               ends: np.ndarray) -> np.ndarray:
+        out = np.empty(starts.size, dtype=np.float64)
+        for g, (s, e) in enumerate(zip(starts.tolist(), ends.tolist())):
+            out[g] = fn(values[s:e])
+        return out
+    return kernel
 
 
-def _segmented_avg(values: np.ndarray, starts: np.ndarray,
-                   ends: np.ndarray) -> np.ndarray:
-    out = np.empty(starts.size, dtype=np.float64)
-    for g in range(starts.size):
-        out[g] = np.mean(values[starts[g]:ends[g]])
-    return out
+def segmented_order_stat(values: np.ndarray, starts: np.ndarray,
+                         sizes: np.ndarray,
+                         q: "float | None") -> np.ndarray:
+    """Per-segment median (``q=None``) or linear-method quantile ``q``.
+
+    ``values`` is float64 and holds the segments back to back
+    (``starts[g]`` .. ``starts[g] + sizes[g]``, every size >= 1).  One
+    ``lexsort`` over ``(segment id, value)`` sorts every ragged segment
+    at once (NaNs last within each segment, exactly like the
+    ``partition`` inside ``np.percentile``); each segment's statistic is
+    then a gather at computed indexes.  The arithmetic replicates
+    numpy's own:
+
+    - **median** — odd segments take the middle element; even segments
+      take ``(lo + hi) / 2`` (``np.mean`` of the two middles: one add,
+      one exact halving).
+    - **quantile** — ``q`` must be what ``np.percentile`` itself
+      derives, ``np.true_divide(percent, 100)``, so the virtual index
+      ``(n - 1) * q`` sees bit-identical inputs.  Below the last index
+      the result lerps between ``floor(virtual)`` and its successor,
+      with numpy's ``t >= 0.5`` rewrite (``b - diff * (1 - t)`` instead
+      of ``a + diff * t``) applied the same way; at or above the last
+      index both gather points collapse to the segment's last element
+      with ``gamma = virtual + 1`` — the ``-1``-index fixup inside
+      ``np.quantile``, wraparound included.
+    - any segment containing NaN yields its last (NaN) element (numpy's
+      ``slices_having_nans`` override; NaN sorts last, so testing the
+      segment's last element is exact).
+
+    Bitwise-identical to calling ``np.median``/``np.percentile`` on
+    each segment slice — including the inf/NaN corner cases where the
+    lerp's ``inf - inf`` produces NaN — which the property tests pin
+    against the per-segment loop.  Serves both the SQL tier's
+    ``MEDIAN``/``PERCENTILE`` and the tsdb ``Downsampler``'s ragged
+    ``median``/``pNN`` buckets.
+    """
+    n_segments = int(starts.size)
+    segment_ids = np.repeat(np.arange(n_segments, dtype=np.intp), sizes)
+    order = np.lexsort((values, segment_ids))
+    ordered = values[order]
+    last = ordered[starts + sizes - 1]
+    if q is None:
+        lo = ordered[starts + (sizes - 1) // 2]
+        hi = ordered[starts + sizes // 2]
+        with np.errstate(invalid="ignore", over="ignore"):
+            # ``np.median`` takes ``np.mean`` over the middle slice, and
+            # numpy's sum reduction folds in the additive identity — the
+            # ``+ 0.0`` normalises a ``-0.0`` middle to ``+0.0`` exactly
+            # like the per-segment call does.
+            even = (lo + hi + 0.0) / 2.0
+            result = np.where(sizes % 2 == 1, lo + 0.0, even)
+    else:
+        virtual = (sizes - 1).astype(np.float64) * q
+        prev = np.floor(virtual)
+        gamma = virtual - prev
+        prev_idx = prev.astype(np.intp)
+        next_idx = prev_idx + 1
+        above = virtual >= (sizes - 1)
+        prev_idx = np.where(above, sizes - 1, prev_idx)
+        next_idx = np.where(above, sizes - 1, next_idx)
+        gamma = np.where(above, virtual + 1.0, gamma)
+        a = ordered[starts + prev_idx]
+        b = ordered[starts + next_idx]
+        with np.errstate(invalid="ignore", over="ignore"):
+            diff = b - a
+            result = np.where(gamma >= 0.5,
+                              b - diff * (1.0 - gamma),
+                              a + diff * gamma)
+    return np.where(np.isnan(last), last, result)
+
+
+def _segmented_median(values: np.ndarray, starts: np.ndarray,
+                      ends: np.ndarray) -> np.ndarray:
+    return segmented_order_stat(values, starts, ends - starts, None)
 
 
 SEGMENTED_AGGREGATES: dict[str, Callable[
         [np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = {
     "MIN": _segmented_min,
     "MAX": _segmented_max,
-    "SUM": _segmented_sum,
-    "AVG": _segmented_avg,
+    "SUM": _per_segment(np.sum),
+    "AVG": _per_segment(np.mean),
+    "STDDEV": _per_segment(lambda a: np.std(a, ddof=1)),
+    "VARIANCE": _per_segment(lambda a: np.var(a, ddof=1)),
+    "MEDIAN": _segmented_median,
 }
 
 

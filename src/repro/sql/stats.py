@@ -27,6 +27,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.sql.table import DictColumn
 from repro.sql.nodes import (
     Between,
     BinaryOp,
@@ -99,7 +100,9 @@ def table_stats(table) -> TableStats:
     One pass per column; cached on the table object (immutable once
     built).  Object columns are summarised only when every cell is a
     string or None — dict/list cells (the tsdb ``tag`` column) are
-    unorderable and get an empty summary.
+    unorderable and get an empty summary.  A dictionary-encoded column
+    is summarised from its dictionary and one ``bincount`` of the
+    codes, never from decoded cells.
     """
     cached = getattr(table, "_stats_cache", None)
     if cached is not None:
@@ -122,10 +125,35 @@ def table_stats(table) -> TableStats:
     return stats
 
 
-def _summarise_vector(vec: np.ndarray) -> ColumnSummary:
-    if vec.size == 0:
+def _weighted_cells(vec: "np.ndarray | DictColumn"
+                    ) -> tuple[list, list[int]]:
+    """An object column as ``(cells, rows holding each cell)``.
+
+    An encoded column yields its referenced dictionary entries with
+    their row counts; a flat one yields every cell with weight one.
+    """
+    if isinstance(vec, DictColumn):
+        counts = np.bincount(vec.codes, minlength=vec.values.size)
+        held = np.flatnonzero(counts)
+        return vec.values[held].tolist(), counts[held].tolist()
+    return vec.tolist(), [1] * vec.size
+
+
+def _summarise_vector(vec: "np.ndarray | DictColumn") -> ColumnSummary:
+    if len(vec) == 0:
         return ColumnSummary(null_count=0, distinct=0)
     kind = vec.dtype.kind
+    if kind == "O":
+        cells, counts = _weighted_cells(vec)
+        nulls = sum(n for c, n in zip(cells, counts) if c is None)
+        present = [c for c in cells if c is not None]
+        if present and all(isinstance(c, str) for c in present):
+            return ColumnSummary(min=min(present), max=max(present),
+                                 null_count=nulls,
+                                 distinct=len(set(present)))
+        return ColumnSummary(null_count=nulls)
+    if isinstance(vec, DictColumn):
+        vec = vec.decode()          # typed dictionaries summarise flat
     if kind in "iu":
         return ColumnSummary(min=int(vec.min()), max=int(vec.max()),
                              null_count=0, distinct=int(np.unique(vec).size))
@@ -141,36 +169,32 @@ def _summarise_vector(vec: np.ndarray) -> ColumnSummary:
     if kind == "b":
         return ColumnSummary(min=bool(vec.min()), max=bool(vec.max()),
                              null_count=0, distinct=int(np.unique(vec).size))
-    if kind == "O":
-        cells = vec.tolist()
-        nulls = sum(1 for c in cells if c is None)
-        present = [c for c in cells if c is not None]
-        if present and all(isinstance(c, str) for c in present):
-            return ColumnSummary(min=min(present), max=max(present),
-                                 null_count=nulls,
-                                 distinct=len(set(present)))
-        return ColumnSummary(null_count=nulls)
     return ColumnSummary()
 
 
-def _summarise_map_vector(vec: np.ndarray
+def _summarise_map_vector(vec: "np.ndarray | DictColumn"
                           ) -> list[tuple[str, ColumnSummary]]:
     """Per-key summaries for a column whose cells are all string maps.
 
     Returns ``[]`` unless every non-null cell is a dict — the tsdb
-    ``tag`` column.  Cells are typically *shared* dicts (one per
-    series), so deduplicating by identity keeps the walk O(distinct
-    dicts × keys) with per-row work limited to one ``id()`` lookup.
+    ``tag`` column.  Cells are *shared* dicts (one per series), so the
+    walk is O(distinct dicts × keys): an encoded column hands over its
+    dictionary with row counts, a flat one is deduplicated by identity
+    with one ``id()`` lookup per row.
     """
-    cells = vec.tolist()
-    present = [c for c in cells if c is not None]
-    if not present or not all(isinstance(c, dict) for c in present):
+    if vec.dtype.kind != "O":
+        return []
+    cells, weights = _weighted_cells(vec)
+    if all(c is None for c in cells) or not all(
+            c is None or isinstance(c, dict) for c in cells):
         return []
     counts: dict[int, int] = {}
     by_id: dict[int, dict] = {}
-    for cell in present:
+    for cell, n in zip(cells, weights):
+        if cell is None:
+            continue
         ident = id(cell)
-        counts[ident] = counts.get(ident, 0) + 1
+        counts[ident] = counts.get(ident, 0) + n
         by_id[ident] = cell
     key_rows: dict[str, int] = {}
     key_values: dict[str, set] = {}
@@ -179,7 +203,7 @@ def _summarise_map_vector(vec: np.ndarray
         for key, value in tags.items():
             key_rows[key] = key_rows.get(key, 0) + n
             key_values.setdefault(key, set()).add(value)
-    rows = len(cells)
+    rows = len(vec)
     out = []
     for key in sorted(key_rows):
         values = key_values[key]

@@ -13,6 +13,13 @@ producers — the tsdb adapter, rollup materialisation — build numpy
 columns directly and skip the per-observation tuple explosion entirely
 until (unless) a row-oriented consumer needs it; ``column()`` reads are
 served from the stored vectors either way.
+
+A column whose cells repeat a few distinct objects — the ``tsdb``
+table's ``metric_name`` and ``tag`` are per-series constants — is stored
+as a :class:`DictColumn`: integer codes into a small dictionary.  It is
+a column vector like any other (gather, mask and slice touch only the
+codes) and decodes to the *same* cell objects wherever cells are asked
+for (``.rows``, ``column()``), so row-oriented consumers cannot tell.
 """
 
 from __future__ import annotations
@@ -26,6 +33,43 @@ from repro.sql.errors import SchemaError
 Row = tuple
 
 _MISSING = object()
+
+
+class DictColumn:
+    """A dictionary-encoded column vector: cell ``i`` is ``values[codes[i]]``.
+
+    ``values`` is the dictionary — a 1-D numpy array (object-typed for
+    strings/maps/None) that may hold duplicates and entries no code
+    refers to; ``codes`` is an integer vector.  Selecting rows
+    (boolean mask, index array or slice) shares the dictionary and
+    copies codes only.  :meth:`decode` is the one place the cells are
+    gathered, so every cell of one dictionary entry is the same Python
+    object — rows of one series keep sharing one ``tag`` dict.
+    """
+
+    __slots__ = ("codes", "values")
+
+    def __init__(self, codes: np.ndarray, values: np.ndarray) -> None:
+        self.codes = codes
+        self.values = values
+
+    def __len__(self) -> int:
+        return self.codes.size
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The cells' dtype — the dictionary's."""
+        return self.values.dtype
+
+    def __getitem__(self, selector) -> "DictColumn":
+        return DictColumn(self.codes[selector], self.values)
+
+    def decode(self) -> np.ndarray:
+        """The flat column: one dictionary gather."""
+        return self.values[self.codes]
+
+    def tolist(self) -> list[Any]:
+        return self.decode().tolist()
 
 
 class Table:
@@ -127,14 +171,15 @@ class Table:
         """True once row tuples exist (always true for row-built tables)."""
         return self._rows is not None
 
-    def column_vectors(self) -> list[np.ndarray] | None:
+    def column_vectors(self) -> "list[np.ndarray | DictColumn] | None":
         """Normalised per-column numpy vectors, or None for row-built tables.
 
         This is the columnar executor's entry point to ``_coldata``:
-        numpy columns are returned as stored (zero-copy); list/tuple
-        columns are wrapped in object arrays so boolean-mask gathers
-        work uniformly.  The normalised vectors are cached back into
-        ``_coldata`` so repeated scans pay the wrapping once.  Cell
+        numpy and dictionary-encoded columns are returned as stored
+        (zero-copy, never decoded); list/tuple columns are wrapped in
+        object arrays so boolean-mask gathers work uniformly.  The
+        normalised vectors are cached back into ``_coldata`` so
+        repeated scans pay the wrapping once.  Cell
         values observed through a vector are exactly the cells ``.rows``
         would materialise (``_column_cells`` applies the same
         conversion).
@@ -142,7 +187,7 @@ class Table:
         if self._coldata is None:
             return None
         for i, col in enumerate(self._coldata):
-            if not isinstance(col, np.ndarray):
+            if not isinstance(col, (np.ndarray, DictColumn)):
                 self._coldata[i] = _as_object_array(list(col))
         return list(self._coldata)
 
@@ -317,7 +362,7 @@ class Table:
 
 def _column_cells(column: Any) -> list[Any]:
     """One column vector as a list of plain Python cell values."""
-    if isinstance(column, np.ndarray):
+    if isinstance(column, (np.ndarray, DictColumn)):
         return column.tolist()
     return list(column)
 

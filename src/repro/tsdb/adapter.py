@@ -22,9 +22,13 @@ metric_name)`` over series in ``series_ids()`` order).
 The column vectors built here are what the columnar SQL executor
 (:mod:`repro.sql.columnar`) consumes directly: ``timestamp``/``value``
 stay int64/float64 so WHERE predicates over them compile to numpy
-masks and GROUP BY aggregates run as segmented reductions, which is
-the ingest→query path's end-to-end columnar story — at no point
-between ``insert_array`` and an aggregate query result does a
+masks and GROUP BY aggregates run as segmented reductions;
+``metric_name`` and ``tag`` — constants of the series a row came from —
+are :class:`~repro.sql.table.DictColumn` vectors sharing one int32
+series-index code vector, so the executor evaluates ``tag['k']``,
+string predicates and GROUP BY keys once per *series* and gathers by
+code.  That is the ingest→query path's end-to-end columnar story — at
+no point between ``insert_array`` and an aggregate query result does a
 per-observation Python object exist.
 """
 
@@ -37,7 +41,7 @@ import numpy as np
 
 from repro.sql.scan import ScanPredicate, ScanReport
 from repro.sql.stats import ColumnSummary, TableStats
-from repro.sql.table import Table
+from repro.sql.table import DictColumn, Table
 from repro.tsdb.model import SeriesId
 from repro.tsdb.storage import TimeSeriesStore
 
@@ -56,38 +60,37 @@ def observations_to_table(
     """
     ts_parts: list[np.ndarray] = []
     val_parts: list[np.ndarray] = []
-    metas: list[tuple[str, dict, int]] = []
+    names: list[str] = []
+    tags: list[dict] = []
     for series, ts, vals in items:
         if ts.size == 0:
             continue
         ts_parts.append(ts)
         val_parts.append(vals)
-        metas.append((series.name, series.tag_map(), int(ts.size)))
+        names.append(series.name)
+        tags.append(series.tag_map())
     if not ts_parts:
         return Table(TSDB_COLUMNS, [])
     ts_all = np.concatenate(ts_parts)
     val_all = np.concatenate(val_parts)
-    total = int(ts_all.size)
-    lengths = np.asarray([n for _, _, n in metas], dtype=np.intp)
+    lengths = [ts.size for ts in ts_parts]
     # Rank metric names so the secondary sort key is an int column; the
     # ranks order exactly like the strings they stand for.
-    name_rank = {name: i
-                 for i, name in enumerate(sorted({m[0] for m in metas}))}
-    codes = np.repeat(
-        np.asarray([name_rank[name] for name, _, _ in metas],
-                   dtype=np.int64),
+    name_rank = {name: i for i, name in enumerate(sorted(set(names)))}
+    ranks = np.repeat(
+        np.asarray([name_rank[name] for name in names], dtype=np.int64),
         lengths)
-    order = np.lexsort((codes, ts_all))   # primary ts, secondary name; stable
-    name_col = np.empty(total, dtype=object)
-    tag_col = np.empty(total, dtype=object)
-    offset = 0
-    for name, tags, n in metas:
-        name_col[offset:offset + n] = name
-        tag_col[offset:offset + n] = [tags] * n   # one shared dict per series
-        offset += n
+    order = np.lexsort((ranks, ts_all))   # primary ts, secondary name; stable
+    # metric_name and tag are per-series constants: one series-index
+    # code per row, and the per-series cells as the two dictionaries.
+    series_of_row = np.repeat(
+        np.arange(len(names), dtype=np.int32), lengths)[order]
     return Table.from_columns(
         TSDB_COLUMNS,
-        [ts_all[order], name_col[order], tag_col[order], val_all[order]])
+        [ts_all[order],
+         DictColumn(series_of_row, np.array(names, dtype=object)),
+         DictColumn(series_of_row, np.array(tags, dtype=object)),
+         val_all[order]])
 
 
 def tsdb_table(store: TimeSeriesStore,

@@ -14,9 +14,14 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from repro.sql.functions import segmented_order_stat
 from repro.tsdb.model import SeriesFormatError, SeriesId
 from repro.tsdb.storage import TimeSeriesStore
 
+
+#: Percent per ``pNN`` aggregator — the one statement of what the names
+#: mean; the scalar, row-wise and ragged-bucket forms all derive from it.
+_PERCENT = {"p95": 95, "p99": 99}
 
 _AGGREGATORS: dict[str, Callable[[np.ndarray], float]] = {
     "avg": lambda a: float(np.mean(a)),
@@ -25,8 +30,8 @@ _AGGREGATORS: dict[str, Callable[[np.ndarray], float]] = {
     "max": lambda a: float(np.max(a)),
     "count": lambda a: float(a.size),
     "median": lambda a: float(np.median(a)),
-    "p95": lambda a: float(np.percentile(a, 95)),
-    "p99": lambda a: float(np.percentile(a, 99)),
+    **{name: (lambda a, p=p: float(np.percentile(a, p)))
+       for name, p in _PERCENT.items()},
 }
 
 #: Row-wise (axis=1) counterparts of the scalar aggregators, used by the
@@ -40,8 +45,8 @@ _ROW_AGGREGATORS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "min": lambda m: np.min(m, axis=1),
     "max": lambda m: np.max(m, axis=1),
     "median": lambda m: np.median(m, axis=1),
-    "p95": lambda m: np.percentile(m, 95, axis=1),
-    "p99": lambda m: np.percentile(m, 99, axis=1),
+    **{name: (lambda m, p=p: np.percentile(m, p, axis=1))
+       for name, p in _PERCENT.items()},
 }
 
 
@@ -88,7 +93,8 @@ class Downsampler:
         each bucket strictly left-to-right (see the tolerance note
         inline).  The order-statistic aggregates (``median``, ``p95``,
         ``p99``) over ragged buckets go through sorted-segment indexing
-        (:func:`_segmented_order_stat`): one ``lexsort`` over
+        (:func:`repro.sql.functions.segmented_order_stat`, the kernel
+        SQL's ``MEDIAN``/``PERCENTILE`` run on): one ``lexsort`` over
         ``(bucket, value)`` replaces the per-bucket
         ``np.median``/``np.percentile`` calls, replicating numpy's
         index arithmetic exactly.  Equal-width buckets, the segmented
@@ -136,85 +142,16 @@ class Downsampler:
             if agg == "avg":
                 sums = sums / sizes
             return out_ts, np.asarray(sums, dtype=np.float64)
-        if agg == "median" or agg in _PERCENTILE_Q:
-            return out_ts, _segmented_order_stat(
-                np.asarray(values, dtype=np.float64), starts, sizes, agg)
+        if agg == "median" or agg in _PERCENT:
+            # The quantile np.percentile itself derives from the percent.
+            q = None if agg == "median" \
+                else np.true_divide(_PERCENT[agg], 100)
+            return out_ts, segmented_order_stat(
+                np.asarray(values, dtype=np.float64), starts, sizes, q)
         out_vals = np.asarray(
             [self._fn(values[s:e]) for s, e in zip(starts, ends)]
         )
         return out_ts, out_vals
-
-
-#: Quantile (not percent) per order-statistic aggregator, computed the
-#: way ``np.percentile`` does (``true_divide(p, 100)``) so the virtual
-#: index arithmetic below sees bit-identical inputs.
-_PERCENTILE_Q = {"p95": 95.0 / 100.0, "p99": 99.0 / 100.0}
-
-
-def _segmented_order_stat(values: np.ndarray, starts: np.ndarray,
-                          sizes: np.ndarray, agg: str) -> np.ndarray:
-    """Vectorized per-bucket median/percentile via sorted-segment indexing.
-
-    One ``lexsort`` over ``(bucket id, value)`` sorts every ragged
-    bucket at once (NaNs last within each bucket, exactly like the
-    ``partition`` inside ``np.percentile``); each bucket's statistic is
-    then a gather at computed indexes.  The arithmetic replicates
-    numpy's own:
-
-    - **median** — odd buckets take the middle element; even buckets
-      take ``(lo + hi) / 2`` (``np.mean`` of the two middles: one add,
-      one exact halving).
-    - **percentile** (linear method) — ``virtual = (n - 1) * q``;
-      below the last index the result lerps between ``floor(virtual)``
-      and its successor, with numpy's ``t >= 0.5`` rewrite
-      (``b - diff * (1 - t)`` instead of ``a + diff * t``) applied the
-      same way; at or above the last index both gather points collapse
-      to the bucket's last element with ``gamma = virtual + 1`` — the
-      ``-1``-index fixup inside ``np.quantile``, wraparound included.
-    - any bucket containing NaN yields NaN (numpy's
-      ``slices_having_nans`` override; NaN sorts last, so testing the
-      bucket's last element is exact).
-
-    Bitwise-identical to calling ``np.median``/``np.percentile`` on
-    each bucket slice — including the inf/NaN corner cases where the
-    lerp's ``inf - inf`` produces NaN — which the property tests pin
-    against the reference loop.
-    """
-    n_buckets = int(starts.size)
-    segment_ids = np.repeat(np.arange(n_buckets, dtype=np.intp), sizes)
-    order = np.lexsort((values, segment_ids))
-    ordered = values[order]
-    last_idx = starts + sizes - 1
-    has_nan = np.isnan(ordered[last_idx])
-    if agg == "median":
-        lo = ordered[starts + (sizes - 1) // 2]
-        hi = ordered[starts + sizes // 2]
-        with np.errstate(invalid="ignore", over="ignore"):
-            # ``np.median`` takes ``np.mean`` over the middle slice, and
-            # numpy's sum reduction folds in the additive identity — the
-            # ``+ 0.0`` normalises a ``-0.0`` middle to ``+0.0`` exactly
-            # like the per-bucket call does.
-            even = (lo + hi + 0.0) / 2.0
-            result = np.where(sizes % 2 == 1, lo + 0.0, even)
-    else:
-        q = _PERCENTILE_Q[agg]
-        virtual = (sizes - 1).astype(np.float64) * q
-        prev = np.floor(virtual)
-        gamma = virtual - prev
-        prev_idx = prev.astype(np.intp)
-        next_idx = prev_idx + 1
-        above = virtual >= (sizes - 1)
-        prev_idx = np.where(above, sizes - 1, prev_idx)
-        next_idx = np.where(above, sizes - 1, next_idx)
-        gamma = np.where(above, virtual + 1.0, gamma)
-        a = ordered[starts + prev_idx]
-        b = ordered[starts + next_idx]
-        with np.errstate(invalid="ignore", over="ignore"):
-            diff = b - a
-            result = np.where(gamma >= 0.5,
-                              b - diff * (1.0 - gamma),
-                              a + diff * gamma)
-    return np.where(has_nan, np.nan, result)
 
 
 def align_to_grid(timestamps: np.ndarray, values: np.ndarray,

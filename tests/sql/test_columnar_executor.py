@@ -21,7 +21,9 @@ from repro.sql.executor import Executor
 from repro.sql.optimizer import optimize
 from repro.sql.parser import parse
 from repro.sql.planner import Planner
-from repro.sql.table import Table
+from repro.sql.table import DictColumn, Table
+from repro.tsdb import SeriesId, ShardedTimeSeriesStore
+from repro.tsdb.adapter import register_store
 
 
 def _tsdb_like(n: int = 60) -> Table:
@@ -352,8 +354,58 @@ class TestColumnarAggregate:
             expect_lazy=True)
         assert len(result.rows) == 0
 
-    def test_distinct_agg_falls_back_identically(self):
-        assert_parity("SELECT COUNT(DISTINCT metric_name) AS n FROM tsdb")
+    def test_count_distinct_runs_columnar(self):
+        assert_parity("SELECT COUNT(DISTINCT metric_name) AS n FROM tsdb",
+                      expect_lazy=True)
+        assert_parity("SELECT metric_name, COUNT(DISTINCT note) AS n, "
+                      "COUNT(DISTINCT tag['host']) AS h, "
+                      "COUNT(DISTINCT timestamp % 4) AS m FROM tsdb "
+                      "GROUP BY metric_name", expect_lazy=True)
+
+    def test_other_distinct_aggregates_fall_back_identically(self):
+        assert_parity("SELECT metric_name, SUM(DISTINCT timestamp % 4) AS s "
+                      "FROM tsdb GROUP BY metric_name", expect_lazy=False)
+
+    def test_order_statistics_and_spread_run_columnar(self):
+        assert_parity(
+            "SELECT metric_name, PERCENTILE(value, 0.99) AS p99, "
+            "PERCENTILE(value, 0) AS lo, PERCENTILE(value, 1) AS hi, "
+            "MEDIAN(value) AS md, STDDEV(value) AS sd, "
+            "VARIANCE(timestamp) AS var FROM tsdb GROUP BY metric_name",
+            expect_lazy=True)
+
+    def test_groups_too_small_for_the_aggregate_yield_null(self):
+        # value / (timestamp % 2) is NULL on even timestamps: grouping
+        # by parity leaves one group all-NULL; grouping by timestamp
+        # leaves single-row groups, which STDDEV also answers with NULL.
+        result = assert_parity(
+            "SELECT timestamp % 2 AS odd, MEDIAN(value / (timestamp % 2)) "
+            "AS md, PERCENTILE(value / (timestamp % 2), 0.5) AS p "
+            "FROM tsdb GROUP BY timestamp % 2", expect_lazy=True)
+        assert dict((r[0], r[1:]) for r in result.rows)[0] == (None, None)
+        result = assert_parity(
+            "SELECT timestamp, STDDEV(value) AS sd FROM tsdb "
+            "WHERE timestamp < 5 GROUP BY timestamp", expect_lazy=True)
+        assert [r[1] for r in result.rows] == [None] * 5
+
+    def test_percentile_outside_the_parity_subset_falls_back(self):
+        for query in (
+                "SELECT PERCENTILE(timestamp, 0.5) AS p FROM tsdb",
+                "SELECT metric_name, PERCENTILE(value, timestamp / 100) "
+                "AS p FROM tsdb GROUP BY metric_name"):
+            assert_parity(query, expect_lazy=False)
+        fast, slow = _pair(_tsdb_like())
+        for db in (fast, slow):
+            with pytest.raises(ExecutionError, match=r"in \[0, 1\]"):
+                db.sql("SELECT PERCENTILE(value, 1.5) FROM tsdb")
+
+    def test_expression_group_keys_run_columnar(self):
+        assert_parity("SELECT tag['host'], timestamp % 3 AS m, "
+                      "COUNT(*) AS n, AVG(value) AS a FROM tsdb "
+                      "GROUP BY tag['host'], timestamp % 3",
+                      expect_lazy=True)
+        assert_parity("SELECT note IS NULL AS missing, COUNT(*) AS n "
+                      "FROM tsdb GROUP BY note IS NULL", expect_lazy=True)
 
     def test_aggregate_expression_arguments(self):
         assert_parity("SELECT metric_name, SUM(value * value) AS sq, "
@@ -415,10 +467,15 @@ PLAN_QUERIES = [
      {"Filter": "columnar", "Aggregate": "row"}),
     ("SELECT v FROM t WHERE u - 5 < 0", {"Filter": "row"}),
     ("SELECT v FROM t WHERE k * 9223372036854775807 > 0", {"Filter": "row"}),
-    # Shapes the compiler refuses.
-    ("SELECT k, COUNT(DISTINCT v) FROM t GROUP BY k", {"Aggregate": "row"}),
-    ("SELECT k % 2 AS p, COUNT(*) FROM t GROUP BY k % 2",
+    ("SELECT k, PERCENTILE(v, k / 2) FROM t GROUP BY k",
      {"Aggregate": "row"}),
+    # Sorted-segment aggregates and expression group keys.
+    ("SELECT k, COUNT(DISTINCT v) FROM t GROUP BY k",
+     {"Aggregate": "columnar"}),
+    ("SELECT k % 2 AS p, COUNT(*) FROM t GROUP BY k % 2",
+     {"Aggregate": "columnar"}),
+    # Shapes the compiler refuses.
+    ("SELECT k, SUM(DISTINCT v) FROM t GROUP BY k", {"Aggregate": "row"}),
     ("SELECT UPPER(s) AS x FROM t ORDER BY v DESC", {"Sort": "row"}),
     ("SELECT t.k, d.w FROM t CROSS JOIN d", {"Join": "row"}),
     ("SELECT t.k, d.w FROM t JOIN d ON t.k < d.w", {"Join": "row"}),
@@ -513,6 +570,107 @@ class TestPlanRecordsExecution:
         assert [line.count("actual=") for line in lines] == [1] * 5
         assert "actual=2 rows" in lines[2]              # after HAVING
         assert "actual=3 rows, engine=columnar" in lines[3]   # groups
+
+
+def _served_store(n: int = 48) -> ShardedTimeSeriesStore:
+    """A small sharded store with the benchmark stores' series shapes."""
+    store = ShardedTimeSeriesStore(n_shards=4)
+    rng = np.random.default_rng(11)
+    ts = np.arange(n, dtype=np.int64)
+    for metric in ("frontend_latency", "db_latency", "db_io_wait",
+                   "cache_latency"):
+        for tenant in range(3):
+            store.insert_array(
+                SeriesId.make(metric, {"tenant": f"tenant-{tenant}"}),
+                ts, rng.standard_normal(n) + tenant)
+    for metric in ("service_latency", "queue_depth"):
+        for host, link in (("host-0", "core"), ("host-1", "core"),
+                           ("host-1", "edge")):
+            store.insert_array(
+                SeriesId.make(metric, {"host": host, "link": link}),
+                ts[::2], rng.standard_normal(n // 2))
+    return store
+
+
+#: The ten ``sql-cold-mix`` statement shapes and the five
+#: ``dashboard-ingest`` panel shapes of ``benchmarks/e2e``, restated here
+#: (literals aside) so tier-1 holds their fallback count at zero.
+SERVED_SHAPES = [
+    "SELECT metric_name, COUNT(*) AS n, AVG(value) AS v, "
+    "MAX(value + 3) AS hi FROM tsdb GROUP BY metric_name "
+    "ORDER BY metric_name",
+    "SELECT metric_name, MIN(value) AS lo, MAX(value) AS hi FROM tsdb "
+    "WHERE timestamp BETWEEN 5 AND 30 GROUP BY metric_name "
+    "ORDER BY metric_name",
+    "SELECT metric_name, COUNT(*) AS n, SUM(value) AS s FROM tsdb "
+    "WHERE tag['tenant'] = 'tenant-1' AND timestamp >= 3 "
+    "GROUP BY metric_name ORDER BY metric_name",
+    "SELECT COUNT(*) AS n, AVG(value) AS v FROM tsdb "
+    "WHERE metric_name = 'frontend_latency' AND timestamp >= 3",
+    "SELECT timestamp, AVG(value) AS v FROM tsdb "
+    "WHERE metric_name = 'db_latency' AND timestamp >= 3 "
+    "GROUP BY timestamp ORDER BY timestamp",
+    "SELECT a.timestamp, a.value AS fe, b.value AS io FROM tsdb a "
+    "JOIN tsdb b ON a.timestamp = b.timestamp "
+    "WHERE a.metric_name = 'frontend_latency' "
+    "AND b.metric_name = 'db_io_wait' "
+    "AND a.tag['tenant'] = 'tenant-1' AND b.tag['tenant'] = 'tenant-1' "
+    "AND a.timestamp >= 3 ORDER BY a.timestamp",
+    "SELECT timestamp, value - LAG(value) OVER (ORDER BY timestamp) "
+    "AS delta FROM tsdb WHERE metric_name = 'cache_latency' "
+    "AND tag['tenant'] = 'tenant-1' AND timestamp >= 3",
+    "SELECT timestamp, tag['tenant'], AVG(value) AS latency FROM tsdb "
+    "WHERE metric_name = 'frontend_latency' "
+    "AND timestamp BETWEEN 5 AND 20 "
+    "GROUP BY timestamp, tag['tenant'] ORDER BY timestamp ASC",
+    "SELECT metric_name, PERCENTILE(value, 0.99) AS p99 FROM tsdb "
+    "WHERE timestamp BETWEEN 5 AND 17 "
+    "GROUP BY metric_name ORDER BY metric_name",
+    "SELECT metric_name, COUNT(DISTINCT tag['tenant']) AS tenants "
+    "FROM tsdb WHERE timestamp BETWEEN 6 AND 17 "
+    "GROUP BY metric_name ORDER BY metric_name",
+    # dashboard-ingest: the hot panels and the cold scan.
+    "SELECT metric_name, COUNT(*) AS n, AVG(value) AS v FROM tsdb "
+    "GROUP BY metric_name ORDER BY metric_name",
+    "SELECT metric_name, COUNT(*) AS n FROM tsdb "
+    "WHERE tag['host'] = 'host-1' GROUP BY metric_name "
+    "ORDER BY metric_name",
+    "SELECT COUNT(*) AS n, AVG(value) AS v FROM tsdb "
+    "WHERE metric_name = 'service_latency'",
+    "SELECT timestamp, AVG(value) AS v FROM tsdb "
+    "WHERE metric_name = 'queue_depth' AND tag['link'] = 'core' "
+    "GROUP BY timestamp ORDER BY timestamp",
+    "SELECT COUNT(*) AS n, AVG(value) AS v FROM tsdb "
+    "WHERE timestamp BETWEEN 7 AND 19",
+]
+
+
+class TestServedShapesNeverLeaveTheTier:
+    @pytest.mark.parametrize("query", SERVED_SHAPES)
+    def test_no_row_stage_and_no_decode(self, query, monkeypatch):
+        fast, slow = Database(), Database(columnar=False)
+        store = _served_store()
+        for db in (fast, slow):
+            register_store(db, store)
+        decodes = []
+        real = DictColumn.decode
+        monkeypatch.setattr(
+            DictColumn, "decode",
+            lambda self: decodes.append(len(self)) or real(self))
+        result = fast.sql(query)
+        assert decodes == [], "an encoded column was expanded per row"
+        monkeypatch.undo()
+        engines, todo = [], [fast.last_plan.root]
+        while todo:
+            node = todo.pop()
+            todo.extend(node.children)
+            if node.engine is not None:
+                engines.append(node.engine)
+        assert engines and set(engines) == {"columnar"}, \
+            fast.last_plan.render()
+        reference = slow.sql(query)
+        assert len(result) > 0 and result.columns == reference.columns
+        assert _rows_equal(result.rows, reference.rows)
 
 
 class TestTableColumnarHelpers:

@@ -4,12 +4,21 @@ Generates random tsdb-shaped column-backed tables and random
 SELECT/WHERE/GROUP BY statements drawn from the dialect, then asserts
 the columnar executor and the row-at-a-time reference produce identical
 tables: same column names, same row order, same cell values (NaN cells
-compare equal to NaN — both paths must produce NaN in the same places).
+compare equal to NaN — both paths must produce NaN in the same places —
+and a -0.0 is not a 0.0).
 
-The generator intentionally strays outside the columnar-compilable
-subset (HAVING, scalar functions, ORDER BY on plain selects, NaN values
-under MIN/MAX); those cases exercise the fallback seam, which must be
-invisible in the output.
+Values include NaN, ±inf and both zeros; group keys include NULLs, map
+subscripts and arithmetic; nullable aggregate arguments leave some
+groups all-NULL and timestamps leave some with one row.  The generator
+intentionally strays outside the columnar-compilable subset (scalar
+functions, NaN values under MIN/MAX, ``SUM(DISTINCT ...)``); those
+cases exercise the fallback seam, which must be invisible in the
+output.
+
+Every table is drawn once and built twice — flat object columns, and
+the same cells dictionary-encoded the way the tsdb adapter encodes
+``metric_name``/``tag`` — so one property can also state that the
+encoding is invisible on both tiers.
 """
 
 import math
@@ -18,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 
 from repro.sql.catalog import Database
-from repro.sql.table import Table
+from repro.sql.table import DictColumn, Table
 
 METRICS = ["cpu", "disk", "net"]
 HOSTS = ["h0", "h1", None]
@@ -29,26 +38,52 @@ STR_COLS = ["metric", "note"]
 ALL_COLS = NUM_COLS + STR_COLS
 
 
+VALUES = st.one_of(
+    st.floats(-50, 50),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -0.0]))
+
+
 @st.composite
-def tsdb_tables(draw):
+def table_pairs(draw):
+    """One logical table as ``(flat, dictionary-encoded)`` builds.
+
+    ``metric`` and ``tag`` are constants of the row's *series*, as in
+    the tsdb table (both encoded columns share the series code vector,
+    and two series may repeat a metric or a tag map); ``note`` varies by
+    row over a dictionary with a NULL and a never-referenced entry.
+    """
     n = draw(st.integers(0, 25))
     ts = np.asarray(
         sorted(draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))),
         dtype=np.int64).reshape(n)
-    vals = draw(st.lists(
-        st.one_of(st.floats(-50, 50), st.just(float("nan"))),
-        min_size=n, max_size=n))
-    v = np.asarray(vals, dtype=np.float64).reshape(n)
-    metric = np.empty(n, dtype=object)
-    note = np.empty(n, dtype=object)
-    tag = np.empty(n, dtype=object)
-    for i in range(n):
-        metric[i] = draw(st.sampled_from(METRICS))
-        note[i] = draw(st.sampled_from(NOTES))
+    v = np.asarray(draw(st.lists(VALUES, min_size=n, max_size=n)),
+                   dtype=np.float64).reshape(n)
+    n_series = draw(st.integers(1, 5))
+    metrics = np.empty(n_series, dtype=object)
+    tags = np.empty(n_series, dtype=object)
+    for i in range(n_series):
+        metrics[i] = draw(st.sampled_from(METRICS))
         host = draw(st.sampled_from(HOSTS))
-        tag[i] = {} if host is None else {"host": host}
-    return Table.from_columns(["ts", "metric", "tag", "v", "note"],
-                              [ts, metric, tag, v, note])
+        tags[i] = {} if host is None else {"host": host}
+    series = np.asarray(
+        draw(st.lists(st.integers(0, n_series - 1), min_size=n, max_size=n)),
+        dtype=np.int32).reshape(n)
+    notes = np.array(NOTES + ["unused"], dtype=object)
+    note = np.asarray(
+        draw(st.lists(st.integers(0, len(NOTES) - 1),
+                      min_size=n, max_size=n)), dtype=np.int32).reshape(n)
+    columns = ["ts", "metric", "tag", "v", "note"]
+    flat = Table.from_columns(
+        columns, [ts, metrics[series], tags[series], v, notes[note]])
+    encoded = Table.from_columns(
+        columns, [ts, DictColumn(series, metrics), DictColumn(series, tags),
+                  v, DictColumn(note, notes)])
+    return flat, encoded
+
+
+def tsdb_tables():
+    """The flat build alone."""
+    return table_pairs().map(lambda pair: pair[0])
 
 
 @st.composite
@@ -115,14 +150,24 @@ def statements(draw):
     where = f" WHERE {draw(predicates())}" if draw(st.booleans()) else ""
     if draw(st.booleans()):
         # Aggregate query.
-        keys = draw(st.lists(st.sampled_from(ALL_COLS + ["tag"]),
-                             min_size=1, max_size=2, unique=True))
+        keys = draw(st.lists(
+            st.sampled_from(ALL_COLS + ["tag", "tag['host']", "ts % 3"]),
+            min_size=1, max_size=2, unique=True))
         aggs = draw(st.lists(st.sampled_from(
             ["COUNT(*) AS n", "SUM(v) AS s", "AVG(v) AS a",
              "MIN(v) AS lo", "MAX(v) AS hi", "MIN(ts) AS t0",
              "COUNT(note) AS cn", "MEDIAN(v) AS md",
              "SUM(v * v) AS sq", "SUM(v) / COUNT(*) AS r",
-             "MAX(ts) - MIN(ts) AS span", "COUNT(*) + 1 AS n1"]),
+             "MAX(ts) - MIN(ts) AS span", "COUNT(*) + 1 AS n1",
+             "PERCENTILE(v, 0) AS p0", "PERCENTILE(v, 0.5) AS p50",
+             "PERCENTILE(v, 0.99) AS p99", "PERCENTILE(v, 1) AS p100",
+             "STDDEV(v) AS sd", "VARIANCE(v) AS var",
+             "COUNT(DISTINCT note) AS dn", "COUNT(DISTINCT metric) AS dm",
+             "COUNT(DISTINCT tag['host']) AS dh", "COUNT(DISTINCT v) AS dv",
+             # NULL on even timestamps: some groups end up all-NULL.
+             "MEDIAN(v / (ts % 2)) AS mdn", "STDDEV(v / (ts % 2)) AS sdn",
+             "PERCENTILE(v / (ts % 2), 0.5) AS pn",
+             "SUM(DISTINCT v) AS sdv"]),
             min_size=1, max_size=3, unique=True))
         items = ", ".join(keys + aggs)
         having = draw(st.sampled_from(
@@ -162,10 +207,22 @@ def statements(draw):
 
 
 def _cells_equal(a, b) -> bool:
-    if isinstance(a, float) and isinstance(b, float) \
-            and math.isnan(a) and math.isnan(b):
-        return True
+    if isinstance(a, float) and isinstance(b, float):
+        if math.isnan(a) and math.isnan(b):
+            return True
+        if math.copysign(1.0, a) != math.copysign(1.0, b):
+            return False             # -0.0 is not 0.0
     return a == b and type(a) is type(b)
+
+
+def _assert_same_table(result, reference, query) -> None:
+    assert result.columns == reference.columns, query
+    assert len(result.rows) == len(reference.rows), query
+    for got, want in zip(result.rows, reference.rows):
+        assert len(got) == len(want), query
+        for ca, cb in zip(got, want):
+            assert _cells_equal(ca, cb), (
+                f"cell mismatch {ca!r} vs {cb!r} for {query!r}")
 
 
 @given(tsdb_tables(), statements())
@@ -174,15 +231,23 @@ def test_columnar_matches_row_executor(table, query):
     fast, slow = Database(), Database(columnar=False)
     fast.register("t", table)
     slow.register("t", table)
-    result = fast.sql(query)
-    reference = slow.sql(query)
-    assert result.columns == reference.columns, query
-    assert len(result.rows) == len(reference.rows), query
-    for got, want in zip(result.rows, reference.rows):
-        assert len(got) == len(want), query
-        for ca, cb in zip(got, want):
-            assert _cells_equal(ca, cb), (
-                f"cell mismatch {ca!r} vs {cb!r} for {query!r}")
+    _assert_same_table(fast.sql(query), slow.sql(query), query)
+
+
+@given(table_pairs(), statements())
+@settings(max_examples=200, deadline=None)
+def test_dictionary_encoding_is_invisible(pair, query):
+    """Flat or encoded, columnar or row: one result, cell for cell."""
+    flat, encoded = pair
+    _assert_same_table(encoded, flat, "the two builds")
+    results = []
+    for table in (flat, encoded):
+        for columnar in (False, True):
+            db = Database(columnar=columnar)
+            db.register("t", table)
+            results.append(db.sql(query))
+    for other in results[1:]:
+        _assert_same_table(other, results[0], query)
 
 
 @st.composite
@@ -214,21 +279,14 @@ def join_queries(draw):
     return f"SELECT {items} FROM t {kind} d ON {condition}{where}"
 
 
-@given(tsdb_tables(), dim_tables(), join_queries())
+@given(table_pairs(), dim_tables(), join_queries())
 @settings(max_examples=150, deadline=None)
-def test_join_parity(fact, dim, query):
+def test_join_parity(pair, dim, query):
     fast, slow = Database(), Database(columnar=False)
-    for db in (fast, slow):
+    for db, fact in zip((fast, slow), reversed(pair)):    # fast: encoded
         db.register("t", fact)
         db.register("d", dim)
-    result = fast.sql(query)
-    reference = slow.sql(query)
-    assert result.columns == reference.columns, query
-    assert len(result.rows) == len(reference.rows), query
-    for got, want in zip(result.rows, reference.rows):
-        for ca, cb in zip(got, want):
-            assert _cells_equal(ca, cb), (
-                f"cell mismatch {ca!r} vs {cb!r} for {query!r}")
+    _assert_same_table(fast.sql(query), slow.sql(query), query)
 
 
 @given(tsdb_tables(), predicates())

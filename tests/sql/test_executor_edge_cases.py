@@ -94,6 +94,28 @@ class TestMiscBehaviour:
         with pytest.raises(ExecutionError, match=culprit):
             db.sql(query)
 
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_percentile_over_empty_relation_is_null(self, columnar):
+        # Regression: the fraction was evaluated against the first row of
+        # an empty group and a bare IndexError escaped.
+        db = Database(columnar=columnar)
+        db.register("e", Table.from_columns(
+            ["k", "v"], [[0.5, 0.25], [1.0, 2.0]]))
+        for fraction in ("k", "0.5"):
+            assert db.sql(f"SELECT PERCENTILE(v, {fraction}) AS p FROM e "
+                          "WHERE v > 9").rows == [(None,)]
+        assert db.sql("SELECT k, PERCENTILE(v, k) AS p FROM e WHERE v > 9 "
+                      "GROUP BY k").rows == []
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_percentile_null_fraction_names_the_fraction(self, columnar):
+        db = Database(columnar=columnar)
+        db.register("e", Table.from_columns(["v"], [[1.0, 2.0]]))
+        with pytest.raises(ExecutionError,
+                           match=r"PERCENTILE fraction must be a number "
+                                 r"in \[0, 1\], got None"):
+            db.sql("SELECT PERCENTILE(v, NULL) FROM e")
+
     def test_select_distinct_on_map_cells(self):
         db = Database()
         db.register("m", Table(["tag"], [

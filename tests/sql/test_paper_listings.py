@@ -65,6 +65,23 @@ class TestListing1TargetMetric:
         first = result.rows[0]
         assert first[0] == 5
 
+    def test_listing_runs_on_the_columnar_tier(self, paper_db):
+        # An expression group key (tag['pipeline_name']) used to send
+        # the paper's first listing to the row interpreter.
+        plan = paper_db.explain("""
+            SELECT timestamp, tag['pipeline_name'],
+                   AVG(value) as runtime_sec
+            FROM tsdb
+            WHERE metric_name = 'pipeline_runtime'
+                AND timestamp BETWEEN 5 and 10
+            GROUP BY timestamp, tag['pipeline_name']
+            ORDER BY timestamp ASC
+        """)
+        aggregate = next(line for line in plan.splitlines()
+                         if line.strip().startswith("Aggregate"))
+        assert "actual=12 rows, engine=columnar" in aggregate
+        assert "engine=row" not in plan
+
     def test_result_usable_as_temp_table(self, paper_db):
         paper_db.create_temp_table("Target", """
             SELECT timestamp, tag['pipeline_name'] AS pipeline_name,

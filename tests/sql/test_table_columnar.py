@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sql.errors import SchemaError
-from repro.sql.table import Table
+from repro.sql.table import DictColumn, Table
 
 
 def _columnar():
@@ -87,3 +87,61 @@ class TestFromColumns:
         table = Table(["a"], [(1,), (2,)])
         assert table.is_materialised()
         assert len(table) == 2
+
+
+class TestDictColumn:
+    """A dictionary-encoded column is a column vector like any other."""
+
+    @staticmethod
+    def _encoded():
+        tags = [{"host": "h0"}, {}, None]
+        codes = np.asarray([0, 1, 0, 2, 1], dtype=np.int32)
+        return tags, Table.from_columns(
+            ["t", "tag", "name"],
+            [np.arange(5, dtype=np.int64),
+             DictColumn(codes, np.array(tags, dtype=object)),
+             DictColumn(codes, np.array(["a", "b", "unused"], dtype=object))])
+
+    def test_cells_are_the_dictionary_objects(self):
+        tags, table = self._encoded()
+        assert len(table) == 5
+        assert table.column("name") == ["a", "b", "a", "unused", "b"]
+        assert table.rows[3] == (3, None, "unused")
+        for cells in (table.column("tag"), [row[1] for row in table.rows]):
+            assert [tags.index(c) for c in cells] == [0, 1, 0, 2, 1]
+            assert cells[0] is cells[2] is tags[0]
+
+    def test_equals_the_flat_build(self):
+        tags, table = self._encoded()
+        flat = Table(["t", "tag", "name"],
+                     [(i, tags[c], ["a", "b", "unused"][c])
+                      for i, c in enumerate([0, 1, 0, 2, 1])])
+        assert table == flat
+
+    def test_relational_helpers_keep_the_column_encoded(self, monkeypatch):
+        _, table = self._encoded()
+        decodes = []
+        real = DictColumn.decode
+        monkeypatch.setattr(
+            DictColumn, "decode",
+            lambda self: decodes.append(len(self)) or real(self))
+        derived = {
+            "mask": table.gather(np.asarray([True, False, True, True, False])),
+            "index": table.gather(np.asarray([4, 0])),
+            "slice": table.slice_rows(1, 4),
+            "limit": table.limit(2),
+            "select": table.select_columns(["name", "tag"]),
+            "rename": table.rename({"tag": "labels"}),
+            "prefix": table.prefixed("x"),
+        }
+        dictionaries = {id(v.values) for v in table.column_vectors()[1:]}
+        for how, out in derived.items():
+            encoded = [v for v in out.column_vectors()
+                       if isinstance(v, DictColumn)]
+            assert {id(v.values) for v in encoded} == dictionaries, how
+            assert not out.is_materialised(), how
+        assert table.column_vectors()[1] is table.column_vectors()[1]
+        assert decodes == []                 # nothing above read a cell
+        assert derived["index"].rows == [(4, {}, "b"), (0, {"host": "h0"}, "a")]
+        assert derived["slice"].column("name") == ["b", "a", "unused"]
+        assert decodes == [2, 2, 3]          # one gather per column read
