@@ -30,7 +30,7 @@ from repro.core.ranking import DEFAULT_TOP_K, ScoreTable, rank_families
 from repro.scoring.base import Scorer
 from repro.sql.catalog import Database
 from repro.tsdb.adapter import register_store
-from repro.tsdb.storage import TimeSeriesStore
+from repro.tsdb.storage import StoreView
 from repro.versioned import VersionedCache
 
 
@@ -70,7 +70,7 @@ class TimeRanges:
 class ExplainItSession:
     """One interactive root-cause analysis session."""
 
-    def __init__(self, store: TimeSeriesStore,
+    def __init__(self, store: StoreView,
                  group_by: str = "name") -> None:
         self.store = store
         self.group_by = group_by
@@ -220,7 +220,7 @@ class ExplainItSession:
         z_scores = np.abs((fam.matrix[inside] - mean) / std)
         return float(z_scores.mean())
 
-    def _horizon(self, view: TimeSeriesStore) -> TimeRanges:
+    def _horizon(self, view: StoreView) -> TimeRanges:
         """The selected ranges, else ``view``'s whole time range — so a
         session that never called :meth:`set_time_ranges` follows ingest."""
         if self._ranges is not None:

@@ -23,7 +23,7 @@ from repro.linmodel.preprocessing import interpolate_missing
 from repro.sql.table import Table
 from repro.tsdb.model import SeriesId, group_key_by_name, group_key_by_tag
 from repro.tsdb.query import ScanQuery
-from repro.tsdb.storage import TimeSeriesStore
+from repro.tsdb.storage import StoreView
 
 
 class FamilyError(Exception):
@@ -141,7 +141,7 @@ class FamilySet:
                          for f in self._families.values())
 
 
-def families_from_store(store: TimeSeriesStore,
+def families_from_store(store: StoreView,
                         group_by: str = "name",
                         start: int | None = None,
                         end: int | None = None,
@@ -193,7 +193,7 @@ def _group_key_fn(group_by) -> Callable[[SeriesId], str]:
 FF_COLUMNS = ["timestamp", "name", "v"]
 
 
-def family_table_from_store(store: TimeSeriesStore,
+def family_table_from_store(store: StoreView,
                             group_by: str = "name",
                             start: int | None = None,
                             end: int | None = None) -> Table:

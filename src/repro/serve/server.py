@@ -31,10 +31,10 @@ arrive.  ``QueryServer`` is the long-lived front end for that workload:
 Results must be treated as read-only: cache hits share one
 :class:`~repro.sql.table.Table` / score-table object across callers.
 
-The server wraps either a plain :class:`~repro.tsdb.TimeSeriesStore`
-(single-writer; snapshots isolate readers from later mutations) or a
-:class:`~repro.tsdb.sharded.ShardedTimeSeriesStore` (the concurrent
-ingest tier; snapshots are lock-free-readable and cached per version).
+The server wraps a :class:`~repro.tsdb.TimeSeriesStore` (or any
+:class:`~repro.tsdb.StoreView`): a request pins the store's frozen
+per-version view, which is cached per version and read without locks,
+so concurrent writers never change what a pinned request sees.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from repro.serve.cache import normalize_query
 from repro.sql.catalog import Database
 from repro.sql.table import Table
 from repro.tsdb.adapter import register_store
-from repro.tsdb.storage import TimeSeriesStore
+from repro.tsdb.storage import StoreView
 from repro.versioned import DEFAULT_CACHE_ENTRIES, VersionedCache
 
 #: Version states kept warm.  Two, not one: a request that snapshotted
@@ -86,7 +86,7 @@ class ServedResult:
     version: Any
     cached: bool
     seconds: float
-    snapshot: TimeSeriesStore
+    snapshot: StoreView
 
     @property
     def table(self) -> Table:
@@ -99,7 +99,7 @@ class ServedResult:
 class _VersionState:
     """Everything the server amortises across requests at one version."""
 
-    def __init__(self, version: Any, snapshot: TimeSeriesStore,
+    def __init__(self, version: Any, snapshot: StoreView,
                  group_by: str) -> None:
         self.version = version
         self.snapshot = snapshot
@@ -195,8 +195,8 @@ class QueryServer:
     Parameters
     ----------
     store:
-        The telemetry store to serve — a plain ``TimeSeriesStore`` or
-        the sharded concurrent tier.  Snapshots pin each request to the
+        The telemetry store to serve, a ``TimeSeriesStore`` (or a
+        ``StoreView``).  Snapshots pin each request to the
         version observed at its start.
     n_workers:
         Size of the request worker pool (threads).

@@ -8,19 +8,18 @@ Druid.  This package provides the equivalent substrate for the reproduction:
   (metric name + tag map), :class:`~repro.tsdb.model.DataPoint`, and the
   chunked-numpy :class:`~repro.tsdb.model.SeriesData` columns (append
   buffer + sealed int64/float64 chunks + cached consolidated view).
-- :mod:`repro.tsdb.storage` — :class:`~repro.tsdb.storage.TimeSeriesStore`, a
-  columnar in-memory store with inverted indexes on metric names and tags,
-  O(1) ``time_range``, and a monotonic mutation ``version`` that derived
-  caches key on.
+- :mod:`repro.tsdb.storage` — :class:`~repro.tsdb.storage.TimeSeriesStore`,
+  the one mutable store: hash-sharded columnar columns with inverted
+  indexes on metric names and tags, one lock per shard, a monotonic
+  mutation ``version`` that derived caches key on, and an optional WAL
+  with checkpoints; and :class:`~repro.tsdb.storage.StoreView`, the
+  frozen per-version view every read goes through.
 - :mod:`repro.tsdb.query` — scan, filter, vectorized downsample and
   aggregation helpers.
 - :mod:`repro.tsdb.ingest` — a line-protocol parser for bulk loading.
 - :mod:`repro.tsdb.adapter` — exposes the store as the relational ``tsdb``
   table used by the paper's SQL listings (Appendix C), built columnar.
 - :mod:`repro.tsdb.rollup` — version-invalidated materialised rollup views.
-- :mod:`repro.tsdb.sharded` — the concurrent ingest tier:
-  :class:`~repro.tsdb.sharded.ShardedTimeSeriesStore` (lock-per-shard
-  writes, lock-free snapshot reads).
 - :mod:`repro.tsdb.wal` — append-only write-ahead log with crash-safe
   replay.
 - :mod:`repro.tsdb.chunkfile` — memmap'd binary snapshot format
@@ -28,20 +27,19 @@ Druid.  This package provides the equivalent substrate for the reproduction:
 """
 
 from repro.tsdb.model import DataPoint, SeriesId, parse_series_expr
-from repro.tsdb.storage import TimeSeriesStore
+from repro.tsdb.storage import StoreView, TimeSeriesStore
 from repro.tsdb.query import Downsampler, ScanQuery
 from repro.tsdb.ingest import parse_line, load_lines
 from repro.tsdb.adapter import register_store, tsdb_table
 from repro.tsdb.rollup import RollupCatalog, RollupSpec
-from repro.tsdb.sharded import ShardedTimeSeriesStore
 from repro.tsdb.wal import WriteAheadLog
 
 __all__ = [
     "DataPoint",
     "SeriesId",
     "parse_series_expr",
+    "StoreView",
     "TimeSeriesStore",
-    "ShardedTimeSeriesStore",
     "WriteAheadLog",
     "Downsampler",
     "ScanQuery",

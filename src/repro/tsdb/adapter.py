@@ -43,7 +43,7 @@ from repro.sql.scan import ScanPredicate, ScanReport
 from repro.sql.stats import ColumnSummary, TableStats
 from repro.sql.table import DictColumn, Table
 from repro.tsdb.model import SeriesId
-from repro.tsdb.storage import TimeSeriesStore
+from repro.tsdb.storage import StoreView
 
 TSDB_COLUMNS = ["timestamp", "metric_name", "tag", "value"]
 
@@ -93,14 +93,14 @@ def observations_to_table(
          val_all[order]])
 
 
-def tsdb_table(store: TimeSeriesStore,
+def tsdb_table(store: StoreView,
                start: int | None = None,
                end: int | None = None) -> Table:
     """Materialise the relational view of a store (optionally time-clipped)."""
     return observations_to_table(store.iter_arrays(start=start, end=end))
 
 
-def scan_store(store: TimeSeriesStore, predicate: ScanPredicate
+def scan_store(store: StoreView, predicate: ScanPredicate
                ) -> tuple[Table, ScanReport]:
     """Pruned materialisation of the ``tsdb`` table under a predicate.
 
@@ -178,7 +178,7 @@ def _time_window(predicate: ScanPredicate) -> tuple[int | None, int | None]:
     return start, end
 
 
-def store_stats(store: TimeSeriesStore) -> TableStats:
+def store_stats(store: StoreView) -> TableStats:
     """Planner statistics for the ``tsdb`` table, without materialising it.
 
     Row count and the timestamp range are O(1); the value range is a
@@ -236,7 +236,7 @@ def store_stats(store: TimeSeriesStore) -> TableStats:
                       map_columns=tuple(map_columns))
 
 
-def register_store(db, store: TimeSeriesStore, name: str = "tsdb") -> None:
+def register_store(db, store: StoreView, name: str = "tsdb") -> None:
     """Register a store on a Database as a lazily-materialised table.
 
     The provider is keyed on ``store.version``: the table materialises
@@ -248,9 +248,8 @@ def register_store(db, store: TimeSeriesStore, name: str = "tsdb") -> None:
     of materialising.
 
     Every provider callback reads from one ``store.read_view()`` taken
-    at entry — for the sharded store a multi-series scan must not
-    straddle a version change mid-walk (its view is the per-version
-    snapshot); the plain store's view is the store itself.
+    at entry, so a multi-series scan never straddles a version change
+    mid-walk.
     """
     db.register_scannable_provider(
         name,

@@ -17,7 +17,8 @@ File layout (all integers little-endian, blobs 8-byte aligned)::
     blob      = count * i64 timestamps | count * f64 values   (per series)
     directory = {"series": [{"name", "tags": [[k, v]...], "count",
                              "ts_offset", "vals_offset",
-                             "segments": [chunk-stats...]}, ...]}
+                             "segments": [chunk-stats...]}, ...],
+                 "wal": [generation, records]}      (checkpoints only)
 
 The directory is JSON because it is O(series + chunks) *metadata*, not
 data — parsing it costs microseconds while the point columns, which are
@@ -48,7 +49,7 @@ from repro.tsdb.model import (
     SeriesFormatError,
     SeriesId,
 )
-from repro.tsdb.storage import TimeSeriesStore
+from repro.tsdb.storage import StoreView, TimeSeriesStore
 
 MAGIC = b"RTSDBCF1"
 
@@ -83,14 +84,17 @@ def deserialize_segments(objs: Sequence[dict]) -> list[ChunkStats]:
             for obj in objs]
 
 
-def write_chunkfile(store, path: str | Path) -> int:
+def write_chunkfile(store: StoreView, path: str | Path,
+                    covered: tuple[int, int] | None = None) -> int:
     """Write a store's sealed columns as a binary chunkfile.
 
     Consolidates each series (one contiguous pair per series — the same
     compaction a read performs), streams the raw column bytes, then
     appends the JSON directory and backfills its offset in the header.
-    Concurrent stores are snapshotted first, so the file is a consistent
-    cut at one version.  Returns bytes written.
+    Reads one frozen view, so the file is a consistent cut at one
+    version.  ``covered`` is the WAL position the cut includes (see
+    :meth:`~repro.tsdb.storage.TimeSeriesStore.checkpoint`).  Returns
+    bytes written.
     """
     store = store.read_view()
     path = Path(path)
@@ -112,8 +116,10 @@ def write_chunkfile(store, path: str | Path) -> int:
             handle.write(np.ascontiguousarray(vals, dtype="<f8").tobytes())
             offset += 16 * int(ts.size)   # both blobs are 8-multiples
             directory.append(entry)
-        payload = json.dumps({"series": directory},
-                             separators=(",", ":")).encode("utf-8")
+        meta: dict = {"series": directory}
+        if covered is not None:
+            meta["wal"] = list(covered)
+        payload = json.dumps(meta, separators=(",", ":")).encode("utf-8")
         handle.write(payload)
         handle.seek(len(MAGIC))
         handle.write(_HEADER.pack(offset, len(payload)))
@@ -121,14 +127,22 @@ def write_chunkfile(store, path: str | Path) -> int:
 
 
 def read_chunkfile(path: str | Path) -> TimeSeriesStore:
-    """Load a chunkfile with zero point parsing.
+    """Load a chunkfile into a new store with zero point parsing."""
+    store = TimeSeriesStore()
+    load_chunkfile(store, path)
+    return store
+
+
+def load_chunkfile(store: TimeSeriesStore, path: str | Path
+                   ) -> tuple[int, int] | None:
+    """Adopt a chunkfile's columns into ``store``; returns the WAL
+    position the file covers (``None`` unless written by a checkpoint).
 
     Maps the file once, slices each series' columns as read-only
     ``int64``/``float64`` views of the map, and adopts them through
     :meth:`SeriesData.from_sealed` together with the persisted zone
     maps — no copy, no parse, no statistics recomputation.  The store's
-    version reflects one mutation per series, as if each series had
-    been bulk-inserted.
+    version moves once per series, as if each had been bulk-inserted.
     """
     path = Path(path)
     if path.stat().st_size < _HEADER_SIZE:
@@ -141,7 +155,6 @@ def read_chunkfile(path: str | Path) -> TimeSeriesStore:
     if dir_offset + dir_len > mm.size:
         raise SeriesFormatError(f"{path} is truncated: directory out of range")
     meta = json.loads(mm[dir_offset:dir_offset + dir_len].tobytes())
-    store = TimeSeriesStore()
     for entry in meta["series"]:
         series = SeriesId(name=entry["name"],
                           tags=tuple(tuple(pair) for pair in entry["tags"]))
@@ -152,8 +165,7 @@ def read_chunkfile(path: str | Path) -> TimeSeriesStore:
                 f"{path} is corrupt: {series} columns out of range")
         ts = mm[ts_off:ts_off + 8 * count].view("<i8")
         vals = mm[vals_off:vals_off + 8 * count].view("<f8")
-        column = SeriesData.from_sealed(
-            series, ts, vals, deserialize_segments(entry["segments"]))
-        store._adopt_column(column)
-        store._version += 1
-    return store
+        store._adopt(SeriesData.from_sealed(
+            series, ts, vals, deserialize_segments(entry["segments"])))
+    covered = meta.get("wal")
+    return tuple(covered) if covered is not None else None

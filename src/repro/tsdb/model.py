@@ -22,6 +22,8 @@ paper's §4.2 "dense arrays" optimisation.
 from __future__ import annotations
 
 import re
+import threading
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -124,6 +126,9 @@ class DataPoint:
 #: per-point ingest produces only a few hundred chunks.
 CHUNK_TARGET = 4096
 
+#: Serialises the one-time tail seal of frozen clones (``_seal_tail``).
+_TAIL_LOCK = threading.Lock()
+
 
 @dataclass(frozen=True)
 class ColumnStats:
@@ -213,8 +218,9 @@ class SeriesData:
 
     - ``_chunk_ts`` / ``_chunk_vals`` — sealed, immutable ``int64`` /
       ``float64`` chunk pairs in time order.
-    - ``_buf_ts`` / ``_buf_vals`` — a small Python append buffer for
-      point-at-a-time ingest, sealed every :data:`CHUNK_TARGET` points.
+    - ``_buf_ts`` / ``_buf_vals`` — a small typed (``array.array``)
+      append buffer for point-at-a-time ingest, sealed every
+      :data:`CHUNK_TARGET` points.
     - a cached *consolidated view*: one contiguous ``(timestamps,
       values)`` array pair covering every chunk plus the buffer.  The
       first read after a mutation concatenates and **compacts** the
@@ -231,7 +237,8 @@ class SeriesData:
     """
 
     __slots__ = ("series", "_chunk_ts", "_chunk_vals", "_buf_ts",
-                 "_buf_vals", "_length", "_consolidated", "_segments")
+                 "_buf_vals", "_tail", "_frozen", "_length",
+                 "_consolidated", "_segments")
 
     def __init__(self, series: SeriesId,
                  timestamps: Iterable[int] | np.ndarray | None = None,
@@ -239,8 +246,13 @@ class SeriesData:
         self.series = series
         self._chunk_ts: list[np.ndarray] = []
         self._chunk_vals: list[np.ndarray] = []
-        self._buf_ts: list[int] = []
-        self._buf_vals: list[float] = []
+        self._buf_ts = array("q")
+        self._buf_vals = array("d")
+        #: a frozen clone's unsealed share of its source's append buffer
+        #: (see :meth:`freeze`); always ``None`` on a writable column.
+        self._tail: tuple[array, array, int] | None = None
+        #: the clone :meth:`freeze` returned, until the next write.
+        self._frozen: SeriesData | None = None
         self._length = 0
         self._consolidated: tuple[np.ndarray, np.ndarray] | None = None
         #: zone maps, one per sealed logical chunk; offsets tile
@@ -288,26 +300,39 @@ class SeriesData:
         return column
 
     def freeze(self) -> "SeriesData":
-        """A read-stable clone sharing this series' sealed immutable chunks.
+        """A read-only clone that leaves this column exactly as it is.
 
-        Seals the append buffer, then copies only the chunk *reference*
-        lists and zone maps — O(chunks), no column data moves.  The clone
-        owns its consolidation cache, so reads on it never mutate shared
-        state, and later appends or compactions on the source build new
-        arrays instead of touching the shared sealed ones.  This is the
-        storage primitive behind lock-free snapshot reads: a frozen
-        clone's bytes can never change, whatever the source does next.
+        O(chunks), and no column data moves: the clone copies the chunk
+        *reference* lists and zone maps, and takes the append buffer by
+        reference together with its current length.  The source only
+        ever appends to its buffer arrays or replaces them wholesale, so
+        the first ``n`` entries the clone saw never change; the clone
+        seals them into its own last chunk on its first read.  Reads
+        never reshape the source — its chunk layout is decided by writes
+        alone — and nothing the source does afterwards can change what
+        the clone returns.  This is the storage primitive behind
+        :class:`~repro.tsdb.storage.StoreView`.
+
+        A clone supports every read and introspection method, never a
+        write.  Until the source's next write, every call returns the
+        same clone.
         """
-        self._seal_buffer()
+        clone = self._frozen
+        if clone is not None:
+            return clone
+        self._own_tail()            # on a clone: its borrowed tail first
         clone = SeriesData.__new__(SeriesData)
         clone.series = self.series
         clone._chunk_ts = list(self._chunk_ts)
         clone._chunk_vals = list(self._chunk_vals)
-        clone._buf_ts = []
-        clone._buf_vals = []
+        clone._buf_ts = clone._buf_vals = ()       # clones never append
+        clone._tail = ((self._buf_ts, self._buf_vals, len(self._buf_ts))
+                       if self._buf_ts else None)
+        clone._frozen = None        # never ``clone``: a cycle defers freeing
         clone._length = self._length
         clone._consolidated = self._consolidated
         clone._segments = list(self._segments)
+        self._frozen = clone
         return clone
 
     # ------------------------------------------------------------------
@@ -316,11 +341,13 @@ class SeriesData:
     @property
     def num_chunks(self) -> int:
         """Sealed chunks plus the live append buffer (if non-empty)."""
+        self._own_tail()
         return len(self._chunk_ts) + (1 if self._buf_ts else 0)
 
     @property
     def min_timestamp(self) -> int | None:
         """Earliest timestamp, or ``None`` when empty.  O(1)."""
+        self._own_tail()
         if self._chunk_ts:
             return int(self._chunk_ts[0][0])
         if self._buf_ts:
@@ -330,6 +357,7 @@ class SeriesData:
     @property
     def max_timestamp(self) -> int | None:
         """Latest timestamp, or ``None`` when empty.  O(1)."""
+        self._own_tail()
         if self._buf_ts:
             return self._buf_ts[-1]
         if self._chunk_ts:
@@ -352,17 +380,18 @@ class SeriesData:
     def append(self, timestamp: int, value: float) -> None:
         """Append one point; timestamps must be non-decreasing."""
         timestamp = int(timestamp)
-        last = self.max_timestamp
+        buf = self._buf_ts
+        last = buf[-1] if buf else self.max_timestamp
         if last is not None and timestamp < last:
             raise SeriesFormatError(
                 f"out-of-order append to {self.series}: "
                 f"{timestamp} < {last}"
             )
-        self._buf_ts.append(timestamp)
+        buf.append(timestamp)
         self._buf_vals.append(float(value))
         self._length += 1
-        self._consolidated = None
-        if len(self._buf_ts) >= CHUNK_TARGET:
+        self._consolidated = self._frozen = None
+        if len(buf) >= CHUNK_TARGET:
             self._seal_buffer()
 
     def extend(self, timestamps: Iterable[int] | np.ndarray,
@@ -406,7 +435,7 @@ class SeriesData:
         self._chunk_ts.append(ts)
         self._chunk_vals.append(vals)
         self._length += ts.size
-        self._consolidated = None
+        self._consolidated = self._frozen = None
         return int(ts.size)
 
     def replace_values(self, new_values: np.ndarray) -> None:
@@ -422,9 +451,10 @@ class SeriesData:
         vals.flags.writeable = False
         self._chunk_ts = [ts] if ts.size else []
         self._chunk_vals = [vals] if vals.size else []
-        self._buf_ts = []
-        self._buf_vals = []
+        self._buf_ts = array("q")
+        self._buf_vals = array("d")
         self._consolidated = (ts, vals)
+        self._frozen = None
         # Chunk boundaries survive the rewrite; only the value column's
         # statistics change, so recompute each segment over the new column.
         self._segments = [
@@ -460,18 +490,46 @@ class SeriesData:
             self._consolidated = (ts, vals)
         return self._consolidated
 
+    def _own_tail(self) -> None:
+        """On a frozen clone, seal the source-buffer share it still
+        borrows (see :meth:`freeze`); a no-op on a writable column."""
+        if self._tail is not None:
+            self._seal_tail()
+
     def _seal_buffer(self) -> None:
-        if not self._buf_ts:
-            return
-        ts = np.asarray(self._buf_ts, dtype=np.int64)
-        vals = np.asarray(self._buf_vals, dtype=np.float64)
+        self._own_tail()
+        if self._buf_ts:
+            self._seal(self._buf_ts, self._buf_vals)
+            self._buf_ts = array("q")       # the sealed chunk views the old
+            self._buf_vals = array("d")
+
+    def _seal_tail(self) -> None:
+        """Seal a frozen clone's share of the source buffer, exactly once.
+
+        Concurrent readers of one clone race here, so the seal and the
+        reset of ``_tail`` happen under one lock; a reader that sees
+        ``_tail`` cleared also sees the sealed chunk.
+        """
+        with _TAIL_LOCK:
+            if self._tail is None:
+                return
+            ts, vals, n = self._tail
+            self._seal(ts[:n], vals[:n])
+            self._tail = None
+
+    def _seal(self, ts_buf: array, vals_buf: array) -> None:
+        """Append buffered points as one sealed chunk with its zone map.
+
+        The chunk views the buffers' memory, so they must never change
+        again: callers pass a fresh slice or drop the buffer afterwards.
+        """
+        ts = np.frombuffer(ts_buf, dtype=np.int64)
+        vals = np.frombuffer(vals_buf, dtype=np.float64)
         ts.flags.writeable = False
         vals.flags.writeable = False
         self._segments.append(_chunk_stats(self._sealed_length(), ts, vals))
         self._chunk_ts.append(ts)
         self._chunk_vals.append(vals)
-        self._buf_ts = []
-        self._buf_vals = []
 
     def _sealed_length(self) -> int:
         """Number of points covered by sealed segments (tiling invariant)."""

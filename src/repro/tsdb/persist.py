@@ -30,12 +30,12 @@ import numpy as np
 from repro.tsdb import chunkfile
 from repro.tsdb.ingest import load_lines
 from repro.tsdb.model import SeriesFormatError, SeriesId
-from repro.tsdb.storage import TimeSeriesStore
+from repro.tsdb.storage import StoreView, TimeSeriesStore
 
 _SNAPSHOT_HEADER = "# repro-tsdb-snapshot v1"
 
 
-def dump_store(store: TimeSeriesStore, target: TextIO) -> int:
+def dump_store(store: StoreView, target: TextIO) -> int:
     """Write a snapshot; returns the number of lines written.
 
     The timestamp union across sibling measurements is computed with one
@@ -72,7 +72,7 @@ def dump_store(store: TimeSeriesStore, target: TextIO) -> int:
     return lines
 
 
-def dumps_store(store: TimeSeriesStore) -> str:
+def dumps_store(store: StoreView) -> str:
     """Snapshot to a string."""
     buffer = io.StringIO()
     dump_store(store, buffer)
@@ -104,13 +104,13 @@ def loads_store(text: str) -> TimeSeriesStore:
     return load_store(io.StringIO(text))
 
 
-def save_store(store: TimeSeriesStore, path: str | Path,
+def save_store(store: StoreView, path: str | Path,
                format: str = "text") -> int:
     """Write a snapshot file in the chosen format.
 
     ``format="text"`` returns lines written; ``format="binary"`` writes
-    a chunkfile and returns bytes written.  Concurrent (sharded) stores
-    are snapshotted first either way, so the file is one consistent cut.
+    a chunkfile and returns bytes written.  Either way the file is
+    written from one frozen view, so it is one consistent cut.
     """
     path = Path(path)
     if format == "binary":

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.sql.functions import segmented_order_stat
 from repro.tsdb.model import SeriesFormatError, SeriesId
-from repro.tsdb.storage import TimeSeriesStore
+from repro.tsdb.storage import StoreView
 
 
 #: Percent per ``pNN`` aggregator — the one statement of what the names
@@ -194,7 +194,7 @@ class ScanQuery:
     downsample: Downsampler | None = None
     series_ids: Sequence[SeriesId] | None = None
 
-    def run(self, store: TimeSeriesStore) -> "ScanResult":
+    def run(self, store: StoreView) -> "ScanResult":
         """Execute the scan against a store."""
         if self.series_ids is not None:
             matched = list(self.series_ids)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.tsdb.query import aggregator
-from repro.tsdb.storage import TimeSeriesStore
+from repro.tsdb.storage import StoreView
 
 
 def naive_downsample(interval: int, agg: str, timestamps: np.ndarray,
@@ -34,7 +34,7 @@ def naive_downsample(interval: int, agg: str, timestamps: np.ndarray,
     return np.asarray(out_ts, dtype=np.int64), np.asarray(out_vals)
 
 
-def naive_tsdb_table_rows(store: TimeSeriesStore,
+def naive_tsdb_table_rows(store: StoreView,
                           start: int | None = None,
                           end: int | None = None) -> list[tuple]:
     """The seed adapter: one Python tuple per observation + stable sort."""

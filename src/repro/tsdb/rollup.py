@@ -22,7 +22,7 @@ from repro.sql.table import Table
 from repro.tsdb.adapter import observations_to_table
 from repro.tsdb.model import SeriesFormatError
 from repro.tsdb.query import Downsampler, ScanQuery
-from repro.tsdb.storage import TimeSeriesStore
+from repro.tsdb.storage import StoreView
 from repro.versioned import VersionedCache
 
 
@@ -45,7 +45,7 @@ class RollupSpec:
 class RollupCatalog:
     """Named, cached, invalidation-aware rollup views over one store."""
 
-    def __init__(self, store: TimeSeriesStore) -> None:
+    def __init__(self, store: StoreView) -> None:
         self._store = store
         self._specs: dict[str, RollupSpec] = {}
         self._cache = VersionedCache()

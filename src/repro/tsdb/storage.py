@@ -1,27 +1,41 @@
-"""Columnar in-memory time series store with inverted tag indexes.
+"""The time series store: one mutable class, one frozen read view.
 
-The store keeps one chunked numpy column pair (timestamps, values) per
-series (:class:`~repro.tsdb.model.SeriesData`) and maintains inverted
-indexes — metric name -> series ids, ``(tag key, tag value)`` -> series
-ids, and tag key -> observed values — so that scans touch only matching
-series and tag enumeration is a dict lookup.  This mirrors how OpenTSDB
-resolves a metric + tag filter to a set of row keys before reading data.
+:class:`TimeSeriesStore` is the only mutable store.  Each series lives
+on one of ``n_shards`` shards (a private :class:`_Shard`: chunked numpy
+columns, inverted indexes on metric names and tags, time bounds and one
+lock), so writers on different shards never contend.  **Routing** is
+``crc32(str(series)) % n_shards`` — stable across processes, so a WAL
+replays into the same placement anywhere — memoised per series on its
+first write, so a point insert pays one dict lookup.
 
-Reads go through each series' cached consolidated view: ``arrays()``
-returns read-only slices located with ``searchsorted`` instead of
-rebuilding ndarrays from Python lists per call, and bulk ingest
-(``insert_array``/``merge``) lands whole numpy chunks in one operation.
+**Reads** are written once, on :class:`StoreView`: a store frozen at one
+version (merged indexes plus :meth:`SeriesData.freeze` clones, which
+copy chunk references, never data, and never reshape the source).  Each
+read method starts from ``self.read_view()``: a view answers from
+itself, the store from the view cached for its current version — one
+lock-free version comparison while no writer lands.
 
-Every mutation bumps a monotonic :attr:`TimeSeriesStore.version`; rollup
-views, lazy SQL providers and any other derived cache key their
-freshness on it.  Unlike ``num_points()``, the version also moves when
-``apply`` rewrites values in place (fault injection), so value-mutating
-transforms invalidate caches correctly.
+**Versioning**: one monotonic count, the sum of per-shard counters, each
+bumped under its shard's lock after the mutation (and its WAL record)
+lands.  It also moves when ``apply`` rewrites values in place, so every
+derived cache keys on it, never on ``num_points()``.
+
+**Durability** is optional: with ``wal=`` every write is logged inside
+its shard lock.  :meth:`TimeSeriesStore.checkpoint` writes a chunkfile
+recording which WAL records it covers before truncating the log, and
+:meth:`TimeSeriesStore.open` adopts its memmap'd columns and replays
+only the rest, so a crash anywhere in a checkpoint recovers every
+acknowledged write exactly once.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+import zlib
 from collections import defaultdict
+from contextlib import contextmanager
+from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -34,114 +48,49 @@ from repro.tsdb.model import (
     SeriesId,
     series_sort_key,
 )
+from repro.tsdb.wal import WriteAheadLog, replace_durably
+
+DEFAULT_SHARDS = 8
 
 
-class TimeSeriesStore:
-    """Mutable collection of time series with index-accelerated scans."""
+def shard_index(series: SeriesId, n_shards: int) -> int:
+    """Deterministic shard routing: ``crc32`` of the canonical series text.
 
-    @classmethod
-    def from_arrays(cls, series_arrays: Mapping[
-            SeriesId, tuple[Iterable[int], Iterable[float]]]
-    ) -> "TimeSeriesStore":
-        """Build a store from ``{series: (timestamps, values)}`` columns.
+    ``str(series)`` renders the metric name plus the *sorted* tag pairs,
+    so equal series ids land on the same shard regardless of tag
+    insertion order, process, or interpreter hash seed.
+    """
+    return zlib.crc32(str(series).encode("utf-8")) % n_shards
 
-        Every series lands through the bulk ``insert_array`` fast path —
-        the canonical way workload generators load simulated traces.
-        """
-        store = cls()
-        for series, (timestamps, values) in series_arrays.items():
-            store.insert_array(series, timestamps, values)
-        return store
 
-    def __init__(self) -> None:
-        self._data: dict[SeriesId, SeriesData] = {}
-        self._by_name: dict[str, set[SeriesId]] = defaultdict(set)
-        self._by_tag: dict[tuple[str, str], set[SeriesId]] = defaultdict(set)
-        #: secondary index: tag key -> set of observed values, so
-        #: ``tag_keys``/``tag_values`` never scan every (key, value) pair.
-        self._tag_values: dict[str, set[str]] = defaultdict(set)
-        self._version = 0
-        self._min_ts: int | None = None
-        self._max_ts: int | None = None
+class StoreView:
+    """A read-only store at one version: frozen columns + merged indexes.
 
-    # ------------------------------------------------------------------
-    # Ingest
-    # ------------------------------------------------------------------
-    def insert(self, series: SeriesId, timestamp: int, value: float) -> None:
-        """Insert one observation; timestamps per series must be sorted."""
-        column = self._data.get(series)
-        if column is None:
-            column = self._register(series)
-        column.append(timestamp, value)
-        self._observe(int(timestamp))
-        self._version += 1
+    Holds no lock and has no mutators.  Every read method is defined
+    here, once, and starts from :meth:`read_view` — a view returns
+    itself, :class:`TimeSeriesStore` its current view — so the same
+    code answers for both, and reader type hints name this class.
+    """
 
-    def insert_point(self, point: DataPoint) -> None:
-        """Insert a :class:`DataPoint`."""
-        self.insert(point.series, point.timestamp, point.value)
+    def __init__(self, columns: dict[SeriesId, SeriesData],
+                 by_name: dict[str, set[SeriesId]],
+                 by_tag: dict[tuple[str, str], set[SeriesId]],
+                 tag_values: dict[str, set[str]],
+                 span: tuple[int, int] | None, version: int) -> None:
+        self._columns = columns
+        self._by_name = by_name
+        self._by_tag = by_tag
+        self._tag_values = tag_values
+        self._span = span
+        self._version = version
 
-    def insert_array(self, series: SeriesId, timestamps: Iterable[int],
-                     values: Iterable[float]) -> None:
-        """Bulk-insert a whole column pair for one series.
+    def read_view(self) -> "StoreView":
+        """The frozen view reads run against: a view is its own."""
+        return self
 
-        This is the columnar fast path: the pair is validated and sealed
-        as one numpy chunk instead of being appended point by point.
-        Empty input is a no-op (the series is not registered).
-        """
-        column = self._data.get(series)
-        fresh = column is None
-        if fresh:
-            column = SeriesData(series=series)
-        appended = column.extend(timestamps, values)
-        if appended == 0:
-            return
-        if fresh:
-            self._data[series] = column
-            self._index(series)
-        self._observe(column.min_timestamp, column.max_timestamp)
-        self._version += 1
-
-    def _register(self, series: SeriesId) -> SeriesData:
-        column = SeriesData(series=series)
-        self._data[series] = column
-        self._index(series)
-        return column
-
-    def _adopt_column(self, column: SeriesData) -> None:
-        """Register an already-built column without copying its data.
-
-        Internal fast path for the binary load
-        (:mod:`repro.tsdb.chunkfile`): the column's invariants are
-        trusted and :attr:`version` is *not* bumped — the caller decides
-        what version the assembled store carries.
-        """
-        self._data[column.series] = column
-        self._index(column.series)
-        self._observe(column.min_timestamp, column.max_timestamp)
-
-    def _index(self, series: SeriesId) -> None:
-        self._by_name[series.name].add(series)
-        for key, value in series.tags:
-            self._by_tag[(key, value)].add(series)
-            self._tag_values[key].add(value)
-
-    def _observe(self, lo: int | None, hi: int | None = None) -> None:
-        if lo is None:
-            return
-        hi = lo if hi is None else hi
-        if self._min_ts is None or lo < self._min_ts:
-            self._min_ts = int(lo)
-        if self._max_ts is None or hi > self._max_ts:
-            self._max_ts = int(hi)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, series: SeriesId) -> bool:
-        return series in self._data
+    def snapshot(self) -> "StoreView":
+        """The current frozen view (same as :meth:`read_view`)."""
+        return self.read_view()
 
     @property
     def version(self) -> int:
@@ -149,52 +98,57 @@ class TimeSeriesStore:
 
         Bumped by every ``insert``/``insert_array``/``apply``/``merge``
         call that changes stored data.  Any value derived from the
-        store (rollup tables, the lazy ``tsdb`` SQL provider via
-        :meth:`~repro.sql.catalog.Database.register_versioned_provider`,
-        score matrices, …) belongs in a
+        store (rollup tables, the lazy ``tsdb`` SQL provider, score
+        matrices, …) belongs in a
         :class:`~repro.versioned.VersionedCache` keyed on it; never key
-        on ``num_points()``, which misses in-place ``apply`` rewrites
-        (fault injection).  Reading the version never mutates state, and
-        equal versions guarantee identical store contents.
+        on ``num_points()``, which misses in-place ``apply`` rewrites.
+        Equal versions guarantee identical contents.
         """
         return self._version
 
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+    def __len__(self) -> int:
+        return len(self.read_view()._columns)
+
+    def __contains__(self, series: SeriesId) -> bool:
+        return series in self.read_view()._columns
+
     def num_points(self) -> int:
         """Total number of stored observations across all series."""
-        return sum(len(col) for col in self._data.values())
+        return sum(len(col) for col in self.read_view()._columns.values())
 
     def series_ids(self) -> list[SeriesId]:
         """All series ids in a stable order."""
-        return sorted(self._data, key=series_sort_key)
+        return sorted(self.read_view()._columns, key=series_sort_key)
 
     def metric_names(self) -> list[str]:
         """Sorted distinct metric names."""
-        return sorted(self._by_name)
+        return sorted(self.read_view()._by_name)
 
     def tag_keys(self) -> list[str]:
         """Sorted distinct tag keys seen across all series."""
-        return sorted(self._tag_values)
+        return sorted(self.read_view()._tag_values)
 
     def tag_values(self, key: str) -> list[str]:
         """Sorted distinct values observed for one tag key."""
-        return sorted(self._tag_values.get(key, ()))
+        return sorted(self.read_view()._tag_values.get(key, ()))
 
     def time_range(self) -> tuple[int, int]:
         """(min, max) timestamp over the whole store, in O(1).
 
-        Maintained incrementally at ingest time from each series' O(1)
-        min/max, so no column is scanned.  Raises
-        :class:`SeriesFormatError` on an empty store so callers never
-        silently operate on a sentinel range.
+        Raises :class:`SeriesFormatError` on an empty store so callers
+        never silently operate on a sentinel range.
         """
-        if self._min_ts is None or self._max_ts is None:
+        span = self.read_view()._span
+        if span is None:
             raise SeriesFormatError("store is empty; no time range")
-        return self._min_ts, self._max_ts
+        return span
 
     def chunk_stats(self, series: SeriesId) -> tuple[ChunkStats, ...]:
         """Per-sealed-chunk zone maps for one series (see
-        :meth:`SeriesData.chunk_stats`).  Like every derived view, cache
-        results keyed on :attr:`version`."""
+        :meth:`SeriesData.chunk_stats`)."""
         return self.get(series).chunk_stats()
 
     def value_range(self) -> tuple[float, float] | None:
@@ -204,7 +158,7 @@ class TimeSeriesStore:
         store holds no non-NaN value.
         """
         lo = hi = None
-        for column in self._data.values():
+        for column in self.read_view()._columns.values():
             for seg in column.chunk_stats():
                 if seg.values.min is None:
                     continue
@@ -224,34 +178,40 @@ class TimeSeriesStore:
         The indexes are consulted for exact (non-glob) terms; glob terms
         fall back to a filtered walk of the candidate set.
         """
-        candidates = self._candidates(name, tags)
-        return sorted(
-            (s for s in candidates if s.matches(name, tags)),
-            key=series_sort_key,
-        )
-
-    def _candidates(self, name: str | None,
-                    tags: Mapping[str, str] | None) -> set[SeriesId]:
-        sets: list[set[SeriesId]] = []
+        view = self.read_view()
+        sets = []
         if name is not None and "*" not in name:
-            sets.append(self._by_name.get(name, set()))
-        if tags:
-            for key, value in tags.items():
-                if "*" not in str(value):
-                    sets.append(self._by_tag.get((key, str(value)), set()))
+            sets.append(view._by_name.get(name, set()))
+        for key, value in (tags or {}).items():
+            if "*" not in str(value):
+                sets.append(view._by_tag.get((key, str(value)), set()))
+        candidates = _intersect(sets) if sets else view._columns
+        return sorted((s for s in candidates if s.matches(name, tags)),
+                      key=series_sort_key)
+
+    def find_exact(self, name: str | None = None,
+                   tags: Mapping[str, str] | None = None) -> list[SeriesId]:
+        """Series matching a name and tag values *literally* (no globs).
+
+        The predicate-pushdown path uses this instead of :meth:`find`
+        because SQL equality must not glob-expand a ``*`` inside a
+        string literal.  Pure index intersection: never walks all
+        series when any exact term is given.
+        """
+        view = self.read_view()
+        sets = []
+        if name is not None:
+            sets.append(view._by_name.get(name, set()))
+        for key, value in (tags or {}).items():
+            sets.append(view._by_tag.get((key, str(value)), set()))
         if not sets:
-            return set(self._data)
-        smallest = min(sets, key=len)
-        result = set(smallest)
-        for other in sets:
-            if other is not smallest:
-                result &= other
-        return result
+            return view.series_ids()
+        return sorted(_intersect(sets), key=series_sort_key)
 
     def get(self, series: SeriesId) -> SeriesData:
-        """Return the chunked column pair for a series id."""
+        """The frozen chunked column pair for a series id."""
         try:
-            return self._data[series]
+            return self.read_view()._columns[series]
         except KeyError:
             raise SeriesFormatError(f"unknown series: {series}") from None
 
@@ -275,27 +235,6 @@ class TimeSeriesStore:
             ts, values = ts[lo:hi], values[lo:hi]
         return ts, values
 
-    def find_exact(self, name: str | None = None,
-                   tags: Mapping[str, str] | None = None) -> list[SeriesId]:
-        """Series matching a name and tag values *literally* (no globs).
-
-        The predicate-pushdown path uses this instead of :meth:`find`
-        because SQL equality must not glob-expand a ``*`` inside a
-        string literal.  Pure index intersection: never walks all
-        series when any exact term is given.
-        """
-        sets: list[set[SeriesId]] = []
-        if name is not None:
-            sets.append(self._by_name.get(name, set()))
-        for key, value in (tags or {}).items():
-            sets.append(self._by_tag.get((key, str(value)), set()))
-        if not sets:
-            return self.series_ids()
-        result = set(min(sets, key=len))
-        for other in sets:
-            result &= other
-        return sorted(result, key=series_sort_key)
-
     def scan_arrays(self, series: SeriesId,
                     start: int | None = None, end: int | None = None,
                     value_lo: float | None = None,
@@ -317,12 +256,13 @@ class TimeSeriesStore:
         """Yield ``(series, timestamps, values)`` column triples.
 
         The bulk read path: one cached-view slice per series, no
-        per-point object allocation.  Prefer this over
-        :meth:`iter_points` wherever whole columns are consumed.
+        per-point object allocation, all from one view.  Prefer this
+        over :meth:`iter_points` wherever whole columns are consumed.
         """
-        ids = list(series_ids) if series_ids is not None else self.series_ids()
+        view = self.read_view()
+        ids = list(series_ids) if series_ids is not None else view.series_ids()
         for series in ids:
-            ts, values = self.arrays(series, start, end)
+            ts, values = view.arrays(series, start, end)
             yield series, ts, values
 
     def iter_points(self, series_ids: Iterable[SeriesId] | None = None,
@@ -330,95 +270,369 @@ class TimeSeriesStore:
                     end: int | None = None) -> Iterator[DataPoint]:
         """Yield data points across series, in per-series time order.
 
-        Streams from the cached consolidated views; each yielded point
-        is still one :class:`DataPoint` (the point-at-a-time API) — use
-        :meth:`iter_arrays` for allocation-free bulk consumption.
+        Each yielded point is one :class:`DataPoint` (the point-at-a-time
+        API) — use :meth:`iter_arrays` for allocation-free bulk reads.
         """
         for series, ts, values in self.iter_arrays(series_ids, start, end):
             for t, v in zip(ts.tolist(), values.tolist()):
                 yield DataPoint(series=series, timestamp=t, value=v)
 
+
+def _intersect(sets: list[set[SeriesId]]) -> set[SeriesId]:
+    smallest = min(sets, key=len)
+    result = set(smallest)
+    for other in sets:
+        if other is not smallest:
+            result &= other
+    return result
+
+
+class _Shard:
+    """One shard's write state: columns, inverted indexes, time bounds."""
+
+    __slots__ = ("lock", "columns", "by_name", "by_tag", "tag_values",
+                 "min_ts", "max_ts", "version")
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.columns: dict[SeriesId, SeriesData] = {}
+        self.by_name: dict[str, set[SeriesId]] = defaultdict(set)
+        self.by_tag: dict[tuple[str, str], set[SeriesId]] = defaultdict(set)
+        #: tag key -> observed values, so ``tag_keys``/``tag_values``
+        #: never scan every (key, value) pair.
+        self.tag_values: dict[str, set[str]] = defaultdict(set)
+        self.min_ts: int | None = None
+        self.max_ts: int | None = None
+        #: mutations landed on this shard; bumped under ``lock``.
+        self.version = 0
+
+    def register(self, column: SeriesData) -> None:
+        series = column.series
+        self.columns[series] = column
+        self.by_name[series.name].add(series)
+        for key, value in series.tags:
+            self.by_tag[(key, value)].add(series)
+            self.tag_values[key].add(value)
+
+    def observe(self, column: SeriesData) -> None:
+        lo, hi = column.min_timestamp, column.max_timestamp
+        if lo is None:
+            return
+        if self.min_ts is None or lo < self.min_ts:
+            self.min_ts = lo
+        if self.max_ts is None or hi > self.max_ts:
+            self.max_ts = hi
+
+
+class TimeSeriesStore(StoreView):
+    """Hash-sharded, lock-per-shard store with frozen views and a WAL."""
+
+    def __init__(self, n_shards: int = DEFAULT_SHARDS,
+                 wal: str | Path | WriteAheadLog | None = None,
+                 fsync_every: int = 64) -> None:
+        if n_shards <= 0:
+            raise SeriesFormatError("n_shards must be positive")
+        self._shards = [_Shard() for _ in range(n_shards)]
+        #: series -> (shard, column), filled on a series' first write.
+        self._route: dict[SeriesId, tuple[_Shard, SeriesData]] = {}
+        self._view = StoreView({}, {}, {}, {}, None, 0)
+        if wal is None or isinstance(wal, WriteAheadLog):
+            self._wal = wal
+        else:
+            self._wal = WriteAheadLog(wal, fsync_every=fsync_every)
+
+    @classmethod
+    def open(cls, wal_path: str | Path, n_shards: int = DEFAULT_SHARDS,
+             fsync_every: int = 64,
+             snapshot: str | Path | None = None) -> "TimeSeriesStore":
+        """Open (or create) a WAL-backed store — the crash-recovery path.
+
+        ``snapshot`` names a checkpoint chunkfile (see
+        :meth:`checkpoint`); when it exists its memmap'd columns are
+        adopted into their shards without a copy.  The WAL then replays
+        every record the snapshot does not already cover, *before* the
+        log is attached, so recovered records are not re-appended.  A
+        missing snapshot file is not an error (no checkpoint has
+        happened yet): recovery is then WAL-only.
+        """
+        from repro.tsdb.chunkfile import load_chunkfile
+        store = cls(n_shards=n_shards)
+        covered = None
+        if snapshot is not None and Path(snapshot).exists():
+            covered = load_chunkfile(store, snapshot)
+        log = WriteAheadLog(wal_path, fsync_every=fsync_every)
+        log.replay_into(store, covered)
+        store._wal = log
+        return store
+
+    @classmethod
+    def from_arrays(cls, series_arrays: Mapping[
+            SeriesId, tuple[Iterable[int], Iterable[float]]],
+            n_shards: int = DEFAULT_SHARDS) -> "TimeSeriesStore":
+        """Build a store from ``{series: (timestamps, values)}`` columns,
+        one bulk ``insert_array`` per series."""
+        store = cls(n_shards=n_shards)
+        for series, (timestamps, values) in series_arrays.items():
+            store.insert_array(series, timestamps, values)
+        return store
+
+    @property
+    def version(self) -> int:
+        """Mutations so far: the sum of the per-shard counters.
+
+        Read without locks.  Every counter only grows, so a sum equal to
+        a view's (taken under every lock) means no shard has moved.
+        """
+        return sum(shard.version for shard in self._shards)
+
     # ------------------------------------------------------------------
-    # Mutation helpers used by the fault-injection workloads
+    # Sharding introspection
     # ------------------------------------------------------------------
+    @property
+    def n_shards(self) -> int:
+        return len(self._shards)
+
+    def shard_of(self, series: SeriesId) -> int:
+        """The shard index a series routes to (stable across processes)."""
+        return shard_index(series, len(self._shards))
+
+    def shard_sizes(self) -> list[int]:
+        """Points per shard — the balance the hash routing achieved."""
+        sizes = []
+        for shard in self._shards:
+            with shard.lock:
+                sizes.append(sum(len(c) for c in shard.columns.values()))
+        return sizes
+
+    # ------------------------------------------------------------------
+    # Ingest (one lock per shard; WAL + version bump inside the lock)
+    # ------------------------------------------------------------------
+    def insert(self, series: SeriesId, timestamp: int, value: float) -> None:
+        """Insert one observation; timestamps per series must be sorted."""
+        route = self._route.get(series)
+        if route is None:
+            self._first_write(series, [timestamp], [value],
+                              lambda c: c.append(timestamp, value))
+            return
+        shard, column = route
+        # acquire/release rather than ``with``: this is the per-point
+        # hot path, and the context-manager protocol costs more than
+        # the rest of the bookkeeping.
+        shard.lock.acquire()
+        try:
+            column.append(timestamp, value)
+            if timestamp > shard.max_ts:   # an existing series: min stays
+                shard.max_ts = int(timestamp)
+            if self._wal is not None:
+                self._wal.append_array(series, [timestamp], [value])
+            shard.version += 1
+        finally:
+            shard.lock.release()
+
+    def insert_point(self, point: DataPoint) -> None:
+        """Insert a :class:`DataPoint`."""
+        self.insert(point.series, point.timestamp, point.value)
+
+    def insert_array(self, series: SeriesId, timestamps: Iterable[int],
+                     values: Iterable[float]) -> None:
+        """Bulk-insert one column pair as one sealed chunk.
+
+        Validation and the zone-map seal run under the series' shard
+        lock only; the batch is logged before the lock is released so
+        log order matches per-series apply order.  Empty input is a
+        no-op: nothing is logged or registered, the version stays.
+        """
+        ts = (timestamps if isinstance(timestamps, np.ndarray)
+              else np.asarray(list(timestamps)))
+        vals = (values if isinstance(values, np.ndarray)
+                else np.asarray(list(values)))
+        if ts.size == 0 and vals.size == 0:
+            return
+        route = self._route.get(series)
+        if route is None:
+            self._first_write(series, ts, vals, lambda c: c.extend(ts, vals))
+            return
+        shard, column = route
+        with shard.lock:
+            column.extend(ts, vals)
+            self._commit(shard, column, ts, vals)
+
+    def _first_write(self, series: SeriesId, ts, vals,
+                     write: Callable[[SeriesData], object]) -> None:
+        """A series' first write: the column registers only once
+        ``write`` succeeded, and routing is memoised from then on."""
+        shard = self._shards[shard_index(series, len(self._shards))]
+        with shard.lock:
+            column = shard.columns.get(series)   # another writer won
+            if column is None:
+                column = SeriesData(series=series)
+                write(column)
+                shard.register(column)
+                self._route[series] = (shard, column)
+            else:
+                write(column)
+            self._commit(shard, column, ts, vals)
+
+    def _commit(self, shard: _Shard, column: SeriesData, ts, vals) -> None:
+        """Bookkeeping after a landed write; caller holds ``shard.lock``."""
+        shard.observe(column)
+        if self._wal is not None:
+            self._wal.append_array(column.series, ts, vals)
+        shard.version += 1
+
+    def _adopt(self, column: SeriesData) -> None:
+        """Register an already-built column without copying its data —
+        the chunkfile load path; counts as one mutation."""
+        shard = self._shards[shard_index(column.series, len(self._shards))]
+        with shard.lock:
+            shard.register(column)
+            self._route[column.series] = (shard, column)
+            shard.observe(column)
+            shard.version += 1
+
     def apply(self, series: SeriesId,
-              transform: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> None:
+              transform: Callable[[np.ndarray, np.ndarray], np.ndarray]
+              ) -> None:
         """Replace a series' values with ``transform(timestamps, values)``.
 
-        The transform must return an array of the same length; this is how
-        fault injectors overlay faults on clean generated traces.  The
-        transform receives a writable copy of the values (the stored
-        column is immutable), and the swap bumps :attr:`version` so
-        caches keyed on it refresh even though ``num_points()`` is
-        unchanged.
+        The transform receives a writable copy of the values and must
+        return an array of the same length; this is how fault injectors
+        overlay faults on clean traces.  The swap bumps :attr:`version`
+        even though ``num_points()`` is unchanged.  Not WAL-logged: the
+        log's durability scope is ingest, transforms are replayable
+        experiment steps.
         """
-        column = self.get(series)
-        ts, values = column.arrays()
-        new_values = np.asarray(transform(ts, values.copy()),
-                                dtype=np.float64)
-        if new_values.shape != values.shape:
-            raise SeriesFormatError(
-                f"transform changed length of {series}: "
-                f"{values.shape} -> {new_values.shape}"
-            )
-        column.replace_values(new_values)
-        self._version += 1
+        route = self._route.get(series)
+        if route is None:
+            raise SeriesFormatError(f"unknown series: {series}")
+        shard, column = route
+        with shard.lock:
+            ts, values = column.arrays()
+            new_values = np.asarray(transform(ts, values.copy()),
+                                    dtype=np.float64)
+            if new_values.shape != values.shape:
+                raise SeriesFormatError(
+                    f"transform changed length of {series}: "
+                    f"{values.shape} -> {new_values.shape}")
+            column.replace_values(new_values)
+            shard.version += 1
 
-    def merge(self, other: "TimeSeriesStore") -> None:
-        """Merge another store's contents into this one.
-
-        Each incoming series lands as one bulk chunk via the
-        ``insert_array`` fast path.
-        """
+    def merge(self, other: StoreView) -> None:
+        """Merge another store's contents, one bulk chunk per series."""
         for series, ts, values in other.iter_arrays():
             self.insert_array(series, ts, values)
 
     # ------------------------------------------------------------------
-    # Snapshots
+    # Views — the read path
     # ------------------------------------------------------------------
-    def read_view(self) -> "TimeSeriesStore":
-        """The store a multi-call read should run against: this one.
+    def read_view(self) -> StoreView:
+        """The frozen view at the current version, cached per version.
 
-        Callers serialise mutations on the plain store themselves, so
-        reading in place is consistent and free; the sharded store
-        answers the same call with its per-version :meth:`snapshot`.
+        At an unchanged version this is one comparison and takes no
+        lock: a mutation still in flight has not bumped the version, so
+        the cached view is still exact.  After a bump, every shard lock
+        is taken and a new view is frozen from all shards.
         """
+        view = self._view
+        if view._version == self.version:
+            return view
+        with self._all_locks():
+            return self._view_locked()
+
+    @contextmanager
+    def _all_locks(self) -> Iterator[None]:
+        """Every shard lock, taken in index order (no writer holds more
+        than its own shard's, so this cannot deadlock)."""
+        for shard in self._shards:
+            shard.lock.acquire()
+        try:
+            yield
+        finally:
+            for shard in reversed(self._shards):
+                shard.lock.release()
+
+    def _view_locked(self) -> StoreView:
+        """View at the current version; caller holds every shard lock.
+
+        Columns a write has not touched since the last view keep their
+        frozen clone (:meth:`SeriesData.freeze` caches it), and the
+        merged indexes are reused while no series has registered —
+        series are never removed, so an equal count means equal sets.
+        """
+        old, version = self._view, self.version
+        if old._version == version:
+            return old
+        columns: dict[SeriesId, SeriesData] = {}
+        for shard in self._shards:
+            for series, column in shard.columns.items():
+                columns[series] = column.freeze()
+        indexes = (old._by_name, old._by_tag, old._tag_values)
+        if len(columns) != len(old._columns):
+            indexes = self._merged_indexes()
+        bounds = [(s.min_ts, s.max_ts) for s in self._shards
+                  if s.min_ts is not None]
+        span = (min(lo for lo, _ in bounds),
+                max(hi for _, hi in bounds)) if bounds else None
+        self._view = StoreView(columns, *indexes, span, version)
+        return self._view
+
+    def _merged_indexes(self) -> tuple[dict, dict, dict]:
+        by_name: dict[str, set[SeriesId]] = defaultdict(set)
+        by_tag: dict[tuple[str, str], set[SeriesId]] = defaultdict(set)
+        tag_values: dict[str, set[str]] = defaultdict(set)
+        for shard in self._shards:
+            for name, ids in shard.by_name.items():
+                by_name[name] |= ids
+            for pair, ids in shard.by_tag.items():
+                by_tag[pair] |= ids
+            for key, values in shard.tag_values.items():
+                tag_values[key] |= values
+        return by_name, by_tag, tag_values
+
+    # ------------------------------------------------------------------
+    # WAL lifecycle
+    # ------------------------------------------------------------------
+    @property
+    def wal(self) -> WriteAheadLog | None:
+        return self._wal
+
+    def checkpoint(self, path: str | Path) -> int:
+        """Persist a consistent cut to ``path`` and truncate the WAL.
+
+        Under every shard lock (so the log cannot advance) it writes the
+        current view as a chunkfile recording the log's ``(generation,
+        records)`` position, fsyncs and renames it over ``path``, and
+        only then truncates the log.  ``open(wal_path, snapshot=path)``
+        after a crash at any step replays exactly the records the
+        snapshot on disk lacks.  Returns the snapshot's size in bytes.
+        """
+        from repro.tsdb.chunkfile import write_chunkfile
+        path = Path(path)
+        tmp = path.with_name(path.name + ".tmp")
+        with self._all_locks():
+            covered = None
+            if self._wal is not None:
+                self._wal.flush()
+                covered = self._wal.position
+            n_bytes = write_chunkfile(self._view_locked(), tmp, covered)
+            with tmp.open("rb") as handle:
+                os.fsync(handle.fileno())
+            replace_durably(tmp, path)
+            if self._wal is not None:
+                self._wal.truncate()
+            return n_bytes
+
+    def flush(self) -> None:
+        """fsync any batched WAL records (no-op without a WAL)."""
+        if self._wal is not None:
+            self._wal.flush()
+
+    def close(self) -> None:
+        if self._wal is not None:
+            self._wal.close()
+
+    def __enter__(self) -> "TimeSeriesStore":
         return self
 
-    def snapshot(self) -> "TimeSeriesStore":
-        """A read-stable copy sharing sealed chunk storage with this store.
-
-        O(series + chunks): every column is cloned with
-        :meth:`SeriesData.freeze` (chunk *references*, never data) and
-        the inverted indexes are shallow-copied.  The snapshot carries
-        the same :attr:`version` and identical bytes; because sealed
-        chunks are immutable and every mutation on the source allocates
-        new arrays, nothing the source does afterwards can change what
-        the snapshot reads — two snapshots taken at equal versions are
-        bitwise-identical.  The snapshot is itself an ordinary store
-        (mutating it only diverges the copy).
-
-        Not safe against *concurrent* mutation of this store — the
-        sharded tier takes its per-shard locks around the freeze.
-        """
-        snap = TimeSeriesStore()
-        self._freeze_into(snap)
-        snap._version = self._version
-        return snap
-
-    def _freeze_into(self, snap: "TimeSeriesStore") -> None:
-        """Merge frozen clones of every column, and the indexes, into ``snap``.
-
-        The one freeze routine: :meth:`snapshot` and the sharded tier
-        (once per shard, into one merged store) both call it; the
-        caller stamps the version the assembled snapshot carries.
-        """
-        for series, column in self._data.items():
-            snap._data[series] = column.freeze()
-        for name, ids in self._by_name.items():
-            snap._by_name[name] |= ids
-        for pair, ids in self._by_tag.items():
-            snap._by_tag[pair] |= ids
-        for key, values in self._tag_values.items():
-            snap._tag_values[key] |= values
-        snap._observe(self._min_ts, self._max_ts)
+    def __exit__(self, *exc) -> None:
+        self.close()

@@ -11,7 +11,8 @@ poisoning recovery.
 
 Record framing::
 
-    file      = MAGIC (8 bytes) record*
+    file      = header (8 bytes) record*
+    header    = b"RWALv1" | u16 generation
     record    = u32 payload_len | u32 crc32(payload) | payload
     payload   = u8 opcode(=1) | u16 name_len | name utf-8
               | u16 n_tags | (u16 key_len | key | u16 val_len | val)*
@@ -26,6 +27,14 @@ is incomplete *or* whose checksum fails marks the end of the valid
 prefix, and :class:`WriteAheadLog` truncates the file there on open so
 the next append never interleaves with garbage.
 
+The header's *generation* (modulo 2**16) names one life of the log
+between checkpoints: :meth:`WriteAheadLog.truncate` atomically swaps in
+an empty log of the next generation, so ``(generation, record count)``
+— :attr:`WriteAheadLog.position` — identifies an exact record prefix.
+A checkpoint stores that position, and :meth:`WriteAheadLog.replay_into`
+skips the records it covers; a log of generation 0 is byte-identical to
+the header-only format (``MAGIC``).
+
 Durability is batched: ``fsync`` runs every ``fsync_every`` appends (and
 on ``flush``/``close``), so at most ``fsync_every`` acknowledged records
 can be lost on power failure — set it to 1 for per-record durability.
@@ -34,6 +43,7 @@ can be lost on power failure — set it to 1 for per-record durability.
 from __future__ import annotations
 
 import io
+import itertools
 import os
 import struct
 import threading
@@ -45,7 +55,10 @@ import numpy as np
 
 from repro.tsdb.model import SeriesFormatError, SeriesId
 
+#: The header of a generation-0 log (magic + u16 generation 0).
 MAGIC = b"RWALv1\x00\x00"
+_MAGIC_PREFIX = MAGIC[:6]
+_GENERATION = struct.Struct("<H")
 
 _FRAME = struct.Struct("<II")          # payload length, crc32(payload)
 _OP_INSERT_ARRAY = 1
@@ -111,30 +124,47 @@ def decode_payload(payload: bytes) -> tuple[SeriesId, np.ndarray, np.ndarray]:
         vals.astype(np.float64)
 
 
-def _scan_valid_prefix(handle: io.BufferedReader) -> int:
-    """Byte offset just past the last intact record (>= header length).
+def _header(generation: int) -> bytes:
+    return _MAGIC_PREFIX + _GENERATION.pack(generation)
+
+
+def _scan_valid_prefix(handle: io.BufferedReader) -> tuple[int, int]:
+    """``(byte offset past the last intact record, records before it)``.
 
     Reads frames sequentially; stops at EOF, a torn frame, an absurd
     length prefix, or a CRC mismatch — everything before that point is
-    a valid replay prefix, everything after is crash debris.
+    a valid replay prefix, everything after is crash debris.  Offset 0
+    means the file has no valid header.
     """
     handle.seek(0, os.SEEK_END)
     size = handle.tell()
     handle.seek(0)
-    if size < len(MAGIC) or handle.read(len(MAGIC)) != MAGIC:
-        return 0
-    good = len(MAGIC)
+    if size < len(MAGIC) or handle.read(len(MAGIC))[:6] != _MAGIC_PREFIX:
+        return 0, 0
+    good, count = len(MAGIC), 0
     while True:
         frame = handle.read(_FRAME.size)
         if len(frame) < _FRAME.size:
-            return good
+            return good, count
         length, crc = _FRAME.unpack(frame)
         if length > _MAX_PAYLOAD or good + _FRAME.size + length > size:
-            return good
+            return good, count
         payload = handle.read(length)
         if len(payload) < length or zlib.crc32(payload) != crc:
-            return good
+            return good, count
         good += _FRAME.size + length
+        count += 1
+
+
+def replace_durably(tmp: Path, path: Path) -> None:
+    """``os.replace(tmp, path)``, then fsync the directory so the rename
+    itself survives a power failure.  ``tmp`` must already be fsync'd."""
+    os.replace(tmp, path)
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 class WriteAheadLog:
@@ -161,7 +191,7 @@ class WriteAheadLog:
         self._syncs = 0
         mode = "r+b" if self.path.exists() else "w+b"
         self._handle = open(self.path, mode)
-        valid = _scan_valid_prefix(self._handle)
+        valid, self._count = _scan_valid_prefix(self._handle)
         if valid == 0:
             self._handle.seek(0)
             self._handle.truncate(0)
@@ -169,6 +199,9 @@ class WriteAheadLog:
             self._handle.flush()
         else:
             self._handle.truncate(valid)
+        self._handle.seek(len(_MAGIC_PREFIX))
+        (self._generation,) = _GENERATION.unpack(
+            self._handle.read(_GENERATION.size))
         self._handle.seek(0, os.SEEK_END)
 
     # ------------------------------------------------------------------
@@ -181,6 +214,7 @@ class WriteAheadLog:
         with self._lock:
             self._handle.write(record)
             self._records += 1
+            self._count += 1
             self._pending += 1
             if self._pending >= self.fsync_every:
                 self._sync()
@@ -194,21 +228,28 @@ class WriteAheadLog:
                 self._handle.flush()
 
     def truncate(self) -> None:
-        """Discard every record, keeping the magic header (checkpointing).
+        """Discard every record and start the next generation.
 
         Called after a checkpoint has durably persisted everything the
-        log protects: the records are now redundant with the snapshot,
-        so the log resets to empty and recovery becomes snapshot +
-        whatever lands after this call.  The truncation is fsync'd
-        before returning — a crash can never observe the snapshot
-        missing *and* the log empty.
+        log protects.  The swap is atomic: an fsync'd header-only file
+        of the next generation is renamed over the log, so a crash sees
+        either the old log whole or the new one empty — never a log
+        whose generation and records disagree.
         """
         with self._lock:
-            self._handle.flush()
-            self._handle.truncate(len(MAGIC))
-            os.fsync(self._handle.fileno())
-            self._pending = 0
+            generation = (self._generation + 1) % (1 << 16)
+            tmp = self.path.with_name(self.path.name + ".tmp")
+            with open(tmp, "wb") as fresh:
+                fresh.write(_header(generation))
+                fresh.flush()
+                os.fsync(fresh.fileno())
+            self._handle.close()
+            replace_durably(tmp, self.path)
+            self._handle = open(self.path, "r+b")
             self._handle.seek(0, os.SEEK_END)
+            self._generation = generation
+            self._count = 0
+            self._pending = 0
 
     def _sync(self) -> None:
         self._handle.flush()
@@ -241,6 +282,13 @@ class WriteAheadLog:
     def sync_count(self) -> int:
         return self._syncs
 
+    @property
+    def position(self) -> tuple[int, int]:
+        """``(generation, records in the log)`` — the exact record prefix
+        a checkpoint taken now covers (appends must be quiesced)."""
+        with self._lock:
+            return self._generation, self._count
+
     # ------------------------------------------------------------------
     # Replay
     # ------------------------------------------------------------------
@@ -255,7 +303,7 @@ class WriteAheadLog:
         """
         self.flush()
         with open(self.path, "rb") as handle:
-            if handle.read(len(MAGIC)) != MAGIC:
+            if handle.read(len(MAGIC))[:6] != _MAGIC_PREFIX:
                 return
             while True:
                 frame = handle.read(_FRAME.size)
@@ -269,18 +317,23 @@ class WriteAheadLog:
                     return
                 yield decode_payload(payload)
 
-    def replay_into(self, store) -> int:
+    def replay_into(self, store,
+                    covered: tuple[int, int] | None = None) -> int:
         """Apply every valid record to a store; returns points replayed.
 
-        ``store`` needs only ``insert_array`` — a plain
-        :class:`~repro.tsdb.storage.TimeSeriesStore` or the sharded
-        tier both work.  Records replay in log order, which the append
-        locking guarantees is consistent with per-series insertion
-        order, so monotonicity checks never fire for a log this process
-        (or a crashed predecessor) wrote through the sharded store.
+        ``store`` needs only ``insert_array``.  ``covered`` is the
+        :attr:`position` a checkpoint recorded: when it names this log's
+        generation, its first ``records`` records are already in the
+        snapshot and are skipped, so a crash between a checkpoint's
+        rename and its truncate never replays a point twice.  Records
+        replay in log order, which the append locking guarantees is
+        consistent with per-series insertion order.
         """
+        skip = 0
+        if covered is not None and covered[0] == self._generation:
+            skip = covered[1]
         points = 0
-        for series, ts, vals in self.records():
+        for series, ts, vals in itertools.islice(self.records(), skip, None):
             store.insert_array(series, ts, vals)
             points += int(ts.size)
         return points

@@ -16,7 +16,6 @@ from repro.serve import QueryServer
 from repro.sql import Database
 from repro.tsdb.adapter import register_store
 from repro.tsdb.model import SeriesId
-from repro.tsdb.sharded import ShardedTimeSeriesStore
 from repro.tsdb.storage import TimeSeriesStore
 from tests.scoring.reference import reference_rank
 
@@ -56,7 +55,7 @@ def assert_bitwise_equal(a, b):
 
 @pytest.fixture()
 def store():
-    return fill(ShardedTimeSeriesStore(n_shards=4))
+    return fill(TimeSeriesStore(n_shards=4))
 
 
 @pytest.fixture()
@@ -170,12 +169,12 @@ def test_mutation_invalidates_cached_results(server, store, mutate):
 
 
 def test_wal_replay_invalidates_cached_results(tmp_path):
-    source = fill(ShardedTimeSeriesStore(
+    source = fill(TimeSeriesStore(
         n_shards=2, wal=tmp_path / "source.wal"))
     source.flush()
     # Disjoint hosts: replayed series append cleanly instead of landing
     # behind the target's existing timestamps.
-    target = fill(ShardedTimeSeriesStore(n_shards=2), seed=1,
+    target = fill(TimeSeriesStore(n_shards=2), seed=1,
                   hosts=("t0", "t1"))
     with QueryServer(target) as server:
         before = server.query(GROUP_QUERY)

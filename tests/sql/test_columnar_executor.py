@@ -22,7 +22,7 @@ from repro.sql.optimizer import optimize
 from repro.sql.parser import parse
 from repro.sql.planner import Planner
 from repro.sql.table import DictColumn, Table
-from repro.tsdb import SeriesId, ShardedTimeSeriesStore
+from repro.tsdb import SeriesId, TimeSeriesStore
 from repro.tsdb.adapter import register_store
 
 
@@ -572,9 +572,9 @@ class TestPlanRecordsExecution:
         assert "actual=3 rows, engine=columnar" in lines[3]   # groups
 
 
-def _served_store(n: int = 48) -> ShardedTimeSeriesStore:
+def _served_store(n: int = 48) -> TimeSeriesStore:
     """A small sharded store with the benchmark stores' series shapes."""
-    store = ShardedTimeSeriesStore(n_shards=4)
+    store = TimeSeriesStore(n_shards=4)
     rng = np.random.default_rng(11)
     ts = np.arange(n, dtype=np.int64)
     for metric in ("frontend_latency", "db_latency", "db_io_wait",

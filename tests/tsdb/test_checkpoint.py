@@ -1,11 +1,13 @@
 """Checkpointing: snapshot + WAL truncate, and snapshot-based recovery."""
 
+import os
 import threading
 
 import numpy as np
+import pytest
 
 from repro.tsdb.model import SeriesId
-from repro.tsdb.sharded import ShardedTimeSeriesStore
+from repro.tsdb.storage import TimeSeriesStore
 from repro.tsdb.wal import MAGIC, WriteAheadLog
 
 
@@ -26,7 +28,7 @@ def contents(store):
 def test_checkpoint_writes_snapshot_and_truncates_wal(tmp_path):
     wal_path = tmp_path / "store.wal"
     snap_path = tmp_path / "store.chunk"
-    store = fill(ShardedTimeSeriesStore.open(wal_path, n_shards=4))
+    store = fill(TimeSeriesStore.open(wal_path, n_shards=4))
     assert wal_path.stat().st_size > len(MAGIC)
     n_bytes = store.checkpoint(snap_path)
     assert n_bytes > 0
@@ -39,14 +41,14 @@ def test_checkpoint_writes_snapshot_and_truncates_wal(tmp_path):
 def test_recovery_from_snapshot_plus_wal_is_identical(tmp_path):
     wal_path = tmp_path / "store.wal"
     snap_path = tmp_path / "store.chunk"
-    store = fill(ShardedTimeSeriesStore.open(wal_path, n_shards=4))
+    store = fill(TimeSeriesStore.open(wal_path, n_shards=4))
     store.checkpoint(snap_path)
     # Post-checkpoint appends land only in the (now short) WAL.
     fill(store, n_series=2, offset=64)
     expected = contents(store)
     store.close()
 
-    recovered = ShardedTimeSeriesStore.open(wal_path, n_shards=4,
+    recovered = TimeSeriesStore.open(wal_path, n_shards=4,
                                             snapshot=snap_path)
     assert contents(recovered) == expected
     recovered.close()
@@ -54,10 +56,10 @@ def test_recovery_from_snapshot_plus_wal_is_identical(tmp_path):
 
 def test_recovery_without_snapshot_file_is_wal_only(tmp_path):
     wal_path = tmp_path / "store.wal"
-    store = fill(ShardedTimeSeriesStore.open(wal_path, n_shards=2))
+    store = fill(TimeSeriesStore.open(wal_path, n_shards=2))
     expected = contents(store)
     store.close()
-    recovered = ShardedTimeSeriesStore.open(
+    recovered = TimeSeriesStore.open(
         wal_path, n_shards=2, snapshot=tmp_path / "never_written.chunk")
     assert contents(recovered) == expected
     recovered.close()
@@ -65,9 +67,9 @@ def test_recovery_without_snapshot_file_is_wal_only(tmp_path):
 
 def test_checkpoint_without_wal_still_writes_snapshot(tmp_path):
     snap_path = tmp_path / "plain.chunk"
-    store = fill(ShardedTimeSeriesStore(n_shards=2))
+    store = fill(TimeSeriesStore(n_shards=2))
     assert store.checkpoint(snap_path) > 0
-    recovered = ShardedTimeSeriesStore.open(tmp_path / "empty.wal",
+    recovered = TimeSeriesStore.open(tmp_path / "empty.wal",
                                             n_shards=2, snapshot=snap_path)
     assert contents(recovered) == contents(store)
     recovered.close()
@@ -76,14 +78,14 @@ def test_checkpoint_without_wal_still_writes_snapshot(tmp_path):
 def test_repeated_checkpoints_keep_snapshot_plus_wal_complete(tmp_path):
     wal_path = tmp_path / "store.wal"
     snap_path = tmp_path / "store.chunk"
-    store = ShardedTimeSeriesStore.open(wal_path, n_shards=4)
+    store = TimeSeriesStore.open(wal_path, n_shards=4)
     for round_no in range(3):
         fill(store, n_series=3, offset=round_no * 64)
         store.checkpoint(snap_path)
     fill(store, n_series=1, offset=3 * 64)
     expected = contents(store)
     store.close()
-    recovered = ShardedTimeSeriesStore.open(wal_path, n_shards=4,
+    recovered = TimeSeriesStore.open(wal_path, n_shards=4,
                                             snapshot=snap_path)
     assert contents(recovered) == expected
     recovered.close()
@@ -92,7 +94,7 @@ def test_repeated_checkpoints_keep_snapshot_plus_wal_complete(tmp_path):
 def test_checkpoint_under_concurrent_writers(tmp_path):
     wal_path = tmp_path / "store.wal"
     snap_path = tmp_path / "store.chunk"
-    store = fill(ShardedTimeSeriesStore.open(wal_path, n_shards=4))
+    store = fill(TimeSeriesStore.open(wal_path, n_shards=4))
     stop = threading.Event()
     errors = []
 
@@ -120,7 +122,7 @@ def test_checkpoint_under_concurrent_writers(tmp_path):
     assert not errors
     expected = contents(store)
     store.close()
-    recovered = ShardedTimeSeriesStore.open(wal_path, n_shards=4,
+    recovered = TimeSeriesStore.open(wal_path, n_shards=4,
                                             snapshot=snap_path)
     assert contents(recovered) == expected
     recovered.close()
@@ -139,3 +141,79 @@ def test_wal_truncate_resets_and_accepts_new_records(tmp_path):
     assert len(records) == 1
     assert records[0][0] == SeriesId.make("b")
     log.close()
+
+
+class _Crash(Exception):
+    """Stands in for the process dying at an injected point."""
+
+
+def _crash_on_replace(monkeypatch, call, after):
+    """Make the ``call``-th ``os.replace`` die before or after renaming.
+
+    A checkpoint renames twice: its snapshot over the target path, then
+    (inside the WAL truncate) a fresh log over the old one.
+    """
+    real_replace = os.replace
+    calls = []
+
+    def replace(src, dst):
+        calls.append(dst)
+        if len(calls) == call and not after:
+            raise _Crash
+        real_replace(src, dst)
+        if len(calls) == call and after:
+            raise _Crash
+
+    monkeypatch.setattr(os, "replace", replace)
+
+
+CRASH_POINTS = {
+    "after_tmp_write": (1, False),   # snapshot written, not yet renamed
+    "after_rename": (1, True),       # snapshot in place, WAL untouched
+    "after_truncate": (2, True),     # fresh WAL generation in place
+}
+
+
+@pytest.mark.parametrize("point", sorted(CRASH_POINTS))
+def test_checkpoint_crash_recovers_acknowledged_writes_once(
+        tmp_path, monkeypatch, point):
+    wal_path = tmp_path / "store.wal"
+    snap_path = tmp_path / "store.chunk"
+    store = fill(TimeSeriesStore.open(wal_path, n_shards=4))
+    store.checkpoint(snap_path)                   # an earlier, clean cut
+    fill(store, n_series=3, offset=64)            # what the crash covers
+    store.flush()                                 # acknowledged
+    expected = contents(store)
+    _crash_on_replace(monkeypatch, *CRASH_POINTS[point])
+    with pytest.raises(_Crash):
+        store.checkpoint(snap_path)
+    monkeypatch.undo()
+    recovered = TimeSeriesStore.open(wal_path, n_shards=4,
+                                     snapshot=snap_path)
+    assert contents(recovered) == expected
+    # Writing on after recovery and crashing again loses nothing either.
+    fill(recovered, n_series=1, offset=128)
+    expected = contents(recovered)
+    recovered.flush()
+    again = TimeSeriesStore.open(wal_path, n_shards=4, snapshot=snap_path)
+    assert contents(again) == expected
+    again.close()
+
+
+def test_crash_after_rename_never_duplicates_a_point(tmp_path, monkeypatch):
+    """The log's first timestamp equals the snapshot's last: replaying
+    it would append cleanly — and return the point twice."""
+    wal_path = tmp_path / "store.wal"
+    snap_path = tmp_path / "store.chunk"
+    series = SeriesId.make("m", {"h": "a"})
+    store = TimeSeriesStore.open(wal_path)
+    store.insert(series, 5, 5.0)
+    store.flush()
+    _crash_on_replace(monkeypatch, *CRASH_POINTS["after_rename"])
+    with pytest.raises(_Crash):
+        store.checkpoint(snap_path)
+    monkeypatch.undo()
+    recovered = TimeSeriesStore.open(wal_path, snapshot=snap_path)
+    ts, vals = recovered.arrays(series)
+    assert ts.tolist() == [5] and vals.tolist() == [5.0]
+    recovered.close()

@@ -19,7 +19,6 @@ from repro.tsdb.chunkfile import (
 )
 from repro.tsdb.model import SeriesFormatError, SeriesId
 from repro.tsdb.persist import read_store, save_store
-from repro.tsdb.sharded import ShardedTimeSeriesStore
 from repro.tsdb.storage import TimeSeriesStore
 
 
@@ -102,7 +101,7 @@ class TestRoundTrip:
         assert len(loaded) == 0 and loaded.num_points() == 0
 
     def test_sharded_store_writes_consistent_cut(self, tmp_path):
-        sharded = ShardedTimeSeriesStore(n_shards=4)
+        sharded = TimeSeriesStore(n_shards=4)
         for i in range(6):
             sharded.insert_array(
                 SeriesId.make("cpu", {"host": f"h{i}"}),

@@ -95,6 +95,16 @@ class TestChunkedSeriesData:
         assert col.min_timestamp == 3
         assert col.max_timestamp == 11
 
+    @pytest.mark.parametrize("probe",
+                             ["max_timestamp", "min_timestamp", "num_chunks"])
+    def test_frozen_clone_introspection_sees_unsealed_points(self, probe):
+        col = SeriesData(SeriesId.make("m"), [3, 5, 9], [0.0, 0.0, 0.0])
+        col.append(11, 1.0)
+        clone = col.freeze()          # borrows the unsealed point
+        assert getattr(clone, probe) == getattr(col, probe)
+        col.append(12, 1.0)
+        assert clone.max_timestamp == 11 and col.max_timestamp == 12
+
     def test_out_of_order_point_append_rejected(self):
         col = SeriesData(SeriesId.make("m"), [5], [1.0])
         with pytest.raises(SeriesFormatError):

@@ -1,10 +1,10 @@
-"""Sharded concurrent ingest tier: routing, snapshots, thread stress.
+"""Sharding in the store: routing, snapshots, thread stress.
 
 The contract under test: writers touching different series interleave
-freely, yet any snapshot is a plain single-threaded store whose bytes
-never change — and a snapshot taken at version ``v`` is bitwise
-identical to a quiesced store that stopped at ``v``-equivalent
-contents.
+freely, yet any snapshot is a frozen view whose bytes never change —
+and a snapshot taken at version ``v`` is bitwise identical to a
+quiesced store that stopped at ``v``-equivalent contents.  A
+single-shard store fed sequentially is the reference.
 """
 
 import threading
@@ -14,14 +14,9 @@ import numpy as np
 import pytest
 
 from repro.sql import Database
-from repro.tsdb import (
-    SeriesId,
-    ShardedTimeSeriesStore,
-    TimeSeriesStore,
-    register_store,
-)
+from repro.tsdb import SeriesId, TimeSeriesStore, register_store
 from repro.tsdb.model import SeriesFormatError
-from repro.tsdb.sharded import shard_index
+from repro.tsdb.storage import shard_index
 
 
 def _series(i: int) -> SeriesId:
@@ -47,7 +42,7 @@ def _workload(n_series=12, n_batches=6, batch=200, seed=7):
 
 
 def _sequential_store(workload) -> TimeSeriesStore:
-    store = TimeSeriesStore()
+    store = TimeSeriesStore(n_shards=1)
     for series, batches in workload.items():
         for ts, vals in batches:
             store.insert_array(series, ts, vals)
@@ -66,7 +61,7 @@ def _assert_same_contents(a, b):
 
 class TestRouting:
     def test_routing_matches_documented_formula(self):
-        store = ShardedTimeSeriesStore(n_shards=8)
+        store = TimeSeriesStore(n_shards=8)
         for i in range(40):
             series = _series(i)
             expected = zlib.crc32(str(series).encode("utf-8")) % 8
@@ -80,7 +75,7 @@ class TestRouting:
 
     def test_every_point_lands_on_its_shard(self):
         workload = _workload(n_series=16)
-        store = ShardedTimeSeriesStore(n_shards=4)
+        store = TimeSeriesStore(n_shards=4)
         for series, batches in workload.items():
             for ts, vals in batches:
                 store.insert_array(series, ts, vals)
@@ -88,21 +83,21 @@ class TestRouting:
         assert sum(sizes) == store.num_points()
         for series in workload:
             idx = store.shard_of(series)
-            assert series in store._shards[idx]._data
+            assert series in store._shards[idx].columns
 
     def test_invalid_shard_count(self):
         with pytest.raises(SeriesFormatError):
-            ShardedTimeSeriesStore(n_shards=0)
+            TimeSeriesStore(n_shards=0)
 
 
 class TestDropInParity:
-    """Single-threaded use: the sharded store answers every read
-    identically to a plain store fed the same batches."""
+    """Single-threaded use: the default 8-shard store answers every
+    read identically to a single-shard store fed the same batches."""
 
     def test_reads_match_sequential_store(self):
         workload = _workload()
         plain = _sequential_store(workload)
-        sharded = ShardedTimeSeriesStore(n_shards=4)
+        sharded = TimeSeriesStore()
         for series, batches in workload.items():
             for ts, vals in batches:
                 sharded.insert_array(series, ts, vals)
@@ -123,7 +118,7 @@ class TestDropInParity:
         assert np.array_equal(got[1], want[1], equal_nan=True)
 
     def test_version_counts_mutations(self):
-        store = ShardedTimeSeriesStore(n_shards=2)
+        store = TimeSeriesStore(n_shards=2)
         assert store.version == 0
         store.insert(_series(0), 1, 1.0)
         store.insert_array(_series(1), [2, 3], [1.0, 2.0])
@@ -132,8 +127,8 @@ class TestDropInParity:
         assert store.version == 3
 
     def test_apply_matches_plain_store(self):
-        sharded = ShardedTimeSeriesStore(n_shards=2)
-        plain = TimeSeriesStore()
+        sharded = TimeSeriesStore()
+        plain = TimeSeriesStore(n_shards=1)
         for target in (sharded, plain):
             target.insert_array(_series(0), [1, 2, 3], [1.0, 2.0, 3.0])
             target.apply(_series(0), lambda ts, vals: vals * 2.0)
@@ -142,7 +137,7 @@ class TestDropInParity:
 
 class TestSnapshots:
     def test_snapshot_cached_per_version(self):
-        store = ShardedTimeSeriesStore(n_shards=2)
+        store = TimeSeriesStore(n_shards=2)
         store.insert_array(_series(0), [1, 2], [1.0, 2.0])
         snap = store.snapshot()
         assert store.snapshot() is snap          # no writer: same object
@@ -152,7 +147,7 @@ class TestSnapshots:
         assert snap2.version == store.version
 
     def test_snapshot_is_bitwise_stable_while_source_mutates(self):
-        store = ShardedTimeSeriesStore(n_shards=2)
+        store = TimeSeriesStore(n_shards=2)
         store.insert_array(_series(0), [1, 2], [1.0, 2.0])
         snap = store.snapshot()
         before_ts, before_vals = snap.arrays(_series(0))
@@ -165,6 +160,25 @@ class TestSnapshots:
                               frozen[1].view(np.int64))
         assert len(snap) == 1 and _series(1) not in snap
 
+    def test_cached_read_takes_no_shard_lock(self):
+        """At an unchanged version a read returns the cached view at
+        once, even while a writer holds a shard lock."""
+        store = TimeSeriesStore(n_shards=4)
+        store.insert_array(_series(0), [1, 2], [1.0, 2.0])
+        view = store.read_view()
+        got = []
+
+        def reader():
+            got.append((store.read_view(), store.arrays(_series(0))))
+
+        with store._shards[store.shard_of(_series(0))].lock:
+            thread = threading.Thread(target=reader)
+            thread.start()
+            thread.join(timeout=5.0)
+            assert not thread.is_alive(), "read blocked on a shard lock"
+        assert got[0][0] is view
+        assert got[0][1][0].tolist() == [1, 2]
+
 
 class TestThreadedStress:
     N_WRITERS = 4
@@ -173,7 +187,7 @@ class TestThreadedStress:
         """Ingest with N writer threads (each owns a series subset so
         per-series order is preserved); optional reader threads take
         snapshots and record (snapshot, version, result) mid-ingest."""
-        store = ShardedTimeSeriesStore(n_shards=n_shards)
+        store = TimeSeriesStore(n_shards=n_shards)
         series_list = list(workload)
         errors = []
         observations = []
@@ -260,7 +274,7 @@ class TestSqlOverShardedStore:
     def test_sql_results_match_plain_store(self):
         workload = _workload()
         plain = _sequential_store(workload)
-        sharded = ShardedTimeSeriesStore(n_shards=4)
+        sharded = TimeSeriesStore()
         for series, batches in workload.items():
             for ts, vals in batches:
                 sharded.insert_array(series, ts, vals)
@@ -276,7 +290,7 @@ class TestSqlOverShardedStore:
         that same snapshot after every writer has quiesced — the
         snapshot *is* the store at ``v``, and its answers never move."""
         workload = _workload(n_series=12, n_batches=6)
-        store = ShardedTimeSeriesStore(n_shards=4)
+        store = TimeSeriesStore(n_shards=4)
         live_db = Database()
         register_store(live_db, store)
         captured = []
@@ -334,37 +348,37 @@ class TestWalIntegration:
     def test_open_replays_and_continues(self, tmp_path):
         path = tmp_path / "store.wal"
         workload = _workload(n_series=6, n_batches=3)
-        with ShardedTimeSeriesStore.open(path, n_shards=4) as store:
+        with TimeSeriesStore.open(path, n_shards=4) as store:
             for series, batches in workload.items():
                 for ts, vals in batches:
                     store.insert_array(series, ts, vals)
         # Reopen into a different shard count: routing changes, data
         # must not.
-        with ShardedTimeSeriesStore.open(path, n_shards=2) as reopened:
+        with TimeSeriesStore.open(path, n_shards=2) as reopened:
             _assert_same_contents(reopened, _sequential_store(workload))
             assert reopened.wal.records_written == 0  # replay, not re-log
             reopened.insert_array(
                 SeriesId.make("extra"), [1, 2], [3.0, 4.0])
-        with ShardedTimeSeriesStore.open(path) as again:
+        with TimeSeriesStore.open(path) as again:
             assert SeriesId.make("extra") in again
             assert again.num_points() == (
                 _sequential_store(workload).num_points() + 2)
 
     def test_torn_tail_recovers_prefix(self, tmp_path):
         path = tmp_path / "store.wal"
-        with ShardedTimeSeriesStore.open(path) as store:
+        with TimeSeriesStore.open(path) as store:
             store.insert_array(_series(0), [1, 2], [1.0, 2.0])
             store.insert_array(_series(1), [1, 2], [3.0, 4.0])
         data = path.read_bytes()
         path.write_bytes(data[:-7])          # tear the last record
-        with ShardedTimeSeriesStore.open(path) as recovered:
+        with TimeSeriesStore.open(path) as recovered:
             assert _series(0) in recovered
             assert _series(1) not in recovered
 
     def test_concurrent_writers_produce_replayable_log(self, tmp_path):
         path = tmp_path / "store.wal"
         workload = _workload(n_series=8, n_batches=4)
-        store = ShardedTimeSeriesStore.open(path, n_shards=4)
+        store = TimeSeriesStore.open(path, n_shards=4)
         series_list = list(workload)
         threads = [
             threading.Thread(target=lambda k=k: [
@@ -378,5 +392,5 @@ class TestWalIntegration:
         for t in threads:
             t.join()
         store.close()
-        with ShardedTimeSeriesStore.open(path) as replayed:
+        with TimeSeriesStore.open(path) as replayed:
             _assert_same_contents(replayed, _sequential_store(workload))

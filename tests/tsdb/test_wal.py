@@ -174,3 +174,31 @@ class TestCrashRecovery:
         assert WriteAheadLog(path).replay_into(store) == 2 * 50
         assert _series(0) in store and _series(9) in store
         assert _series(1) not in store
+
+
+class TestGenerations:
+    def test_truncate_starts_next_generation_and_replay_skips_covered(
+            self, tmp_path):
+        path = tmp_path / "gen.wal"
+        with WriteAheadLog(path) as log:
+            assert log.position == (0, 0)
+            for i in range(3):
+                log.append_array(_series(i), *_batch(i))
+            cut = log.position
+            assert cut == (0, 3)
+            log.append_array(_series(3), *_batch(3))
+        # Reopening recovers the generation and the record count.
+        log = WriteAheadLog(path)
+        assert log.position == (0, 4)
+        store = TimeSeriesStore()
+        assert log.replay_into(store, cut) == 50       # only record 3
+        assert store.series_ids() == [_series(3)]
+        log.truncate()
+        assert log.position == (1, 0)
+        assert path.read_bytes() == MAGIC[:6] + b"\x01\x00"
+        log.append_array(_series(4), *_batch(4))
+        log.close()
+        # A cut from generation 0 covers nothing in generation 1.
+        store = TimeSeriesStore()
+        assert WriteAheadLog(path).replay_into(store, cut) == 50
+        assert store.series_ids() == [_series(4)]
