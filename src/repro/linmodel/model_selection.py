@@ -9,34 +9,18 @@ scores near 0 instead of overfitting towards 1 (Appendix A, Figure 13).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from repro.linmodel.batched import (
+    CvResult,
+    batched_cross_val_r2,
+    positive_alphas,
+)
 from repro.linmodel.crossval import TimeSeriesKFold
 from repro.linmodel.lasso import Lasso
-from repro.linmodel.ridge import DEFAULT_ALPHAS, Ridge, RidgeSvdFactor
-
-
-@dataclass
-class CvResult:
-    """Outcome of a grid-search CV run."""
-
-    best_alpha: float
-    best_score: float                  # pooled out-of-fold r² at best_alpha
-    scores_by_alpha: dict[float, float]
-    n_samples: int
-    n_features: int
-
-    def as_dict(self) -> dict:
-        return {
-            "best_alpha": self.best_alpha,
-            "best_score": self.best_score,
-            "scores_by_alpha": dict(self.scores_by_alpha),
-            "n_samples": self.n_samples,
-            "n_features": self.n_features,
-        }
+from repro.linmodel.ridge import DEFAULT_ALPHAS, Ridge
 
 
 def cross_val_r2(x: np.ndarray, y: np.ndarray,
@@ -45,45 +29,16 @@ def cross_val_r2(x: np.ndarray, y: np.ndarray,
                  splitter=None) -> CvResult:
     """Pooled out-of-fold r² for each ridge penalty; returns the best.
 
-    For every fold, one SVD of the training block serves all penalties.
     RSS and TSS are pooled across folds with the *training* mean of Y as
     the baseline predictor, so the final number is 1 - RSS/TSS over all
     held-out points, matching the paper's "estimate of the model
-    performance on unseen data".  Scores are clipped below at 0.
+    performance on unseen data".  Scores are clipped below at 0.  The
+    batch of one over :func:`~repro.linmodel.batched.batched_cross_val_r2`.
     """
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
-    if y.ndim == 1:
-        y = y[:, None]
-    n_samples = x.shape[0]
-    if splitter is None:
-        splitter = TimeSeriesKFold(n_splits=n_splits)
-    rss = {float(a): 0.0 for a in alphas}
-    tss = 0.0
-    for train_idx, valid_idx in splitter.split(n_samples):
-        factor = RidgeSvdFactor(x[train_idx], y[train_idx])
-        y_valid = y[valid_idx]
-        train_mean = y[train_idx].mean(axis=0)
-        tss += float(np.sum((y_valid - train_mean) ** 2))
-        for alpha in rss:
-            coef, intercept = factor.solve(alpha)
-            pred = x[valid_idx] @ coef + intercept
-            rss[alpha] += float(np.sum((y_valid - pred) ** 2))
-    if tss <= 1e-12:
-        scores = {alpha: 0.0 for alpha in rss}
-    else:
-        scores = {alpha: max(0.0, 1.0 - fold_rss / tss)
-                  for alpha, fold_rss in rss.items()}
-    best_alpha = max(scores, key=lambda a: (scores[a], a))
-    return CvResult(
-        best_alpha=best_alpha,
-        best_score=scores[best_alpha],
-        scores_by_alpha=scores,
-        n_samples=n_samples,
-        n_features=x.shape[1],
-    )
+    return batched_cross_val_r2(x[None], y, alphas, n_splits, splitter)[0]
 
 
 class GridSearchCV:
@@ -96,7 +51,8 @@ class GridSearchCV:
                  n_splits: int = 5, penalty: str = "l2") -> None:
         if penalty not in ("l1", "l2"):
             raise ValueError(f"penalty must be 'l1' or 'l2', got {penalty!r}")
-        self.alphas = tuple(float(a) for a in alphas)
+        self.alphas = (positive_alphas(alphas) if penalty == "l2"
+                       else tuple(float(a) for a in alphas))
         self.n_splits = n_splits
         self.penalty = penalty
         self.cv_result_: CvResult | None = None
@@ -108,8 +64,8 @@ class GridSearchCV:
             best_alpha = self.cv_result_.best_alpha
             self.best_estimator_ = Ridge(alpha=best_alpha).fit(x, y)
         else:
-            self.cv_result_ = _lasso_cross_val(x, y, self.alphas,
-                                               self.n_splits)
+            self.cv_result_ = lasso_cross_val_r2(x, y, self.alphas,
+                                                 self.n_splits)
             best_alpha = self.cv_result_.best_alpha
             self.best_estimator_ = Lasso(alpha=best_alpha).fit(x, y)
         return self
@@ -126,8 +82,8 @@ class GridSearchCV:
         return self.cv_result_.best_score
 
 
-def _lasso_cross_val(x: np.ndarray, y: np.ndarray,
-                     alphas: Sequence[float], n_splits: int) -> CvResult:
+def lasso_cross_val_r2(x: np.ndarray, y: np.ndarray,
+                       alphas: Sequence[float], n_splits: int) -> CvResult:
     """Out-of-fold r² per Lasso penalty (no shared factorisation exists)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -148,16 +104,6 @@ def _lasso_cross_val(x: np.ndarray, y: np.ndarray,
             if pred.ndim == 1:
                 pred = pred[:, None]
             rss[alpha] += float(np.sum((y_valid - pred) ** 2))
-    if tss <= 1e-12:
-        scores = {alpha: 0.0 for alpha in rss}
-    else:
-        scores = {alpha: max(0.0, 1.0 - fold_rss / tss)
-                  for alpha, fold_rss in rss.items()}
-    best_alpha = max(scores, key=lambda a: (scores[a], a))
-    return CvResult(
-        best_alpha=best_alpha,
-        best_score=scores[best_alpha],
-        scores_by_alpha=scores,
-        n_samples=x.shape[0],
-        n_features=x.shape[1],
-    )
+    signed = {alpha: (1.0 - fold_rss / tss if tss > 1e-12 else 0.0)
+              for alpha, fold_rss in rss.items()}
+    return CvResult.best_of(signed, *x.shape)

@@ -20,9 +20,10 @@ A scorer is written once, as either method of :class:`Scorer`:
 ``score_batch`` must not depend on batch composition: element ``i`` of
 its result is exactly ``score(xs[i], y, z)`` whatever else is in the
 batch, which is what lets the execution layer regroup hypotheses freely
-without changing any Score Table.  ``tests/scoring/reference.py`` keeps
-the plain 2-D sequential implementation of every built-in scorer as the
-oracle the stacked kernels are compared against, bit for bit.
+without changing any Score Table, bit for bit.  The plain 2-D
+sequential form of every built-in scorer, kept in
+``tests/scoring/reference.py``, is the oracle the stacked kernels are
+compared against: bit for bit, except ridge-CV scores (within 1e-9).
 """
 
 from __future__ import annotations

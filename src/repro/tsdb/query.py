@@ -156,7 +156,7 @@ class Downsampler:
 
 def align_to_grid(timestamps: np.ndarray, values: np.ndarray,
                   grid: np.ndarray) -> np.ndarray:
-    """Align a series onto a regular grid, interpolating missing points.
+    """Align a series onto a regular (strictly increasing) grid.
 
     Values at grid points not present in ``timestamps`` are filled from the
     nearest observed neighbour (ties go to the earlier point), matching the
@@ -165,6 +165,11 @@ def align_to_grid(timestamps: np.ndarray, values: np.ndarray,
     """
     if timestamps.size == 0:
         return np.full(grid.shape, np.nan)
+    if timestamps.size == grid.size and np.array_equal(timestamps, grid):
+        # Already on the grid (a gap-free scrape): the general path would
+        # choose ``arange``.  ``astype`` copies, so the result never
+        # aliases a memmap'd store column.
+        return values.astype(np.float64)
     # Index of the first observation >= each grid point.
     right = np.searchsorted(timestamps, grid, side="left")
     right = np.clip(right, 0, timestamps.size - 1)

@@ -7,8 +7,10 @@ sequential scorers and the per-hypothesis ranking loop they replaced
 live in ``tests/scoring/reference.py`` as the oracle.  This suite sweeps
 every scorer in the registry over every hypothesis-list shape and
 asserts *bitwise* equality (scores, ranks, p-values, multiple-testing
-flags) across oracle / in-process / ``"process"``+shm /
-``"process"``+pickle.
+flags) across in-process / ``"process"``+shm / ``"process"``+pickle.
+Against the oracle it is bitwise too, except for the ridge-CV scorers:
+their Gram-form cross-validation is held to the SVD oracle by
+``assert_matches_oracle`` (|Δscore| ≤ 1e-9, order kept outside ties).
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -25,7 +27,11 @@ from repro.engine_exec import BACKENDS, HypothesisExecutor
 from repro.scoring import Scorer, get_scorer, list_scorers
 from repro.serve import QueryServer
 from repro.tsdb import SeriesId, TimeSeriesStore
-from tests.scoring.reference import reference_for, reference_rank
+from tests.scoring.reference import (
+    assert_matches_oracle,
+    reference_for,
+    reference_rank,
+)
 
 
 def _make_hypotheses(seed: int, n_families: int = 6, n_samples: int = 60,
@@ -113,6 +119,17 @@ def _hypotheses(shapes, shape, scorer_name):
     return hypotheses
 
 
+#: Scorers whose oracle runs the same arithmetic as ``src/``.
+EXACT_SCORERS = {"corrmax", "corrmean", "l1"}
+
+
+def assert_matches_reference(scorer_name, expected, actual):
+    if scorer_name in EXACT_SCORERS:
+        assert_tables_identical(expected, actual)
+    else:
+        assert_matches_oracle(actual, expected)
+
+
 def assert_tables_identical(expected, actual):
     assert actual.scorer_name == expected.scorer_name
     assert actual.target == expected.target
@@ -137,13 +154,13 @@ def test_every_path_matches_the_oracle(scorer_name, shape, shapes,
     hypotheses = _hypotheses(shapes, shape, scorer_name)
     oracle = reference_rank(hypotheses, scorer_name)
     in_process = rank_families(hypotheses, scorer=scorer_name)
-    assert_tables_identical(oracle, in_process)
+    assert_matches_reference(scorer_name, oracle, in_process)
     for transfer in ("shm", "pickle"):
         report = HypothesisExecutor(
             n_workers=2, backend="process", transfer=transfer).run(
             hypotheses, scorer=scorer_name, process_pool=process_pool)
         assert report.transfer == transfer
-        assert_tables_identical(oracle, report.score_table)
+        assert_tables_identical(in_process, report.score_table)
 
 
 @pytest.mark.parametrize("scorer_name", list_scorers())
@@ -161,7 +178,10 @@ def test_score_is_the_batch_of_one(scorer_name, shape, shapes):
         alone = scorer.score(x, y, z)
         assert alone == scorer.score_batch([x], y, z)[0]
         assert alone == together[i]
-        assert alone == reference.score(x, y, z)
+        if scorer_name in EXACT_SCORERS:
+            assert alone == reference.score(x, y, z)
+        else:
+            assert_matches_oracle(alone, reference.score(x, y, z))
     assert scorer.score_batch([], y, z).shape == (0,)
 
 
@@ -171,7 +191,8 @@ def test_rank_families_backend_plumbing(transfer, shapes):
     hypotheses = shapes["narrow"]
     delegated = rank_families(hypotheses, scorer="L2", backend="process",
                               n_workers=2, transfer=transfer)
-    assert_tables_identical(reference_rank(hypotheses, "L2"), delegated)
+    assert_tables_identical(rank_families(hypotheses, scorer="L2"), delegated)
+    assert_matches_oracle(delegated, reference_rank(hypotheses, "L2"))
 
 
 class _ScoreOnly(Scorer):
@@ -235,7 +256,7 @@ def test_duplicate_family_names_join_by_position(backend):
     hypotheses = [Hypothesis(x=cause, y=y), Hypothesis(x=noise, y=y)]
     table = rank_families(hypotheses, scorer="L2", backend=backend,
                           n_workers=2)
-    assert_tables_identical(reference_rank(hypotheses, "L2"), table)
+    assert_matches_oracle(table, reference_rank(hypotheses, "L2"))
     assert [row.family for row in table.results] == ["dup", "dup"]
     assert table.results[0].score > 0.9
     assert table.results[1].score < 0.1

@@ -11,7 +11,7 @@ from repro.engine_exec import (
     SharedMatrixPool,
 )
 from repro.engine_exec.shm import attach_segment, resolve_ref
-from tests.scoring.reference import reference_rank
+from tests.scoring.reference import assert_matches_oracle, reference_rank
 
 
 def _make_hypotheses(rng, n_families=6, n_samples=60, with_z=False):
@@ -126,7 +126,10 @@ class TestShmBackendParity:
         sequential = reference_rank(hypotheses, "L2")
         shm = HypothesisExecutor(n_workers=2, backend="process",
                                  transfer="shm").run(hypotheses, scorer="L2")
-        assert shm.score_table.all_scores == sequential.all_scores
+        in_process = HypothesisExecutor().run(hypotheses, scorer="L2")
+        assert shm.score_table.all_scores == in_process.score_table.all_scores
+        assert_matches_oracle(shm.score_table.all_scores,
+                              sequential.all_scores)
 
     def test_report_records_transfer_mode(self, rng):
         hypotheses = _make_hypotheses(rng, n_families=3)

@@ -96,3 +96,82 @@ class TestBatchedCrossVal:
             assert got.scores_by_alpha == want.scores_by_alpha
             assert got.best_alpha == want.best_alpha
             assert got == batched_cross_val_r2(as_stack([x]), y)[0]
+
+
+class TestGramFormMatchesTheSvdOracle:
+    """The Gram-form CV against the per-fold SVD oracle, on the inputs
+    where forming Grams is numerically delicate."""
+
+    @staticmethod
+    def _problem(n_samples=120, n_features=3, seed=1):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n_samples, n_features))
+        y = x @ rng.standard_normal(n_features) + rng.standard_normal(
+            n_samples)
+        return x, y
+
+    @staticmethod
+    def _check(x, y, **kwargs):
+        from tests.scoring.reference import (
+            assert_matches_oracle,
+            reference_cross_val_r2,
+        )
+        assert_matches_oracle(cross_val_r2(x, y, **kwargs),
+                              reference_cross_val_r2(x, y, **kwargs))
+
+    @pytest.mark.parametrize("offset", [1e3, 1e6])
+    def test_column_offsets(self, offset):
+        x, y = self._problem()
+        self._check(x + offset * np.array([1.0, -2.0, 3.0]), y + offset)
+
+    def test_duplicated_column(self):
+        x, y = self._problem()
+        self._check(x[:, [0, 0, 1]], y)
+
+    def test_constant_column(self):
+        x, y = self._problem()
+        x[:, 1] = 5.0
+        self._check(x, y)
+
+    def test_rows_not_divisible_by_folds(self):
+        x, y = self._problem(n_samples=103)
+        self._check(x, y)
+        self._check(x, y, n_splits=7)
+
+    def test_more_columns_than_training_rows(self):
+        x, y = self._problem(n_samples=40, n_features=51)
+        self._check(x, y)
+
+    def test_multi_output_target(self):
+        x, y = self._problem()
+        self._check(x, np.column_stack([y, x[:, 0] - y]))
+
+    def test_shuffled_folds(self):
+        from repro.linmodel.crossval import ShuffledKFold
+        x, y = self._problem()
+        self._check(x, y, splitter=ShuffledKFold(n_splits=5, seed=3))
+
+    @pytest.mark.parametrize("alphas", [(0.0, 1.0), (-1.0,), ()])
+    def test_non_positive_penalty_rejected(self, alphas):
+        from repro.linmodel.batched import batched_cross_val_r2
+        from repro.scoring import L2Scorer
+        x, y = self._problem()
+        with pytest.raises(ValueError, match="> 0"):
+            cross_val_r2(x, y, alphas=alphas)
+        with pytest.raises(ValueError, match="> 0"):
+            batched_cross_val_r2(x[None], y, alphas=alphas)
+        with pytest.raises(ValueError, match="> 0"):
+            L2Scorer(alphas=alphas)
+        with pytest.raises(ValueError, match="> 0"):
+            GridSearchCV(alphas=alphas)
+
+    def test_non_partition_splitter_rejected(self):
+        class Overlapping:
+            def split(self, n_samples):
+                rows = np.arange(n_samples)
+                yield rows[10:], rows[:20]
+                yield rows[:10], rows[10:]
+
+        x, y = self._problem()
+        with pytest.raises(ValueError, match="partition"):
+            cross_val_r2(x, y, splitter=Overlapping())

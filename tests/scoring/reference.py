@@ -5,8 +5,15 @@ in ``src/``, every built-in scorer also carried a hand-written 2-D
 ``score(x, y, z)`` and ``rank_families`` scored hypotheses one at a time
 in-line.  Those bodies live on here, verbatim, composed from the public
 2-D ``linmodel`` / ``scoring.conditional`` functions: one hypothesis at
-a time, no stacking, nothing shared across hypotheses.  Every parity
-test compares the production path against this module bit for bit.
+a time, no stacking, nothing shared across hypotheses.
+
+- :func:`reference_cross_val_r2` is the per-fold SVD cross-validation
+  that ``src/`` replaced with the Gram form; ``ReferenceL2`` uses it in
+  both branches, so the oracle shares no CV code with ``src/``.
+  :func:`assert_matches_oracle` is the one parity contract for scores
+  that pass through it (|Δscore| ≤ 1e-9, same ``best_alpha``, same
+  order wherever the oracle separates two scores).  Every other
+  reference is compared bit for bit.
 
 - ``Reference*`` classes mirror the constructor parameters of the
   scorer they shadow; :func:`reference_for` maps a production scorer
@@ -18,16 +25,19 @@ test compares the production path against this module bit for bit.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from repro.core.autoselect import AutoScorer
 from repro.core.ranking import RankedFamily, ScoreTable, ranking_sort_key
 from repro.linmodel.crossval import TimeSeriesKFold
 from repro.linmodel.lasso import Lasso
-from repro.linmodel.model_selection import cross_val_r2
+from repro.linmodel.model_selection import CvResult
 from repro.linmodel.preprocessing import StandardScaler
+from repro.linmodel.ridge import DEFAULT_ALPHAS, RidgeSvdFactor
 from repro.scoring.base import Scorer, get_scorer, validate_triple
-from repro.scoring.conditional import conditional_score, residualize
+from repro.scoring.conditional import residualize
 from repro.scoring.joint import L1Scorer, L2Scorer
 from repro.scoring.lagged import LaggedScorer, lag_matrix
 from repro.scoring.projection import (
@@ -41,6 +51,93 @@ from repro.scoring.significance import (
     p_value_chebyshev,
 )
 from repro.scoring.univariate import _CorrScorer, correlation_matrix
+
+
+#: Largest |Δscore| allowed between a Gram-form score and the SVD oracle.
+SCORE_TOLERANCE = 1e-9
+
+
+def reference_cross_val_r2(x, y, alphas=DEFAULT_ALPHAS, n_splits=5,
+                           splitter=None):
+    """Pooled out-of-fold r² per penalty from one SVD per training fold."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[:, None]
+    if y.ndim == 1:
+        y = y[:, None]
+    n_samples = x.shape[0]
+    if splitter is None:
+        splitter = TimeSeriesKFold(n_splits=n_splits)
+    rss = {float(a): 0.0 for a in alphas}
+    tss = 0.0
+    for train_idx, valid_idx in splitter.split(n_samples):
+        factor = RidgeSvdFactor(x[train_idx], y[train_idx])
+        y_valid = y[valid_idx]
+        train_mean = y[train_idx].mean(axis=0)
+        tss += float(np.sum((y_valid - train_mean) ** 2))
+        for alpha in rss:
+            coef, intercept = factor.solve(alpha)
+            pred = x[valid_idx] @ coef + intercept
+            rss[alpha] += float(np.sum((y_valid - pred) ** 2))
+    if tss <= 1e-12:
+        scores = {alpha: 0.0 for alpha in rss}
+    else:
+        scores = {alpha: max(0.0, 1.0 - fold_rss / tss)
+                  for alpha, fold_rss in rss.items()}
+    best_alpha = max(scores, key=lambda a: (scores[a], a))
+    return CvResult(
+        best_alpha=best_alpha,
+        best_score=scores[best_alpha],
+        scores_by_alpha=scores,
+        n_samples=n_samples,
+        n_features=x.shape[1],
+    )
+
+
+def _table_keys(table):
+    """Row keys of a Score Table in rank order: (family, occurrence)."""
+    seen = Counter()
+    keys = []
+    for row in table.results:
+        keys.append((row.family, seen[row.family]))
+        seen[row.family] += 1
+    return keys
+
+
+def _keyed_scores(value):
+    """``{key: score}`` of a CvResult, Score Table, mapping or float(s)."""
+    if isinstance(value, CvResult):
+        return {"best": value.best_score, **value.scores_by_alpha}
+    if isinstance(value, ScoreTable):
+        return dict(zip(_table_keys(value), (r.score for r in value.results)))
+    if isinstance(value, dict):
+        return dict(value)
+    return dict(enumerate(np.atleast_1d(value).tolist()))
+
+
+def assert_matches_oracle(actual, expected):
+    """The parity contract between a Gram-form result and the SVD oracle.
+
+    ``actual`` / ``expected`` are a :class:`CvResult`, a Score Table, a
+    ``{name: score}`` mapping, or a float or array of floats.  Every
+    score agrees to :data:`SCORE_TOLERANCE`; ``best_alpha`` is equal
+    where exposed; a Score Table keeps the oracle's family order wherever
+    adjacent oracle scores differ by more than twice the tolerance
+    (near-ties may reorder).
+    """
+    got, want = _keyed_scores(actual), _keyed_scores(expected)
+    assert got.keys() == want.keys()
+    for key, score in want.items():
+        assert abs(got[key] - score) <= SCORE_TOLERANCE, (key, got[key], score)
+    if isinstance(expected, CvResult):
+        assert actual.best_alpha == expected.best_alpha
+    if isinstance(expected, ScoreTable):
+        position = {key: i for i, key in enumerate(_table_keys(actual))}
+        oracle = list(zip(_table_keys(expected), expected.results))
+        for (key, first), (next_key, second) in zip(oracle, oracle[1:]):
+            if first.score - second.score > 2 * SCORE_TOLERANCE:
+                assert position[key] < position[next_key]
 
 
 class ReferenceL2:
@@ -57,10 +154,10 @@ class ReferenceL2:
             if z is not None:
                 z = StandardScaler().fit_transform(z)
         if z is not None:
-            return conditional_score(x, y, z, alphas=self.alphas,
-                                     n_splits=self.n_splits)
-        result = cross_val_r2(x, y, alphas=self.alphas,
-                              n_splits=self.n_splits)
+            x = residualize(x, z)
+            y = residualize(y, z)
+        result = reference_cross_val_r2(x, y, alphas=self.alphas,
+                                        n_splits=self.n_splits)
         return float(np.clip(result.best_score, 0.0, 1.0))
 
 

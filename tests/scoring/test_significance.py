@@ -107,3 +107,10 @@ class TestRidgeNull:
     def test_cv_prefers_large_lambda_under_null(self):
         _, chosen = sample_null_r2_ridge_cv(150, 60, n_draws=8, seed=1)
         assert np.median(chosen) >= 1e2
+
+    def test_null_density_keeps_its_sign(self):
+        """Figure 13 plots the signed pooled score: a penalty that
+        overfits the NULL scores below 0 instead of being clipped to 0."""
+        scores, _ = sample_null_r2_ridge_cv(150, 60, n_draws=40, seed=8)
+        assert scores.min() < 0.0
+        assert np.mean(scores == 0.0) < 0.5

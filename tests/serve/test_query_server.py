@@ -17,7 +17,7 @@ from repro.sql import Database
 from repro.tsdb.adapter import register_store
 from repro.tsdb.model import SeriesId
 from repro.tsdb.storage import TimeSeriesStore
-from tests.scoring.reference import reference_rank
+from tests.scoring.reference import assert_matches_oracle, reference_rank
 
 N = 96
 GROUP_QUERY = ("SELECT metric_name, COUNT(*) AS n, AVG(value) AS v "
@@ -300,8 +300,7 @@ def test_explain_matches_direct_ranking(server, store):
     hypotheses = generate_hypotheses(families, "target_metric")
     direct = rank_families(hypotheses, scorer="L2-P50")
     assert rank_fields(served) == rank_fields(direct)
-    assert rank_fields(served) == rank_fields(
-        reference_rank(hypotheses, "L2-P50"))
+    assert_matches_oracle(served, reference_rank(hypotheses, "L2-P50"))
 
 
 def test_repeat_explain_hits_cache(server):
@@ -338,8 +337,8 @@ def test_process_backend_publishes_matrices_once_per_version(store):
         assert server.stats()["shm_segments"] == segments_after_first
         assert [r.family for r in a.results]  # both produced rankings
         assert [r.family for r in b.results]
-        # Bitwise parity against the same backend run standalone and
-        # against the sequential oracle.
+        # Bitwise parity against the same backend run standalone, and
+        # the oracle's parity contract against the sequential oracle.
         hypotheses = generate_hypotheses(
             families_from_store(store.snapshot(), group_by="name"),
             "target_metric")
@@ -347,8 +346,7 @@ def test_process_backend_publishes_matrices_once_per_version(store):
                                backend="process", n_workers=2,
                                transfer="shm")
         assert rank_fields(a) == rank_fields(direct)
-        assert rank_fields(a) == rank_fields(
-            reference_rank(hypotheses, "L2-P50"))
+        assert_matches_oracle(a, reference_rank(hypotheses, "L2-P50"))
 
 
 def test_single_rank_worker_still_uses_the_shared_pool(store):

@@ -109,3 +109,38 @@ class TestAlignmentProperties:
         arr = np.asarray(vals)
         aligned = align_to_grid(ts, arr, ts)
         assert np.array_equal(aligned, arr)
+
+
+def _general_align(timestamps, values, grid):
+    """``align_to_grid``'s nearest-neighbour path, with no on-grid shortcut."""
+    right = np.clip(np.searchsorted(timestamps, grid, side="left"),
+                    0, timestamps.size - 1)
+    left = np.clip(right - 1, 0, timestamps.size - 1)
+    take_left = (np.abs(grid - timestamps[left])
+                 <= np.abs(timestamps[right] - grid))
+    return values[np.where(take_left, left, right)].astype(np.float64)
+
+
+class TestOnGridFastPath:
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=25),
+           st.integers(1, 4), st.integers(-50, 50))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_general_path_bitwise(self, steps, interval, start):
+        """On-grid, gapped (step > 1), duplicate-timestamp (step 0) and
+        ``interval > 1`` inputs all align exactly as the general path."""
+        ts = start + np.cumsum(steps, dtype=np.int64)
+        vals = np.random.default_rng(len(steps)).standard_normal(ts.size)
+        # Grids are strictly increasing; ``unique`` is the on-grid case.
+        for grid in (np.arange(ts[0], ts[-1] + 1, interval, dtype=np.int64),
+                     np.unique(ts)):
+            got = align_to_grid(ts, vals, grid)
+            assert got.tobytes() == _general_align(ts, vals, grid).tobytes()
+
+    def test_on_grid_result_is_a_fresh_copy(self):
+        ts = np.arange(10, 30, dtype=np.int64)
+        vals = np.linspace(0.0, 1.0, ts.size)
+        aligned = align_to_grid(ts, vals, ts.copy())
+        assert aligned.tobytes() == vals.tobytes()
+        assert not np.shares_memory(aligned, vals)
+        as_int = align_to_grid(ts, np.arange(ts.size), ts.copy())
+        assert as_int.dtype == np.float64
