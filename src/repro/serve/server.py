@@ -12,7 +12,7 @@ arrive.  ``QueryServer`` is the long-lived front end for that workload:
   version observed at request start selects a per-version
   :class:`_VersionState` holding a frozen snapshot, a
   :class:`~repro.sql.Database` registered over it, and the family set —
-  so materialised tables, scan caches and planner statistics amortise
+  so materialised tables and scan caches amortise
   across every request at that version instead of being rebuilt
   per query;
 - for ``backend="process"`` rankings the state publishes each batch

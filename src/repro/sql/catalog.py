@@ -6,13 +6,11 @@ inventory/machine databases for metadata joins), users register UDFs such
 as ``hostgroup``, and intermediate results are saved as temporary tables
 tied to the interactive session.
 
-Every query gets a plan tree before execution
-(:mod:`repro.sql.planner`): catalog statistics — provider-supplied for
-scannable tables, one-pass cached summaries otherwise — give each stage
-an estimated cardinality, and the executor records what actually ran
-next to it.  Scannable providers additionally receive the sargable part
-of the WHERE so they can prune series and sealed chunks before
-materialising anything.
+Every query gets a plan tree (:mod:`repro.sql.planner`) — one node per
+stage, built without reading a table — and the executor records into it
+what actually ran.  Scannable providers receive the sargable part of the
+WHERE so they can prune series and sealed chunks before materialising
+anything.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from repro.sql.optimizer import optimize
 from repro.sql.parser import parse
 from repro.sql.planner import Plan, Planner
 from repro.sql.scan import ScanPredicate, ScanReport
-from repro.sql.stats import TableStats, table_stats
 from repro.sql.table import Table
 from repro.versioned import VersionedCache
 
@@ -45,17 +42,14 @@ _SCAN_CACHE_SIZE = 8
 class _Source:
     """One lazily materialised table: its callbacks and what they built.
 
-    The full table and the planner statistics each live in their own
-    single-slot cache so that scan churn can never evict them; all three
-    caches are keyed on ``version_fn()``.
+    The full table lives in its own single-slot cache so that scan churn
+    can never evict it; both caches are keyed on ``version_fn()``.
     """
 
     provider: TableProvider
     version_fn: Callable[[], Any]
     scan_fn: ScanFn | None = None
-    stats_fn: Callable[[], TableStats] | None = None
     table: VersionedCache = field(default_factory=lambda: VersionedCache(1))
-    stats: VersionedCache = field(default_factory=lambda: VersionedCache(1))
     scans: VersionedCache = field(
         default_factory=lambda: VersionedCache(_SCAN_CACHE_SIZE))
 
@@ -66,7 +60,7 @@ class Database:
     ``columnar=False`` disables the vectorized execution tier and runs
     every query through the row-at-a-time reference interpreter; the
     parity tests use it as the baseline the fast path must match bit
-    for bit.  The planner runs in both modes (it only annotates).
+    for bit.  The plan is built in both modes (it only records).
 
     Serving runs many worker threads through one Database: the read
     path only reads the catalog dicts, and every cache it fills is a
@@ -109,20 +103,18 @@ class Database:
     def register_scannable_provider(self, name: str, provider: TableProvider,
                                     version_fn: Callable[[], Any],
                                     scan_fn: ScanFn,
-                                    stats_fn: Callable[[], TableStats],
-                                    ) -> None:
-        """A versioned provider that can additionally *scan* and *describe*.
+                                    stats_fn: object = None) -> None:
+        """A versioned provider that can additionally *scan*.
 
         ``scan_fn(predicate)`` returns a pruned ``(table, report)`` pair
         — any superset of the rows matching the predicate, in the same
         order the full table presents them (the executor re-applies the
-        full WHERE).  ``stats_fn()`` returns planner statistics without
-        materialising the table.  Both are keyed on ``version_fn()``
-        like the full materialisation.
+        full WHERE) — keyed on ``version_fn()`` like the full
+        materialisation.  ``stats_fn`` fed the former cardinality
+        estimator; it is accepted and never called.
         """
         self._tables.pop(name.lower(), None)
-        self._sources[name.lower()] = _Source(provider, version_fn,
-                                              scan_fn, stats_fn)
+        self._sources[name.lower()] = _Source(provider, version_fn, scan_fn)
 
     def register_udf(self, name: str, fn: Callable[..., Any]) -> None:
         """Register a scalar user-defined function, e.g. ``hostgroup``."""
@@ -151,24 +143,15 @@ class Database:
             None, source.version_fn(), source.provider)
 
     # ------------------------------------------------------------------
-    # Planner hooks
+    # Executor hooks
     # ------------------------------------------------------------------
-    def stats_for(self, name: str) -> TableStats | None:
-        """Planner statistics for a table, or ``None`` when unknown.
+    def stats_for(self, name: str) -> None:
+        """Always ``None``: no table is summarised for planning.
 
-        Scannable providers answer from storage-level zone maps without
-        materialising (cached per version); other registered tables are
-        materialised — execution would do so anyway — and summarised
-        with a one-pass scan cached on the table object.
+        The former estimator's catalog hook, kept because
+        ``benchmarks/e2e`` still calls it.
         """
-        source = self._sources.get(name.lower())
-        if source is not None and source.stats_fn is not None:
-            return source.stats.get_or_build(
-                None, source.version_fn(), source.stats_fn)
-        try:
-            return table_stats(self.table(name))
-        except SchemaError:
-            return None
+        return None
 
     def scan_table(self, name: str, predicate: ScanPredicate
                    ) -> tuple[Table, ScanReport] | None:
@@ -212,7 +195,7 @@ class Database:
         The plan (with per-stage actuals filled in by the run) stays
         available as :attr:`last_plan` until the next query.
         """
-        plan = Planner(self.stats_for).plan(stmt)
+        plan = Planner().plan(stmt)
         self.last_plan = plan
         executor = Executor(self.table, self._udfs, columnar=self._columnar,
                             plan=plan, scan_table=self.scan_table)
@@ -227,9 +210,10 @@ class Database:
     def explain(self, query: str) -> str:
         """Render the physical plan of a query, with actuals.
 
-        Executes the query (EXPLAIN ANALYZE semantics): every stage
-        shows estimated vs actual rows, scans of scannable providers
-        additionally show chunks scanned/pruned and the series subset.
+        Executes the query (EXPLAIN ANALYZE semantics): every stage that
+        ran shows its actual rows, every engine choice the engine that
+        ran, and scans of scannable providers the chunks scanned/pruned
+        and the series subset.
         """
         stmt = parse(query)
         if self._optimize:

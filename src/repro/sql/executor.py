@@ -254,11 +254,10 @@ class Executor:
     ``plan`` (a :class:`repro.sql.planner.Plan` built for the *same* AST
     objects) is write-only here: the executor records each stage's
     actual rows, engine and scan report into it so EXPLAIN shows what
-    ran next to what was estimated.  ``scan_table(name, predicate)`` is
-    the predicate-pushdown hook: given the sargable part of a WHERE it
-    may return a pruned ``(table, report)`` superset for a TableRef
-    scan (the full WHERE is still re-applied afterwards, so pruning
-    never changes results).
+    ran.  ``scan_table(name, predicate)`` is the predicate-pushdown
+    hook: given the sargable part of a WHERE it may return a pruned
+    ``(table, report)`` superset for a TableRef scan (the full WHERE is
+    still re-applied afterwards, so pruning never changes results).
     """
 
     def __init__(self, resolve_table: Callable[[str], Table],
@@ -347,16 +346,18 @@ class Executor:
             table, n_groups = aggregated
             self._record(stmt, "aggregate", n_groups, engine)
             self._record(stmt, "having", len(table))
-            self._record(stmt, "sort", len(table))
+            project_engine = None
         else:
-            # Likewise one operator projects, windows and sorts.
+            # Likewise one operator projects, windows and sorts: its
+            # engine is recorded once, on the Project stage.
             table = (columnar.try_project(stmt, relation)
                      if vectorize else None)
             if table is None:
                 engine = "row"
                 table = self._execute_plain(stmt, relation)
-            self._record(stmt, "window", len(table), engine)
-            self._record(stmt, "sort", len(table), engine)
+            self._record(stmt, "window", len(table))
+            project_engine = engine
+        self._record(stmt, "sort", len(table))
 
         if stmt.distinct:
             table = table.distinct()
@@ -364,7 +365,7 @@ class Executor:
             table = table.slice_rows(stmt.offset, None)
         if stmt.limit is not None:
             table = table.limit(stmt.limit)
-        self._record(stmt, "project", len(table))
+        self._record(stmt, "project", len(table), project_engine)
         return table
 
     # ------------------------------------------------------------------

@@ -1,17 +1,15 @@
-"""Plan trees: estimated rows per stage, annotated with what ran.
+"""Plan trees: one node per stage, annotated with what ran.
 
 :class:`Planner` walks an optimised AST once, bottom-up, and builds the
-tree EXPLAIN renders: one :class:`PlanNode` per stage, carrying the
-cardinality estimated from catalog statistics (zone-map-backed for
-scannable providers, one-pass cached summaries for materialised
-tables).  It makes no physical decision.  Which engine runs a stage,
-which side of a join is hashed and what a scan prunes are all decided
-by :class:`~repro.sql.executor.Executor` from the relations it actually
+tree EXPLAIN renders: one :class:`PlanNode` per stage, labelled with
+what the stage computes.  It reads no statistics and makes no physical
+decision.  Which engine runs a stage, which side of a join is hashed
+and what a scan prunes are all decided by
+:class:`~repro.sql.executor.Executor` from the relations it actually
 holds; the executor then writes each stage's actual row count, the
 engine that produced its output, the join build side and the scan
-report into the same tree.  ``EXPLAIN`` therefore shows an estimate
-next to a recording of the run, and ``est`` vs ``actual`` is the
-estimator's observable quality.
+report into the same tree.  ``EXPLAIN`` therefore shows a recording of
+the run and nothing that was guessed.
 
 Stages are keyed by ``(id(ast_node), role)``: the executor runs the
 very AST objects the planner walked, so object identity links a running
@@ -20,62 +18,50 @@ stage to its plan node even when two stages are structurally equal.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import ClassVar, Sequence
 
 from repro.sql.executor import render
 from repro.sql.nodes import (
-    ColumnRef,
     FuncCall,
     Join,
-    Literal,
     Node,
     Select,
     SelectItem,
     Star,
     SubqueryRef,
-    Subscript,
     TableRef,
     Union,
     walk,
 )
 from repro.sql.scan import ScanReport
-from repro.sql.stats import (
-    DEFAULT_SELECTIVITY,
-    TableStats,
-    estimate_selectivity,
-)
-
-StatsFor = Callable[[str], "TableStats | None"]
 
 
 @dataclass
 class PlanNode:
     """One stage of the physical plan.
 
-    ``label`` is the stable EXPLAIN text (``Filter((v > 0))``) and
-    ``est_rows`` the planner's estimate; the executor records the rest.
-    ``engine`` stays ``None`` on stages that are not an engine choice of
-    their own (scans, LIMIT/DISTINCT, and the HAVING and ORDER BY an
-    aggregate operator applies to its own output).  Known gap: a plain
-    SELECT's operator records its engine on the Window and Sort stages,
-    so one with neither clause (``SELECT UPPER(s) FROM t``) shows no
-    engine, whichever tier projected it.
+    ``label`` is the stable EXPLAIN text (``Filter((v > 0))``); the
+    executor records the rest.  ``engine`` is set on the stage that
+    names an operator's engine choice — Filter, Join, Aggregate (which
+    also applies its HAVING and ORDER BY) and, for a SELECT without
+    aggregates, Project (which also computes its windows and ORDER BY)
+    — and stays ``None`` everywhere else.
     """
 
     label: str
-    est_rows: float | None = None
     engine: str | None = None         # "columnar" | "row", as run
     note: str = ""                    # "build=left", as run
     actual_rows: int | None = None
     scan: ScanReport | None = None
     children: list["PlanNode"] = field(default_factory=list)
 
+    #: Always ``None``: nothing is estimated.  Kept for readers written
+    #: against the former estimator (``benchmarks/e2e/wl_sql.py``).
+    est_rows: ClassVar[None] = None
+
     def annotation(self) -> str:
         parts: list[str] = []
-        if self.est_rows is not None:
-            parts.append(f"est={_fmt_rows(self.est_rows)} rows")
         if self.actual_rows is not None:
             parts.append(f"actual={self.actual_rows} rows")
         if self.engine is not None:
@@ -89,12 +75,6 @@ class PlanNode:
                 parts.append(f"series={self.scan.series_scanned}"
                              f"/{self.scan.series_total}")
         return f" ({', '.join(parts)})" if parts else ""
-
-
-def _fmt_rows(est: float) -> str:
-    if est != est or est == float("inf"):
-        return "?"
-    return str(int(math.ceil(est)))
 
 
 class Plan:
@@ -137,31 +117,36 @@ class Plan:
 class Planner:
     """Builds a :class:`Plan` for an optimised statement.
 
-    ``stats_for`` resolves a table name to its :class:`TableStats` (or
-    ``None`` when unknown); the planner never materialises a table
-    itself.  With the default ``stats_for`` every estimate is unknown.
+    Planning reads no catalog and touches no table: a stage's label is
+    all it knows before the run.  The optional argument is the catalog
+    hook of the former cardinality estimator, still passed by
+    ``benchmarks/e2e/wl_sql.py``; it is accepted and ignored.
     """
 
-    def __init__(self, stats_for: StatsFor | None = None) -> None:
-        self._stats_for = stats_for or (lambda name: None)
+    def __init__(self, _stats_for: object = None) -> None:
         self._stages: dict[tuple[int, str], PlanNode] = {}
 
     def plan(self, stmt: Node) -> Plan:
-        root, _ = self._plan_statement(stmt)
-        return Plan(root, self._stages)
+        return Plan(self._plan_statement(stmt), self._stages)
+
+    def _stage(self, ast_node: Node, role: str, label: str,
+               children: Sequence[PlanNode] = ()) -> PlanNode:
+        """A plan node the executor records into under ``(ast_node, role)``."""
+        node = PlanNode(label=label, children=list(children))
+        self._stages[(id(ast_node), role)] = node
+        return node
 
     # ------------------------------------------------------------------
     # Statement nodes
     # ------------------------------------------------------------------
-    def _plan_statement(self, stmt: Node) -> tuple[PlanNode, float | None]:
+    def _plan_statement(self, stmt: Node) -> PlanNode:
         if isinstance(stmt, Union):
             return self._plan_union(stmt)
         if isinstance(stmt, Select):
             return self._plan_select(stmt)
-        node = PlanNode(label=type(stmt).__name__)
-        return node, None
+        return PlanNode(label=type(stmt).__name__)
 
-    def _plan_union(self, stmt: Union) -> tuple[PlanNode, float | None]:
+    def _plan_union(self, stmt: Union) -> PlanNode:
         label = "UnionAll" if stmt.all else "Union"
         extras = []
         if stmt.order_by:
@@ -171,41 +156,28 @@ class Planner:
         if stmt.offset:
             extras.append(f"offset={stmt.offset}")
         suffix = f" [{', '.join(extras)}]" if extras else ""
-        left, left_est = self._plan_statement(stmt.left)
-        right, right_est = self._plan_statement(stmt.right)
-        est = (left_est + right_est
-               if left_est is not None and right_est is not None else None)
-        est = _clip_limit(est, stmt.limit, stmt.offset)
-        node = PlanNode(label=f"{label}{suffix}", est_rows=est,
-                        children=[left, right])
-        self._stages[(id(stmt), "union")] = node
-        return node, est
+        return self._stage(stmt, "union", f"{label}{suffix}",
+                           [self._plan_statement(stmt.left),
+                            self._plan_statement(stmt.right)])
 
-    def _plan_select(self, stmt: Select) -> tuple[PlanNode, float | None]:
-        source, est, source_stats = self._plan_source(stmt.source)
+    def _plan_select(self, stmt: Select) -> PlanNode:
+        source = self._plan_source(stmt.source)
 
         # Stages in execution order; rendered outermost-first below.
         stages: list[PlanNode] = []
 
-        def stage(role: str, label: str, est_rows: float | None) -> None:
-            node = PlanNode(label=label, est_rows=est_rows)
-            self._stages[(id(stmt), role)] = node
-            stages.append(node)
+        def stage(role: str, label: str) -> None:
+            stages.append(self._stage(stmt, role, label))
 
         if stmt.where is not None:
-            if est is not None:
-                est *= estimate_selectivity(stmt.where, source_stats)
-            stage("filter", f"Filter({render(stmt.where)})", est)
+            stage("filter", f"Filter({render(stmt.where)})")
 
         if stmt.group_by or stmt.having is not None \
                 or self._contains_aggregate_items(stmt):
             keys = ", ".join(render(g) for g in stmt.group_by) or "<global>"
-            est = self._estimate_groups(stmt, est, source_stats)
-            stage("aggregate", f"Aggregate(groupBy={keys})", est)
+            stage("aggregate", f"Aggregate(groupBy={keys})")
             if stmt.having is not None:
-                if est is not None:
-                    est *= DEFAULT_SELECTIVITY
-                stage("having", f"Having({render(stmt.having)})", est)
+                stage("having", f"Having({render(stmt.having)})")
 
         window_calls = [node for item in stmt.items
                         if not isinstance(item.expr, Star)
@@ -214,17 +186,15 @@ class Planner:
                         and node.window is not None]
         if window_calls:
             names = ", ".join(dict.fromkeys(c.name for c in window_calls))
-            stage("window", f"Window({names})", est)
+            stage("window", f"Window({names})")
 
         if stmt.order_by:
             keys = ", ".join(
                 render(o.expr) + ("" if o.ascending else " DESC")
                 for o in stmt.order_by)
-            stage("sort", f"Sort({keys})", est)
+            stage("sort", f"Sort({keys})")
 
-        est = _clip_limit(est, stmt.limit, stmt.offset)
-        project = PlanNode(label=self._project_label(stmt), est_rows=est)
-        self._stages[(id(stmt), "project")] = project
+        project = self._stage(stmt, "project", self._project_label(stmt))
 
         # Project > Sort > Window > Having > Aggregate > Filter > source.
         parent = project
@@ -232,7 +202,7 @@ class Planner:
             parent.children.append(node)
             parent = node
         parent.children.append(source)
-        return project, est
+        return project
 
     def _project_label(self, stmt: Select) -> str:
         projection = ", ".join(_item_text(item) for item in stmt.items[:6])
@@ -258,152 +228,27 @@ class Planner:
             for node in walk(item.expr)
         )
 
-    def _estimate_groups(self, stmt: Select, input_est: float | None,
-                         stats: TableStats | None) -> float | None:
-        if not stmt.group_by:
-            return 1.0
-        if input_est is None:
-            return None
-        distinct = 1.0
-        known = True
-        for key in stmt.group_by:
-            summary = _group_key_summary(key, stats)
-            if summary is not None and summary.distinct:
-                distinct *= summary.distinct
-            else:
-                known = False
-        if known:
-            return min(distinct, input_est)
-        # Unknown key cardinality: the square-root heuristic bounds the
-        # estimate away from both extremes.
-        return max(1.0, math.sqrt(input_est))
-
     # ------------------------------------------------------------------
     # Sources
     # ------------------------------------------------------------------
-
-    def _plan_source(self, source: Node | None
-                     ) -> tuple[PlanNode, float | None, TableStats | None]:
+    def _plan_source(self, source: Node | None) -> PlanNode:
         if source is None:
-            node = PlanNode(label="OneRow", est_rows=1.0)
-            return node, 1.0, None
+            return PlanNode(label="OneRow")
         if isinstance(source, TableRef):
             alias = f" AS {source.alias}" if source.alias else ""
-            stats = self._stats_for(source.name)
-            est = float(stats.rows) if stats is not None else None
-            node = PlanNode(label=f"Scan({source.name}{alias})", est_rows=est)
-            self._stages[(id(source), "scan")] = node
-            return node, est, stats
+            return self._stage(source, "scan", f"Scan({source.name}{alias})")
         if isinstance(source, SubqueryRef):
             alias = f" AS {source.alias}" if source.alias else ""
-            inner, est = self._plan_statement(source.query)
-            node = PlanNode(label=f"Subquery{alias}", est_rows=est,
-                            children=[inner])
-            self._stages[(id(source), "subquery")] = node
-            # A pushed-down filter subquery is transparent for column
-            # statistics: it scans one table and only filters rows.
-            stats = self._passthrough_stats(source.query)
-            return node, est, stats
+            return self._stage(source, "subquery", f"Subquery{alias}",
+                               [self._plan_statement(source.query)])
         if isinstance(source, Join):
-            left, left_est, left_stats = self._plan_source(source.left)
-            right, right_est, right_stats = self._plan_source(source.right)
             condition = (f" on {render(source.condition)}"
                          if source.condition is not None else "")
-            est = self._estimate_join(source, left_est, right_est,
-                                      left_stats, right_stats)
-            node = PlanNode(label=f"{source.kind.title()}Join{condition}",
-                            est_rows=est, children=[left, right])
-            self._stages[(id(source), "join")] = node
-            return node, est, None
-        node = PlanNode(label=type(source).__name__)
-        return node, None, None
-
-    def _passthrough_stats(self, query: Node) -> TableStats | None:
-        if isinstance(query, Select) and isinstance(query.source, TableRef) \
-                and not query.group_by and query.having is None \
-                and all(isinstance(item.expr, Star) for item in query.items):
-            return self._stats_for(query.source.name)
-        return None
-
-    def _estimate_join(self, join: Join, left_est: float | None,
-                       right_est: float | None,
-                       left_stats: TableStats | None,
-                       right_stats: TableStats | None) -> float | None:
-        if left_est is None or right_est is None:
-            return None
-        if join.kind == "CROSS" or join.condition is None:
-            return left_est * right_est
-        # System R equi-join estimate: |L| * |R| / prod(max(d_l, d_r))
-        # over the equi-key pairs' distinct counts.  When no key
-        # cardinality is known, fall back to assuming the larger side is
-        # key-unique (the FK→PK direction): divide by max(|L|, |R|).
-        est = left_est * right_est
-        divisors = [
-            max(known)
-            for e1, e2 in self._equi_column_pairs(join.condition)
-            if (known := [d for d in (
-                self._ref_distinct(e1, left_stats, right_stats),
-                self._ref_distinct(e2, left_stats, right_stats)) if d])
-        ]
-        if divisors:
-            for div in divisors:
-                est /= max(1.0, float(div))
-        else:
-            est /= max(left_est, right_est, 1.0)
-        if join.kind in ("LEFT", "FULL"):
-            est = max(est, left_est)
-        if join.kind in ("RIGHT", "FULL"):
-            est = max(est, right_est)
-        return est
-
-    @staticmethod
-    def _equi_column_pairs(condition: Node) -> list[tuple[Node, Node]]:
-        """Top-level ``col = col`` conjuncts of an ON condition."""
-        from repro.sql.nodes import BinaryOp, ColumnRef
-
-        def flatten(node: Node) -> list[Node]:
-            if isinstance(node, BinaryOp) and node.op == "AND":
-                return flatten(node.left) + flatten(node.right)
-            return [node]
-
-        return [(conj.left, conj.right) for conj in flatten(condition)
-                if isinstance(conj, BinaryOp) and conj.op == "="
-                and isinstance(conj.left, ColumnRef)
-                and isinstance(conj.right, ColumnRef)]
-
-    @staticmethod
-    def _ref_distinct(ref: Node, left_stats: TableStats | None,
-                      right_stats: TableStats | None) -> int | None:
-        """A join key's distinct count, looked up on whichever side has it."""
-        name = getattr(ref, "name", None)
-        if name is None:
-            return None
-        for stats in (left_stats, right_stats):
-            if stats is not None:
-                summary = stats.column(name)
-                if summary is not None and summary.distinct:
-                    return summary.distinct
-        return None
-
-
-def _group_key_summary(key: Node, stats: TableStats | None):
-    """Column summary for a GROUP BY key expression.
-
-    Resolves plain column references and map subscripts with a literal
-    string key — ``GROUP BY tag['host']`` prices off the per-tag-key
-    virtual-column statistics the tsdb adapter collects.
-    """
-    if stats is None:
-        return None
-    if isinstance(key, ColumnRef):
-        return stats.column(key.name)
-    if (isinstance(key, Subscript) and isinstance(key.base, ColumnRef)
-            and isinstance(key.index, Literal)
-            and isinstance(key.index.value, str)):
-        return stats.map_column(key.base.name, key.index.value)
-    if hasattr(key, "name"):            # aliased/other named expressions
-        return stats.column(getattr(key, "name"))
-    return None
+            return self._stage(source, "join",
+                               f"{source.kind.title()}Join{condition}",
+                               [self._plan_source(source.left),
+                                self._plan_source(source.right)])
+        return PlanNode(label=type(source).__name__)
 
 
 def _item_text(item: SelectItem) -> str:
@@ -414,13 +259,3 @@ def _item_text(item: SelectItem) -> str:
         text += f" AS {item.alias}"
     return text
 
-
-def _clip_limit(est: float | None, limit: int | None,
-                offset: int | None) -> float | None:
-    if est is None:
-        return None
-    if offset:
-        est = max(0.0, est - offset)
-    if limit is not None:
-        est = min(est, float(limit))
-    return est

@@ -40,7 +40,6 @@ from typing import Iterable
 import numpy as np
 
 from repro.sql.scan import ScanPredicate, ScanReport
-from repro.sql.stats import ColumnSummary, TableStats
 from repro.sql.table import DictColumn, Table
 from repro.tsdb.model import SeriesId
 from repro.tsdb.storage import StoreView
@@ -178,62 +177,14 @@ def _time_window(predicate: ScanPredicate) -> tuple[int | None, int | None]:
     return start, end
 
 
-def store_stats(store: StoreView) -> TableStats:
-    """Planner statistics for the ``tsdb`` table, without materialising it.
+def store_stats(store: StoreView) -> None:
+    """Always ``None``: nothing reads table statistics any more.
 
-    Row count and the timestamp range are O(1); the value range is a
-    zone-map union (O(chunks)); distinct counts for ``timestamp`` and
-    ``value`` sum per-chunk exact counts, an over-estimate whenever
-    chunks share values (the documented "cheap distinct estimate").
+    It used to summarise the store for the planner; it stays importable
+    because ``benchmarks/e2e/wl_sql.py`` still passes it as a
+    ``stats_fn``.
     """
-    rows = store.num_points()
-    names = store.metric_names()
-    ts_min = ts_max = None
-    ts_distinct = val_distinct = val_nulls = 0
-    if rows:
-        ts_min, ts_max = store.time_range()
-    val_lo = val_hi = None
-    #: points carrying each tag key — tags are per-series constants, so
-    #: one len() per series prices every tag['key'] virtual column.
-    key_points: dict[str, int] = {}
-    for series in store.series_ids():
-        n = len(store.get(series))
-        for key, _ in series.tags:
-            key_points[key] = key_points.get(key, 0) + n
-        for seg in store.chunk_stats(series):
-            ts_distinct += seg.timestamps.distinct
-            val_distinct += seg.values.distinct
-            val_nulls += seg.values.null_count
-            if seg.values.min is not None:
-                val_lo = (seg.values.min if val_lo is None
-                          else min(val_lo, seg.values.min))
-                val_hi = (seg.values.max if val_hi is None
-                          else max(val_hi, seg.values.max))
-    columns = (
-        ("timestamp", ColumnSummary(min=ts_min, max=ts_max, null_count=0,
-                                    distinct=min(ts_distinct, rows) or None)),
-        ("metric_name", ColumnSummary(
-            min=names[0] if names else None,
-            max=names[-1] if names else None,
-            null_count=0, distinct=len(names) or None)),
-        ("tag", ColumnSummary(null_count=0)),
-        ("value", ColumnSummary(min=val_lo, max=val_hi,
-                                distinct=min(val_distinct, rows) or None,
-                                null_count=val_nulls)),
-    )
-    # Virtual tag['key'] columns: distinct values straight from the
-    # inverted index (exact, unlike the summed chunk estimates), null
-    # count = rows whose series lacks the key — what IS NULL selects.
-    map_columns = []
-    for key in store.tag_keys():
-        values = store.tag_values(key)
-        map_columns.append((("tag", key), ColumnSummary(
-            min=values[0] if values else None,
-            max=values[-1] if values else None,
-            null_count=rows - key_points.get(key, 0),
-            distinct=len(values) or None)))
-    return TableStats(rows=rows, columns=columns,
-                      map_columns=tuple(map_columns))
+    return None
 
 
 def register_store(db, store: StoreView, name: str = "tsdb") -> None:
@@ -243,9 +194,7 @@ def register_store(db, store: StoreView, name: str = "tsdb") -> None:
     on first query and re-materialises only after the store mutates
     (including in-place ``apply`` fault overlays, which leave
     ``num_points()`` unchanged).  Time-range / metric / tag / value
-    predicates are pushed into the store scan (:func:`scan_store`) and
-    the planner reads zone-map statistics (:func:`store_stats`) instead
-    of materialising.
+    predicates are pushed into the store scan (:func:`scan_store`).
 
     Every provider callback reads from one ``store.read_view()`` taken
     at entry, so a multi-series scan never straddles a version change
@@ -256,5 +205,4 @@ def register_store(db, store: StoreView, name: str = "tsdb") -> None:
         provider=lambda: tsdb_table(store.read_view()),
         version_fn=lambda: store.version,
         scan_fn=lambda predicate: scan_store(store.read_view(), predicate),
-        stats_fn=lambda: store_stats(store.read_view()),
     )

@@ -6,8 +6,8 @@ a store holding millions of points.  This module writes the *sealed*
 representation directly: each series' consolidated int64/float64 columns
 as raw little-endian blobs, plus the zone maps that were computed when
 the chunks were sealed, so a load is ``np.memmap`` + a handful of array
-views and the planner's statistics survive restart without touching a
-single point.
+views and the zone maps survive restart without touching a single
+point.
 
 File layout (all integers little-endian, blobs 8-byte aligned)::
 
@@ -24,8 +24,9 @@ The directory is JSON because it is O(series + chunks) *metadata*, not
 data — parsing it costs microseconds while the point columns, which are
 O(points), are never parsed at all.  ``min``/``max`` floats round-trip
 exactly through JSON (repr emits 17 significant digits); NaN never
-appears (zone maps store ``None`` for all-null chunks and count NaNs in
-``null_count``).
+appears (zone maps store ``None`` for all-null chunks).  Files written
+when zone maps also carried ``null_count``/``distinct`` load unchanged:
+those keys are ignored.
 
 Loaded columns are read-only views into one shared ``np.memmap``; the
 OS pages data in on first touch, so opening a multi-gigabyte snapshot
@@ -58,14 +59,11 @@ _HEADER_SIZE = len(MAGIC) + _HEADER.size  # 24 bytes — already 8-aligned
 
 
 def _column_stats_to_json(stats: ColumnStats) -> dict:
-    return {"min": stats.min, "max": stats.max,
-            "null_count": stats.null_count, "distinct": stats.distinct}
+    return {"min": stats.min, "max": stats.max}
 
 
 def _column_stats_from_json(obj: dict) -> ColumnStats:
-    return ColumnStats(min=obj["min"], max=obj["max"],
-                       null_count=obj["null_count"],
-                       distinct=obj["distinct"])
+    return ColumnStats(min=obj["min"], max=obj["max"])
 
 
 def serialize_segments(segments: Iterable[ChunkStats]) -> list[dict]:

@@ -132,20 +132,15 @@ _TAIL_LOCK = threading.Lock()
 
 @dataclass(frozen=True)
 class ColumnStats:
-    """Zone-map statistics for one column of one sealed chunk.
+    """Zone-map range of one column of one sealed chunk.
 
     ``min``/``max`` exclude nulls (NaN for the value column) and are
-    ``None`` only when every cell is null.  ``null_count`` counts NaNs;
-    timestamps are int64 and never null.  ``distinct`` is the exact
-    number of distinct non-null cells *within the chunk*; summing it
-    across chunks over-counts values shared between chunks, which is
-    the documented sense in which store-level distinct is an estimate.
+    ``None`` only when every cell is null; timestamps are int64 and
+    never null.  The range is all a pruned scan reads.
     """
 
     min: int | float | None
     max: int | float | None
-    null_count: int
-    distinct: int
 
     def may_contain_range(self, lo: int | float | None,
                           hi: int | float | None) -> bool:
@@ -167,13 +162,13 @@ class ColumnStats:
 @dataclass(frozen=True)
 class ChunkStats:
     """Zone map for one logical chunk: ``[start, end)`` row offsets into
-    the series' consolidated columns, plus per-column statistics.
+    the series' consolidated columns, plus per-column ranges.
 
     Logical chunk boundaries are recorded when a chunk is sealed and are
     *kept* when :meth:`SeriesData.arrays` compacts physical storage into
     a single array pair — the offsets stay valid because compaction is a
     pure concatenation.  ``apply``-style value rewrites keep boundaries
-    and recompute the value column's statistics in place.
+    and recompute the value column's range in place.
     """
 
     start: int
@@ -181,34 +176,18 @@ class ChunkStats:
     timestamps: ColumnStats
     values: ColumnStats
 
-    @property
-    def count(self) -> int:
-        return self.end - self.start
-
 
 def _chunk_stats(start: int, ts: np.ndarray, vals: np.ndarray) -> ChunkStats:
     """Compute the zone map of one sealed chunk (ts sorted, never null)."""
-    ts_distinct = 1 + int(np.count_nonzero(ts[1:] != ts[:-1]))
-    ts_stats = ColumnStats(min=int(ts[0]), max=int(ts[-1]),
-                           null_count=0, distinct=ts_distinct)
-    nan_mask = np.isnan(vals)
-    nulls = int(np.count_nonzero(nan_mask))
-    if nulls == vals.size:
-        val_stats = ColumnStats(min=None, max=None,
-                                null_count=nulls, distinct=0)
-    else:
-        finite = vals[~nan_mask] if nulls else vals
-        # One sort yields min, max, and the exact distinct count
-        # (``np.unique`` sorts too, then pays for building the array
-        # of uniques this zone map never needs).
-        ordered = np.sort(finite)
-        distinct = 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
-        val_stats = ColumnStats(min=float(ordered[0]),
-                                max=float(ordered[-1]),
-                                null_count=nulls,
-                                distinct=distinct)
+    present = vals
+    if np.isnan(vals.min()):            # NaN propagates: drop the nulls
+        present = vals[~np.isnan(vals)]
+    val_stats = (ColumnStats(min=float(present.min()),
+                             max=float(present.max()))
+                 if present.size else ColumnStats(min=None, max=None))
     return ChunkStats(start=start, end=start + int(ts.size),
-                      timestamps=ts_stats, values=val_stats)
+                      timestamps=ColumnStats(min=int(ts[0]), max=int(ts[-1])),
+                      values=val_stats)
 
 
 class SeriesData:
@@ -456,7 +435,7 @@ class SeriesData:
         self._consolidated = (ts, vals)
         self._frozen = None
         # Chunk boundaries survive the rewrite; only the value column's
-        # statistics change, so recompute each segment over the new column.
+        # range changes, so recompute each segment over the new column.
         self._segments = [
             _chunk_stats(seg.start, ts[seg.start:seg.end],
                          vals[seg.start:seg.end])
@@ -543,7 +522,7 @@ class SeriesData:
 
         The append buffer is sealed first so the returned segments tile
         the whole series (reads already seal it — see :meth:`arrays`).
-        Maintained incrementally: each chunk's statistics are computed
+        Maintained incrementally: each chunk's ranges are computed
         once when it is sealed, survive physical compaction, and are
         recomputed per segment only when ``replace_values`` rewrites the
         value column.

@@ -1,4 +1,4 @@
-"""Database scan/stats caches: per-provider bounds + version eviction."""
+"""Database table/scan caches: per-provider bounds + version eviction."""
 
 import numpy as np
 
@@ -90,7 +90,7 @@ def test_drop_clears_provider_caches():
     assert db.cache_info()["scan_entries"] == {}
 
 
-def test_scan_churn_never_evicts_or_rebuilds_table_or_stats():
+def test_scan_churn_never_evicts_or_rebuilds_table():
     store = make_store()
     calls = {"table": 0, "stats": 0}
 
@@ -106,14 +106,16 @@ def test_scan_churn_never_evicts_or_rebuilds_table_or_stats():
         version_fn=lambda: store.version,
         scan_fn=lambda predicate: scan_store(store, predicate),
         stats_fn=counted("stats", store_stats))
-    table, stats = db.table("tsdb"), db.stats_for("tsdb")
+    table = db.table("tsdb")
     for i in range(20):
         db.scan_table("tsdb", pred(i, i + 1))
     assert db.cache_info()["scan_entries"]["tsdb"] == _SCAN_CACHE_SIZE
-    assert db.table("tsdb") is table and db.stats_for("tsdb") is stats
-    assert calls == {"table": 1, "stats": 1}
-    # Only a version bump rebuilds them, once each.
+    assert db.table("tsdb") is table
+    # Only a version bump rebuilds the table, once; the legacy stats_fn
+    # is accepted but nothing ever calls it.
+    db.explain("SELECT COUNT(*) FROM tsdb WHERE timestamp < 5")
     store.insert(SeriesId.make("metric_0", {"host": "h0"}), 10_000, 1.0)
     assert db.table("tsdb") is not table
-    assert db.stats_for("tsdb") is not stats
-    assert calls == {"table": 2, "stats": 2}
+    assert calls == {"table": 2, "stats": 0}
+    assert db.stats_for("tsdb") is None
+

@@ -447,26 +447,26 @@ def _plan_db() -> Database:
 
 #: Which compiler entry point serves each engine-bearing EXPLAIN stage.
 _STAGE_FN = {"Filter": "try_filter", "Aggregate": "try_aggregate",
-             "Window": "try_project", "Sort": "try_project",
-             "Join": "try_join"}
+             "Project": "try_project", "Join": "try_join"}
 
 #: (query, engine EXPLAIN must show per stage).  No query has two stages
-#: served by the same entry point unless one call serves both, so "did
-#: that entry point return a result" names the engine that ran exactly.
+#: served by the same entry point, so "did that entry point return a
+#: result" names the engine that ran exactly.
 PLAN_QUERIES = [
     ("SELECT k, SUM(v) AS s FROM t GROUP BY k HAVING SUM(v) > 200000 "
      "ORDER BY s", {"Aggregate": "columnar"}),
     ("SELECT v, LAG(v) OVER (ORDER BY v) AS p FROM t WHERE v >= 0 "
      "ORDER BY v DESC",
-     {"Filter": "columnar", "Window": "columnar", "Sort": "columnar"}),
+     {"Filter": "columnar", "Project": "columnar"}),
     ("SELECT t.k, d.w FROM t JOIN d ON t.k = d.k ORDER BY t.v",
-     {"Join": "columnar", "Sort": "columnar"}),
+     {"Join": "columnar", "Project": "columnar"}),
     # Shapes the compiler accepts, refused on what the columns hold.
     ("SELECT k, MIN(s) FROM t GROUP BY k", {"Aggregate": "row"}),
     ("SELECT k, MAX(s) FROM t WHERE v >= 0 GROUP BY k",
      {"Filter": "columnar", "Aggregate": "row"}),
-    ("SELECT v FROM t WHERE u - 5 < 0", {"Filter": "row"}),
-    ("SELECT v FROM t WHERE k * 9223372036854775807 > 0", {"Filter": "row"}),
+    ("SELECT v FROM t WHERE u - 5 < 0", {"Filter": "row", "Project": "row"}),
+    ("SELECT v FROM t WHERE k * 9223372036854775807 > 0",
+     {"Filter": "row", "Project": "row"}),
     ("SELECT k, PERCENTILE(v, k / 2) FROM t GROUP BY k",
      {"Aggregate": "row"}),
     # Sorted-segment aggregates and expression group keys.
@@ -476,14 +476,19 @@ PLAN_QUERIES = [
      {"Aggregate": "columnar"}),
     # Shapes the compiler refuses.
     ("SELECT k, SUM(DISTINCT v) FROM t GROUP BY k", {"Aggregate": "row"}),
-    ("SELECT UPPER(s) AS x FROM t ORDER BY v DESC", {"Sort": "row"}),
-    ("SELECT t.k, d.w FROM t CROSS JOIN d", {"Join": "row"}),
-    ("SELECT t.k, d.w FROM t JOIN d ON t.k < d.w", {"Join": "row"}),
+    ("SELECT UPPER(s) AS x FROM t ORDER BY v DESC", {"Project": "row"}),
+    ("SELECT t.k, d.w FROM t CROSS JOIN d", {"Join": "row", "Project": "row"}),
+    ("SELECT t.k, d.w FROM t JOIN d ON t.k < d.w",
+     {"Join": "row", "Project": "row"}),
     # A handful of rows, or none, is no reason to leave the tier.
     ("SELECT v FROM t WHERE v < 30000 ORDER BY v DESC",
-     {"Filter": "columnar", "Sort": "columnar"}),
+     {"Filter": "columnar", "Project": "columnar"}),
     ("SELECT w FROM d WHERE w > 99 ORDER BY w",
-     {"Filter": "columnar", "Sort": "columnar"}),
+     {"Filter": "columnar", "Project": "columnar"}),
+    # A plain projection with no window and no ORDER BY still names
+    # the engine that ran it.
+    ("SELECT UPPER(s) AS x FROM t", {"Project": "row"}),
+    ("SELECT v * 2 AS w FROM t", {"Project": "columnar"}),
 ]
 
 
@@ -506,11 +511,17 @@ def compiler_calls(monkeypatch):
     return calls
 
 
-def _recorded_engines(plan) -> dict[str, str]:
-    engines, todo = {}, [plan.root]
+def _plan_nodes(plan):
+    todo = [plan.root]
     while todo:
         node = todo.pop()
         todo.extend(node.children)
+        yield node
+
+
+def _recorded_engines(plan) -> dict[str, str]:
+    engines = {}
+    for node in _plan_nodes(plan):
         if node.engine is not None:
             kind = next(k for k in _STAGE_FN if k in node.label.split("(")[0])
             assert kind not in engines
@@ -538,7 +549,7 @@ class TestPlanRecordsExecution:
         db = _plan_db()
         stmt = optimize(parse(query))
         runs = []
-        for plan in (None, Planner(db.stats_for).plan(stmt)):
+        for plan in (None, Planner().plan(stmt)):
             del compiler_calls[:]
             table = Executor(db.table, {}, plan=plan,
                              scan_table=db.scan_table).execute(stmt)
@@ -555,7 +566,8 @@ class TestPlanRecordsExecution:
         query = f"SELECT t.v, d.w FROM {source} ORDER BY t.v"
         db = _plan_db()
         result = db.sql(query)
-        assert _recorded_engines(db.last_plan)["Join"] == "columnar"
+        assert [node.engine for node in _plan_nodes(db.last_plan)
+                if "Join" in node.label] == ["columnar"]
         assert not result.is_materialised()
         slow = Database(columnar=False)
         for name in ("t", "d"):
@@ -660,12 +672,8 @@ class TestServedShapesNeverLeaveTheTier:
         result = fast.sql(query)
         assert decodes == [], "an encoded column was expanded per row"
         monkeypatch.undo()
-        engines, todo = [], [fast.last_plan.root]
-        while todo:
-            node = todo.pop()
-            todo.extend(node.children)
-            if node.engine is not None:
-                engines.append(node.engine)
+        engines = [node.engine for node in _plan_nodes(fast.last_plan)
+                   if node.engine is not None]
         assert engines and set(engines) == {"columnar"}, \
             fast.last_plan.render()
         reference = slow.sql(query)

@@ -61,3 +61,12 @@ class TestExplain:
         join_line = next(l for l in lines if "InnerJoin" in l)
         join_indent = len(join_line) - len(join_line.lstrip())
         assert join_indent > project_indent
+
+    def test_every_stage_records_what_ran_and_nothing_is_estimated(self, db2):
+        plan = db2.explain(
+            "SELECT l.k, COUNT(*) AS n FROM l "
+            "JOIN (SELECT k FROM r WHERE w > 0) s ON l.k = s.k "
+            "GROUP BY l.k ORDER BY n")
+        assert "est=" not in plan
+        assert all("actual=" in line for line in plan.splitlines()), plan
+        assert "Aggregate(groupBy=l.k) (actual=1 rows, engine=row)" in plan

@@ -6,6 +6,9 @@ through memmap views (no copy) and the persisted zone maps (no
 statistics recomputation).
 """
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -120,6 +123,46 @@ class TestSegmentCodec:
             segments = list(store.chunk_stats(series))
             assert deserialize_segments(
                 serialize_segments(segments)) == segments
+
+
+def _directory(path) -> tuple[bytes, int, dict]:
+    """A chunkfile's bytes, directory offset and parsed directory."""
+    data = path.read_bytes()
+    offset, length = struct.unpack("<QQ", data[len(MAGIC):len(MAGIC) + 16])
+    return data, offset, json.loads(data[offset:offset + length])
+
+
+def _column_stats(meta):
+    for entry in meta["series"]:
+        for seg in entry["segments"]:
+            yield seg["timestamps"]
+            yield seg["values"]
+
+
+class TestZoneMapFields:
+    def test_directory_records_ranges_only(self, tmp_path):
+        path = tmp_path / "snap.tsdb"
+        write_chunkfile(_adversarial_store(), path)
+        _, _, meta = _directory(path)
+        assert all(set(stats) == {"min", "max"}
+                   for stats in _column_stats(meta))
+
+    def test_directory_with_estimator_fields_still_loads(self, tmp_path):
+        """Chunkfiles whose zone maps also carry ``null_count`` and
+        ``distinct`` load to the same store and the same zone maps."""
+        store = _adversarial_store()
+        path = tmp_path / "old.tsdb"
+        write_chunkfile(store, path)
+        data, offset, meta = _directory(path)
+        for stats in _column_stats(meta):
+            stats.update(null_count=0, distinct=1)
+        payload = json.dumps(meta, separators=(",", ":")).encode("utf-8")
+        path.write_bytes(MAGIC + struct.pack("<QQ", offset, len(payload))
+                         + data[len(MAGIC) + 16:offset] + payload)
+        loaded = read_chunkfile(path)
+        _assert_bitwise_equal_stores(store, loaded)
+        for series in store.series_ids():
+            assert loaded.chunk_stats(series) == store.chunk_stats(series)
 
 
 class TestFormatErrors:

@@ -1,13 +1,12 @@
 """Property tests for zone maps and zone-map-pruned scans.
 
-Two guarantees back the planner's estimates and the predicate-pushdown
-scan path:
+Two guarantees back the predicate-pushdown scan path:
 
 1. **Zone maps are exact**: after any mix of point appends, bulk
    appends, ``apply`` value rewrites and ``merge``, every sealed
-   segment's recorded statistics equal a brute-force recompute over the
-   consolidated columns, the segments tile ``[0, len)``, and every
-   mutation bumps ``store.version``.
+   segment's recorded ranges equal a brute-force ``nanmin``/``nanmax``
+   over the consolidated columns, the segments tile ``[0, len)``, and
+   every mutation bumps ``store.version``.
 2. **Pruning is invisible**: a zone-map-pruned scan returns a
    conservative superset in unpruned order, so re-applying the exact
    predicate — or running the full SQL WHERE — gives results bitwise
@@ -21,7 +20,7 @@ import numpy as np
 
 from repro.sql.catalog import Database
 from repro.tsdb.adapter import register_store, tsdb_table
-from repro.tsdb.model import _chunk_stats
+from repro.tsdb.model import ChunkStats, ColumnStats
 from repro.tsdb.storage import TimeSeriesStore
 from repro.tsdb import SeriesId
 
@@ -71,12 +70,22 @@ def grown_stores(draw):
     return store
 
 
+def _brute_range(column: np.ndarray) -> ColumnStats:
+    present = column[~np.isnan(column)] if column.dtype.kind == "f" \
+        else column
+    if not present.size:
+        return ColumnStats(min=None, max=None)
+    kind = int if column.dtype.kind == "i" else float
+    return ColumnStats(min=kind(np.min(present)), max=kind(np.max(present)))
+
+
 def _recomputed_segments(store, sid):
     """Brute-force zone maps from the consolidated columns."""
     ts, vals = store.arrays(sid)
     return [
-        _chunk_stats(seg.start, ts[seg.start:seg.end],
-                     vals[seg.start:seg.end])
+        ChunkStats(start=seg.start, end=seg.end,
+                   timestamps=_brute_range(ts[seg.start:seg.end]),
+                   values=_brute_range(vals[seg.start:seg.end]))
         for seg in store.chunk_stats(sid)
     ]
 
