@@ -80,6 +80,7 @@ class ExplainItSession:
         self._target: str | None = None
         self._condition: str | FeatureFamily | None = None
         self._families = VersionedCache(1)
+        self._last_families: FamilySet | None = None
         self.history: list[ScoreTable] = []
 
     # ------------------------------------------------------------------
@@ -229,11 +230,18 @@ class ExplainItSession:
         return TimeRanges(lo, hi + 1)
 
     def _ensure_families(self) -> FamilySet:
-        """The family set for the current horizon at the store's version."""
+        """The family set for the current horizon at the store's version.
+
+        A version bump refreshes the previous set: families whose member
+        series were not written since are reused, the rest re-aligned
+        (see :func:`~repro.core.families.families_from_store`).
+        """
         view = self.store.read_view()
         ranges = self._horizon(view)
-        return self._families.get_or_build(
+        self._last_families = self._families.get_or_build(
             (ranges.total_start, ranges.total_end), view.version,
             lambda: families_from_store(
                 view, group_by=self.group_by,
-                start=ranges.total_start, end=ranges.total_end))
+                start=ranges.total_start, end=ranges.total_end,
+                previous=self._last_families))
+        return self._last_families

@@ -21,8 +21,13 @@ import numpy as np
 
 from repro.linmodel.preprocessing import interpolate_missing
 from repro.sql.table import Table
-from repro.tsdb.model import SeriesId, group_key_by_name, group_key_by_tag
-from repro.tsdb.query import ScanQuery
+from repro.tsdb.model import (
+    SeriesData,
+    SeriesId,
+    group_key_by_name,
+    group_key_by_tag,
+)
+from repro.tsdb.query import ScanQuery, align_to_grid
 from repro.tsdb.storage import StoreView
 
 
@@ -30,18 +35,25 @@ class FamilyError(Exception):
     """Raised for malformed or empty families."""
 
 
-@dataclass
+@dataclass(eq=False)
 class FeatureFamily:
     """A named group of metrics with a dense data matrix.
 
     ``matrix`` has shape (T, F); ``members`` names each column;
-    ``grid`` holds the shared timestamps.
+    ``grid`` holds the shared timestamps.  ``sources`` holds, for a
+    family built by :func:`families_from_store`, the frozen store
+    columns its matrix was aligned from (empty otherwise).
+
+    Families compare and hash by identity: two families are "the same"
+    exactly when they are one object, which is what lets a newer version
+    reuse a family — and every score computed over it — unchanged.
     """
 
     name: str
     matrix: np.ndarray
     members: list[str]
     grid: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    sources: tuple[SeriesData, ...] = field(default=(), repr=False)
 
     def __post_init__(self) -> None:
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
@@ -88,10 +100,16 @@ class FeatureFamily:
 
 
 class FamilySet:
-    """An ordered collection of families sharing one time grid."""
+    """An ordered collection of families sharing one time grid.
+
+    ``origin`` is ``(build arguments, grid)`` for a set built by
+    :func:`families_from_store` — what a later call needs to know before
+    it may reuse this set's families — and ``None`` otherwise.
+    """
 
     def __init__(self, families: Iterable[FeatureFamily] = ()) -> None:
         self._families: dict[str, FeatureFamily] = {}
+        self.origin: tuple[tuple, np.ndarray] | None = None
         for family in families:
             self.add(family)
 
@@ -146,34 +164,61 @@ def families_from_store(store: StoreView,
                         start: int | None = None,
                         end: int | None = None,
                         name_filter: str | None = None,
-                        tag_filters: Mapping[str, str] | None = None
-                        ) -> FamilySet:
+                        tag_filters: Mapping[str, str] | None = None,
+                        previous: FamilySet | None = None) -> FamilySet:
     """Group a store's series into families.
 
     ``group_by`` is ``"name"`` (default, the paper's usual grouping),
     ``"tag:<key>"`` for a tag-based grouping, or a callable mapping a
-    :class:`SeriesId` to a family key.
+    :class:`SeriesId` to a family key.  Each family's matrix is built
+    C-contiguous, one aligned column per member.
+
+    ``previous`` — an earlier result of this function, typically over an
+    older version of the same store — changes the cost, never the
+    result.  One of its families is reused, as the very same object,
+    when this call's arguments and grid equal the ones it was built with
+    and every member column is the identical frozen column
+    (:meth:`SeriesData.freeze <repro.tsdb.model.SeriesData.freeze>`
+    returns the same clone until that series' next write, ``apply``
+    included, so ``is`` means "not written since").  Every other family
+    is aligned afresh; with no ``previous`` that is all of them.  A
+    write that moves the grid (extends the horizon) therefore rebuilds
+    every family.
     """
     key_fn = _group_key_fn(group_by)
+    view = store.read_view()
     result = ScanQuery(name=name_filter, tags=tag_filters,
-                       start=start, end=end).run(store)
+                       start=start, end=end).run(view)
     if not result.columns:
         raise FamilyError("no series matched the family scan")
     grid = result.grid()
+    build = (group_by, start, end, name_filter,
+             None if tag_filters is None else sorted(tag_filters.items()))
+    reusable: dict[str, FeatureFamily] = {}
+    if previous is not None and previous.origin is not None \
+            and previous.origin[0] == build \
+            and np.array_equal(previous.origin[1], grid):
+        reusable = previous._families
     grouped: dict[str, list[SeriesId]] = {}
     for series in result.series_ids():
         grouped.setdefault(str(key_fn(series)), []).append(series)
     families = FamilySet()
-    matrix, ids, grid = result.to_matrix(grid)
-    column_of = {series: j for j, series in enumerate(ids)}
+    families.origin = (build, grid)
     for family_name in sorted(grouped):
         members = grouped[family_name]
-        columns = [column_of[s] for s in members]
+        sources = tuple(view.get(s) for s in members)
+        old = reusable.get(family_name)
+        if old is not None and len(old.sources) == len(sources) \
+                and all(a is b for a, b in zip(old.sources, sources)):
+            families.add(old)
+            continue
         families.add(FeatureFamily(
             name=family_name,
-            matrix=matrix[:, columns],
+            matrix=np.column_stack([align_to_grid(*result.columns[s], grid)
+                                    for s in members]),
             members=[str(s) for s in members],
             grid=grid,
+            sources=sources,
         ))
     return families
 

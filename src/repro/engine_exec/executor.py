@@ -244,13 +244,8 @@ class HypothesisExecutor:
         accounting = (SerializationAccounting()
                       if self.measure_serialization else None)
         wall_start = time.perf_counter()
-        if self.backend is None:
-            scores, seconds, attributed = execute_batches(
-                hypotheses, scorer, accounting=accounting)
-        else:
-            scores, seconds = self._run_processes(
-                hypotheses, scorer, accounting, shm_jobs, process_pool)
-            attributed = np.zeros(len(hypotheses), dtype=bool)
+        scores, seconds, attributed = self.score(
+            hypotheses, scorer, shm_jobs, process_pool, accounting)
         wall = time.perf_counter() - wall_start
         timings = [
             HypothesisTiming(
@@ -272,6 +267,23 @@ class HypothesisExecutor:
             backend=self.backend,
             transfer=self.transfer if self.backend == "process" else None,
         )
+
+    def score(self, hypotheses: Sequence[Hypothesis], scorer: Scorer,
+              shm_jobs: Sequence[ShmJob] | None = None,
+              process_pool: ProcessPoolExecutor | None = None,
+              accounting: SerializationAccounting | None = None
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(scores, seconds, attributed)`` aligned with ``hypotheses``.
+
+        The scoring half of :meth:`run`, without the Score Table, for a
+        caller that ranks these scores together with others (the serving
+        tier scores only the hypotheses a write touched).
+        """
+        if self.backend is None:
+            return execute_batches(hypotheses, scorer, accounting=accounting)
+        scores, seconds = self._run_processes(
+            hypotheses, scorer, accounting, shm_jobs, process_pool)
+        return scores, seconds, np.zeros(len(hypotheses), dtype=bool)
 
     def _run_processes(self, hypotheses: Sequence[Hypothesis],
                        scorer: Scorer,

@@ -15,12 +15,19 @@ arrive.  ``QueryServer`` is the long-lived front end for that workload:
   so materialised tables and scan caches amortise
   across every request at that version instead of being rebuilt
   per query;
-- for ``backend="process"`` rankings the state publishes each batch
-  group's Y/Z/X matrices **once per version** through the existing
-  :class:`~repro.engine_exec.shm.SharedMatrixPool`
-  (:func:`~repro.engine_exec.executor.share_shm_jobs`); repeat explain
-  requests replay the same zero-copy handles into a long-lived process
-  pool instead of pickling matrices per request;
+- a new version's explain state is a **refresh of the latest one
+  built**: a family whose member columns are the identical frozen
+  columns is reused as the same object, and a hypothesis whose ``(X, Y,
+  Z)`` families are all reused keeps its score, so an explain after a
+  write re-aligns and re-scores only what the write touched — as long
+  as the write leaves the time grid in place (one that extends the
+  horizon rebuilds everything);
+- for ``backend="process"`` rankings the state publishes the Y/Z/X
+  matrices of the hypotheses it has to score **once per version**
+  through the existing :class:`~repro.engine_exec.shm.SharedMatrixPool`
+  (:func:`~repro.engine_exec.executor.share_shm_jobs`); a repeat of the
+  same scoring work replays the same zero-copy handles into a
+  long-lived process pool instead of pickling matrices per request;
 - a bounded **result cache** — a
   :class:`~repro.versioned.VersionedCache` keyed on the normalized
   query or the explain shape — returns the identical result object for
@@ -45,9 +52,11 @@ from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Any, Hashable, Iterable, Sequence
 
+import numpy as np
+
 from repro.core.families import FamilySet, families_from_store
 from repro.core.hypothesis import generate_hypotheses
-from repro.core.ranking import DEFAULT_TOP_K, ScoreTable, rank_families
+from repro.core.ranking import DEFAULT_TOP_K, ScoreTable, build_score_table
 from repro.engine_exec.executor import (
     BACKENDS,
     HypothesisExecutor,
@@ -55,6 +64,7 @@ from repro.engine_exec.executor import (
     share_shm_jobs,
 )
 from repro.engine_exec.shm import SharedMatrixPool, detach_segments
+from repro.scoring.base import get_scorer
 from repro.serve.cache import normalize_query
 from repro.sql.catalog import Database
 from repro.sql.table import Table
@@ -96,19 +106,78 @@ class ServedResult:
         return self.value.to_table()
 
 
-class _VersionState:
-    """Everything the server amortises across requests at one version."""
+class _Generation:
+    """The explain work of one version that a newer version may reuse.
 
-    def __init__(self, version: Any, snapshot: StoreView,
-                 group_by: str) -> None:
+    Its family set and the scores computed over it, keyed by ``(scorer
+    registry name, X, Y, Z)`` family objects — :class:`FeatureFamily`
+    hashes by identity, so a key matches only the very same families.
+    It holds no snapshot or database, so the server's reference to the
+    latest built generation keeps no other per-version state alive.
+    """
+
+    def __init__(self) -> None:
+        self.families: FamilySet | None = None
+        self.scores: dict[tuple, tuple[float, float]] = {}
+        self.lock = threading.Lock()            # guards ``scores``
+
+    def inherit(self, older: "_Generation", families: FamilySet) -> None:
+        """Take over the scores of ``older`` whose families all survived
+        into ``families``."""
+        with older.lock:
+            carried = list(older.scores.items())
+        kept = {key: value for key, value in carried
+                if all(f is None or (f.name in families
+                                     and families[f.name] is f)
+                       for f in key[1:])}
+        with self.lock:
+            self.scores.update(kept)
+
+    def lookup(self, scorer: str, hypotheses: Sequence
+               ) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """Known ``(scores, seconds)`` by position, and the positions to score."""
+        scores = np.empty(len(hypotheses))
+        seconds = np.empty(len(hypotheses))
+        todo: list[int] = []
+        with self.lock:
+            for i, h in enumerate(hypotheses):
+                known = self.scores.get((scorer, h.x, h.y, h.z))
+                if known is None:
+                    todo.append(i)
+                else:
+                    scores[i], seconds[i] = known
+        return scores, seconds, todo
+
+    def remember(self, scorer: str, hypotheses: Sequence,
+                 scores: np.ndarray, seconds: np.ndarray) -> None:
+        with self.lock:
+            for h, score, elapsed in zip(hypotheses, scores, seconds):
+                self.scores[(scorer, h.x, h.y, h.z)] = (float(score),
+                                                        float(elapsed))
+
+
+class _VersionState:
+    """Everything the server amortises across requests at one version.
+
+    ``generation`` is this version's explain work; the server fills it in
+    on the first explain (:meth:`QueryServer._generation`) as a refresh
+    of the latest generation it built at any version.
+
+    ``_lock`` guards only the request lifetime (in-flight count,
+    retirement); family and shared-memory builds run under
+    ``build_lock``, single-flight, so a slow build never blocks
+    :meth:`acquire` — which ``_pin`` calls under the server-wide lock.
+    """
+
+    def __init__(self, version: Any, snapshot: StoreView) -> None:
         self.version = version
         self.snapshot = snapshot
         self.db = Database()
         register_store(self.db, snapshot)
-        self._group_by = group_by
-        self._families: FamilySet | None = None
+        self.generation = _Generation()
         self._shm_pool: SharedMatrixPool | None = None
         self._shm_jobs: dict[Hashable, list[ShmJob]] = {}
+        self.build_lock = threading.Lock()
         self._lock = threading.Lock()
         self._inflight = 0
         self._retired = False
@@ -155,25 +224,21 @@ class _VersionState:
             self._shm_pool.close()
 
     # -- amortised per-version artifacts -------------------------------
-    def families(self) -> FamilySet:
-        with self._lock:
-            if self._families is None:
-                self._families = families_from_store(
-                    self.snapshot, group_by=self._group_by)
-            return self._families
-
     def shm_jobs(self, key: Hashable, hypotheses: Sequence) -> list[ShmJob]:
-        """Jobs for a hypothesis set, publishing matrices at most once.
+        """Jobs for a hypothesis list, publishing matrices at most once.
 
-        The first request of a given explain shape copies the batch
-        groups' Y/Z/X matrices into shared memory; every later request
-        at this version replays the same refs.  Callers share the
-        returned list — jobs are immutable tuples and nobody mutates it.
+        The first request to score a given list at this version copies
+        its batch groups' Y/Z/X matrices into shared memory; a later
+        request for the same list replays the same refs.  Callers share
+        the returned list — jobs are immutable tuples and nobody mutates
+        it.  Callers hold :meth:`acquire`, so the state cannot close its
+        pool while this publishes outside the lifetime lock.
         """
-        with self._lock:
-            if self._closed:
-                raise RuntimeError(
-                    f"version state {self.version} already retired")
+        with self.build_lock:
+            with self._lock:
+                if self._closed:
+                    raise RuntimeError(
+                        f"version state {self.version} already retired")
             jobs = self._shm_jobs.get(key)
             if jobs is None:
                 if self._shm_pool is None:
@@ -233,6 +298,7 @@ class QueryServer:
             max_workers=n_workers, thread_name_prefix="repro-serve")
         self._procs: ProcessPoolExecutor | None = None
         self._states: dict[Any, _VersionState] = {}
+        self._latest: _Generation | None = None     # last one built
         self._state_lock = threading.Lock()
         self._closed = False
         self._requests = {"sql": 0, "explain": 0, "drill_down": 0}
@@ -250,6 +316,7 @@ class QueryServer:
         with self._state_lock:
             states = list(self._states.values())
             self._states.clear()
+            self._latest = None
         for state in states:
             state.retire()
         if self._procs is not None:
@@ -354,7 +421,7 @@ class QueryServer:
             state = self._states.get(version)
             if state is None:
                 state = self._states[version] = _VersionState(
-                    version, snapshot, self._group_by)
+                    version, snapshot)
                 # Retire all but the newest states — never the one just
                 # created, should it be a late-arriving older version.
                 for old in sorted(self._states)[:-KEEP_VERSIONS]:
@@ -425,23 +492,75 @@ class QueryServer:
                                      search, exclude, top_k,
                                      shareable=cacheable))
 
+    def _generation(self, state: _VersionState) -> _Generation:
+        """``state``'s generation, its family set built on first use.
+
+        The build refreshes the latest generation the server built (at
+        any version): ``families_from_store(..., previous=latest.families)``
+        reuses, as the same objects, the families whose member columns
+        are the identical frozen columns; the new generation inherits
+        every score of ``latest`` whose ``(X, Y, Z)`` families all
+        survived, then becomes the latest itself — so at most one
+        generation outlives the retired states.  Reuse is decided by
+        identity alone, so it is exact whichever version ``latest``
+        came from.
+        """
+        generation = state.generation
+        if generation.families is None:
+            with state.build_lock:
+                if generation.families is None:
+                    with self._state_lock:
+                        latest = self._latest
+                    families = families_from_store(
+                        state.snapshot, group_by=self._group_by,
+                        previous=latest.families if latest else None)
+                    if latest is not None:
+                        generation.inherit(latest, families)
+                    generation.families = families
+                    with self._state_lock:
+                        self._latest = generation
+        return generation
+
     def _rank(self, state: _VersionState, target: str, scorer: Any,
               condition: Any, search: tuple | None, exclude: tuple,
               top_k: int, shareable: bool) -> ScoreTable:
-        families = state.families()
+        """Rank at ``state``'s version, scoring only what is not known.
+
+        For shareable (cacheable) shapes, a hypothesis whose ``(X, Y,
+        Z)`` families and scorer name match a score this version already
+        holds — computed here or inherited — takes that score: by the
+        ``Scorer`` contract a score depends on those matrices alone, so
+        the table is bitwise the one a cold run builds.  The rest (every
+        hypothesis, for a live scorer or family object) go through the
+        executor on the configured backend.
+        """
+        generation = self._generation(state)
         hypotheses = generate_hypotheses(
-            families, target, condition=condition, search=search,
+            generation.families, target, condition=condition, search=search,
             exclude=exclude)
-        if self._backend == "process" and shareable:
-            jobs = state.shm_jobs(
-                (target, condition, search, exclude), hypotheses)
+        started = time.perf_counter()
+        if shareable:
+            memo, name = generation, scorer.lower()
+        else:                   # a live scorer or family: nothing to reuse
+            memo, name = _Generation(), None
+        if isinstance(scorer, str):
+            scorer = get_scorer(scorer)
+        scores, seconds, todo = memo.lookup(name, hypotheses)
+        if todo:
+            fresh = [hypotheses[i] for i in todo]
             executor = HypothesisExecutor(
-                n_workers=self._rank_workers, backend="process",
-                transfer="shm")
-            report = executor.run(hypotheses, scorer=scorer, top_k=top_k,
-                                  shm_jobs=jobs,
-                                  process_pool=self._process_pool())
-            return report.score_table
-        return rank_families(hypotheses, scorer=scorer, top_k=top_k,
-                             backend=self._backend,
-                             n_workers=self._rank_workers)
+                n_workers=self._rank_workers, backend=self._backend)
+            jobs = pool = None
+            if self._backend == "process":
+                if shareable:
+                    jobs = state.shm_jobs(
+                        (target, condition, tuple(h.name for h in fresh)),
+                        fresh)
+                pool = self._process_pool()
+            new_scores, new_seconds, _ = executor.score(
+                fresh, scorer, shm_jobs=jobs, process_pool=pool)
+            scores[todo] = new_scores
+            seconds[todo] = new_seconds
+            memo.remember(name, fresh, new_scores, new_seconds)
+        return build_score_table(hypotheses, scores, seconds, scorer.name,
+                                 top_k, time.perf_counter() - started)

@@ -165,11 +165,18 @@ def align_to_grid(timestamps: np.ndarray, values: np.ndarray,
     """
     if timestamps.size == 0:
         return np.full(grid.shape, np.nan)
-    if timestamps.size == grid.size and np.array_equal(timestamps, grid):
-        # Already on the grid (a gap-free scrape): the general path would
-        # choose ``arange``.  ``astype`` copies, so the result never
-        # aliases a memmap'd store column.
-        return values.astype(np.float64)
+    lo = int(np.searchsorted(grid, timestamps[0]))
+    hi = lo + timestamps.size
+    if hi <= grid.size and np.array_equal(timestamps, grid[lo:hi]):
+        # A gap-free run of grid points (a scrape that started late or
+        # stopped early, or covers the whole grid): the general path
+        # picks each observation in place and the edge value outside.
+        # The result is a fresh array, never a memmap'd store column.
+        aligned = np.empty(grid.shape)
+        aligned[:lo] = values[0]
+        aligned[lo:hi] = values
+        aligned[hi:] = values[-1]
+        return aligned
     # Index of the first observation >= each grid point.
     right = np.searchsorted(timestamps, grid, side="left")
     right = np.clip(right, 0, timestamps.size - 1)
@@ -216,7 +223,12 @@ class ScanQuery:
 
 @dataclass
 class ScanResult:
-    """Result of a scan: per-series column pairs plus matrix conversion."""
+    """Result of a scan: per-series column pairs and their common grid.
+
+    Dense matrices — the "dense arrays" optimisation of section 4.2 —
+    are built per family from these columns by
+    :func:`repro.core.families.families_from_store`.
+    """
 
     columns: dict[SeriesId, tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict
@@ -241,20 +253,3 @@ class ScanResult:
         if lo is None or hi is None:
             return np.empty(0, dtype=np.int64)
         return np.arange(lo, hi + 1, interval, dtype=np.int64)
-
-    def to_matrix(self, grid: np.ndarray | None = None,
-                  interval: int = 1) -> tuple[np.ndarray, list[SeriesId], np.ndarray]:
-        """Materialise a dense ``T x F`` matrix aligned on a common grid.
-
-        Returns ``(matrix, series_ids, grid)``.  This is the "dense arrays"
-        optimisation of section 4.2: downstream scoring operates on
-        row-major numpy matrices rather than per-point records.
-        """
-        if grid is None:
-            grid = self.grid(interval)
-        ids = self.series_ids()
-        matrix = np.empty((grid.size, len(ids)), dtype=np.float64, order="C")
-        for j, series in enumerate(ids):
-            ts, vals = self.columns[series]
-            matrix[:, j] = align_to_grid(ts, vals, grid)
-        return matrix, ids, grid

@@ -177,3 +177,99 @@ class TestNormaliseQueryResult:
     def test_too_few_columns(self):
         with pytest.raises(FamilyError):
             normalise_query_result(Table(["ts", "grp"], []))
+
+
+class TestRefreshFromPrevious:
+    """``families_from_store(previous=...)`` reuses by frozen-column identity
+    and never changes the result."""
+
+    @pytest.fixture
+    def store(self):
+        store = TimeSeriesStore()
+        ts = np.arange(20)
+        rng = np.random.default_rng(3)
+        for host in ("dn-1", "dn-2"):
+            store.insert_array(SeriesId.make("disk", {"host": host}),
+                               ts, rng.standard_normal(20))
+        store.insert_array(SeriesId.make("cpu", {"host": "dn-1"}),
+                           ts, rng.standard_normal(20))
+        # Ends inside the horizon, so it can grow without moving the grid.
+        store.insert_array(SeriesId.make("late", {"host": "dn-1"}),
+                           ts[:15], rng.standard_normal(15))
+        return store
+
+    @staticmethod
+    def assert_equals_cold(fams, store, **kwargs):
+        cold = families_from_store(store, **kwargs)
+        assert fams.names() == cold.names()
+        for name in cold.names():
+            assert fams[name].members == cold[name].members
+            assert fams[name].matrix.tobytes() == cold[name].matrix.tobytes()
+            assert fams[name].grid.tobytes() == cold[name].grid.tobytes()
+
+    def test_same_version_reuses_every_family(self, store):
+        first = families_from_store(store)
+        again = families_from_store(store, previous=first)
+        assert all(again[n] is first[n] for n in first.names())
+
+    def test_only_the_written_family_is_rebuilt(self, store):
+        first = families_from_store(store)
+        store.insert(SeriesId.make("late", {"host": "dn-1"}), 15, 0.5)
+        fresh = families_from_store(store, previous=first)
+        assert fresh["late"] is not first["late"]
+        assert fresh["disk"] is first["disk"]
+        assert fresh["cpu"] is first["cpu"]
+        self.assert_equals_cold(fresh, store)
+
+    def test_apply_rebuilds_its_family(self, store):
+        first = families_from_store(store)
+        store.apply(SeriesId.make("disk", {"host": "dn-2"}),
+                    lambda ts, vs: vs * 2.0)
+        fresh = families_from_store(store, previous=first)
+        assert fresh["disk"] is not first["disk"]
+        assert fresh["cpu"] is first["cpu"]
+        self.assert_equals_cold(fresh, store)
+
+    def test_new_member_and_new_family(self, store):
+        first = families_from_store(store)
+        store.insert_array(SeriesId.make("cpu", {"host": "dn-2"}),
+                           np.arange(20), np.ones(20))
+        store.insert_array(SeriesId.make("mem"), np.arange(20), np.ones(20))
+        fresh = families_from_store(store, previous=first)
+        assert fresh["cpu"] is not first["cpu"]
+        assert fresh["cpu"].n_features == 2
+        assert "mem" in fresh and fresh["disk"] is first["disk"]
+        self.assert_equals_cold(fresh, store)
+
+    def test_a_moved_grid_rebuilds_everything(self, store):
+        first = families_from_store(store)
+        store.insert(SeriesId.make("late", {"host": "dn-1"}), 25, 0.5)
+        fresh = families_from_store(store, previous=first)
+        assert fresh["disk"].n_samples == 26
+        assert not any(fresh[n] is first[n] for n in first.names())
+        self.assert_equals_cold(fresh, store)
+
+    def test_other_arguments_rebuild_everything(self, store):
+        first = families_from_store(store, start=0, end=10)
+        fresh = families_from_store(store, start=0, end=12,
+                                    previous=first)
+        assert not any(fresh[n] is first[n] for n in first.names())
+        by_tag = families_from_store(store, group_by="tag:host",
+                                     previous=families_from_store(store))
+        assert all(f.n_samples == 20 for f in by_tag)
+        self.assert_equals_cold(fresh, store, start=0, end=12)
+
+    def test_matrices_are_built_c_contiguous(self, store):
+        for family in families_from_store(store):
+            assert family.matrix.flags["C_CONTIGUOUS"]
+
+    def test_session_refreshes_across_versions(self, store):
+        from repro.core.engine import ExplainItSession
+        session = ExplainItSession(store)
+        first = session.families()
+        store.insert(SeriesId.make("late", {"host": "dn-1"}), 15, 0.5)
+        fresh = session.families()
+        assert fresh is not first
+        assert fresh["disk"] is first["disk"]
+        assert fresh["late"] is not first["late"]
+        self.assert_equals_cold(fresh, store, start=0, end=20)

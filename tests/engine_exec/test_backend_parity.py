@@ -57,12 +57,13 @@ def _make_hypotheses(seed: int, n_families: int = 6, n_samples: int = 60,
 
 
 def _store_hypotheses():
-    """Families built from a store, as every served request builds them.
+    """Families built from a store, re-laid out column-major.
 
-    ``families_from_store`` produces column-major matrices, and the
-    single-metric families land in one shape group of one-column
-    designs — the two input properties on which stacked and 2-D numpy
-    calls are easiest to get to round differently.
+    Single-metric store families land in one shape group of one-column
+    designs, and column-major input is the layout on which stacked and
+    2-D numpy calls are easiest to get to round differently — so the
+    store's C-contiguous matrices are converted with ``asfortranarray``
+    to keep that layout covered.
     """
     rng = np.random.default_rng(707)
     ts = np.arange(72)
@@ -76,7 +77,9 @@ def _store_hypotheses():
             store.insert_array(
                 SeriesId.make(name, {"host": f"h{h}"}), ts,
                 coupling * base + rng.standard_normal(72))
-    families = families_from_store(store, group_by="name")
+    families = FamilySet(
+        FeatureFamily(f.name, np.asfortranarray(f.matrix), f.members, f.grid)
+        for f in families_from_store(store, group_by="name"))
     hypotheses = generate_hypotheses(families, "latency")
     assert not hypotheses[0].x.matrix.flags["C_CONTIGUOUS"]
     return hypotheses

@@ -118,18 +118,17 @@ class TestScanQuery:
         assert ts.tolist() == [0, 5]
         assert vals.tolist() == [2.0, 7.0]
 
-    def test_to_matrix_shapes(self, store):
+    def test_grid_spans_every_series(self, store):
         result = ScanQuery().run(store)
-        matrix, ids, grid = result.to_matrix()
-        assert matrix.shape == (10, 3)
-        assert len(ids) == 3
-        assert grid.tolist() == list(range(10))
+        assert len(result.series_ids()) == 3
+        assert result.grid().tolist() == list(range(10))
 
-    def test_matrix_interpolates_sparse_series(self, store):
+    def test_sparse_series_aligns_onto_the_grid(self, store):
         result = ScanQuery(name="b").run(store)
-        matrix, _, grid = result.to_matrix(np.arange(10))
+        column = align_to_grid(*result.columns[SeriesId.make("b")],
+                               np.arange(10))
         # series b only has even timestamps; odd ones take neighbours
-        assert not np.isnan(matrix).any()
+        assert not np.isnan(column).any()
 
     def test_explicit_series_ids(self, store):
         sid = SeriesId.make("b")
@@ -177,5 +176,9 @@ class TestStoreDownsampleParity:
                 assert np.allclose(vals, ref_vals, rtol=1e-9, atol=0.0)
             else:
                 assert vals.tobytes() == ref_vals.tobytes()
-        assert np.array_equal(result.to_matrix()[0],
-                              query.run(store).to_matrix()[0])
+        again = query.run(store)
+        assert set(again.columns) == set(result.columns)
+        for series, (ts, vals) in result.columns.items():
+            again_ts, again_vals = again.columns[series]
+            assert ts.tobytes() == again_ts.tobytes()
+            assert vals.tobytes() == again_vals.tobytes()

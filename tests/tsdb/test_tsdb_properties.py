@@ -123,18 +123,32 @@ def _general_align(timestamps, values, grid):
 
 class TestOnGridFastPath:
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=25),
-           st.integers(1, 4), st.integers(-50, 50))
-    @settings(max_examples=60, deadline=None)
-    def test_equals_the_general_path_bitwise(self, steps, interval, start):
+           st.integers(1, 4), st.integers(-50, 50),
+           st.integers(0, 6), st.integers(0, 6))
+    @settings(max_examples=120, deadline=None)
+    def test_equals_the_general_path_bitwise(self, steps, interval, start,
+                                             before, after):
         """On-grid, gapped (step > 1), duplicate-timestamp (step 0) and
-        ``interval > 1`` inputs all align exactly as the general path."""
+        ``interval > 1`` inputs all align exactly as the general path,
+        also on grids reaching ``before``/``after`` points past the data
+        (a run of grid points that starts late or stops early)."""
         ts = start + np.cumsum(steps, dtype=np.int64)
         vals = np.random.default_rng(len(steps)).standard_normal(ts.size)
         # Grids are strictly increasing; ``unique`` is the on-grid case.
         for grid in (np.arange(ts[0], ts[-1] + 1, interval, dtype=np.int64),
-                     np.unique(ts)):
+                     np.unique(ts),
+                     np.arange(ts[0] - before * interval,
+                               ts[-1] + after * interval + 1, interval,
+                               dtype=np.int64)):
             got = align_to_grid(ts, vals, grid)
             assert got.tobytes() == _general_align(ts, vals, grid).tobytes()
+
+    def test_a_run_inside_a_wider_grid_takes_edge_values(self):
+        ts = np.arange(5, 9, dtype=np.int64)
+        vals = np.array([1.0, 2.0, np.nan, 4.0])
+        aligned = align_to_grid(ts, vals, np.arange(12, dtype=np.int64))
+        assert aligned.tobytes() == np.array(
+            [1.0] * 6 + [2.0, np.nan] + [4.0] * 4).tobytes()
 
     def test_on_grid_result_is_a_fresh_copy(self):
         ts = np.arange(10, 30, dtype=np.int64)
