@@ -43,13 +43,13 @@ SMOKE_RECALL3_FLOORS = {
 }
 
 
-def run_replay(matrix: str, backend: str | None, n_workers: int,
-               transfer: str) -> tuple[Scorecard, float]:
+def run_replay(matrix: str, backend: str | None,
+               n_workers: int) -> tuple[Scorecard, float]:
     specs = matrix_specs(matrix)
     start = time.perf_counter()
     card = replay_matrix(specs, scorers=DEFAULT_SCORERS,
                          backend=backend, n_workers=n_workers,
-                         transfer=transfer, matrix=matrix)
+                         matrix=matrix)
     return card, time.perf_counter() - start
 
 
@@ -85,15 +85,11 @@ def main() -> int:
                         help="score across a process pool "
                              "(default: in-process)")
     parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument("--transfer", default="shm",
-                        choices=("shm", "pickle"))
     args = parser.parse_args()
     matrix = "smoke" if args.smoke else args.matrix
 
-    card1, seconds1 = run_replay(matrix, args.backend, args.workers,
-                                 args.transfer)
-    card2, seconds2 = run_replay(matrix, args.backend, args.workers,
-                                 args.transfer)
+    card1, seconds1 = run_replay(matrix, args.backend, args.workers)
+    card2, seconds2 = run_replay(matrix, args.backend, args.workers)
     print(format_scorecard(card1))
     print()
     print(f"replay wall time: {seconds1:.3f}s / {seconds2:.3f}s "

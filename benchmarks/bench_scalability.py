@@ -16,7 +16,8 @@ import pytest
 
 from repro.core.families import FamilySet, FeatureFamily
 from repro.core.hypothesis import generate_hypotheses
-from repro.engine_exec import HypothesisExecutor
+from repro.engine_exec import HypothesisExecutor, SerializationAccounting
+from repro.scoring import get_scorer
 from repro.workloads.incidents import IncidentSpec, make_incident
 
 
@@ -43,17 +44,25 @@ def _wide_hypotheses(n_families: int = 16, n_features: int = 30,
     return generate_hypotheses(FamilySet(fams), "target")
 
 
+def timed_score(executor: HypothesisExecutor, hyps, scorer: str, **kwargs):
+    """``(scores, wall seconds)`` of one ``executor.score`` call."""
+    scorer = get_scorer(scorer)
+    start = time.perf_counter()
+    scores, _, _ = executor.score(hyps, scorer, **kwargs)
+    return scores, time.perf_counter() - start
+
+
 class TestRuntimeScalesWithHypotheses:
     def test_linear_in_hypothesis_count(self, benchmark):
         executor = HypothesisExecutor(n_workers=1)
         timings = {}
         for count in (10, 40):
             hyps = _hypotheses(count)
-            report = benchmark.pedantic(
-                executor.run, args=(hyps,), kwargs={"scorer": "L2"},
+            _, wall = benchmark.pedantic(
+                timed_score, args=(executor, hyps, "L2"),
                 rounds=1, iterations=1) if count == 40 else \
-                executor.run(hyps, scorer="L2")
-            timings[count] = report.wall_seconds / len(hyps)
+                timed_score(executor, hyps, "L2")
+            timings[count] = wall / len(hyps)
         print(f"\n[§6.2] per-hypothesis seconds at 10 vs 40 families: "
               f"{timings[10]:.5f} vs {timings[40]:.5f}")
         # Per-hypothesis cost stays roughly flat => total is ~linear.
@@ -69,20 +78,19 @@ class TestParallelSpeedup:
         executor = HypothesisExecutor(backend="process")
         with ProcessPoolExecutor(1) as one, ProcessPoolExecutor(4) as four:
             for pool in (one, four):
-                executor.run(hyps[:4], scorer="L1", process_pool=pool)
-            serial = executor.run(hyps, scorer="L1", process_pool=one)
-            parallel = benchmark.pedantic(
-                executor.run, args=(hyps,),
-                kwargs={"scorer": "L1", "process_pool": four},
-                rounds=1, iterations=1)
-        print(f"\n[§6.2] wall seconds 1 worker: {serial.wall_seconds:.2f}, "
-              f"4 workers: {parallel.wall_seconds:.2f}")
+                timed_score(executor, hyps[:4], "L1", process_pool=pool)
+            serial, serial_wall = timed_score(executor, hyps, "L1",
+                                              process_pool=one)
+            parallel, parallel_wall = benchmark.pedantic(
+                timed_score, args=(executor, hyps, "L1"),
+                kwargs={"process_pool": four}, rounds=1, iterations=1)
+        print(f"\n[§6.2] wall seconds 1 worker: {serial_wall:.2f}, "
+              f"4 workers: {parallel_wall:.2f}")
         # A pool of one against a pool of four; require headroom rather
         # than the full 4x (machine-dependent).
-        assert parallel.wall_seconds < serial.wall_seconds * 1.1
+        assert parallel_wall < serial_wall * 1.1
         # Results identical regardless of parallelism.
-        assert [r.family for r in parallel.score_table.results] == \
-            [r.family for r in serial.score_table.results]
+        assert np.array_equal(parallel, serial)
 
 
 class TestSerializationShare:
@@ -90,9 +98,10 @@ class TestSerializationShare:
         hyps = _hypotheses(30, seed=4)
 
         def measure(scorer):
-            executor = HypothesisExecutor(n_workers=1,
-                                          measure_serialization=True)
-            return executor.run(hyps, scorer=scorer).accounting
+            accounting = SerializationAccounting()
+            HypothesisExecutor(n_workers=1).score(
+                hyps, get_scorer(scorer), accounting=accounting)
+            return accounting
 
         cheap = benchmark.pedantic(measure, args=("CorrMax",),
                                    rounds=1, iterations=1)
@@ -123,7 +132,7 @@ class TestPcBaselineBlowup:
 
             hyps = _hypotheses(n_vars)
             start = time.perf_counter()
-            HypothesisExecutor(n_workers=1).run(hyps, scorer="CorrMax")
+            timed_score(HypothesisExecutor(n_workers=1), hyps, "CorrMax")
             rank_times[n_vars] = time.perf_counter() - start
         pc_growth = pc_times[16] / max(pc_times[8], 1e-9)
         rank_growth = rank_times[16] / max(rank_times[8], 1e-9)

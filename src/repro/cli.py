@@ -4,8 +4,8 @@ Usage (after installation)::
 
     python -m repro.cli scenarios                  # list built-in scenarios
     python -m repro.cli explain 5.1 --scorer L2    # rank one case study
-    python -m repro.cli explain 5.1 --backend process --transfer shm
-                                                   # zero-copy process pool
+    python -m repro.cli explain 5.1 --backend process --workers 2
+                                                   # shared-memory process pool
     python -m repro.cli explain 5.3 --lags 0 1 2   # lag-augmented scoring
     python -m repro.cli table6 --scale 0.5         # the §6.1 evaluation
     python -m repro.cli replay --matrix smoke      # incident-matrix replay
@@ -22,7 +22,6 @@ import argparse
 import sys
 from typing import Callable, Sequence
 
-from repro.engine_exec.accounting import TRANSFERS
 from repro.engine_exec.executor import BACKENDS
 from repro.scoring.base import list_scorers
 from repro.versioned import DEFAULT_CACHE_ENTRIES
@@ -91,13 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--workers", type=_positive_int, default=None,
                          help="worker count for --backend process "
                               f"(default {DEFAULT_WORKERS})")
-    explain.add_argument("--transfer", default=None,
-                         choices=list(TRANSFERS),
-                         help="matrix transfer for --backend process: "
-                              "'shm' ships each batch group once "
-                              "through zero-copy shared memory "
-                              "(default), 'pickle' serialises every "
-                              "hypothesis (the paper's §6.2 overhead)")
     explain.add_argument("--lags", type=_non_negative_int, nargs="+",
                          default=None, metavar="LAG",
                          help="augment X (and Z) with these lags before "
@@ -124,9 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--workers", type=_positive_int, default=None,
                         help="worker count for --backend process "
                              f"(default {DEFAULT_WORKERS})")
-    replay.add_argument("--transfer", default=None,
-                        choices=list(TRANSFERS),
-                        help="matrix transfer for --backend process")
     replay.add_argument("--scale", type=_positive_int, default=1,
                         help="trace-length multiplier: N emits N x 288 "
                              "samples per series (load testing; 1 "
@@ -188,34 +177,27 @@ def cmd_scorers(_args: argparse.Namespace) -> int:
 
 
 def resolve_exec_args(backend: str | None,
-                      workers: int | None,
-                      transfer: str | None
-                      ) -> tuple[int, str, list[str]]:
-    """Resolve executor options, warning about ignored combinations.
+                      workers: int | None) -> tuple[int, list[str]]:
+    """Resolve executor options, warning about an ignored combination.
 
-    The argparse layer already rejects unknown ``--backend`` /
-    ``--transfer`` values; this resolves the cross-argument case that
-    argparse cannot express — ``--workers`` / ``--transfer`` are valid on
-    their own but configure the process pool only — into explicit
-    warnings instead of silent no-ops.  Returns ``(n_workers, transfer,
-    warnings)``.
+    The argparse layer already rejects unknown ``--backend`` values;
+    this resolves the cross-argument case that argparse cannot express —
+    ``--workers`` is valid on its own but configures the process pool
+    only — into an explicit warning instead of a silent no-op.  Returns
+    ``(n_workers, warnings)``.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"--workers must be >= 1, got {workers}")
-    warnings = [
-        f"{flag} is only used by --backend process; ignored by the "
-        "default in-process scoring"
-        for flag, value in (("--workers", workers), ("--transfer", transfer))
-        if value is not None and backend is None
-    ]
+    warnings = []
+    if workers is not None and backend is None:
+        warnings.append("--workers is only used by --backend process; "
+                        "ignored by the default in-process scoring")
     return (workers if workers is not None else DEFAULT_WORKERS,
-            transfer if transfer is not None else "shm",
             warnings)
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    n_workers, transfer, warnings = resolve_exec_args(
-        args.backend, args.workers, args.transfer)
+    n_workers, warnings = resolve_exec_args(args.backend, args.workers)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     scorer = args.scorer
@@ -228,8 +210,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         session.set_condition(None if args.condition.lower() == "none"
                               else args.condition)
     table = session.explain(scorer=scorer, top_k=args.top,
-                            backend=args.backend, n_workers=n_workers,
-                            transfer=transfer)
+                            backend=args.backend, n_workers=n_workers)
     print(f"Scenario: {scenario.name} — {scenario.description}")
     print(f"Ground-truth causes: {sorted(scenario.causes)}")
     print()
@@ -241,15 +222,14 @@ def cmd_replay(args: argparse.Namespace) -> int:
     from repro.evalkit.replay import format_scorecard, replay_matrix
     from repro.workloads.matrix import matrix_specs
 
-    n_workers, transfer, warnings = resolve_exec_args(
-        args.backend, args.workers, args.transfer)
+    n_workers, warnings = resolve_exec_args(args.backend, args.workers)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     specs = matrix_specs(args.matrix)
     card = replay_matrix(specs, scorers=tuple(args.scorers),
                          ks=tuple(args.ks), backend=args.backend,
-                         n_workers=n_workers, transfer=transfer,
-                         matrix=args.matrix, scale=args.scale)
+                         n_workers=n_workers, matrix=args.matrix,
+                         scale=args.scale)
     if args.json == "-":
         print(card.to_json(indent=2))
     else:

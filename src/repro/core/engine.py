@@ -130,17 +130,13 @@ class ExplainItSession:
                 exclude: Iterable[str] = (),
                 top_k: int = DEFAULT_TOP_K,
                 backend: str | None = None,
-                n_workers: int = 4,
-                transfer: str = "shm") -> ScoreTable:
+                n_workers: int = 4) -> ScoreTable:
         """Run one iteration of Algorithm 1 and return the Score Table.
 
         ``backend=None`` scores in-process, sharing the target/
         condition-side work across all candidate families in stacked
         numpy calls; ``backend="process"`` scores across a pool of
-        ``n_workers`` processes, with ``transfer`` selecting how matrices
-        reach them ("shm" for zero-copy shared memory, "pickle" for
-        per-hypothesis serialisation).  The ranking is identical either
-        way.
+        ``n_workers`` processes.  The ranking is identical either way.
         """
         if self._target is None:
             raise FamilyError("set_target before explain()")
@@ -150,8 +146,7 @@ class ExplainItSession:
             search=search, exclude=exclude,
         )
         table = rank_families(hypotheses, scorer=scorer, top_k=top_k,
-                              backend=backend, n_workers=n_workers,
-                              transfer=transfer)
+                              backend=backend, n_workers=n_workers)
         self.db.register("score", table.to_table())
         self.history.append(table)
         return table
@@ -160,12 +155,10 @@ class ExplainItSession:
                    scorer: str | Scorer = "L2-P50",
                    top_k: int = DEFAULT_TOP_K,
                    backend: str | None = None,
-                   n_workers: int = 4,
-                   transfer: str = "shm") -> ScoreTable:
+                   n_workers: int = 4) -> ScoreTable:
         """Re-rank within a narrowed search space (the §5.4 workflow)."""
         return self.explain(scorer=scorer, search=families, top_k=top_k,
-                            backend=backend, n_workers=n_workers,
-                            transfer=transfer)
+                            backend=backend, n_workers=n_workers)
 
     def suggest_event_window(self, window: int = 30,
                              threshold: float = 4.0):

@@ -9,11 +9,12 @@ corrections from Appendix A.  The Score Table types are defined in
 
 from __future__ import annotations
 
+import time
 from typing import Sequence
 
 from repro.core.hypothesis import Hypothesis
 from repro.engine_exec.executor import HypothesisExecutor
-from repro.scoring.base import Scorer
+from repro.scoring.base import Scorer, get_scorer
 from repro.scoring.table import (
     DEFAULT_TOP_K,
     RankedFamily,
@@ -43,12 +44,18 @@ def rank_families(hypotheses: Sequence[Hypothesis],
     ``backend=None`` (the default) scores in-process: hypotheses sharing
     (Y, Z) are grouped and each group goes through the scorer's
     ``score_batch`` in stacked numpy calls.  ``backend="process"`` scores
-    one hypothesis per job across a pool of ``n_workers`` processes;
-    ``transfer`` picks how matrices reach them ("shm" for zero-copy
-    shared memory, "pickle" for per-hypothesis serialisation).
-    ``n_workers`` and ``transfer`` have no effect in-process.  The
-    ranking is identical whichever way it is computed.
+    one hypothesis per job across a pool of ``n_workers`` processes,
+    matrices reaching them through shared memory; ``n_workers`` has no
+    effect in-process.  The ranking is identical whichever way it is
+    computed.  ``transfer`` remains for callers written when there were
+    two transports; it accepts only ``"shm"``.
     """
-    executor = HypothesisExecutor(n_workers=n_workers, backend=backend,
-                                  transfer=transfer)
-    return executor.run(hypotheses, scorer=scorer, top_k=top_k).score_table
+    if transfer != "shm":
+        raise ValueError(f"transfer must be 'shm', got {transfer!r}")
+    if isinstance(scorer, str):
+        scorer = get_scorer(scorer)
+    started = time.perf_counter()
+    scores, seconds, _ = HypothesisExecutor(
+        n_workers=n_workers, backend=backend).score(hypotheses, scorer)
+    return build_score_table(hypotheses, scores, seconds, scorer.name,
+                             top_k, time.perf_counter() - started)

@@ -5,38 +5,33 @@ boundary; instrumentation attributed ~25% of univariate score time and
 ~5% of joint score time to (de)serialisation.  The reproduction
 *performs* an equivalent transfer and reports its share of total
 scoring time — reproducing the measurement, not merely asserting the
-number.  Three transfer mechanisms are measured:
+number.  Pass one to :meth:`HypothesisExecutor.score
+<repro.engine_exec.executor.HypothesisExecutor.score>`; each backend
+records the transfer it actually pays:
 
 - :meth:`SerializationAccounting.round_trip` — raw C-order bytes out,
   numpy back in: the gRPC stand-in used by in-process scoring.
-- :meth:`SerializationAccounting.pickle_round_trip` — a real
-  ``pickle.dumps``/``loads`` cycle, what ``backend="process"`` with
-  ``transfer="pickle"`` actually pays per hypothesis.
 - :meth:`SerializationAccounting.record_shared_copy` — the one-off
   copy-in of a batch group's matrices into shared memory under
-  ``transfer="shm"``; the worker-side attach is zero-copy and free.
+  ``backend="process"``; the worker-side attach is zero-copy and free.
 
-The ``transfer`` field names the mechanism the bytes were measured
-under, so bench_figure12_13-style overhead plots can compare modes.
+``benchmarks/bench_figure10_score_time.py`` sets these against a
+per-hypothesis ``pickle`` round trip it times itself, the paper's
+serialisation cost that nothing in the library pays.
 """
 
 from __future__ import annotations
 
-import pickle
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-#: Recognised values for ``HypothesisExecutor(transfer=...)``.
-TRANSFERS = ("pickle", "shm")
-
 
 @dataclass
 class SerializationAccounting:
-    """Accumulates transfer and scoring wall time under one mechanism."""
+    """Accumulates transfer and scoring wall time for one scoring run."""
 
-    transfer: str = "pickle"
     serialize_seconds: float = 0.0
     score_seconds: float = 0.0
     bytes_moved: int = 0
@@ -59,28 +54,8 @@ class SerializationAccounting:
         self.calls += 1
         return out
 
-    def pickle_round_trip(self, *matrices: np.ndarray | None
-                          ) -> list[np.ndarray | None]:
-        """A real pickle dumps/loads cycle per matrix — the process
-        backend's actual per-hypothesis transfer.  Restored arrays are
-        bitwise equal to the inputs, so scores are unaffected."""
-        start = time.perf_counter()
-        out: list[np.ndarray | None] = []
-        for matrix in matrices:
-            if matrix is None:
-                out.append(None)
-                continue
-            payload = pickle.dumps(np.ascontiguousarray(matrix,
-                                                        dtype=np.float64),
-                                   protocol=pickle.HIGHEST_PROTOCOL)
-            self.bytes_moved += len(payload)
-            out.append(pickle.loads(payload))
-        self.serialize_seconds += time.perf_counter() - start
-        self.calls += 1
-        return out
-
     def record_shared_copy(self, seconds: float, nbytes: int) -> None:
-        """One batch group's copy-in to shared memory (``transfer="shm"``)."""
+        """One batch group's copy-in to shared memory (process backend)."""
         self.serialize_seconds += seconds
         self.bytes_moved += nbytes
         self.calls += 1
@@ -101,7 +76,6 @@ class SerializationAccounting:
 
     def summary(self) -> dict:
         return {
-            "transfer": self.transfer,
             "calls": self.calls,
             "bytes_moved": self.bytes_moved,
             "serialize_seconds": self.serialize_seconds,

@@ -1,33 +1,39 @@
-"""Zero-copy matrix transfer for the process backend (§6.2).
+"""Shared-memory matrix transfer for the process backend (§6.2).
 
 The paper attributes the dominant overhead of process-parallel scoring
-to matrix (de)serialisation across the JVM-to-Python gRPC boundary; the
-reproduction's ``backend="process"`` + ``transfer="pickle"`` path
-reproduces that overhead faithfully by pickling the full (X, Y, Z)
-matrices of every hypothesis into each worker.  This module is the
-fix: ``transfer="shm"`` places each batch group's matrices into one
-:mod:`multiprocessing.shared_memory` segment *once* — Y and Z once per
-group, the candidate X blocks packed behind them — and ships only tiny
-:class:`MatrixRef` handles through the pool.  Workers attach to the
-segment by name and reconstruct numpy views without copying, so the
-per-hypothesis transfer cost collapses to a few hundred bytes of
-control plane.
+to matrix (de)serialisation across the JVM-to-Python gRPC boundary.
+Here that boundary is a process pool, and matrices cross it only
+through :mod:`multiprocessing.shared_memory`: each batch group's
+matrices go into one segment *once* — Y and Z once per group, the
+candidate X blocks packed behind them — and only tiny
+:class:`MatrixRef` handles travel with each job.  A worker maps the
+segment by name and scores numpy views of it without copying, so
+the per-hypothesis transfer cost is a few hundred bytes of control
+plane.  ``benchmarks/bench_figure10_score_time.py`` measures the
+per-hypothesis pickle this replaces.
 
 Bitwise parity: matrices are written into shared memory as C-order
-``float64`` — exactly the canonical layout the pickle path restores —
-so scorers see bit-identical operands and the Score Table matches
-``transfer="pickle"`` exactly.  Workers must treat the attached views
-as read-only (every scorer in :mod:`repro.scoring` already copies
-before mutating); the pool owns the segments and unlinks them in
-:meth:`SharedMatrixPool.close`.
+``float64``, so scorers see the same operands in every worker and the
+Score Table matches in-process scoring exactly.  Views are mapped
+read-only (every scorer in :mod:`repro.scoring` already copies before
+mutating).
+
+Lifetimes: the :class:`SharedMatrixPool` owns its segments and unlinks
+them in :meth:`SharedMatrixPool.close`; a worker's mapping lives exactly
+as long as the views :func:`resolve_refs` made for one job, so it does
+not hold a segment its owner has closed, however long the worker itself
+lives.  Mapping by name uses POSIX shared memory (``shm_open``).
 """
 
 from __future__ import annotations
 
+import _posixshmem
+import mmap
+import os
 import time
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
-from typing import Iterable
+from multiprocessing import shared_memory
+from typing import Sequence
 
 import numpy as np
 
@@ -39,7 +45,7 @@ class MatrixRef:
     """Locate one float64 matrix inside a named shared-memory segment.
 
     The handle is a few dozen bytes however large the matrix is; it is
-    what actually crosses the process boundary under ``transfer="shm"``.
+    what actually crosses the process boundary.
     """
 
     segment: str                  # SharedMemory name
@@ -50,10 +56,10 @@ class MatrixRef:
     def nbytes(self) -> int:
         return int(np.prod(self.shape, dtype=np.int64)) * 8
 
-    def resolve(self, segment: shared_memory.SharedMemory) -> np.ndarray:
-        """A zero-copy ndarray view of this matrix inside ``segment``."""
+    def resolve(self, buffer) -> np.ndarray:
+        """A zero-copy ndarray view of this matrix inside ``buffer``."""
         return np.ndarray(self.shape, dtype=np.float64,
-                          buffer=segment.buf, offset=self.offset)
+                          buffer=buffer, offset=self.offset)
 
 
 class SharedMatrixPool:
@@ -76,11 +82,6 @@ class SharedMatrixPool:
     def n_segments(self) -> int:
         return len(self._segments)
 
-    @property
-    def segment_names(self) -> list[str]:
-        """Names of the live segments (for worker-side detach sweeps)."""
-        return [segment.name for segment in self._segments]
-
     def share_group(self, matrices: list[np.ndarray]
                     ) -> list[MatrixRef]:
         """Copy a batch group's matrices into one fresh segment.
@@ -95,8 +96,7 @@ class SharedMatrixPool:
         if not matrices:
             return []
         # The timer covers the whole transfer: canonicalisation, the
-        # shm_open/mmap of the segment and the copy-in — the same scope
-        # pickle_round_trip times for the competing mechanism.
+        # shm_open/mmap of the segment and the copy-in.
         start = time.perf_counter()
         canonical = [np.ascontiguousarray(m, dtype=np.float64)
                      for m in matrices]
@@ -108,7 +108,7 @@ class SharedMatrixPool:
         for matrix in canonical:
             ref = MatrixRef(segment=segment.name, offset=offset,
                             shape=matrix.shape)
-            ref.resolve(segment)[...] = matrix
+            ref.resolve(segment.buf)[...] = matrix
             refs.append(ref)
             offset += matrix.nbytes
         if self._accounting is not None:
@@ -146,60 +146,37 @@ class SharedMatrixPool:
 # Worker side
 # ----------------------------------------------------------------------
 
-#: Per-process cache of attached segments: workers are reused across the
-#: pool's map, so each segment is attached (mmap'd) at most once per
-#: worker however many hypotheses reference it.
-_ATTACHED: dict[str, shared_memory.SharedMemory] = {}
+def _map_read_only(name: str) -> mmap.mmap:
+    """Map a named segment read-only, independently of its owner."""
+    fd = _posixshmem.shm_open("/" + name, os.O_RDONLY, mode=0o600)
+    try:
+        return mmap.mmap(fd, os.fstat(fd).st_size, access=mmap.ACCESS_READ)
+    finally:
+        os.close(fd)
 
 
-def attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach to a named segment, cached for the life of this process.
+def resolve_refs(refs: Sequence[MatrixRef | None]
+                 ) -> list[np.ndarray | None]:
+    """Read-only zero-copy views of ``refs``; ``None`` passes through.
 
-    Attaching must not register the segment with a resource tracker: the
-    parent owns the segment and unlinks it after the run, and a second
-    tracked owner either leaks the name (fork: workers share the
-    parent's tracker) or destroys the segment when the worker exits
-    (spawn: the worker's own tracker unlinks it) — bpo-38119.  Python
-    3.13+ has ``track=False`` for exactly this; on older versions the
-    registration call is suppressed for the duration of the attach.
+    Each named segment is mapped once per call and the views own the
+    mapping: it is unmapped when the last of them is released.  A pool
+    worker therefore holds a segment only while it scores from it, and a
+    view that outlives its job keeps valid memory mapped rather than
+    dangling.  This is why the mapping is made here and not through an
+    attached :class:`~multiprocessing.shared_memory.SharedMemory`, which
+    unmaps on ``close()`` even under live numpy views and registers the
+    segment with a resource tracker as if this process owned it
+    (bpo-38119).
     """
-    segment = _ATTACHED.get(name)
-    if segment is None:
-        try:
-            segment = shared_memory.SharedMemory(name=name, create=False,
-                                                 track=False)
-        except TypeError:       # Python < 3.13: no track parameter
-            original_register = resource_tracker.register
-            resource_tracker.register = lambda *args, **kwargs: None
-            try:
-                segment = shared_memory.SharedMemory(name=name, create=False)
-            finally:
-                resource_tracker.register = original_register
-        _ATTACHED[name] = segment
-    return segment
-
-
-def detach_segments(names: Iterable[str]) -> int:
-    """Drop this process's cached attachments for the named segments.
-
-    Used by the serving tier when a store version's shared matrices
-    retire: each worker that ran one of these detach tasks unmaps the
-    stale segments instead of holding them for the life of the pool.
-    Unknown names are ignored; returns how many segments were detached.
-    """
-    detached = 0
-    for name in names:
-        segment = _ATTACHED.pop(name, None)
-        if segment is not None:
-            segment.close()
-            detached += 1
-    return detached
-
-
-def resolve_ref(ref: MatrixRef | None) -> np.ndarray | None:
-    """Materialise a :class:`MatrixRef` as a read-only zero-copy view."""
-    if ref is None:
-        return None
-    view = ref.resolve(attach_segment(ref.segment))
-    view.flags.writeable = False
-    return view
+    mappings: dict[str, mmap.mmap] = {}
+    views: list[np.ndarray | None] = []
+    for ref in refs:
+        if ref is None:
+            views.append(None)
+            continue
+        mapping = mappings.get(ref.segment)
+        if mapping is None:
+            mapping = mappings[ref.segment] = _map_read_only(ref.segment)
+        views.append(ref.resolve(mapping))
+    return views

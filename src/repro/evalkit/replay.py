@@ -100,7 +100,6 @@ class Scorecard:
     scorers: list[str]
     ks: tuple[int, ...]
     backend: str | None = None
-    transfer: str = "shm"
     matrix: str = "custom"
 
     def by_scorer(self, scorer: str) -> list[ReplayCell]:
@@ -152,7 +151,7 @@ class Scorecard:
         With ``with_timings=False`` the payload contains only
         deterministic fields: two runs of the same matrix (any backend)
         serialise byte-identically.  ``with_meta=False`` additionally
-        drops the backend/transfer labels, for cross-backend parity
+        drops the backend label, for cross-backend parity
         comparisons.
         """
         cells = []
@@ -201,8 +200,6 @@ class Scorecard:
         }
         if with_meta:
             payload["backend"] = self.backend
-            payload["transfer"] = (self.transfer
-                                   if self.backend == "process" else None)
         return payload
 
     def to_json(self, with_timings: bool = True,
@@ -239,12 +236,11 @@ def replay_matrix(specs: Sequence[ScenarioSpec],
                   ks: Sequence[int] = DEFAULT_KS,
                   backend: str | None = None,
                   n_workers: int = 4,
-                  transfer: str = "shm",
                   matrix: str = "custom",
                   scale: int = 1) -> Scorecard:
     """Replay every spec through ingest -> hypotheses -> rank -> grade.
 
-    ``backend``/``n_workers``/``transfer`` are forwarded to
+    ``backend``/``n_workers`` are forwarded to
     :func:`~repro.core.ranking.rank_families`; both backends produce
     the same scorecard (rankings are bitwise identical), which the
     parity regression test pins.  ``scale`` multiplies every scenario's
@@ -280,8 +276,7 @@ def replay_matrix(specs: Sequence[ScenarioSpec],
         for scorer in scorers:
             t0 = time.perf_counter()
             table = rank_families(hypotheses, scorer=scorer,
-                                  backend=backend, n_workers=n_workers,
-                                  transfer=transfer)
+                                  backend=backend, n_workers=n_workers)
             rank_seconds = time.perf_counter() - t0
 
             t0 = time.perf_counter()
@@ -304,7 +299,6 @@ def replay_matrix(specs: Sequence[ScenarioSpec],
         scorers=list(scorers),
         ks=tuple(ks),
         backend=backend,
-        transfer=transfer,
         matrix=matrix,
     )
 

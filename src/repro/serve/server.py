@@ -27,7 +27,9 @@ arrive.  ``QueryServer`` is the long-lived front end for that workload:
   through the existing :class:`~repro.engine_exec.shm.SharedMatrixPool`
   (:func:`~repro.engine_exec.executor.share_shm_jobs`); a repeat of the
   same scoring work replays the same zero-copy handles into a
-  long-lived process pool instead of pickling matrices per request;
+  long-lived process pool instead of copying matrices per request; a
+  request that finds that pool broken (a worker died) fails, and the
+  next one forks a fresh pool;
 - a bounded **result cache** — a
   :class:`~repro.versioned.VersionedCache` keyed on the normalized
   query or the explain shape — returns the identical result object for
@@ -49,6 +51,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from typing import Any, Hashable, Iterable, Sequence
 
@@ -63,7 +66,7 @@ from repro.engine_exec.executor import (
     ShmJob,
     share_shm_jobs,
 )
-from repro.engine_exec.shm import SharedMatrixPool, detach_segments
+from repro.engine_exec.shm import SharedMatrixPool
 from repro.scoring.base import get_scorer
 from repro.serve.cache import normalize_query
 from repro.sql.catalog import Database
@@ -199,25 +202,16 @@ class _VersionState:
         if close_now:
             self._close_shm()
 
-    def retire(self) -> list[str]:
-        """Mark superseded; close shm immediately when idle.
-
-        Returns the segment names that retired (for a best-effort
-        worker-side detach sweep); an empty list when requests are still
-        in flight — the last one out closes the segments instead.
-        """
-        names: list[str] = []
-        close_now = False
+    def retire(self) -> None:
+        """Mark superseded; close shm now when idle, else when the last
+        request in flight releases the state."""
         with self._lock:
             self._retired = True
             close_now = self._inflight == 0 and not self._closed
             if close_now:
                 self._closed = True
-                if self._shm_pool is not None:
-                    names = self._shm_pool.segment_names
         if close_now:
             self._close_shm()
-        return names
 
     def _close_shm(self) -> None:
         if self._shm_pool is not None:
@@ -273,7 +267,8 @@ class QueryServer:
     backend / rank_workers:
         How ranking requests score: in-process (``None``), or
         ``"process"`` — per-version shared-memory publication replayed
-        into a long-lived pool of ``rank_workers`` processes.
+        into a long-lived pool of ``rank_workers`` processes, replaced
+        after a request finds it broken.
 
     The two newest version states stay warm; older ones retire (their
     shared-memory segments are unlinked once idle).
@@ -416,7 +411,6 @@ class QueryServer:
         """Get-or-create the state for the version current right now."""
         snapshot = self._store.snapshot()
         version = snapshot.version
-        retired: list[str] = []
         with self._state_lock:
             state = self._states.get(version)
             if state is None:
@@ -426,21 +420,9 @@ class QueryServer:
                 # created, should it be a late-arriving older version.
                 for old in sorted(self._states)[:-KEEP_VERSIONS]:
                     if old != version:
-                        retired.extend(self._states.pop(old).retire())
+                        self._states.pop(old).retire()
             state.acquire()
-        if retired:
-            self._broadcast_detach(retired)
         return state
-
-    def _broadcast_detach(self, names: list[str]) -> None:
-        """Best-effort: ask pool workers to unmap retired segments."""
-        if self._procs is None:
-            return
-        for _ in range(self._rank_workers):
-            try:
-                self._procs.submit(detach_segments, names)
-            except RuntimeError:        # pool already shut down
-                return
 
     def _process_pool(self) -> ProcessPoolExecutor:
         with self._state_lock:
@@ -448,6 +430,18 @@ class QueryServer:
                 self._procs = ProcessPoolExecutor(
                     max_workers=self._rank_workers)
             return self._procs
+
+    def _drop_process_pool(self, pool: ProcessPoolExecutor) -> None:
+        """Forget a broken pool so the next request forks a fresh one.
+
+        Only the pool that broke is dropped: a concurrent request may
+        already have replaced it.  Published segments are untouched —
+        the fresh workers attach to them by name.
+        """
+        with self._state_lock:
+            if self._procs is pool:
+                self._procs = None
+        pool.shutdown(wait=False)
 
     # -- request bodies (run on the worker pool) ------------------------
     def _serve(self, kind: str, key: Hashable | None, started: float,
@@ -557,8 +551,12 @@ class QueryServer:
                         (target, condition, tuple(h.name for h in fresh)),
                         fresh)
                 pool = self._process_pool()
-            new_scores, new_seconds, _ = executor.score(
-                fresh, scorer, shm_jobs=jobs, process_pool=pool)
+            try:
+                new_scores, new_seconds, _ = executor.score(
+                    fresh, scorer, shm_jobs=jobs, process_pool=pool)
+            except BrokenProcessPool:
+                self._drop_process_pool(pool)
+                raise
             scores[todo] = new_scores
             seconds[todo] = new_seconds
             memo.remember(name, fresh, new_scores, new_seconds)

@@ -76,15 +76,11 @@ class TestTiedScores:
             rankings.append([r.family for r in table.results])
         assert rankings[0] == rankings[1] == rankings[2] == sorted(TIED_NAMES)
 
-    @pytest.mark.parametrize("backend,transfer", [
-        (None, "shm"),
-        ("process", "shm"),
-        ("process", "pickle"),
-    ])
-    def test_tie_break_identical_across_backends(self, backend, transfer):
+    @pytest.mark.parametrize("backend", [None, "process"])
+    def test_tie_break_identical_across_backends(self, backend):
         hyps = generate_hypotheses(tied_families(), "target")
         table = rank_families(hyps, scorer="L2", backend=backend,
-                              n_workers=2, transfer=transfer)
+                              n_workers=2)
         assert [r.family for r in table.results] == sorted(TIED_NAMES)
 
 

@@ -40,32 +40,16 @@ class TestRoundTrip:
 
     def test_summary_keys(self):
         summary = SerializationAccounting().summary()
-        assert set(summary) == {"transfer", "calls", "bytes_moved",
+        assert set(summary) == {"calls", "bytes_moved",
                                 "serialize_seconds", "score_seconds",
                                 "serialization_share"}
-        assert summary["transfer"] == "pickle"
 
 
-class TestTransferModes:
-    def test_pickle_round_trip_preserves_values(self, rng):
-        acct = SerializationAccounting()
-        x = rng.standard_normal((20, 5))
-        restored, none = acct.pickle_round_trip(x, None)
-        assert np.array_equal(restored, x)
-        assert none is None
-        assert acct.calls == 1
-        assert acct.serialize_seconds > 0.0
-
-    def test_pickle_bytes_include_protocol_overhead(self):
-        acct = SerializationAccounting()
-        acct.pickle_round_trip(np.zeros((10, 10)))
-        assert acct.bytes_moved > 10 * 10 * 8      # payload + pickle frame
-
+class TestSharedCopy:
     def test_shared_copy_recorded_once_per_group(self):
-        acct = SerializationAccounting(transfer="shm")
+        acct = SerializationAccounting()
         acct.record_shared_copy(0.25, 4096)
         acct.record_score_time(0.75)
         assert acct.bytes_moved == 4096
         assert acct.calls == 1
         assert acct.serialization_share == 0.25
-        assert acct.summary()["transfer"] == "shm"

@@ -7,7 +7,7 @@ sequential scorers and the per-hypothesis ranking loop they replaced
 live in ``tests/scoring/reference.py`` as the oracle.  This suite sweeps
 every scorer in the registry over every hypothesis-list shape and
 asserts *bitwise* equality (scores, ranks, p-values, multiple-testing
-flags) across in-process / ``"process"``+shm / ``"process"``+pickle.
+flags) between in-process and ``"process"`` (matrices in shared memory).
 Against the oracle it is bitwise too, except for the ridge-CV scorers:
 their Gram-form cross-validation is held to the SVD oracle by
 ``assert_matches_oracle`` (|Δscore| ≤ 1e-9, order kept outside ties).
@@ -22,7 +22,7 @@ from repro.core.autoselect import AutoScorer
 from repro.core.engine import ExplainItSession
 from repro.core.families import FamilySet, FeatureFamily, families_from_store
 from repro.core.hypothesis import Hypothesis, generate_hypotheses
-from repro.core.ranking import rank_families
+from repro.core.ranking import build_score_table, rank_families
 from repro.engine_exec import BACKENDS, HypothesisExecutor
 from repro.scoring import Scorer, get_scorer, list_scorers
 from repro.serve import QueryServer
@@ -158,12 +158,12 @@ def test_every_path_matches_the_oracle(scorer_name, shape, shapes,
     oracle = reference_rank(hypotheses, scorer_name)
     in_process = rank_families(hypotheses, scorer=scorer_name)
     assert_matches_reference(scorer_name, oracle, in_process)
-    for transfer in ("shm", "pickle"):
-        report = HypothesisExecutor(
-            n_workers=2, backend="process", transfer=transfer).run(
-            hypotheses, scorer=scorer_name, process_pool=process_pool)
-        assert report.transfer == transfer
-        assert_tables_identical(in_process, report.score_table)
+    scorer = get_scorer(scorer_name)
+    scores, seconds, _ = HypothesisExecutor(
+        n_workers=2, backend="process").score(
+        hypotheses, scorer, process_pool=process_pool)
+    assert_tables_identical(in_process, build_score_table(
+        hypotheses, scores, seconds, scorer.name))
 
 
 @pytest.mark.parametrize("scorer_name", list_scorers())
@@ -188,12 +188,11 @@ def test_score_is_the_batch_of_one(scorer_name, shape, shapes):
     assert scorer.score_batch([], y, z).shape == (0,)
 
 
-@pytest.mark.parametrize("transfer", ["shm", "pickle"])
-def test_rank_families_backend_plumbing(transfer, shapes):
+def test_rank_families_backend_plumbing(shapes):
     """rank_families(backend="process") forks its own pool and matches."""
     hypotheses = shapes["narrow"]
     delegated = rank_families(hypotheses, scorer="L2", backend="process",
-                              n_workers=2, transfer=transfer)
+                              n_workers=2)
     assert_tables_identical(rank_families(hypotheses, scorer="L2"), delegated)
     assert_matches_oracle(delegated, reference_rank(hypotheses, "L2"))
 

@@ -204,15 +204,14 @@ class TestAttributedTimings:
         _, _, attributed = execute_batches(hypotheses, get_scorer("L2"))
         assert not attributed.any()
 
-    def test_report_exposes_attribution(self, rng):
+    def test_executor_exposes_attribution(self, rng):
         hypotheses = generate_hypotheses(_families(rng), "target")
-        in_process = HypothesisExecutor().run(hypotheses, scorer="L2")
-        assert in_process.has_attributed_timings()
-        assert all(t.attributed for t in in_process.timings)
-        pooled = HypothesisExecutor(n_workers=2, backend="process").run(
-            hypotheses, scorer="L2")
-        assert not pooled.has_attributed_timings()
-        assert all(not t.attributed for t in pooled.timings)
+        scorer = get_scorer("L2")
+        _, _, in_process = HypothesisExecutor().score(hypotheses, scorer)
+        assert in_process.all()
+        _, _, pooled = HypothesisExecutor(
+            n_workers=2, backend="process").score(hypotheses, scorer)
+        assert not pooled.any()
 
     def test_large_shape_group_scored_in_bounded_calls(self, rng,
                                                        monkeypatch):

@@ -69,6 +69,13 @@ def test_transfer_rows_well_formed():
     by_transfer = {row["transfer"]: row for row in rows}
     assert (by_transfer["shm"]["bytes_moved"]
             < by_transfer["pickle"]["bytes_moved"])
+    # The script's pickle round trip pays the payload (8 hypotheses of
+    # a 60x3 X and a 60x1 Y) plus the pickle frame, in measurable time,
+    # and is set against the shm run's own scoring time.
+    assert by_transfer["pickle"]["bytes_moved"] > 8 * (60 * 3 + 60) * 8
+    assert by_transfer["pickle"]["serialize_seconds"] > 0.0
+    assert (by_transfer["pickle"]["score_seconds"]
+            == by_transfer["shm"]["score_seconds"])
     rendered = bench.format_transfer_rows(rows)
     assert "pickle" in rendered and "shm" in rendered
 

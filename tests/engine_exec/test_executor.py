@@ -5,7 +5,9 @@ import pytest
 
 from repro.core.families import FamilySet, FeatureFamily
 from repro.core.hypothesis import generate_hypotheses
-from repro.engine_exec import HypothesisExecutor
+from repro.core.ranking import rank_families
+from repro.engine_exec import HypothesisExecutor, SerializationAccounting
+from repro.scoring import get_scorer
 from tests.scoring.reference import reference_rank
 
 
@@ -26,58 +28,53 @@ def hypotheses(rng):
     return generate_hypotheses(families, "target")
 
 
+def _accounting(hypotheses, scorer, **executor_args):
+    accounting = SerializationAccounting()
+    HypothesisExecutor(**executor_args).score(
+        hypotheses, get_scorer(scorer), accounting=accounting)
+    return accounting
+
+
 class TestHypothesisExecutor:
     def test_parallel_matches_serial_ranking(self, hypotheses):
         serial_rank = [r.family
                        for r in reference_rank(hypotheses, "L2").results]
         for backend in (None, "process"):
-            report = HypothesisExecutor(n_workers=4, backend=backend).run(
-                hypotheses, scorer="L2")
-            assert report.backend == backend
-            assert [r.family
-                    for r in report.score_table.results] == serial_rank
+            table = rank_families(hypotheses, scorer="L2", backend=backend,
+                                  n_workers=4)
+            assert [r.family for r in table.results] == serial_rank
         assert serial_rank[0] == "fam_0"
 
     def test_timings_per_hypothesis(self, hypotheses):
-        report = HypothesisExecutor(n_workers=2, backend="process").run(
-            hypotheses, scorer="L2")
-        assert not report.has_attributed_timings()
-        assert len(report.timings) == len(hypotheses)
-        assert report.mean_seconds_per_family() > 0.0
-        assert report.max_seconds_per_family() >= \
-            report.mean_seconds_per_family()
+        _, seconds, attributed = HypothesisExecutor(
+            n_workers=2, backend="process").score(hypotheses,
+                                                  get_scorer("L2"))
+        assert not attributed.any()
+        assert len(seconds) == len(hypotheses)
+        assert seconds.mean() > 0.0
+        assert seconds.max() >= seconds.mean()
 
     def test_wall_time_recorded(self, hypotheses):
-        report = HypothesisExecutor(n_workers=2).run(hypotheses,
-                                                     scorer="CorrMax")
-        assert report.wall_seconds > 0.0
-        assert report.score_table.total_seconds == report.wall_seconds
+        table = rank_families(hypotheses, scorer="CorrMax")
+        assert table.total_seconds > 0.0
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
             HypothesisExecutor(n_workers=0)
 
     def test_serialization_accounting(self, hypotheses):
-        executor = HypothesisExecutor(n_workers=1,
-                                      measure_serialization=True)
-        report = executor.run(hypotheses, scorer="CorrMax")
-        accounting = report.accounting
-        assert accounting is not None
+        accounting = _accounting(hypotheses, "CorrMax", n_workers=1)
         assert accounting.calls == len(hypotheses)
         assert accounting.bytes_moved > 0
         assert 0.0 <= accounting.serialization_share <= 1.0
 
     def test_univariate_serialization_share_exceeds_joint(self, hypotheses):
         """§6.2: serialisation is a larger share for cheap scorers."""
-        cheap = HypothesisExecutor(
-            n_workers=1, measure_serialization=True).run(
-            hypotheses, scorer="CorrMax").accounting
-        joint = HypothesisExecutor(
-            n_workers=1, measure_serialization=True).run(
-            hypotheses, scorer="L2").accounting
+        cheap = _accounting(hypotheses, "CorrMax", n_workers=1)
+        joint = _accounting(hypotheses, "L2", n_workers=1)
         assert cheap.serialization_share > joint.serialization_share
 
     def test_empty_hypothesis_list(self):
-        report = HypothesisExecutor().run([], scorer="CorrMax")
-        assert report.timings == []
-        assert report.mean_seconds_per_family() == 0.0
+        scores, seconds, attributed = HypothesisExecutor().score(
+            [], get_scorer("CorrMax"))
+        assert len(scores) == len(seconds) == len(attributed) == 0

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from repro.core.families import FamilySet, FeatureFamily
 from repro.core.hypothesis import generate_hypotheses
+from repro.core.ranking import rank_families
 from repro.engine_exec import BACKENDS, HypothesisExecutor
+from repro.scoring import get_scorer
 from tests.scoring.reference import reference_rank
 
 
@@ -37,33 +39,38 @@ REFERENCE_RANKING = [r.family for r in REFERENCE.results]
 REFERENCE_SCORES = dict(REFERENCE.all_scores)
 
 
+def _score(hypotheses, scorer, **executor_args):
+    return HypothesisExecutor(**executor_args).score(hypotheses,
+                                                     get_scorer(scorer))
+
+
 @given(n_workers=st.integers(min_value=1, max_value=9))
 @settings(max_examples=12, deadline=None)
 def test_ranking_deterministic_across_worker_counts(n_workers):
-    report = HypothesisExecutor(n_workers=n_workers).run(
-        HYPOTHESES, scorer="CorrMax")
-    assert [r.family for r in report.score_table.results] == REFERENCE_RANKING
-    assert dict(report.score_table.all_scores) == REFERENCE_SCORES
+    table = rank_families(HYPOTHESES, scorer="CorrMax", n_workers=n_workers)
+    assert [r.family for r in table.results] == REFERENCE_RANKING
+    assert dict(table.all_scores) == REFERENCE_SCORES
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_empty_hypothesis_list(backend):
-    report = HypothesisExecutor(n_workers=2, backend=backend).run(
-        [], scorer="CorrMax")
-    assert report.timings == []
-    assert report.score_table.results == []
-    assert report.mean_seconds_per_family() == 0.0
-    assert report.max_seconds_per_family() == 0.0
+    scores, seconds, attributed = _score([], "CorrMax", n_workers=2,
+                                         backend=backend)
+    assert len(scores) == len(seconds) == len(attributed) == 0
+    table = rank_families([], scorer="CorrMax", backend=backend,
+                          n_workers=2)
+    assert table.results == []
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_single_hypothesis(backend):
     single = HYPOTHESES[:1]
-    report = HypothesisExecutor(n_workers=4, backend=backend).run(
-        single, scorer="CorrMax")
-    assert len(report.timings) == 1
-    assert len(report.score_table.results) == 1
-    row = report.score_table.results[0]
+    _, seconds, _ = _score(single, "CorrMax", n_workers=4, backend=backend)
+    assert len(seconds) == 1
+    table = rank_families(single, scorer="CorrMax", backend=backend,
+                          n_workers=4)
+    assert len(table.results) == 1
+    row = table.results[0]
     assert row.family == single[0].name
     assert row.rank == 1
     assert row.score == REFERENCE_SCORES[single[0].name]
@@ -71,24 +78,28 @@ def test_single_hypothesis(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_more_workers_than_hypotheses(backend):
-    report = HypothesisExecutor(n_workers=32, backend=backend).run(
-        HYPOTHESES, scorer="CorrMax")
-    assert [r.family for r in report.score_table.results] == REFERENCE_RANKING
-    assert len(report.timings) == len(HYPOTHESES)
+    _, seconds, _ = _score(HYPOTHESES, "CorrMax", n_workers=32,
+                           backend=backend)
+    assert len(seconds) == len(HYPOTHESES)
+    table = rank_families(HYPOTHESES, scorer="CorrMax", backend=backend,
+                          n_workers=32)
+    assert [r.family for r in table.results] == REFERENCE_RANKING
 
 
 @pytest.mark.parametrize("n_workers", [1, 3])
 def test_process_ranking_deterministic_across_worker_counts(n_workers):
-    report = HypothesisExecutor(n_workers=n_workers, backend="process").run(
-        HYPOTHESES, scorer="CorrMax")
-    assert [r.family for r in report.score_table.results] == REFERENCE_RANKING
-    assert dict(report.score_table.all_scores) == REFERENCE_SCORES
+    table = rank_families(HYPOTHESES, scorer="CorrMax", backend="process",
+                          n_workers=n_workers)
+    assert [r.family for r in table.results] == REFERENCE_RANKING
+    assert dict(table.all_scores) == REFERENCE_SCORES
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_timings_cover_every_hypothesis(backend):
-    report = HypothesisExecutor(n_workers=2, backend=backend).run(
-        HYPOTHESES, scorer="L2")
-    assert len(report.timings) == len(HYPOTHESES)
-    assert all(t.seconds > 0.0 for t in report.timings)
-    assert {t.family for t in report.timings} == {h.name for h in HYPOTHESES}
+    scores, seconds, _ = _score(HYPOTHESES, "L2", n_workers=2,
+                                backend=backend)
+    assert len(scores) == len(seconds) == len(HYPOTHESES)
+    assert (seconds > 0.0).all()
+    table = rank_families(HYPOTHESES, scorer="L2", backend=backend,
+                          n_workers=2)
+    assert {r.family for r in table.results} == {h.name for h in HYPOTHESES}

@@ -1,17 +1,32 @@
 """Unit tests for the shared-memory transfer tier."""
 
+import os
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core.families import FamilySet, FeatureFamily
 from repro.core.hypothesis import generate_hypotheses
+from repro.core.ranking import rank_families
 from repro.engine_exec import (
     HypothesisExecutor,
     SerializationAccounting,
     SharedMatrixPool,
 )
-from repro.engine_exec.shm import attach_segment, resolve_ref
+from repro.engine_exec.executor import share_shm_jobs
+from repro.engine_exec.shm import resolve_refs
+from repro.scoring import Scorer, get_scorer
 from tests.scoring.reference import assert_matches_oracle, reference_rank
+
+
+def shm_mappings(pid: int | None = None) -> int:
+    """``/dev/shm`` mappings of a process (the caller by default)."""
+    maps = Path(f"/proc/{pid or os.getpid()}/maps")
+    if not maps.exists():
+        pytest.skip("needs /proc/<pid>/maps")
+    return sum("/dev/shm/" in line for line in maps.read_text().splitlines())
 
 
 def _make_hypotheses(rng, n_families=6, n_samples=60, with_z=False):
@@ -40,8 +55,7 @@ class TestSharedMatrixPool:
         with SharedMatrixPool() as pool:
             refs = pool.share_group(matrices)
             assert pool.n_segments == 1
-            for ref, matrix in zip(refs, matrices):
-                restored = resolve_ref(ref)
+            for restored, matrix in zip(resolve_refs(refs), matrices):
                 assert np.array_equal(restored, matrix)
                 assert restored.dtype == np.float64
 
@@ -57,7 +71,7 @@ class TestSharedMatrixPool:
     def test_resolved_view_is_read_only(self, rng):
         with SharedMatrixPool() as pool:
             (ref,) = pool.share_group([rng.standard_normal((5, 5))])
-            view = resolve_ref(ref)
+            (view,) = resolve_refs([ref])
             with pytest.raises(ValueError):
                 view[0, 0] = 1.0
 
@@ -65,10 +79,11 @@ class TestSharedMatrixPool:
         strided = rng.standard_normal((10, 10))[:, ::2]
         with SharedMatrixPool() as pool:
             (ref,) = pool.share_group([strided])
-            assert np.array_equal(resolve_ref(ref), strided)
+            (restored,) = resolve_refs([ref])
+            assert np.array_equal(restored, strided)
 
     def test_resolve_none_passes_through(self):
-        assert resolve_ref(None) is None
+        assert resolve_refs([None]) == [None]
 
     def test_close_unlinks_segments(self, rng):
         pool = SharedMatrixPool()
@@ -86,14 +101,29 @@ class TestSharedMatrixPool:
         with pytest.raises(RuntimeError):
             pool.share_group([rng.standard_normal((2, 2))])
 
-    def test_attach_segment_caches_per_name(self, rng):
+    def test_views_map_each_segment_once_and_unmap_with_the_last(self, rng):
         with SharedMatrixPool() as pool:
-            (ref,) = pool.share_group([rng.standard_normal((3, 3))])
-            first = attach_segment(ref.segment)
-            assert attach_segment(ref.segment) is first
+            refs = pool.share_group([rng.standard_normal((3, 3)),
+                                     rng.standard_normal((3, 1))])
+            before = shm_mappings()
+            x, y = resolve_refs(refs)
+            assert shm_mappings() == before + 1
+            column = x[:, 0]
+            del x, y
+            assert shm_mappings() == before + 1     # the slice holds it
+            del column
+            assert shm_mappings() == before
+
+    def test_a_view_outliving_its_segment_stays_valid(self, rng):
+        matrix = rng.standard_normal((4, 4))
+        with SharedMatrixPool() as pool:
+            (view,) = resolve_refs(pool.share_group([matrix]))
+        # The owner closed and unlinked the segment; the view's own
+        # mapping keeps the memory readable.
+        assert np.array_equal(view, matrix)
 
     def test_accounting_counts_group_bytes_once(self, rng):
-        accounting = SerializationAccounting(transfer="shm")
+        accounting = SerializationAccounting()
         matrices = [rng.standard_normal((20, 5)),
                     rng.standard_normal((20, 1))]
         with SharedMatrixPool(accounting=accounting) as pool:
@@ -104,18 +134,13 @@ class TestSharedMatrixPool:
 
 
 class TestShmBackendParity:
-    def test_shm_and_pickle_tables_bitwise_identical(self, rng):
+    def test_process_and_in_process_tables_bitwise_identical(self, rng):
         hypotheses = _make_hypotheses(rng)
-        reports = {
-            transfer: HypothesisExecutor(
-                n_workers=3, backend="process", transfer=transfer,
-            ).run(hypotheses, scorer="L2")
-            for transfer in ("pickle", "shm")
-        }
-        pickle_table = reports["pickle"].score_table
-        shm_table = reports["shm"].score_table
-        assert shm_table.all_scores == pickle_table.all_scores
-        for want, got in zip(pickle_table.results, shm_table.results):
+        in_process = rank_families(hypotheses, scorer="L2")
+        pooled = rank_families(hypotheses, scorer="L2", backend="process",
+                               n_workers=3)
+        assert pooled.all_scores == in_process.all_scores
+        for want, got in zip(in_process.results, pooled.results):
             assert got.family == want.family
             assert got.rank == want.rank
             assert got.score == want.score      # exact, not approx
@@ -124,51 +149,84 @@ class TestShmBackendParity:
     def test_shm_matches_sequential_with_condition(self, rng):
         hypotheses = _make_hypotheses(rng, with_z=True)
         sequential = reference_rank(hypotheses, "L2")
-        shm = HypothesisExecutor(n_workers=2, backend="process",
-                                 transfer="shm").run(hypotheses, scorer="L2")
-        in_process = HypothesisExecutor().run(hypotheses, scorer="L2")
-        assert shm.score_table.all_scores == in_process.score_table.all_scores
-        assert_matches_oracle(shm.score_table.all_scores,
-                              sequential.all_scores)
-
-    def test_report_records_transfer_mode(self, rng):
-        hypotheses = _make_hypotheses(rng, n_families=3)
-        shm = HypothesisExecutor(n_workers=2, backend="process",
-                                 transfer="shm").run(hypotheses, scorer="CorrMax")
-        assert shm.transfer == "shm"
-        in_process = HypothesisExecutor(n_workers=2).run(hypotheses,
-                                                         scorer="CorrMax")
-        assert in_process.transfer is None
+        shm = rank_families(hypotheses, scorer="L2", backend="process",
+                            n_workers=2)
+        in_process = rank_families(hypotheses, scorer="L2")
+        assert shm.all_scores == in_process.all_scores
+        assert_matches_oracle(shm.all_scores, sequential.all_scores)
 
     def test_single_worker_pool_still_transfers(self, rng):
         """n_workers=1 is a pool of one, not a different code path: the
-        matrices cross the process boundary and the report says how."""
+        matrices cross the process boundary through shared memory."""
         hypotheses = _make_hypotheses(rng, n_families=3)
-        report = HypothesisExecutor(n_workers=1, backend="process",
-                                    transfer="shm",
-                                    measure_serialization=True).run(
-            hypotheses, scorer="CorrMax")
-        assert report.transfer == "shm"
-        assert report.accounting.bytes_moved > 0
-        assert (report.score_table.all_scores
+        accounting = SerializationAccounting()
+        scores, _, _ = HypothesisExecutor(n_workers=1, backend="process")\
+            .score(hypotheses, get_scorer("CorrMax"), accounting=accounting)
+        assert accounting.bytes_moved > 0
+        assert accounting.calls == 1            # one (Y, Z) group
+        assert ({h.name: float(v) for h, v in zip(hypotheses, scores)}
                 == reference_rank(hypotheses, "CorrMax").all_scores)
 
-    def test_shm_moves_fewer_bytes_than_pickle(self, rng):
-        hypotheses = _make_hypotheses(rng)
-        accountings = {}
-        for transfer in ("pickle", "shm"):
-            report = HypothesisExecutor(
-                n_workers=2, backend="process", transfer=transfer,
-                measure_serialization=True,
-            ).run(hypotheses, scorer="CorrMax")
-            accountings[transfer] = report.accounting
-        assert accountings["shm"].transfer == "shm"
-        assert accountings["pickle"].transfer == "pickle"
-        # Y is moved once per group under shm, once per hypothesis
-        # under pickle.
-        assert (accountings["shm"].bytes_moved
-                < accountings["pickle"].bytes_moved)
-
-    def test_invalid_transfer_rejected(self):
+    def test_only_shm_transfer_accepted(self, rng):
+        hypotheses = _make_hypotheses(rng, n_families=2)
+        assert rank_families(hypotheses, scorer="CorrMax", transfer="shm")
         with pytest.raises(ValueError):
-            HypothesisExecutor(transfer="grpc")
+            rank_families(hypotheses, scorer="CorrMax", transfer="pickle")
+
+
+class _FailingScorer(Scorer):
+    """Raises while its frame holds a view of the shared operand."""
+
+    name = "failing"
+
+    def score(self, x, y, z=None):
+        column = x[:, 0]        # noqa: F841 — a view the traceback keeps
+        raise ArithmeticError("scorer bug")
+
+
+class TestWorkerLifetimes:
+    def test_invalid_backend_rejected(self):
+        with pytest.raises(ValueError):
+            HypothesisExecutor(backend="thread")
+
+    def test_scorer_error_propagates_and_leaves_nothing_mapped(self, rng):
+        hypotheses = _make_hypotheses(rng, n_families=2)
+        executor = HypothesisExecutor(n_workers=1, backend="process")
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            worker = pool.submit(os.getpid).result()
+            idle = shm_mappings(worker)
+            with pytest.raises(ArithmeticError, match="scorer bug"):
+                executor.score(hypotheses, _FailingScorer(),
+                               process_pool=pool)
+            pool.submit(os.getpid).result()     # the failed run drained
+            assert shm_mappings(worker) == idle
+
+    def test_caller_published_jobs_survive_the_run(self, rng):
+        """``shm_jobs`` belong to the caller: a run replays them without
+        copying or unlinking, so the next run can replay them again."""
+        hypotheses = _make_hypotheses(rng, n_families=3, with_z=True)
+        executor = HypothesisExecutor(n_workers=2, backend="process")
+        scorer = get_scorer("L2")
+        with SharedMatrixPool() as shared:
+            jobs = share_shm_jobs(hypotheses, shared)
+            published = shared.n_segments
+            first, _, _ = executor.score(hypotheses, scorer, shm_jobs=jobs)
+            second, _, _ = executor.score(hypotheses, scorer, shm_jobs=jobs)
+            assert shared.n_segments == published
+        in_process, _, _ = HypothesisExecutor().score(hypotheses, scorer)
+        assert np.array_equal(first, in_process)
+        assert np.array_equal(second, in_process)
+
+
+def test_run_scoped_segments_do_not_stay_attached_in_a_long_lived_pool(rng):
+    """Each ``score()`` without ``shm_jobs`` publishes into segments it
+    unlinks when done; a caller-owned worker must not keep mapping them."""
+    hypotheses = _make_hypotheses(rng, n_families=3, with_z=True)
+    executor = HypothesisExecutor(n_workers=1, backend="process")
+    scorer = get_scorer("L2")
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        worker = pool.submit(os.getpid).result()
+        idle = shm_mappings(worker)
+        for _ in range(5):
+            executor.score(hypotheses, scorer, process_pool=pool)
+            assert shm_mappings(worker) == idle

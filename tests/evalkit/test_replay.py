@@ -138,11 +138,15 @@ class TestScorecardSerialisation:
         without_meta = smoke_card.to_payload(with_meta=False)
         assert "backend" in with_meta
         assert "backend" not in without_meta
-        assert "transfer" not in without_meta
+        assert "transfer" not in with_meta
 
-    def test_transfer_only_reported_for_process_backend(self, smoke_card):
-        # Inline run: the transfer label is irrelevant, so it is nulled.
-        assert smoke_card.to_payload()["transfer"] is None
+    def test_process_card_is_labelled_by_backend_alone(self):
+        card = replay_matrix(SMOKE[:1], scorers=("CorrMax",),
+                             backend="process", n_workers=2,
+                             matrix="smoke")
+        payload = card.to_payload()
+        assert payload["backend"] == "process"
+        assert "transfer" not in payload
 
     def test_json_round_trips(self, smoke_card):
         doc = json.loads(smoke_card.to_json())
@@ -169,11 +173,10 @@ class TestBackendParity:
     scorecard must not depend on how the ranking work was scheduled.
     """
 
-    @pytest.mark.parametrize("transfer", ["shm", "pickle"])
-    def test_process_backend_matches_in_process(self, smoke_card, transfer):
+    def test_process_backend_matches_in_process(self, smoke_card):
         card = replay_matrix(SMOKE, scorers=DEFAULT_SCORERS,
                              backend="process", n_workers=2,
-                             transfer=transfer, matrix="smoke")
+                             matrix="smoke")
         assert (card.to_json(with_timings=False, with_meta=False)
                 == smoke_card.to_json(with_timings=False, with_meta=False))
 

@@ -30,21 +30,21 @@ class TestParser:
         assert args.backend == "process"
         assert build_parser().parse_args([*verb]).backend is None
 
-    def test_invalid_transfer_rejected_at_parse_time(self):
+    @pytest.mark.parametrize("verb", [("explain", "5.1"), ("replay",)])
+    def test_transfer_flag_is_gone(self, verb):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["explain", "5.1",
-                                       "--backend", "process",
-                                       "--transfer", "grpc"])
+            build_parser().parse_args([*verb, "--backend", "process",
+                                       "--transfer", "shm"])
 
     def test_nonpositive_workers_rejected_at_parse_time(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["explain", "5.1", "--workers", "0"])
 
-    def test_transfer_and_lags_parse(self):
+    def test_backend_and_lags_parse(self):
         args = build_parser().parse_args(
-            ["explain", "5.1", "--backend", "process", "--transfer",
-             "pickle", "--lags", "0", "1", "2"])
-        assert args.transfer == "pickle"
+            ["explain", "5.1", "--backend", "process", "--lags", "0", "1",
+             "2"])
+        assert args.backend == "process"
         assert args.lags == [0, 1, 2]
 
     def test_replay_defaults(self):
@@ -65,42 +65,30 @@ class TestParser:
 
 class TestResolveExecArgs:
     def test_defaults(self):
-        n_workers, transfer, warnings = resolve_exec_args(None, None, None)
+        n_workers, warnings = resolve_exec_args(None, None)
         assert n_workers == 4
-        assert transfer == "shm"
         assert warnings == []
 
     def test_workers_warn_without_backend(self):
-        n_workers, _, warnings = resolve_exec_args(None, 8, None)
+        n_workers, warnings = resolve_exec_args(None, 8)
         assert n_workers == 8
         assert len(warnings) == 1
         assert "--workers" in warnings[0] and "in-process" in warnings[0]
 
     def test_workers_used_by_the_pool(self):
-        n_workers, _, warnings = resolve_exec_args("process", 8, None)
+        n_workers, warnings = resolve_exec_args("process", 8)
         assert n_workers == 8
         assert warnings == []
 
-    def test_transfer_warns_without_backend(self):
-        _, transfer, warnings = resolve_exec_args(None, None, "shm")
-        assert transfer == "shm"
-        assert len(warnings) == 1
-        assert "--transfer" in warnings[0]
-
-    def test_both_ignored_flags_warn(self):
-        _, _, warnings = resolve_exec_args(None, 2, "pickle")
-        assert [w.split()[0] for w in warnings] == ["--workers",
-                                                    "--transfer"]
-
-    def test_transfer_used_by_process(self):
-        _, transfer, warnings = resolve_exec_args("process", None, "pickle")
-        assert transfer == "pickle"
+    def test_process_backend_defaults_workers_silently(self):
+        n_workers, warnings = resolve_exec_args("process", None)
+        assert n_workers == 4
         assert warnings == []
 
     def test_invalid_worker_count(self):
         for backend in (None, "process"):
             with pytest.raises(ValueError):
-                resolve_exec_args(backend, 0, None)
+                resolve_exec_args(backend, 0)
 
 
 class TestCommands:
@@ -127,8 +115,8 @@ class TestCommands:
 
     def test_explain_process_shm_backend(self, capsys):
         assert main(["explain", "fig14", "--scorer", "CorrMax",
-                     "--backend", "process", "--transfer", "shm",
-                     "--workers", "2", "--top", "5"]) == 0
+                     "--backend", "process", "--workers", "2",
+                     "--top", "5"]) == 0
         captured = capsys.readouterr()
         assert "rank" in captured.out
         assert "warning" not in captured.err

@@ -9,7 +9,9 @@ import pytest
 
 from repro.core.engine import ExplainItSession
 from repro.core.pipeline import DeclarativePipeline
+from repro.core.ranking import build_score_table
 from repro.engine_exec import HypothesisExecutor
+from repro.scoring import get_scorer
 from repro.sql import Database
 from repro.tsdb.adapter import register_store
 from repro.workloads.scenarios import fault_injection_scenario
@@ -73,9 +75,11 @@ class TestParallelEquivalence:
         serial_table = session.explain(scorer="CorrMax")
         from repro.core.hypothesis import generate_hypotheses
         hyps = generate_hypotheses(session.families(), "pipeline_runtime")
-        report = HypothesisExecutor(n_workers=4).run(hyps,
-                                                     scorer="CorrMax")
-        assert [r.family for r in report.score_table.results] == \
+        scorer = get_scorer("CorrMax")
+        scores, seconds, _ = HypothesisExecutor(n_workers=4).score(hyps,
+                                                                   scorer)
+        table = build_score_table(hyps, scores, seconds, scorer.name)
+        assert [r.family for r in table.results] == \
             [r.family for r in serial_table.results]
 
 

@@ -1,9 +1,12 @@
 """QueryServer: pinned-version serving, caching, invalidation, staleness."""
 
+import os
+import signal
 import struct
 import sys
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -12,11 +15,13 @@ from repro.core.engine import ExplainItSession
 from repro.core.families import families_from_store
 from repro.core.hypothesis import generate_hypotheses
 from repro.core.ranking import rank_families
+from repro.scoring import get_scorer
 from repro.serve import QueryServer
 from repro.sql import Database
 from repro.tsdb.adapter import register_store
 from repro.tsdb.model import SeriesId
 from repro.tsdb.storage import TimeSeriesStore
+from tests.engine_exec.test_shm import shm_mappings
 from tests.scoring.reference import assert_matches_oracle, reference_rank
 
 N = 96
@@ -343,8 +348,7 @@ def test_process_backend_publishes_matrices_once_per_version(store):
             families_from_store(store.snapshot(), group_by="name"),
             "target_metric")
         direct = rank_families(hypotheses, scorer="L2-P50",
-                               backend="process", n_workers=2,
-                               transfer="shm")
+                               backend="process", n_workers=2)
         assert rank_fields(a) == rank_fields(direct)
         assert_matches_oracle(a, reference_rank(hypotheses, "L2-P50"))
 
@@ -357,6 +361,50 @@ def test_single_rank_worker_still_uses_the_shared_pool(store):
         with QueryServer(store) as in_process:
             assert rank_fields(table) == rank_fields(
                 in_process.explain("target_metric", scorer="CorrMax"))
+
+
+def test_live_scorer_requests_leave_no_segments_mapped_in_the_worker(store):
+    """A live Scorer object is not cacheable, so each request publishes
+    run-scoped segments and unlinks them when done; the long-lived rank
+    worker must not keep mapping them."""
+    scorer = get_scorer("CorrMax")
+    with QueryServer(store, backend="process", rank_workers=1) as server:
+        worker = server._process_pool().submit(os.getpid).result()
+        idle = shm_mappings(worker)
+        for _ in range(4):
+            server.explain("target_metric", scorer=scorer)
+            assert shm_mappings(worker) == idle
+        assert server.stats()["shm_segments"] == 0
+
+
+def test_published_segments_stay_with_the_server_not_the_worker(store):
+    """Per-version segments outlive requests in the server; an idle rank
+    worker maps none of them, at the current version or a retired one."""
+    with QueryServer(store, backend="process", rank_workers=1) as server:
+        worker = server._process_pool().submit(os.getpid).result()
+        idle = shm_mappings(worker)
+        for i in range(3):
+            server.explain("target_metric", scorer="CorrMax")
+            assert server.stats()["shm_segments"] > 0
+            assert shm_mappings(worker) == idle
+            store.insert(SeriesId.make("bump_metric"), i, 1.0)
+
+
+def test_a_dead_rank_worker_fails_one_request_then_is_replaced(store):
+    with QueryServer(store, backend="process", rank_workers=1) as server, \
+            QueryServer(store) as in_process:
+        server.explain("target_metric", scorer="CorrMax")
+        published = server.stats()["shm_segments"]
+        worker = server._process_pool().submit(os.getpid).result()
+        os.kill(worker, signal.SIGKILL)
+        with pytest.raises(BrokenProcessPool):
+            server.explain("target_metric", scorer="L2")
+        # The next request forks a fresh pool, which scores from the
+        # segments the version state published before the kill.
+        table = server.explain("target_metric", scorer="L2")
+        assert server.stats()["shm_segments"] == published
+        assert rank_fields(table) == rank_fields(
+            in_process.explain("target_metric", scorer="L2"))
 
 
 def test_old_version_states_retire(store):
