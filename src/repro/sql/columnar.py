@@ -20,15 +20,14 @@ adapter's output).  Four entry points mirror the executor's stages:
   expressions: ``tag['tenant']``, ``k % 2``) to vectors, factorizes
   each into codes and combines them by mixed radix, stable-sorts rows
   by code, and reduces each aggregate over the resulting segments:
-  ``reduceat`` for MIN/MAX, one numpy call per segment for SUM/AVG/
-  STDDEV/VARIANCE, one ``lexsort`` over (segment, value) plus numpy's
-  own index/lerp arithmetic for MEDIAN/PERCENTILE, segment sizes for
-  COUNT, and distinct (segment, value-code) pairs for
-  ``COUNT(DISTINCT ...)``.  Aggregate arguments may be value
-  expressions (``SUM(a*b)``), items may combine aggregates
-  (``SUM(v)/COUNT(*)``), HAVING is applied as a three-valued-logic
-  mask over the aggregated output, and ORDER BY lexsorts the group
-  rows.
+  ``reduceat`` for MIN/MAX, numpy's pairwise summation replayed over
+  every segment at once for SUM/AVG/STDDEV/VARIANCE, one ``lexsort``
+  over (segment, value) plus numpy's own index/lerp arithmetic for
+  MEDIAN/PERCENTILE, segment sizes for COUNT, and distinct (segment,
+  value-code) pairs for ``COUNT(DISTINCT ...)``.  Aggregate arguments
+  may be value expressions (``SUM(a*b)``), items may combine aggregates
+  (``SUM(v)/COUNT(*)``), HAVING is applied as a three-valued-logic mask
+  over the aggregated output, and ORDER BY lexsorts the group rows.
 - :func:`try_join` — hash equi-join over key-code vectors: both sides'
   equi-key expressions compile to vectors, factorize to shared integer
   codes (NULL/NaN keys get a never-matching code, exactly like the row
@@ -42,11 +41,12 @@ and the executor then runs its row-at-a-time interpreter, which remains
 the semantics reference.  The subset is chosen so results are
 *identical* to the row path (property-tested):
 numeric kernels perform the same IEEE operations in the same order the
-scalar evaluator would (``np.sum`` on a group slice is the row path's
-``np.sum`` on the same values), and anything without an exact vector
-counterpart — object-typed cells, LIKE, map subscripts — is evaluated
-element-wise through the very scalar functions of
-:mod:`repro.sql.semantics` that the row path calls.
+scalar evaluator would (a group's SUM adds its values in the very tree
+the row path's ``np.sum`` adds them in; narrow numeric columns widen to
+float64/int64, as the row path's Python numbers are), and anything
+without an exact vector counterpart — object-typed cells, LIKE, map
+subscripts — is evaluated element-wise through the very scalar
+functions of :mod:`repro.sql.semantics` that the row path calls.
 
 Dictionary-encoded columns (:class:`~repro.sql.table.DictColumn`: the
 tsdb ``metric_name`` and ``tag``, constants of a row's series) are
@@ -182,10 +182,14 @@ def _none_mask(cells: np.ndarray) -> np.ndarray | None:
 
 
 def _column_val(col: "np.ndarray | DictColumn") -> _Val:
-    """A stored column vector as a value; encoded columns stay encoded."""
+    """A stored column vector as a value; encoded columns stay encoded.
+    Narrow numbers widen exactly to float64/int64: the row path computes
+    on their cells as Python floats and ints, not in float32 or int32."""
     if isinstance(col, DictColumn):
         return _Val(data=col.values, null=_none_mask(col.values),
                     codes=col.codes)
+    if col.dtype.kind in "fiu" and col.dtype.itemsize < 8:
+        col = col.astype(np.float64 if col.dtype.kind == "f" else np.int64)
     return _Val(data=col, null=_none_mask(col))
 
 

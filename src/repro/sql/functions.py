@@ -102,11 +102,11 @@ def is_aggregate(name: str) -> bool:
 # Parity with the per-group scalar aggregates above is deliberate and
 # exact: MIN/MAX use ``reduceat``, which applies the same sequential
 # ufunc reduction ``np.min``/``np.max`` apply to each slice; SUM/AVG/
-# STDDEV/VARIANCE issue the scalar aggregate's own numpy call once per
-# segment because numpy's pairwise float summation is *not* what
-# ``np.add.reduceat`` computes — a reduceat-based SUM would differ in
-# the last bits; MEDIAN/PERCENTILE sort every segment at once and index
-# (:func:`segmented_order_stat`).
+# STDDEV/VARIANCE sum every segment with :func:`_sums`, a
+# vectorised copy of numpy's pairwise float summation (``np.add.reduceat``
+# adds left to right, so it would differ in the last bits), and replay
+# ``np.mean``/``np.var``'s arithmetic on top; MEDIAN/PERCENTILE sort
+# every segment at once and index (:func:`segmented_order_stat`).
 # ---------------------------------------------------------------------------
 def _segmented_min(values: np.ndarray, starts: np.ndarray,
                    ends: np.ndarray) -> np.ndarray:
@@ -118,15 +118,123 @@ def _segmented_max(values: np.ndarray, starts: np.ndarray,
     return np.maximum.reduceat(values, starts)
 
 
-def _per_segment(fn: Callable[[np.ndarray], Any]):
-    """A kernel issuing one ``fn(slice)`` per segment."""
+#: Longer segments get numpy's own call, at most N/1024 of them.  Below
+#: numpy's 8192-element cast buffer, so an integer segment summed here
+#: is one buffer, one pairwise tree, for ``np.mean`` too.
+_LONG_SEGMENT = 1024
+#: Below this many segments, per-slice numpy calls beat the vector path.
+_FEW_SEGMENTS = 16
+
+
+def _gather(values: np.ndarray, index: np.ndarray,
+            valid: np.ndarray) -> np.ndarray:
+    """float64 ``values[index]`` where ``valid``, else ``-0.0``: the
+    exact additive identity (``x + -0.0`` is ``x``, ``-0.0`` included)."""
+    return np.where(valid, values[np.where(valid, index, 0)], -0.0)
+
+
+def _sums(values: np.ndarray, starts: np.ndarray,
+          lengths: np.ndarray) -> np.ndarray:
+    """``np.sum(values[s:s + n], dtype=np.float64)`` per segment, bitwise.
+
+    numpy's ``pairwise_sum`` for every segment in lockstep: n > 128
+    splits at ``n//2 - (n//2) % 8`` (one recursive call per tree level);
+    n < 8 is ``res = 0.0; res += a[i]``; otherwise eight accumulators
+    start at ``a[0..7]`` and take each further whole block of 8, then
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` plus the tail in order.  The
+    reduction's final ``0.0 + total`` only turns ``-0.0`` into ``0.0``;
+    only ``-0.0`` halves add up to ``-0.0``, so each leaf adds it.
+    """
+    split = lengths > 128                    # numpy's PW_BLOCKSIZE
+    if split.any():
+        s, n = starts[split], lengths[split]
+        half = n // 2 - n // 2 % 8
+        halves = _sums(values, np.concatenate((s, s + half)),
+                       np.concatenate((half, n - half)))
+        out = np.empty(starts.size)
+        out[split] = halves[:s.size] + halves[s.size:]
+        out[~split] = _sums(values, starts[~split], lengths[~split])
+        return out
+    blocks = lengths // 8
+    sums = np.zeros(starts.size)
+    width = int(blocks.max(initial=0))
+    if width:
+        lane = np.arange(8 * width)
+        acc = _gather(values, starts[:, None] + lane,
+                      lane < 8 * blocks[:, None]).reshape(-1, width, 8)
+        r = acc[:, 0]
+        for k in range(1, width):
+            r = r + acc[:, k]
+        r = r[:, 0::2] + r[:, 1::2]
+        r = r[:, 0::2] + r[:, 1::2]
+        sums = np.where(blocks > 0, r[:, 0] + r[:, 1] + 0.0, sums)
+    tail = lengths - 8 * blocks
+    lane = np.arange(int(tail.max(initial=0)))
+    rest = _gather(values, (starts + 8 * blocks)[:, None] + lane,
+                   lane < tail[:, None])
+    for k in lane:
+        sums = sums + rest[:, k]
+    return sums
+
+
+def _variance(values: np.ndarray, starts: np.ndarray,
+              lengths: np.ndarray) -> np.ndarray:
+    """``np.var(ddof=1)`` step for step: the mean, each row's deviation
+    from it, the sum of squared deviations, divided by ``n - 1``."""
+    mean = _sums(values, starts, lengths) / lengths
+    first = np.cumsum(lengths) - lengths
+    rows = np.arange(int(lengths.sum())) + np.repeat(starts - first, lengths)
+    deviation = values[rows] - np.repeat(mean, lengths)
+    return _sums(deviation * deviation, first, lengths) / (lengths - 1)
+
+
+def _segmented(per_slice: Callable[[np.ndarray], Any],
+               vector: Callable[[np.ndarray, np.ndarray, np.ndarray],
+                                np.ndarray]):
+    """A segmented statistic: ``vector`` over all short segments at
+    once, ``per_slice`` (the row path's numpy call) on each long one, or
+    on every one when few are short.  A float column is summed as
+    float64, as the row path's Python floats are."""
     def kernel(values: np.ndarray, starts: np.ndarray,
                ends: np.ndarray) -> np.ndarray:
-        out = np.empty(starts.size, dtype=np.float64)
-        for g, (s, e) in enumerate(zip(starts.tolist(), ends.tolist())):
-            out[g] = fn(values[s:e])
+        if values.dtype.kind == "f":
+            values = values.astype(np.float64, copy=False)
+        out = np.empty(starts.size)
+        todo = range(starts.size)
+        if starts.size >= _FEW_SEGMENTS:
+            lengths = ends - starts
+            short = lengths <= _LONG_SEGMENT
+            if np.count_nonzero(short) >= _FEW_SEGMENTS:
+                with np.errstate(invalid="ignore", over="ignore"):
+                    if short.all():
+                        return vector(values, starts, lengths)
+                    out[short] = vector(values, starts[short],
+                                        lengths[short])
+                todo = np.flatnonzero(~short).tolist()
+        for g in todo:
+            out[g] = per_slice(values[int(starts[g]):int(ends[g])])
         return out
     return kernel
+
+
+segmented_mean = _segmented(np.mean, lambda v, s, n: _sums(v, s, n) / n)
+_float_sum = _segmented(np.sum, _sums)
+_segmented_variance = _segmented(lambda a: np.var(a, ddof=1), _variance)
+_segmented_stddev = _segmented(lambda a: np.std(a, ddof=1),
+                               lambda v, s, n: np.sqrt(_variance(v, s, n)))
+
+
+def _segmented_sum(values: np.ndarray, starts: np.ndarray,
+                   ends: np.ndarray) -> np.ndarray:
+    """Per-segment ``np.sum`` as float64.  Integer and bool columns sum in
+    numpy's integer accumulator, whose wrapping addition is associative,
+    so a difference of running totals is exact."""
+    if values.dtype.kind == "f":
+        return _float_sum(values, starts, ends)
+    accumulator = np.sum(values[:0]).dtype
+    totals = np.zeros(values.size + 1, dtype=accumulator)
+    np.cumsum(values, dtype=accumulator, out=totals[1:])
+    return (totals[ends] - totals[starts]).astype(np.float64)
 
 
 def segmented_order_stat(values: np.ndarray, starts: np.ndarray,
@@ -209,10 +317,10 @@ SEGMENTED_AGGREGATES: dict[str, Callable[
         [np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = {
     "MIN": _segmented_min,
     "MAX": _segmented_max,
-    "SUM": _per_segment(np.sum),
-    "AVG": _per_segment(np.mean),
-    "STDDEV": _per_segment(lambda a: np.std(a, ddof=1)),
-    "VARIANCE": _per_segment(lambda a: np.var(a, ddof=1)),
+    "SUM": _segmented_sum,
+    "AVG": segmented_mean,
+    "STDDEV": _segmented_stddev,
+    "VARIANCE": _segmented_variance,
     "MEDIAN": _segmented_median,
 }
 
@@ -453,14 +561,13 @@ def segmented_rank(values: np.ndarray, uncounted: np.ndarray,
 
 def segmented_moving_avg(values: np.ndarray, starts: np.ndarray,
                          ends: np.ndarray, window: int) -> np.ndarray:
-    """MOVING_AVG over NULL-free values: one ``np.mean`` per trailing
-    window, exactly the reduction the per-row evaluator issues."""
-    out = np.empty(values.size, dtype=np.float64)
-    for s, e in zip(starts.tolist(), ends.tolist()):
-        for i in range(s, e):
-            lo = max(s, i - window + 1)
-            out[i] = np.mean(values[lo:i + 1])
-    return out
+    """MOVING_AVG over NULL-free values: the ``np.mean`` the per-row
+    evaluator takes of each trailing window ``[max(s, i - window + 1),
+    i + 1)``, every window one (overlapping) segment of
+    :func:`segmented_mean`."""
+    rows = np.arange(values.size)
+    first = np.maximum(np.repeat(starts, ends - starts), rows - window + 1)
+    return segmented_mean(values, first, rows + 1)
 
 
 # Window functions computed over an ordered partition.

@@ -14,7 +14,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.sql.functions import segmented_order_stat
+from repro.sql.functions import SEGMENTED_AGGREGATES, segmented_order_stat
 from repro.tsdb.model import SeriesFormatError, SeriesId
 from repro.tsdb.storage import StoreView
 
@@ -74,7 +74,7 @@ class Downsampler:
     def __post_init__(self) -> None:
         if self.interval <= 0:
             raise SeriesFormatError("downsample interval must be positive")
-        self._fn = aggregator(self.agg)
+        aggregator(self.agg)        # rejects an unknown name
         self._row_fn = _ROW_AGGREGATORS.get(self.agg.lower())
 
     def apply(self, timestamps: np.ndarray,
@@ -87,19 +87,13 @@ class Downsampler:
         and when every bucket holds the same number of points — the
         dense regular-grid case — the values are reshaped to a
         ``(buckets, width)`` matrix and reduced along axis 1.  Ragged
-        (gappy) buckets use a segmented ``reduceat``: for ``min``/``max``
-        it applies the same sequential ufunc reduction ``np.min`` applies
-        per slice, so the result is exact, and ``sum``/``avg`` reduce
-        each bucket strictly left-to-right (see the tolerance note
-        inline).  The order-statistic aggregates (``median``, ``p95``,
-        ``p99``) over ragged buckets go through sorted-segment indexing
-        (:func:`repro.sql.functions.segmented_order_stat`, the kernel
-        SQL's ``MEDIAN``/``PERCENTILE`` run on): one ``lexsort`` over
-        ``(bucket, value)`` replaces the per-bucket
-        ``np.median``/``np.percentile`` calls, replicating numpy's
-        index arithmetic exactly.  Equal-width buckets, the segmented
-        min/max/count paths, and the segmented order statistics are all
-        bitwise identical to the per-point reference loop.
+        (gappy) buckets run SQL's GROUP BY kernels
+        (:data:`repro.sql.functions.SEGMENTED_AGGREGATES`): ``reduceat``
+        for ``min``/``max``, numpy's pairwise summation replayed for
+        every bucket at once for ``sum``/``avg``, and one ``lexsort``
+        plus numpy's own index arithmetic for ``median``/``p95``/``p99``
+        (:func:`~repro.sql.functions.segmented_order_stat`).
+        Every path is bitwise identical to the per-point reference loop.
         """
         if timestamps.size == 0:
             return timestamps.copy(), values.copy()
@@ -120,38 +114,15 @@ class Downsampler:
             matrix = np.ascontiguousarray(values).reshape(-1, width)
             return out_ts, np.asarray(self._row_fn(matrix),
                                       dtype=np.float64)
-        if agg in ("min", "max"):
-            # Segmented reduction over ragged buckets: reduceat applies
-            # the identical sequential minimum/maximum reduction that a
-            # per-bucket np.min/np.max call would, so gappy series take
-            # the vectorized path exactly.
-            ufunc = np.minimum if agg == "min" else np.maximum
-            return out_ts, np.asarray(ufunc.reduceat(values, starts),
+        if agg in ("min", "max", "sum", "avg"):
+            # SQL's GROUP BY kernels: bitwise the per-bucket numpy call.
+            kernel = SEGMENTED_AGGREGATES[agg.upper()]
+            return out_ts, np.asarray(kernel(values, starts, ends),
                                       dtype=np.float64)
-        if agg in ("sum", "avg"):
-            # Segmented sums over ragged buckets.  ``np.add.reduceat``
-            # accumulates each bucket strictly left-to-right, whereas
-            # the per-bucket ``np.sum`` of the reference loop uses
-            # pairwise summation, so low-order bits can differ once a
-            # bucket is large enough for the pairwise tree to split
-            # (the recursive-summation bound, ~n·eps relative error per
-            # bucket).  Callers needing bitwise equality with the loop
-            # get it on the equal-width path above; the parity tests
-            # pin this path to a 1e-9 relative tolerance.
-            sums = np.add.reduceat(values, starts)
-            if agg == "avg":
-                sums = sums / sizes
-            return out_ts, np.asarray(sums, dtype=np.float64)
-        if agg == "median" or agg in _PERCENT:
-            # The quantile np.percentile itself derives from the percent.
-            q = None if agg == "median" \
-                else np.true_divide(_PERCENT[agg], 100)
-            return out_ts, segmented_order_stat(
-                np.asarray(values, dtype=np.float64), starts, sizes, q)
-        out_vals = np.asarray(
-            [self._fn(values[s:e]) for s, e in zip(starts, ends)]
-        )
-        return out_ts, out_vals
+        # median / pNN: the quantile np.percentile itself derives.
+        q = None if agg == "median" else np.true_divide(_PERCENT[agg], 100)
+        return out_ts, segmented_order_stat(
+            np.asarray(values, dtype=np.float64), starts, sizes, q)
 
 
 def align_to_grid(timestamps: np.ndarray, values: np.ndarray,

@@ -296,6 +296,24 @@ class TestColumnarAggregate:
             "WHERE value > 0 AND timestamp BETWEEN 5 AND 50 "
             "GROUP BY metric_name", expect_lazy=True)
 
+    def test_narrow_float_and_int_columns_compute_as_python_numbers(self):
+        # The row path sees float32/int32 cells as Python floats/ints:
+        # sums, means, spreads and arithmetic are float64/int64 on both
+        # tiers, grouped and ungrouped.
+        rng = np.random.default_rng(0)
+        table = Table.from_columns(
+            ["k", "value", "i"],
+            [np.arange(1000) % 3,
+             (rng.standard_normal(1000) * 1e3).astype(np.float32),
+             rng.integers(-2 ** 31, 2 ** 31, 1000).astype(np.int32)])
+        for query in (
+                "SELECT k, SUM(value) AS s, AVG(value) AS a, "
+                "STDDEV(value) AS sd FROM tsdb GROUP BY k",
+                "SELECT SUM(value) AS s, AVG(value) AS a FROM tsdb",
+                "SELECT k, SUM(i) AS s, AVG(i * 3) AS a FROM tsdb GROUP BY k",
+                "SELECT value + 0.1 AS w, i * i AS sq FROM tsdb"):
+            assert_parity(query, table=table, expect_lazy=True)
+
     def test_global_aggregates(self):
         assert_parity("SELECT COUNT(*) AS n, SUM(value) AS s, "
                       "MIN(timestamp) AS lo FROM tsdb", expect_lazy=True)

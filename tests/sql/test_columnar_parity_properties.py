@@ -33,7 +33,7 @@ METRICS = ["cpu", "disk", "net"]
 HOSTS = ["h0", "h1", None]
 NOTES = [None, "n0", "n1", "long-note"]
 
-NUM_COLS = ["ts", "v"]
+NUM_COLS = ["ts", "v", "f", "i"]
 STR_COLS = ["metric", "note"]
 ALL_COLS = NUM_COLS + STR_COLS
 
@@ -58,6 +58,11 @@ def table_pairs(draw):
         dtype=np.int64).reshape(n)
     v = np.asarray(draw(st.lists(VALUES, min_size=n, max_size=n)),
                    dtype=np.float64).reshape(n)
+    # Narrow dtypes: the row path sees their cells as Python floats/ints.
+    f32 = np.asarray(draw(st.lists(VALUES, min_size=n, max_size=n)),
+                     dtype=np.float32).reshape(n)
+    i32 = np.asarray(draw(st.lists(st.integers(-1000, 1000), min_size=n,
+                                   max_size=n)), dtype=np.int32).reshape(n)
     n_series = draw(st.integers(1, 5))
     metrics = np.empty(n_series, dtype=object)
     tags = np.empty(n_series, dtype=object)
@@ -72,12 +77,12 @@ def table_pairs(draw):
     note = np.asarray(
         draw(st.lists(st.integers(0, len(NOTES) - 1),
                       min_size=n, max_size=n)), dtype=np.int32).reshape(n)
-    columns = ["ts", "metric", "tag", "v", "note"]
+    columns = ["ts", "metric", "tag", "v", "note", "f", "i"]
     flat = Table.from_columns(
-        columns, [ts, metrics[series], tags[series], v, notes[note]])
+        columns, [ts, metrics[series], tags[series], v, notes[note], f32, i32])
     encoded = Table.from_columns(
         columns, [ts, DictColumn(series, metrics), DictColumn(series, tags),
-                  v, DictColumn(note, notes)])
+                  v, DictColumn(note, notes), f32, i32])
     return flat, encoded
 
 
@@ -142,6 +147,7 @@ WINDOW_ITEMS = [
     "LEAD(v, 2, 0.0) OVER (PARTITION BY metric ORDER BY ts DESC) AS nv",
     "LAG(note, 1, 'none') OVER (PARTITION BY tag ORDER BY ts) AS pn",
     "MOVING_AVG(v, 3) OVER (PARTITION BY metric ORDER BY ts) AS ma",
+    "MOVING_AVG(f, 2) OVER (ORDER BY ts) AS maf",
 ]
 
 
@@ -167,7 +173,10 @@ def statements(draw):
              # NULL on even timestamps: some groups end up all-NULL.
              "MEDIAN(v / (ts % 2)) AS mdn", "STDDEV(v / (ts % 2)) AS sdn",
              "PERCENTILE(v / (ts % 2), 0.5) AS pn",
-             "SUM(DISTINCT v) AS sdv"]),
+             "SUM(DISTINCT v) AS sdv", "SUM(f) AS sf", "AVG(f) AS af",
+             "STDDEV(f) AS sdf", "MEDIAN(f) AS mdf", "MAX(f) AS hf",
+             "SUM(i) AS si", "AVG(i) AS ai", "VARIANCE(i) AS vi",
+             "SUM(f * i) AS sfi"]),
             min_size=1, max_size=3, unique=True))
         items = ", ".join(keys + aggs)
         having = draw(st.sampled_from(
@@ -187,7 +196,8 @@ def statements(draw):
     exprs = draw(st.lists(st.sampled_from(
         ["ts", "v", "metric", "note", "tag", "v * 2 AS dv",
          "ts + v AS tv", "tag['host'] AS host", "UPPER(metric) AS um",
-         "CAST(ts AS DOUBLE) AS tsd"] + WINDOW_ITEMS),
+         "CAST(ts AS DOUBLE) AS tsd", "f", "i", "f * i AS fi"]
+        + WINDOW_ITEMS),
         min_size=1, max_size=4, unique=True))
     order = ""
     if draw(st.integers(0, 2)) == 0:

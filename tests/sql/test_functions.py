@@ -1,8 +1,16 @@
-"""Unit tests for scalar SQL functions and UDF registration."""
+"""Unit tests for SQL functions, UDF registration and the segmented
+aggregate kernels."""
 
+from hypothesis import given, settings, strategies as st
+import numpy as np
 import pytest
 
 from repro.sql import Database, ExecutionError, Table
+from repro.sql.functions import (
+    SEGMENTED_AGGREGATES,
+    _LONG_SEGMENT,
+    segmented_mean,
+)
 
 
 @pytest.fixture
@@ -131,3 +139,100 @@ class TestUdfs:
             "SELECT hostgroup(host) g, COUNT(*) c FROM hosts "
             "GROUP BY hostgroup(host) ORDER BY g")
         assert result.rows == [("db", 1), ("web", 2)]
+
+
+# Segment lengths where numpy's pairwise summation changes shape: the
+# sequential case (< 8), the 8-accumulator block (<= 128), each extra
+# level of halving, the per-slice cutoff, and (integer input only) the
+# 8192-element buffer numpy casts through.
+BOUNDARY_LENGTHS = [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257,
+                    _LONG_SEGMENT - 1, _LONG_SEGMENT, _LONG_SEGMENT + 1]
+INT_BUFFER_LENGTHS = [8191, 8192, 8193]
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 1e-300, -1e-300, 1e300,
+                     -1e300])
+REFERENCE = {
+    "SUM": np.sum,
+    "AVG": np.mean,
+    "VARIANCE": lambda a: np.var(a, ddof=1),
+    "STDDEV": lambda a: np.std(a, ddof=1),
+}
+
+
+@st.composite
+def segmented_columns(draw):
+    """``(values, starts, ends)``: back-to-back or overlapping segments
+    over a column of one of the dtypes SQL aggregates accept."""
+    dtype = draw(st.sampled_from(
+        ["float64", "float32", "int64", "int32", "bool"]))
+    pool = BOUNDARY_LENGTHS + (
+        INT_BUFFER_LENGTHS if dtype in ("int64", "int32") else [])
+    lengths = np.asarray(draw(st.lists(
+        st.one_of(st.sampled_from(pool), st.integers(1, 300)),
+        min_size=1, max_size=40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    overlapping = draw(st.booleans())
+    n = int(lengths.max() + 50 if overlapping else lengths.sum())
+    if dtype.startswith("float"):
+        top = 300 if dtype == "float64" else 37
+        values = rng.standard_normal(n) * 10.0 ** rng.uniform(-top, top, n)
+        special = rng.random(n) < draw(st.sampled_from([0.0, 0.01, 0.3]))
+        values[special] = rng.choice(SPECIALS, int(special.sum()))
+        with np.errstate(over="ignore"):
+            values = values.astype(dtype)
+    elif dtype == "bool":
+        values = rng.random(n) < 0.5
+    else:
+        info = np.iinfo(dtype)
+        values = rng.integers(info.min, info.max, n, dtype=dtype,
+                              endpoint=True)
+    if overlapping:
+        starts = rng.integers(0, n - lengths + 1)
+    else:
+        starts = np.cumsum(lengths) - lengths
+    return values, starts, starts + lengths
+
+
+def _same_bits(got, want) -> bool:
+    """Bitwise float64 equality; any NaN equals any NaN (the payload of
+    an ``inf + -inf`` NaN is not part of the contract)."""
+    got = np.asarray(got, dtype=np.float64)
+    want = np.asarray(want, dtype=np.float64)
+    return bool(np.all((got.view(np.int64) == want.view(np.int64))
+                       | (np.isnan(got) & np.isnan(want))))
+
+
+class TestSegmentedKernels:
+    """The vectorised pairwise-summation kernels against numpy's own
+    call on each segment, as the row path makes it (float cells as
+    Python floats, so float32 is compared through float64)."""
+
+    @given(segmented_columns(), st.sampled_from(sorted(REFERENCE)))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_numpy_per_segment(self, column, name):
+        values, starts, ends = column
+        if name in ("VARIANCE", "STDDEV"):
+            keep = ends - starts >= 2
+            starts, ends = starts[keep], ends[keep]
+        reference = values.astype(np.float64) \
+            if values.dtype == np.float32 else values
+        with np.errstate(all="ignore"):
+            got = SEGMENTED_AGGREGATES[name](values, starts, ends)
+            want = [REFERENCE[name](reference[s:e])
+                    for s, e in zip(starts.tolist(), ends.tolist())]
+        assert _same_bits(got, want), name
+
+    def test_sum_of_negative_zeros_is_positive_zero(self):
+        # np.sum adds the total into the identity 0.0.
+        values = np.full(300, -0.0)
+        starts = np.arange(0, 300, 15)
+        got = SEGMENTED_AGGREGATES["SUM"](values, starts, starts + 15)
+        assert _same_bits(got, np.zeros(20))
+
+    def test_moving_windows_are_overlapping_segments(self):
+        rng = np.random.default_rng(1)
+        values = rng.standard_normal(400) * 1e6
+        ends = np.arange(1, 401)
+        starts = np.maximum(ends - 9, 0)
+        want = [np.mean(values[s:e]) for s, e in zip(starts, ends)]
+        assert _same_bits(segmented_mean(values, starts, ends), want)

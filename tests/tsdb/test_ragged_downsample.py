@@ -2,16 +2,13 @@
 
 Gappy (irregular) series produce unequal bucket sizes, which used to
 fall back to one Python-level aggregator call per bucket for every
-aggregate.  MIN/MAX reduce all buckets with one ``reduceat`` call and
-stay bitwise identical to the reference loop (COUNT was already derived
-from bucket sizes).  SUM/AVG also reduce with one ``np.add.reduceat``,
-but that accumulates each bucket left-to-right while the reference
-loop's ``np.sum`` is pairwise, so those two are pinned to a documented
-1e-9 relative tolerance instead.  The order statistics (median/p95/p99)
-go through sorted-segment indexing — one ``lexsort`` + index gathers
-replicating numpy's quantile arithmetic — and must stay *bitwise*
-identical to the per-bucket ``np.median``/``np.percentile`` loop, NaN,
-``±inf`` and ``-0.0`` included.
+aggregate.  MIN/MAX reduce all buckets with one ``reduceat`` call (COUNT
+was already derived from bucket sizes); SUM/AVG replay numpy's pairwise
+summation for every bucket at once; the order statistics
+(median/p95/p99) go through sorted-segment indexing — one ``lexsort`` +
+index gathers replicating numpy's quantile arithmetic.  Every one must
+stay *bitwise* identical to the per-bucket loop, NaN, ``±inf`` and
+``-0.0`` included (for sums, any NaN equals any NaN).
 """
 
 from hypothesis import given, settings, strategies as st
@@ -21,11 +18,19 @@ from repro.tsdb.query import Downsampler
 from repro.tsdb.reference import naive_downsample
 
 
-def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
+def _bitwise_equal(a: np.ndarray, b: np.ndarray,
+                   any_nan: bool = False) -> bool:
     """Bit-level equality: distinguishes -0.0 from 0.0, equates NaNs
-    of the same payload (both sides produce the same quiet NaN)."""
-    return np.array_equal(np.asarray(a, dtype=np.float64).view(np.int64),
-                          np.asarray(b, dtype=np.float64).view(np.int64))
+    of the same payload (both sides produce the same quiet NaN).  With
+    ``any_nan`` every NaN equals every NaN, the parity suites'
+    ``_cells_equal`` rule: the sign of an ``inf + -inf`` sum's NaN is not
+    part of the summation contract."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    same = a.view(np.int64) == b.view(np.int64)
+    if any_nan:
+        same |= np.isnan(a) & np.isnan(b)
+    return bool(same.all())
 
 
 def _apply_both(interval, agg, ts, vals):
@@ -33,16 +38,6 @@ def _apply_both(interval, agg, ts, vals):
     ref_ts, ref_vals = naive_downsample(interval, agg, ts, vals)
     assert np.array_equal(fast_ts, ref_ts)
     assert np.array_equal(fast_vals, ref_vals), (
-        f"{agg} mismatch: {fast_vals} vs {ref_vals}")
-    return fast_ts, fast_vals
-
-
-def _apply_both_close(interval, agg, ts, vals):
-    """Sequential-vs-pairwise summation parity: documented tolerance."""
-    fast_ts, fast_vals = Downsampler(interval, agg).apply(ts, vals)
-    ref_ts, ref_vals = naive_downsample(interval, agg, ts, vals)
-    assert np.array_equal(fast_ts, ref_ts)
-    assert np.allclose(fast_vals, ref_vals, rtol=1e-9, atol=0.0), (
         f"{agg} mismatch: {fast_vals} vs {ref_vals}")
     return fast_ts, fast_vals
 
@@ -98,23 +93,25 @@ class TestRaggedSegmentedReduction:
     @given(gappy_series(), st.integers(1, 40),
            st.sampled_from(["sum", "avg"]))
     @settings(max_examples=60, deadline=None)
-    def test_segmented_sums_within_tolerance(self, series, interval, agg):
+    def test_segmented_sums_bitwise(self, series, interval, agg):
         ts, vals = series
-        _apply_both_close(interval, agg, ts, vals)
+        fast_ts, fast_vals = Downsampler(interval, agg).apply(ts, vals)
+        ref_ts, ref_vals = naive_downsample(interval, agg, ts, vals)
+        assert np.array_equal(fast_ts, ref_ts)
+        assert _bitwise_equal(fast_vals, ref_vals), (
+            f"{agg}@{interval} mismatch: {fast_vals} vs {ref_vals}")
 
     def test_sum_avg_on_explicitly_gappy_buckets(self):
         ts = np.asarray([0, 3, 7, 25, 41, 44], dtype=np.int64)
         vals = np.asarray([5.0, -2.0, 3.5, 9.0, -1.0, -7.25])
-        out_ts, sums = _apply_both_close(10, "sum", ts, vals)
+        out_ts, sums = _apply_both(10, "sum", ts, vals)
         assert out_ts.tolist() == [0, 20, 40]
         assert sums.tolist() == [6.5, 9.0, -8.25]
-        _, avgs = _apply_both_close(10, "avg", ts, vals)
+        _, avgs = _apply_both(10, "avg", ts, vals)
         assert avgs.tolist() == [6.5 / 3, 9.0, -4.125]
 
     def test_equal_width_sum_avg_stays_bitwise(self, rng):
-        """Dense regular grids must keep the reshape path's bitwise
-        guarantee — the reduceat tolerance applies to ragged buckets
-        only."""
+        """Dense regular grids take the reshape path, also bitwise."""
         ts = np.arange(120, dtype=np.int64)
         vals = rng.standard_normal(120) * 1e6
         for agg in ("sum", "avg"):
@@ -122,15 +119,17 @@ class TestRaggedSegmentedReduction:
 
 
 class TestSegmentedOrderStatistics:
-    """The sorted-segment median/percentile kernel vs the loop, bitwise,
-    under the full float64 bestiary (NaN, ±inf, -0.0, near-overflow)."""
+    """The sorted-segment median/percentile kernel (and, in the property
+    test, the pairwise sum/avg kernels) vs the loop, bitwise, under the
+    full float64 bestiary (NaN, ±inf, -0.0, near-overflow)."""
 
     def _compare(self, interval, agg, ts, vals):
         fast_ts, fast_vals = Downsampler(interval, agg).apply(ts, vals)
         with np.errstate(invalid="ignore", over="ignore"):
             ref_ts, ref_vals = naive_downsample(interval, agg, ts, vals)
         assert np.array_equal(fast_ts, ref_ts)
-        assert _bitwise_equal(fast_vals, ref_vals), (
+        assert _bitwise_equal(fast_vals, ref_vals,
+                              any_nan=agg in ("sum", "avg")), (
             f"{agg}@{interval} mismatch: {fast_vals} vs {ref_vals}")
 
     def test_explicit_ragged_median(self):
@@ -175,7 +174,7 @@ class TestSegmentedOrderStatistics:
             self._compare(7, agg, ts, vals)
 
     @given(gappy_series(), st.integers(1, 40),
-           st.sampled_from(["median", "p95", "p99"]),
+           st.sampled_from(["median", "p95", "p99", "sum", "avg"]),
            st.data())
     @settings(max_examples=90, deadline=None)
     def test_property_bitwise_with_edge_values(self, series, interval,
