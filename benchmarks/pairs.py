@@ -2,7 +2,7 @@
 
     python3 benchmarks/pairs.py --parent REV --out BENCH_26.json \\
         [--workloads W ...] [--pairs 10] [--first-seed 3] [--seconds 15] \\
-        [--claim sql-cold-mix:op_ms:0.20] [--kernel-grid]
+        [--claim sql-cold-mix:op_ms:0.20]
     python3 benchmarks/pairs.py --smoke
 
 The parent commit is exported with ``git archive`` into a temporary
@@ -22,9 +22,7 @@ median), ``change_wins`` (pairs the change won, ties for neither),
 ``parent_spread`` ((q3 - q1) / median of the parent) and the raw runs.
 ``--claim W:M:F`` checks that metric M of workload W fell by at least
 the fraction F, in at least 9 of 10 pairs, by more than the parent's
-interquartile distance.  ``--kernel-grid`` also times the segmented
-SUM/AVG/VARIANCE kernels (``bench_segmented_kernels.py``, this tree's
-copy, against each side's ``src``), alternating sides per round.
+interquartile distance.
 
 ``--smoke`` runs one pair per workload at the smoke sizes, HEAD against
 this tree, and writes nothing unless ``--out`` is given: it checks the
@@ -141,26 +139,6 @@ def run_workload(workload: str, trees: dict, args, spec: dict,
     return doc, drift
 
 
-def kernel_grid(trees: dict, rounds: int) -> dict:
-    """The segmented-kernel microbench, sides alternating per round."""
-    script = HERE / "bench_segmented_kernels.py"
-    cells = {"parent": [], "change": []}
-    for k in range(rounds):
-        for side in (("parent", "change") if k % 2 == 0
-                     else ("change", "parent")):
-            proc = subprocess.run(
-                [sys.executable, str(script), str(trees[side] / "src")],
-                check=True, capture_output=True, text=True)
-            cells[side].append(json.loads(proc.stdout.splitlines()[-1]))
-    out = {}
-    for cell in cells["parent"][0]:
-        p = statistics.median(r[cell] for r in cells["parent"])
-        c = statistics.median(r[cell] for r in cells["change"])
-        out[cell] = {"parent_us": p, "change_us": c, "ratio": c / p,
-                     "slower_than_allowed": c - p > max(0.10 * p, 5.0)}
-    return {"unit": "us", "rounds": rounds, "cells": out}
-
-
 def check_claim(claim: str, workloads: dict) -> dict:
     workload, metric, fraction = claim.split(":")
     m = workloads[workload][metric]
@@ -187,7 +165,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--first-seed", type=int, default=3)
     parser.add_argument("--seconds", type=float)
     parser.add_argument("--claim", help="WORKLOAD:METRIC:FRACTION")
-    parser.add_argument("--kernel-grid", action="store_true")
     parser.add_argument("--smoke", action="store_true")
     parser.add_argument("--out")
     return parser.parse_args(argv)
@@ -234,8 +211,6 @@ def main(argv=None) -> int:
             drift += found
         if args.claim:
             doc["claim"] = check_claim(args.claim, doc["workloads"])
-        if args.kernel_grid:
-            doc["kernel_grid"] = kernel_grid(trees, max(args.pairs, 3))
         doc["exact_count_drift"] = drift
     finally:
         shutil.rmtree(scratch, ignore_errors=True)

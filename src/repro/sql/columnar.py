@@ -182,9 +182,8 @@ def _none_mask(cells: np.ndarray) -> np.ndarray | None:
 
 
 def _column_val(col: "np.ndarray | DictColumn") -> _Val:
-    """A stored column vector as a value; encoded columns stay encoded.
-    Narrow numbers widen exactly to float64/int64: the row path computes
-    on their cells as Python floats and ints, not in float32 or int32."""
+    """A stored column vector as a value; encoded columns stay encoded and
+    narrow numbers widen (exactly) to float64/int64, the row path's."""
     if isinstance(col, DictColumn):
         return _Val(data=col.values, null=_none_mask(col.values),
                     codes=col.codes)

@@ -118,69 +118,58 @@ def _segmented_max(values: np.ndarray, starts: np.ndarray,
     return np.maximum.reduceat(values, starts)
 
 
-#: Longer segments get numpy's own call, at most N/1024 of them.  Below
-#: numpy's 8192-element cast buffer, so an integer segment summed here
-#: is one buffer, one pairwise tree, for ``np.mean`` too.
-_LONG_SEGMENT = 1024
-#: Below this many segments, per-slice numpy calls beat the vector path.
-_FEW_SEGMENTS = 16
-
-
-def _gather(values: np.ndarray, index: np.ndarray,
-            valid: np.ndarray) -> np.ndarray:
-    """float64 ``values[index]`` where ``valid``, else ``-0.0``: the
-    exact additive identity (``x + -0.0`` is ``x``, ``-0.0`` included)."""
-    return np.where(valid, values[np.where(valid, index, 0)], -0.0)
+#: Longer segments get numpy's own call (at most N/256 calls), as does
+#: every segment of a call with fewer short ones: there it is faster.  The
+#: rest go _CHUNK_ROWS rows at a time, however many overlapping windows.
+_LONG_SEGMENT, _FEW_SEGMENTS, _CHUNK_ROWS = 256, 32, 1 << 18
 
 
 def _sums(values: np.ndarray, starts: np.ndarray,
           lengths: np.ndarray) -> np.ndarray:
-    """``np.sum(values[s:s + n], dtype=np.float64)`` per segment, bitwise.
-
-    numpy's ``pairwise_sum`` for every segment in lockstep: n > 128
-    splits at ``n//2 - (n//2) % 8`` (one recursive call per tree level);
-    n < 8 is ``res = 0.0; res += a[i]``; otherwise eight accumulators
-    start at ``a[0..7]`` and take each further whole block of 8, then
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` plus the tail in order.  The
-    reduction's final ``0.0 + total`` only turns ``-0.0`` into ``0.0``;
-    only ``-0.0`` halves add up to ``-0.0``, so each leaf adds it.
-    """
+    """``np.sum(values[s:s + n], dtype=np.float64)`` per segment, bitwise:
+    numpy's ``pairwise_sum`` for every segment in lockstep.  n > 128
+    splits at ``n//2 - (n//2) % 8``, one recursive call per tree level;
+    n < 8 is ``res = 0.0; res += a[i]``; else eight accumulators start at
+    ``a[0..7]``, take each further block of 8, are combined
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and ``+ 0.0`` (the
+    reduction's identity), and take the tail in order.  Steps all take
+    are one gather, later ones gather only the segments that long: no
+    padding, so memory is O(rows)."""
     split = lengths > 128                    # numpy's PW_BLOCKSIZE
     if split.any():
         s, n = starts[split], lengths[split]
         half = n // 2 - n // 2 % 8
-        halves = _sums(values, np.concatenate((s, s + half)),
-                       np.concatenate((half, n - half)))
+        sums = _sums(values, np.concatenate((s, s + half, starts[~split])),
+                     np.concatenate((half, n - half, lengths[~split])))
         out = np.empty(starts.size)
-        out[split] = halves[:s.size] + halves[s.size:]
-        out[~split] = _sums(values, starts[~split], lengths[~split])
+        out[split] = sums[:s.size] + sums[s.size:2 * s.size]
+        out[~split] = sums[2 * s.size:]
         return out
-    blocks = lengths // 8
     sums = np.zeros(starts.size)
-    width = int(blocks.max(initial=0))
-    if width:
-        lane = np.arange(8 * width)
-        acc = _gather(values, starts[:, None] + lane,
-                      lane < 8 * blocks[:, None]).reshape(-1, width, 8)
-        r = acc[:, 0]
-        for k in range(1, width):
-            r = r + acc[:, k]
+    blocks = lengths // 8
+    full = np.flatnonzero(blocks)
+    if full.size:                            # longest first: a prefix
+        full = full[np.argsort(-blocks[full], kind="stable")]
+        fewer, at = -blocks[full], starts[full, None] + np.arange(8)
+        common = values[at + 8 * np.arange(-fewer[-1])[:, None, None]]
+        r = np.add.accumulate(common, axis=0, dtype=np.float64)[-1]
+        alive = np.searchsorted(fewer, -np.arange(-fewer[0])).tolist()
+        for k in range(-fewer[-1], -fewer[0]):
+            r[:alive[k]] += values[at[:alive[k]] + 8 * k]
         r = r[:, 0::2] + r[:, 1::2]
-        r = r[:, 0::2] + r[:, 1::2]
-        sums = np.where(blocks > 0, r[:, 0] + r[:, 1] + 0.0, sums)
-    tail = lengths - 8 * blocks
-    lane = np.arange(int(tail.max(initial=0)))
-    rest = _gather(values, (starts + 8 * blocks)[:, None] + lane,
-                   lane < tail[:, None])
-    for k in lane:
-        sums = sums + rest[:, k]
+        sums[full] = (r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3]) + 0.0
+    tail, at = lengths - 8 * blocks, starts + 8 * blocks
+    for column in values[at + np.arange(tail.min())[:, None]]:
+        sums += column
+    for k in range(tail.min(), tail.max()):
+        live = np.flatnonzero(tail > k)
+        sums[live] += values[at[live] + k]
     return sums
 
 
 def _variance(values: np.ndarray, starts: np.ndarray,
               lengths: np.ndarray) -> np.ndarray:
-    """``np.var(ddof=1)`` step for step: the mean, each row's deviation
-    from it, the sum of squared deviations, divided by ``n - 1``."""
+    """``np.var(ddof=1)`` step for step: mean, deviations, sum of squares."""
     mean = _sums(values, starts, lengths) / lengths
     first = np.cumsum(lengths) - lengths
     rows = np.arange(int(lengths.sum())) + np.repeat(starts - first, lengths)
@@ -189,28 +178,24 @@ def _variance(values: np.ndarray, starts: np.ndarray,
 
 
 def _segmented(per_slice: Callable[[np.ndarray], Any],
-               vector: Callable[[np.ndarray, np.ndarray, np.ndarray],
-                                np.ndarray]):
-    """A segmented statistic: ``vector`` over all short segments at
-    once, ``per_slice`` (the row path's numpy call) on each long one, or
-    on every one when few are short.  A float column is summed as
-    float64, as the row path's Python floats are."""
+               vector: Callable[..., np.ndarray]):
+    """``vector`` on short segments a chunk at a time, ``per_slice`` (the
+    row path's numpy call) on long ones, or on all when few are short."""
     def kernel(values: np.ndarray, starts: np.ndarray,
                ends: np.ndarray) -> np.ndarray:
-        if values.dtype.kind == "f":
-            values = values.astype(np.float64, copy=False)
         out = np.empty(starts.size)
         todo = range(starts.size)
         if starts.size >= _FEW_SEGMENTS:
             lengths = ends - starts
-            short = lengths <= _LONG_SEGMENT
-            if np.count_nonzero(short) >= _FEW_SEGMENTS:
+            short = np.flatnonzero(lengths <= _LONG_SEGMENT)
+            if short.size >= _FEW_SEGMENTS:
+                step = _CHUNK_ROWS // int(lengths[short].max())
                 with np.errstate(invalid="ignore", over="ignore"):
-                    if short.all():
-                        return vector(values, starts, lengths)
-                    out[short] = vector(values, starts[short],
-                                        lengths[short])
-                todo = np.flatnonzero(~short).tolist()
+                    for i in range(0, short.size, step):
+                        part = short[i:i + step]
+                        out[part] = vector(values, starts[part],
+                                           lengths[part])
+                todo = np.flatnonzero(lengths > _LONG_SEGMENT).tolist()
         for g in todo:
             out[g] = per_slice(values[int(starts[g]):int(ends[g])])
         return out
@@ -226,9 +211,8 @@ _segmented_stddev = _segmented(lambda a: np.std(a, ddof=1),
 
 def _segmented_sum(values: np.ndarray, starts: np.ndarray,
                    ends: np.ndarray) -> np.ndarray:
-    """Per-segment ``np.sum`` as float64.  Integer and bool columns sum in
-    numpy's integer accumulator, whose wrapping addition is associative,
-    so a difference of running totals is exact."""
+    """Per-segment ``np.sum`` as float64; integers sum in numpy's wrapping
+    accumulator, associative, so running totals' differences are exact."""
     if values.dtype.kind == "f":
         return _float_sum(values, starts, ends)
     accumulator = np.sum(values[:0]).dtype
@@ -561,10 +545,9 @@ def segmented_rank(values: np.ndarray, uncounted: np.ndarray,
 
 def segmented_moving_avg(values: np.ndarray, starts: np.ndarray,
                          ends: np.ndarray, window: int) -> np.ndarray:
-    """MOVING_AVG over NULL-free values: the ``np.mean`` the per-row
-    evaluator takes of each trailing window ``[max(s, i - window + 1),
-    i + 1)``, every window one (overlapping) segment of
-    :func:`segmented_mean`."""
+    """MOVING_AVG over NULL-free values: the per-row evaluator's ``np.mean``
+    of each trailing window ``[max(s, i - window + 1), i + 1)``, every
+    window one (overlapping) segment of :func:`segmented_mean`."""
     rows = np.arange(values.size)
     first = np.maximum(np.repeat(starts, ends - starts), rows - window + 1)
     return segmented_mean(values, first, rows + 1)

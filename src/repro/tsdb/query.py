@@ -87,13 +87,9 @@ class Downsampler:
         and when every bucket holds the same number of points — the
         dense regular-grid case — the values are reshaped to a
         ``(buckets, width)`` matrix and reduced along axis 1.  Ragged
-        (gappy) buckets run SQL's GROUP BY kernels
-        (:data:`repro.sql.functions.SEGMENTED_AGGREGATES`): ``reduceat``
-        for ``min``/``max``, numpy's pairwise summation replayed for
-        every bucket at once for ``sum``/``avg``, and one ``lexsort``
-        plus numpy's own index arithmetic for ``median``/``p95``/``p99``
-        (:func:`~repro.sql.functions.segmented_order_stat`).
-        Every path is bitwise identical to the per-point reference loop.
+        (gappy) buckets run SQL's GROUP BY kernels (``SEGMENTED_AGGREGATES``
+        and ``segmented_order_stat`` in :mod:`repro.sql.functions`).  Every
+        path is bitwise identical to the per-point reference loop.
         """
         if timestamps.size == 0:
             return timestamps.copy(), values.copy()

@@ -1,6 +1,8 @@
 """Unit tests for SQL functions, UDF registration and the segmented
 aggregate kernels."""
 
+import tracemalloc
+
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
@@ -8,8 +10,11 @@ import pytest
 from repro.sql import Database, ExecutionError, Table
 from repro.sql.functions import (
     SEGMENTED_AGGREGATES,
+    _CHUNK_ROWS,
+    _FEW_SEGMENTS,
     _LONG_SEGMENT,
     segmented_mean,
+    segmented_moving_avg,
 )
 
 
@@ -167,9 +172,11 @@ def segmented_columns(draw):
         ["float64", "float32", "int64", "int32", "bool"]))
     pool = BOUNDARY_LENGTHS + (
         INT_BUFFER_LENGTHS if dtype in ("int64", "int32") else [])
+    # Few segments take numpy's own call; enough take the vector path.
+    count = draw(st.sampled_from([1, 5, _FEW_SEGMENTS, 2 * _FEW_SEGMENTS]))
     lengths = np.asarray(draw(st.lists(
         st.one_of(st.sampled_from(pool), st.integers(1, 300)),
-        min_size=1, max_size=40)))
+        min_size=count, max_size=count)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     overlapping = draw(st.booleans())
     n = int(lengths.max() + 50 if overlapping else lengths.sum())
@@ -204,8 +211,8 @@ def _same_bits(got, want) -> bool:
 
 class TestSegmentedKernels:
     """The vectorised pairwise-summation kernels against numpy's own
-    call on each segment, as the row path makes it (float cells as
-    Python floats, so float32 is compared through float64)."""
+    call on each segment.  float32 columns are widened first, as the
+    columnar tier widens them before any kernel sees them."""
 
     @given(segmented_columns(), st.sampled_from(sorted(REFERENCE)))
     @settings(max_examples=150, deadline=None)
@@ -214,11 +221,11 @@ class TestSegmentedKernels:
         if name in ("VARIANCE", "STDDEV"):
             keep = ends - starts >= 2
             starts, ends = starts[keep], ends[keep]
-        reference = values.astype(np.float64) \
-            if values.dtype == np.float32 else values
+        if values.dtype == np.float32:
+            values = values.astype(np.float64)
         with np.errstate(all="ignore"):
             got = SEGMENTED_AGGREGATES[name](values, starts, ends)
-            want = [REFERENCE[name](reference[s:e])
+            want = [REFERENCE[name](values[s:e])
                     for s, e in zip(starts.tolist(), ends.tolist())]
         assert _same_bits(got, want), name
 
@@ -236,3 +243,38 @@ class TestSegmentedKernels:
         starts = np.maximum(ends - 9, 0)
         want = [np.mean(values[s:e]) for s, e in zip(starts, ends)]
         assert _same_bits(segmented_mean(values, starts, ends), want)
+
+
+def _peak_bytes(call):
+    """``call()`` and the most memory numpy held at once while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSegmentedKernelMemory:
+    """The kernels' temporaries grow with the rows summed, not with the
+    number of segments times the longest one."""
+
+    def test_skewed_groups_are_not_padded(self):
+        # Many one-row groups beside one 128-row group, which is summed
+        # in 8-row blocks without being split.
+        lengths = np.r_[np.ones(50_000, dtype=np.int64), 128]
+        values = np.random.default_rng(2).standard_normal(lengths.sum())
+        starts = np.cumsum(lengths) - lengths
+        got, peak = _peak_bytes(
+            lambda: segmented_mean(values, starts, starts + lengths))
+        assert peak < 32 * values.nbytes
+        assert _same_bits(got, [np.mean(values[s:s + n])
+                                for s, n in zip(starts, lengths)])
+
+    def test_long_moving_windows_are_summed_in_chunks(self):
+        # 20 000 overlapping windows of 200 rows add up to 4e6 rows.
+        values = np.random.default_rng(3).standard_normal(20_000)
+        got, peak = _peak_bytes(lambda: segmented_moving_avg(
+            values, np.array([0]), np.array([values.size]), 200))
+        assert peak < 32 * values.nbytes + 32 * _CHUNK_ROWS
+        assert _same_bits(got, [np.mean(values[max(0, i - 199):i + 1])
+                                for i in range(values.size)])

@@ -110,6 +110,13 @@ class TestRaggedSegmentedReduction:
         _, avgs = _apply_both(10, "avg", ts, vals)
         assert avgs.tolist() == [6.5 / 3, 9.0, -4.125]
 
+    def test_sum_avg_over_many_ragged_buckets(self, rng):
+        """Enough buckets, of about 45 points each, for the vector path."""
+        ts = np.unique(rng.integers(0, 40_000, 6_000))
+        vals = rng.standard_normal(ts.size) * 1e6
+        for agg in ("sum", "avg"):
+            _apply_both(300, agg, ts, vals)
+
     def test_equal_width_sum_avg_stays_bitwise(self, rng):
         """Dense regular grids take the reshape path, also bitwise."""
         ts = np.arange(120, dtype=np.int64)
