@@ -119,8 +119,8 @@ def _segmented_max(values: np.ndarray, starts: np.ndarray,
 
 
 #: Longer segments get numpy's own call (at most N/256 calls), as does
-#: every segment of a call with fewer short ones: there it is faster.  The
-#: rest go _CHUNK_ROWS rows at a time, however many overlapping windows.
+#: every segment of a call with fewer short ones: it is faster there.  The
+#: rest go _CHUNK_ROWS rows per call, bounding overlapping windows' memory.
 _LONG_SEGMENT, _FEW_SEGMENTS, _CHUNK_ROWS = 256, 32, 1 << 18
 
 
@@ -132,9 +132,9 @@ def _sums(values: np.ndarray, starts: np.ndarray,
     n < 8 is ``res = 0.0; res += a[i]``; else eight accumulators start at
     ``a[0..7]``, take each further block of 8, are combined
     ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and ``+ 0.0`` (the
-    reduction's identity), and take the tail in order.  Steps all take
-    are one gather, later ones gather only the segments that long: no
-    padding, so memory is O(rows)."""
+    reduction's identity), and take the tail in order.  Steps every
+    segment takes are one gather; later ones gather only the segments
+    still that long, so nothing is padded: memory is O(rows)."""
     split = lengths > 128                    # numpy's PW_BLOCKSIZE
     if split.any():
         s, n = starts[split], lengths[split]
@@ -195,9 +195,9 @@ def _segmented(per_slice: Callable[[np.ndarray], Any],
                         part = short[i:i + step]
                         out[part] = vector(values, starts[part],
                                            lengths[part])
-                todo = np.flatnonzero(lengths > _LONG_SEGMENT).tolist()
+                todo = np.flatnonzero(lengths > _LONG_SEGMENT)
         for g in todo:
-            out[g] = per_slice(values[int(starts[g]):int(ends[g])])
+            out[g] = per_slice(values[starts[g]:ends[g]])
         return out
     return kernel
 
