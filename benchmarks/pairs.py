@@ -20,9 +20,11 @@ The document is ``repro-bench-pairs/1``: per workload and metric the
 median and inclusive quartiles of each side, ``ratio`` (change / parent
 median), ``change_wins`` (pairs the change won, ties for neither),
 ``parent_spread`` ((q3 - q1) / median of the parent) and the raw runs.
-``--claim W:M:F`` checks that metric M of workload W fell by at least
-the fraction F, in at least 9 of 10 pairs, by more than the parent's
-interquartile distance.
+Each workload also carries its runs' ungated ``diagnostics`` (the
+per-statement ``stmt_*_ms`` of ``sql-cold-mix``, for one) as a per-side
+median.  ``--claim W:M:F`` checks that metric M of workload W fell by
+at least the fraction F, in at least 9 of 10 pairs, by more than the
+parent's interquartile distance.
 
 ``--smoke`` runs one pair per workload at the smoke sizes, HEAD against
 this tree, and writes nothing unless ``--out`` is given: it checks the
@@ -86,6 +88,10 @@ def run_once(tree: Path, workload: str, seed: int, args, out: Path) -> dict:
             "failed": doc["failed"], "cpu_s": cpu,
             "metrics": {name: doc["metrics"][name]["value"]
                         for name in doc["gated"]},
+            "diagnostics": {name: (entry["unit"], entry["value"])
+                            for name, entry in doc["diagnostics"].items()
+                            if isinstance(entry, dict)
+                            and isinstance(entry["value"], (int, float))},
             "exact": {key: sorted(set(value)) if isinstance(value, list)
                       else value for key, value in counts.items()
                       if key in EXACT_COUNTS + ("input_digest",)}}
@@ -136,7 +142,23 @@ def run_workload(workload: str, trees: dict, args, spec: dict,
         doc[name]["within_bound"] = doc[name]["ratio"] <= 1 + metric["bound"]
     doc["cpu_s"] = {"unit": "s", **summary(
         *[[r["cpu_s"] for r in runs[s]] for s in runs])}
+    doc["diagnostics"] = diagnostics(runs)
     return doc, drift
+
+
+def diagnostics(runs: dict) -> dict:
+    """Each run's ungated diagnostics as a per-side median."""
+    out: dict = {}
+    for side, side_runs in runs.items():
+        for run in side_runs:
+            for name, (unit, value) in run["diagnostics"].items():
+                out.setdefault(name, {"unit": unit}).setdefault(
+                    side, []).append(value)
+    for entry in out.values():
+        for side in runs:
+            if side in entry:
+                entry[side] = statistics.median(entry[side])
+    return dict(sorted(out.items()))
 
 
 def check_claim(claim: str, workloads: dict) -> dict:

@@ -9,8 +9,8 @@ tied to the interactive session.
 Every query gets a plan tree (:mod:`repro.sql.planner`) — one node per
 stage, built without reading a table — and the executor records into it
 what actually ran.  Scannable providers receive the sargable part of the
-WHERE so they can prune series and sealed chunks before materialising
-anything.
+WHERE so they can hand back only the series and time range it can
+match.
 """
 
 from __future__ import annotations

@@ -19,7 +19,8 @@ adapter's output).  Four entry points mirror the executor's stages:
 - :func:`try_aggregate` — compiles the GROUP BY keys (any row-local
   expressions: ``tag['tenant']``, ``k % 2``) to vectors, factorizes
   each into codes and combines them by mixed radix, stable-sorts rows
-  by code, and reduces each aggregate over the resulting segments:
+  by code (a radix sort while codes fit 16 bits, as for PARTITION BY
+  and join keys), and reduces each aggregate over the segments:
   ``reduceat`` for MIN/MAX, numpy's pairwise summation replayed over
   every segment at once for SUM/AVG/STDDEV/VARIANCE, one ``lexsort``
   over (segment, value) plus numpy's own index/lerp arithmetic for
@@ -930,11 +931,12 @@ def _window_val(call: FuncCall, ctx: _Ctx) -> _Val:
     for o in spec.order_by:
         codes = _sort_codes(_compile_any(o.expr, ctx), n)
         keys.append(codes if o.ascending else -codes)
+    pkeys = _radix_keys(pcodes)
     if len(keys) > 1:
         order = np.lexsort(tuple(reversed(keys)))
     else:
-        order = np.argsort(pcodes, kind="stable")
-    starts, ends = segment_bounds(pcodes[order])
+        order = np.argsort(pkeys, kind="stable")
+    starts, ends = segment_bounds(pkeys[order])
     args = [_decode(_compile_any(a, ctx)) for a in call.args]
     ordered = _window_kernel(call, args, ctx, order, starts, ends)
     inverse = np.empty(n, dtype=np.intp)
@@ -999,6 +1001,17 @@ def _key_codes(vals: list[_Val], n: int) -> np.ndarray:
             raise _Ineligible        # combined code could overflow int64
         total = codes if total is None else total * size + codes
     return np.zeros(n, dtype=np.int64) if total is None else total
+
+
+def _radix_keys(codes: np.ndarray) -> np.ndarray:
+    """Non-negative codes below 2**16 as uint8/uint16, whose stable sort
+    numpy runs as a radix sort; the cast keeps the keys' order, so the
+    permutation is the one the int64 sort would give."""
+    if codes.size and codes.min() >= 0:
+        top = codes.max()
+        if top < 2 ** 16:
+            return codes.astype(np.uint8 if top < 2 ** 8 else np.uint16)
+    return codes
 
 
 def _window_kernel(call: FuncCall, args: list[_Val], ctx: _Ctx,
@@ -1298,17 +1311,18 @@ class _Groups:
     def __init__(self, ctx: _Ctx, codes: np.ndarray) -> None:
         """Segment the rows by ``codes`` (:func:`_key_codes`).
 
-        One stable argsort lays every group out as a contiguous segment
-        of ``order`` (``starts``/``ends``, ascending by code) — the
-        layout ``reduceat`` and the sorted-segment kernels need.  The
-        row path emits groups in first-occurrence order instead: a
-        segment's first element is its group's first row, so ``emit``
-        (the argsort of those rows, one entry per group) is the gather
-        that takes any per-segment vector to output order.
+        One stable sort (a radix sort, :func:`_radix_keys`) lays every
+        group out as a contiguous segment of ``order`` (``starts``/
+        ``ends``, ascending by code), the layout ``reduceat`` and the
+        sorted-segment kernels need.  The row path emits groups in
+        first-occurrence order instead: a segment's first element is its
+        group's first row, so ``emit`` (the argsort of those rows, one
+        entry per group) is the gather to output order.
         """
         self.ctx = ctx
-        self.order = np.argsort(codes, kind="stable")
-        self.starts, self.ends = segment_bounds(codes[self.order])
+        keys = _radix_keys(codes)
+        self.order = np.argsort(keys, kind="stable")
+        self.starts, self.ends = segment_bounds(keys[self.order])
         self.counts = (self.ends - self.starts).astype(np.int64)
         self.n_groups = int(self.starts.size)
         first = self.order[self.starts]
@@ -1556,7 +1570,8 @@ def try_join(kind: str, left, right, equi_pairs, residual,
         nl, nr = lcodes.size, rcodes.size
         if build == "left" and kind == "INNER":
             l_valid = np.flatnonzero(lcodes >= 0)
-            l_order = l_valid[np.argsort(lcodes[l_valid], kind="stable")]
+            l_order = l_valid[np.argsort(_radix_keys(lcodes[l_valid]),
+                                         kind="stable")]
             sorted_l = lcodes[l_order]
             lo = np.searchsorted(sorted_l, rcodes, side="left")
             hi = np.searchsorted(sorted_l, rcodes, side="right")
@@ -1573,7 +1588,8 @@ def try_join(kind: str, left, right, equi_pairs, residual,
             right_idx = right_idx[order]
         else:
             r_valid = np.flatnonzero(rcodes >= 0)
-            r_order = r_valid[np.argsort(rcodes[r_valid], kind="stable")]
+            r_order = r_valid[np.argsort(_radix_keys(rcodes[r_valid]),
+                                         kind="stable")]
             sorted_r = rcodes[r_order]
             lo = np.searchsorted(sorted_r, lcodes, side="left")
             hi = np.searchsorted(sorted_r, lcodes, side="right")

@@ -3,12 +3,12 @@
 A :class:`ScanPredicate` is the sargable part of a WHERE clause: the
 top-level AND conjuncts of the form ``column <op> literal`` (plus
 ``BETWEEN`` and ``map['key'] = literal``) that a storage engine can act
-on *before* materialising any column — pruning whole sealed chunks via
-zone maps, or whole series via inverted indexes.  Extraction is purely
+on instead of handing over the whole table — a row range of a sorted
+table, or whole series via inverted indexes.  Extraction is purely
 syntactic and conservative: conjuncts that don't fit stay behind in the
 WHERE, and the executor re-applies the **full** WHERE to whatever the
 scan returns, so a provider is free to answer with any superset of the
-matching rows (the tsdb provider returns whole surviving chunks).
+matching rows (the tsdb provider selects no rows by value range).
 
 That superset contract is what makes pushdown bitwise-safe: pruning can
 only drop rows that no conjunct combination could keep, and the final

@@ -5,11 +5,11 @@ Appendix C's listings query a table with the schema::
     tsdb(timestamp: int, metric_name: string, tag: map<string,string>,
          value: double)
 
-one row per observation.  :func:`tsdb_table` materialises that table from a
-store; :func:`register_store` attaches it to a :class:`~repro.sql.Database`
-as a lazy provider keyed on the store's mutation version, so the
-conversion happens on first query and refreshes only when the store
-actually changes.
+one row per observation.  :func:`tsdb_table` is that table for one
+frozen :class:`StoreView`; :func:`register_store` attaches it to a
+:class:`~repro.sql.Database` as a lazy provider keyed on the store's
+mutation version, so the conversion happens on first query and
+refreshes only when the store actually changes.
 
 Materialisation is columnar: the per-series consolidated numpy columns
 are concatenated, ordered with one ``lexsort`` over ``(timestamp,
@@ -17,7 +17,9 @@ metric-name rank)``, and handed to :meth:`Table.from_columns` — no
 per-observation Python tuple is built unless a row-oriented consumer
 asks for ``.rows``.  Row ordering and cell values are identical to the
 historical per-point explosion (a stable sort by ``(timestamp,
-metric_name)`` over series in ``series_ids()`` order).
+metric_name)`` over series in ``series_ids()`` order).  A view builds
+it once (:meth:`StoreView.derived`), with each series' row positions in
+it, and every pruned scan of the view selects rows of it: no scan sorts.
 
 The column vectors built here are what the columnar SQL executor
 (:mod:`repro.sql.columnar`) consumes directly: ``timestamp``/``value``
@@ -35,6 +37,7 @@ per-observation Python object exist.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -45,6 +48,8 @@ from repro.tsdb.model import SeriesId
 from repro.tsdb.storage import StoreView
 
 TSDB_COLUMNS = ["timestamp", "metric_name", "tag", "value"]
+
+_INT64 = np.iinfo(np.int64)
 
 
 def observations_to_table(
@@ -57,22 +62,19 @@ def observations_to_table(
     path produced with a stable Python sort).  Each series' rows share
     one tag dict, as before.
     """
-    ts_parts: list[np.ndarray] = []
-    val_parts: list[np.ndarray] = []
-    names: list[str] = []
-    tags: list[dict] = []
-    for series, ts, vals in items:
-        if ts.size == 0:
-            continue
-        ts_parts.append(ts)
-        val_parts.append(vals)
-        names.append(series.name)
-        tags.append(series.tag_map())
-    if not ts_parts:
-        return Table(TSDB_COLUMNS, [])
-    ts_all = np.concatenate(ts_parts)
-    val_all = np.concatenate(val_parts)
-    lengths = [ts.size for ts in ts_parts]
+    return _sorted_table([item for item in items if item[1].size])[0]
+
+
+def _sorted_table(items: list[tuple[SeriesId, np.ndarray, np.ndarray]]
+                  ) -> tuple[Table, np.ndarray]:
+    """The table of non-empty ``items`` and its sort permutation of their
+    concatenated rows."""
+    if not items:
+        return Table(TSDB_COLUMNS, []), np.empty(0, dtype=np.intp)
+    ts_all = np.concatenate([ts for _, ts, _ in items])
+    val_all = np.concatenate([vals for _, _, vals in items])
+    lengths = [ts.size for _, ts, _ in items]
+    names = [series.name for series, _, _ in items]
     # Rank metric names so the secondary sort key is an int column; the
     # ranks order exactly like the strings they stand for.
     name_rank = {name: i for i, name in enumerate(sorted(set(names)))}
@@ -84,43 +86,80 @@ def observations_to_table(
     # code per row, and the per-series cells as the two dictionaries.
     series_of_row = np.repeat(
         np.arange(len(names), dtype=np.int32), lengths)[order]
+    tags = [series.tag_map() for series, _, _ in items]
     return Table.from_columns(
         TSDB_COLUMNS,
         [ts_all[order],
          DictColumn(series_of_row, np.array(names, dtype=object)),
          DictColumn(series_of_row, np.array(tags, dtype=object)),
-         val_all[order]])
+         val_all[order]]), order
+
+
+@dataclass(frozen=True)
+class _Index:
+    """A view's table and its sorted timestamp column; per series with
+    rows, its dictionary code, its ascending row positions there and its
+    own timestamps; per sealed chunk, its series code and its zone map
+    as int64 timestamp and float64 value min/max (NaN when all are)."""
+
+    table: Table
+    timestamps: np.ndarray
+    series: dict[SeriesId, tuple[int, np.ndarray, np.ndarray]]
+    zones: tuple[np.ndarray, ...]
+
+
+def _build_index(view: StoreView) -> _Index:
+    items = [item for item in view.iter_arrays() if item[1].size]
+    table, order = _sorted_table(items)
+    # Each series' rows are the inverse permutation at its input offsets.
+    position = np.empty(order.size, dtype=np.intp)
+    position[order] = np.arange(order.size, dtype=np.intp)
+    ends = np.cumsum([ts.size for _, ts, _ in items], dtype=np.intp)
+    zones = [(code, seg.timestamps.min, seg.timestamps.max,
+              seg.values.min, seg.values.max)
+             for code, (series, _, _) in enumerate(items)
+             for seg in view.chunk_stats(series)]
+    columns = list(zip(*zones)) or [()] * 5
+    return _Index(
+        table, position[:0] if not items else table.column_vectors()[0],
+        {series: (code, position[end - ts.size:end], ts)
+         for code, ((series, ts, _), end) in enumerate(zip(items, ends))},
+        (np.array(columns[0], dtype=np.intp),
+         *(np.array(c, dtype=np.int64) for c in columns[1:3]),
+         *(np.array(c, dtype=np.float64) for c in columns[3:])))
 
 
 def tsdb_table(store: StoreView,
                start: int | None = None,
                end: int | None = None) -> Table:
-    """Materialise the relational view of a store (optionally time-clipped)."""
-    return observations_to_table(store.iter_arrays(start=start, end=end))
+    """The relational view of a store, optionally clipped to timestamps
+    ``[start, end)``: rows of the one table its view builds."""
+    index = store.derived(_build_index)
+    if start is None and end is None:
+        return index.table
+    return index.table.slice_rows(*_row_range(index.timestamps, start, end))
 
 
 def scan_store(store: StoreView, predicate: ScanPredicate
                ) -> tuple[Table, ScanReport]:
-    """Pruned materialisation of the ``tsdb`` table under a predicate.
+    """Pruned read of the ``tsdb`` table: rows of the view's table
+    (:func:`tsdb_table`), in its order and never sorted again — a
+    superset of the rows the full WHERE keeps, so re-filtering gives
+    bitwise-identical results.
 
-    Three pruning levels, all conservative (the result is a superset of
-    the rows the full WHERE keeps, in exactly the order the unpruned
-    table would present them, so re-filtering gives bitwise-identical
-    results):
-
-    - **series**, via the store's inverted indexes: an exact
-      ``metric_name = '...'`` or ``tag['key'] = '...'`` constraint
-      restricts the scan to the matching series set;
-    - **chunks**, via zone maps: sealed chunks whose time or value range
-      cannot intersect the predicate are skipped without being read;
-    - **rows**, via ``searchsorted``: surviving boundary chunks are
-      clipped exactly to the time range.
+    - An exact ``metric_name = '...'`` / ``tag['key'] = '...'`` keeps
+      the series the store's inverted indexes match: their row
+      positions, concatenated (and sorted when there are several).
+    - The time range is a row range (``searchsorted``) of the table, or
+      of each kept series.
+    - Value ranges select no rows.  The report counts the kept series'
+      sealed chunks whose zone maps can meet the time and value ranges
+      as scanned, the others as pruned.
 
     Constraints on columns the provider cannot act on are ignored.
-    Ordering is preserved because the ``(timestamp, metric_name)``
-    lexsort in :func:`observations_to_table` is stable and subset-stable
-    — dropping rows never reorders the survivors.
     """
+    view = store.read_view()
+    index = view.derived(_build_index)
     name = None
     tags: dict[str, str] = {}
     impossible = False
@@ -138,42 +177,74 @@ def scan_store(store: StoreView, predicate: ScanPredicate
                 impossible = True
             tags[key] = value
     start, end = _time_window(predicate)
-    value_lo, value_hi = predicate.range_for("value")
-
-    series_total = len(store)
-    if impossible:
-        kept: list[SeriesId] = []
-    elif name is not None or tags:
-        kept = store.find_exact(name, tags)
+    code, ts_min, ts_max, val_min, val_max = index.zones
+    if impossible or name is not None or tags:
+        kept = [] if impossible else view.find_exact(name, tags)
+        picked = [index.series[s] for s in kept if s in index.series]
+        mine = np.isin(code, [series_code for series_code, _, _ in picked])
     else:
-        kept = store.series_ids()
-    chunks_scanned = chunks_pruned = 0
-    triples = []
-    for series in kept:
-        ts, vals, scanned, pruned = store.scan_arrays(
-            series, start, end, value_lo, value_hi)
-        chunks_scanned += scanned
-        chunks_pruned += pruned
-        if ts.size:
-            triples.append((series, ts, vals))
-    table = observations_to_table(triples)
-    report = ScanReport(rows=len(table), series_total=series_total,
-                        series_scanned=len(kept),
-                        chunks_scanned=chunks_scanned,
-                        chunks_pruned=chunks_pruned)
+        kept, mine = None, np.ones(code.size, dtype=bool)
+    meets = mine.copy()
+    value_lo, value_hi = predicate.range_for("value")
+    if start is not None:
+        meets &= ts_max >= start
+    if end is not None:
+        meets &= ts_min < end
+    if value_lo is not None:
+        meets &= val_max >= _float(value_lo)
+    if value_hi is not None:
+        meets &= val_min <= _float(value_hi)
+    if kept is None:
+        table = index.table.slice_rows(
+            *_row_range(index.timestamps, start, end))
+    else:
+        parts = [positions[slice(*_row_range(ts, start, end))]
+                 for _, positions, ts in picked]
+        rows = np.concatenate(parts) if parts else np.empty(0, np.intp)
+        table = index.table.gather(np.sort(rows) if len(parts) > 1
+                                   else rows)
+    scanned = int(np.count_nonzero(meets))
+    report = ScanReport(rows=len(table), series_total=len(view),
+                        series_scanned=len(view if kept is None else kept),
+                        chunks_scanned=scanned,
+                        chunks_pruned=int(np.count_nonzero(mine)) - scanned)
     return table, report
 
 
-def _time_window(predicate: ScanPredicate) -> tuple[int | None, int | None]:
-    """The predicate's closed timestamp interval as a half-open int window.
+def _row_range(timestamps: np.ndarray, start: int | None,
+               end: int | None) -> tuple[int, int]:
+    """Rows ``[lo, hi)`` of a sorted timestamp column in ``[start, end)``."""
+    lo = 0 if start is None else int(np.searchsorted(timestamps, start))
+    hi = (timestamps.size if end is None
+          else int(np.searchsorted(timestamps, end)))
+    return lo, max(lo, hi)
 
-    Timestamps are integral, so closed ``[lo, hi]`` becomes
-    ``[ceil(lo), floor(hi) + 1)`` — exact for int literals, conservative
-    for float ones.
+
+def _float(bound: float | int) -> float:
+    """A value bound as a float (ints past the float range saturate)."""
+    try:
+        return float(bound)
+    except OverflowError:
+        return math.inf if bound > 0 else -math.inf
+
+
+def _time_window(predicate: ScanPredicate
+                 ) -> tuple[int | None, int | None]:
+    """The predicate's closed timestamp interval as a half-open int64
+    window ``[start, end)`` (``None`` ends are open).
+
+    Timestamps are int64, so closed ``[lo, hi]`` becomes ``[ceil(lo),
+    floor(hi) + 1)`` — exact for int literals, conservative for float
+    ones.  A bound past the int64 range (±inf too) admits every
+    timestamp, and is open, or none: then, as for a NaN bound, the
+    window is ``[int64 max, int64 min)``, which no row or zone map meets.
     """
     lo, hi = predicate.range_for("timestamp")
-    start = None if lo is None else int(math.ceil(lo))
-    end = None if hi is None else int(math.floor(hi)) + 1
+    if lo != lo or hi != hi or (lo is not None and lo > _INT64.max) \
+            or (hi is not None and hi < _INT64.min):
+        return _INT64.max, _INT64.min
+    start = None if lo is None or lo <= _INT64.min else math.ceil(lo)
+    end = None if hi is None or hi >= _INT64.max else math.floor(hi) + 1
     return start, end
 
 
@@ -197,8 +268,8 @@ def register_store(db, store: StoreView, name: str = "tsdb") -> None:
     predicates are pushed into the store scan (:func:`scan_store`).
 
     Every provider callback reads from one ``store.read_view()`` taken
-    at entry, so a multi-series scan never straddles a version change
-    mid-walk.
+    at entry, so the full table and every scan of a version read the
+    one table its view builds.
     """
     db.register_scannable_provider(
         name,

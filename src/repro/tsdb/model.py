@@ -136,27 +136,11 @@ class ColumnStats:
 
     ``min``/``max`` exclude nulls (NaN for the value column) and are
     ``None`` only when every cell is null; timestamps are int64 and
-    never null.  The range is all a pruned scan reads.
+    never null.  A pruned scan counts the chunks these ranges rule out.
     """
 
     min: int | float | None
     max: int | float | None
-
-    def may_contain_range(self, lo: int | float | None,
-                          hi: int | float | None) -> bool:
-        """Can any non-null cell fall inside the closed range [lo, hi]?
-
-        ``None`` bounds are open.  Conservative: ``True`` means the
-        chunk must be scanned, ``False`` proves no row can match, so a
-        pruned chunk never removes a row a WHERE would have kept.
-        """
-        if self.min is None:         # all cells null: no comparison matches
-            return False
-        if lo is not None and self.max < lo:
-            return False
-        if hi is not None and self.min > hi:
-            return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -515,7 +499,7 @@ class SeriesData:
         return self._segments[-1].end if self._segments else 0
 
     # ------------------------------------------------------------------
-    # Zone maps + pruned reads
+    # Zone maps
     # ------------------------------------------------------------------
     def chunk_stats(self) -> tuple[ChunkStats, ...]:
         """Zone maps, one per sealed logical chunk, covering every point.
@@ -529,76 +513,6 @@ class SeriesData:
         """
         self._seal_buffer()
         return tuple(self._segments)
-
-    def _sealed_slice(self, start: int, end: int
-                      ) -> tuple[np.ndarray, np.ndarray]:
-        """Zero-copy views of sealed rows ``[start, end)``.
-
-        A logical segment never straddles physical chunks — chunks are
-        sealed exactly at segment boundaries and compaction concatenates
-        whole segments — so the walk finds one containing chunk.
-        """
-        offset = 0
-        for ts, vals in zip(self._chunk_ts, self._chunk_vals):
-            if end <= offset + ts.size:
-                lo = start - offset
-                return ts[lo:end - offset], vals[lo:end - offset]
-            offset += ts.size
-        raise SeriesFormatError(
-            f"segment [{start}, {end}) outside sealed storage of {self.series}"
-        )
-
-    def scan(self, start: int | None = None, end: int | None = None,
-             value_lo: float | None = None, value_hi: float | None = None
-             ) -> tuple[np.ndarray, np.ndarray, int, int]:
-        """Zone-map-pruned read: ``(timestamps, values, scanned, pruned)``.
-
-        Returns the concatenation of every chunk whose zone map can
-        satisfy the time range ``[start, end)`` and the closed value
-        range ``[value_lo, value_hi]`` (``None`` bounds are open), with
-        boundary chunks clipped to the time range by ``searchsorted``.
-        The result is a conservative *superset* of the matching rows —
-        a value range keeps whole chunks — so callers re-apply their
-        full predicate; pruned chunks are never read or consolidated.
-        NaN values never satisfy a value comparison, which is why a
-        chunk whose non-null range misses the query range may be pruned
-        even when it holds NaNs.
-        """
-        self._seal_buffer()
-        kept_ts: list[np.ndarray] = []
-        kept_vals: list[np.ndarray] = []
-        scanned = pruned = 0
-        # An unconstrained value column keeps every chunk: an all-NaN
-        # chunk satisfies no value *comparison* (so it may be pruned
-        # under any bound), but its rows do appear in an unfiltered
-        # read and must not vanish.
-        has_value_bound = value_lo is not None or value_hi is not None
-        for seg in self._segments:
-            if not (seg.timestamps.may_contain_range(
-                        start, end - 1 if end is not None else None)
-                    and (not has_value_bound
-                         or seg.values.may_contain_range(value_lo,
-                                                         value_hi))):
-                pruned += 1
-                continue
-            scanned += 1
-            ts, vals = self._sealed_slice(seg.start, seg.end)
-            if start is not None or end is not None:
-                lo = int(np.searchsorted(ts, start, side="left")) \
-                    if start is not None else 0
-                hi = int(np.searchsorted(ts, end, side="left")) \
-                    if end is not None else ts.size
-                ts, vals = ts[lo:hi], vals[lo:hi]
-            if ts.size:
-                kept_ts.append(ts)
-                kept_vals.append(vals)
-        if not kept_ts:
-            return (np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.float64), scanned, pruned)
-        if len(kept_ts) == 1:
-            return kept_ts[0], kept_vals[0], scanned, pruned
-        return (np.concatenate(kept_ts), np.concatenate(kept_vals),
-                scanned, pruned)
 
 
 def parse_series_expr(expr: str) -> tuple[str, dict[str, str]]:

@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import os
 import threading
+import weakref
 import zlib
-from collections import defaultdict
+from collections import OrderedDict, defaultdict
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 import numpy as np
 
@@ -51,6 +52,17 @@ from repro.tsdb.model import (
 from repro.tsdb.wal import WriteAheadLog, replace_durably
 
 DEFAULT_SHARDS = 8
+T = TypeVar("T")
+
+#: How many views keep what :meth:`StoreView.derived` built for them,
+#: least recently asked first out.  A view can outlive its use (a served
+#: result holds its snapshot) and must not pin a table per version; the
+#: server keeps two versions warm, and one more covers the newest view
+#: before it has a version state.  Views are held weakly: a dropped view
+#: frees its values at once.
+DERIVED_VIEWS = 3
+_derived_views: "OrderedDict[int, weakref.ref]" = OrderedDict()
+_derived_lock = threading.RLock()
 
 
 def shard_index(series: SeriesId, n_shards: int) -> int:
@@ -83,6 +95,7 @@ class StoreView:
         self._tag_values = tag_values
         self._span = span
         self._version = version
+        self._derived: dict[Callable, object] = {}
 
     def read_view(self) -> "StoreView":
         """The frozen view reads run against: a view is its own."""
@@ -91,6 +104,25 @@ class StoreView:
     def snapshot(self) -> "StoreView":
         """The current frozen view (same as :meth:`read_view`)."""
         return self.read_view()
+
+    def derived(self, build: Callable[["StoreView"], T]) -> T:
+        """``build(view)``, built once per view (a view never changes)
+        even when first callers race, then shared: e.g. the ``tsdb``
+        table and its scan index.  Only the :data:`DERIVED_VIEWS` views
+        asked most recently keep theirs; an older one builds anew."""
+        view = self.read_view()
+        with _derived_lock:
+            if build not in view._derived:
+                view._derived[build] = build(view)
+            key = id(view)
+            _derived_views[key] = weakref.ref(
+                view, lambda _, key=key: _derived_views.pop(key, None))
+            _derived_views.move_to_end(key)
+            while len(_derived_views) > DERIVED_VIEWS:
+                old = _derived_views.popitem(last=False)[1]()
+                if old is not None:
+                    old._derived.clear()
+            return view._derived[build]
 
     @property
     def version(self) -> int:
@@ -234,20 +266,6 @@ class StoreView:
                 if end is not None else ts.size
             ts, values = ts[lo:hi], values[lo:hi]
         return ts, values
-
-    def scan_arrays(self, series: SeriesId,
-                    start: int | None = None, end: int | None = None,
-                    value_lo: float | None = None,
-                    value_hi: float | None = None
-                    ) -> tuple[np.ndarray, np.ndarray, int, int]:
-        """Zone-map-pruned ``(timestamps, values, scanned, pruned)`` read.
-
-        Delegates to :meth:`SeriesData.scan`: sealed chunks whose zone
-        map cannot satisfy the time range ``[start, end)`` or the closed
-        value range are skipped without being read or consolidated; the
-        result is a conservative superset of the matching rows.
-        """
-        return self.get(series).scan(start, end, value_lo, value_hi)
 
     def iter_arrays(self, series_ids: Iterable[SeriesId] | None = None,
                     start: int | None = None,

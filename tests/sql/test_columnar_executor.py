@@ -914,3 +914,48 @@ class TestRowBackedTablesUnaffected:
         q = "SELECT k, SUM(v) AS s FROM tsdb WHERE v > 1 GROUP BY k"
         assert fast.sql(q).rows == slow.sql(q).rows == [("b", 2.0),
                                                         ("a", 3.0)]
+
+
+def _keyed(distinct: int, extra: int, seed: int) -> Table:
+    """``distinct`` keys, every one present, ``extra`` of them twice."""
+    rng = np.random.default_rng(seed)
+    keys = rng.permutation(np.concatenate(
+        [np.arange(distinct), rng.integers(0, distinct, extra)]))
+    return Table.from_columns(
+        ["k", "v"], [keys.astype(np.int64), rng.standard_normal(keys.size)])
+
+
+class TestRadixNarrowedKeys:
+    """Group, partition and join key codes sort as uint8/uint16 while
+    they fit: results stay bitwise the row path's on both sides of each
+    width's edge (largest code 255/256 and 65 535/65 536)."""
+
+    QUERIES = [
+        "SELECT k, COUNT(*) AS n, SUM(v) AS s, MIN(v) AS lo FROM t "
+        "GROUP BY k",
+        "SELECT k, v, ROW_NUMBER() OVER (PARTITION BY k) AS r, "
+        "LAG(v) OVER (PARTITION BY k) AS p FROM t",
+        # u is the smaller side: built on the right, then on the left
+        "SELECT t.k, t.v, u.v AS w FROM t JOIN u ON t.k = u.k",
+        "SELECT u.k, u.v, t.v AS w FROM u JOIN t ON u.k = t.k",
+    ]
+
+    def test_narrowest_width_that_holds_the_codes(self):
+        narrow = columnar._radix_keys
+        assert narrow(np.arange(256)).dtype == np.uint8
+        assert narrow(np.arange(257)).dtype == np.uint16
+        assert narrow(np.arange(65536)).dtype == np.uint16
+        assert narrow(np.arange(65537)).dtype == np.int64
+        assert narrow(np.arange(-1, 5)).dtype == np.int64
+
+    @pytest.mark.parametrize("distinct", [256, 257, 65536, 65537])
+    def test_bitwise_equal_to_the_row_path(self, distinct):
+        fast, slow = Database(), Database(columnar=False)
+        for db in (fast, slow):
+            db.register("t", _keyed(distinct, 64, seed=distinct))
+            db.register("u", _keyed(distinct, 0, seed=distinct + 1))
+        for query in self.QUERIES:
+            result, reference = fast.sql(query), slow.sql(query)
+            assert not result.is_materialised(), query
+            assert result.columns == reference.columns
+            assert _rows_equal(result.rows, reference.rows), query

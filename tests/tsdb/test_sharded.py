@@ -112,8 +112,8 @@ class TestDropInParity:
         assert (sharded.find_exact(tags={"dc": "east"})
                 == plain.find_exact(tags={"dc": "east"}))
         s = _series(0)
-        got = sharded.scan_arrays(s, start=10, end=40)
-        want = plain.scan_arrays(s, start=10, end=40)
+        got = sharded.arrays(s, start=10, end=40)
+        want = plain.arrays(s, start=10, end=40)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1], equal_nan=True)
 

@@ -200,9 +200,6 @@ def _read_everything(store):
                        store.find_exact()),
         "get": [_bits(store.get(s).arrays()) for s in ids],
         "arrays": [_bits(store.arrays(s, 10, 50)) for s in ids],
-        "scan_arrays": [(_bits(r[:2]), r[2:]) for r in
-                        (store.scan_arrays(s, 5, 40, -1.0, 1.0)
-                         for s in ids)],
         "iter_arrays": [(s, _bits((t, v)))
                         for s, t, v in store.iter_arrays(start=3)],
         "iter_points": [(p.series, p.timestamp, np.float64(p.value).tobytes())
@@ -238,9 +235,9 @@ class TestReadApiParity:
         assert view.read_view() is view and view.snapshot() is view
         public = {name for name in dir(StoreView) if not name.startswith("_")}
         assert public == {
-            "arrays", "chunk_stats", "find", "find_exact", "get",
+            "arrays", "chunk_stats", "derived", "find", "find_exact", "get",
             "iter_arrays", "iter_points", "metric_names", "num_points",
-            "read_view", "scan_arrays", "series_ids", "snapshot",
+            "read_view", "series_ids", "snapshot",
             "tag_keys", "tag_values", "time_range", "value_range",
             "version"}
         assert "__len__" in vars(StoreView)

@@ -7,7 +7,7 @@ Two guarantees back the predicate-pushdown scan path:
    segment's recorded ranges equal a brute-force ``nanmin``/``nanmax``
    over the consolidated columns, the segments tile ``[0, len)``, and
    every mutation bumps ``store.version``.
-2. **Pruning is invisible**: a zone-map-pruned scan returns a
+2. **Pruning is invisible**: a pruned scan (``scan_store``) returns a
    conservative superset in unpruned order, so re-applying the exact
    predicate — or running the full SQL WHERE — gives results bitwise
    identical to the unpruned path.
@@ -19,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 
 from repro.sql.catalog import Database
-from repro.tsdb.adapter import register_store, tsdb_table
+from repro.sql.scan import ScanPredicate
+from repro.tsdb.adapter import register_store, scan_store, tsdb_table
 from repro.tsdb.model import ChunkStats, ColumnStats
 from repro.tsdb.storage import TimeSeriesStore
 from repro.tsdb import SeriesId
@@ -141,46 +142,56 @@ value_bounds = st.one_of(st.none(),
                                    allow_infinity=False))
 
 
+def _scan_predicate(start, end, lo=None, hi=None):
+    """The pushed-down form of ``start <= timestamp < end`` and
+    ``lo <= value <= hi`` (``None`` bounds open)."""
+    ranges = []
+    if start is not None or end is not None:
+        ranges.append(("timestamp", start, None if end is None else end - 1))
+    if lo is not None or hi is not None:
+        ranges.append(("value", lo, hi))
+    return ScanPredicate(ranges=tuple(ranges))
+
+
+def _row_bits(rows):
+    """Rows with values as bytes, so NaN and -0.0 compare exactly."""
+    return [(ts, name, sorted(tag.items()), np.float64(value).tobytes())
+            for ts, name, tag, value in rows]
+
+
 class TestPrunedScanParity:
     @given(grown_stores(), time_bounds, time_bounds)
     @settings(max_examples=40, deadline=None)
     def test_time_only_scan_is_bitwise(self, store, start, end):
-        """With no value range, the pruned scan equals the plain clip."""
-        for sid in store.series_ids():
-            ref_ts, ref_vals = store.arrays(sid, start, end)
-            got_ts, got_vals, scanned, pruned = store.scan_arrays(
-                sid, start, end)
-            assert scanned + pruned == len(store.chunk_stats(sid))
-            assert np.array_equal(got_ts, ref_ts)
-            assert np.array_equal(got_vals, ref_vals, equal_nan=True)
+        """With no value range, the pruned scan is the full table's rows
+        inside the window, and every sealed chunk is counted once."""
+        table, report = scan_store(store, _scan_predicate(start, end))
+        want = [row for row in tsdb_table(store).rows
+                if (start is None or row[0] >= start)
+                and (end is None or row[0] < end)]
+        assert _row_bits(table.rows) == _row_bits(want)
+        assert report.chunks_scanned + report.chunks_pruned == sum(
+            len(store.chunk_stats(sid)) for sid in store.series_ids())
 
     @given(grown_stores(), time_bounds, time_bounds,
            value_bounds, value_bounds)
     @settings(max_examples=40, deadline=None)
     def test_value_pruned_scan_refilters_bitwise(self, store, start, end,
                                                  lo, hi):
-        """Value pruning keeps whole chunks: the result is a superset of
-        the exact matches, in unpruned order, so re-applying the exact
-        predicate recovers the unpruned answer bit for bit."""
-        for sid in store.series_ids():
-            ref_ts, ref_vals = store.arrays(sid, start, end)
-            got_ts, got_vals, _, _ = store.scan_arrays(
-                sid, start, end, lo, hi)
+        """The scan is a superset of the exact matches, in table order,
+        so re-applying the exact predicate recovers the unpruned answer
+        bit for bit."""
+        table, _ = scan_store(store, _scan_predicate(start, end, lo, hi))
 
-            def exact(ts, vals):
-                mask = np.ones(ts.size, dtype=bool)
-                if lo is not None:
-                    mask &= vals >= lo          # NaN compares False
-                if hi is not None:
-                    mask &= vals <= hi
-                return ts[mask], vals[mask]
+        def exact(rows):
+            return [row for row in rows
+                    if (start is None or row[0] >= start)
+                    and (end is None or row[0] < end)
+                    and (lo is None or row[3] >= lo)   # NaN compares False
+                    and (hi is None or row[3] <= hi)]
 
-            want_ts, want_vals = exact(ref_ts, ref_vals)
-            have_ts, have_vals = exact(got_ts, got_vals)
-            assert np.array_equal(have_ts, want_ts)
-            # equal_nan: with no value bound, NaN rows survive unfiltered
-            # on both sides and must pair up.
-            assert np.array_equal(have_vals, want_vals, equal_nan=True)
+        assert _row_bits(exact(table.rows)) \
+            == _row_bits(exact(tsdb_table(store).rows))
 
 
 WHERE_CLAUSES = [
