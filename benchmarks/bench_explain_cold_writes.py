@@ -15,7 +15,7 @@ writers after which an explain must rebuild or rescore everything:
 
 Run from the repository root::
 
-    python3 benchmarks/bench_explain_append_now.py {append-now,rewrite-target} SEED OPS
+    python3 benchmarks/bench_explain_cold_writes.py {append-now,rewrite-target} SEED OPS
 
 The last stdout line is JSON: timed ops, failed checks (every planted
 cause in the top planted-count + 2) and the median and quartiles of the

@@ -14,8 +14,10 @@ Groupings supported here mirror the paper's examples:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from itertools import chain, compress
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -102,14 +104,14 @@ class FeatureFamily:
 class FamilySet:
     """An ordered collection of families sharing one time grid.
 
-    ``origin`` is ``(build arguments, grid)`` for a set built by
-    :func:`families_from_store` — what a later call needs to know before
-    it may reuse this set's families — and ``None`` otherwise.
+    ``origin`` records how :func:`families_from_store` built the set —
+    what a later call needs to know before it may reuse its families —
+    and is ``None`` for any other set.
     """
 
     def __init__(self, families: Iterable[FeatureFamily] = ()) -> None:
         self._families: dict[str, FeatureFamily] = {}
-        self.origin: tuple[tuple, np.ndarray] | None = None
+        self.origin: "_Origin | None" = None
         for family in families:
             self.add(family)
 
@@ -184,43 +186,102 @@ def families_from_store(store: StoreView,
     is aligned afresh; with no ``previous`` that is all of them.  A
     write that moves the grid (extends the horizon) therefore rebuilds
     every family.
+
+    When, besides equal arguments, no series joined the store
+    (:attr:`StoreView.series_token`) and the store's span is still
+    ``previous``'s grid, the matched series and the grid cannot have
+    changed — writes only append and rewrite values inside the span —
+    so the refresh costs identity checks per member plus the
+    re-alignment of the written families: there is no scan, grid or
+    regrouping.
     """
     key_fn = _group_key_fn(group_by)
     view = store.read_view()
+    build = (group_by, start, end, name_filter,
+             None if tag_filters is None else sorted(tag_filters.items()))
+    origin = previous.origin if previous is not None else None
+    if origin is not None and origin.build == build \
+            and origin.token is view.series_token and origin.grid.size \
+            and view.time_range() == (int(origin.grid[0]),
+                                      int(origin.grid[-1])):
+        return _refresh(view, previous, start, end)
     result = ScanQuery(name=name_filter, tags=tag_filters,
                        start=start, end=end).run(view)
     if not result.columns:
         raise FamilyError("no series matched the family scan")
     grid = result.grid()
-    build = (group_by, start, end, name_filter,
-             None if tag_filters is None else sorted(tag_filters.items()))
     reusable: dict[str, FeatureFamily] = {}
-    if previous is not None and previous.origin is not None \
-            and previous.origin[0] == build \
-            and np.array_equal(previous.origin[1], grid):
+    if origin is not None and origin.build == build \
+            and np.array_equal(origin.grid, grid):
         reusable = previous._families
     grouped: dict[str, list[SeriesId]] = {}
     for series in result.series_ids():
         grouped.setdefault(str(key_fn(series)), []).append(series)
     families = FamilySet()
-    families.origin = (build, grid)
     for family_name in sorted(grouped):
         members = grouped[family_name]
-        sources = tuple(view.get(s) for s in members)
+        sources = view.get_many(members)
         old = reusable.get(family_name)
         if old is not None and len(old.sources) == len(sources) \
-                and all(a is b for a, b in zip(old.sources, sources)):
+                and all(map(operator.is_, old.sources, sources)):
             families.add(old)
             continue
-        families.add(FeatureFamily(
-            name=family_name,
-            matrix=np.column_stack([align_to_grid(*result.columns[s], grid)
-                                    for s in members]),
-            members=[str(s) for s in members],
-            grid=grid,
-            sources=sources,
-        ))
+        families.add(_aligned(family_name, sources, [
+            result.columns[s] for s in members], grid))
+    families.origin = _Origin(
+        build, grid, view.series_token,
+        tuple(chain.from_iterable(f.sources for f in families)),
+        tuple(f.name for f in families for _ in f.sources))
     return families
+
+
+class _Origin(NamedTuple):
+    """How :func:`families_from_store` built a set: its arguments, grid
+    and series token, and every member column in family order with the
+    name of the family it belongs to."""
+
+    build: tuple
+    grid: np.ndarray
+    token: object
+    sources: tuple[SeriesData, ...]
+    owners: tuple[str, ...]
+
+
+def _refresh(view: StoreView, previous: FamilySet, start: int | None,
+             end: int | None) -> FamilySet:
+    """``previous`` at ``view``, whose series set and span it already
+    covers: a family whose member columns are all the identical frozen
+    ones is kept, the others have their members re-aligned."""
+    origin = previous.origin
+    sources = view.get_many(map(_SERIES, origin.sources))
+    families = FamilySet()
+    refreshed = families._families = dict(previous._families)
+    written = compress(origin.owners,
+                       map(operator.is_not, origin.sources, sources))
+    for name in dict.fromkeys(written):
+        members = view.get_many(map(_SERIES, refreshed[name].sources))
+        refreshed[name] = _aligned(name, members, [
+            view.arrays(c.series, start, end) for c in members], origin.grid)
+    families.origin = origin._replace(token=view.series_token,
+                                      sources=sources)
+    return families
+
+
+def _aligned(name: str, sources: tuple[SeriesData, ...],
+             columns: list[tuple[np.ndarray, np.ndarray]],
+             grid: np.ndarray) -> FeatureFamily:
+    """One family aligned onto ``grid`` from its members' columns."""
+    return FeatureFamily(
+        name=name,
+        matrix=np.column_stack([align_to_grid(ts, vals, grid)
+                                for ts, vals in columns]),
+        members=[str(c.series) for c in sources],
+        grid=grid,
+        sources=sources,
+    )
+
+
+_SERIES = operator.attrgetter("series")
 
 
 def _group_key_fn(group_by) -> Callable[[SeriesId], str]:

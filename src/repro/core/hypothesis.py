@@ -62,13 +62,21 @@ class Hypothesis:
 def generate_hypotheses(families: FamilySet, target: str,
                         condition: str | FeatureFamily | None = None,
                         search: Iterable[str] | None = None,
-                        exclude: Iterable[str] = ()) -> list[Hypothesis]:
+                        exclude: Iterable[str] = (),
+                        memo: dict[tuple, Hypothesis] | None = None
+                        ) -> list[Hypothesis]:
     """Enumerate hypotheses for every candidate family (Algorithm 1, line 4).
 
     ``search`` restricts the space ("All families or user defined
     subset"); the target and conditioning families are always excluded,
     as are any ``exclude`` names and families whose metrics overlap the
     target's.
+
+    ``memo`` maps ``(X, Y, Z)`` family objects to the hypothesis built
+    over them; a triple found there is taken as is — whether it is
+    admissible depends on those three families alone — and every
+    hypothesis built is added, so a caller that keeps one memo across
+    calls pays the overlap checks once per triple.
     """
     y_family = families[target]
     z_family: FeatureFamily | None
@@ -82,18 +90,24 @@ def generate_hypotheses(families: FamilySet, target: str,
     skip = {target} | set(exclude)
     if z_family is not None:
         skip.add(z_family.name)
-    names = list(search) if search is not None else families.names()
+    candidates = iter(families) if search is None else (
+        families[name] for name in search if name not in skip)
+    memo = {} if memo is None else memo
 
     blocked_metrics = set(y_family.members)
     if z_family is not None:
         blocked_metrics |= set(z_family.members)
 
     hypotheses: list[Hypothesis] = []
-    for name in names:
-        if name in skip:
+    for x_family in candidates:
+        if x_family.name in skip:
             continue
-        x_family = families[name]
-        if set(x_family.members) & blocked_metrics:
-            continue
-        hypotheses.append(Hypothesis(x=x_family, y=y_family, z=z_family))
+        key = (x_family, y_family, z_family)
+        hypothesis = memo.get(key)
+        if hypothesis is None:
+            if not blocked_metrics.isdisjoint(x_family.members):
+                continue
+            hypothesis = memo[key] = Hypothesis(x=x_family, y=y_family,
+                                                z=z_family)
+        hypotheses.append(hypothesis)
     return hypotheses

@@ -127,45 +127,60 @@ class ScoreTable:
         return "\n".join(lines)
 
 
+def chebyshev_p_values(hypotheses: Sequence[Hypothesis],
+                       scores: Sequence[float]) -> np.ndarray:
+    """The Chebyshev p-value of each score, by position (a function of
+    the score and its hypothesis' shape alone, so it can be memoised
+    with the score)."""
+    return np.array([
+        p_value_chebyshev(float(score), h.y.n_samples,
+                          max(2, min(h.x.n_features, h.y.n_samples - 1)))
+        for h, score in zip(hypotheses, scores)], dtype=np.float64)
+
+
+def ranking_order(scores: np.ndarray, names: Sequence[str]) -> list[int]:
+    """Positions sorted by :func:`ranking_sort_key`, with no Python call
+    per row: one stable lexsort over (NaN last, score descending, the
+    name's place among ``names``)."""
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    name_rank = np.empty(len(names), dtype=np.intp)
+    name_rank[by_name] = np.arange(len(names))
+    nan = np.isnan(scores)
+    return np.lexsort((name_rank, np.where(nan, 0.0, -scores), nan)).tolist()
+
+
 def build_score_table(hypotheses: Sequence[Hypothesis],
                       scores: Sequence[float], seconds: Sequence[float],
                       scorer_name: str, top_k: int = DEFAULT_TOP_K,
-                      total_seconds: float = 0.0) -> ScoreTable:
+                      total_seconds: float = 0.0,
+                      p_values: np.ndarray | None = None) -> ScoreTable:
     """Rank scored hypotheses into the Score Table.
 
-    ``scores[i]`` and ``seconds[i]`` belong to ``hypotheses[i]``.  The
-    full ranking is kept; ``top_k`` only affects presentation, so
-    evaluation code can still ask for the rank of a cause below the cut.
+    ``scores[i]``, ``seconds[i]`` and ``p_values[i]`` belong to
+    ``hypotheses[i]``; ``p_values`` defaults to
+    :func:`chebyshev_p_values`.  The full ranking is kept; ``top_k`` only
+    affects presentation, so evaluation code can still ask for the rank
+    of a cause below the cut.
     """
     if not hypotheses:
         return ScoreTable(results=[], scorer_name=scorer_name, target="",
                           total_seconds=total_seconds, top_k=top_k)
-    order = sorted(range(len(hypotheses)),
-                   key=lambda i: ranking_sort_key(float(scores[i]),
-                                                  hypotheses[i].name))
-    first = hypotheses[0]
-    n_samples = first.y.n_samples
-    p_values = np.array([
-        p_value_chebyshev(
-            float(scores[i]), n_samples,
-            max(2, min(hypotheses[i].x.n_features, n_samples - 1)))
-        for i in order
-    ])
-    p_bonf = bonferroni(p_values)
-    bh_mask = benjamini_hochberg(p_values)
+    scores = np.asarray(scores, dtype=np.float64)
+    if p_values is None:
+        p_values = chebyshev_p_values(hypotheses, scores)
+    names = [h.name for h in hypotheses]
+    order = ranking_order(scores, names)
+    ranked_p = np.asarray(p_values, dtype=np.float64)[order]
     results = [
-        RankedFamily(
-            rank=rank + 1,
-            family=hypotheses[i].name,
-            score=float(scores[i]),
-            n_features=hypotheses[i].x.n_features,
-            p_value=float(p_values[rank]),
-            p_bonferroni=float(p_bonf[rank]),
-            significant_bh=bool(bh_mask[rank]),
-            seconds=float(seconds[i]),
-        )
-        for rank, i in enumerate(order)
+        RankedFamily(rank + 1, names[i], score, hypotheses[i].x.n_features,
+                     p, p_bonf, bh, elapsed)
+        for rank, (i, score, p, p_bonf, bh, elapsed) in enumerate(zip(
+            order, scores[order].tolist(), ranked_p.tolist(),
+            bonferroni(ranked_p).tolist(),
+            benjamini_hochberg(ranked_p).tolist(),
+            np.asarray(seconds, dtype=np.float64)[order].tolist()))
     ]
+    first = hypotheses[0]
     return ScoreTable(
         results=results,
         scorer_name=scorer_name,

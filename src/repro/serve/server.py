@@ -48,17 +48,19 @@ so concurrent writers never change what a pinned request sees.
 
 from __future__ import annotations
 
+import operator
 import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
+from itertools import compress
 from typing import Any, Hashable, Iterable, Sequence
 
 import numpy as np
 
 from repro.core.families import FamilySet, families_from_store
-from repro.core.hypothesis import generate_hypotheses
+from repro.core.hypothesis import Hypothesis, generate_hypotheses
 from repro.core.ranking import DEFAULT_TOP_K, ScoreTable, build_score_table
 from repro.engine_exec.executor import (
     BACKENDS,
@@ -68,6 +70,7 @@ from repro.engine_exec.executor import (
 )
 from repro.engine_exec.shm import SharedMatrixPool
 from repro.scoring.base import get_scorer
+from repro.scoring.table import chebyshev_p_values
 from repro.serve.cache import normalize_query
 from repro.sql.catalog import Database
 from repro.sql.table import Table
@@ -109,54 +112,77 @@ class ServedResult:
         return self.value.to_table()
 
 
+_UNKNOWN = (np.nan, np.nan, np.nan)
+_FAMILIES = operator.itemgetter(slice(1, None))    # of a score key
+
+
 class _Generation:
     """The explain work of one version that a newer version may reuse.
 
-    Its family set and the scores computed over it, keyed by ``(scorer
-    registry name, X, Y, Z)`` family objects — :class:`FeatureFamily`
-    hashes by identity, so a key matches only the very same families.
-    It holds no snapshot or database, so the server's reference to the
-    latest built generation keeps no other per-version state alive.
+    Its family set, the hypotheses built over it (keyed by ``(X, Y, Z)``
+    family objects) and the scores computed for them (keyed by ``(scorer
+    registry name, X, Y, Z)``, each with its seconds and p-value) —
+    :class:`FeatureFamily` hashes by identity, so a key matches only the
+    very same families.  It holds no snapshot or database, so the
+    server's reference to the latest built generation keeps no other
+    per-version state alive.
     """
 
     def __init__(self) -> None:
         self.families: FamilySet | None = None
-        self.scores: dict[tuple, tuple[float, float]] = {}
-        self.lock = threading.Lock()            # guards ``scores``
+        self.hypotheses: dict[tuple, Hypothesis] = {}
+        self.scores: dict[tuple, tuple[float, float, float]] = {}
+        self.lock = threading.Lock()     # guards ``hypotheses``, ``scores``
 
     def inherit(self, older: "_Generation", families: FamilySet) -> None:
-        """Take over the scores of ``older`` whose families all survived
-        into ``families``."""
+        """Take over the hypotheses and scores of ``older`` whose
+        families all survived into ``families``.
+
+        Every key of ``older`` is over its own families, so the ones to
+        drop are those naming a family of ``older`` that ``families``
+        replaced — typically a handful — and the test per key is a C
+        membership probe of its three families.
+        """
+        replaced = set(older.families).difference(families)
         with older.lock:
-            carried = list(older.scores.items())
-        kept = {key: value for key, value in carried
-                if all(f is None or (f.name in families
-                                     and families[f.name] is f)
-                       for f in key[1:])}
+            hypotheses = list(compress(older.hypotheses.items(), map(
+                replaced.isdisjoint, older.hypotheses)))
+            scores = list(compress(older.scores.items(), map(
+                replaced.isdisjoint, map(_FAMILIES, older.scores))))
         with self.lock:
-            self.scores.update(kept)
+            self.hypotheses.update(hypotheses)
+            self.scores.update(scores)
+
+    def generate(self, target: str, condition: Any, search: tuple | None,
+                 exclude: tuple) -> list[Hypothesis]:
+        """:func:`generate_hypotheses` over this generation's families,
+        building only the ``(X, Y, Z)`` triples it has not seen."""
+        with self.lock:
+            return generate_hypotheses(
+                self.families, target, condition=condition, search=search,
+                exclude=exclude, memo=self.hypotheses)
 
     def lookup(self, scorer: str, hypotheses: Sequence
-               ) -> tuple[np.ndarray, np.ndarray, list[int]]:
-        """Known ``(scores, seconds)`` by position, and the positions to score."""
-        scores = np.empty(len(hypotheses))
-        seconds = np.empty(len(hypotheses))
-        todo: list[int] = []
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+        """Known ``(scores, seconds, p-values)`` by position, and the
+        positions to score."""
         with self.lock:
-            for i, h in enumerate(hypotheses):
-                known = self.scores.get((scorer, h.x, h.y, h.z))
-                if known is None:
-                    todo.append(i)
-                else:
-                    scores[i], seconds[i] = known
-        return scores, seconds, todo
+            get = self.scores.get
+            rows = [get((scorer, h.x, h.y, h.z), _UNKNOWN)
+                    for h in hypotheses]
+        todo = [i for i, row in enumerate(rows) if row is _UNKNOWN]
+        scores, seconds, p_values = np.array(
+            rows, dtype=np.float64).reshape(-1, 3).T.copy()
+        return scores, seconds, p_values, todo
 
     def remember(self, scorer: str, hypotheses: Sequence,
-                 scores: np.ndarray, seconds: np.ndarray) -> None:
+                 scores: np.ndarray, seconds: np.ndarray,
+                 p_values: np.ndarray) -> None:
         with self.lock:
-            for h, score, elapsed in zip(hypotheses, scores, seconds):
-                self.scores[(scorer, h.x, h.y, h.z)] = (float(score),
-                                                        float(elapsed))
+            for h, score, elapsed, p in zip(hypotheses, scores, seconds,
+                                            p_values):
+                self.scores[(scorer, h.x, h.y, h.z)] = (
+                    float(score), float(elapsed), float(p))
 
 
 class _VersionState:
@@ -529,17 +555,16 @@ class QueryServer:
         executor on the configured backend.
         """
         generation = self._generation(state)
-        hypotheses = generate_hypotheses(
-            generation.families, target, condition=condition, search=search,
-            exclude=exclude)
-        started = time.perf_counter()
         if shareable:
             memo, name = generation, scorer.lower()
         else:                   # a live scorer or family: nothing to reuse
             memo, name = _Generation(), None
+            memo.families = generation.families
+        hypotheses = memo.generate(target, condition, search, exclude)
+        started = time.perf_counter()
         if isinstance(scorer, str):
             scorer = get_scorer(scorer)
-        scores, seconds, todo = memo.lookup(name, hypotheses)
+        scores, seconds, p_values, todo = memo.lookup(name, hypotheses)
         if todo:
             fresh = [hypotheses[i] for i in todo]
             executor = HypothesisExecutor(
@@ -557,8 +582,11 @@ class QueryServer:
             except BrokenProcessPool:
                 self._drop_process_pool(pool)
                 raise
+            new_p = chebyshev_p_values(fresh, new_scores)
             scores[todo] = new_scores
             seconds[todo] = new_seconds
-            memo.remember(name, fresh, new_scores, new_seconds)
+            p_values[todo] = new_p
+            memo.remember(name, fresh, new_scores, new_seconds, new_p)
         return build_score_table(hypotheses, scores, seconds, scorer.name,
-                                 top_k, time.perf_counter() - started)
+                                 top_k, time.perf_counter() - started,
+                                 p_values=p_values)

@@ -49,11 +49,22 @@ class SeriesId:
 
     Instances are hashable so they can key dictionaries and sets; tags are
     stored as a sorted tuple of ``(key, value)`` pairs to make equality
-    independent of insertion order.
+    independent of insertion order.  The hash is computed once, at
+    construction, and never pickled: string hashes are salted per
+    process, so an unpickled id computes its own.
     """
 
     name: str
     tags: tuple[tuple[str, str], ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.name, self.tags)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return SeriesId, (self.name, self.tags)
 
     @classmethod
     def make(cls, name: str, tags: Mapping[str, str] | None = None) -> "SeriesId":
@@ -125,6 +136,12 @@ class DataPoint:
 #: tail stays cheap to consolidate, large enough that a million-point
 #: per-point ingest produces only a few hundred chunks.
 CHUNK_TARGET = 4096
+
+#: A bulk write of fewer points than this is merged into the trailing
+#: physical chunk while that holds fewer than :data:`CHUNK_TARGET`;
+#: larger writes keep their own chunk, so bulk ingest copies nothing
+#: twice.
+SMALL_WRITE = CHUNK_TARGET // 16
 
 #: Serialises the one-time tail seal of frozen clones (``_seal_tail``).
 _TAIL_LOCK = threading.Lock()
@@ -359,10 +376,15 @@ class SeriesData:
 
     def extend(self, timestamps: Iterable[int] | np.ndarray,
                values: Iterable[float] | np.ndarray) -> int:
-        """Bulk-append a column pair as one sealed chunk.
+        """Bulk-append a column pair as one sealed logical chunk.
 
         Monotonicity is checked vectorized; returns the number of points
-        appended.
+        appended.  The chunk gets its own zone map; when it holds fewer
+        than :data:`SMALL_WRITE` points and the trailing physical chunk
+        fewer than :data:`CHUNK_TARGET`, the two are merged into one
+        fresh array (clones keep the old one), so many small writes
+        leave few physical chunks for every frozen clone to copy and
+        concatenate.
         """
         ts = (timestamps if isinstance(timestamps, np.ndarray)
               else np.asarray(list(timestamps)))
@@ -391,15 +413,20 @@ class SeriesData:
                     f"out-of-order append to {self.series}: "
                     f"{int(ts[i])} < {int(ts[i - 1])}"
                 )
+        n = int(ts.size)
         self._seal_buffer()
+        self._segments.append(_chunk_stats(self._sealed_length(), ts, vals))
+        self._length += n
+        if n < SMALL_WRITE and self._chunk_ts \
+                and self._chunk_ts[-1].size < CHUNK_TARGET:
+            ts = np.concatenate((self._chunk_ts.pop(), ts))
+            vals = np.concatenate((self._chunk_vals.pop(), vals))
         ts.flags.writeable = False
         vals.flags.writeable = False
-        self._segments.append(_chunk_stats(self._sealed_length(), ts, vals))
         self._chunk_ts.append(ts)
         self._chunk_vals.append(vals)
-        self._length += ts.size
         self._consolidated = self._frozen = None
-        return int(ts.size)
+        return n
 
     def replace_values(self, new_values: np.ndarray) -> None:
         """Swap the value column (same length) — the fault-overlay path."""

@@ -247,6 +247,26 @@ class StoreView:
         except KeyError:
             raise SeriesFormatError(f"unknown series: {series}") from None
 
+    def get_many(self, series_ids: Iterable[SeriesId]
+                 ) -> tuple[SeriesData, ...]:
+        """:meth:`get` for many series, in order, in one call."""
+        columns = self.read_view()._columns
+        try:
+            return tuple(map(columns.__getitem__, series_ids))
+        except KeyError as exc:
+            raise SeriesFormatError(f"unknown series: {exc.args[0]}") from None
+
+    @property
+    def series_token(self) -> object:
+        """Identity of this view's series set within its store.
+
+        Two views of one store return the same object exactly when no
+        series joined between them (series are never removed), and
+        views of different stores never share it — so ``is`` tells a
+        refresh that the set of series it scanned is the same set.
+        """
+        return self.read_view()._by_name
+
     def arrays(self, series: SeriesId,
                start: int | None = None,
                end: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -309,7 +329,7 @@ class _Shard:
     """One shard's write state: columns, inverted indexes, time bounds."""
 
     __slots__ = ("lock", "columns", "by_name", "by_tag", "tag_values",
-                 "min_ts", "max_ts", "version")
+                 "min_ts", "max_ts", "version", "written")
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
@@ -323,6 +343,9 @@ class _Shard:
         self.max_ts: int | None = None
         #: mutations landed on this shard; bumped under ``lock``.
         self.version = 0
+        #: columns written since the store's last view was frozen; added
+        #: to under ``lock``, drained by the next view.
+        self.written: set[SeriesData] = set()
 
     def register(self, column: SeriesData) -> None:
         series = column.series
@@ -441,6 +464,7 @@ class TimeSeriesStore(StoreView):
             column.append(timestamp, value)
             if timestamp > shard.max_ts:   # an existing series: min stays
                 shard.max_ts = int(timestamp)
+            shard.written.add(column)
             if self._wal is not None:
                 self._wal.append_array(series, [timestamp], [value])
             shard.version += 1
@@ -494,6 +518,7 @@ class TimeSeriesStore(StoreView):
     def _commit(self, shard: _Shard, column: SeriesData, ts, vals) -> None:
         """Bookkeeping after a landed write; caller holds ``shard.lock``."""
         shard.observe(column)
+        shard.written.add(column)
         if self._wal is not None:
             self._wal.append_array(column.series, ts, vals)
         shard.version += 1
@@ -506,6 +531,7 @@ class TimeSeriesStore(StoreView):
             shard.register(column)
             self._route[column.series] = (shard, column)
             shard.observe(column)
+            shard.written.add(column)
             shard.version += 1
 
     def apply(self, series: SeriesId,
@@ -533,6 +559,7 @@ class TimeSeriesStore(StoreView):
                     f"transform changed length of {series}: "
                     f"{values.shape} -> {new_values.shape}")
             column.replace_values(new_values)
+            shard.written.add(column)
             shard.version += 1
 
     def merge(self, other: StoreView) -> None:
@@ -572,18 +599,21 @@ class TimeSeriesStore(StoreView):
     def _view_locked(self) -> StoreView:
         """View at the current version; caller holds every shard lock.
 
-        Columns a write has not touched since the last view keep their
-        frozen clone (:meth:`SeriesData.freeze` caches it), and the
+        The cost is O(series written since the last view): the last
+        view's columns dict is copied and only the columns each shard
+        recorded as written are frozen anew — every other column is
+        still the clone :meth:`SeriesData.freeze` returned before.  The
         merged indexes are reused while no series has registered —
         series are never removed, so an equal count means equal sets.
         """
         old, version = self._view, self.version
         if old._version == version:
             return old
-        columns: dict[SeriesId, SeriesData] = {}
+        columns = dict(old._columns)
         for shard in self._shards:
-            for series, column in shard.columns.items():
-                columns[series] = column.freeze()
+            for column in shard.written:
+                columns[column.series] = column.freeze()
+            shard.written.clear()
         indexes = (old._by_name, old._by_tag, old._tag_values)
         if len(columns) != len(old._columns):
             indexes = self._merged_indexes()

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.families import FamilySet, FeatureFamily
 from repro.core.hypothesis import generate_hypotheses
@@ -20,6 +21,7 @@ from repro.core.ranking import (
     rank_families,
     ranking_sort_key,
 )
+from repro.scoring.table import ranking_order
 
 #: Deliberately non-alphabetical insertion order.
 TIED_NAMES = ("zeta", "alpha", "mid", "beta", "omega")
@@ -55,6 +57,21 @@ class TestRankingSortKey:
         assert a < b
         # The key substitutes a constant for NaN: comparable, not NaN.
         assert a == (1, 0.0, "alpha")
+
+
+@given(st.lists(st.tuples(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1e-300, math.inf, -math.inf,
+                     math.nan, 0.25]),
+    st.sampled_from(["a", "b", "ab", "B", "é", "zeta", ""])), max_size=24))
+def test_ranking_order_is_the_sort_key_order(rows):
+    """The vectorised order equals a stable sort by ``ranking_sort_key``
+    (the per-row reference), signed zeros, infinities, NaNs and repeated
+    names included."""
+    scores = np.array([score for score, _ in rows], dtype=np.float64)
+    names = [name for _, name in rows]
+    assert ranking_order(scores, names) == sorted(
+        range(len(rows)),
+        key=lambda i: ranking_sort_key(float(scores[i]), names[i]))
 
 
 class TestTiedScores:

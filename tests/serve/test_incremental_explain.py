@@ -17,11 +17,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.families as families_module
 import repro.serve.server as server_module
+from repro.core.families import families_from_store
 from repro.engine_exec.executor import HypothesisExecutor
 from repro.scoring import get_scorer
 from repro.serve import QueryServer
 from repro.tsdb.model import SeriesId
+from repro.tsdb.query import ScanQuery
 from repro.tsdb.storage import TimeSeriesStore
 
 N = 48
@@ -211,6 +214,154 @@ def test_grid_move_rescores_everything(scored):
 
 
 # ---------------------------------------------------------------------------
+# A refresh touches only the written families
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def refresh_work(monkeypatch):
+    """Store scans and per-member alignments the family builds ran."""
+    work = {"scans": 0, "aligned": 0}
+    real_run, real_align = ScanQuery.run, families_module.align_to_grid
+
+    def run(self, store):
+        work["scans"] += 1
+        return real_run(self, store)
+
+    def align(*args):
+        work["aligned"] += 1
+        return real_align(*args)
+
+    monkeypatch.setattr(ScanQuery, "run", run)
+    monkeypatch.setattr(families_module, "align_to_grid", align)
+    return work
+
+
+LATE_H1 = SeriesId.make("late", {"host": "h1"})
+
+
+def two_member_late_store():
+    """``build_store`` plus a second ``late`` member, so the written
+    family has more members than the one written."""
+    store = build_store()
+    store.insert_array(LATE_H1, np.arange(N - 10, dtype=np.int64),
+                       np.cos(np.arange(N - 10.0)))
+    return store
+
+
+def explain_after(server, work, scored, write):
+    """Counts of one explain's refresh after ``write()``."""
+    work.update(scans=0, aligned=0)
+    scored.clear()
+    write()
+    result = server.submit_explain("target", scorer="CorrMax").result()
+    counts = work["scans"], work["aligned"], scored[-1] if scored else []
+    assert table_fields(result.value) == table_fields(
+        cold(result, None, target="target", scorer="CorrMax"))
+    return counts
+
+
+def test_in_horizon_write_aligns_only_the_written_family(refresh_work,
+                                                         scored):
+    store = two_member_late_store()
+    with QueryServer(store) as server:
+        server.explain("target", scorer="CorrMax")
+        for k in range(3):
+            # one aligned family (both ``late`` members), no store scan,
+            # one hypothesis scored
+            assert explain_after(
+                server, refresh_work, scored,
+                lambda: store.insert_array(
+                    LATE, np.asarray([N - 8 + k]), np.asarray([0.5]))
+            ) == (0, 2, ["late"])
+
+
+def test_apply_keeps_the_refresh_and_rescores_what_it_changed(refresh_work,
+                                                              scored):
+    """``apply`` keeps the series set and the span, so the families
+    refresh; rewriting Y still rescores every hypothesis."""
+    store = two_member_late_store()
+    with QueryServer(store) as server:
+        server.explain("target", scorer="CorrMax")
+        assert explain_after(
+            server, refresh_work, scored,
+            lambda: store.apply(LATE_H1, lambda ts, vs: vs * 2.0)
+        ) == (0, 2, ["late"])
+        scans, aligned, names = explain_after(
+            server, refresh_work, scored,
+            lambda: store.apply(SeriesId.make("target", {"host": "h1"}),
+                                lambda ts, vs: vs - 1.0))
+        assert (scans, aligned) == (0, 2)
+        assert sorted(names) == ["cause", "decoy_0", "decoy_1", "late"]
+
+
+@pytest.mark.parametrize("write", ["join", "beyond_horizon"])
+def test_joins_and_grid_moves_take_the_full_build(refresh_work, scored,
+                                                  write):
+    store = two_member_late_store()
+    with QueryServer(store) as server:
+        server.explain("target", scorer="CorrMax")
+        if write == "join":
+            def do():
+                store.insert_array(SeriesId.make("late", {"host": "h2"}),
+                                   np.arange(N - 12, dtype=np.int64),
+                                   np.ones(N - 12))
+        else:
+            def do():
+                store.insert(LATE, N + 2, 0.5)
+        scans, aligned, names = explain_after(server, refresh_work, scored,
+                                              do)
+        assert scans == 1
+        if write == "join":                 # the grid stayed: reuse
+            assert (aligned, names) == (3, ["late"])
+        else:                               # the grid moved: everything
+            assert aligned == len(store)
+            assert sorted(names) == ["cause", "decoy_0", "decoy_1", "late"]
+
+
+def family_fields(families):
+    return [(f.name, f.members, f.grid.tobytes(), f.matrix.tobytes())
+            for f in families]
+
+
+@pytest.mark.parametrize("kwargs, refresh_scans", [
+    ({}, 0),
+    ({"name_filter": "late"}, 1),         # its grid ends inside the span
+    ({"name_filter": "*a*"}, 0),
+    ({"tag_filters": {"host": "h0"}}, 0),
+    ({"tag_filters": {"host": "h1"}}, 0),
+    ({"start": 4}, 1),
+    ({"end": N - 3}, 1),
+    ({"start": 0, "end": N + 20}, 0),
+    ({"group_by": "tag:host", "end": N + 20}, 0),
+])
+def test_refreshed_families_equal_a_cold_build(kwargs, refresh_scans,
+                                               refresh_work):
+    """``families_from_store(previous=...)`` over a chain of writes of
+    every kind equals a cold build at each version; the refresh without
+    a scan is taken exactly when the series set and the span are the
+    previous grid's."""
+    store = two_member_late_store()
+    previous = families_from_store(store, **kwargs)
+    writes = [
+        lambda: store.insert(LATE, N - 8, 0.25),
+        lambda: store.insert_array(LATE_H1, np.asarray([N - 10, N - 9]),
+                                   np.asarray([1.0, -1.0])),
+        lambda: store.apply(SeriesId.make("cause", {"host": "h1"}),
+                            lambda ts, vs: vs + 0.5),
+        lambda: store.insert(SeriesId.make("decoy_0", {"host": "h0"}),
+                             N - 1, 3.0),
+    ]
+    for write in writes:
+        write()
+        refresh_work["scans"] = 0
+        refreshed = families_from_store(store, previous=previous, **kwargs)
+        assert refresh_work["scans"] == refresh_scans
+        assert family_fields(refreshed) == family_fields(
+            families_from_store(store, **kwargs))
+        previous = refreshed
+
+
+# ---------------------------------------------------------------------------
 # A family build never stalls other requests
 # ---------------------------------------------------------------------------
 
@@ -253,6 +404,8 @@ WRITES = st.one_of(
     st.tuples(st.just("new_family"), st.integers(0, 2)),
     st.tuples(st.just("apply"), st.integers(0, len(SERIES) - 1),
               st.floats(-2.0, 2.0, allow_nan=False)),
+    st.tuples(st.just("beat"), st.integers(0, len(SERIES) - 1),
+              st.integers(1, 4)),
 )
 REQUESTS = st.tuples(
     st.just("explain"), st.sampled_from(["CorrMax", "L2"]),
@@ -290,6 +443,15 @@ class Interleaving:
             stamps = np.arange(self.horizon + 1, dtype=np.int64)
             self.store.insert_array(series, stamps,
                                     np.sin(stamps * 0.3 + self.joined))
+        elif kind == "beat":
+            # One-point appends that stay inside the horizon (a series
+            # already at the horizon repeats its last timestamp).
+            series = SERIES[step[1]]
+            for _ in range(step[2]):
+                stamp = min(self.last[series] + 1, self.horizon)
+                self.store.insert_array(series, np.asarray([stamp]),
+                                        np.asarray([float(stamp % 5)]))
+                self.last[series] = stamp
         elif kind == "new_family":
             series = SeriesId.make(f"extra_{step[1]}")
             if series not in self.store:

@@ -56,8 +56,48 @@ class TestChunkedSeriesData:
         col = SeriesData(SeriesId.make("m"))
         col.extend(np.arange(10), np.ones(10))
         col.extend(np.arange(10, 30), np.zeros(20))
-        assert col.num_chunks == 2
+        assert len(col.chunk_stats()) == 2  # one zone map per write
+        assert col.num_chunks == 1          # small chunks merge physically
         assert len(col) == 30
+
+    def test_small_writes_keep_few_physical_chunks(self, tmp_path):
+        """5 000 one-point writes: physical chunks stay bounded, while
+        every read — zone maps (one per write), columns, a clone frozen
+        mid-sequence, the chunkfile round trip — is what one chunk per
+        write gives."""
+        from repro.tsdb.chunkfile import read_chunkfile, write_chunkfile
+        from repro.tsdb.model import ChunkStats, ColumnStats
+
+        n, mid = 5000, 2345
+        values = np.sin(np.arange(n) * 0.1)
+        values[::97] = np.nan
+        expected_segments = [
+            ChunkStats(t, t + 1, ColumnStats(t, t), ColumnStats(None, None)
+                       if np.isnan(v) else ColumnStats(float(v), float(v)))
+            for t, v in enumerate(values.tolist())]
+        store = TimeSeriesStore(n_shards=1)
+        series = SeriesId.make("beat")
+        col = SeriesData(series)
+        for t in range(n):
+            stamp, value = np.asarray([t]), values[t:t + 1]
+            col.extend(stamp, value)
+            store.insert_array(series, stamp, value)
+            if t == mid:
+                frozen = col.freeze()
+        assert col.num_chunks <= -(-n // CHUNK_TARGET) + 1
+        assert store.get(series).num_chunks <= -(-n // CHUNK_TARGET) + 1
+
+        def same(column, upto):
+            ts, vals = column.arrays()
+            assert ts.tobytes() == np.arange(upto, dtype=np.int64).tobytes()
+            assert vals.tobytes() == values[:upto].tobytes()
+            assert list(column.chunk_stats()) == expected_segments[:upto]
+
+        same(col, n)
+        same(frozen, mid + 1)
+        same(store.get(series), n)
+        write_chunkfile(store, tmp_path / "beat.tsdb")
+        same(read_chunkfile(tmp_path / "beat.tsdb").get(series), n)
 
     def test_consolidation_compacts_and_caches(self):
         col = SeriesData(SeriesId.make("m"))

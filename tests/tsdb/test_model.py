@@ -1,6 +1,14 @@
 """Unit tests for the tsdb data model."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.tsdb.model import (
     DataPoint,
@@ -64,6 +72,37 @@ class TestSeriesId:
     def test_matches_missing_tag_fails(self):
         s = SeriesId.make("disk", {"host": "d1"})
         assert not s.matches(tags={"rack": "r1"})
+
+    def test_equality_order_and_text_ignore_the_cached_hash(self):
+        a = SeriesId.make("disk", {"host": "d1"})
+        assert a == SeriesId("disk", (("host", "d1"),))
+        assert hash(a) == hash(("disk", (("host", "d1"),)))
+        assert str(a) == "disk{host=d1}"
+        assert repr(a) == "SeriesId(name='disk', tags=(('host', 'd1'),))"
+
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_unpickled_id_hashes_in_its_own_process(self, seed):
+        """String hashes are salted per process: an id pickled here and
+        loaded under another ``PYTHONHASHSEED`` must still find its key
+        in a dict built there."""
+        series = SeriesId.make("disk", {"host": "d1", "type": "read"})
+        code = (
+            "import pickle, sys\n"
+            "from repro.tsdb.model import SeriesId\n"
+            "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+            "here = {SeriesId.make('disk', {'host': 'd1', 'type': 'read'}):"
+            " 'found'}\n"
+            "print(here.get(loaded), hash(loaded) == hash(('disk', ("
+            "('host', 'd1'), ('type', 'read')))))\n")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + [p for p in [os.environ.get("PYTHONPATH")]
+                                if p]))
+        out = subprocess.run([sys.executable, "-c", code],
+                             input=pickle.dumps(series), env=env,
+                             capture_output=True, check=True)
+        assert out.stdout.decode().split() == ["found", "True"]
 
 
 class TestDataPoint:

@@ -236,8 +236,9 @@ class TestReadApiParity:
         public = {name for name in dir(StoreView) if not name.startswith("_")}
         assert public == {
             "arrays", "chunk_stats", "derived", "find", "find_exact", "get",
-            "iter_arrays", "iter_points", "metric_names", "num_points",
-            "read_view", "series_ids", "snapshot",
+            "get_many", "iter_arrays", "iter_points", "metric_names",
+            "num_points", "read_view", "series_ids", "series_token",
+            "snapshot",
             "tag_keys", "tag_values", "time_range", "value_range",
             "version"}
         assert "__len__" in vars(StoreView)
