@@ -10,6 +10,8 @@ by wrapping the functions it calls:
 - ``inherit``: ``_Generation.inherit`` (carrying work across versions);
 - ``hypotheses``: ``generate_hypotheses``;
 - ``scoring``: ``HypothesisExecutor.score``;
+- ``prepare``: ``L2Scorer.prepare`` (the target's (Y, Z) preparation,
+  inside ``scoring``; 0 calls in an op that finds it carried over);
 - ``score_table``: ``build_score_table``;
 - ``op``: the whole ``QueryServer.explain`` call.
 
@@ -48,6 +50,7 @@ import wl_explain  # noqa: E402
 import repro.core.families as families_module  # noqa: E402
 import repro.serve.server as server_module  # noqa: E402
 from repro.engine_exec.executor import HypothesisExecutor  # noqa: E402
+from repro.scoring.joint import L2Scorer  # noqa: E402
 from repro.tsdb.query import ScanQuery  # noqa: E402
 from repro.tsdb.storage import TimeSeriesStore  # noqa: E402
 
@@ -58,6 +61,7 @@ STEPS = {
     "inherit": (server_module._Generation, "inherit"),
     "hypotheses": (server_module, "generate_hypotheses"),
     "scoring": (HypothesisExecutor, "score"),
+    "prepare": (L2Scorer, "prepare"),
     "score_table": (server_module, "build_score_table"),
 }
 

@@ -10,17 +10,20 @@ scored:
    family objects (``generate_hypotheses`` builds Y and Z once and
    shares them across every X, so identity grouping recovers exactly
    the per-iteration structure).
-2. :func:`execute_batches` hands each group to the scorer's
-   ``score_batch`` — one stacked numpy call per group instead of one
-   Python call per hypothesis.  Scorers written as a per-hypothesis
-   ``score`` get :class:`~repro.scoring.base.Scorer`'s looping
-   ``score_batch``, so there is a single execution path.
+2. :func:`execute_batches` prepares each group's (Y, Z) once with the
+   scorer's ``prepare`` — or takes it from a caller's ``targets`` memo
+   — and hands the group's X matrices to ``score_prepared`` — one
+   stacked numpy call per group instead of one Python call per
+   hypothesis.  Scorers written as a per-hypothesis ``score`` get
+   :class:`~repro.scoring.base.Scorer`'s pass-through ``prepare`` and
+   looping ``score_batch``, so there is a single execution path.
 
 Per-hypothesis wall times are not individually observable inside a
 stacked call, but the stacked call itself decomposes: scorers stack
 same-shaped X matrices, so :func:`execute_batches` issues one
-``score_batch`` call *per shape group* (a large group in several
-size-bounded calls) and measures each call's wall time individually.
+``score_prepared`` call *per shape group* (a large group in several
+size-bounded calls) and measures each call's wall time individually;
+the first call of a group also pays the group's ``prepare``.
 Only within one call is the elapsed time attributed as an equal share,
 and the returned ``attributed`` flags mark exactly those shared rows so
 aggregate consumers (Figure 10's max-per-family, the bench harness) can
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -43,7 +46,7 @@ if TYPE_CHECKING:
     from repro.core.families import FeatureFamily
     from repro.core.hypothesis import Hypothesis
 
-#: Largest X block handed to one ``score_batch`` call, in matrix elements
+#: Largest X block handed to one ``score_prepared`` call, in matrix elements
 #: (1 MiB of float64).  Scorers allocate several temporaries the size of
 #: the stack they score, so scoring every same-shaped hypothesis of a
 #: search space in one call makes peak memory grow with the number of
@@ -56,6 +59,15 @@ STACK_ELEMENTS = 1 << 17
 #: a literal like ``0`` that could in principle collide with another
 #: key component.
 _NO_CONDITION = object()
+
+
+class TargetMemo(Protocol):
+    """Where :func:`execute_batches` finds and keeps one scorer's
+    prepared targets, keyed ``(Y family, Z family or None)``."""
+
+    def get(self, key: tuple) -> Any: ...
+
+    def __setitem__(self, key: tuple, target: Any) -> None: ...
 
 
 @dataclass
@@ -107,7 +119,8 @@ def plan_batches(hypotheses: Sequence[Hypothesis]) -> list[HypothesisBatch]:
 
 
 def _stacked_calls(xs: Sequence[np.ndarray]) -> Iterator[list[int]]:
-    """Indices of ``xs`` per ``score_batch`` call: same shape, bounded size."""
+    """Indices of ``xs`` per ``score_prepared`` call: same shape, bounded
+    size."""
     for members in group_by_shape(xs).values():
         step = max(1, STACK_ELEMENTS // max(1, xs[members[0]].size))
         for k in range(0, len(members), step):
@@ -115,20 +128,26 @@ def _stacked_calls(xs: Sequence[np.ndarray]) -> Iterator[list[int]]:
 
 
 def execute_batches(hypotheses: Sequence[Hypothesis], scorer: Scorer,
-                    accounting: SerializationAccounting | None = None
+                    accounting: SerializationAccounting | None = None,
+                    targets: TargetMemo | None = None
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Score all hypotheses group-wise.
 
     Returns ``(scores, seconds, attributed)`` arrays aligned with the
     input order; ``attributed[i]`` is True when ``seconds[i]`` is an
     equal share of a stacked call's elapsed time rather than an
-    individually measured wall time.  Scorers are invoked once per
-    *shape group* (the unit scorers stack internally) — in slices of at
-    most :data:`STACK_ELEMENTS` so temporaries stay bounded — and the
-    elapsed time of each stacked call is measured individually; only
-    the split within one call is attributed.  ``accounting`` performs one
-    serialisation round-trip per hypothesis (restored arrays are bitwise
-    equal, so scores are unaffected).
+    individually measured wall time.  Each group's (Y, Z) is prepared
+    once; scorers are then invoked once per *shape group* (the unit
+    scorers stack internally) — in slices of at most
+    :data:`STACK_ELEMENTS` so temporaries stay bounded — and the elapsed
+    time of each stacked call is measured individually (the first one
+    includes the preparation); only the split within one call is
+    attributed.  ``targets``, when given, is a memo of this scorer's
+    prepared targets keyed ``(Y family, Z family or None)``: a group
+    whose key it holds prepares nothing, and one it lacks is prepared
+    and stored.  ``accounting`` performs one serialisation round-trip
+    per hypothesis (restored arrays are bitwise equal, so scores are
+    unaffected).
     """
     n = len(hypotheses)
     scores = np.empty(n)
@@ -140,10 +159,16 @@ def execute_batches(hypotheses: Sequence[Hypothesis], scorer: Scorer,
         xs = [h.x.matrix for h in batch.hypotheses]
         if accounting is not None:
             xs = [accounting.round_trip(x, y, z)[0] for x in xs]
+        key = (batch.y, batch.z)
+        target = targets.get(key) if targets is not None else None
         for members in _stacked_calls(xs):
             group_xs = [xs[j] for j in members]
             start = time.perf_counter()
-            values = scorer.score_batch(group_xs, y, z)
+            if target is None:
+                target = scorer.prepare(y, z)
+                if targets is not None:
+                    targets[key] = target
+            values = scorer.score_prepared(group_xs, target)
             elapsed = time.perf_counter() - start
             if accounting is not None:
                 accounting.record_score_time(elapsed)

@@ -33,7 +33,11 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.engine_exec.accounting import SerializationAccounting
-from repro.engine_exec.batch import execute_batches, plan_batches
+from repro.engine_exec.batch import (
+    TargetMemo,
+    execute_batches,
+    plan_batches,
+)
 from repro.engine_exec.shm import MatrixRef, SharedMatrixPool, resolve_refs
 from repro.scoring.base import Scorer
 
@@ -122,7 +126,8 @@ class HypothesisExecutor:
     def score(self, hypotheses: Sequence[Hypothesis], scorer: Scorer,
               shm_jobs: Sequence[ShmJob] | None = None,
               process_pool: ProcessPoolExecutor | None = None,
-              accounting: SerializationAccounting | None = None
+              accounting: SerializationAccounting | None = None,
+              targets: TargetMemo | None = None
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(scores, seconds, attributed)`` aligned with ``hypotheses``.
 
@@ -139,10 +144,14 @@ class HypothesisExecutor:
         matrices already published with :func:`share_shm_jobs` instead
         of re-copying them, and ``process_pool`` reuses a long-lived pool
         instead of forking one per call.  The caller owns the lifetime
-        of both — this method never closes them.
+        of both — this method never closes them.  ``targets`` is the
+        in-process memo of prepared (Y, Z) targets that
+        :func:`~repro.engine_exec.batch.execute_batches` reads and fills;
+        pool jobs score one hypothesis each and prepare their own.
         """
         if self.backend is None:
-            return execute_batches(hypotheses, scorer, accounting=accounting)
+            return execute_batches(hypotheses, scorer, accounting=accounting,
+                                   targets=targets)
         scores, seconds = self._run_processes(
             hypotheses, scorer, accounting, shm_jobs, process_pool)
         return scores, seconds, np.zeros(len(hypotheses), dtype=bool)

@@ -6,13 +6,16 @@ that share the same (Y, Z) matrices and scores each group in stacked
 
 - :func:`batched_standardize` — per-slice ``StandardScaler``.
 - :func:`batched_residualize` — residualise ``H`` targets on one shared
-  ``Z``, computing the SVD of ``Z`` once (conditional scoring).
+  ``Z``, computing the SVD of ``Z`` once (conditional scoring); a
+  :class:`ResidualBasis` keeps that SVD for every stack of one target.
 - :func:`batched_cross_val_r2` — the grid-searched k-fold CV of §3.5,
   the only CV algorithm (``cross_val_r2`` is its batch of one), in Gram
   form: one pass over the rows collects per-validation-block sums and
   cross-products, a fold's training statistics are the totals minus
-  its block, each fold is one stacked (H, F, F) ``eigh``, and each
-  penalty is a diagonal rescale of that eigenbasis.
+  its block, all K folds solve in one stacked (K, H, F, F) ``eigh``,
+  and each penalty is a diagonal rescale of that eigenbasis.  Its Y
+  side — the partition and Y's per-block statistics — is a
+  :class:`CvTarget`, prepared once per target by :func:`cv_target`.
 - :func:`batched_pca_truncate` — the PCA truncation of
   :class:`~repro.scoring.projection.PcaL2Scorer` as one stacked SVD.
 
@@ -24,7 +27,10 @@ numpy's linalg gufuncs (``svd``, ``eigh``, ``matmul``) loop LAPACK/BLAS
 over the leading axes with the same per-slice shapes and strides,
 elementwise ops keep a per-slice evaluation order, and the one stacked
 op that could take another BLAS path (``batched_residualize``'s
-intercept GEMV) runs per slice.
+intercept GEMV) runs per slice.  Stacking the folds is bitwise too:
+sums over the fold axis add in fold order, exactly as a loop over the
+folds does (``tests/linmodel/fold_loop.py`` keeps that loop as the
+oracle).
 
 *Parity with the per-fold SVD oracle* (``tests/scoring/reference.py``)
 *is |Δscore| ≤ 1e-9*: the Gram form is algebraically equal but rounds
@@ -40,6 +46,7 @@ columns than training rows) as safe as full-rank ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -108,6 +115,42 @@ def batched_standardize(stack: np.ndarray) -> np.ndarray:
     return centred
 
 
+@dataclass(frozen=True)
+class ResidualBasis:
+    """The shared-``Z`` half of :func:`batched_residualize`: Z's column
+    means and the shrunk SVD of the centred Z, computed once per Z."""
+
+    z: np.ndarray
+    z_mean: np.ndarray
+    u: np.ndarray
+    shrink: np.ndarray
+    vt: np.ndarray
+
+    @classmethod
+    def of(cls, z: np.ndarray, alpha: float) -> "ResidualBasis":
+        z = np.asarray(z, dtype=np.float64)
+        z_mean = z.mean(axis=0)
+        u, s, vt = np.linalg.svd(z - z_mean, full_matrices=False)
+        denom = s**2 + alpha
+        shrink = np.divide(s, denom, out=np.zeros_like(s),
+                           where=denom > 1e-15)
+        return cls(z, z_mean, u, shrink, vt)
+
+    def residualize(self, targets: np.ndarray) -> np.ndarray:
+        """Residualise H stacked targets on this basis's ``Z``."""
+        targets = np.asarray(targets, dtype=np.float64)
+        t_mean = targets.mean(axis=1)                       # (H, F)
+        tc = targets - t_mean[:, None, :]
+        u_t_t = self.u.T @ tc                               # (H, r, F)
+        coef = self.vt.T @ (self.shrink[:, None] * u_t_t)   # (H, nz, F)
+        # (nz,) @ (nz, F) takes the GEMV path sequentially; keep it per
+        # slice.
+        intercept = np.stack([t_mean[h] - self.z_mean @ coef[h]
+                              for h in range(targets.shape[0])])
+        pred = self.z @ coef + intercept[:, None, :]
+        return targets - pred
+
+
 def batched_residualize(targets: np.ndarray, z: np.ndarray,
                         alpha: float) -> np.ndarray:
     """Residualise H stacked targets on one shared design ``Z``.
@@ -116,25 +159,9 @@ def batched_residualize(targets: np.ndarray, z: np.ndarray,
     :func:`repro.scoring.conditional.residualize`, but the SVD of the
     (centred) ``Z`` is computed once for the whole stack — the shared
     residual-projection precompute that makes conditional batch scoring
-    cheap.
+    cheap; a :class:`ResidualBasis` keeps it for many stacks.
     """
-    targets = np.asarray(targets, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    n_stack = targets.shape[0]
-    z_mean = z.mean(axis=0)
-    zc = z - z_mean
-    u, s, vt = np.linalg.svd(zc, full_matrices=False)
-    t_mean = targets.mean(axis=1)                       # (H, F)
-    tc = targets - t_mean[:, None, :]
-    u_t_t = u.T @ tc                                    # (H, r, F)
-    denom = s**2 + alpha
-    shrink = np.divide(s, denom, out=np.zeros_like(s), where=denom > 1e-15)
-    coef = vt.T @ (shrink[:, None] * u_t_t)             # (H, nz, F)
-    # (nz,) @ (nz, F) takes the GEMV path sequentially; keep it per slice.
-    intercept = np.stack([t_mean[h] - z_mean @ coef[h]
-                          for h in range(n_stack)])
-    pred = z @ coef + intercept[:, None, :]
-    return targets - pred
+    return ResidualBasis.of(z, alpha).residualize(targets)
 
 
 def batched_pca_truncate(stack: np.ndarray, d: int) -> np.ndarray:
@@ -155,10 +182,26 @@ def batched_pca_truncate(stack: np.ndarray, d: int) -> np.ndarray:
     return u[:, :, :d] * s[:, None, :d]
 
 
-def _validation_blocks(splitter, n_samples: int) -> list:
-    """Each fold's validation rows, as a slice where contiguous.  A fold's
-    training statistics are "all rows minus its block", so the blocks
-    must partition the rows and train on exactly the complement."""
+@dataclass(frozen=True)
+class _Partition:
+    """A partition splitter's validation blocks in fold order, laid out
+    for stacking: ``order`` lists the rows block after block (``None``
+    when that is ``0..T-1``), and ``runs`` cuts it into runs of
+    consecutive blocks of one size and one kind as ``(first position in
+    order, blocks, rows per block, contiguous)``.  A block of
+    consecutive rows is centred as a row slice of X (C-contiguous rows),
+    any other as a gather (rows strided by the stack), and each run
+    reshapes to ``(blocks, rows, ...)`` with its blocks' layout."""
+
+    order: np.ndarray | None
+    runs: tuple[tuple[int, int, int, bool], ...]
+    n_samples: int
+
+
+def _partition(splitter, n_samples: int) -> _Partition:
+    """A fold's training statistics are "all rows minus its block", so
+    the blocks must partition the rows and train on exactly the
+    complement."""
     blocks, held_out = [], np.zeros(n_samples, dtype=int)
     for train_idx, valid_idx in splitter.split(n_samples):
         held = np.zeros(n_samples, dtype=bool)
@@ -166,15 +209,100 @@ def _validation_blocks(splitter, n_samples: int) -> list:
         held_out += held
         if not np.array_equal(np.sort(train_idx), np.flatnonzero(~held)):
             raise ValueError("cross-validation needs a partition splitter")
-        contiguous = len(valid_idx) and np.all(np.diff(valid_idx) == 1)
-        blocks.append(slice(valid_idx[0], valid_idx[-1] + 1) if contiguous
-                      else np.asarray(valid_idx))
+        blocks.append(np.asarray(valid_idx))
     if not np.all(held_out == 1):
         raise ValueError("cross-validation needs a partition splitter")
-    return blocks
+    runs: list[list] = []
+    start = 0
+    for block in blocks:
+        contiguous = bool(len(block)) and bool(np.all(np.diff(block) == 1))
+        if runs and runs[-1][2:] == [len(block), contiguous]:
+            runs[-1][1] += 1
+        else:
+            runs.append([start, 1, len(block), contiguous])
+        start += len(block)
+    order = np.concatenate(blocks)
+    in_order = np.array_equal(order, np.arange(n_samples))
+    return _Partition(None if in_order else order,
+                      tuple(tuple(run) for run in runs), n_samples)
 
 
-def signed_cv_r2(x_stack: np.ndarray, y: np.ndarray,
+@lru_cache(maxsize=64)
+def _contiguous_partition(n_splits: int, n_samples: int) -> _Partition:
+    return _partition(TimeSeriesKFold(n_splits=n_splits), n_samples)
+
+
+def _fold_total(per_fold: np.ndarray) -> np.ndarray:
+    """``0 + s_0 + s_1 + ...`` over the leading fold axis, in fold order.
+
+    ``accumulate`` adds strictly in sequence (an axis-0 ``sum`` may add
+    pairwise), and the trailing ``+ 0.0`` turns the one value a sum that
+    starts from 0 can never produce, -0.0, into +0.0.
+    """
+    return np.add.accumulate(per_fold, axis=0)[-1] + 0.0
+
+
+@dataclass(frozen=True)
+class CvTarget:
+    """The Y side of :func:`signed_cv_r2`, prepared once per target.
+
+    Everything a fold needs from Y alone: the partition, Y centred on
+    its full-sample mean (as one ``(blocks, rows, ny)`` view per run of
+    equal-sized blocks), and per fold the held-out row count, the
+    training rows and mean, the held-out sum re-centred on that mean,
+    and the held-out total sum of squares.
+    """
+
+    partition: _Partition
+    y_runs: tuple[np.ndarray, ...]
+    n_held: np.ndarray               # (K,)
+    n_train: np.ndarray              # (K,)
+    train_mean: np.ndarray           # (K, ny)
+    held_sum: np.ndarray             # (K, ny) Σy_b − n_b·mean
+    held_tss: np.ndarray             # (K,)
+    tss: float
+
+
+def cv_target(y: np.ndarray, n_splits: int = 5,
+              splitter=None) -> CvTarget:
+    """Prepare ``y`` for :func:`signed_cv_r2`; the contiguous default
+    partition is built once per ``(n_splits, T)``."""
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    if y.ndim == 1:
+        y = y[:, None]
+    n_samples = y.shape[0]
+    partition = (_contiguous_partition(n_splits, n_samples)
+                 if splitter is None else _partition(splitter, n_samples))
+    yc = y - y.mean(axis=0)
+    if partition.order is not None:
+        yc = yc[partition.order]
+    blocks = [yc[start + k * size:start + (k + 1) * size]
+              for start, count, size, _ in partition.runs
+              for k in range(count)]
+    held_sums = [yb.sum(axis=0) for yb in blocks]
+    n_all, sy_all = sum(len(yb) for yb in blocks), sum(held_sums)
+    n_held, n_train, means, rests, tss_b = [], [], [], [], []
+    tss = 0.0
+    for yb, sy_b in zip(blocks, held_sums):
+        n_b = yb.shape[0]
+        n_t = n_all - n_b
+        my = (sy_all - sy_b) / n_t
+        tss_fold = (float(np.sum(yb * yb)) - 2.0 * float(my @ sy_b)
+                    + n_b * float(my @ my))
+        n_held.append(n_b)
+        n_train.append(n_t)
+        means.append(my)
+        rests.append(sy_b - n_b * my)
+        tss_b.append(tss_fold)
+        tss += tss_fold
+    y_runs = tuple(yc[start:start + count * size].reshape(count, size, -1)
+                   for start, count, size, _ in partition.runs)
+    return CvTarget(partition, y_runs, np.asarray(n_held, dtype=np.float64),
+                    np.asarray(n_train, dtype=np.float64), np.stack(means),
+                    np.stack(rests), np.asarray(tss_b), tss)
+
+
+def signed_cv_r2(x_stack: np.ndarray, y: np.ndarray | CvTarget,
                  alphas: Sequence[float] = DEFAULT_ALPHAS,
                  n_splits: int = 5, splitter=None) -> np.ndarray:
     """Unclipped pooled out-of-fold r², shape ``(len(alphas), H)``.
@@ -182,53 +310,82 @@ def signed_cv_r2(x_stack: np.ndarray, y: np.ndarray,
     ``1 - RSS/TSS`` pooled over every held-out row, with each fold's
     *training* mean of Y as the baseline predictor; 0 where Y has no
     variance.  Negative where a penalty overfits — the NULL density of
-    Figure 13 — which :func:`batched_cross_val_r2` clips.
+    Figure 13 — which :func:`batched_cross_val_r2` clips.  ``y`` may be
+    a :class:`CvTarget` already prepared (``n_splits`` and ``splitter``
+    are then those it was prepared with).
+
+    All K folds are solved together: each block's statistics stack into
+    ``(K, H, ...)`` arrays, one ``eigh`` runs over ``(K, H, F, F)``, and
+    the penalties and the RSS broadcast over the fold axis.  Every
+    per-fold slice is computed with the same operands, shapes and
+    strides as a loop over the folds would use, so the result is
+    bitwise that loop's.
     """
     alphas = np.asarray(positive_alphas(alphas))
+    target = y if isinstance(y, CvTarget) else cv_target(y, n_splits,
+                                                         splitter)
     x_stack = np.ascontiguousarray(x_stack, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    if y.ndim == 1:
-        y = y[:, None]
-    n_samples = x_stack.shape[1]
-    blocks = _validation_blocks(
-        splitter or TimeSeriesKFold(n_splits=n_splits), n_samples)
+    n_stack, n_samples, n_features = x_stack.shape
+    if n_samples != target.partition.n_samples:
+        raise ValueError(f"X has {n_samples} rows but Y has "
+                         f"{target.partition.n_samples}")
     x_mean = (_column_sums(x_stack) / n_samples)[:, None, :]
-    yc = y - y.mean(axis=0)
+    order = target.partition.order
+    if order is None:
+        xc = x_stack - x_mean
     # One pass over the rows: per block, on full-sample-centred columns,
-    # the row count, column sums, X_bᵀX_b, X_bᵀy_b and Σy_b².  A
-    # contiguous block is a slice view, so centring makes the only copy.
-    stats = []
-    for block in blocks:
-        xb = x_stack[:, block] - x_mean
-        yb = yc[block]
-        xbt = np.swapaxes(xb, 1, 2)
-        stats.append((yb.shape[0], _column_sums(xb), yb.sum(axis=0),
-                      xbt @ xb, xbt @ yb, float(np.sum(yb * yb))))
-    n_all, sx_all, sy_all, gram_all, cross_all = (
-        sum(block_stats[i] for block_stats in stats) for i in range(5))
-    rss = np.zeros((alphas.size, x_stack.shape[0]))
-    tss = 0.0
-    for n_b, sx_b, sy_b, gram_b, cross_b, yy_b in stats:
-        n_t = n_all - n_b
-        mx = (sx_all - sx_b) / n_t                       # (H, F) train means
-        my = (sy_all - sy_b) / n_t                       # (ny,)
-        gram = gram_all - gram_b - n_t * mx[:, :, None] * mx[:, None, :]
-        cross = cross_all - cross_b - n_t * mx[:, :, None] * my
-        # The held-out block re-centred on the training means.
-        q_b = (gram_b - sx_b[:, :, None] * mx[:, None, :]
-               - mx[:, :, None] * (sx_b - n_b * mx)[:, None, :])
-        p_b = (cross_b - sx_b[:, :, None] * my
-               - mx[:, :, None] * (sy_b - n_b * my))
-        tss_b = yy_b - 2.0 * float(my @ sy_b) + n_b * float(my @ my)
-        lam, vec = np.linalg.eigh(gram)
-        shrink = 1.0 / (np.maximum(lam, 0.0) + alphas[:, None, None])
-        coef = vec @ (shrink[..., None] * (np.swapaxes(vec, 1, 2) @ cross))
-        rss += (tss_b - 2.0 * np.sum(coef * p_b, axis=(2, 3))
-                + np.sum(coef * (q_b @ coef), axis=(2, 3)))
-        tss += tss_b
-    if tss <= 1e-12:
+    # the column sums, X_bᵀX_b and X_bᵀy_b, stacked (K, H, ...).  Each
+    # run of blocks is a (H, blocks, rows, F) view.
+    sx_b, gram_b, cross_b = [], [], []
+    for (start, count, size, contiguous), yb in zip(target.partition.runs,
+                                                    target.y_runs):
+        stop = start + count * size
+        if order is None:
+            run = xc[:, start:stop]
+        else:
+            run = x_stack[:, order[start:stop]] - x_mean
+            if contiguous:
+                run = np.ascontiguousarray(run)
+        xb = run.reshape(n_stack, count, size, n_features).swapaxes(0, 1)
+        xbt = np.swapaxes(xb, 2, 3)
+        sx_b.append(np.ones(size) @ xb)
+        gram_b.append(xbt @ xb)
+        cross_b.append(xbt @ yb[:, None])
+    sx_b, gram_b, cross_b = (parts[0] if len(parts) == 1
+                             else np.concatenate(parts)
+                             for parts in (sx_b, gram_b, cross_b))
+    n_b = target.n_held[:, None, None]
+    n_t = target.n_train[:, None, None]
+    sx_all = _fold_total(sx_b)
+    mx = (sx_all - sx_b) / n_t                      # (K, H, F) train means
+    my = target.train_mean[:, None, None, :]        # (K, 1, 1, ny)
+    gram = (_fold_total(gram_b) - gram_b
+            - n_t[..., None] * mx[..., :, None] * mx[..., None, :])
+    cross = _fold_total(cross_b) - cross_b - n_t[..., None] * mx[..., None] * my
+    # The held-out block re-centred on the training means.
+    q_b = (gram_b - sx_b[..., :, None] * mx[..., None, :]
+           - mx[..., :, None] * (sx_b - n_b * mx)[..., None, :])
+    p_b = (cross_b - sx_b[..., None] * my
+           - mx[..., None] * target.held_sum[:, None, None, :])
+    lam, vec = np.linalg.eigh(gram)
+    shrink = 1.0 / (np.maximum(lam, 0.0)[:, None]
+                    + alphas[:, None, None])            # (K, A, H, F)
+    coef = vec[:, None] @ (shrink[..., None]
+                           * (np.swapaxes(vec, 2, 3) @ cross)[:, None])
+    rss = _fold_total(
+        target.held_tss[:, None, None]
+        - 2.0 * np.sum(coef * p_b[:, None], axis=(3, 4))
+        + np.sum(coef * (q_b[:, None] @ coef), axis=(3, 4)))
+    if target.tss <= 1e-12:
         return np.zeros_like(rss)
-    return 1.0 - rss / tss
+    return 1.0 - rss / target.tss
+
+
+def best_cv_scores(signed: np.ndarray) -> np.ndarray:
+    """Per design, the :meth:`CvResult.best_of` score of a
+    :func:`signed_cv_r2` result: each penalty's score clipped below at 0
+    (NaN counts as 0), then the best penalty's."""
+    return np.max(np.where(signed > 0.0, signed, 0.0), axis=0)
 
 
 def batched_cross_val_r2(x_stack: np.ndarray, y: np.ndarray,

@@ -20,7 +20,16 @@ A scorer is written once, as either method of :class:`Scorer`:
 ``score_batch`` must not depend on batch composition: element ``i`` of
 its result is exactly ``score(xs[i], y, z)`` whatever else is in the
 batch, which is what lets the execution layer regroup hypotheses freely
-without changing any Score Table, bit for bit.  The plain 2-D
+without changing any Score Table, bit for bit.
+
+The (Y, Z) side of a batch can be prepared once and scored against many
+times: ``score_prepared(xs, prepare(y, z))`` equals ``score_batch(xs,
+y, z)`` bit for bit, and a prepared target is immutable, so the
+execution layer prepares each (Y, Z) once per ranking and the serving
+tier carries it across store versions while its families survive.  The
+base class prepares nothing (:class:`Target` just holds Y and Z for
+``score_batch``); the ridge scorers validate, standardise and
+residualise Y and collect its cross-validation statistics there.  The plain 2-D
 sequential form of every built-in scorer, kept in
 ``tests/scoring/reference.py``, is the oracle the stacked kernels are
 compared against: bit for bit, except ridge-CV scores (within 1e-9).
@@ -28,13 +37,21 @@ compared against: bit for bit, except ridge-CV scores (within 1e-9).
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 
 class ScoringError(Exception):
     """Raised when a hypothesis cannot be scored."""
+
+
+class Target(NamedTuple):
+    """A (Y, Z) pair as given: what :meth:`Scorer.prepare` returns for a
+    scorer with nothing to prepare."""
+
+    y: np.ndarray
+    z: np.ndarray | None
 
 
 class Scorer:
@@ -65,6 +82,16 @@ class Scorer:
         return np.asarray([float(self.score(x, y, z)) for x in xs],
                           dtype=np.float64)
 
+    def prepare(self, y: np.ndarray, z: np.ndarray | None = None) -> Any:
+        """The (Y, Z) side of a batch, for :meth:`score_prepared`."""
+        return Target(y, z)
+
+    def score_prepared(self, xs: Sequence[np.ndarray],
+                       target: Any) -> np.ndarray:
+        """``score_batch`` against a target from this scorer's
+        :meth:`prepare`; bitwise equal to it."""
+        return self.score_batch(xs, *target)
+
     def __call__(self, x: np.ndarray, y: np.ndarray,
                  z: np.ndarray | None = None) -> float:
         return self.score(x, y, z)
@@ -85,18 +112,41 @@ def validate_batch(xs: Sequence[np.ndarray], y: np.ndarray,
     """
     if not len(xs):
         raise ScoringError("cannot validate an empty batch")
-    x0, y_v, z_v = validate_triple(xs[0], y, z)
-    validated = [x0]
-    for x in xs[1:]:
-        x_v = _as_matrix(x, "X")
-        if x_v.shape[0] != y_v.shape[0]:
+    y_v, z_v = validate_target(y, z)
+    return validate_xs(xs, y_v.shape[0]), y_v, z_v
+
+
+def validate_target(y: np.ndarray, z: np.ndarray | None
+                    ) -> tuple[np.ndarray, np.ndarray | None]:
+    """The (Y, Z) half of :func:`validate_triple`."""
+    y = _as_matrix(y, "Y")
+    if y.shape[1] == 0:
+        raise ScoringError("X and Y must contain at least one metric each")
+    if z is not None:
+        z = _as_matrix(z, "Z")
+        if z.shape[1] == 0:
+            z = None
+        elif z.shape[0] != y.shape[0]:
             raise ScoringError(
-                f"X has {x_v.shape[0]} rows but Y has {y_v.shape[0]}"
+                f"Z has {z.shape[0]} rows but Y has {y.shape[0]}"
+            )
+    return y, z
+
+
+def validate_xs(xs: Sequence[np.ndarray], n_rows: int) -> list[np.ndarray]:
+    """The X half of :func:`validate_triple`, for every X of a batch
+    against a target of ``n_rows`` rows."""
+    validated = []
+    for x in xs:
+        x_v = _as_matrix(x, "X")
+        if x_v.shape[0] != n_rows:
+            raise ScoringError(
+                f"X has {x_v.shape[0]} rows but Y has {n_rows}"
             )
         if x_v.shape[1] == 0:
             raise ScoringError("X and Y must contain at least one metric each")
         validated.append(x_v)
-    return validated, y_v, z_v
+    return validated
 
 
 def group_by_shape(matrices: Sequence[np.ndarray]) -> dict[tuple[int, ...],
@@ -116,23 +166,8 @@ def validate_triple(x: np.ndarray, y: np.ndarray,
                     z: np.ndarray | None) -> tuple[np.ndarray, np.ndarray,
                                                    np.ndarray | None]:
     """Coerce a hypothesis triple to aligned 2-D float matrices."""
-    x = _as_matrix(x, "X")
-    y = _as_matrix(y, "Y")
-    if x.shape[0] != y.shape[0]:
-        raise ScoringError(
-            f"X has {x.shape[0]} rows but Y has {y.shape[0]}"
-        )
-    if x.shape[1] == 0 or y.shape[1] == 0:
-        raise ScoringError("X and Y must contain at least one metric each")
-    if z is not None:
-        z = _as_matrix(z, "Z")
-        if z.shape[1] == 0:
-            z = None
-        elif z.shape[0] != x.shape[0]:
-            raise ScoringError(
-                f"Z has {z.shape[0]} rows but X has {x.shape[0]}"
-            )
-    return x, y, z
+    y, z = validate_target(y, z)
+    return validate_xs([x], y.shape[0])[0], y, z
 
 
 def _as_matrix(a: np.ndarray, label: str) -> np.ndarray:

@@ -9,9 +9,10 @@ non-empty Z the three-regression conditional procedure is used instead.
 slower (no shared factorisation across the penalty path) but yields
 similar rankings, which the ablation benchmark confirms.
 
-``L2Scorer.score_batch`` standardises Y (and Z) once, residualises Y
-on Z once per batch, and cross-validates each shape group of X in one
-Gram-form call.  ``L1Scorer.score_batch`` cannot stack the X-side work
+``L2Scorer.prepare`` does all the (Y, Z) work once per target — it
+standardises Y and Z, residualises Y on Z, and collects Y's per-block
+cross-validation statistics — and ``score_prepared`` cross-validates
+each shape group of X against it in one Gram-form call.  ``L1Scorer.score_batch`` cannot stack the X-side work
 (coordinate descent shares no factorisation across designs); it
 standardises and residualises Y once per batch and cross-validates each
 X with :func:`~repro.linmodel.model_selection.lasso_cross_val_r2`.
@@ -19,27 +20,45 @@ X with :func:`~repro.linmodel.model_selection.lasso_cross_val_r2`.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro.linmodel.batched import (
+    CvTarget,
+    ResidualBasis,
     as_stack,
-    batched_cross_val_r2,
-    batched_residualize,
     batched_standardize,
+    best_cv_scores,
+    cv_target,
     positive_alphas,
+    signed_cv_r2,
 )
 from repro.linmodel.model_selection import lasso_cross_val_r2
 from repro.linmodel.preprocessing import StandardScaler
 from repro.linmodel.ridge import DEFAULT_ALPHAS
 from repro.scoring.base import (
     Scorer,
+    ScoringError,
     group_by_shape,
     register_scorer,
     validate_batch,
+    validate_target,
+    validate_xs,
 )
 from repro.scoring.conditional import RESIDUAL_ALPHA, residualize
+
+
+@dataclass(frozen=True)
+class L2Target:
+    """A (Y, Z) pair prepared by :meth:`L2Scorer.prepare`: Y standardised
+    and residualised on Z, its cross-validation statistics, and the
+    basis that residualises each X on the standardised Z."""
+
+    rows: int
+    cv: CvTarget
+    z_basis: ResidualBasis | None
 
 
 class L2Scorer(Scorer):
@@ -56,26 +75,43 @@ class L2Scorer(Scorer):
     def score_batch(self, xs: Sequence[np.ndarray], y: np.ndarray,
                     z: np.ndarray | None = None) -> np.ndarray:
         """Vectorized scoring of many X against one shared (Y, Z)."""
-        out = np.empty(len(xs))
         if not len(xs):
-            return out
-        validated, y_v, z_v = validate_batch(xs, y, z)
+            return np.empty(0)
+        return self.score_prepared(xs, self.prepare(y, z))
+
+    def prepare(self, y: np.ndarray,
+                z: np.ndarray | None = None) -> L2Target:
+        """Everything Y and Z contribute to a score, done once."""
+        y_v, z_v = validate_target(y, z)
+        if y_v.shape[0] < self.n_splits:
+            raise ScoringError(
+                f"Y has {y_v.shape[0]} rows, fewer than the "
+                f"{self.n_splits} cross-validation folds (n_splits)")
         if self.standardize:
             y_v = StandardScaler().fit_transform(y_v)
             if z_v is not None:
                 z_v = StandardScaler().fit_transform(z_v)
+        z_basis = None
         if z_v is not None:
-            y_v = batched_residualize(y_v[None], z_v, RESIDUAL_ALPHA)[0]
-        for _, indices in group_by_shape(validated).items():
+            z_basis = ResidualBasis.of(z_v, RESIDUAL_ALPHA)
+            y_v = z_basis.residualize(y_v[None])[0]
+        return L2Target(y_v.shape[0], cv_target(y_v, self.n_splits),
+                        z_basis)
+
+    def score_prepared(self, xs: Sequence[np.ndarray],
+                       target: L2Target) -> np.ndarray:
+        """Each shape group of X standardised, residualised and
+        cross-validated in one stacked call."""
+        out = np.empty(len(xs))
+        validated = validate_xs(xs, target.rows)
+        for indices in group_by_shape(validated).values():
             stack = as_stack([validated[i] for i in indices])
             if self.standardize:
                 stack = batched_standardize(stack)
-            if z_v is not None:
-                stack = batched_residualize(stack, z_v, RESIDUAL_ALPHA)
-            results = batched_cross_val_r2(stack, y_v, alphas=self.alphas,
-                                           n_splits=self.n_splits)
-            for i, result in zip(indices, results):
-                out[i] = float(np.clip(result.best_score, 0.0, 1.0))
+            if target.z_basis is not None:
+                stack = target.z_basis.residualize(stack)
+            signed = signed_cv_r2(stack, target.cv, self.alphas)
+            out[indices] = np.clip(best_cv_scores(signed), 0.0, 1.0)
         return out
 
 

@@ -9,13 +9,14 @@ regression misses.
 
 ``LaggedScorer`` is registered as ``L2-lag2`` (the default (0, 1, 2)
 lags over the inner L2): lagging is per-X and deterministic, so
-``score_batch`` lags each X once and hands the whole batch to the inner
-scorer.
+``prepare`` lags Z once and hands Y and the lagged Z to the inner
+scorer's ``prepare``, and ``score_prepared`` lags each X once and hands
+the whole batch to the inner scorer.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,7 +24,8 @@ from repro.scoring.base import (
     Scorer,
     ScoringError,
     register_scorer,
-    validate_batch,
+    validate_target,
+    validate_xs,
 )
 from repro.scoring.joint import L2Scorer
 
@@ -59,6 +61,14 @@ def lag_matrix(matrix: np.ndarray, lags: Sequence[int]) -> np.ndarray:
     return np.hstack(blocks)
 
 
+class LaggedTarget(NamedTuple):
+    """What :meth:`LaggedScorer.prepare` returns: the row count X must
+    match and the inner scorer's prepared target."""
+
+    rows: int
+    inner: Any
+
+
 class LaggedScorer(Scorer):
     """Wraps another scorer, augmenting X (and Z) with lagged copies."""
 
@@ -72,18 +82,30 @@ class LaggedScorer(Scorer):
 
     def score_batch(self, xs: Sequence[np.ndarray], y: np.ndarray,
                     z: np.ndarray | None = None) -> np.ndarray:
-        """Vectorized scoring: lag each X once, batch the inner scorer.
-
-        Lagging Z preserves the shared-(Y, Z) structure (one lagged Z
-        per batch), so the inner scorer amortises all Y/Z-side work
-        exactly as for unlagged hypotheses.
-        """
+        """Vectorized scoring: lag each X once, batch the inner scorer."""
         if not len(xs):
             return np.empty(0)
-        validated, y_v, z_v = validate_batch(xs, y, z)
-        lagged = [lag_matrix(x, self.lags) for x in validated]
+        return self.score_prepared(xs, self.prepare(y, z))
+
+    def prepare(self, y: np.ndarray,
+                z: np.ndarray | None = None) -> LaggedTarget:
+        """The inner scorer's target over Y and the lagged Z.
+
+        Lagging Z preserves the shared-(Y, Z) structure (one lagged Z
+        per target), so the inner scorer amortises all Y/Z-side work
+        exactly as for unlagged hypotheses.
+        """
+        y_v, z_v = validate_target(y, z)
         z_lagged = lag_matrix(z_v, self.lags) if z_v is not None else None
-        return self._inner.score_batch(lagged, y_v, z_lagged)
+        return LaggedTarget(y_v.shape[0], self._inner.prepare(y_v, z_lagged))
+
+    def score_prepared(self, xs: Sequence[np.ndarray],
+                       target: LaggedTarget) -> np.ndarray:
+        if not len(xs):
+            return np.empty(0)
+        lagged = [lag_matrix(x, self.lags)
+                  for x in validate_xs(xs, target.rows)]
+        return self._inner.score_prepared(lagged, target.inner)
 
 
 def best_lag(x: np.ndarray, y: np.ndarray, max_lag: int = 10,

@@ -25,7 +25,7 @@ designs go to the inner L2 together.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -33,9 +33,12 @@ from repro.linmodel.batched import as_stack, batched_pca_truncate
 from repro.linmodel.ridge import DEFAULT_ALPHAS
 from repro.scoring.base import (
     Scorer,
+    Target,
     group_by_shape,
     register_scorer,
     validate_batch,
+    validate_target,
+    validate_xs,
 )
 from repro.scoring.joint import L2Scorer
 
@@ -74,58 +77,41 @@ class ProjectedL2Scorer(Scorer):
     def score_batch(self, xs: Sequence[np.ndarray], y: np.ndarray,
                     z: np.ndarray | None = None) -> np.ndarray:
         """Vectorized scoring: all projection rounds in one stacked call."""
-        out = np.empty(len(xs))
         if not len(xs):
-            return out
-        # A Y or Z that itself needs projection is re-projected every
-        # round, so rounds cannot stack *across* rounds — but they still
-        # stack across hypotheses: each hypothesis's draws come from a
-        # freshly seeded generator, so every member of one X-shape group
-        # consumes the identical draw sequence.  The X sketch (when X is
-        # wide) and each round's projected Y/Z are therefore shared by
-        # the whole group, and each round scores as one stacked inner
-        # call instead of one Python call per hypothesis.
-        y_arr = np.asarray(y)
-        z_arr = np.asarray(z) if z is not None else None
-        y_wide = y_arr.ndim == 2 and y_arr.shape[1] > self.d
-        z_wide = (z_arr is not None and z_arr.ndim == 2
-                  and z_arr.shape[1] > self.d)
-        if y_wide or z_wide:
-            validated, y_v, z_v = validate_batch(xs, y, z)
-            for shape, indices in group_by_shape(validated).items():
-                rng = np.random.default_rng(self.seed)
-                x_wide = shape[1] > self.d
-                rounds = np.empty((self.n_projections, len(indices)))
-                for r in range(self.n_projections):
-                    # Draw order is part of the score's definition:
-                    # the X sketch (only when X is wide — narrow X
-                    # passes through and consumes no draws), then Y's
-                    # sketch, then Z's.
-                    if x_wide:
-                        sketch = (rng.standard_normal((shape[1], self.d))
-                                  / np.sqrt(self.d))
-                        pxs = [validated[i] @ sketch for i in indices]
-                    else:
-                        pxs = [validated[i] for i in indices]
-                    py = random_projection(y_v, self.d, rng)
-                    pz = (random_projection(z_v, self.d, rng)
-                          if z_v is not None else None)
-                    rounds[r] = self._inner.score_batch(pxs, py, pz)
-                for pos, i in enumerate(indices):
-                    out[i] = float(np.mean(rounds[:, pos]))
-            return out
+            return np.empty(0)
+        return self.score_prepared(xs, self.prepare(y, z))
+
+    def prepare(self, y: np.ndarray, z: np.ndarray | None = None) -> Any:
+        """The inner L2's target when Y and Z pass through unprojected.
+
+        A Y or Z wider than ``d`` is projected afresh in every round,
+        after the X sketch's draws, so it cannot be prepared without X:
+        it is kept as given (a base :class:`Target`).
+        """
+        if self._wide(y) or (z is not None and self._wide(z)):
+            return Target(y, z)
+        return self._inner.prepare(y, z)
+
+    def _wide(self, matrix: np.ndarray) -> bool:
+        matrix = np.asarray(matrix)
+        return matrix.ndim == 2 and matrix.shape[1] > self.d
+
+    def score_prepared(self, xs: Sequence[np.ndarray],
+                       target: Any) -> np.ndarray:
+        if isinstance(target, Target):
+            return self._score_wide_target(xs, *target)
+        out = np.empty(len(xs))
         plain: list[int] = []          # X narrow enough, no projection
         projected: list[int] = []      # only X needs the sketch
-        validated, y_v, z_v = validate_batch(xs, y, z)
+        validated = validate_xs(xs, target.rows)
         for i, x_v in enumerate(validated):
             if x_v.shape[1] > self.d:
                 projected.append(i)
             else:
                 plain.append(i)
         if plain:
-            scores = self._inner.score_batch([validated[i] for i in plain],
-                                             y_v, z_v)
-            out[plain] = scores
+            out[plain] = self._inner.score_prepared(
+                [validated[i] for i in plain], target)
         if projected:
             sketches: list[np.ndarray] = []
             for i in projected:
@@ -135,10 +121,46 @@ class ProjectedL2Scorer(Scorer):
                                                       rng))
                     # Y/Z are at most d wide here: their projections are
                     # identity passthroughs that consume no rng draws.
-            scores = self._inner.score_batch(sketches, y_v, z_v)
+            scores = self._inner.score_prepared(sketches, target)
             per_round = scores.reshape(len(projected), self.n_projections)
             for pos, i in enumerate(projected):
                 out[i] = float(np.mean(per_round[pos]))
+        return out
+
+    def _score_wide_target(self, xs: Sequence[np.ndarray], y: np.ndarray,
+                           z: np.ndarray | None) -> np.ndarray:
+        # A Y or Z that itself needs projection is re-projected every
+        # round, so rounds cannot stack *across* rounds — but they still
+        # stack across hypotheses: each hypothesis's draws come from a
+        # freshly seeded generator, so every member of one X-shape group
+        # consumes the identical draw sequence.  The X sketch (when X is
+        # wide) and each round's projected Y/Z are therefore shared by
+        # the whole group, and each round scores as one stacked inner
+        # call instead of one Python call per hypothesis.
+        out = np.empty(len(xs))
+        if not len(xs):
+            return out
+        validated, y_v, z_v = validate_batch(xs, y, z)
+        for shape, indices in group_by_shape(validated).items():
+            rng = np.random.default_rng(self.seed)
+            x_wide = shape[1] > self.d
+            rounds = np.empty((self.n_projections, len(indices)))
+            for r in range(self.n_projections):
+                # Draw order is part of the score's definition: the X
+                # sketch (only when X is wide — narrow X passes through
+                # and consumes no draws), then Y's sketch, then Z's.
+                if x_wide:
+                    sketch = (rng.standard_normal((shape[1], self.d))
+                              / np.sqrt(self.d))
+                    pxs = [validated[i] @ sketch for i in indices]
+                else:
+                    pxs = [validated[i] for i in indices]
+                py = random_projection(y_v, self.d, rng)
+                pz = (random_projection(z_v, self.d, rng)
+                      if z_v is not None else None)
+                rounds[r] = self._inner.score_batch(pxs, py, pz)
+            for pos, i in enumerate(indices):
+                out[i] = float(np.mean(rounds[:, pos]))
         return out
 
 
@@ -161,19 +183,26 @@ class PcaL2Scorer(Scorer):
 
     def score_batch(self, xs: Sequence[np.ndarray], y: np.ndarray,
                     z: np.ndarray | None = None) -> np.ndarray:
-        """Vectorized scoring: all truncations in one stacked SVD.
-
-        Each X's truncation depends only on that X, so same-shaped wide
-        designs truncate through one
-        :func:`~repro.linmodel.batched.batched_pca_truncate` call and
-        every design then rides the inner L2 batch path against the
-        shared (Y, Z).
-        """
+        """Vectorized scoring: all truncations in one stacked SVD."""
         if not len(xs):
             return np.empty(0)
-        validated, y_v, z_v = validate_batch(xs, y, z)
-        if z_v is not None:
-            z_v = self._truncate(z_v)
+        return self.score_prepared(xs, self.prepare(y, z))
+
+    def prepare(self, y: np.ndarray, z: np.ndarray | None = None) -> Any:
+        """The inner L2's target over Y and the truncated Z."""
+        y_v, z_v = validate_target(y, z)
+        return self._inner.prepare(
+            y_v, self._truncate(z_v) if z_v is not None else None)
+
+    def score_prepared(self, xs: Sequence[np.ndarray],
+                       target: Any) -> np.ndarray:
+        """Each X's truncation depends only on that X, so same-shaped
+        wide designs truncate through one
+        :func:`~repro.linmodel.batched.batched_pca_truncate` call and
+        every design then rides the inner L2 batch path against the
+        shared target.
+        """
+        validated = validate_xs(xs, target.rows)
         truncated: list[np.ndarray] = list(validated)
         for shape, indices in group_by_shape(validated).items():
             if shape[1] <= self.d:
@@ -182,7 +211,7 @@ class PcaL2Scorer(Scorer):
                 as_stack([validated[i] for i in indices]), self.d)
             for pos, i in enumerate(indices):
                 truncated[i] = stack[pos]
-        return self._inner.score_batch(truncated, y_v, z_v)
+        return self._inner.score_prepared(truncated, target)
 
     def _truncate(self, matrix: np.ndarray) -> np.ndarray:
         if matrix.shape[1] <= self.d:

@@ -21,7 +21,9 @@ arrive.  ``QueryServer`` is the long-lived front end for that workload:
   Z)`` families are all reused keeps its score, so an explain after a
   write re-aligns and re-scores only what the write touched — as long
   as the write leaves the time grid in place (one that extends the
-  horizon rebuilds everything);
+  horizon rebuilds everything); the scorer's prepared (Y, Z) target is
+  carried the same way, so a write that leaves the target's families
+  alone prepares nothing;
 - for ``backend="process"`` rankings the state publishes the Y/Z/X
   matrices of the hypotheses it has to score **once per version**
   through the existing :class:`~repro.engine_exec.shm.SharedMatrixPool`
@@ -120,28 +122,31 @@ class _Generation:
     """The explain work of one version that a newer version may reuse.
 
     Its family set, the hypotheses built over it (keyed by ``(X, Y, Z)``
-    family objects) and the scores computed for them (keyed by ``(scorer
-    registry name, X, Y, Z)``, each with its seconds and p-value) —
-    :class:`FeatureFamily` hashes by identity, so a key matches only the
-    very same families.  It holds no snapshot or database, so the
-    server's reference to the latest built generation keeps no other
-    per-version state alive.
+    family objects), the scores computed for them (keyed by ``(scorer
+    registry name, X, Y, Z)``, each with its seconds and p-value) and
+    the scorers' prepared (Y, Z) targets (keyed by ``(scorer registry
+    name, Y, Z)``) — :class:`FeatureFamily` hashes by identity, so a key
+    matches only the very same families.  It holds no snapshot or
+    database, so the server's reference to the latest built generation
+    keeps no other per-version state alive.
     """
 
     def __init__(self) -> None:
         self.families: FamilySet | None = None
         self.hypotheses: dict[tuple, Hypothesis] = {}
         self.scores: dict[tuple, tuple[float, float, float]] = {}
-        self.lock = threading.Lock()     # guards ``hypotheses``, ``scores``
+        self.targets: dict[tuple, Any] = {}
+        # guards ``hypotheses``, ``scores`` and ``targets``
+        self.lock = threading.Lock()
 
     def inherit(self, older: "_Generation", families: FamilySet) -> None:
-        """Take over the hypotheses and scores of ``older`` whose
-        families all survived into ``families``.
+        """Take over the hypotheses, scores and prepared targets of
+        ``older`` whose families all survived into ``families``.
 
         Every key of ``older`` is over its own families, so the ones to
         drop are those naming a family of ``older`` that ``families``
         replaced — typically a handful — and the test per key is a C
-        membership probe of its three families.
+        membership probe of its families.
         """
         replaced = set(older.families).difference(families)
         with older.lock:
@@ -149,9 +154,16 @@ class _Generation:
                 replaced.isdisjoint, older.hypotheses)))
             scores = list(compress(older.scores.items(), map(
                 replaced.isdisjoint, map(_FAMILIES, older.scores))))
+            targets = list(compress(older.targets.items(), map(
+                replaced.isdisjoint, map(_FAMILIES, older.targets))))
         with self.lock:
             self.hypotheses.update(hypotheses)
             self.scores.update(scores)
+            self.targets.update(targets)
+
+    def prepared(self, scorer: str) -> "_PreparedTargets":
+        """``scorer``'s prepared targets, as the executor's memo."""
+        return _PreparedTargets(self, scorer)
 
     def generate(self, target: str, condition: Any, search: tuple | None,
                  exclude: tuple) -> list[Hypothesis]:
@@ -183,6 +195,24 @@ class _Generation:
                                             p_values):
                 self.scores[(scorer, h.x, h.y, h.z)] = (
                     float(score), float(elapsed), float(p))
+
+
+class _PreparedTargets:
+    """One scorer's view of a generation's prepared targets, keyed
+    ``(Y, Z)`` as :func:`~repro.engine_exec.batch.execute_batches`
+    looks them up."""
+
+    def __init__(self, generation: _Generation, scorer: str) -> None:
+        self._generation = generation
+        self._scorer = scorer
+
+    def get(self, key: tuple) -> Any:
+        with self._generation.lock:
+            return self._generation.targets.get((self._scorer, *key))
+
+    def __setitem__(self, key: tuple, target: Any) -> None:
+        with self._generation.lock:
+            self._generation.targets[(self._scorer, *key)] = target
 
 
 class _VersionState:
@@ -552,7 +582,10 @@ class QueryServer:
         ``Scorer`` contract a score depends on those matrices alone, so
         the table is bitwise the one a cold run builds.  The rest (every
         hypothesis, for a live scorer or family object) go through the
-        executor on the configured backend.
+        executor on the configured backend; in-process, a shareable
+        request scores them against the (Y, Z) target the generation
+        holds prepared, and prepares (and keeps) it only when Y or Z was
+        replaced.
         """
         generation = self._generation(state)
         if shareable:
@@ -576,9 +609,11 @@ class QueryServer:
                         (target, condition, tuple(h.name for h in fresh)),
                         fresh)
                 pool = self._process_pool()
+            targets = memo.prepared(name) if shareable else None
             try:
                 new_scores, new_seconds, _ = executor.score(
-                    fresh, scorer, shm_jobs=jobs, process_pool=pool)
+                    fresh, scorer, shm_jobs=jobs, process_pool=pool,
+                    targets=targets)
             except BrokenProcessPool:
                 self._drop_process_pool(pool)
                 raise

@@ -216,7 +216,7 @@ class TestAttributedTimings:
     def test_large_shape_group_scored_in_bounded_calls(self, rng,
                                                        monkeypatch):
         """One shape group larger than the stack bound is split into
-        several ``score_batch`` calls, each timed on its own, without
+        several ``score_prepared`` calls, each timed on its own, without
         changing a score."""
         from repro.engine_exec import batch as batch_module
 
@@ -224,10 +224,10 @@ class TestAttributedTimings:
         scorer = get_scorer("L2")
         whole, _, _ = execute_batches(hypotheses, scorer)
         calls = []
-        original = scorer.score_batch
+        original = scorer.score_prepared
         monkeypatch.setattr(
-            scorer, "score_batch",
-            lambda xs, y, z=None: calls.append(len(xs)) or original(xs, y, z))
+            scorer, "score_prepared",
+            lambda xs, target: calls.append(len(xs)) or original(xs, target))
         x_size = hypotheses[0].x.matrix.size
         monkeypatch.setattr(batch_module, "STACK_ELEMENTS", 3 * x_size)
         split, _, attributed = execute_batches(hypotheses, scorer)

@@ -86,16 +86,16 @@ def scored(monkeypatch):
 
 @pytest.fixture
 def stacked(monkeypatch):
-    """X matrices that reached ``score_batch`` in-process, per call."""
+    """X matrices that reached ``score_prepared`` in-process, per call."""
     calls: list[int] = []
     scorer_type = type(get_scorer("CorrMax"))
-    real = scorer_type.score_batch
+    real = scorer_type.score_prepared
 
-    def spy(self, xs, y, z=None):
+    def spy(self, xs, target):
         calls.append(len(xs))
-        return real(self, xs, y, z)
+        return real(self, xs, target)
 
-    monkeypatch.setattr(scorer_type, "score_batch", spy)
+    monkeypatch.setattr(scorer_type, "score_prepared", spy)
     return calls
 
 
@@ -181,7 +181,7 @@ def test_replaced_families_are_released(monkeypatch):
         assert kept() is not None               # untouched: still in use
 
 
-def test_only_touched_x_matrices_reach_score_batch(stacked):
+def test_only_touched_x_matrices_reach_score_prepared(stacked):
     store = build_store()
     with QueryServer(store) as server:
         server.explain("target", scorer="CorrMax")
@@ -211,6 +211,97 @@ def test_grid_move_rescores_everything(scored):
         assert sorted(scored[-1]) == ["cause", "decoy_0", "decoy_1", "late"]
         assert table_fields(result.value) == table_fields(
             cold(result, None, target="target", scorer="CorrMax"))
+
+
+# ---------------------------------------------------------------------------
+# The target's prepared (Y, Z) side is carried like its scores
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def prepared(monkeypatch):
+    """Targets ``L2-P50`` prepared in-process (one entry per call)."""
+    calls: list[tuple] = []
+    scorer_type = type(get_scorer("L2-P50"))
+    real = scorer_type.prepare
+
+    def spy(self, y, z=None):
+        calls.append(np.shape(y))
+        return real(self, y, z)
+
+    monkeypatch.setattr(scorer_type, "prepare", spy)
+    return calls
+
+
+def explain_prepares(server, prepared, scored, request, write):
+    """Targets prepared and hypotheses scored by one explain after
+    ``write()``; the served table must equal a cold evaluation."""
+    del prepared[:], scored[:]
+    write()
+    result = server.submit_explain(**request).result()
+    counts = len(prepared), sorted(scored[-1]) if scored else []
+    assert table_fields(result.value) == table_fields(
+        cold(result, None, **request))
+    return counts
+
+
+ALL_X = ["cause", "decoy_0", "decoy_1", "late"]
+
+
+@pytest.mark.parametrize("shape", ["plain", "conditioned"])
+def test_prepared_target_is_carried_until_y_or_z_is_written(prepared,
+                                                            scored, shape):
+    store = build_store()
+    request = dict(target="target", scorer="L2-P50", **SHAPES[shape])
+    x_names = [name for name in ALL_X if name != request.get("condition")]
+    with QueryServer(store) as server:
+        assert explain_prepares(server, prepared, scored, request,
+                                lambda: None) == (1, x_names)
+        # In the horizon, not Y or Z: one hypothesis, nothing prepared.
+        assert explain_prepares(
+            server, prepared, scored, request,
+            lambda: store.insert(LATE, N - 8, 0.25)) == (0, ["late"])
+        # Y written: one target, every hypothesis.
+        assert explain_prepares(
+            server, prepared, scored, request,
+            lambda: store.apply(SeriesId.make("target", {"host": "h0"}),
+                                lambda ts, vs: vs + 1.0)) == (1, x_names)
+        if shape == "conditioned":          # Z written: the same
+            assert explain_prepares(
+                server, prepared, scored, request,
+                lambda: store.apply(SeriesId.make("decoy_0", {"host": "h1"}),
+                                    lambda ts, vs: vs * 2.0)
+            ) == (1, x_names)
+        # A grid move rebuilds every family: one target again.
+        assert explain_prepares(
+            server, prepared, scored, request,
+            lambda: store.insert(LATE, N + 4, 0.25)) == (1, x_names)
+
+
+def test_live_scorer_objects_bypass_the_prepared_targets(prepared):
+    store = build_store()
+    live = get_scorer("L2-P50")
+    with QueryServer(store) as server:
+        server.explain("target", scorer=live)
+        assert len(prepared) == 1 and not server._latest.targets
+        server.explain("target", scorer="L2-P50")
+        assert len(prepared) == 2
+        memo = dict(server._latest.targets)
+        assert len(memo) == 1
+        server.explain("target", scorer=live)       # reads nothing
+        assert len(prepared) == 3
+        assert server._latest.targets == memo       # fills nothing
+
+
+def test_replaced_targets_are_dropped_from_the_generation(prepared):
+    store = build_store()
+    with QueryServer(store) as server:
+        server.explain("target", scorer="L2-P50")
+        (key,) = server._latest.targets
+        store.apply(SeriesId.make("target", {"host": "h1"}),
+                    lambda ts, vs: vs - 1.0)
+        server.explain("target", scorer="L2-P50")
+        (newer,) = server._latest.targets
+        assert newer[0] == key[0] and newer[1] is not key[1]
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +499,7 @@ WRITES = st.one_of(
               st.integers(1, 4)),
 )
 REQUESTS = st.tuples(
-    st.just("explain"), st.sampled_from(["CorrMax", "L2"]),
+    st.just("explain"), st.sampled_from(["CorrMax", "L2", "L2-P50"]),
     st.sampled_from(["plain", "conditioned", "search"]))
 STEPS = st.lists(st.one_of(WRITES, REQUESTS), min_size=1, max_size=8)
 SHAPES = {

@@ -16,6 +16,7 @@ from repro.core.families import families_from_store
 from repro.core.hypothesis import generate_hypotheses
 from repro.core.ranking import rank_families
 from repro.scoring import get_scorer
+from repro.scoring.base import ScoringError
 from repro.serve import QueryServer
 from repro.sql import Database
 from repro.tsdb.adapter import register_store
@@ -329,6 +330,22 @@ def test_explain_cache_invalidated_by_ingest(server, store):
     second = server.submit_explain("target_metric").result()
     assert not second.cached
     assert second.version > first.version
+
+
+@pytest.mark.parametrize("backend", [None, "process"])
+@pytest.mark.parametrize("scorer", ["L2", "L2-P50"])
+def test_too_short_a_target_is_a_scoring_error(backend, scorer):
+    """Three samples cannot fill five cross-validation folds: the server
+    raises the scorer's ScoringError, not the splitter's ValueError."""
+    short = TimeSeriesStore()
+    for name, values in [("target", [1.0, 2.0, 4.0]),
+                         ("cause", [0.5, 1.0, 2.5])]:
+        short.insert_array(SeriesId.make(name), np.arange(3, dtype=np.int64),
+                           np.asarray(values))
+    with QueryServer(short, backend=backend, rank_workers=1) as server:
+        with pytest.raises(ScoringError,
+                           match=r"3 rows.*5 cross-validation folds"):
+            server.explain("target", scorer=scorer)
 
 
 def test_process_backend_publishes_matrices_once_per_version(store):
