@@ -248,7 +248,7 @@ class CvTarget:
 
     Everything a fold needs from Y alone: the partition, Y centred on
     its full-sample mean (as one ``(blocks, rows, ny)`` view per run of
-    equal-sized blocks), and per fold the held-out row count, the
+    the partition), and per fold the held-out row count, the
     training rows and mean, the held-out sum re-centred on that mean,
     and the held-out total sum of squares.
     """

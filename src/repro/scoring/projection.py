@@ -21,6 +21,11 @@ and the round still scores as one stacked call.
 whole batch truncates through one stacked SVD
 (:func:`~repro.linmodel.batched.batched_pca_truncate`) and the truncated
 designs go to the inner L2 together.
+
+Both prepare their (Y, Z) side through the inner L2's ``prepare`` —
+the PCA scorer over the truncated Z, the projection scorer whenever
+neither Y nor Z is wider than ``d`` (a wider one is re-projected in
+every round after the X draws, so it cannot be prepared without X).
 """
 
 from __future__ import annotations
