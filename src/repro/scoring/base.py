@@ -29,8 +29,9 @@ execution layer prepares each (Y, Z) once per ranking and the serving
 tier carries it across store versions while its families survive.  The
 base class prepares nothing (:class:`Target` just holds Y and Z for
 ``score_batch``); the ridge scorers validate, standardise and
-residualise Y and collect its cross-validation statistics there.  The plain 2-D
-sequential form of every built-in scorer, kept in
+residualise Y and collect its cross-validation statistics there.
+
+The plain 2-D sequential form of every built-in scorer, kept in
 ``tests/scoring/reference.py``, is the oracle the stacked kernels are
 compared against: bit for bit, except ridge-CV scores (within 1e-9).
 """

@@ -101,8 +101,6 @@ class LaggedScorer(Scorer):
 
     def score_prepared(self, xs: Sequence[np.ndarray],
                        target: LaggedTarget) -> np.ndarray:
-        if not len(xs):
-            return np.empty(0)
         lagged = [lag_matrix(x, self.lags)
                   for x in validate_xs(xs, target.rows)]
         return self._inner.score_prepared(lagged, target.inner)
