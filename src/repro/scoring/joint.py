@@ -102,8 +102,14 @@ class L2Scorer(Scorer):
                        target: L2Target) -> np.ndarray:
         """Each shape group of X standardised, residualised and
         cross-validated in one stacked call."""
-        out = np.empty(len(xs))
-        validated = validate_xs(xs, target.rows)
+        return self.score_validated(validate_xs(xs, target.rows), target)
+
+    def score_validated(self, validated: Sequence[np.ndarray],
+                        target: L2Target) -> np.ndarray:
+        """:meth:`score_prepared` of X that already passed
+        :func:`~repro.scoring.base.validate_xs` against ``target`` — the
+        entry for wrappers that validate X themselves."""
+        out = np.empty(len(validated))
         for indices in group_by_shape(validated).values():
             stack = as_stack([validated[i] for i in indices])
             if self.standardize:

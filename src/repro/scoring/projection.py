@@ -115,7 +115,7 @@ class ProjectedL2Scorer(Scorer):
             else:
                 plain.append(i)
         if plain:
-            out[plain] = self._inner.score_prepared(
+            out[plain] = self._inner.score_validated(
                 [validated[i] for i in plain], target)
         if projected:
             sketches: list[np.ndarray] = []
@@ -126,7 +126,7 @@ class ProjectedL2Scorer(Scorer):
                                                       rng))
                     # Y/Z are at most d wide here: their projections are
                     # identity passthroughs that consume no rng draws.
-            scores = self._inner.score_prepared(sketches, target)
+            scores = self._inner.score_validated(sketches, target)
             per_round = scores.reshape(len(projected), self.n_projections)
             for pos, i in enumerate(projected):
                 out[i] = float(np.mean(per_round[pos]))
@@ -216,7 +216,7 @@ class PcaL2Scorer(Scorer):
                 as_stack([validated[i] for i in indices]), self.d)
             for pos, i in enumerate(indices):
                 truncated[i] = stack[pos]
-        return self._inner.score_prepared(truncated, target)
+        return self._inner.score_validated(truncated, target)
 
     def _truncate(self, matrix: np.ndarray) -> np.ndarray:
         if matrix.shape[1] <= self.d:

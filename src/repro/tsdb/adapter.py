@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.sql.scan import ScanPredicate, ScanReport
 from repro.sql.table import DictColumn, Table
-from repro.tsdb.model import SeriesId
+from repro.tsdb.model import ZONE_FLOATS, ZONE_INTS, SeriesId
 from repro.tsdb.storage import StoreView
 
 TSDB_COLUMNS = ["timestamp", "metric_name", "tag", "value"]
@@ -115,18 +115,17 @@ def _build_index(view: StoreView) -> _Index:
     position = np.empty(order.size, dtype=np.intp)
     position[order] = np.arange(order.size, dtype=np.intp)
     ends = np.cumsum([ts.size for _, ts, _ in items], dtype=np.intp)
-    zones = [(code, seg.timestamps.min, seg.timestamps.max,
-              seg.values.min, seg.values.max)
-             for code, (series, _, _) in enumerate(items)
-             for seg in view.chunk_stats(series)]
-    columns = list(zip(*zones)) or [()] * 5
+    zones = [view.get(series).zone_columns() for series, _, _ in items]
+    ints, floats = (map(np.concatenate, zip(*zones)) if zones else
+                    (np.empty((0, ZONE_INTS), np.int64),
+                     np.empty((0, ZONE_FLOATS))))
+    zone_series = np.repeat(np.arange(len(zones), dtype=np.intp),
+                            [len(z_ints) for z_ints, _ in zones])
     return _Index(
         table, position[:0] if not items else table.column_vectors()[0],
         {series: (code, position[end - ts.size:end], ts)
          for code, ((series, ts, _), end) in enumerate(zip(items, ends))},
-        (np.array(columns[0], dtype=np.intp),
-         *(np.array(c, dtype=np.int64) for c in columns[1:3]),
-         *(np.array(c, dtype=np.float64) for c in columns[3:])))
+        (zone_series, ints[:, 2], ints[:, 3], floats[:, 0], floats[:, 1]))
 
 
 def tsdb_table(store: StoreView,

@@ -169,7 +169,9 @@ class ChunkStats:
     *kept* when :meth:`SeriesData.arrays` compacts physical storage into
     a single array pair — the offsets stay valid because compaction is a
     pure concatenation.  ``apply``-style value rewrites keep boundaries
-    and recompute the value column's range in place.
+    and recompute the value column's range.  The store keeps zone maps
+    as columns (:meth:`SeriesData.zone_columns`); this is their
+    per-chunk projection (:meth:`SeriesData.chunk_stats`).
     """
 
     start: int
@@ -178,17 +180,25 @@ class ChunkStats:
     values: ColumnStats
 
 
-def _chunk_stats(start: int, ts: np.ndarray, vals: np.ndarray) -> ChunkStats:
-    """Compute the zone map of one sealed chunk (ts sorted, never null)."""
-    present = vals
-    if np.isnan(vals.min()):            # NaN propagates: drop the nulls
-        present = vals[~np.isnan(vals)]
-    val_stats = (ColumnStats(min=float(present.min()),
-                             max=float(present.max()))
-                 if present.size else ColumnStats(min=None, max=None))
-    return ChunkStats(start=start, end=start + int(ts.size),
-                      timestamps=ColumnStats(min=int(ts[0]), max=int(ts[-1])),
-                      values=val_stats)
+#: Zone-map columns: per logical chunk, ``[start, end)`` row offsets and
+#: the timestamp min/max (int64), and the value min/max (float64, NaN
+#: when every value of the chunk is NaN).
+ZONE_INTS = 4
+ZONE_FLOATS = 2
+_NO_ZONE_INTS = np.empty((0, ZONE_INTS), dtype=np.int64)
+_NO_ZONE_FLOATS = np.empty((0, ZONE_FLOATS), dtype=np.float64)
+
+
+def _value_range(vals: np.ndarray) -> tuple[float, float]:
+    """(min, max) of a non-empty value column without its NaNs; both
+    NaN when every value is.  Two reductions unless a NaN is present."""
+    lo = vals.min()
+    if lo != lo:                        # NaN propagates: drop the nulls
+        vals = vals[~np.isnan(vals)]
+        if not vals.size:
+            return np.nan, np.nan
+        lo = vals.min()
+    return lo, vals.max()
 
 
 class SeriesData:
@@ -206,6 +216,12 @@ class SeriesData:
       first read after a mutation concatenates and **compacts** the
       chunks into that single pair, so repeated scans are O(1) and the
       data is never held twice.
+    - ``_zone_ints`` / ``_zone_floats`` — the zone maps as two typed
+      columns, one row per sealed logical chunk (see :data:`ZONE_INTS`),
+      of which the first ``_n_zones`` rows are filled.  Rows are only
+      ever appended, and a filled row is never written again: a write
+      that outgrows the capacity and ``replace_values`` allocate anew,
+      so frozen clones share the arrays instead of copying them.
 
     Timestamps must be appended in non-decreasing order, which keeps the
     consolidated arrays sorted and makes min/max O(1) (first element of
@@ -218,7 +234,7 @@ class SeriesData:
 
     __slots__ = ("series", "_chunk_ts", "_chunk_vals", "_buf_ts",
                  "_buf_vals", "_tail", "_frozen", "_length",
-                 "_consolidated", "_segments")
+                 "_consolidated", "_zone_ints", "_zone_floats", "_n_zones")
 
     def __init__(self, series: SeriesId,
                  timestamps: Iterable[int] | np.ndarray | None = None,
@@ -235,9 +251,11 @@ class SeriesData:
         self._frozen: SeriesData | None = None
         self._length = 0
         self._consolidated: tuple[np.ndarray, np.ndarray] | None = None
-        #: zone maps, one per sealed logical chunk; offsets tile
+        #: zone maps, one row per sealed logical chunk; offsets tile
         #: [0, sealed length) and survive physical compaction.
-        self._segments: list[ChunkStats] = []
+        self._zone_ints = _NO_ZONE_INTS
+        self._zone_floats = _NO_ZONE_FLOATS
+        self._n_zones = 0
         if timestamps is not None or values is not None:
             self.extend(timestamps if timestamps is not None else (),
                         values if values is not None else ())
@@ -254,17 +272,20 @@ class SeriesData:
     # ------------------------------------------------------------------
     @classmethod
     def from_sealed(cls, series: SeriesId, timestamps: np.ndarray,
-                    values: np.ndarray,
-                    segments: Iterable[ChunkStats]) -> "SeriesData":
+                    values: np.ndarray, zone_ints: np.ndarray,
+                    zone_floats: np.ndarray) -> "SeriesData":
         """Adopt pre-validated consolidated columns without re-sealing.
 
         The zero-parse load path (:mod:`repro.tsdb.chunkfile`) calls this
-        with memmap-backed column views and the zone maps that were
-        computed when the chunks were originally sealed, so nothing is
-        copied, parsed, or recomputed.  Inputs are **trusted**:
-        ``timestamps`` must be sorted int64, ``values`` float64 of equal
-        length, and ``segments`` must tile ``[0, len)`` in order — the
-        invariants :meth:`extend` enforces on the write path.
+        with memmap-backed column views and the zone-map columns that
+        were computed when the chunks were originally sealed, so nothing
+        is parsed or recomputed.  The zone columns are adopted as given
+        (the column appends to them later, so the caller passes arrays
+        it owns).  Inputs are **trusted**: ``timestamps`` must be sorted
+        int64, ``values`` float64 of equal length, and the zone rows
+        (``(n, ZONE_INTS)`` int64, ``(n, ZONE_FLOATS)`` float64) must
+        tile ``[0, len)`` in order — the invariants :meth:`extend`
+        enforces on the write path.
         """
         column = cls(series=series)
         ts = np.asarray(timestamps)
@@ -276,14 +297,17 @@ class SeriesData:
             column._chunk_vals = [vals]
         column._length = int(ts.size)
         column._consolidated = (ts, vals)
-        column._segments = list(segments)
+        column._zone_ints = zone_ints
+        column._zone_floats = zone_floats
+        column._n_zones = len(zone_ints)
         return column
 
     def freeze(self) -> "SeriesData":
         """A read-only clone that leaves this column exactly as it is.
 
         O(chunks), and no column data moves: the clone copies the chunk
-        *reference* lists and zone maps, and takes the append buffer by
+        *reference* lists, shares the zone-map columns up to their
+        current row count, and takes the append buffer by
         reference together with its current length.  The source only
         ever appends to its buffer arrays or replaces them wholesale, so
         the first ``n`` entries the clone saw never change; the clone
@@ -311,7 +335,9 @@ class SeriesData:
         clone._frozen = None        # never ``clone``: a cycle defers freeing
         clone._length = self._length
         clone._consolidated = self._consolidated
-        clone._segments = list(self._segments)
+        clone._zone_ints = self._zone_ints
+        clone._zone_floats = self._zone_floats
+        clone._n_zones = self._n_zones
         self._frozen = clone
         return clone
 
@@ -406,17 +432,17 @@ class SeriesData:
                 f"{int(ts[0])} < {last}"
             )
         if ts.size > 1:
-            bad = np.flatnonzero(ts[1:] < ts[:-1])
-            if bad.size:
-                i = int(bad[0]) + 1
+            bad = ts[1:] < ts[:-1]
+            if bad.any():
+                i = int(bad.argmax()) + 1
                 raise SeriesFormatError(
                     f"out-of-order append to {self.series}: "
                     f"{int(ts[i])} < {int(ts[i - 1])}"
                 )
         n = int(ts.size)
         self._seal_buffer()
-        self._segments.append(_chunk_stats(self._sealed_length(), ts, vals))
         self._length += n
+        self._push_zone(ts, vals)
         if n < SMALL_WRITE and self._chunk_ts \
                 and self._chunk_ts[-1].size < CHUNK_TARGET:
             ts = np.concatenate((self._chunk_ts.pop(), ts))
@@ -446,12 +472,14 @@ class SeriesData:
         self._consolidated = (ts, vals)
         self._frozen = None
         # Chunk boundaries survive the rewrite; only the value column's
-        # range changes, so recompute each segment over the new column.
-        self._segments = [
-            _chunk_stats(seg.start, ts[seg.start:seg.end],
-                         vals[seg.start:seg.end])
-            for seg in self._segments
-        ]
+        # range changes, so recompute it per chunk into a fresh column
+        # (clones still read the old one).
+        n = self._n_zones
+        floats = np.empty_like(self._zone_floats)      # same capacity
+        for row, (start, end) in enumerate(
+                self._zone_ints[:n, :2].tolist()):
+            floats[row] = _value_range(vals[start:end])
+        self._zone_floats = floats
 
     # ------------------------------------------------------------------
     # Reads
@@ -504,6 +532,7 @@ class SeriesData:
             if self._tail is None:
                 return
             ts, vals, n = self._tail
+            self._grow_zones()      # the zone rows past ours are the source's
             self._seal(ts[:n], vals[:n])
             self._tail = None
 
@@ -517,29 +546,68 @@ class SeriesData:
         vals = np.frombuffer(vals_buf, dtype=np.float64)
         ts.flags.writeable = False
         vals.flags.writeable = False
-        self._segments.append(_chunk_stats(self._sealed_length(), ts, vals))
+        self._push_zone(ts, vals)
         self._chunk_ts.append(ts)
         self._chunk_vals.append(vals)
 
-    def _sealed_length(self) -> int:
-        """Number of points covered by sealed segments (tiling invariant)."""
-        return self._segments[-1].end if self._segments else 0
+    def _push_zone(self, ts: np.ndarray, vals: np.ndarray) -> None:
+        """Append the zone row of the chunk that ends the sealed points
+        (``_length`` already counts it; ``ts`` sorted, never empty)."""
+        n = self._n_zones
+        if n == len(self._zone_ints):
+            self._grow_zones()
+        end = self._length
+        self._zone_ints[n] = (end - ts.size, end, ts[0], ts[-1])
+        self._zone_floats[n] = _value_range(vals)
+        self._n_zones = n + 1
+
+    def _grow_zones(self) -> None:
+        """Move the filled zone rows into fresh, larger arrays."""
+        n = self._n_zones
+        ints = np.empty((max(8, 2 * n), ZONE_INTS), dtype=np.int64)
+        floats = np.empty((len(ints), ZONE_FLOATS), dtype=np.float64)
+        ints[:n] = self._zone_ints[:n]
+        floats[:n] = self._zone_floats[:n]
+        self._zone_ints, self._zone_floats = ints, floats
 
     # ------------------------------------------------------------------
     # Zone maps
     # ------------------------------------------------------------------
-    def chunk_stats(self) -> tuple[ChunkStats, ...]:
-        """Zone maps, one per sealed logical chunk, covering every point.
+    def zone_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The zone maps as read-only columns, one row per sealed logical
+        chunk, covering every point: ``(n, ZONE_INTS)`` int64 start,
+        end, timestamp min and max, and ``(n, ZONE_FLOATS)`` float64
+        value min and max (NaN for an all-NaN chunk).
 
-        The append buffer is sealed first so the returned segments tile
-        the whole series (reads already seal it — see :meth:`arrays`).
-        Maintained incrementally: each chunk's ranges are computed
-        once when it is sealed, survive physical compaction, and are
-        recomputed per segment only when ``replace_values`` rewrites the
-        value column.
+        The append buffer is sealed first so the rows tile the whole
+        series (reads already seal it — see :meth:`arrays`).  Maintained
+        incrementally: each chunk's row is written once when it is
+        sealed, survives physical compaction, and its value range is
+        recomputed only when ``replace_values`` rewrites the value
+        column.
         """
         self._seal_buffer()
-        return tuple(self._segments)
+        ints = self._zone_ints[:self._n_zones]
+        floats = self._zone_floats[:self._n_zones]
+        ints.flags.writeable = False
+        floats.flags.writeable = False
+        return ints, floats
+
+    def chunk_stats(self) -> tuple[ChunkStats, ...]:
+        """:meth:`zone_columns` as one :class:`ChunkStats` per chunk."""
+        ints, floats = self.zone_columns()
+        return tuple(
+            ChunkStats(start, end, ColumnStats(ts_min, ts_max),
+                       ColumnStats(lo, hi) if lo == lo
+                       else ColumnStats(None, None))
+            for (start, end, ts_min, ts_max), (lo, hi)
+            in zip(ints.tolist(), floats.tolist()))
+
+    def chunks(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """The physical chunk arrays, timestamps and values, in time
+        order — every point, without consolidating them."""
+        self._seal_buffer()
+        return list(self._chunk_ts), list(self._chunk_vals)
 
 
 def parse_series_expr(expr: str) -> tuple[str, dict[str, str]]:

@@ -186,19 +186,22 @@ class StoreView:
     def value_range(self) -> tuple[float, float] | None:
         """(min, max) over all non-NaN values, from zone maps only.
 
-        O(total chunks), touching no data column.  ``None`` when the
-        store holds no non-NaN value.
+        O(total chunks) over the zone columns, touching no data column.
+        ``None`` when the store holds no non-NaN value.  Of equal
+        extremes (``0.0`` and ``-0.0``) the first chunk's, in series
+        registration order, wins.
         """
-        lo = hi = None
-        for column in self.read_view()._columns.values():
-            for seg in column.chunk_stats():
-                if seg.values.min is None:
-                    continue
-                lo = seg.values.min if lo is None else min(lo, seg.values.min)
-                hi = seg.values.max if hi is None else max(hi, seg.values.max)
-        if lo is None or hi is None:
+        columns = [column.zone_columns()[1]
+                   for column in self.read_view()._columns.values()]
+        if not columns:
             return None
-        return float(lo), float(hi)
+        floats = np.concatenate(columns)
+        floats = floats[~np.isnan(floats[:, 0])]   # all-NaN chunks
+        if not floats.size:
+            return None
+        lo, hi = floats[:, 0], floats[:, 1]
+        return (float(lo[np.argmax(lo == lo.min())]),
+                float(hi[np.argmax(hi == hi.max())]))
 
     # ------------------------------------------------------------------
     # Scans

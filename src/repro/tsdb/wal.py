@@ -20,9 +20,9 @@ Record framing::
               | n_points * f64 values (LE raw)
 
 All integers are little-endian.  Timestamp/value columns are raw array
-bytes — replay hands them straight to ``np.frombuffer`` and the store's
-bulk path, so a log written at ingest speed also replays at ingest
-speed.  The CRC makes tail truncation unambiguous: a record whose frame
+bytes — replay hands ``np.frombuffer`` views of them straight to the
+store's bulk path, which copies each point once, so a log written at
+ingest speed also replays at ingest speed.  The CRC makes tail truncation unambiguous: a record whose frame
 is incomplete *or* whose checksum fails marks the end of the valid
 prefix, and :class:`WriteAheadLog` truncates the file there on open so
 the next append never interleaves with garbage.
@@ -91,7 +91,11 @@ def encode_record(series: SeriesId, timestamps: np.ndarray,
 
 
 def decode_payload(payload: bytes) -> tuple[SeriesId, np.ndarray, np.ndarray]:
-    """Decode one record payload back into ``(series, timestamps, values)``."""
+    """Decode one record payload back into ``(series, timestamps, values)``.
+
+    The columns are read-only views of ``payload``, not copies: the
+    store's bulk path copies them once, into the chunk it seals.
+    """
     view = memoryview(payload)
     op, name_len = struct.unpack_from("<BH", view, 0)
     if op != _OP_INSERT_ARRAY:
@@ -118,10 +122,11 @@ def decode_payload(payload: bytes) -> tuple[SeriesId, np.ndarray, np.ndarray]:
         raise SeriesFormatError(
             f"WAL payload length {len(payload)} != {expected} "
             f"for {count} points")
-    ts = np.frombuffer(view[pos:pos + 8 * count], dtype="<i8")
-    vals = np.frombuffer(view[pos + 8 * count:expected], dtype="<f8")
-    return SeriesId.make(name, tags), ts.astype(np.int64), \
-        vals.astype(np.float64)
+    ts = np.frombuffer(payload, dtype="<i8", count=count, offset=pos)
+    vals = np.frombuffer(payload, dtype="<f8", count=count,
+                         offset=pos + 8 * count)
+    ts.flags.writeable = vals.flags.writeable = False
+    return SeriesId.make(name, tags), ts, vals
 
 
 def _header(generation: int) -> bytes:

@@ -189,3 +189,51 @@ class TestPcaScorerAblation:
         assert rp_score > 0.5
         assert pca_score < 0.2
         assert rp_score > pca_score
+
+
+class TestValidateOnce:
+    """A wrapper validates each X once: the inner L2 takes the validated
+    designs through ``score_validated`` and never re-validates them."""
+
+    @pytest.mark.parametrize("scorer", [ProjectedL2Scorer(d=5),
+                                        PcaL2Scorer(d=5)],
+                             ids=["projected", "pca"])
+    @pytest.mark.parametrize("z_width", [0, 2])
+    def test_validate_xs_runs_once_per_call(self, scorer, z_width,
+                                            monkeypatch):
+        import repro.scoring.joint as joint
+        import repro.scoring.projection as projection
+
+        rng = np.random.default_rng(7)
+        y = rng.standard_normal((40, 2))
+        z = rng.standard_normal((40, z_width)) if z_width else None
+        # Narrow (plain) and wide (sketched / truncated) designs, one of
+        # them column-major as store-built families are.
+        xs = [rng.standard_normal((40, w)) for w in (1, 3, 9, 9, 2)]
+        xs[2] = np.asfortranarray(xs[2])
+        target = scorer.prepare(y, z)
+
+        # The scores the double-validating path gave.
+        inner = joint.L2Scorer.score_validated
+
+        def revalidating(self, validated, target):
+            return inner(self, joint.validate_xs(validated, target.rows),
+                         target)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(joint.L2Scorer, "score_validated", revalidating)
+            before = scorer.score_prepared(xs, target)
+
+        calls = []
+        original = projection.validate_xs
+
+        def spy(xs, n_rows):
+            calls.append(len(xs))
+            return original(xs, n_rows)
+
+        monkeypatch.setattr(projection, "validate_xs", spy)
+        monkeypatch.setattr(joint, "validate_xs", spy)
+        after = scorer.score_prepared(xs, target)
+        assert calls == [len(xs)]
+        assert after.tobytes() == before.tobytes()
+        assert after.tobytes() == scorer.score_batch(xs, y, z).tobytes()

@@ -2,8 +2,10 @@
 
 The text snapshot is the compatibility oracle: whatever it round-trips,
 the binary path must round-trip byte-identically — while loading
-through memmap views (no copy) and the persisted zone maps (no
-statistics recomputation).
+through memmap views (no copy) and the persisted zone columns (no
+statistics recomputation).  Files of the older layout, whose directory
+carries each series' zone maps as JSON ``segments``, are built here by
+hand (:func:`_write_old_layout`) and must still load.
 """
 
 import json
@@ -17,7 +19,6 @@ from repro.tsdb.chunkfile import (
     MAGIC,
     deserialize_segments,
     read_chunkfile,
-    serialize_segments,
     write_chunkfile,
 )
 from repro.tsdb.model import SeriesFormatError, SeriesId
@@ -81,10 +82,14 @@ class TestRoundTrip:
         def _fail(*args, **kwargs):      # pragma: no cover
             raise AssertionError("zone maps must load, not recompute")
 
-        monkeypatch.setattr(model_module, "_chunk_stats", _fail)
+        monkeypatch.setattr(model_module, "_value_range", _fail)
         loaded = read_chunkfile(path)
         for series, segments in expected.items():
             assert loaded.chunk_stats(series) == segments
+            for got, want in zip(loaded.get(series).zone_columns(),
+                                 store.get(series).zone_columns()):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
     def test_loaded_columns_are_readonly_memmap_views(self, tmp_path):
         path = tmp_path / "snap.tsdb"
@@ -116,13 +121,48 @@ class TestRoundTrip:
                                      read_chunkfile(path))
 
 
+def _segments_json(segments) -> list[dict]:
+    """Zone maps as the older layout's JSON ``segments``."""
+    return [{"start": seg.start, "end": seg.end,
+             "timestamps": {"min": seg.timestamps.min,
+                            "max": seg.timestamps.max},
+             "values": {"min": seg.values.min, "max": seg.values.max}}
+            for seg in segments]
+
+
+def _write_old_layout(store, path, extra_fields=None) -> None:
+    """A chunkfile of the older layout: per series its consolidated
+    columns, and a directory whose entries carry JSON ``segments``
+    (each column range updated with ``extra_fields``) and no zone
+    section."""
+    blobs, entries = [], []
+    offset = len(MAGIC) + 16
+    for series in store.series_ids():
+        ts, vals = store.arrays(series)
+        segments = _segments_json(store.chunk_stats(series))
+        for seg in segments:
+            seg["timestamps"].update(extra_fields or {})
+            seg["values"].update(extra_fields or {})
+        entries.append({"name": series.name,
+                        "tags": [list(pair) for pair in series.tags],
+                        "count": int(ts.size), "ts_offset": offset,
+                        "vals_offset": offset + 8 * int(ts.size),
+                        "segments": segments})
+        blobs += [ts.astype("<i8").tobytes(), vals.astype("<f8").tobytes()]
+        offset += 16 * int(ts.size)
+    payload = json.dumps({"series": entries},
+                         separators=(",", ":")).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<QQ", offset, len(payload))
+                     + b"".join(blobs) + payload)
+
+
 class TestSegmentCodec:
     def test_segments_round_trip_exactly(self):
         store = _adversarial_store()
         for series in store.series_ids():
             segments = list(store.chunk_stats(series))
             assert deserialize_segments(
-                serialize_segments(segments)) == segments
+                json.loads(json.dumps(_segments_json(segments)))) == segments
 
 
 def _directory(path) -> tuple[bytes, int, dict]:
@@ -132,37 +172,58 @@ def _directory(path) -> tuple[bytes, int, dict]:
     return data, offset, json.loads(data[offset:offset + length])
 
 
-def _column_stats(meta):
-    for entry in meta["series"]:
-        for seg in entry["segments"]:
-            yield seg["timestamps"]
-            yield seg["values"]
+def _rewrite_directory(path, data: bytes, offset: int, meta: dict) -> None:
+    payload = json.dumps(meta, separators=(",", ":")).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<QQ", offset, len(payload))
+                     + data[len(MAGIC) + 16:offset] + payload)
 
 
 class TestZoneMapFields:
     def test_directory_records_ranges_only(self, tmp_path):
+        """The directory keeps per-series offsets and counts; zone maps
+        live in the blob area, never as JSON."""
         path = tmp_path / "snap.tsdb"
-        write_chunkfile(_adversarial_store(), path)
-        _, _, meta = _directory(path)
-        assert all(set(stats) == {"min", "max"}
-                   for stats in _column_stats(meta))
+        store = _adversarial_store()
+        write_chunkfile(store, path)
+        _, offset, meta = _directory(path)
+        assert all(set(entry) == {"name", "tags", "count", "ts_offset",
+                                  "vals_offset", "zones_offset", "zones"}
+                   for entry in meta["series"])
+        assert [entry["zones"] for entry in meta["series"]] == [
+            len(store.chunk_stats(s)) for s in store.series_ids()]
+        last = max(meta["series"], key=lambda entry: entry["zones_offset"])
+        assert last["zones_offset"] + 48 * last["zones"] == offset
+
+    def test_old_layout_still_loads(self, tmp_path):
+        store = _adversarial_store()
+        path = tmp_path / "old.tsdb"
+        _write_old_layout(store, path)
+        loaded = read_chunkfile(path)
+        _assert_bitwise_equal_stores(store, loaded)
+        for series in store.series_ids():
+            assert loaded.chunk_stats(series) == store.chunk_stats(series)
 
     def test_directory_with_estimator_fields_still_loads(self, tmp_path):
         """Chunkfiles whose zone maps also carry ``null_count`` and
         ``distinct`` load to the same store and the same zone maps."""
         store = _adversarial_store()
         path = tmp_path / "old.tsdb"
-        write_chunkfile(store, path)
-        data, offset, meta = _directory(path)
-        for stats in _column_stats(meta):
-            stats.update(null_count=0, distinct=1)
-        payload = json.dumps(meta, separators=(",", ":")).encode("utf-8")
-        path.write_bytes(MAGIC + struct.pack("<QQ", offset, len(payload))
-                         + data[len(MAGIC) + 16:offset] + payload)
+        _write_old_layout(store, path, {"null_count": 0, "distinct": 1})
         loaded = read_chunkfile(path)
         _assert_bitwise_equal_stores(store, loaded)
         for series in store.series_ids():
             assert loaded.chunk_stats(series) == store.chunk_stats(series)
+
+    def test_old_layout_loaded_column_keeps_writing(self, tmp_path):
+        """A column adopted from JSON segments appends zone rows."""
+        store = _adversarial_store()
+        path = tmp_path / "old.tsdb"
+        _write_old_layout(store, path)
+        loaded = read_chunkfile(path)
+        series = SeriesId.make("all.nan")
+        loaded.insert_array(series, [3, 4], [-0.0, 2.0])
+        store.insert_array(series, [3, 4], [-0.0, 2.0])
+        assert loaded.chunk_stats(series) == store.chunk_stats(series)
 
 
 class TestFormatErrors:
@@ -176,6 +237,30 @@ class TestFormatErrors:
         path = tmp_path / "short.tsdb"
         path.write_bytes(MAGIC[:4])
         with pytest.raises(SeriesFormatError, match="too short"):
+            read_chunkfile(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("zones_offset", 8), ("zones_offset", -48), ("zones", 10 ** 6),
+        ("zones", -1)])
+    def test_zone_section_out_of_range_rejected(self, tmp_path, field,
+                                                value):
+        path = tmp_path / "zones.tsdb"
+        write_chunkfile(_adversarial_store(), path)
+        data, offset, meta = _directory(path)
+        meta["series"][-1][field] = value
+        _rewrite_directory(path, data, offset, meta)
+        with pytest.raises(SeriesFormatError,
+                           match="zone maps out of range"):
+            read_chunkfile(path)
+
+    def test_zone_section_past_the_directory_rejected(self, tmp_path):
+        path = tmp_path / "zones.tsdb"
+        write_chunkfile(_adversarial_store(), path)
+        data, offset, meta = _directory(path)
+        meta["series"][0]["zones_offset"] = offset
+        _rewrite_directory(path, data, offset, meta)
+        with pytest.raises(SeriesFormatError,
+                           match="zone maps out of range"):
             read_chunkfile(path)
 
     def test_truncated_directory_rejected(self, tmp_path):

@@ -75,6 +75,43 @@ class TestAppendReplay:
             assert np.array_equal(got_ts, ts)
             assert np.array_equal(got_vals, vals, equal_nan=True)
 
+    def test_records_are_readonly_views_equal_to_appended(self, tmp_path):
+        """Decoding copies nothing: each record yields read-only views
+        of its payload, and replay copies each point once into the
+        store, bit for bit (NaN, -0.0 and infinities included)."""
+        path = tmp_path / "ingest.wal"
+        batches = []
+        with WriteAheadLog(path) as log:
+            for i in range(5):
+                ts, vals = _batch(i, n=4 + 7 * i)
+                vals[1:4] = [-0.0, np.inf, -np.inf]
+                batches.append((_series(i % 3), ts, vals))
+                log.append_array(*batches[-1])
+        log = WriteAheadLog(path)
+        records = list(log.records())
+        assert len(records) == len(batches)
+        for (series, ts, vals), (got_series, got_ts, got_vals) in zip(
+                batches, records):
+            assert got_series == series
+            assert got_ts.dtype == np.int64 and got_vals.dtype == np.float64
+            assert not got_ts.flags.writeable
+            assert not got_vals.flags.writeable
+            assert not got_ts.flags.owndata and not got_vals.flags.owndata
+            assert got_ts.tobytes() == ts.tobytes()
+            assert got_vals.tobytes() == vals.tobytes()
+        replayed = TimeSeriesStore()
+        log.replay_into(replayed)
+        log.close()
+        for i in range(3):
+            mine = [b for b in batches if b[0] == _series(i)]
+            got_ts, got_vals = replayed.arrays(_series(i))
+            assert got_ts.tobytes() == b"".join(t.tobytes()
+                                                for _, t, _ in mine)
+            assert got_vals.tobytes() == b"".join(v.tobytes()
+                                                  for _, _, v in mine)
+        assert not np.shares_memory(replayed.arrays(_series(0))[1],
+                                    records[0][2])
+
     def test_reopen_appends_after_existing_records(self, tmp_path):
         path = tmp_path / "ingest.wal"
         with WriteAheadLog(path) as log:
