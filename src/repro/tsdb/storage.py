@@ -188,8 +188,8 @@ class StoreView:
 
         O(total chunks) over the zone columns, touching no data column.
         ``None`` when the store holds no non-NaN value.  Of equal
-        extremes (``0.0`` and ``-0.0``) the first chunk's, in series
-        registration order, wins.
+        extremes (``0.0`` and ``-0.0``) the first chunk's, in the view's
+        column order, wins.
         """
         columns = [column.zone_columns()[1]
                    for column in self.read_view()._columns.values()]

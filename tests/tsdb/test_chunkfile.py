@@ -102,6 +102,22 @@ class TestRoundTrip:
             # Views of the shared file map, not copies.
             assert not ts.flags.owndata and not vals.flags.owndata
 
+    def test_short_writes_are_finished(self, tmp_path, monkeypatch):
+        """A vectored write that stops early (a full disk, a signal) is
+        completed buffer by buffer, so the file is still whole."""
+        import os
+
+        def short_writev(fd, buffers):
+            return os.write(fd, b"".join(bytes(b) for b in buffers)[:37])
+
+        store = _adversarial_store()
+        path = tmp_path / "snap.tsdb"
+        monkeypatch.setattr(os, "writev", short_writev)
+        written = write_chunkfile(store, path)
+        monkeypatch.undo()
+        assert written == path.stat().st_size
+        _assert_bitwise_equal_stores(store, read_chunkfile(path))
+
     def test_empty_store_round_trips(self, tmp_path):
         path = tmp_path / "empty.tsdb"
         write_chunkfile(TimeSeriesStore(), path)
