@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from itertools import chain, compress
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -30,7 +29,7 @@ from repro.tsdb.model import (
     group_key_by_tag,
 )
 from repro.tsdb.query import ScanQuery, align_to_grid
-from repro.tsdb.storage import StoreView
+from repro.tsdb.storage import StoreView, clipped_arrays
 
 
 class FamilyError(Exception):
@@ -191,9 +190,13 @@ def families_from_store(store: StoreView,
     (:attr:`StoreView.series_token`) and the store's span is still
     ``previous``'s grid, the matched series and the grid cannot have
     changed — writes only append and rewrite values inside the span —
-    so the refresh costs identity checks per member plus the
-    re-alignment of the written families: there is no scan, grid or
-    regrouping.
+    so the refresh re-aligns the written families and nothing else:
+    there is no scan, grid or regrouping.  It learns what was written
+    from the store's write log (:meth:`StoreView.written_since`), in
+    O(series written); when the log no longer reaches back to
+    ``previous``'s version it compares every member column by identity
+    instead.  Either way the result's ``origin.realigned`` names the
+    families it re-aligned; it is ``None`` after a full build.
     """
     key_fn = _group_key_fn(group_by)
     view = store.read_view()
@@ -229,41 +232,48 @@ def families_from_store(store: StoreView,
         families.add(_aligned(family_name, sources, [
             result.columns[s] for s in members], grid))
     families.origin = _Origin(
-        build, grid, view.series_token,
-        tuple(chain.from_iterable(f.sources for f in families)),
-        tuple(f.name for f in families for _ in f.sources))
+        build, grid, view.series_token, view.version,
+        {c.series: f.name for f in families for c in f.sources}, None)
     return families
 
 
 class _Origin(NamedTuple):
-    """How :func:`families_from_store` built a set: its arguments, grid
-    and series token, and every member column in family order with the
-    name of the family it belongs to."""
+    """How :func:`families_from_store` built a set: its arguments, grid,
+    series token and store version, the family each member series
+    belongs to, and the names of the families a refresh re-aligned
+    (``None`` for a full build)."""
 
     build: tuple
     grid: np.ndarray
     token: object
-    sources: tuple[SeriesData, ...]
-    owners: tuple[str, ...]
+    version: int
+    owners: dict[SeriesId, str]
+    realigned: tuple[str, ...] | None
 
 
 def _refresh(view: StoreView, previous: FamilySet, start: int | None,
              end: int | None) -> FamilySet:
     """``previous`` at ``view``, whose series set and span it already
-    covers: a family whose member columns are all the identical frozen
-    ones is kept, the others have their members re-aligned."""
+    covers: a family none of whose members was written since is kept,
+    the others have their members re-aligned."""
     origin = previous.origin
-    sources = view.get_many(map(_SERIES, origin.sources))
+    written = view.written_since(origin.version)
+    if written is None:             # the log does not reach back: compare
+        names = [f.name for f in previous
+                 if not all(map(operator.is_, f.sources, view.get_many(
+                     map(_SERIES, f.sources))))]
+    else:
+        owners = origin.owners
+        names = sorted({owners[s] for s in written if s in owners})
     families = FamilySet()
     refreshed = families._families = dict(previous._families)
-    written = compress(origin.owners,
-                       map(operator.is_not, origin.sources, sources))
-    for name in dict.fromkeys(written):
+    for name in names:
         members = view.get_many(map(_SERIES, refreshed[name].sources))
         refreshed[name] = _aligned(name, members, [
-            view.arrays(c.series, start, end) for c in members], origin.grid)
+            clipped_arrays(c, start, end) for c in members], origin.grid)
     families.origin = origin._replace(token=view.series_token,
-                                      sources=sources)
+                                      version=view.version,
+                                      realigned=tuple(names))
     return families
 
 

@@ -41,7 +41,6 @@ from repro.scoring.base import (
     Target,
     group_by_shape,
     register_scorer,
-    validate_batch,
     validate_target,
     validate_xs,
 )
@@ -145,7 +144,8 @@ class ProjectedL2Scorer(Scorer):
         out = np.empty(len(xs))
         if not len(xs):
             return out
-        validated, y_v, z_v = validate_batch(xs, y, z)
+        y_v, z_v = validate_target(y, z)
+        validated = validate_xs(xs, y_v.shape[0])
         for shape, indices in group_by_shape(validated).items():
             rng = np.random.default_rng(self.seed)
             x_wide = shape[1] > self.d
@@ -163,7 +163,11 @@ class ProjectedL2Scorer(Scorer):
                 py = random_projection(y_v, self.d, rng)
                 pz = (random_projection(z_v, self.d, rng)
                       if z_v is not None else None)
-                rounds[r] = self._inner.score_batch(pxs, py, pz)
+                # The sketched X are products of validated designs (or
+                # the designs themselves): only the round's (Y, Z) is
+                # new, so it is prepared and X is not validated again.
+                rounds[r] = self._inner.score_validated(
+                    pxs, self._inner.prepare(py, pz))
             for pos, i in enumerate(indices):
                 out[i] = float(np.mean(rounds[:, pos]))
         return out

@@ -6,16 +6,20 @@ of Appendix A.  :func:`build_score_table` is the one place that turns
 scores into a ranking; it takes score and timing arrays aligned with the
 hypothesis list *by position*, so every execution path
 (:mod:`repro.engine_exec`) hands back plain arrays and families sharing
-a name cannot be confused with one another.  The module sits below the
-execution layer, which builds tables, and is re-exported from
+a name cannot be confused with one another.  :func:`rank_scores` keeps
+what a table was ranked from (a :class:`Ranking`), so a caller that
+changes a few scores re-ranks with :meth:`Ranking.rescored` at the cost
+of what changed, into the table a cold build gives.  The module sits
+below the execution layer, which builds tables, and is re-exported from
 :mod:`repro.core.ranking`, which callers import from.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,9 +51,10 @@ def ranking_sort_key(score: float, family: str) -> tuple:
     return (0, -score, family)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RankedFamily:
-    """One row of the Score Table."""
+    """One row of the Score Table (immutable: tables of different
+    versions share the rows that did not change)."""
 
     rank: int
     family: str
@@ -142,11 +147,207 @@ def ranking_order(scores: np.ndarray, names: Sequence[str]) -> list[int]:
     """Positions sorted by :func:`ranking_sort_key`, with no Python call
     per row: one stable lexsort over (NaN last, score descending, the
     name's place among ``names``)."""
+    nan = np.isnan(scores)
+    return _order(nan, np.where(nan, 0.0, -scores),
+                  _name_ranks(names)).tolist()
+
+
+def _name_ranks(names: Sequence[str]) -> np.ndarray:
+    """Each name's place among ``names`` in ascending order."""
     by_name = sorted(range(len(names)), key=names.__getitem__)
     name_rank = np.empty(len(names), dtype=np.intp)
     name_rank[by_name] = np.arange(len(names))
+    return name_rank
+
+
+#: At most this many rescored rows are re-inserted one by one
+#: (:meth:`Ranking.rescored`); more re-sort every row.
+REINSERT_ROWS = 16
+
+
+class Labels(NamedTuple):
+    """What a Score Table row takes from its hypothesis, by position:
+    ``names``, ``n_features`` and ``name_rank`` (each name's place
+    among ``names``, the ranking's tie-break), plus the target and
+    condition names."""
+
+    target: str
+    condition: str | None
+    names: list[str]
+    n_features: list[int]
+    name_rank: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class Ranking:
+    """A Score Table's ranking and what it was ranked from.
+
+    ``labels``, ``scores``, ``seconds`` and ``p_values`` are by
+    hypothesis position; ``order`` (the positions), ``keys``
+    (the score sort key: ``-score``, ``0.0`` for NaN), ``ranked_names``
+    (``name_rank``), ``significant`` (the BH flags) and ``results`` (the
+    rows) are by rank, and the first ``real`` ranks hold the non-NaN
+    scores.  Nothing here is written after construction: re-ranking
+    builds a new ``Ranking`` that shares what did not change.
+    """
+
+    labels: Labels
+    scores: np.ndarray
+    seconds: np.ndarray
+    p_values: np.ndarray
+    order: np.ndarray
+    keys: list[float]
+    ranked_names: list[int]
+    real: int
+    significant: np.ndarray
+    results: tuple[RankedFamily, ...]
+
+    def rescored(self, positions: Sequence[int], scores: np.ndarray,
+                 seconds: np.ndarray, p_values: np.ndarray) -> "Ranking":
+        """The ranking after the rows at ``positions`` (distinct) were
+        rescored.
+
+        ``scores``, ``seconds`` and ``p_values`` are the full new arrays
+        by position, equal to this ranking's outside ``positions``.
+        The rescored rows leave the order and are re-inserted where
+        :func:`ranking_sort_key` puts them: the other rows keep their
+        relative order, which their keys did not change, so each place
+        is a binary search over ``keys`` among the real scores (then
+        over ``ranked_names`` within the run of equal keys), or over
+        ``ranked_names`` among the NaN rows.  More than
+        :data:`REINSERT_ROWS` rows re-sort everything instead.  The
+        corrections are recomputed over the whole ranked p-value column
+        in one vectorised pass, and every row whose rank and BH flag
+        stayed is reused as the same object: the result is field for
+        field the ranking :func:`rank_scores` builds cold.
+        """
+        if len(positions) > REINSERT_ROWS:
+            return _ranked(self.labels, scores, seconds, p_values,
+                           previous=self, rescored=positions)
+        old = self.order.tolist()
+        order, keys = list(old), list(self.keys)
+        names, real = list(self.ranked_names), self.real
+        first, last = len(order), -1
+        for i in positions:
+            # One row at a time: the rows not yet moved still sit where
+            # their old keys put them, so the lists stay sorted by the
+            # keys they hold.
+            rank = order.index(i)
+            del order[rank], keys[rank], names[rank]
+            real -= rank < real
+            score, name = float(scores[i]), int(self.labels.name_rank[i])
+            if math.isnan(score):
+                key, lo, hi = 0.0, real, len(order)
+            else:
+                key = -score
+                lo = bisect_left(keys, key, 0, real)
+                hi = bisect_right(keys, key, lo, real)
+                real += 1
+            at = bisect_left(names, name, lo, hi)
+            order.insert(at, i)
+            keys.insert(at, key)
+            names.insert(at, name)
+            first, last = min(first, rank, at), max(last, rank, at)
+        moved = set(positions)
+        return _finished(
+            self.labels, scores, seconds, p_values,
+            np.array(order, dtype=np.intp), keys, names, real, self,
+            [rank for rank in range(first, last + 1)
+             if order[rank] != old[rank] or order[rank] in moved])
+
+    def table(self, scorer_name: str, top_k: int = DEFAULT_TOP_K,
+              total_seconds: float = 0.0) -> ScoreTable:
+        """The Score Table of this ranking."""
+        results = list(self.results)
+        return ScoreTable(
+            results=results,
+            scorer_name=scorer_name,
+            target=self.labels.target,
+            condition=self.labels.condition,
+            n_hypotheses=len(results),
+            total_seconds=total_seconds,
+            all_scores={row.family: row.score for row in results},
+            top_k=top_k,
+        )
+
+
+def _order(nan: np.ndarray, key: np.ndarray,
+           name_rank: np.ndarray) -> np.ndarray:
+    return np.lexsort((name_rank, key, nan))
+
+
+def _ranked(labels: Labels, scores: np.ndarray, seconds: np.ndarray,
+            p_values: np.ndarray, previous: Ranking | None = None,
+            rescored: Sequence[int] = ()) -> Ranking:
+    """The hypotheses ranked by ``scores`` with one sort; with
+    ``previous``, the rows at ``rescored`` positions changed."""
     nan = np.isnan(scores)
-    return np.lexsort((name_rank, np.where(nan, 0.0, -scores), nan)).tolist()
+    key = np.where(nan, 0.0, -scores)
+    order = _order(nan, key, labels.name_rank)
+    changed = None
+    if previous is not None:
+        marked = np.zeros(order.size, dtype=bool)
+        marked[list(rescored)] = True
+        changed = np.flatnonzero((previous.order != order)
+                                 | marked[order]).tolist()
+    return _finished(labels, scores, seconds, p_values, order,
+                     key[order].tolist(), labels.name_rank[order].tolist(),
+                     order.size - int(np.count_nonzero(nan)), previous,
+                     changed)
+
+
+def _finished(labels: Labels, scores: np.ndarray, seconds: np.ndarray,
+              p_values: np.ndarray, order: np.ndarray, keys: list[float],
+              ranked_names: list[int], real: int,
+              previous: Ranking | None = None,
+              changed: list[int] | None = None) -> Ranking:
+    """The ranking in ``order``: the corrections over the ranked
+    p-values and the rows — all of them new without ``previous``, else
+    new only at the ``changed`` ranks (a new position or new values)
+    and where a BH flag flipped."""
+    ranked_p = p_values[order]
+    significant = benjamini_hochberg(ranked_p)
+    bonferroni_p = bonferroni(ranked_p)
+    if previous is None:
+        results = [None] * order.size
+        rows = zip(range(order.size), order.tolist(), ranked_p.tolist(),
+                   bonferroni_p.tolist(), significant.tolist())
+        score, elapsed = scores.tolist(), seconds.tolist()
+    else:
+        results = list(previous.results)
+        flips = previous.significant != significant
+        if flips.any():
+            changed = sorted(set(changed).union(
+                np.flatnonzero(flips).tolist()))
+        rows = ((rank, order.item(rank), ranked_p.item(rank),
+                 bonferroni_p.item(rank), significant.item(rank))
+                for rank in changed)
+        score, elapsed = scores, seconds
+    for rank, i, p, p_bonf, bh in rows:
+        results[rank] = RankedFamily(rank + 1, labels.names[i],
+                                     float(score[i]), labels.n_features[i],
+                                     p, p_bonf, bh, float(elapsed[i]))
+    return Ranking(labels, scores, seconds, p_values, order, keys,
+                   ranked_names, real, significant, tuple(results))
+
+
+def rank_scores(hypotheses: Sequence[Hypothesis], scores: Sequence[float],
+                seconds: Sequence[float],
+                p_values: np.ndarray | None = None) -> Ranking:
+    """Rank scored hypotheses (a non-empty list): the :class:`Ranking`
+    behind :func:`build_score_table`.  ``scores[i]``, ``seconds[i]`` and
+    ``p_values[i]`` belong to ``hypotheses[i]``; ``p_values`` defaults
+    to :func:`chebyshev_p_values`."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if p_values is None:
+        p_values = chebyshev_p_values(hypotheses, scores)
+    names = [h.name for h in hypotheses]
+    first = hypotheses[0]
+    labels = Labels(first.y.name,
+                    first.z.name if first.z is not None else None, names,
+                    [h.x.n_features for h in hypotheses], _name_ranks(names))
+    return _ranked(labels, scores, np.asarray(seconds, dtype=np.float64),
+                   np.asarray(p_values, dtype=np.float64))
 
 
 def build_score_table(hypotheses: Sequence[Hypothesis],
@@ -165,29 +366,5 @@ def build_score_table(hypotheses: Sequence[Hypothesis],
     if not hypotheses:
         return ScoreTable(results=[], scorer_name=scorer_name, target="",
                           total_seconds=total_seconds, top_k=top_k)
-    scores = np.asarray(scores, dtype=np.float64)
-    if p_values is None:
-        p_values = chebyshev_p_values(hypotheses, scores)
-    names = [h.name for h in hypotheses]
-    order = ranking_order(scores, names)
-    ranked_p = np.asarray(p_values, dtype=np.float64)[order]
-    results = [
-        RankedFamily(rank + 1, names[i], score, hypotheses[i].x.n_features,
-                     p, p_bonf, bh, elapsed)
-        for rank, (i, score, p, p_bonf, bh, elapsed) in enumerate(zip(
-            order, scores[order].tolist(), ranked_p.tolist(),
-            bonferroni(ranked_p).tolist(),
-            benjamini_hochberg(ranked_p).tolist(),
-            np.asarray(seconds, dtype=np.float64)[order].tolist()))
-    ]
-    first = hypotheses[0]
-    return ScoreTable(
-        results=results,
-        scorer_name=scorer_name,
-        target=first.y.name,
-        condition=first.z.name if first.z is not None else None,
-        n_hypotheses=len(hypotheses),
-        total_seconds=total_seconds,
-        all_scores={row.family: row.score for row in results},
-        top_k=top_k,
-    )
+    return rank_scores(hypotheses, scores, seconds, p_values).table(
+        scorer_name, top_k, total_seconds)

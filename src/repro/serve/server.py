@@ -16,14 +16,16 @@ arrive.  ``QueryServer`` is the long-lived front end for that workload:
   across every request at that version instead of being rebuilt
   per query;
 - a new version's explain state is a **refresh of the latest one
-  built**: a family whose member columns are the identical frozen
-  columns is reused as the same object, and a hypothesis whose ``(X, Y,
-  Z)`` families are all reused keeps its score, so an explain after a
-  write re-aligns and re-scores only what the write touched — as long
-  as the write leaves the time grid in place (one that extends the
-  horizon rebuilds everything); the scorer's prepared (Y, Z) target is
-  carried the same way, so a write that leaves the target's families
-  alone prepares nothing;
+  built**: only the families whose member series were written are
+  re-aligned (the store's views log what was written), every other
+  family is reused as the same object, and each request shape's last
+  answer — hypotheses, scores, p-values and ranking — is carried with
+  only the positions whose X family was replaced marked for rescoring,
+  so an explain after a write re-aligns, re-scores and re-ranks only
+  what the write touched — as long as the write leaves the time grid
+  in place (one that extends the horizon rebuilds everything); the
+  scorer's prepared (Y, Z) target is carried the same way, so a write
+  that leaves the target's families alone prepares nothing;
 - for ``backend="process"`` rankings the state publishes the Y/Z/X
   matrices of the hypotheses it has to score **once per version**
   through the existing :class:`~repro.engine_exec.shm.SharedMatrixPool`
@@ -50,18 +52,22 @@ so concurrent writers never change what a pinned request sees.
 
 from __future__ import annotations
 
-import operator
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
-from itertools import compress
-from typing import Any, Hashable, Iterable, Sequence
+from typing import Any, Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.core.families import FamilySet, families_from_store
+from repro.core.families import (
+    FamilyError,
+    FamilySet,
+    FeatureFamily,
+    families_from_store,
+)
 from repro.core.hypothesis import Hypothesis, generate_hypotheses
 from repro.core.ranking import DEFAULT_TOP_K, ScoreTable, build_score_table
 from repro.engine_exec.executor import (
@@ -72,7 +78,7 @@ from repro.engine_exec.executor import (
 )
 from repro.engine_exec.shm import SharedMatrixPool
 from repro.scoring.base import get_scorer
-from repro.scoring.table import chebyshev_p_values
+from repro.scoring.table import Ranking, chebyshev_p_values, rank_scores
 from repro.serve.cache import normalize_query
 from repro.sql.catalog import Database
 from repro.sql.table import Table
@@ -114,87 +120,185 @@ class ServedResult:
         return self.value.to_table()
 
 
+#: Request shapes whose last answer a generation carries, least
+#: recently asked first out.
+ANSWERS = 8
+
+
+class _Answer(NamedTuple):
+    """One request shape's answer at one generation.
+
+    ``hypotheses`` are what :func:`generate_hypotheses` gives for the
+    shape over the generation's families, ``positions`` maps each X
+    family name to its position, and ``scores``, ``seconds`` and
+    ``p_values`` are by position.  ``stale`` positions had their X
+    family replaced (or are new): their values are unknown and must be
+    scored.  ``ranking`` ranks the values as they were before the stale
+    positions went stale, so rescoring them patches it
+    (:meth:`Ranking.rescored`); it is ``None`` when positions moved or
+    nothing was ranked yet.
+    """
+
+    y: FeatureFamily
+    z: FeatureFamily | None
+    hypotheses: list[Hypothesis]
+    positions: dict[str, int]
+    scores: np.ndarray
+    seconds: np.ndarray
+    p_values: np.ndarray
+    stale: frozenset[int]
+    ranking: Ranking | None
+
+
+def _new_answer(families: FamilySet, shape: tuple,
+                hypotheses: list[Hypothesis],
+                known: dict[FeatureFamily, tuple]) -> _Answer:
+    """An answer for ``hypotheses`` of ``shape``: the values ``known``
+    holds for an X are taken, the rest are stale."""
+    target, condition = shape[:2]
+    rows = [known.get(h.x, _UNKNOWN) for h in hypotheses]
+    scores, seconds, p_values = np.array(
+        rows, dtype=np.float64).reshape(-1, 3).T.copy()
+    return _Answer(
+        families[target],
+        None if condition is None else families[condition],
+        hypotheses, {h.name: i for i, h in enumerate(hypotheses)},
+        scores, seconds, p_values,
+        frozenset(i for i, row in enumerate(rows) if row is _UNKNOWN), None)
+
+
+def _known(answer: _Answer) -> dict[FeatureFamily, tuple]:
+    """``answer``'s known values by X family."""
+    return {h.x: (score, elapsed, p) for i, (h, score, elapsed, p) in
+            enumerate(zip(answer.hypotheses, answer.scores.tolist(),
+                          answer.seconds.tolist(), answer.p_values.tolist()))
+            if i not in answer.stale}
+
+
 _UNKNOWN = (np.nan, np.nan, np.nan)
-_FAMILIES = operator.itemgetter(slice(1, None))    # of a score key
 
 
 class _Generation:
     """The explain work of one version that a newer version may reuse.
 
-    Its family set, the hypotheses built over it (keyed by ``(X, Y, Z)``
-    family objects), the scores computed for them (keyed by ``(scorer
-    registry name, X, Y, Z)``, each with its seconds and p-value) and
-    the scorers' prepared (Y, Z) targets (keyed by ``(scorer registry
-    name, Y, Z)``) — :class:`FeatureFamily` hashes by identity, so a key
-    matches only the very same families.  It holds no snapshot or
-    database, so the server's reference to the latest built generation
-    keeps no other per-version state alive.
+    Its family set, the last answer of each request shape (``answers``,
+    keyed ``(target, condition, search, exclude, scorer registry
+    name)``, at most :data:`ANSWERS`) and the scorers' prepared (Y, Z)
+    targets (keyed by ``(scorer registry name, Y, Z)``) — every answer
+    is over this generation's families, and :class:`FeatureFamily`
+    hashes by identity, so a target key matches only the very same
+    families.  It holds no snapshot or database, so the server's
+    reference to the latest built generation keeps no other per-version
+    state alive.
     """
 
     def __init__(self) -> None:
         self.families: FamilySet | None = None
-        self.hypotheses: dict[tuple, Hypothesis] = {}
-        self.scores: dict[tuple, tuple[float, float, float]] = {}
+        self.answers: OrderedDict[tuple, _Answer] = OrderedDict()
         self.targets: dict[tuple, Any] = {}
-        # guards ``hypotheses``, ``scores`` and ``targets``
+        # guards ``answers`` and ``targets``
         self.lock = threading.Lock()
 
     def inherit(self, older: "_Generation", families: FamilySet) -> None:
-        """Take over the hypotheses, scores and prepared targets of
-        ``older`` whose families all survived into ``families``.
+        """Carry ``older``'s answers and prepared targets over to
+        ``families``, built with ``previous=older.families``.
 
-        Every key of ``older`` is over its own families, so the ones to
-        drop are those naming a family of ``older`` that ``families``
-        replaced — typically a handful — and the test per key is a C
-        membership probe of its families.
+        After a refresh (``families.origin.realigned`` names the
+        re-aligned families) an answer keeps its hypothesis list, with
+        each replaced X swapped for its new family and marked stale: it
+        costs what the refresh re-aligned.  After a full build every
+        answer is regenerated, keeping the values of the hypotheses that
+        survived as objects.  Either way an answer or target over a
+        replaced Y or Z is dropped.
         """
-        replaced = set(older.families).difference(families)
+        realigned = families.origin.realigned
+        if realigned is not None:
+            replaced = {older.families[name] for name in realigned}
+        else:
+            replaced = set(older.families).difference(families)
         with older.lock:
-            hypotheses = list(compress(older.hypotheses.items(), map(
-                replaced.isdisjoint, older.hypotheses)))
-            scores = list(compress(older.scores.items(), map(
-                replaced.isdisjoint, map(_FAMILIES, older.scores))))
-            targets = list(compress(older.targets.items(), map(
-                replaced.isdisjoint, map(_FAMILIES, older.targets))))
+            answers = list(older.answers.items())
+            targets = [(key, target) for key, target in older.targets.items()
+                       if replaced.isdisjoint(key[1:])]
+        carried = []
+        for shape, answer in answers:
+            if answer.y in replaced or answer.z in replaced:
+                continue
+            if realigned is not None:
+                answer = _refreshed(answer, families, realigned)
+            else:
+                answer = _rebuilt(answer, families, shape)
+            if answer is not None:
+                carried.append((shape, answer))
         with self.lock:
-            self.hypotheses.update(hypotheses)
-            self.scores.update(scores)
+            self.answers.update(carried)
             self.targets.update(targets)
+
+    def answer(self, shape: tuple) -> _Answer:
+        """``shape``'s answer: the carried one, or one built now whose
+        values are taken from the other answers of the same scorer, Y
+        and Z where they know the X."""
+        with self.lock:
+            answer = self.answers.get(shape)
+            if answer is not None:
+                self.answers.move_to_end(shape)
+                return answer
+            others = list(self.answers.items())
+        target, condition, search, exclude, scorer = shape
+        hypotheses = generate_hypotheses(
+            self.families, target, condition=condition, search=search,
+            exclude=exclude)
+        y = self.families[target]
+        z = None if condition is None else self.families[condition]
+        known: dict[FeatureFamily, tuple] = {}
+        for key, other in others:
+            if key[-1] == scorer and other.y is y and other.z is z:
+                known.update(_known(other))
+        return _new_answer(self.families, shape, hypotheses, known)
+
+    def keep(self, shape: tuple, answer: _Answer) -> None:
+        with self.lock:
+            self.answers[shape] = answer
+            self.answers.move_to_end(shape)
+            while len(self.answers) > ANSWERS:
+                self.answers.popitem(last=False)
 
     def prepared(self, scorer: str) -> "_PreparedTargets":
         """``scorer``'s prepared targets, as the executor's memo."""
         return _PreparedTargets(self, scorer)
 
-    def generate(self, target: str, condition: Any, search: tuple | None,
-                 exclude: tuple) -> list[Hypothesis]:
-        """:func:`generate_hypotheses` over this generation's families,
-        building only the ``(X, Y, Z)`` triples it has not seen."""
-        with self.lock:
-            return generate_hypotheses(
-                self.families, target, condition=condition, search=search,
-                exclude=exclude, memo=self.hypotheses)
 
-    def lookup(self, scorer: str, hypotheses: Sequence
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-        """Known ``(scores, seconds, p-values)`` by position, and the
-        positions to score."""
-        with self.lock:
-            get = self.scores.get
-            rows = [get((scorer, h.x, h.y, h.z), _UNKNOWN)
-                    for h in hypotheses]
-        todo = [i for i, row in enumerate(rows) if row is _UNKNOWN]
-        scores, seconds, p_values = np.array(
-            rows, dtype=np.float64).reshape(-1, 3).T.copy()
-        return scores, seconds, p_values, todo
+def _refreshed(answer: _Answer, families: FamilySet,
+               realigned: tuple[str, ...]) -> _Answer:
+    """``answer`` over ``families``, whose ``realigned`` families are
+    new objects: same positions, each replaced X swapped and stale."""
+    positions = answer.positions
+    stale = [positions[name] for name in realigned if name in positions]
+    if not stale:
+        return answer
+    hypotheses = list(answer.hypotheses)
+    for i in stale:
+        hypotheses[i] = Hypothesis(families[hypotheses[i].name], answer.y,
+                                   answer.z)
+    return answer._replace(hypotheses=hypotheses,
+                           stale=answer.stale.union(stale))
 
-    def remember(self, scorer: str, hypotheses: Sequence,
-                 scores: np.ndarray, seconds: np.ndarray,
-                 p_values: np.ndarray) -> None:
-        with self.lock:
-            for h, score, elapsed, p in zip(hypotheses, scores, seconds,
-                                            p_values):
-                self.scores[(scorer, h.x, h.y, h.z)] = (
-                    float(score), float(elapsed), float(p))
+
+def _rebuilt(answer: _Answer, families: FamilySet,
+             shape: tuple) -> _Answer | None:
+    """``answer`` regenerated over a fully built ``families`` (the
+    candidate list may have changed), keeping the values of every
+    hypothesis whose X survived; ``None`` when the shape no longer
+    resolves."""
+    target, condition, search, exclude = shape[:4]
+    try:
+        hypotheses = generate_hypotheses(
+            families, target, condition=condition, search=search,
+            exclude=exclude, memo={(h.x, h.y, h.z): h
+                                   for h in answer.hypotheses})
+    except FamilyError:
+        return None
+    return _new_answer(families, shape, hypotheses, _known(answer))
 
 
 class _PreparedTargets:
@@ -547,13 +651,15 @@ class QueryServer:
 
         The build refreshes the latest generation the server built (at
         any version): ``families_from_store(..., previous=latest.families)``
-        reuses, as the same objects, the families whose member columns
-        are the identical frozen columns; the new generation inherits
-        every score of ``latest`` whose ``(X, Y, Z)`` families all
-        survived, then becomes the latest itself — so at most one
-        generation outlives the retired states.  Reuse is decided by
-        identity alone, so it is exact whichever version ``latest``
-        came from.
+        reuses, as the same objects, the families none of whose members
+        was written since; the new generation inherits ``latest``'s
+        answers (:meth:`_Generation.inherit`), then becomes the latest
+        itself — so at most one generation outlives the retired states.
+        What was written comes from the store's write log when it
+        reaches back to ``latest``'s version and from comparing columns
+        by identity otherwise (``latest`` newer than this state, or too
+        many versions ago), so reuse is exact whichever version
+        ``latest`` came from.
         """
         generation = state.generation
         if generation.families is None:
@@ -576,52 +682,79 @@ class QueryServer:
               top_k: int, shareable: bool) -> ScoreTable:
         """Rank at ``state``'s version, scoring only what is not known.
 
-        For shareable (cacheable) shapes, a hypothesis whose ``(X, Y,
-        Z)`` families and scorer name match a score this version already
-        holds — computed here or inherited — takes that score: by the
-        ``Scorer`` contract a score depends on those matrices alone, so
-        the table is bitwise the one a cold run builds.  The rest (every
-        hypothesis, for a live scorer or family object) go through the
-        executor on the configured backend; in-process, a shareable
-        request scores them against the (Y, Z) target the generation
-        holds prepared, and prepares (and keeps) it only when Y or Z was
-        replaced.
+        A shareable (cacheable) request shape starts from its answer in
+        the generation — carried from an older version or built from
+        the other answers' values — and scores only its stale positions:
+        by the ``Scorer`` contract a score depends on the (X, Y, Z)
+        matrices alone, so the table, whose ranking the rescored rows
+        patch (:meth:`Ranking.rescored`), is bitwise the one a cold run
+        builds.  In-process, the stale positions are scored against the
+        (Y, Z) target the generation holds prepared, prepared (and
+        kept) only when Y or Z was replaced.  A live scorer or family
+        object scores every hypothesis.
         """
         generation = self._generation(state)
-        if shareable:
-            memo, name = generation, scorer.lower()
-        else:                   # a live scorer or family: nothing to reuse
-            memo, name = _Generation(), None
-            memo.families = generation.families
-        hypotheses = memo.generate(target, condition, search, exclude)
+        if not shareable:
+            hypotheses = generate_hypotheses(
+                generation.families, target, condition=condition,
+                search=search, exclude=exclude)
+            started = time.perf_counter()
+            if isinstance(scorer, str):
+                scorer = get_scorer(scorer)
+            scores, seconds, p_values = self._score(
+                state, hypotheses, scorer, None)
+            return build_score_table(
+                hypotheses, scores, seconds, scorer.name, top_k,
+                time.perf_counter() - started, p_values=p_values)
+        shape = (target, condition, search, exclude, scorer.lower())
+        answer = generation.answer(shape)
         started = time.perf_counter()
-        if isinstance(scorer, str):
-            scorer = get_scorer(scorer)
-        scores, seconds, p_values, todo = memo.lookup(name, hypotheses)
-        if todo:
-            fresh = [hypotheses[i] for i in todo]
-            executor = HypothesisExecutor(
-                n_workers=self._rank_workers, backend=self._backend)
-            jobs = pool = None
-            if self._backend == "process":
-                if shareable:
-                    jobs = state.shm_jobs(
-                        (target, condition, tuple(h.name for h in fresh)),
-                        fresh)
-                pool = self._process_pool()
-            targets = memo.prepared(name) if shareable else None
-            try:
-                new_scores, new_seconds, _ = executor.score(
-                    fresh, scorer, shm_jobs=jobs, process_pool=pool,
-                    targets=targets)
-            except BrokenProcessPool:
-                self._drop_process_pool(pool)
-                raise
-            new_p = chebyshev_p_values(fresh, new_scores)
-            scores[todo] = new_scores
-            seconds[todo] = new_seconds
-            p_values[todo] = new_p
-            memo.remember(name, fresh, new_scores, new_seconds, new_p)
-        return build_score_table(hypotheses, scores, seconds, scorer.name,
-                                 top_k, time.perf_counter() - started,
-                                 p_values=p_values)
+        scorer = get_scorer(scorer)
+        if not answer.hypotheses:
+            return build_score_table([], [], [], scorer.name, top_k,
+                                     time.perf_counter() - started)
+        if answer.stale or answer.ranking is None:
+            todo = sorted(answer.stale)
+            scores, seconds, p_values = (
+                answer.scores.copy(), answer.seconds.copy(),
+                answer.p_values.copy())
+            if todo:
+                fresh = [answer.hypotheses[i] for i in todo]
+                scores[todo], seconds[todo], p_values[todo] = self._score(
+                    state, fresh, scorer, generation.prepared(shape[-1]),
+                    (target, condition, tuple(h.name for h in fresh)))
+            if answer.ranking is None:
+                ranking = rank_scores(answer.hypotheses, scores, seconds,
+                                      p_values)
+            else:
+                ranking = answer.ranking.rescored(todo, scores, seconds,
+                                                  p_values)
+            answer = answer._replace(scores=scores, seconds=seconds,
+                                     p_values=p_values, stale=frozenset(),
+                                     ranking=ranking)
+            generation.keep(shape, answer)
+        return answer.ranking.table(scorer.name, top_k,
+                                    time.perf_counter() - started)
+
+    def _score(self, state: _VersionState, hypotheses: Sequence[Hypothesis],
+               scorer: Any, targets: "_PreparedTargets | None",
+               shm_key: Hashable | None = None
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(scores, seconds, p-values)`` of ``hypotheses`` on the
+        configured backend; ``shm_key`` names the list for the version's
+        shared-memory publication (``None``: not shared)."""
+        executor = HypothesisExecutor(
+            n_workers=self._rank_workers, backend=self._backend)
+        jobs = pool = None
+        if self._backend == "process":
+            if shm_key is not None:
+                jobs = state.shm_jobs(shm_key, hypotheses)
+            pool = self._process_pool()
+        try:
+            scores, seconds, _ = executor.score(
+                hypotheses, scorer, shm_jobs=jobs, process_pool=pool,
+                targets=targets)
+        except BrokenProcessPool:
+            self._drop_process_pool(pool)
+            raise
+        return scores, seconds, chebyshev_p_values(hypotheses, scores)

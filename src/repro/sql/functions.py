@@ -227,12 +227,11 @@ def segmented_order_stat(values: np.ndarray, starts: np.ndarray,
     """Per-segment median (``q=None``) or linear-method quantile ``q``.
 
     ``values`` is float64 and holds the segments back to back
-    (``starts[g]`` .. ``starts[g] + sizes[g]``, every size >= 1).  One
-    ``lexsort`` over ``(segment id, value)`` sorts every ragged segment
-    at once (NaNs last within each segment, exactly like the
-    ``partition`` inside ``np.percentile``); each segment's statistic is
-    then a gather at computed indexes.  The arithmetic replicates
-    numpy's own:
+    (``starts[g]`` .. ``starts[g] + sizes[g]``, every size >= 1).
+    :func:`_sorted_segments` sorts every ragged segment in place (NaNs
+    last within each segment, exactly like the ``partition`` inside
+    ``np.percentile``); each segment's statistic is then a gather at
+    computed indexes.  The arithmetic replicates numpy's own:
 
     - **median** — odd segments take the middle element; even segments
       take ``(lo + hi) / 2`` (``np.mean`` of the two middles: one add,
@@ -257,10 +256,7 @@ def segmented_order_stat(values: np.ndarray, starts: np.ndarray,
     ``MEDIAN``/``PERCENTILE`` and the tsdb ``Downsampler``'s ragged
     ``median``/``pNN`` buckets.
     """
-    n_segments = int(starts.size)
-    segment_ids = np.repeat(np.arange(n_segments, dtype=np.intp), sizes)
-    order = np.lexsort((values, segment_ids))
-    ordered = values[order]
+    ordered = _sorted_segments(values, starts, sizes)
     last = ordered[starts + sizes - 1]
     if q is None:
         lo = ordered[starts + (sizes - 1) // 2]
@@ -290,6 +286,43 @@ def segmented_order_stat(values: np.ndarray, starts: np.ndarray,
                               b - diff * (1.0 - gamma),
                               a + diff * gamma)
     return np.where(np.isnan(last), last, result)
+
+
+#: Segments longer than this sort alone, one stable ``np.sort`` each;
+#: the shorter ones sort together, one ``lexsort`` over ``(segment id,
+#: value)``.  Measured on float64 segments of equal length L (8 to 512
+#: of them): the per-segment call costs ~2.5 us plus the sort, the
+#: shared ``lexsort`` grows faster than linearly in its rows, and they
+#: cross between L = 16 and L = 64 (40 segments of 650 rows: 4.8 ms
+#: shared, 0.25 ms alone).
+_SORT_ALONE = 32
+
+
+def _sorted_segments(values: np.ndarray, starts: np.ndarray,
+                     sizes: np.ndarray) -> np.ndarray:
+    """``values`` with each back-to-back segment sorted in place, NaNs
+    last.  Both sorts are stable and compare values alone inside a
+    segment, so equal values (``0.0`` and ``-0.0``, or NaNs) keep their
+    input order either way and the result does not depend on which
+    sort a segment took."""
+    alone = sizes > _SORT_ALONE
+    if not alone.any():
+        ids = np.repeat(np.arange(starts.size, dtype=np.intp), sizes)
+        return values[np.lexsort((values, ids))]
+    ordered = np.empty_like(values)
+    for start, end in zip(starts[alone].tolist(),
+                          (starts + sizes)[alone].tolist()):
+        ordered[start:end] = np.sort(values[start:end], kind="stable")
+    if not alone.all():
+        short_starts, short_sizes = starts[~alone], sizes[~alone]
+        first = np.cumsum(short_sizes) - short_sizes
+        rows = np.arange(int(short_sizes.sum())) + np.repeat(
+            short_starts - first, short_sizes)
+        ids = np.repeat(np.arange(short_starts.size, dtype=np.intp),
+                        short_sizes)
+        short = values[rows]
+        ordered[rows] = short[np.lexsort((short, ids))]
+    return ordered
 
 
 def _segmented_median(values: np.ndarray, starts: np.ndarray,

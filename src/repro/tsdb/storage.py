@@ -64,6 +64,10 @@ DERIVED_VIEWS = 3
 _derived_views: "OrderedDict[int, weakref.ref]" = OrderedDict()
 _derived_lock = threading.RLock()
 
+#: How many views back :meth:`StoreView.written_since` reaches: each
+#: view carries the series written before it, up to this many views.
+WRITE_LOG_VIEWS = 32
+
 
 def shard_index(series: SeriesId, n_shards: int) -> int:
     """Deterministic shard routing: ``crc32`` of the canonical series text.
@@ -88,13 +92,19 @@ class StoreView:
                  by_name: dict[str, set[SeriesId]],
                  by_tag: dict[tuple[str, str], set[SeriesId]],
                  tag_values: dict[str, set[str]],
-                 span: tuple[int, int] | None, version: int) -> None:
+                 span: tuple[int, int] | None, version: int,
+                 log: tuple[tuple[int, tuple[SeriesId, ...]], ...] = ()
+                 ) -> None:
         self._columns = columns
         self._by_name = by_name
         self._by_tag = by_tag
         self._tag_values = tag_values
         self._span = span
         self._version = version
+        #: ``(since, written)`` per view, oldest first: the series
+        #: written after the view at version ``since`` and before the
+        #: next entry's (this view, for the last entry).
+        self._log = log
         self._derived: dict[Callable, object] = {}
 
     def read_view(self) -> "StoreView":
@@ -270,6 +280,27 @@ class StoreView:
         """
         return self.read_view()._by_name
 
+    def written_since(self, version: int) -> set[SeriesId] | None:
+        """The series written after this store's view at ``version``.
+
+        Read from the write log each view carries: O(series written),
+        touching no column.  ``None`` when the log no longer reaches
+        back to ``version`` (more than :data:`WRITE_LOG_VIEWS` views
+        ago), or when no view of this store was frozen at ``version``
+        (a later one, or one of another store): the caller must then
+        compare columns itself.  Series that joined are included, but
+        callers that care about joins check :attr:`series_token`.
+        """
+        view = self.read_view()
+        written: set[SeriesId] = set()
+        if version == view._version:
+            return written
+        for since, series in reversed(view._log):
+            written.update(series)
+            if since <= version:
+                return written if since == version else None
+        return None
+
     def arrays(self, series: SeriesId,
                start: int | None = None,
                end: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -281,14 +312,7 @@ class StoreView:
         columns (no copy); the clip is two ``searchsorted`` probes on
         the sorted timestamp column.
         """
-        ts, values = self.get(series).arrays()
-        if start is not None or end is not None:
-            lo = int(np.searchsorted(ts, start, side="left")) \
-                if start is not None else 0
-            hi = int(np.searchsorted(ts, end, side="left")) \
-                if end is not None else ts.size
-            ts, values = ts[lo:hi], values[lo:hi]
-        return ts, values
+        return clipped_arrays(self.get(series), start, end)
 
     def iter_arrays(self, series_ids: Iterable[SeriesId] | None = None,
                     start: int | None = None,
@@ -319,6 +343,20 @@ class StoreView:
                 yield DataPoint(series=series, timestamp=t, value=v)
 
 
+def clipped_arrays(column: SeriesData, start: int | None = None,
+                   end: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """A column's ``(timestamps, values)`` in ``[start, end)`` — what
+    :meth:`StoreView.arrays` returns for it, without the lookup."""
+    ts, values = column.arrays()
+    if start is not None or end is not None:
+        lo = int(np.searchsorted(ts, start, side="left")) \
+            if start is not None else 0
+        hi = int(np.searchsorted(ts, end, side="left")) \
+            if end is not None else ts.size
+        ts, values = ts[lo:hi], values[lo:hi]
+    return ts, values
+
+
 def _intersect(sets: list[set[SeriesId]]) -> set[SeriesId]:
     smallest = min(sets, key=len)
     result = set(smallest)
@@ -346,9 +384,11 @@ class _Shard:
         self.max_ts: int | None = None
         #: mutations landed on this shard; bumped under ``lock``.
         self.version = 0
-        #: columns written since the store's last view was frozen; added
-        #: to under ``lock``, drained by the next view.
-        self.written: set[SeriesData] = set()
+        #: columns written since the store's last view was frozen, in
+        #: first-write order (a dict used as an ordered set); added to
+        #: under ``lock``, drained by the next view into its columns
+        #: and its write log.
+        self.written: dict[SeriesData, None] = {}
 
     def register(self, column: SeriesData) -> None:
         series = column.series
@@ -467,7 +507,7 @@ class TimeSeriesStore(StoreView):
             column.append(timestamp, value)
             if timestamp > shard.max_ts:   # an existing series: min stays
                 shard.max_ts = int(timestamp)
-            shard.written.add(column)
+            shard.written[column] = None
             if self._wal is not None:
                 self._wal.append_array(series, [timestamp], [value])
             shard.version += 1
@@ -521,7 +561,7 @@ class TimeSeriesStore(StoreView):
     def _commit(self, shard: _Shard, column: SeriesData, ts, vals) -> None:
         """Bookkeeping after a landed write; caller holds ``shard.lock``."""
         shard.observe(column)
-        shard.written.add(column)
+        shard.written[column] = None
         if self._wal is not None:
             self._wal.append_array(column.series, ts, vals)
         shard.version += 1
@@ -534,7 +574,7 @@ class TimeSeriesStore(StoreView):
             shard.register(column)
             self._route[column.series] = (shard, column)
             shard.observe(column)
-            shard.written.add(column)
+            shard.written[column] = None
             shard.version += 1
 
     def apply(self, series: SeriesId,
@@ -562,7 +602,7 @@ class TimeSeriesStore(StoreView):
                     f"transform changed length of {series}: "
                     f"{values.shape} -> {new_values.shape}")
             column.replace_values(new_values)
-            shard.written.add(column)
+            shard.written[column] = None
             shard.version += 1
 
     def merge(self, other: StoreView) -> None:
@@ -605,18 +645,25 @@ class TimeSeriesStore(StoreView):
         The cost is O(series written since the last view): the last
         view's columns dict is copied and only the columns each shard
         recorded as written are frozen anew — every other column is
-        still the clone :meth:`SeriesData.freeze` returned before.  The
-        merged indexes are reused while no series has registered —
-        series are never removed, so an equal count means equal sets.
+        still the clone :meth:`SeriesData.freeze` returned before — in
+        shard order, then first-write order, so a view's column order
+        is the same in every process.  The written series also become
+        the new view's write-log entry.  The merged indexes are reused
+        while no series has registered — series are never removed, so
+        an equal count means equal sets.
         """
         old, version = self._view, self.version
         if old._version == version:
             return old
         columns = dict(old._columns)
+        written = []
         for shard in self._shards:
             for column in shard.written:
                 columns[column.series] = column.freeze()
+                written.append(column.series)
             shard.written.clear()
+        log = old._log[1 - WRITE_LOG_VIEWS:] + (
+            (old._version, tuple(written)),)
         indexes = (old._by_name, old._by_tag, old._tag_values)
         if len(columns) != len(old._columns):
             indexes = self._merged_indexes()
@@ -624,7 +671,7 @@ class TimeSeriesStore(StoreView):
                   if s.min_ts is not None]
         span = (min(lo for lo, _ in bounds),
                 max(hi for _, hi in bounds)) if bounds else None
-        self._view = StoreView(columns, *indexes, span, version)
+        self._view = StoreView(columns, *indexes, span, version, log)
         return self._view
 
     def _merged_indexes(self) -> tuple[dict, dict, dict]:

@@ -112,17 +112,17 @@ class TestProjectedBatchPath:
         assert_matches_oracle(batch, sequential)
 
     def test_wide_y_rounds_stack_one_inner_call_per_round(self, rng):
-        """The wide-Y path issues one inner score_batch per (shape
+        """The wide-Y path issues one inner stacked call per (shape
         group, round), not one per hypothesis."""
         scorer = ProjectedL2Scorer(d=10, n_projections=3, seed=1)
         calls = []
-        inner_batch = scorer._inner.score_batch
+        inner_validated = scorer._inner.score_validated
 
-        def counting(xs, y, z=None):
-            calls.append(len(xs))
-            return inner_batch(xs, y, z)
+        def counting(validated, target):
+            calls.append(len(validated))
+            return inner_validated(validated, target)
 
-        scorer._inner.score_batch = counting
+        scorer._inner.score_validated = counting
         y = rng.standard_normal((60, 25))
         xs = [rng.standard_normal((60, 20)) for _ in range(5)]
         scorer.score_batch(xs, y)
@@ -199,13 +199,18 @@ class TestValidateOnce:
                                         PcaL2Scorer(d=5)],
                              ids=["projected", "pca"])
     @pytest.mark.parametrize("z_width", [0, 2])
-    def test_validate_xs_runs_once_per_call(self, scorer, z_width,
+    @pytest.mark.parametrize("y_width", [2, 7], ids=["narrow_y", "wide_y"])
+    def test_validate_xs_runs_once_per_call(self, scorer, z_width, y_width,
                                             monkeypatch):
+        """Also with a Y wider than ``d``, which the projection scorer
+        re-projects in every round: each round prepares its projected
+        (Y, Z) and scores the already-validated designs."""
+        import repro.scoring.base as base
         import repro.scoring.joint as joint
         import repro.scoring.projection as projection
 
         rng = np.random.default_rng(7)
-        y = rng.standard_normal((40, 2))
+        y = rng.standard_normal((40, y_width))
         z = rng.standard_normal((40, z_width)) if z_width else None
         # Narrow (plain) and wide (sketched / truncated) designs, one of
         # them column-major as store-built families are.
@@ -231,6 +236,7 @@ class TestValidateOnce:
             calls.append(len(xs))
             return original(xs, n_rows)
 
+        monkeypatch.setattr(base, "validate_xs", spy)
         monkeypatch.setattr(projection, "validate_xs", spy)
         monkeypatch.setattr(joint, "validate_xs", spy)
         after = scorer.score_prepared(xs, target)

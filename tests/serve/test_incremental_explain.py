@@ -12,16 +12,19 @@ import struct
 import sys
 import threading
 import weakref
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.core.families as families_module
+import repro.scoring.base as scoring_base
 import repro.serve.server as server_module
 from repro.core.families import families_from_store
 from repro.engine_exec.executor import HypothesisExecutor
 from repro.scoring import get_scorer
+from repro.scoring.base import Scorer
 from repro.serve import QueryServer
 from repro.tsdb.model import SeriesId
 from repro.tsdb.query import ScanQuery
@@ -55,12 +58,39 @@ def build_store(seed=0):
 
 
 def table_fields(table):
-    """Everything a Score Table ranks by, floats as their IEEE bytes."""
-    rows = [(r.rank, r.family, r.n_features, struct.pack("<d", r.score),
-             struct.pack("<d", r.p_value), struct.pack("<d", r.p_bonferroni),
-             r.significant_bh) for r in table.results]
+    """A whole Score Table, floats as their IEEE bytes: every row field
+    but ``seconds`` (a measured time, which a cold run measures anew),
+    ``all_scores`` and the table's metadata."""
+    pack = struct.Struct("<d").pack
+    rows = [(r.rank, r.family, r.n_features, pack(r.score),
+             pack(r.p_value), pack(r.p_bonferroni), r.significant_bh)
+            for r in table.results]
+    scores = [(name, pack(score)) for name, score in table.all_scores.items()]
     return (table.scorer_name, table.target, table.condition,
-            table.n_hypotheses, rows)
+            table.n_hypotheses, table.top_k, rows, scores)
+
+
+class RoundedCorr(Scorer):
+    """``CorrMax`` rounded to one decimal, NaN when a column of X is
+    constant: served tables with exact ties and NaN scores."""
+
+    name = "RoundedCorr"
+
+    def score_batch(self, xs, y, z=None):
+        scores = np.round(get_scorer("CorrMax").score_batch(xs, y, z), 1)
+        scores[[bool((np.ptp(x, axis=0) == 0).any()) for x in xs]] = np.nan
+        return scores
+
+
+@contextmanager
+def rounded_corr():
+    """``RoundedCorr`` in the scorer registry (forked pool workers
+    inherit it), for the duration of the block."""
+    scoring_base._REGISTRY["roundedcorr"] = RoundedCorr
+    try:
+        yield
+    finally:
+        del scoring_base._REGISTRY["roundedcorr"]
 
 
 def cold(served, backend, **request):
@@ -482,6 +512,46 @@ def test_family_build_does_not_stall_other_requests(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# NaN scores and exact ties are patched like a cold ranking
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("backend", [None, "process"])
+def test_nan_scores_and_exact_ties_equal_cold_evaluation(backend, scored):
+    store = build_store()
+    stamps = np.arange(N, dtype=np.int64)
+    for k in range(3):          # identical families: exact score ties
+        store.insert_array(SeriesId.make(f"twin_{k}"), stamps,
+                           np.sin(stamps * 0.4))
+    request = dict(target="target", scorer="RoundedCorr")
+    writes = [
+        lambda: store.apply(SeriesId.make("decoy_0", {"host": "h1"}),
+                            lambda ts, vs: vs * 0.0),            # NaN
+        lambda: store.apply(SeriesId.make("twin_1"),
+                            lambda ts, vs: vs * 1.0 + 0.0),      # a tie
+        lambda: store.insert(LATE, N - 8, 0.25),
+        lambda: store.apply(SeriesId.make("decoy_0", {"host": "h1"}),
+                            lambda ts, vs: ts * 1.0),            # NaN gone
+        lambda: store.apply(SeriesId.make("twin_0"),
+                            lambda ts, vs: vs * 0.0),            # tie to NaN
+    ]
+    with rounded_corr(), QueryServer(store, backend=backend,
+                                     rank_workers=2) as server:
+        server.explain(**request)
+        seen_nan = seen_tie = False
+        for write in writes:
+            write()
+            result = server.submit_explain(**request).result()
+            assert len(scored[-1]) == 1             # patched, not re-ranked
+            assert table_fields(result.value) == \
+                table_fields(cold(result, backend, **request))
+            scores = [row.score for row in result.value.results]
+            seen_nan |= any(np.isnan(scores))
+            real = [x for x in scores if not np.isnan(x)]
+            seen_tie |= len(set(real)) < len(real)
+        assert seen_nan and seen_tie
+
+
+# ---------------------------------------------------------------------------
 # Random interleavings of writes and requests equal a cold evaluation
 # ---------------------------------------------------------------------------
 
@@ -499,7 +569,8 @@ WRITES = st.one_of(
               st.integers(1, 4)),
 )
 REQUESTS = st.tuples(
-    st.just("explain"), st.sampled_from(["CorrMax", "L2", "L2-P50"]),
+    st.just("explain"),
+    st.sampled_from(["CorrMax", "L2", "L2-P50", "RoundedCorr"]),
     st.sampled_from(["plain", "conditioned", "search"]))
 STEPS = st.lists(st.one_of(WRITES, REQUESTS), min_size=1, max_size=8)
 SHAPES = {
@@ -555,8 +626,8 @@ class Interleaving:
 
 def run_interleaving(steps, backend) -> None:
     state = Interleaving()
-    with QueryServer(state.store, backend=backend,
-                     rank_workers=2) as server:
+    with rounded_corr(), QueryServer(state.store, backend=backend,
+                                     rank_workers=2) as server:
         for step in list(steps) + [("explain", "CorrMax", "plain")]:
             if step[0] != "explain":
                 state.write(step)
@@ -586,7 +657,8 @@ def test_concurrent_explains_under_writes_equal_cold_evaluation():
     table that differs from its snapshot's cold evaluation."""
     store = build_store()
     shapes = [dict(target="target", scorer=scorer, **SHAPES[shape])
-              for scorer in ("CorrMax", "L2") for shape in SHAPES]
+              for scorer in ("CorrMax", "L2", "RoundedCorr")
+              for shape in SHAPES]
     stop = threading.Event()
 
     def writer():
@@ -605,7 +677,7 @@ def test_concurrent_explains_under_writes_equal_cold_evaluation():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with QueryServer(store, n_workers=8) as server:
+        with rounded_corr(), QueryServer(store, n_workers=8) as server:
             thread = threading.Thread(target=writer)
             thread.start()
             try:
@@ -621,6 +693,7 @@ def test_concurrent_explains_under_writes_equal_cold_evaluation():
     finally:
         sys.setswitchinterval(interval)
     assert len({result.version for _, result in served}) > 1
-    for request, result in served:
-        assert table_fields(result.value) == \
-            table_fields(cold(result, None, **request))
+    with rounded_corr():
+        for request, result in served:
+            assert table_fields(result.value) == \
+                table_fields(cold(result, None, **request))

@@ -240,7 +240,7 @@ class TestReadApiParity:
             "num_points", "read_view", "series_ids", "series_token",
             "snapshot",
             "tag_keys", "tag_values", "time_range", "value_range",
-            "version"}
+            "version", "written_since"}
         assert "__len__" in vars(StoreView)
         assert "__contains__" in vars(StoreView)
 
