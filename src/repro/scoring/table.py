@@ -308,25 +308,27 @@ def _finished(labels: Labels, scores: np.ndarray, seconds: np.ndarray,
     ranked_p = p_values[order]
     significant = benjamini_hochberg(ranked_p)
     bonferroni_p = bonferroni(ranked_p)
+    names, n_features = labels.names, labels.n_features
     if previous is None:
-        results = [None] * order.size
-        rows = zip(range(order.size), order.tolist(), ranked_p.tolist(),
-                   bonferroni_p.tolist(), significant.tolist())
-        score, elapsed = scores.tolist(), seconds.tolist()
-    else:
-        results = list(previous.results)
-        flips = previous.significant != significant
-        if flips.any():
-            changed = sorted(set(changed).union(
-                np.flatnonzero(flips).tolist()))
-        rows = ((rank, order.item(rank), ranked_p.item(rank),
-                 bonferroni_p.item(rank), significant.item(rank))
-                for rank in changed)
-        score, elapsed = scores, seconds
-    for rank, i, p, p_bonf, bh in rows:
-        results[rank] = RankedFamily(rank + 1, labels.names[i],
-                                     float(score[i]), labels.n_features[i],
-                                     p, p_bonf, bh, float(elapsed[i]))
+        results = tuple(
+            RankedFamily(rank + 1, names[i], score, n_features[i], p,
+                         p_bonf, bh, elapsed)
+            for rank, (i, score, p, p_bonf, bh, elapsed) in enumerate(zip(
+                order.tolist(), scores[order].tolist(), ranked_p.tolist(),
+                bonferroni_p.tolist(), significant.tolist(),
+                seconds[order].tolist())))
+        return Ranking(labels, scores, seconds, p_values, order, keys,
+                       ranked_names, real, significant, results)
+    results = list(previous.results)
+    flips = previous.significant != significant
+    if flips.any():
+        changed = sorted(set(changed).union(np.flatnonzero(flips).tolist()))
+    for rank in changed:
+        i = order.item(rank)
+        results[rank] = RankedFamily(
+            rank + 1, names[i], scores.item(i), n_features[i],
+            ranked_p.item(rank), bonferroni_p.item(rank),
+            significant.item(rank), seconds.item(i))
     return Ranking(labels, scores, seconds, p_values, order, keys,
                    ranked_names, real, significant, tuple(results))
 

@@ -123,6 +123,8 @@ class ServedResult:
 #: Request shapes whose last answer a generation carries, least
 #: recently asked first out.
 ANSWERS = 8
+#: The (score, seconds, p-value) of a hypothesis not scored yet.
+_UNKNOWN = (np.nan, np.nan, np.nan)
 
 
 class _Answer(NamedTuple):
@@ -173,9 +175,6 @@ def _known(answer: _Answer) -> dict[FeatureFamily, tuple]:
             enumerate(zip(answer.hypotheses, answer.scores.tolist(),
                           answer.seconds.tolist(), answer.p_values.tolist()))
             if i not in answer.stale}
-
-
-_UNKNOWN = (np.nan, np.nan, np.nan)
 
 
 class _Generation:

@@ -284,12 +284,13 @@ class StoreView:
         """The series written after this store's view at ``version``.
 
         Read from the write log each view carries: O(series written),
-        touching no column.  ``None`` when the log no longer reaches
-        back to ``version`` (more than :data:`WRITE_LOG_VIEWS` views
-        ago), or when no view of this store was frozen at ``version``
-        (a later one, or one of another store): the caller must then
-        compare columns itself.  Series that joined are included, but
-        callers that care about joins check :attr:`series_token`.
+        touching no column.  ``version`` must be that of a view of this
+        same store (views of other stores have their own versions;
+        :attr:`series_token` tells them apart).  ``None`` when the log
+        no longer reaches back to ``version`` (more than
+        :data:`WRITE_LOG_VIEWS` views ago) or no view was frozen at
+        ``version`` (a later one, say): the caller must then compare
+        columns itself.  Series that joined are included.
         """
         view = self.read_view()
         written: set[SeriesId] = set()
