@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
@@ -120,9 +119,6 @@ class ServedResult:
         return self.value.to_table()
 
 
-#: Request shapes whose last answer a generation carries, least
-#: recently asked first out.
-ANSWERS = 8
 #: The (score, seconds, p-value) of a hypothesis not scored yet.
 _UNKNOWN = (np.nan, np.nan, np.nan)
 
@@ -182,18 +178,20 @@ class _Generation:
 
     Its family set, the last answer of each request shape (``answers``,
     keyed ``(target, condition, search, exclude, scorer registry
-    name)``, at most :data:`ANSWERS`) and the scorers' prepared (Y, Z)
-    targets (keyed by ``(scorer registry name, Y, Z)``) — every answer
-    is over this generation's families, and :class:`FeatureFamily`
-    hashes by identity, so a target key matches only the very same
-    families.  It holds no snapshot or database, so the server's
+    name)``) and the scorers' prepared (Y, Z) targets (keyed by
+    ``(scorer registry name, Y, Z)``) — every answer is over this
+    generation's families, and :class:`FeatureFamily` hashes by
+    identity, so a target key matches only the very same families.
+    An answer is dropped only when its Y or Z family is replaced
+    (:meth:`inherit`), so every shape asked keeps costing what a write
+    touched.  It holds no snapshot or database, so the server's
     reference to the latest built generation keeps no other per-version
     state alive.
     """
 
     def __init__(self) -> None:
         self.families: FamilySet | None = None
-        self.answers: OrderedDict[tuple, _Answer] = OrderedDict()
+        self.answers: dict[tuple, _Answer] = {}
         self.targets: dict[tuple, Any] = {}
         # guards ``answers`` and ``targets``
         self.lock = threading.Lock()
@@ -240,7 +238,6 @@ class _Generation:
         with self.lock:
             answer = self.answers.get(shape)
             if answer is not None:
-                self.answers.move_to_end(shape)
                 return answer
             others = list(self.answers.items())
         target, condition, search, exclude, scorer = shape
@@ -258,9 +255,6 @@ class _Generation:
     def keep(self, shape: tuple, answer: _Answer) -> None:
         with self.lock:
             self.answers[shape] = answer
-            self.answers.move_to_end(shape)
-            while len(self.answers) > ANSWERS:
-                self.answers.popitem(last=False)
 
     def prepared(self, scorer: str) -> "_PreparedTargets":
         """``scorer``'s prepared targets, as the executor's memo."""

@@ -66,7 +66,13 @@ _derived_lock = threading.RLock()
 
 #: How many views back :meth:`StoreView.written_since` reaches: each
 #: view carries the series written before it, up to this many views.
-WRITE_LOG_VIEWS = 32
+#: A served explain refreshes from the last explain's view, so it
+#: reaches back one view per view other readers froze in between:
+#: every refresh in the end-to-end benchmark workloads reaches 1 view
+#: back, and the serving tests' interleaved writes and reads at most 5.
+#: A refresh from further back compares every member column instead
+#: (~0.26 ms for 605 series), which stays correct.
+WRITE_LOG_VIEWS = 8
 
 
 def shard_index(series: SeriesId, n_shards: int) -> int:

@@ -15,13 +15,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.families import FamilySet, FeatureFamily
-from repro.core.hypothesis import generate_hypotheses
+from repro.core.hypothesis import Hypothesis, generate_hypotheses
 from repro.core.ranking import (
     build_score_table,
     rank_families,
     ranking_sort_key,
 )
-from repro.scoring.table import ranking_order
+from repro.scoring.table import rank_scores
 
 #: Deliberately non-alphabetical insertion order.
 TIED_NAMES = ("zeta", "alpha", "mid", "beta", "omega")
@@ -62,14 +62,20 @@ class TestRankingSortKey:
 @given(st.lists(st.tuples(
     st.sampled_from([0.0, -0.0, 0.5, -0.5, 1e-300, math.inf, -math.inf,
                      math.nan, 0.25]),
-    st.sampled_from(["a", "b", "ab", "B", "é", "zeta", ""])), max_size=24))
+    st.sampled_from(["a", "b", "ab", "B", "é", "zeta", ""])), min_size=1,
+    max_size=24))
 def test_ranking_order_is_the_sort_key_order(rows):
-    """The vectorised order equals a stable sort by ``ranking_sort_key``
-    (the per-row reference), signed zeros, infinities, NaNs and repeated
-    names included."""
+    """The vectorised order the Score Table is ranked in equals a stable
+    sort by ``ranking_sort_key`` (the per-row reference), signed zeros,
+    infinities, NaNs and repeated names included."""
     scores = np.array([score for score, _ in rows], dtype=np.float64)
     names = [name for _, name in rows]
-    assert ranking_order(scores, names) == sorted(
+    y = FeatureFamily("target", np.zeros((4, 1)), ["t:0"])
+    hyps = [Hypothesis(FeatureFamily(name, np.zeros((4, 1)), [f"{name}:0"]),
+                       y) for name in names]
+    ranking = rank_scores(hyps, scores, np.zeros(len(rows)),
+                          np.ones(len(rows)))
+    assert ranking.order.tolist() == sorted(
         range(len(rows)),
         key=lambda i: ranking_sort_key(float(scores[i]), names[i]))
 

@@ -1,8 +1,8 @@
 """The maintained Score Table: ``Ranking.rescored`` equals a cold ranking.
 
 A served explain re-ranks after a write by patching the last ranking:
-the rescored rows leave the order and are re-inserted, the corrections
-are recomputed, and every row that kept its rank and BH flag is reused.
+the order is sorted anew, the corrections are recomputed, and every row
+that kept its rank, values and BH flag is reused.
 Whatever the rescored rows do — move many ranks, become NaN, tie other
 rows exactly, flip other rows' BH flags — the patched table must be the
 one :func:`build_score_table` builds cold from the same arrays, field
@@ -18,12 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.families import FeatureFamily
 from repro.core.hypothesis import Hypothesis
-from repro.scoring.table import (
-    REINSERT_ROWS,
-    RankedFamily,
-    build_score_table,
-    rank_scores,
-)
+from repro.scoring.table import RankedFamily, build_score_table, rank_scores
 
 T = 8
 
@@ -119,7 +114,7 @@ def scored(n):
     return names, hypotheses(names), scores, p_values
 
 
-@pytest.mark.parametrize("moves", [1, 3, REINSERT_ROWS + 1])
+@pytest.mark.parametrize("moves", [1, 3, 17])
 def test_rows_moving_many_ranks(moves):
     """A block of low rows jumps above rank 6; the rows it passes shift
     down and are rebuilt, the rows above and below it are reused."""
@@ -163,7 +158,7 @@ def test_bh_flags_flip_on_other_rows():
     assert patched.results[2] is not ranking.results[2]
 
 
-def test_nan_and_ties_reinsert_by_name():
+def test_nan_and_ties_rank_by_name():
     names, hyps, scores, p_values = scored(6)
     seconds = np.zeros(6)
     ranking = rank_scores(hyps, scores, seconds, p_values)
