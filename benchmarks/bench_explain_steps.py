@@ -11,7 +11,7 @@ by wrapping the functions it calls:
   prepared targets across versions);
 - ``hypotheses``: ``generate_hypotheses`` (0 calls in an op whose
   request shape has a carried answer);
-- ``scoring``: ``HypothesisExecutor.score``;
+- ``scoring``: ``execute_batches`` as the server calls it;
 - ``prepare``: ``L2Scorer.prepare`` (the target's (Y, Z) preparation,
   inside ``scoring``; 0 calls in an op that finds it carried over);
 - ``score_table``: ranking into the Score Table — ``build_score_table``,
@@ -25,7 +25,9 @@ the hypotheses scored and the member lookups (series ids passed to
 ``StoreView.get`` and ``StoreView.get_many``), and the series written
 (one per op).
 
-Run from the repository root (any commit that has the wrapped names)::
+Run from the repository root (any commit that has the wrapped names;
+one whose server scores through ``HypothesisExecutor.score`` needs its
+own copy of this script)::
 
     python3 benchmarks/bench_explain_steps.py SEED OPS [--check]
 
@@ -58,7 +60,6 @@ import sizes  # noqa: E402
 import wl_explain  # noqa: E402
 import repro.core.families as families_module  # noqa: E402
 import repro.serve.server as server_module  # noqa: E402
-from repro.engine_exec.executor import HypothesisExecutor  # noqa: E402
 from repro.scoring.joint import L2Scorer  # noqa: E402
 from repro.scoring.table import Ranking  # noqa: E402
 from repro.tsdb.query import ScanQuery  # noqa: E402
@@ -70,7 +71,7 @@ STEPS = {
     "families": [(server_module, "families_from_store")],
     "inherit": [(server_module._Generation, "inherit")],
     "hypotheses": [(server_module, "generate_hypotheses")],
-    "scoring": [(HypothesisExecutor, "score")],
+    "scoring": [(server_module, "execute_batches")],
     "prepare": [(L2Scorer, "prepare")],
     "score_table": [(server_module, "build_score_table"),
                     (server_module, "rank_scores"),
@@ -81,8 +82,8 @@ STEPS = {
 COUNTS = {
     "scans": (ScanQuery, "run", lambda *args: 1),
     "aligned": (families_module, "align_to_grid", lambda *args: 1),
-    "scored": (HypothesisExecutor, "score",
-               lambda executor, hypotheses, *rest: len(hypotheses)),
+    "scored": (server_module, "execute_batches",
+               lambda hypotheses, *rest: len(hypotheses)),
     "lookups": (StoreView, "get", lambda view, series: 1),
 }
 #: What one op may do at most in an in-horizon op (``--check``): the

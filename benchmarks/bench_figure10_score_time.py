@@ -1,27 +1,27 @@
-"""Figure 10: score-time distributions per scorer, plus backend timings.
+"""Figure 10: score-time distributions per scorer, plus batching timings.
 
 The paper plots the mean and max score time per feature family for the
 five scorers across the 11 scenarios, finding joint methods within 2-3x
 of the univariate ones on average (1.5x for max).  We reproduce the
 measurement on the incident suite and print the density summary.
 
-The backend comparison measures the same workload three ways: a plain
+The batching comparison measures the same workload two ways: a plain
 loop of one ``scorer.score`` call per hypothesis, written here as the
-baseline (the library itself no longer scores that way), and the
-``HypothesisExecutor`` backends — in-process, which groups hypotheses by
-shared (Y, Z) and scores each group in stacked numpy calls, and the
-process pool.  The interactive budget of Figure 10 is exactly what
-batching buys back: on 500+ hypotheses the in-process path must be at
-least 2x faster than the per-hypothesis loop while producing
+baseline (the library itself no longer scores that way), and
+``execute_batches``, which groups hypotheses by shared (Y, Z) and scores
+each group in stacked numpy calls.  The interactive budget of Figure 10
+is exactly what batching buys back: on 500+ hypotheses the batched path
+must be at least 2x faster than the per-hypothesis loop while producing
 bitwise-identical scores.
 
 The transfer comparison reruns the §6.2 serialisation measurement for
-two ways of moving matrices into pool workers: ``shm``, what the process
-backend does — copy each batch group into shared memory once and ship
-zero-copy handles — and ``pickle``, the paper's per-hypothesis
-serialisation, timed here as a dumps/loads of every hypothesis's
-(X, Y, Z).  On 500 hypotheses the shm serialisation share must be at
-least 2x below the pickle share.
+two ways of moving matrices to a scoring kernel: ``pickle``, the paper's
+per-hypothesis serialisation, timed here as a dumps/loads of every
+hypothesis's (X, Y, Z), and ``group-once``, which copies each
+``plan_batches`` group's Y/Z and X matrices once into one buffer.  Both
+are set against the batched path's own scoring time.  On 500 hypotheses
+the group-once serialisation share must be at least 2x below the pickle
+share.
 """
 
 import pickle
@@ -32,7 +32,11 @@ import pytest
 
 from repro.core.families import FamilySet, FeatureFamily
 from repro.core.hypothesis import generate_hypotheses
-from repro.engine_exec import HypothesisExecutor, SerializationAccounting
+from repro.engine_exec import (
+    SerializationAccounting,
+    execute_batches,
+    plan_batches,
+)
 from repro.evalkit import evaluate_scorers, timing_summary
 from repro.scoring import get_scorer
 
@@ -42,16 +46,16 @@ SCORERS = ("CorrMean", "CorrMax", "L2", "L2-P50", "L2-P500")
 #: hypothesis in a loop written in this script.
 SCORE_LOOP = "score-loop"
 
-#: ``backend`` label of ``HypothesisExecutor(backend=None)`` rows.
+#: ``backend`` label of the ``execute_batches`` row.
 IN_PROCESS = "in-process"
 
 #: Columns of one backend timing row; the smoke test checks this schema.
-BACKEND_ROW_FIELDS = ("backend", "scorer", "n_hypotheses", "n_workers",
+BACKEND_ROW_FIELDS = ("backend", "scorer", "n_hypotheses",
                       "wall_seconds", "mean_seconds_per_family",
                       "max_seconds_per_family", "share_attributed")
 
 #: Columns of one transfer overhead row; the smoke test checks this too.
-TRANSFER_ROW_FIELDS = ("transfer", "scorer", "n_hypotheses", "n_workers",
+TRANSFER_ROW_FIELDS = ("transfer", "scorer", "n_hypotheses",
                        "bytes_moved", "serialize_seconds", "score_seconds",
                        "serialization_share")
 
@@ -73,8 +77,26 @@ def synthetic_hypotheses(n_families: int = 500, n_samples: int = 150,
     return generate_hypotheses(FamilySet(fams), "target")
 
 
-def score_loop_row(hypotheses, scorer="L2") -> dict:
-    """The baseline row: hypotheses scored one ``score`` call at a time."""
+def _row(backend, scorer, n_hypotheses, wall, seconds, attributed) -> dict:
+    return {
+        "backend": backend,
+        "scorer": scorer,
+        "n_hypotheses": n_hypotheses,
+        "wall_seconds": wall,
+        "mean_seconds_per_family": float(np.mean(seconds)),
+        "max_seconds_per_family": float(np.max(seconds)),
+        "share_attributed": attributed,
+    }
+
+
+def backend_timing_rows(hypotheses, scorer="L2") -> list[dict]:
+    """The score-loop row, then the ``execute_batches`` row.
+
+    ``share_attributed`` marks rows whose per-family times are equal
+    shares of a stacked call (batched scoring) rather than individual
+    measurements — their max/fam collapses toward the mean and should
+    not be read as a true per-family max.
+    """
     scorer = get_scorer(scorer)
     seconds = []
     wall_start = time.perf_counter()
@@ -83,61 +105,25 @@ def score_loop_row(hypotheses, scorer="L2") -> dict:
         scorer.score(*hypothesis.matrices())
         seconds.append(time.perf_counter() - start)
     wall = time.perf_counter() - wall_start
-    return {
-        "backend": SCORE_LOOP,
-        "scorer": scorer.name,
-        "n_hypotheses": len(hypotheses),
-        "n_workers": 1,
-        "wall_seconds": wall,
-        "mean_seconds_per_family": float(np.mean(seconds)),
-        "max_seconds_per_family": float(np.max(seconds)),
-        "share_attributed": False,
-    }
-
-
-def backend_timing_rows(hypotheses, scorer="L2",
-                        backends=(SCORE_LOOP, None),
-                        n_workers: int = 4) -> list[dict]:
-    """One timing row per backend for the same hypothesis workload.
-
-    ``backends`` mixes :data:`SCORE_LOOP` with ``HypothesisExecutor``
-    backend values.  ``share_attributed`` marks rows whose per-family
-    times are equal shares of a stacked call (in-process scoring) rather
-    than individual measurements — their max/fam collapses toward the
-    mean and should not be read as a true per-family max.
-    """
-    rows = []
-    for backend in backends:
-        if backend == SCORE_LOOP:
-            rows.append(score_loop_row(hypotheses, scorer))
-            continue
-        executor = HypothesisExecutor(n_workers=n_workers, backend=backend)
-        resolved = get_scorer(scorer)
-        wall_start = time.perf_counter()
-        _, seconds, attributed = executor.score(hypotheses, resolved)
-        wall = time.perf_counter() - wall_start
-        rows.append({
-            "backend": backend or IN_PROCESS,
-            "scorer": resolved.name,
-            "n_hypotheses": len(hypotheses),
-            "n_workers": n_workers,
-            "wall_seconds": wall,
-            "mean_seconds_per_family": float(np.mean(seconds)),
-            "max_seconds_per_family": float(np.max(seconds)),
-            "share_attributed": bool(attributed.any()),
-        })
+    rows = [_row(SCORE_LOOP, scorer.name, len(hypotheses), wall, seconds,
+                 False)]
+    wall_start = time.perf_counter()
+    _, seconds, attributed = execute_batches(hypotheses, scorer)
+    wall = time.perf_counter() - wall_start
+    rows.append(_row(IN_PROCESS, scorer.name, len(hypotheses), wall,
+                     seconds, bool(attributed.any())))
     return rows
 
 
 def format_backend_rows(rows) -> str:
-    header = (f"{'Backend':<12}{'Scorer':<10}{'#Hyp':>7}{'Workers':>9}"
+    header = (f"{'Backend':<12}{'Scorer':<10}{'#Hyp':>7}"
               f"{'wall(s)':>10}{'mean/fam':>12}{'max/fam':>12}  note")
     lines = [header, "-" * len(header)]
     for row in rows:
         note = "attributed" if row["share_attributed"] else "measured"
         lines.append(
             f"{row['backend']:<12}{row['scorer']:<10}"
-            f"{row['n_hypotheses']:>7}{row['n_workers']:>9}"
+            f"{row['n_hypotheses']:>7}"
             f"{row['wall_seconds']:>10.4f}"
             f"{row['mean_seconds_per_family']:>12.6f}"
             f"{row['max_seconds_per_family']:>12.6f}  {note}"
@@ -146,7 +132,7 @@ def format_backend_rows(rows) -> str:
 
 
 def pickle_accounting(hypotheses) -> SerializationAccounting:
-    """The per-hypothesis transfer the process backend does not pay.
+    """The paper's per-hypothesis transfer, which the library does not pay.
 
     One ``pickle.dumps``/``loads`` of each hypothesis's (X, Y, Z), timed
     and byte-counted in this process.  Scoring work does not depend on
@@ -169,28 +155,49 @@ def pickle_accounting(hypotheses) -> SerializationAccounting:
     return accounting
 
 
-def serialization_overhead_rows(hypotheses, scorer="CorrMax",
-                                n_workers: int = 4) -> list[dict]:
-    """§6.2 reproduced per transfer: a ``pickle`` row, then ``shm``.
+def group_once_accounting(hypotheses) -> SerializationAccounting:
+    """Each ``plan_batches`` group's matrices copied once into one buffer.
 
-    The ``shm`` row is the process backend's own accounting; the
-    ``pickle`` row is :func:`pickle_accounting` with that run's score
-    seconds.
+    Y (and Z) enter the buffer once per group, followed by the group's X
+    blocks: a transfer that pays per group, not per hypothesis.  Timed
+    and byte-counted like :func:`pickle_accounting`.
+    """
+    accounting = SerializationAccounting()
+    for batch in plan_batches(hypotheses):
+        start = time.perf_counter()
+        matrices = [batch.y.matrix]
+        if batch.z is not None:
+            matrices.append(batch.z.matrix)
+        matrices.extend(h.x.matrix for h in batch.hypotheses)
+        buffer = np.empty(sum(m.size for m in matrices))
+        offset = 0
+        for matrix in matrices:
+            buffer[offset:offset + matrix.size] = matrix.reshape(-1)
+            offset += matrix.size
+        accounting.serialize_seconds += time.perf_counter() - start
+        accounting.bytes_moved += buffer.nbytes
+        accounting.calls += 1
+    return accounting
+
+
+def serialization_overhead_rows(hypotheses, scorer="CorrMax") -> list[dict]:
+    """§6.2 reproduced per transfer: a ``pickle`` row, then ``group-once``.
+
+    Both rows carry the score seconds of one ``execute_batches`` run over
+    the same hypotheses.
     """
     scorer = get_scorer(scorer)
-    pickled = pickle_accounting(hypotheses)
-    shm = SerializationAccounting()
-    HypothesisExecutor(n_workers=n_workers, backend="process").score(
-        hypotheses, scorer, accounting=shm)
-    pickled.score_seconds = shm.score_seconds
+    _, seconds, _ = execute_batches(hypotheses, scorer)
     rows = []
-    for transfer, accounting in (("pickle", pickled), ("shm", shm)):
+    for transfer, accounting in (
+            ("pickle", pickle_accounting(hypotheses)),
+            ("group-once", group_once_accounting(hypotheses))):
+        accounting.score_seconds = float(np.sum(seconds))
         summary = accounting.summary()
         rows.append({
             "transfer": transfer,
             "scorer": scorer.name,
             "n_hypotheses": len(hypotheses),
-            "n_workers": n_workers,
             "bytes_moved": summary["bytes_moved"],
             "serialize_seconds": summary["serialize_seconds"],
             "score_seconds": summary["score_seconds"],
@@ -200,13 +207,13 @@ def serialization_overhead_rows(hypotheses, scorer="CorrMax",
 
 
 def format_transfer_rows(rows) -> str:
-    header = (f"{'Transfer':<10}{'Scorer':<10}{'#Hyp':>7}{'Workers':>9}"
+    header = (f"{'Transfer':<12}{'Scorer':<10}{'#Hyp':>7}"
               f"{'MB moved':>10}{'ser(s)':>10}{'score(s)':>10}{'share':>8}")
     lines = [header, "-" * len(header)]
     for row in rows:
         lines.append(
-            f"{row['transfer']:<10}{row['scorer']:<10}"
-            f"{row['n_hypotheses']:>7}{row['n_workers']:>9}"
+            f"{row['transfer']:<12}{row['scorer']:<10}"
+            f"{row['n_hypotheses']:>7}"
             f"{row['bytes_moved'] / 1e6:>10.2f}"
             f"{row['serialize_seconds']:>10.4f}"
             f"{row['score_seconds']:>10.4f}"
@@ -224,7 +231,7 @@ def test_batched_backend_speedup():
     rows = backend_timing_rows(hypotheses, scorer="L2")
     print()
     print("=" * 76)
-    print("Figure 10 companion — scoring backends on 500 hypotheses")
+    print("Figure 10 companion — scoring paths on 500 hypotheses")
     print("=" * 76)
     print(format_backend_rows(rows))
     by_backend = {row["backend"]: row for row in rows}
@@ -234,11 +241,11 @@ def test_batched_backend_speedup():
     assert speedup >= 2.0
 
 
-def test_shm_transfer_cuts_serialization_share():
-    """§6.2 fixed: shm share is >=2x below pickle on 500 hypotheses."""
+def test_group_once_transfer_cuts_serialization_share():
+    """§6.2 fixed: the group-once share is >=2x below pickle on 500
+    hypotheses."""
     hypotheses = synthetic_hypotheses(n_families=500)
-    # Warm up the process pool machinery so the shm run pays no fork costs.
-    serialization_overhead_rows(hypotheses[:8], n_workers=2)
+    serialization_overhead_rows(hypotheses[:8])      # warm-up
     rows = serialization_overhead_rows(hypotheses)
     print()
     print("=" * 76)
@@ -247,9 +254,9 @@ def test_shm_transfer_cuts_serialization_share():
     print(format_transfer_rows(rows))
     by_transfer = {row["transfer"]: row for row in rows}
     ratio = (by_transfer["pickle"]["serialization_share"]
-             / by_transfer["shm"]["serialization_share"])
-    print(f"pickle/shm serialization-share ratio: {ratio:.1f}x")
-    assert by_transfer["shm"]["bytes_moved"] \
+             / by_transfer["group-once"]["serialization_share"])
+    print(f"pickle/group-once serialization-share ratio: {ratio:.1f}x")
+    assert by_transfer["group-once"]["bytes_moved"] \
         < by_transfer["pickle"]["bytes_moved"]
     assert ratio >= 2.0
 

@@ -12,16 +12,28 @@ seconds; the distributional facts are scale-free.
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.linmodel import LinearRegression, Ridge
 from repro.linmodel.metrics import adjusted_r2, r2_score
-from repro.scoring import (
-    null_r2_distribution,
-    sample_null_r2_ols,
-    sample_null_r2_ridge_cv,
-)
+from repro.scoring import sample_null_r2_ols, sample_null_r2_ridge_cv
 
 N, P, DRAWS = 200, 100, 40
+
+
+def null_r2_distribution(n_samples: int, n_predictors: int):
+    """The Beta((p-1)/2, (n-p)/2) law of OLS r² under the NULL.
+
+    Requires 1 < p < n; the mean is (p-1)/(n-1), which tends to 1 as
+    p -> n — the "overfitting to the data" intuition of Appendix A.1.
+    """
+    if not 1 < n_predictors < n_samples:
+        raise ValueError(
+            f"need 1 < p < n, got p={n_predictors}, n={n_samples}"
+        )
+    a = (n_predictors - 1) / 2.0
+    b = (n_samples - n_predictors) / 2.0
+    return stats.beta(a, b)
 
 
 @pytest.fixture(scope="module")

@@ -43,13 +43,10 @@ SMOKE_RECALL3_FLOORS = {
 }
 
 
-def run_replay(matrix: str, backend: str | None,
-               n_workers: int) -> tuple[Scorecard, float]:
+def run_replay(matrix: str) -> tuple[Scorecard, float]:
     specs = matrix_specs(matrix)
     start = time.perf_counter()
-    card = replay_matrix(specs, scorers=DEFAULT_SCORERS,
-                         backend=backend, n_workers=n_workers,
-                         matrix=matrix)
+    card = replay_matrix(specs, scorers=DEFAULT_SCORERS, matrix=matrix)
     return card, time.perf_counter() - start
 
 
@@ -81,19 +78,15 @@ def main() -> int:
                         default="full")
     parser.add_argument("--smoke", action="store_true",
                         help="shortcut for --matrix smoke (the CI gate)")
-    parser.add_argument("--backend", default=None, choices=("process",),
-                        help="score across a process pool "
-                             "(default: in-process)")
-    parser.add_argument("--workers", type=int, default=4)
     args = parser.parse_args()
     matrix = "smoke" if args.smoke else args.matrix
 
-    card1, seconds1 = run_replay(matrix, args.backend, args.workers)
-    card2, seconds2 = run_replay(matrix, args.backend, args.workers)
+    card1, seconds1 = run_replay(matrix)
+    card2, seconds2 = run_replay(matrix)
     print(format_scorecard(card1))
     print()
     print(f"replay wall time: {seconds1:.3f}s / {seconds2:.3f}s "
-          f"(two runs, backend={args.backend or 'in-process'})")
+          "(two runs)")
     check_determinism(card1, card2)
     if matrix == "smoke":
         check_floors(card1)

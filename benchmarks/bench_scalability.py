@@ -1,22 +1,18 @@
-"""§6.2 scalability: runtime vs hypothesis count, parallel speedup,
-serialisation share, and the PC-algorithm baseline blow-up.
+"""§6.2 scalability: runtime vs hypothesis count, serialisation share,
+and the PC-algorithm baseline blow-up.
 
 The paper's findings to reproduce in shape:
 - scoring time is predominantly determined by the number of hypotheses;
 - serialisation is ~25% of univariate score time but ~5% of joint;
-- hypothesis-level parallelism scales without distributed-ML complexity;
 - full-structure discovery (PC) is the wrong tool at scale.
 """
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-import pytest
 
-from repro.core.families import FamilySet, FeatureFamily
 from repro.core.hypothesis import generate_hypotheses
-from repro.engine_exec import HypothesisExecutor, SerializationAccounting
+from repro.engine_exec import SerializationAccounting, execute_batches
 from repro.scoring import get_scorer
 from repro.workloads.incidents import IncidentSpec, make_incident
 
@@ -28,69 +24,28 @@ def _hypotheses(n_families: int, seed: int = 0):
     return generate_hypotheses(incident.families, incident.target)
 
 
-def _wide_hypotheses(n_families: int = 16, n_features: int = 30,
-                     n_samples: int = 180, seed: int = 3):
-    """Few families, each expensive to score: parallelism has to win on
-    per-hypothesis work, not on hypothesis count."""
-    rng = np.random.default_rng(seed)
-    grid = np.arange(n_samples)
-    target = rng.standard_normal(n_samples)
-    fams = [FeatureFamily("target", target[:, None], ["t:0"], grid)]
-    for i in range(n_families):
-        fams.append(FeatureFamily(
-            f"fam_{i}", 0.5 * target[:, None]
-            + rng.standard_normal((n_samples, n_features)),
-            [f"fam_{i}:{j}" for j in range(n_features)], grid))
-    return generate_hypotheses(FamilySet(fams), "target")
-
-
-def timed_score(executor: HypothesisExecutor, hyps, scorer: str, **kwargs):
-    """``(scores, wall seconds)`` of one ``executor.score`` call."""
+def timed_score(hyps, scorer: str):
+    """``(scores, wall seconds)`` of one ``execute_batches`` call."""
     scorer = get_scorer(scorer)
     start = time.perf_counter()
-    scores, _, _ = executor.score(hyps, scorer, **kwargs)
+    scores, _, _ = execute_batches(hyps, scorer)
     return scores, time.perf_counter() - start
 
 
 class TestRuntimeScalesWithHypotheses:
     def test_linear_in_hypothesis_count(self, benchmark):
-        executor = HypothesisExecutor(n_workers=1)
         timings = {}
         for count in (10, 40):
             hyps = _hypotheses(count)
             _, wall = benchmark.pedantic(
-                timed_score, args=(executor, hyps, "L2"),
+                timed_score, args=(hyps, "L2"),
                 rounds=1, iterations=1) if count == 40 else \
-                timed_score(executor, hyps, "L2")
+                timed_score(hyps, "L2")
             timings[count] = wall / len(hyps)
         print(f"\n[§6.2] per-hypothesis seconds at 10 vs 40 families: "
               f"{timings[10]:.5f} vs {timings[40]:.5f}")
         # Per-hypothesis cost stays roughly flat => total is ~linear.
         assert timings[40] < timings[10] * 3.0
-
-
-class TestParallelSpeedup:
-    def test_workers_reduce_wall_time(self, benchmark):
-        hyps = _wide_hypotheses()
-        # L1's coordinate descent is a Python loop, so only separate
-        # processes overlap it.  Both pools are forked and warmed first:
-        # the comparison is scheduling, not start-up.
-        executor = HypothesisExecutor(backend="process")
-        with ProcessPoolExecutor(1) as one, ProcessPoolExecutor(4) as four:
-            for pool in (one, four):
-                timed_score(executor, hyps[:4], "L1", process_pool=pool)
-            serial, serial_wall = timed_score(executor, hyps, "L1",
-                                              process_pool=one)
-            parallel, parallel_wall = benchmark.pedantic(
-                timed_score, args=(executor, hyps, "L1"),
-                kwargs={"process_pool": four}, rounds=1, iterations=1)
-        print(f"\n[§6.2] wall seconds 1 worker: {serial_wall:.2f}, "
-              f"4 workers: {parallel_wall:.2f}")
-        # A pool of one against a pool of four; require headroom rather
-        # than the full 4x (machine-dependent).
-        assert parallel_wall < serial_wall * 1.1
-        # Results identical regardless of parallelism.
-        assert np.array_equal(parallel, serial)
 
 
 class TestSerializationShare:
@@ -99,8 +54,7 @@ class TestSerializationShare:
 
         def measure(scorer):
             accounting = SerializationAccounting()
-            HypothesisExecutor(n_workers=1).score(
-                hyps, get_scorer(scorer), accounting=accounting)
+            execute_batches(hyps, get_scorer(scorer), accounting=accounting)
             return accounting
 
         cheap = benchmark.pedantic(measure, args=("CorrMax",),
@@ -121,6 +75,9 @@ class TestPcBaselineBlowup:
     def test_pc_cost_grows_much_faster_than_ranking(self, benchmark):
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
         from repro.causal import pc_skeleton
+        # Untimed: the CI test imports scipy on its first call.
+        pc_skeleton(np.random.default_rng(1).standard_normal((50, 3)),
+                    alpha=0.01)
         rng = np.random.default_rng(0)
         pc_times = {}
         rank_times = {}
@@ -132,7 +89,7 @@ class TestPcBaselineBlowup:
 
             hyps = _hypotheses(n_vars)
             start = time.perf_counter()
-            timed_score(HypothesisExecutor(n_workers=1), hyps, "CorrMax")
+            timed_score(hyps, "CorrMax")
             rank_times[n_vars] = time.perf_counter() - start
         pc_growth = pc_times[16] / max(pc_times[8], 1e-9)
         rank_growth = rank_times[16] / max(rank_times[8], 1e-9)

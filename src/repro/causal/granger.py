@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.linmodel.linear import LinearRegression
 
@@ -53,6 +52,8 @@ def _lag_design(series: np.ndarray, order: int) -> np.ndarray:
 def granger_test(x: np.ndarray, y: np.ndarray,
                  order: int = 2) -> GrangerResult:
     """Test whether X Granger-causes Y at the given lag order."""
+    from scipy import stats  # on first use: keeps scipy off the import path
+
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if x.size != y.size:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
 
 
 class IndependenceTestError(Exception):
@@ -54,6 +53,8 @@ def ci_test(x: np.ndarray, y: np.ndarray, z: np.ndarray | None = None,
     Returns ``(independent, p_value)`` where ``independent`` is the test
     decision at level ``alpha`` (True = fail to reject independence).
     """
+    from scipy import stats  # on first use: keeps scipy off the import path
+
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     n = x.size
     k = 0

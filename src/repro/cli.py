@@ -4,8 +4,6 @@ Usage (after installation)::
 
     python -m repro.cli scenarios                  # list built-in scenarios
     python -m repro.cli explain 5.1 --scorer L2    # rank one case study
-    python -m repro.cli explain 5.1 --backend process --workers 2
-                                                   # shared-memory process pool
     python -m repro.cli explain 5.3 --lags 0 1 2   # lag-augmented scoring
     python -m repro.cli table6 --scale 0.5         # the §6.1 evaluation
     python -m repro.cli replay --matrix smoke      # incident-matrix replay
@@ -22,16 +20,12 @@ import argparse
 import sys
 from typing import Callable, Sequence
 
-from repro.engine_exec.executor import BACKENDS
 from repro.scoring.base import list_scorers
 from repro.versioned import DEFAULT_CACHE_ENTRIES
 from repro.workloads import scenarios as scenario_module
 
-#: Worker count used when ``--workers`` is not given.
+#: Request worker count used when ``serve --workers`` is not given.
 DEFAULT_WORKERS = 4
-
-#: ``--backend`` choices; leaving the flag out scores in-process.
-POOL_BACKENDS = [b for b in BACKENDS if b is not None]
 
 SCENARIOS: dict[str, Callable] = {
     "5.1": scenario_module.fault_injection_scenario,
@@ -82,14 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--seed", type=int, default=0)
     explain.add_argument("--condition", default=None,
                          help="family to condition on (or 'none')")
-    explain.add_argument("--backend", default=None,
-                         choices=POOL_BACKENDS,
-                         help="score across a worker pool (default: "
-                              "in-process, stacked numpy calls over "
-                              "hypotheses sharing a target)")
-    explain.add_argument("--workers", type=_positive_int, default=None,
-                         help="worker count for --backend process "
-                              f"(default {DEFAULT_WORKERS})")
     explain.add_argument("--lags", type=_non_negative_int, nargs="+",
                          default=None, metavar="LAG",
                          help="augment X (and Z) with these lags before "
@@ -110,12 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--ks", type=_positive_int, nargs="+",
                         default=[1, 3, 5, 10], metavar="K",
                         help="precision/recall cutoffs")
-    replay.add_argument("--backend", default=None, choices=POOL_BACKENDS,
-                        help="score rankings across a worker pool "
-                             "(default: in-process)")
-    replay.add_argument("--workers", type=_positive_int, default=None,
-                        help="worker count for --backend process "
-                             f"(default {DEFAULT_WORKERS})")
     replay.add_argument("--scale", type=_positive_int, default=1,
                         help="trace-length multiplier: N emits N x 288 "
                              "samples per series (load testing; 1 "
@@ -151,9 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=DEFAULT_CACHE_ENTRIES,
                        help="result-cache bound "
                             f"(default {DEFAULT_CACHE_ENTRIES})")
-    serve.add_argument("--backend", default=None, choices=POOL_BACKENDS,
-                       help="default ranking backend for \\explain "
-                            "requests (default: in-process)")
     serve.add_argument("--rows", type=int, default=20,
                        help="rows printed per SQL result")
     return parser
@@ -176,30 +153,7 @@ def cmd_scorers(_args: argparse.Namespace) -> int:
     return 0
 
 
-def resolve_exec_args(backend: str | None,
-                      workers: int | None) -> tuple[int, list[str]]:
-    """Resolve executor options, warning about an ignored combination.
-
-    The argparse layer already rejects unknown ``--backend`` values;
-    this resolves the cross-argument case that argparse cannot express —
-    ``--workers`` is valid on its own but configures the process pool
-    only — into an explicit warning instead of a silent no-op.  Returns
-    ``(n_workers, warnings)``.
-    """
-    if workers is not None and workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {workers}")
-    warnings = []
-    if workers is not None and backend is None:
-        warnings.append("--workers is only used by --backend process; "
-                        "ignored by the default in-process scoring")
-    return (workers if workers is not None else DEFAULT_WORKERS,
-            warnings)
-
-
 def cmd_explain(args: argparse.Namespace) -> int:
-    n_workers, warnings = resolve_exec_args(args.backend, args.workers)
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     scorer = args.scorer
     if args.lags is not None:
         from repro.scoring import LaggedScorer, get_scorer
@@ -209,8 +163,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     if args.condition is not None:
         session.set_condition(None if args.condition.lower() == "none"
                               else args.condition)
-    table = session.explain(scorer=scorer, top_k=args.top,
-                            backend=args.backend, n_workers=n_workers)
+    table = session.explain(scorer=scorer, top_k=args.top)
     print(f"Scenario: {scenario.name} — {scenario.description}")
     print(f"Ground-truth causes: {sorted(scenario.causes)}")
     print()
@@ -222,13 +175,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
     from repro.evalkit.replay import format_scorecard, replay_matrix
     from repro.workloads.matrix import matrix_specs
 
-    n_workers, warnings = resolve_exec_args(args.backend, args.workers)
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     specs = matrix_specs(args.matrix)
     card = replay_matrix(specs, scorers=tuple(args.scorers),
-                         ks=tuple(args.ks), backend=args.backend,
-                         n_workers=n_workers, matrix=args.matrix,
+                         ks=tuple(args.ks), matrix=args.matrix,
                          scale=args.scale)
     if args.json == "-":
         print(card.to_json(indent=2))
@@ -284,8 +233,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     scenario = SCENARIOS[args.scenario](seed=args.seed)
     workers = args.workers if args.workers is not None else DEFAULT_WORKERS
     with QueryServer(scenario.store, n_workers=workers,
-                     cache_entries=args.cache_entries,
-                     backend=args.backend) as server:
+                     cache_entries=args.cache_entries) as server:
         print(f"serving {scenario.name} ({args.scenario}) — "
               f"{workers} workers, cache {args.cache_entries} entries; "
               "SQL, \\explain TARGET [SCORER], \\stats, \\quit",

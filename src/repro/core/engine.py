@@ -128,15 +128,11 @@ class ExplainItSession:
     def explain(self, scorer: str | Scorer = "L2-P50",
                 search: Iterable[str] | None = None,
                 exclude: Iterable[str] = (),
-                top_k: int = DEFAULT_TOP_K,
-                backend: str | None = None,
-                n_workers: int = 4) -> ScoreTable:
+                top_k: int = DEFAULT_TOP_K) -> ScoreTable:
         """Run one iteration of Algorithm 1 and return the Score Table.
 
-        ``backend=None`` scores in-process, sharing the target/
-        condition-side work across all candidate families in stacked
-        numpy calls; ``backend="process"`` scores across a pool of
-        ``n_workers`` processes.  The ranking is identical either way.
+        The target/condition-side work is shared across all candidate
+        families in stacked numpy calls.
         """
         if self._target is None:
             raise FamilyError("set_target before explain()")
@@ -145,20 +141,16 @@ class ExplainItSession:
             families, self._target, condition=self._condition,
             search=search, exclude=exclude,
         )
-        table = rank_families(hypotheses, scorer=scorer, top_k=top_k,
-                              backend=backend, n_workers=n_workers)
+        table = rank_families(hypotheses, scorer=scorer, top_k=top_k)
         self.db.register("score", table.to_table())
         self.history.append(table)
         return table
 
     def drill_down(self, families: Sequence[str],
                    scorer: str | Scorer = "L2-P50",
-                   top_k: int = DEFAULT_TOP_K,
-                   backend: str | None = None,
-                   n_workers: int = 4) -> ScoreTable:
+                   top_k: int = DEFAULT_TOP_K) -> ScoreTable:
         """Re-rank within a narrowed search space (the §5.4 workflow)."""
-        return self.explain(scorer=scorer, search=families, top_k=top_k,
-                            backend=backend, n_workers=n_workers)
+        return self.explain(scorer=scorer, search=families, top_k=top_k)
 
     def suggest_event_window(self, window: int = 30,
                              threshold: float = 4.0):

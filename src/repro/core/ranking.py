@@ -13,7 +13,7 @@ import time
 from typing import Sequence
 
 from repro.core.hypothesis import Hypothesis
-from repro.engine_exec.executor import HypothesisExecutor
+from repro.engine_exec.batch import execute_batches
 from repro.scoring.base import Scorer, get_scorer
 from repro.scoring.table import (
     DEFAULT_TOP_K,
@@ -41,21 +41,20 @@ def rank_families(hypotheses: Sequence[Hypothesis],
                   transfer: str = "shm") -> ScoreTable:
     """Score every hypothesis and produce the ranked Score Table.
 
-    ``backend=None`` (the default) scores in-process: hypotheses sharing
-    (Y, Z) are grouped and each group goes through the scorer's
-    ``score_batch`` in stacked numpy calls.  ``backend="process"`` scores
-    one hypothesis per job across a pool of ``n_workers`` processes,
-    matrices reaching them through shared memory; ``n_workers`` has no
-    effect in-process.  The ranking is identical whichever way it is
-    computed.  ``transfer`` remains for callers written when there were
-    two transports; it accepts only ``"shm"``.
+    Hypotheses sharing (Y, Z) are grouped and each group goes through
+    the scorer's ``score_batch`` in stacked numpy calls
+    (:func:`~repro.engine_exec.batch.execute_batches`).  ``backend``,
+    ``n_workers`` and ``transfer`` remain for callers written when there
+    was a process pool; they accept only their in-process values
+    (``None``, any count, ``"shm"``) and change nothing.
     """
+    if backend is not None:
+        raise ValueError(f"backend must be None, got {backend!r}")
     if transfer != "shm":
         raise ValueError(f"transfer must be 'shm', got {transfer!r}")
     if isinstance(scorer, str):
         scorer = get_scorer(scorer)
     started = time.perf_counter()
-    scores, seconds, _ = HypothesisExecutor(
-        n_workers=n_workers, backend=backend).score(hypotheses, scorer)
+    scores, seconds, _ = execute_batches(hypotheses, scorer)
     return build_score_table(hypotheses, scores, seconds, scorer.name,
                              top_k, time.perf_counter() - started)

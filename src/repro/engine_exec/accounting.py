@@ -5,19 +5,14 @@ boundary; instrumentation attributed ~25% of univariate score time and
 ~5% of joint score time to (de)serialisation.  The reproduction
 *performs* an equivalent transfer and reports its share of total
 scoring time — reproducing the measurement, not merely asserting the
-number.  Pass one to :meth:`HypothesisExecutor.score
-<repro.engine_exec.executor.HypothesisExecutor.score>`; each backend
-records the transfer it actually pays:
+number.  Pass one to :func:`~repro.engine_exec.batch.execute_batches`:
+:meth:`SerializationAccounting.round_trip` sends each hypothesis's
+matrices out as raw C-order bytes and back into numpy — the gRPC
+stand-in.
 
-- :meth:`SerializationAccounting.round_trip` — raw C-order bytes out,
-  numpy back in: the gRPC stand-in used by in-process scoring.
-- :meth:`SerializationAccounting.record_shared_copy` — the one-off
-  copy-in of a batch group's matrices into shared memory under
-  ``backend="process"``; the worker-side attach is zero-copy and free.
-
-``benchmarks/bench_figure10_score_time.py`` sets these against a
-per-hypothesis ``pickle`` round trip it times itself, the paper's
-serialisation cost that nothing in the library pays.
+``benchmarks/bench_figure10_score_time.py`` sets this against a
+per-hypothesis ``pickle`` round trip and a once-per-group copy it
+times itself.
 """
 
 from __future__ import annotations
@@ -53,12 +48,6 @@ class SerializationAccounting:
         self.serialize_seconds += time.perf_counter() - start
         self.calls += 1
         return out
-
-    def record_shared_copy(self, seconds: float, nbytes: int) -> None:
-        """One batch group's copy-in to shared memory (process backend)."""
-        self.serialize_seconds += seconds
-        self.bytes_moved += nbytes
-        self.calls += 1
 
     def record_score_time(self, seconds: float) -> None:
         """Add pure scoring time for one hypothesis."""

@@ -2,7 +2,7 @@
 
 The harness takes :class:`~repro.workloads.matrix.ScenarioSpec` keys,
 builds each incident (store + families + labels), generates hypotheses,
-ranks them with every requested scorer under a chosen execution backend,
+ranks them with every requested scorer,
 and grades the rankings with the paper's discounted gains plus
 per-scenario precision/recall@k.  The result is a
 :class:`Scorecard` — a machine-readable JSON payload (deterministic:
@@ -99,7 +99,6 @@ class Scorecard:
     runs: list[ScenarioRun]
     scorers: list[str]
     ks: tuple[int, ...]
-    backend: str | None = None
     matrix: str = "custom"
 
     def by_scorer(self, scorer: str) -> list[ReplayCell]:
@@ -144,15 +143,12 @@ class Scorecard:
         return min(c.recall_at[k] for c in rows)
 
     # -- serialisation ----------------------------------------------------
-    def to_payload(self, with_timings: bool = True,
-                   with_meta: bool = True) -> dict:
+    def to_payload(self, with_timings: bool = True) -> dict:
         """A plain-dict scorecard.
 
         With ``with_timings=False`` the payload contains only
-        deterministic fields: two runs of the same matrix (any backend)
-        serialise byte-identically.  ``with_meta=False`` additionally
-        drops the backend label, for cross-backend parity
-        comparisons.
+        deterministic fields: two runs of the same matrix serialise
+        byte-identically.
         """
         cells = []
         for c in self.cells:
@@ -190,7 +186,7 @@ class Scorecard:
                 run["build_seconds"] = r.build_seconds
                 run["hypotheses_seconds"] = r.hypotheses_seconds
             runs.append(run)
-        payload = {
+        return {
             "matrix": self.matrix,
             "scorers": list(self.scorers),
             "ks": list(self.ks),
@@ -198,14 +194,10 @@ class Scorecard:
             "cells": cells,
             "summary": {s: self.scorer_summary(s) for s in self.scorers},
         }
-        if with_meta:
-            payload["backend"] = self.backend
-        return payload
 
     def to_json(self, with_timings: bool = True,
-                with_meta: bool = True, indent: int | None = None) -> str:
-        return json.dumps(self.to_payload(with_timings=with_timings,
-                                          with_meta=with_meta),
+                indent: int | None = None) -> str:
+        return json.dumps(self.to_payload(with_timings=with_timings),
                           sort_keys=True, indent=indent)
 
 
@@ -234,16 +226,11 @@ def grade_ranking(ranking: Sequence[str], scenario: ReplayScenario,
 def replay_matrix(specs: Sequence[ScenarioSpec],
                   scorers: Sequence[str] = DEFAULT_SCORERS,
                   ks: Sequence[int] = DEFAULT_KS,
-                  backend: str | None = None,
-                  n_workers: int = 4,
                   matrix: str = "custom",
                   scale: int = 1) -> Scorecard:
     """Replay every spec through ingest -> hypotheses -> rank -> grade.
 
-    ``backend``/``n_workers`` are forwarded to
-    :func:`~repro.core.ranking.rank_families`; both backends produce
-    the same scorecard (rankings are bitwise identical), which the
-    parity regression test pins.  ``scale`` multiplies every scenario's
+    ``scale`` multiplies every scenario's
     trace length (see :func:`~repro.workloads.matrix.build_scenario`) —
     the load knob for stress replays; ``scale=1`` reproduces the
     historical scorecards exactly.
@@ -275,8 +262,7 @@ def replay_matrix(specs: Sequence[ScenarioSpec],
         ))
         for scorer in scorers:
             t0 = time.perf_counter()
-            table = rank_families(hypotheses, scorer=scorer,
-                                  backend=backend, n_workers=n_workers)
+            table = rank_families(hypotheses, scorer=scorer)
             rank_seconds = time.perf_counter() - t0
 
             t0 = time.perf_counter()
@@ -298,7 +284,6 @@ def replay_matrix(specs: Sequence[ScenarioSpec],
         runs=runs,
         scorers=list(scorers),
         ks=tuple(ks),
-        backend=backend,
         matrix=matrix,
     )
 
@@ -349,7 +334,6 @@ def format_scorecard(card: Scorecard, recall_k: int = 3) -> str:
     lines.append(
         f"Stages: build {total_build:.3f}s | hypotheses {total_hyp:.3f}s "
         f"| rank {total_rank:.3f}s | grade {total_grade:.3f}s "
-        f"({len(card.runs)} scenarios x {len(card.scorers)} scorers, "
-        f"backend={card.backend or 'in-process'})"
+        f"({len(card.runs)} scenarios x {len(card.scorers)} scorers)"
     )
     return "\n".join(lines)

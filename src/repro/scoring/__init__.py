@@ -37,7 +37,6 @@ from repro.scoring.lagged import LaggedScorer, best_lag, lag_matrix
 from repro.scoring.significance import (
     benjamini_hochberg,
     bonferroni,
-    null_r2_distribution,
     p_value_chebyshev,
     sample_null_r2_ols,
     sample_null_r2_ridge_cv,
@@ -61,7 +60,6 @@ __all__ = [
     "LaggedScorer",
     "best_lag",
     "lag_matrix",
-    "null_r2_distribution",
     "p_value_chebyshev",
     "sample_null_r2_ols",
     "sample_null_r2_ridge_cv",

@@ -9,7 +9,9 @@ observed score into a conservative p-value
 
 and Bonferroni / Benjamini-Hochberg corrections account for the engine
 scoring thousands of hypotheses simultaneously.  The sampling helpers
-regenerate Figures 12 and 13.
+regenerate Figures 12 and 13; the Beta law itself lives beside them in
+``benchmarks/bench_figure12_13_null.py``, so scipy stays off the
+engine's import path.
 """
 
 from __future__ import annotations
@@ -17,26 +19,10 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from repro.linmodel.batched import signed_cv_r2
 from repro.linmodel.linear import LinearRegression
 from repro.linmodel.metrics import adjusted_r2, r2_score
-
-
-def null_r2_distribution(n_samples: int, n_predictors: int):
-    """The Beta((p-1)/2, (n-p)/2) law of OLS r² under the NULL.
-
-    Requires 1 < p < n; the mean is (p-1)/(n-1), which tends to 1 as
-    p -> n — the "overfitting to the data" intuition of Appendix A.1.
-    """
-    if not 1 < n_predictors < n_samples:
-        raise ValueError(
-            f"need 1 < p < n, got p={n_predictors}, n={n_samples}"
-        )
-    a = (n_predictors - 1) / 2.0
-    b = (n_samples - n_predictors) / 2.0
-    return stats.beta(a, b)
 
 
 def var_adjusted_r2(n_samples: int, n_predictors: int) -> float:

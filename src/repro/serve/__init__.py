@@ -1,9 +1,9 @@
-"""Concurrent query-serving tier: worker pool, shm reuse, result cache.
+"""Concurrent query-serving tier: worker pool, carried answers, result cache.
 
 ``QueryServer`` is the long-lived front end for dashboard-style
 workloads: repeat SQL / ``explain`` / ``drill_down`` requests served
-concurrently against pinned per-version snapshots, with batch-group
-matrices published to shared memory once per store version and
+concurrently against pinned per-version snapshots, with each request
+shape's answer and prepared target carried across versions and
 results kept in a :class:`~repro.versioned.VersionedCache` (see
 :mod:`repro.serve.server`).
 """

@@ -24,16 +24,12 @@ arrive.  ``QueryServer`` is the long-lived front end for that workload:
   so an explain after a write re-aligns, re-scores and re-ranks only
   what the write touched — as long as the write leaves the time grid
   in place (one that extends the horizon rebuilds everything); the
-  scorer's prepared (Y, Z) target is carried the same way, so a write
-  that leaves the target's families alone prepares nothing;
-- for ``backend="process"`` rankings the state publishes the Y/Z/X
-  matrices of the hypotheses it has to score **once per version**
-  through the existing :class:`~repro.engine_exec.shm.SharedMatrixPool`
-  (:func:`~repro.engine_exec.executor.share_shm_jobs`); a repeat of the
-  same scoring work replays the same zero-copy handles into a
-  long-lived process pool instead of copying matrices per request; a
-  request that finds that pool broken (a worker died) fails, and the
-  next one forks a fresh pool;
+  scorer's prepared (Y, Z) target and the scorer itself are carried
+  the same way, so a write that leaves the target's families alone
+  prepares nothing and no request instantiates a scorer twice;
+- rankings are scored in-process by
+  :func:`~repro.engine_exec.batch.execute_batches`, the one scoring
+  path, against the generation's prepared targets;
 - a bounded **result cache** — a
   :class:`~repro.versioned.VersionedCache` keyed on the normalized
   query or the explain shape — returns the identical result object for
@@ -54,8 +50,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Any, Hashable, Iterable, NamedTuple, Sequence
 
@@ -69,14 +64,8 @@ from repro.core.families import (
 )
 from repro.core.hypothesis import Hypothesis, generate_hypotheses
 from repro.core.ranking import DEFAULT_TOP_K, ScoreTable, build_score_table
-from repro.engine_exec.executor import (
-    BACKENDS,
-    HypothesisExecutor,
-    ShmJob,
-    share_shm_jobs,
-)
-from repro.engine_exec.shm import SharedMatrixPool
-from repro.scoring.base import get_scorer
+from repro.engine_exec.batch import execute_batches
+from repro.scoring.base import Scorer, get_scorer
 from repro.scoring.table import Ranking, chebyshev_p_values, rank_scores
 from repro.serve.cache import normalize_query
 from repro.sql.catalog import Database
@@ -87,7 +76,8 @@ from repro.versioned import DEFAULT_CACHE_ENTRIES, VersionedCache
 
 #: Version states kept warm.  Two, not one: a request that snapshotted
 #: just before a bump may pin its (older) state after a newer one
-#: exists, and must not retire the state current requests are using.
+#: exists, and must not drop the state the requests after it use.  A
+#: dropped state lives on only in the requests still holding it.
 KEEP_VERSIONS = 2
 
 
@@ -178,8 +168,9 @@ class _Generation:
 
     Its family set, the last answer of each request shape (``answers``,
     keyed ``(target, condition, search, exclude, scorer registry
-    name)``) and the scorers' prepared (Y, Z) targets (keyed by
-    ``(scorer registry name, Y, Z)``) — every answer is over this
+    name)``), the scorers' prepared (Y, Z) targets (keyed by
+    ``(scorer registry name, Y, Z)``) and the scorers themselves (keyed
+    by registry name) — every answer is over this
     generation's families, and :class:`FeatureFamily` hashes by
     identity, so a target key matches only the very same families.
     An answer is dropped only when its Y or Z family is replaced
@@ -193,12 +184,13 @@ class _Generation:
         self.families: FamilySet | None = None
         self.answers: dict[tuple, _Answer] = {}
         self.targets: dict[tuple, Any] = {}
-        # guards ``answers`` and ``targets``
+        self.scorers: dict[str, Scorer] = {}
+        # guards ``answers``, ``targets`` and ``scorers``
         self.lock = threading.Lock()
 
     def inherit(self, older: "_Generation", families: FamilySet) -> None:
-        """Carry ``older``'s answers and prepared targets over to
-        ``families``, built with ``previous=older.families``.
+        """Carry ``older``'s answers, prepared targets and scorers over
+        to ``families``, built with ``previous=older.families``.
 
         After a refresh (``families.origin.realigned`` names the
         re-aligned families) an answer keeps its hypothesis list, with
@@ -217,6 +209,7 @@ class _Generation:
             answers = list(older.answers.items())
             targets = [(key, target) for key, target in older.targets.items()
                        if replaced.isdisjoint(key[1:])]
+            scorers = dict(older.scorers)
         carried = []
         for shape, answer in answers:
             if answer.y in replaced or answer.z in replaced:
@@ -230,6 +223,7 @@ class _Generation:
         with self.lock:
             self.answers.update(carried)
             self.targets.update(targets)
+            self.scorers.update(scorers)
 
     def answer(self, shape: tuple) -> _Answer:
         """``shape``'s answer: the carried one, or one built now whose
@@ -259,6 +253,15 @@ class _Generation:
     def prepared(self, scorer: str) -> "_PreparedTargets":
         """``scorer``'s prepared targets, as the executor's memo."""
         return _PreparedTargets(self, scorer)
+
+    def scorer(self, name: str) -> Scorer:
+        """The scorer registered as ``name``, instantiated on first use
+        and carried to newer generations with the targets it prepared."""
+        with self.lock:
+            scorer = self.scorers.get(name)
+            if scorer is None:
+                scorer = self.scorers[name] = get_scorer(name)
+            return scorer
 
 
 def _refreshed(answer: _Answer, families: FamilySet,
@@ -317,12 +320,8 @@ class _VersionState:
 
     ``generation`` is this version's explain work; the server fills it in
     on the first explain (:meth:`QueryServer._generation`) as a refresh
-    of the latest generation it built at any version.
-
-    ``_lock`` guards only the request lifetime (in-flight count,
-    retirement); family and shared-memory builds run under
-    ``build_lock``, single-flight, so a slow build never blocks
-    :meth:`acquire` — which ``_pin`` calls under the server-wide lock.
+    of the latest generation it built at any version, single-flight
+    under ``build_lock``.
     """
 
     def __init__(self, version: Any, snapshot: StoreView) -> None:
@@ -331,74 +330,7 @@ class _VersionState:
         self.db = Database()
         register_store(self.db, snapshot)
         self.generation = _Generation()
-        self._shm_pool: SharedMatrixPool | None = None
-        self._shm_jobs: dict[Hashable, list[ShmJob]] = {}
         self.build_lock = threading.Lock()
-        self._lock = threading.Lock()
-        self._inflight = 0
-        self._retired = False
-        self._closed = False
-
-    # -- request lifetime ----------------------------------------------
-    def acquire(self) -> None:
-        with self._lock:
-            self._inflight += 1
-
-    def release(self) -> None:
-        close_now = False
-        with self._lock:
-            self._inflight -= 1
-            close_now = self._retired and self._inflight == 0 \
-                and not self._closed
-            if close_now:
-                self._closed = True
-        if close_now:
-            self._close_shm()
-
-    def retire(self) -> None:
-        """Mark superseded; close shm now when idle, else when the last
-        request in flight releases the state."""
-        with self._lock:
-            self._retired = True
-            close_now = self._inflight == 0 and not self._closed
-            if close_now:
-                self._closed = True
-        if close_now:
-            self._close_shm()
-
-    def _close_shm(self) -> None:
-        if self._shm_pool is not None:
-            self._shm_pool.close()
-
-    # -- amortised per-version artifacts -------------------------------
-    def shm_jobs(self, key: Hashable, hypotheses: Sequence) -> list[ShmJob]:
-        """Jobs for a hypothesis list, publishing matrices at most once.
-
-        The first request to score a given list at this version copies
-        its batch groups' Y/Z/X matrices into shared memory; a later
-        request for the same list replays the same refs.  Callers share
-        the returned list — jobs are immutable tuples and nobody mutates
-        it.  Callers hold :meth:`acquire`, so the state cannot close its
-        pool while this publishes outside the lifetime lock.
-        """
-        with self.build_lock:
-            with self._lock:
-                if self._closed:
-                    raise RuntimeError(
-                        f"version state {self.version} already retired")
-            jobs = self._shm_jobs.get(key)
-            if jobs is None:
-                if self._shm_pool is None:
-                    self._shm_pool = SharedMatrixPool()
-                jobs = share_shm_jobs(hypotheses, self._shm_pool)
-                self._shm_jobs[key] = jobs
-            return jobs
-
-    @property
-    def shm_segments(self) -> int:
-        with self._lock:
-            pool = self._shm_pool
-            return pool.n_segments if pool is not None else 0
 
 
 class QueryServer:
@@ -417,34 +349,24 @@ class QueryServer:
     group_by:
         Family grouping for ``explain``/``drill_down`` (as in
         :class:`~repro.core.engine.ExplainItSession`).
-    backend / rank_workers:
-        How ranking requests score: in-process (``None``), or
-        ``"process"`` — per-version shared-memory publication replayed
-        into a long-lived pool of ``rank_workers`` processes, replaced
-        after a request finds it broken.
+    rank_workers:
+        Accepted for callers written when rankings could be scored in a
+        process pool; it changes nothing.
 
-    The two newest version states stay warm; older ones retire (their
-    shared-memory segments are unlinked once idle).
+    The two newest version states stay warm; older ones are dropped.
     """
 
     def __init__(self, store, n_workers: int = 8,
                  cache_entries: int = DEFAULT_CACHE_ENTRIES,
                  group_by: str = "name",
-                 backend: str | None = None,
                  rank_workers: int = 4) -> None:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS}, got {backend!r}")
         self._store = store
         self._group_by = group_by
-        self._backend = backend
-        self._rank_workers = rank_workers
         self._cache = VersionedCache(cache_entries)
         self._pool = ThreadPoolExecutor(
             max_workers=n_workers, thread_name_prefix="repro-serve")
-        self._procs: ProcessPoolExecutor | None = None
         self._states: dict[Any, _VersionState] = {}
         self._latest: _Generation | None = None     # last one built
         self._state_lock = threading.Lock()
@@ -456,19 +378,14 @@ class QueryServer:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Drain the pools and release every per-version resource."""
+        """Drain the worker pool and drop every per-version state."""
         if self._closed:
             return
         self._closed = True
         self._pool.shutdown(wait=True)
         with self._state_lock:
-            states = list(self._states.values())
             self._states.clear()
             self._latest = None
-        for state in states:
-            state.retire()
-        if self._procs is not None:
-            self._procs.shutdown(wait=True)
         self._cache.clear()
 
     def __enter__(self) -> "QueryServer":
@@ -532,14 +449,12 @@ class QueryServer:
         """Serving counters: requests, cache behaviour, warm state."""
         with self._state_lock:
             versions = sorted(self._states)
-            segments = sum(s.shm_segments for s in self._states.values())
             requests = dict(self._requests)
         return {
             "requests": requests,
             "cache": asdict(self._cache.stats),
             "store_version": self._store.version,
             "warm_versions": versions,
-            "shm_segments": segments,
             "uptime_seconds": time.monotonic() - self._started,
         }
 
@@ -569,32 +484,12 @@ class QueryServer:
             if state is None:
                 state = self._states[version] = _VersionState(
                     version, snapshot)
-                # Retire all but the newest states — never the one just
+                # Drop all but the newest states — never the one just
                 # created, should it be a late-arriving older version.
                 for old in sorted(self._states)[:-KEEP_VERSIONS]:
                     if old != version:
-                        self._states.pop(old).retire()
-            state.acquire()
+                        del self._states[old]
         return state
-
-    def _process_pool(self) -> ProcessPoolExecutor:
-        with self._state_lock:
-            if self._procs is None:
-                self._procs = ProcessPoolExecutor(
-                    max_workers=self._rank_workers)
-            return self._procs
-
-    def _drop_process_pool(self, pool: ProcessPoolExecutor) -> None:
-        """Forget a broken pool so the next request forks a fresh one.
-
-        Only the pool that broke is dropped: a concurrent request may
-        already have replaced it.  Published segments are untouched —
-        the fresh workers attach to them by name.
-        """
-        with self._state_lock:
-            if self._procs is pool:
-                self._procs = None
-        pool.shutdown(wait=False)
 
     # -- request bodies (run on the worker pool) ------------------------
     def _serve(self, kind: str, key: Hashable | None, started: float,
@@ -604,20 +499,16 @@ class QueryServer:
         ``key=None`` marks a request shape that is not cacheable.
         """
         state = self._pin()
-        try:
-            value = None if key is None \
-                else self._cache.get(key, state.version)
-            cached = value is not None
-            if not cached:
-                value = compute(state)
-                if key is not None:
-                    self._cache.put(key, state.version, value)
-            return ServedResult(
-                kind=kind, value=value, version=state.version,
-                cached=cached, seconds=time.perf_counter() - started,
-                snapshot=state.snapshot)
-        finally:
-            state.release()
+        value = None if key is None else self._cache.get(key, state.version)
+        cached = value is not None
+        if not cached:
+            value = compute(state)
+            if key is not None:
+                self._cache.put(key, state.version, value)
+        return ServedResult(
+            kind=kind, value=value, version=state.version,
+            cached=cached, seconds=time.perf_counter() - started,
+            snapshot=state.snapshot)
 
     def _run_sql(self, query: str, started: float) -> ServedResult:
         self._count("sql")
@@ -647,7 +538,7 @@ class QueryServer:
         reuses, as the same objects, the families none of whose members
         was written since; the new generation inherits ``latest``'s
         answers (:meth:`_Generation.inherit`), then becomes the latest
-        itself — so at most one generation outlives the retired states.
+        itself — so at most one generation outlives the dropped states.
         What was written comes from the store's write log when it
         reaches back to ``latest``'s version and from comparing columns
         by identity otherwise (``latest`` newer than this state, or too
@@ -681,10 +572,10 @@ class QueryServer:
         by the ``Scorer`` contract a score depends on the (X, Y, Z)
         matrices alone, so the table, whose ranking the rescored rows
         patch (:meth:`Ranking.rescored`), is bitwise the one a cold run
-        builds.  In-process, the stale positions are scored against the
-        (Y, Z) target the generation holds prepared, prepared (and
-        kept) only when Y or Z was replaced.  A live scorer or family
-        object scores every hypothesis.
+        builds.  The stale positions are scored against the (Y, Z)
+        target the generation holds prepared, prepared (and kept) only
+        when Y or Z was replaced, by the scorer the generation holds.
+        A live scorer or family object scores every hypothesis.
         """
         generation = self._generation(state)
         if not shareable:
@@ -694,15 +585,14 @@ class QueryServer:
             started = time.perf_counter()
             if isinstance(scorer, str):
                 scorer = get_scorer(scorer)
-            scores, seconds, p_values = self._score(
-                state, hypotheses, scorer, None)
+            scores, seconds, p_values = _score(hypotheses, scorer, None)
             return build_score_table(
                 hypotheses, scores, seconds, scorer.name, top_k,
                 time.perf_counter() - started, p_values=p_values)
         shape = (target, condition, search, exclude, scorer.lower())
         answer = generation.answer(shape)
         started = time.perf_counter()
-        scorer = get_scorer(scorer)
+        scorer = generation.scorer(shape[-1])
         if not answer.hypotheses:
             return build_score_table([], [], [], scorer.name, top_k,
                                      time.perf_counter() - started)
@@ -713,9 +603,8 @@ class QueryServer:
                 answer.p_values.copy())
             if todo:
                 fresh = [answer.hypotheses[i] for i in todo]
-                scores[todo], seconds[todo], p_values[todo] = self._score(
-                    state, fresh, scorer, generation.prepared(shape[-1]),
-                    (target, condition, tuple(h.name for h in fresh)))
+                scores[todo], seconds[todo], p_values[todo] = _score(
+                    fresh, scorer, generation.prepared(shape[-1]))
             if answer.ranking is None:
                 ranking = rank_scores(answer.hypotheses, scores, seconds,
                                       p_values)
@@ -729,25 +618,10 @@ class QueryServer:
         return answer.ranking.table(scorer.name, top_k,
                                     time.perf_counter() - started)
 
-    def _score(self, state: _VersionState, hypotheses: Sequence[Hypothesis],
-               scorer: Any, targets: "_PreparedTargets | None",
-               shm_key: Hashable | None = None
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(scores, seconds, p-values)`` of ``hypotheses`` on the
-        configured backend; ``shm_key`` names the list for the version's
-        shared-memory publication (``None``: not shared)."""
-        executor = HypothesisExecutor(
-            n_workers=self._rank_workers, backend=self._backend)
-        jobs = pool = None
-        if self._backend == "process":
-            if shm_key is not None:
-                jobs = state.shm_jobs(shm_key, hypotheses)
-            pool = self._process_pool()
-        try:
-            scores, seconds, _ = executor.score(
-                hypotheses, scorer, shm_jobs=jobs, process_pool=pool,
-                targets=targets)
-        except BrokenProcessPool:
-            self._drop_process_pool(pool)
-            raise
-        return scores, seconds, chebyshev_p_values(hypotheses, scores)
+
+def _score(hypotheses: Sequence[Hypothesis], scorer: Scorer,
+           targets: _PreparedTargets | None
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(scores, seconds, p-values)`` of ``hypotheses``."""
+    scores, seconds, _ = execute_batches(hypotheses, scorer, targets=targets)
+    return scores, seconds, chebyshev_p_values(hypotheses, scores)

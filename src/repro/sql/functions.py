@@ -251,8 +251,14 @@ def segmented_order_stat(values: np.ndarray, starts: np.ndarray,
 
     Bitwise-identical to calling ``np.median``/``np.percentile`` on
     each segment slice — including the inf/NaN corner cases where the
-    lerp's ``inf - inf`` produces NaN — which the property tests pin
-    against the per-segment loop.  Serves both the SQL tier's
+    lerp's ``inf - inf`` produces NaN — up to the sign of a zero and
+    the payload of a NaN at a picked position: where a segment holds
+    both 0.0 and -0.0, or NaNs of different payloads, numpy's
+    ``partition`` may pick the other member of such an equal pair than
+    this stable sort does.  There this kernel's result is the
+    semantics; the property tests pin everything else against the
+    per-segment loop (on zeros of one sign and NaNs of one payload).
+    Serves both the SQL tier's
     ``MEDIAN``/``PERCENTILE`` and the tsdb ``Downsampler``'s ragged
     ``median``/``pNN`` buckets.
     """

@@ -11,7 +11,6 @@ name-ordered among themselves.
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.families import FamilySet, FeatureFamily
@@ -99,11 +98,9 @@ class TestTiedScores:
             rankings.append([r.family for r in table.results])
         assert rankings[0] == rankings[1] == rankings[2] == sorted(TIED_NAMES)
 
-    @pytest.mark.parametrize("backend", [None, "process"])
-    def test_tie_break_identical_across_backends(self, backend):
+    def test_tie_break_is_by_name_for_stacked_scores(self):
         hyps = generate_hypotheses(tied_families(), "target")
-        table = rank_families(hyps, scorer="L2", backend=backend,
-                              n_workers=2)
+        table = rank_families(hyps, scorer="L2")
         assert [r.family for r in table.results] == sorted(TIED_NAMES)
 
 

@@ -43,13 +43,3 @@ class TestRoundTrip:
         assert set(summary) == {"calls", "bytes_moved",
                                 "serialize_seconds", "score_seconds",
                                 "serialization_share"}
-
-
-class TestSharedCopy:
-    def test_shared_copy_recorded_once_per_group(self):
-        acct = SerializationAccounting()
-        acct.record_shared_copy(0.25, 4096)
-        acct.record_score_time(0.75)
-        assert acct.bytes_moved == 4096
-        assert acct.calls == 1
-        assert acct.serialization_share == 0.25

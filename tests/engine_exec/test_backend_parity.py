@@ -1,19 +1,17 @@
-"""Parity: every registered scorer, every execution path, one Score Table.
+"""Parity: every registered scorer, one scoring path, one Score Table.
 
-``src/`` has one in-process scoring implementation — the stacked
-``score_batch`` kernels behind ``plan_batches`` → ``execute_batches`` —
-plus the process pool, whose workers score one hypothesis per job.  The
-sequential scorers and the per-hypothesis ranking loop they replaced
-live in ``tests/scoring/reference.py`` as the oracle.  This suite sweeps
-every scorer in the registry over every hypothesis-list shape and
-asserts *bitwise* equality (scores, ranks, p-values, multiple-testing
-flags) between in-process and ``"process"`` (matrices in shared memory).
-Against the oracle it is bitwise too, except for the ridge-CV scorers:
-their Gram-form cross-validation is held to the SVD oracle by
-``assert_matches_oracle`` (|Δscore| ≤ 1e-9, order kept outside ties).
+``src/`` has one scoring implementation — the stacked ``score_batch``
+kernels behind ``plan_batches`` → ``execute_batches``.  The sequential
+scorers and the per-hypothesis ranking loop they replaced live in
+``tests/scoring/reference.py`` as the oracle.  This suite sweeps every
+scorer in the registry over every hypothesis-list shape and asserts
+*bitwise* equality (scores, ranks, p-values, multiple-testing flags)
+between the batched path and the scorer's own per-hypothesis ``score``,
+one call per hypothesis.  Against the oracle it is bitwise too, except
+for the ridge-CV scorers: their Gram-form cross-validation is held to
+the SVD oracle by ``assert_matches_oracle`` (|Δscore| ≤ 1e-9, order kept
+outside ties).
 """
-
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,7 +21,6 @@ from repro.core.engine import ExplainItSession
 from repro.core.families import FamilySet, FeatureFamily, families_from_store
 from repro.core.hypothesis import Hypothesis, generate_hypotheses
 from repro.core.ranking import build_score_table, rank_families
-from repro.engine_exec import BACKENDS, HypothesisExecutor
 from repro.scoring import Scorer, get_scorer, list_scorers
 from repro.serve import QueryServer
 from repro.tsdb import SeriesId, TimeSeriesStore
@@ -104,13 +101,6 @@ def shapes():
     return {name: build() for name, build in SHAPES.items()}
 
 
-@pytest.fixture(scope="module")
-def process_pool():
-    """One pool for the whole sweep; forking one per run dominates it."""
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        yield pool
-
-
 def _hypotheses(shapes, shape, scorer_name):
     hypotheses = shapes[shape]
     if scorer_name == "l1":
@@ -152,18 +142,15 @@ def assert_tables_identical(expected, actual):
 
 @pytest.mark.parametrize("scorer_name", list_scorers())
 @pytest.mark.parametrize("shape", sorted(SHAPES))
-def test_every_path_matches_the_oracle(scorer_name, shape, shapes,
-                                       process_pool):
+def test_every_path_matches_the_oracle(scorer_name, shape, shapes):
     hypotheses = _hypotheses(shapes, shape, scorer_name)
     oracle = reference_rank(hypotheses, scorer_name)
-    in_process = rank_families(hypotheses, scorer=scorer_name)
-    assert_matches_reference(scorer_name, oracle, in_process)
+    batched = rank_families(hypotheses, scorer=scorer_name)
+    assert_matches_reference(scorer_name, oracle, batched)
     scorer = get_scorer(scorer_name)
-    scores, seconds, _ = HypothesisExecutor(
-        n_workers=2, backend="process").score(
-        hypotheses, scorer, process_pool=process_pool)
-    assert_tables_identical(in_process, build_score_table(
-        hypotheses, scores, seconds, scorer.name))
+    one_by_one = np.array([scorer.score(*h.matrices()) for h in hypotheses])
+    assert_tables_identical(batched, build_score_table(
+        hypotheses, one_by_one, np.zeros(len(hypotheses)), scorer.name))
 
 
 @pytest.mark.parametrize("scorer_name", list_scorers())
@@ -186,15 +173,6 @@ def test_score_is_the_batch_of_one(scorer_name, shape, shapes):
         else:
             assert_matches_oracle(alone, reference.score(x, y, z))
     assert scorer.score_batch([], y, z).shape == (0,)
-
-
-def test_rank_families_backend_plumbing(shapes):
-    """rank_families(backend="process") forks its own pool and matches."""
-    hypotheses = shapes["narrow"]
-    delegated = rank_families(hypotheses, scorer="L2", backend="process",
-                              n_workers=2)
-    assert_tables_identical(rank_families(hypotheses, scorer="L2"), delegated)
-    assert_matches_oracle(delegated, reference_rank(hypotheses, "L2"))
 
 
 class _ScoreOnly(Scorer):
@@ -222,9 +200,6 @@ def test_score_only_scorers_rank_through_the_default_batch(make_scorer,
     oracle = reference_rank(hypotheses, make_scorer())
     assert_tables_identical(
         oracle, rank_families(hypotheses, scorer=make_scorer()))
-    assert_tables_identical(
-        oracle, rank_families(hypotheses, scorer=make_scorer(),
-                              backend="process", n_workers=2))
 
 
 def test_batch_only_scorer_gets_score_for_free(shapes):
@@ -240,8 +215,7 @@ def test_scorer_must_override_one_method():
             name = "neither"
 
 
-@pytest.mark.parametrize("backend", [None, "process"])
-def test_duplicate_family_names_join_by_position(backend):
+def test_duplicate_family_names_join_by_position():
     """Regression: scores were joined back to hypotheses by family
     *name*, so two hypotheses whose X families share a name both got
     the last one's score."""
@@ -256,8 +230,7 @@ def test_duplicate_family_names_join_by_position(backend):
     noise = FeatureFamily("dup", rng.standard_normal((n, 1)),
                           ["noise:0"], grid)
     hypotheses = [Hypothesis(x=cause, y=y), Hypothesis(x=noise, y=y)]
-    table = rank_families(hypotheses, scorer="L2", backend=backend,
-                          n_workers=2)
+    table = rank_families(hypotheses, scorer="L2")
     assert_matches_oracle(table, reference_rank(hypotheses, "L2"))
     assert [row.family for row in table.results] == ["dup", "dup"]
     assert table.results[0].score > 0.9
@@ -265,27 +238,20 @@ def test_duplicate_family_names_join_by_position(backend):
 
 
 class TestDeletedBackendsRejected:
-    """``backend`` is ``None`` or ``"process"`` at every surface."""
+    """No surface schedules scoring anywhere but in-process."""
 
-    def test_accepted_values(self):
-        assert BACKENDS == (None, "process")
-
-    @pytest.mark.parametrize("backend", ["thread", "batch", "spark"])
-    def test_executor_and_rank_families(self, backend, shapes):
-        with pytest.raises(ValueError, match="backend"):
-            HypothesisExecutor(backend=backend)
+    @pytest.mark.parametrize("backend", ["process", "thread", "batch"])
+    def test_rank_families(self, backend, shapes):
         with pytest.raises(ValueError, match="backend"):
             rank_families(shapes["narrow"], scorer="L2", backend=backend)
 
-    @pytest.mark.parametrize("backend", ["thread", "batch"])
-    def test_session_and_server(self, backend, small_store):
+    def test_session_and_server(self, small_store):
         session = ExplainItSession(small_store)
         session.set_target("runtime")
-        with pytest.raises(ValueError, match="backend"):
-            session.explain(scorer="CorrMax", backend=backend)
-        with pytest.raises(ValueError, match="backend"):
-            QueryServer(small_store, backend=backend)
+        with pytest.raises(TypeError, match="backend"):
+            session.explain(scorer="CorrMax", backend="process")
+        with pytest.raises(TypeError, match="backend"):
+            QueryServer(small_store, backend="process")
         with QueryServer(small_store, n_workers=1) as server:
-            # The constructor is the only place a server takes a backend.
             with pytest.raises(TypeError, match="backend"):
-                server.explain("runtime", scorer="CorrMax", backend=backend)
+                server.explain("runtime", scorer="CorrMax", backend="process")

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.families import FamilySet, FeatureFamily
 from repro.core.hypothesis import generate_hypotheses
-from repro.engine_exec import HypothesisExecutor, execute_batches, plan_batches
+from repro.engine_exec import execute_batches, plan_batches
 from repro.scoring import get_scorer
 from tests.scoring.reference import assert_matches_oracle, reference_for
 
@@ -203,15 +203,6 @@ class TestAttributedTimings:
         hypotheses = generate_hypotheses(_families(rng, n=1), "target")
         _, _, attributed = execute_batches(hypotheses, get_scorer("L2"))
         assert not attributed.any()
-
-    def test_executor_exposes_attribution(self, rng):
-        hypotheses = generate_hypotheses(_families(rng), "target")
-        scorer = get_scorer("L2")
-        _, _, in_process = HypothesisExecutor().score(hypotheses, scorer)
-        assert in_process.all()
-        _, _, pooled = HypothesisExecutor(
-            n_workers=2, backend="process").score(hypotheses, scorer)
-        assert not pooled.any()
 
     def test_large_shape_group_scored_in_bounded_calls(self, rng,
                                                        monkeypatch):

@@ -1,9 +1,10 @@
-"""Smoke test: the Figure 10 backend benchmark emits well-formed rows.
+"""Smoke test: the Figure 10 batching benchmark emits well-formed rows.
 
 Loads ``benchmarks/bench_figure10_score_time.py`` by path (the benchmark
-tree is not an importable package) and runs its backend comparison on a
-tiny workload, checking that the script's own per-hypothesis baseline
-loop and both executor backends produce complete, sane timing rows.
+tree is not an importable package) and runs its comparisons on a tiny
+workload, checking that the script's own per-hypothesis baseline loop
+and ``execute_batches`` produce complete, sane timing rows, and that
+both of its transfer rows are well formed.
 """
 
 import importlib.util
@@ -25,17 +26,12 @@ def _load_bench_module():
 def test_backend_rows_well_formed():
     bench = _load_bench_module()
     hypotheses = bench.synthetic_hypotheses(n_families=8, n_samples=60)
-    rows = bench.backend_timing_rows(
-        hypotheses, scorer="L2",
-        backends=(bench.SCORE_LOOP, None, "process"), n_workers=2)
-    assert [row["backend"] for row in rows] == [
-        "score-loop", "in-process", "process"]
+    rows = bench.backend_timing_rows(hypotheses, scorer="L2")
+    assert [row["backend"] for row in rows] == ["score-loop", "in-process"]
     for row in rows:
         assert set(row) == set(bench.BACKEND_ROW_FIELDS)
         assert row["scorer"] == "L2"
         assert row["n_hypotheses"] == 8
-        assert row["n_workers"] == (1 if row["backend"] == "score-loop"
-                                    else 2)
         for key in ("wall_seconds", "mean_seconds_per_family",
                     "max_seconds_per_family"):
             assert isinstance(row[key], float)
@@ -44,10 +40,9 @@ def test_backend_rows_well_formed():
         assert (row["max_seconds_per_family"]
                 >= row["mean_seconds_per_family"])
     by_backend = {row["backend"]: row for row in rows}
-    # Loop and pool timings are individually measured; in-process ones
-    # are equal shares of the stacked call and flagged as such.
+    # Loop timings are individually measured; batched ones are equal
+    # shares of the stacked call and flagged as such.
     assert by_backend["score-loop"]["share_attributed"] is False
-    assert by_backend["process"]["share_attributed"] is False
     assert by_backend["in-process"]["share_attributed"] is True
     rendered = bench.format_backend_rows(rows)
     assert "score-loop" in rendered and "in-process" in rendered
@@ -57,27 +52,25 @@ def test_backend_rows_well_formed():
 def test_transfer_rows_well_formed():
     bench = _load_bench_module()
     hypotheses = bench.synthetic_hypotheses(n_families=8, n_samples=60)
-    rows = bench.serialization_overhead_rows(hypotheses, scorer="CorrMax",
-                                             n_workers=2)
-    assert [row["transfer"] for row in rows] == ["pickle", "shm"]
+    rows = bench.serialization_overhead_rows(hypotheses, scorer="CorrMax")
+    assert [row["transfer"] for row in rows] == ["pickle", "group-once"]
     for row in rows:
         assert set(row) == set(bench.TRANSFER_ROW_FIELDS)
         assert row["scorer"] == "CorrMax"
         assert row["n_hypotheses"] == 8
         assert row["bytes_moved"] > 0
+        assert row["serialize_seconds"] > 0.0
         assert 0.0 <= row["serialization_share"] <= 1.0
     by_transfer = {row["transfer"]: row for row in rows}
-    assert (by_transfer["shm"]["bytes_moved"]
-            < by_transfer["pickle"]["bytes_moved"])
+    # One group: Y once plus eight 60x3 X blocks, in one float64 buffer.
+    assert by_transfer["group-once"]["bytes_moved"] == (60 + 8 * 60 * 3) * 8
     # The script's pickle round trip pays the payload (8 hypotheses of
-    # a 60x3 X and a 60x1 Y) plus the pickle frame, in measurable time,
-    # and is set against the shm run's own scoring time.
+    # a 60x3 X and a 60x1 Y) plus the pickle frame.
     assert by_transfer["pickle"]["bytes_moved"] > 8 * (60 * 3 + 60) * 8
-    assert by_transfer["pickle"]["serialize_seconds"] > 0.0
     assert (by_transfer["pickle"]["score_seconds"]
-            == by_transfer["shm"]["score_seconds"])
+            == by_transfer["group-once"]["score_seconds"])
     rendered = bench.format_transfer_rows(rows)
-    assert "pickle" in rendered and "shm" in rendered
+    assert "pickle" in rendered and "group-once" in rendered
 
 
 def test_synthetic_workload_shape():

@@ -1,4 +1,4 @@
-"""Unit tests for the hypothesis executor."""
+"""Unit tests for the one scoring path, ``execute_batches``."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from repro.core.families import FamilySet, FeatureFamily
 from repro.core.hypothesis import generate_hypotheses
 from repro.core.ranking import rank_families
-from repro.engine_exec import HypothesisExecutor, SerializationAccounting
+from repro.engine_exec import SerializationAccounting, execute_batches
 from repro.scoring import get_scorer
 from tests.scoring.reference import reference_rank
 
@@ -28,28 +28,26 @@ def hypotheses(rng):
     return generate_hypotheses(families, "target")
 
 
-def _accounting(hypotheses, scorer, **executor_args):
+def _accounting(hypotheses, scorer):
     accounting = SerializationAccounting()
-    HypothesisExecutor(**executor_args).score(
-        hypotheses, get_scorer(scorer), accounting=accounting)
+    execute_batches(hypotheses, get_scorer(scorer), accounting=accounting)
     return accounting
 
 
-class TestHypothesisExecutor:
-    def test_parallel_matches_serial_ranking(self, hypotheses):
+class TestExecuteBatches:
+    def test_batched_matches_serial_ranking(self, hypotheses):
         serial_rank = [r.family
                        for r in reference_rank(hypotheses, "L2").results]
-        for backend in (None, "process"):
-            table = rank_families(hypotheses, scorer="L2", backend=backend,
-                                  n_workers=4)
-            assert [r.family for r in table.results] == serial_rank
+        table = rank_families(hypotheses, scorer="L2")
+        assert [r.family for r in table.results] == serial_rank
         assert serial_rank[0] == "fam_0"
 
     def test_timings_per_hypothesis(self, hypotheses):
-        _, seconds, attributed = HypothesisExecutor(
-            n_workers=2, backend="process").score(hypotheses,
-                                                  get_scorer("L2"))
-        assert not attributed.any()
+        _, seconds, attributed = execute_batches(hypotheses,
+                                                 get_scorer("L2"))
+        # The eight same-shaped X stack into one call, whose time is
+        # split evenly: every row is an attributed share.
+        assert attributed.all()
         assert len(seconds) == len(hypotheses)
         assert seconds.mean() > 0.0
         assert seconds.max() >= seconds.mean()
@@ -58,23 +56,31 @@ class TestHypothesisExecutor:
         table = rank_families(hypotheses, scorer="CorrMax")
         assert table.total_seconds > 0.0
 
-    def test_invalid_worker_count(self):
+    def test_pool_arguments_are_inert(self, hypotheses):
+        """``rank_families`` keeps accepting the in-process values of the
+        pool-era arguments and rejects any other backend or transfer."""
+        plain = rank_families(hypotheses, scorer="L2")
+        legacy = rank_families(hypotheses, scorer="L2", backend=None,
+                               n_workers=2, transfer="shm")
+        assert legacy.all_scores == plain.all_scores
         with pytest.raises(ValueError):
-            HypothesisExecutor(n_workers=0)
+            rank_families(hypotheses, scorer="L2", backend="process")
+        with pytest.raises(ValueError):
+            rank_families(hypotheses, scorer="L2", transfer="pickle")
 
     def test_serialization_accounting(self, hypotheses):
-        accounting = _accounting(hypotheses, "CorrMax", n_workers=1)
+        accounting = _accounting(hypotheses, "CorrMax")
         assert accounting.calls == len(hypotheses)
         assert accounting.bytes_moved > 0
         assert 0.0 <= accounting.serialization_share <= 1.0
 
     def test_univariate_serialization_share_exceeds_joint(self, hypotheses):
         """§6.2: serialisation is a larger share for cheap scorers."""
-        cheap = _accounting(hypotheses, "CorrMax", n_workers=1)
-        joint = _accounting(hypotheses, "L2", n_workers=1)
+        cheap = _accounting(hypotheses, "CorrMax")
+        joint = _accounting(hypotheses, "L2")
         assert cheap.serialization_share > joint.serialization_share
 
     def test_empty_hypothesis_list(self):
-        scores, seconds, attributed = HypothesisExecutor().score(
+        scores, seconds, attributed = execute_batches(
             [], get_scorer("CorrMax"))
         assert len(scores) == len(seconds) == len(attributed) == 0

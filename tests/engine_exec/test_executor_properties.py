@@ -1,20 +1,19 @@
-"""Property-based tests for HypothesisExecutor edge cases.
+"""Property-based tests for ``execute_batches`` edge cases.
 
-Edge cases the satellite checklist calls out: empty hypothesis list,
-single hypothesis, more workers than hypotheses, and determinism of the
-ranking across worker counts and backends.  The expected ranking comes
+Empty hypothesis list, single hypothesis, more workers than hypotheses,
+and determinism of the ranking across the (inert) worker counts
+``rank_families`` still accepts.  The expected ranking comes
 from the sequential oracle in ``tests/scoring/reference.py``.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.families import FamilySet, FeatureFamily
 from repro.core.hypothesis import generate_hypotheses
 from repro.core.ranking import rank_families
-from repro.engine_exec import BACKENDS, HypothesisExecutor
+from repro.engine_exec import execute_batches
 from repro.scoring import get_scorer
 from tests.scoring.reference import reference_rank
 
@@ -39,36 +38,32 @@ REFERENCE_RANKING = [r.family for r in REFERENCE.results]
 REFERENCE_SCORES = dict(REFERENCE.all_scores)
 
 
-def _score(hypotheses, scorer, **executor_args):
-    return HypothesisExecutor(**executor_args).score(hypotheses,
-                                                     get_scorer(scorer))
+def _score(hypotheses, scorer):
+    return execute_batches(hypotheses, get_scorer(scorer))
 
 
 @given(n_workers=st.integers(min_value=1, max_value=9))
 @settings(max_examples=12, deadline=None)
 def test_ranking_deterministic_across_worker_counts(n_workers):
+    """``n_workers`` is inert: every count gives the oracle's ranking."""
     table = rank_families(HYPOTHESES, scorer="CorrMax", n_workers=n_workers)
     assert [r.family for r in table.results] == REFERENCE_RANKING
     assert dict(table.all_scores) == REFERENCE_SCORES
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_empty_hypothesis_list(backend):
-    scores, seconds, attributed = _score([], "CorrMax", n_workers=2,
-                                         backend=backend)
+def test_empty_hypothesis_list():
+    scores, seconds, attributed = _score([], "CorrMax")
     assert len(scores) == len(seconds) == len(attributed) == 0
-    table = rank_families([], scorer="CorrMax", backend=backend,
-                          n_workers=2)
+    table = rank_families([], scorer="CorrMax")
     assert table.results == []
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_single_hypothesis(backend):
+def test_single_hypothesis():
     single = HYPOTHESES[:1]
-    _, seconds, _ = _score(single, "CorrMax", n_workers=4, backend=backend)
+    _, seconds, attributed = _score(single, "CorrMax")
     assert len(seconds) == 1
-    table = rank_families(single, scorer="CorrMax", backend=backend,
-                          n_workers=4)
+    assert not attributed.any()
+    table = rank_families(single, scorer="CorrMax")
     assert len(table.results) == 1
     row = table.results[0]
     assert row.family == single[0].name
@@ -76,30 +71,14 @@ def test_single_hypothesis(backend):
     assert row.score == REFERENCE_SCORES[single[0].name]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_more_workers_than_hypotheses(backend):
-    _, seconds, _ = _score(HYPOTHESES, "CorrMax", n_workers=32,
-                           backend=backend)
-    assert len(seconds) == len(HYPOTHESES)
-    table = rank_families(HYPOTHESES, scorer="CorrMax", backend=backend,
-                          n_workers=32)
+def test_more_workers_than_hypotheses():
+    table = rank_families(HYPOTHESES, scorer="CorrMax", n_workers=32)
     assert [r.family for r in table.results] == REFERENCE_RANKING
 
 
-@pytest.mark.parametrize("n_workers", [1, 3])
-def test_process_ranking_deterministic_across_worker_counts(n_workers):
-    table = rank_families(HYPOTHESES, scorer="CorrMax", backend="process",
-                          n_workers=n_workers)
-    assert [r.family for r in table.results] == REFERENCE_RANKING
-    assert dict(table.all_scores) == REFERENCE_SCORES
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_timings_cover_every_hypothesis(backend):
-    scores, seconds, _ = _score(HYPOTHESES, "L2", n_workers=2,
-                                backend=backend)
+def test_timings_cover_every_hypothesis():
+    scores, seconds, _ = _score(HYPOTHESES, "L2")
     assert len(scores) == len(seconds) == len(HYPOTHESES)
     assert (seconds > 0.0).all()
-    table = rank_families(HYPOTHESES, scorer="L2", backend=backend,
-                          n_workers=2)
+    table = rank_families(HYPOTHESES, scorer="L2")
     assert {r.family for r in table.results} == {h.name for h in HYPOTHESES}

@@ -133,19 +133,9 @@ class TestScorecardSerialisation:
         assert "build_seconds" in with_t["runs"][0]
         assert "build_seconds" not in without_t["runs"][0]
 
-    def test_meta_toggle(self, smoke_card):
-        with_meta = smoke_card.to_payload(with_meta=True)
-        without_meta = smoke_card.to_payload(with_meta=False)
-        assert "backend" in with_meta
-        assert "backend" not in without_meta
-        assert "transfer" not in with_meta
-
-    def test_process_card_is_labelled_by_backend_alone(self):
-        card = replay_matrix(SMOKE[:1], scorers=("CorrMax",),
-                             backend="process", n_workers=2,
-                             matrix="smoke")
-        payload = card.to_payload()
-        assert payload["backend"] == "process"
+    def test_payload_names_no_execution_backend(self, smoke_card):
+        payload = smoke_card.to_payload()
+        assert "backend" not in payload
         assert "transfer" not in payload
 
     def test_json_round_trips(self, smoke_card):
@@ -165,20 +155,9 @@ class TestFormatScorecard:
         assert "Stages: build" in text
 
 
-class TestBackendParity:
-    """Satellite: the scorecard is identical across execution backends.
-
-    All backends funnel through ``build_score_table``'s deterministic
-    sort, and the scorers are bitwise reproducible — so the graded
-    scorecard must not depend on how the ranking work was scheduled.
-    """
-
-    def test_process_backend_matches_in_process(self, smoke_card):
-        card = replay_matrix(SMOKE, scorers=DEFAULT_SCORERS,
-                             backend="process", n_workers=2,
-                             matrix="smoke")
-        assert (card.to_json(with_timings=False, with_meta=False)
-                == smoke_card.to_json(with_timings=False, with_meta=False))
+class TestOracleParity:
+    """The graded scorecard does not depend on how rankings are computed:
+    the stacked scorers and the sequential oracle grade alike."""
 
     def test_in_process_matches_sequential_oracle(self, smoke_card,
                                                   monkeypatch):
@@ -192,5 +171,5 @@ class TestBackendParity:
             lambda hypotheses, scorer, **_: reference_rank(hypotheses,
                                                            scorer))
         card = replay_matrix(SMOKE, scorers=DEFAULT_SCORERS, matrix="smoke")
-        assert (card.to_json(with_timings=False, with_meta=False)
-                == smoke_card.to_json(with_timings=False, with_meta=False))
+        assert (card.to_json(with_timings=False)
+                == smoke_card.to_json(with_timings=False))

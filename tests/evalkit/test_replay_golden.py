@@ -21,7 +21,7 @@ GOLDEN = Path(__file__).with_name("golden_smoke_scorecard.json")
 
 def smoke_scorecard() -> str:
     card = replay_matrix(matrix_specs("smoke"), matrix="smoke")
-    return card.to_json(with_timings=False, with_meta=False)
+    return card.to_json(with_timings=False)
 
 
 def test_smoke_scorecard_matches_the_golden():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser, main, resolve_exec_args
+from repro.cli import build_parser, main
 
 
 class TestParser:
@@ -22,29 +22,26 @@ class TestParser:
 
     @pytest.mark.parametrize("verb", [("explain", "5.1"), ("replay",),
                                       ("serve", "5.1")])
-    @pytest.mark.parametrize("backend", ["spark", "thread", "batch"])
-    def test_invalid_backend_rejected_at_parse_time(self, verb, backend):
+    def test_backend_flag_is_gone(self, verb):
         with pytest.raises(SystemExit):
-            build_parser().parse_args([*verb, "--backend", backend])
-        args = build_parser().parse_args([*verb, "--backend", "process"])
-        assert args.backend == "process"
-        assert build_parser().parse_args([*verb]).backend is None
+            build_parser().parse_args([*verb, "--backend", "process"])
 
     @pytest.mark.parametrize("verb", [("explain", "5.1"), ("replay",)])
-    def test_transfer_flag_is_gone(self, verb):
+    def test_transfer_and_workers_flags_are_gone(self, verb):
         with pytest.raises(SystemExit):
-            build_parser().parse_args([*verb, "--backend", "process",
-                                       "--transfer", "shm"])
-
-    def test_nonpositive_workers_rejected_at_parse_time(self):
+            build_parser().parse_args([*verb, "--transfer", "shm"])
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["explain", "5.1", "--workers", "0"])
+            build_parser().parse_args([*verb, "--workers", "2"])
 
-    def test_backend_and_lags_parse(self):
+    def test_serve_workers_size_the_request_pool(self):
+        args = build_parser().parse_args(["serve", "5.1", "--workers", "2"])
+        assert args.workers == 2
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "5.1", "--workers", "0"])
+
+    def test_lags_parse(self):
         args = build_parser().parse_args(
-            ["explain", "5.1", "--backend", "process", "--lags", "0", "1",
-             "2"])
-        assert args.backend == "process"
+            ["explain", "5.1", "--lags", "0", "1", "2"])
         assert args.lags == [0, 1, 2]
 
     def test_replay_defaults(self):
@@ -61,34 +58,6 @@ class TestParser:
     def test_replay_rejects_nonpositive_k(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["replay", "--ks", "0"])
-
-
-class TestResolveExecArgs:
-    def test_defaults(self):
-        n_workers, warnings = resolve_exec_args(None, None)
-        assert n_workers == 4
-        assert warnings == []
-
-    def test_workers_warn_without_backend(self):
-        n_workers, warnings = resolve_exec_args(None, 8)
-        assert n_workers == 8
-        assert len(warnings) == 1
-        assert "--workers" in warnings[0] and "in-process" in warnings[0]
-
-    def test_workers_used_by_the_pool(self):
-        n_workers, warnings = resolve_exec_args("process", 8)
-        assert n_workers == 8
-        assert warnings == []
-
-    def test_process_backend_defaults_workers_silently(self):
-        n_workers, warnings = resolve_exec_args("process", None)
-        assert n_workers == 4
-        assert warnings == []
-
-    def test_invalid_worker_count(self):
-        for backend in (None, "process"):
-            with pytest.raises(ValueError):
-                resolve_exec_args(backend, 0)
 
 
 class TestCommands:
@@ -112,20 +81,6 @@ class TestCommands:
     def test_explain_with_condition_none(self, capsys):
         assert main(["explain", "fig14", "--scorer", "CorrMax",
                      "--condition", "none"]) == 0
-
-    def test_explain_process_shm_backend(self, capsys):
-        assert main(["explain", "fig14", "--scorer", "CorrMax",
-                     "--backend", "process", "--workers", "2",
-                     "--top", "5"]) == 0
-        captured = capsys.readouterr()
-        assert "rank" in captured.out
-        assert "warning" not in captured.err
-
-    def test_explain_warns_on_ignored_workers(self, capsys):
-        assert main(["explain", "fig14", "--scorer", "CorrMax",
-                     "--workers", "8", "--top", "5"]) == 0
-        captured = capsys.readouterr()
-        assert "warning" in captured.err and "--workers" in captured.err
 
     def test_explain_with_lags(self, capsys):
         assert main(["explain", "fig14", "--scorer", "L2",

@@ -10,7 +10,7 @@ import pytest
 from repro.core.engine import ExplainItSession
 from repro.core.pipeline import DeclarativePipeline
 from repro.core.ranking import build_score_table
-from repro.engine_exec import HypothesisExecutor
+from repro.engine_exec import execute_batches
 from repro.scoring import get_scorer
 from repro.sql import Database
 from repro.tsdb.adapter import register_store
@@ -76,8 +76,7 @@ class TestParallelEquivalence:
         from repro.core.hypothesis import generate_hypotheses
         hyps = generate_hypotheses(session.families(), "pipeline_runtime")
         scorer = get_scorer("CorrMax")
-        scores, seconds, _ = HypothesisExecutor(n_workers=4).score(hyps,
-                                                                   scorer)
+        scores, seconds, _ = execute_batches(hyps, scorer)
         table = build_score_table(hyps, scores, seconds, scorer.name)
         assert [r.family for r in table.results] == \
             [r.family for r in serial_table.results]

@@ -1,4 +1,13 @@
-"""Unit tests for Appendix A: null distributions and corrections."""
+"""Unit tests for Appendix A: null distributions and corrections.
+
+The Beta law of the NULL r² lives beside the Figure 12/13 bench (it is
+the only caller, and its scipy import stays off the engine's import
+path), so these tests load ``benchmarks/bench_figure12_13_null.py`` by
+path: the benchmark tree is not an importable package.
+"""
+
+import importlib.util
+import pathlib
 
 import numpy as np
 import pytest
@@ -6,12 +15,26 @@ import pytest
 from repro.scoring import (
     benjamini_hochberg,
     bonferroni,
-    null_r2_distribution,
     p_value_chebyshev,
     sample_null_r2_ols,
     sample_null_r2_ridge_cv,
 )
 from repro.scoring.significance import var_adjusted_r2
+
+BENCH_PATH = (pathlib.Path(__file__).resolve().parents[2]
+              / "benchmarks" / "bench_figure12_13_null.py")
+
+
+def _load_bench_module():
+    spec = importlib.util.spec_from_file_location(
+        "bench_figure12_13_null_tests", BENCH_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def null_r2_distribution(n_samples: int, n_predictors: int):
+    return _load_bench_module().null_r2_distribution(n_samples, n_predictors)
 
 
 class TestNullDistribution:

@@ -22,7 +22,6 @@ import repro.core.families as families_module
 import repro.scoring.base as scoring_base
 import repro.serve.server as server_module
 from repro.core.families import families_from_store
-from repro.engine_exec.executor import HypothesisExecutor
 from repro.scoring import get_scorer
 from repro.scoring.base import Scorer
 from repro.serve import QueryServer
@@ -93,24 +92,23 @@ def rounded_corr():
         del scoring_base._REGISTRY["roundedcorr"]
 
 
-def cold(served, backend, **request):
+def cold(served, **request):
     """The same request on a fresh server pinned to the served snapshot."""
-    with QueryServer(served.snapshot, backend=backend,
-                     rank_workers=2) as fresh:
+    with QueryServer(served.snapshot) as fresh:
         return fresh.explain(**request)
 
 
 @pytest.fixture
 def scored(monkeypatch):
-    """Names of the hypotheses each scoring call received (either backend)."""
+    """Names of the hypotheses each scoring call received."""
     calls: list[list[str]] = []
-    real = HypothesisExecutor.score
+    real = server_module.execute_batches
 
-    def spy(self, hypotheses, *args, **kwargs):
+    def spy(hypotheses, *args, **kwargs):
         calls.append([h.name for h in hypotheses])
-        return real(self, hypotheses, *args, **kwargs)
+        return real(hypotheses, *args, **kwargs)
 
-    monkeypatch.setattr(HypothesisExecutor, "score", spy)
+    monkeypatch.setattr(server_module, "execute_batches", spy)
     return calls
 
 
@@ -133,11 +131,10 @@ def stacked(monkeypatch):
 # Only what a write touched is scored
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend", [None, "process"])
-def test_only_touched_hypotheses_are_scored(backend, scored):
+def test_only_touched_hypotheses_are_scored(scored):
     store = build_store()
     request = dict(target="target", scorer="CorrMax")
-    with QueryServer(store, backend=backend, rank_workers=2) as server:
+    with QueryServer(store) as server:
         server.explain(**request)
         assert sorted(scored[-1]) == ["cause", "decoy_0", "decoy_1", "late"]
 
@@ -145,14 +142,14 @@ def test_only_touched_hypotheses_are_scored(backend, scored):
         result = server.submit_explain(**request).result()
         assert scored[-1] == ["late"]
         assert table_fields(result.value) == \
-            table_fields(cold(result, backend, **request))
+            table_fields(cold(result, **request))
 
         store.apply(SeriesId.make("decoy_1", {"host": "h1"}),
                     lambda ts, vs: vs * -3.0)
         result = server.submit_explain(**request).result()
         assert scored[-1] == ["decoy_1"]
         assert table_fields(result.value) == \
-            table_fields(cold(result, backend, **request))
+            table_fields(cold(result, **request))
 
         # A write to Y changes every hypothesis.
         store.apply(SeriesId.make("target", {"host": "h0"}),
@@ -160,7 +157,7 @@ def test_only_touched_hypotheses_are_scored(backend, scored):
         result = server.submit_explain(**request).result()
         assert sorted(scored[-1]) == ["cause", "decoy_0", "decoy_1", "late"]
         assert table_fields(result.value) == \
-            table_fields(cold(result, backend, **request))
+            table_fields(cold(result, **request))
 
         # Nothing written: a new scorer scores, a known one does not.
         calls = len(scored)
@@ -182,11 +179,11 @@ def test_versions_without_an_explain_keep_the_reuse_chain(scored):
         result = server.submit_explain("target", scorer="CorrMax").result()
         assert scored[-1] == ["late"]
         assert table_fields(result.value) == table_fields(
-            cold(result, None, target="target", scorer="CorrMax"))
+            cold(result, target="target", scorer="CorrMax"))
 
 
 def test_replaced_families_are_released(monkeypatch):
-    """Once its state retires, a family a write replaced is unreachable:
+    """Once its state is dropped, a family a write replaced is unreachable:
     neither the latest generation nor its inherited scores keep it."""
     built = []
     real = server_module.families_from_store
@@ -240,7 +237,7 @@ def test_grid_move_rescores_everything(scored):
         result = server.submit_explain("target", scorer="CorrMax").result()
         assert sorted(scored[-1]) == ["cause", "decoy_0", "decoy_1", "late"]
         assert table_fields(result.value) == table_fields(
-            cold(result, None, target="target", scorer="CorrMax"))
+            cold(result, target="target", scorer="CorrMax"))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +267,7 @@ def explain_prepares(server, prepared, scored, request, write):
     result = server.submit_explain(**request).result()
     counts = len(prepared), sorted(scored[-1]) if scored else []
     assert table_fields(result.value) == table_fields(
-        cold(result, None, **request))
+        cold(result, **request))
     return counts
 
 
@@ -334,6 +331,34 @@ def test_replaced_targets_are_dropped_from_the_generation(prepared):
         assert newer[0] == key[0] and newer[1] is not key[1]
 
 
+def test_each_scorer_is_instantiated_once(monkeypatch, scored):
+    """A registered scorer is created on its first request and carried
+    across versions with the targets it prepared: repeats that score
+    nothing, in-horizon writes and a grid move create none again."""
+    made = []
+    real = server_module.get_scorer
+
+    def spy(name):
+        made.append(name)
+        return real(name)
+
+    monkeypatch.setattr(server_module, "get_scorer", spy)
+    store = build_store()
+    with QueryServer(store) as server:
+        for top_k in (3, 4, 5):                      # carried, no stale rows
+            server.explain("target", scorer="L2-P50", top_k=top_k)
+        assert len(scored) == 1
+        for k in range(3):                           # inside the horizon
+            store.insert(LATE, N - 8 + k, float(k))
+            server.explain("target", scorer="L2-P50")
+        store.insert(LATE, N + 4, 0.25)              # beyond the horizon
+        server.explain("target", scorer="L2-P50")
+        assert made == ["l2-p50"]
+        server.explain("target", scorer="CorrMax")
+        server.explain("target", scorer="CORRMAX")
+        assert made == ["l2-p50", "corrmax"]
+
+
 # ---------------------------------------------------------------------------
 # A refresh touches only the written families
 # ---------------------------------------------------------------------------
@@ -377,7 +402,7 @@ def explain_after(server, work, scored, write):
     result = server.submit_explain("target", scorer="CorrMax").result()
     counts = work["scans"], work["aligned"], scored[-1] if scored else []
     assert table_fields(result.value) == table_fields(
-        cold(result, None, target="target", scorer="CorrMax"))
+        cold(result, target="target", scorer="CorrMax"))
     return counts
 
 
@@ -515,8 +540,7 @@ def test_family_build_does_not_stall_other_requests(monkeypatch):
 # NaN scores and exact ties are patched like a cold ranking
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend", [None, "process"])
-def test_nan_scores_and_exact_ties_equal_cold_evaluation(backend, scored):
+def test_nan_scores_and_exact_ties_equal_cold_evaluation(scored):
     store = build_store()
     stamps = np.arange(N, dtype=np.int64)
     for k in range(3):          # identical families: exact score ties
@@ -534,8 +558,7 @@ def test_nan_scores_and_exact_ties_equal_cold_evaluation(backend, scored):
         lambda: store.apply(SeriesId.make("twin_0"),
                             lambda ts, vs: vs * 0.0),            # tie to NaN
     ]
-    with rounded_corr(), QueryServer(store, backend=backend,
-                                     rank_workers=2) as server:
+    with rounded_corr(), QueryServer(store) as server:
         server.explain(**request)
         seen_nan = seen_tie = False
         for write in writes:
@@ -543,7 +566,7 @@ def test_nan_scores_and_exact_ties_equal_cold_evaluation(backend, scored):
             result = server.submit_explain(**request).result()
             assert len(scored[-1]) == 1             # patched, not re-ranked
             assert table_fields(result.value) == \
-                table_fields(cold(result, backend, **request))
+                table_fields(cold(result, **request))
             scores = [row.score for row in result.value.results]
             seen_nan |= any(np.isnan(scores))
             real = [x for x in scores if not np.isnan(x)]
@@ -624,10 +647,9 @@ class Interleaving:
                              lambda ts, vs, k=step[2]: vs * k + 0.5)
 
 
-def run_interleaving(steps, backend) -> None:
+def run_interleaving(steps) -> None:
     state = Interleaving()
-    with rounded_corr(), QueryServer(state.store, backend=backend,
-                                     rank_workers=2) as server:
+    with rounded_corr(), QueryServer(state.store) as server:
         for step in list(steps) + [("explain", "CorrMax", "plain")]:
             if step[0] != "explain":
                 state.write(step)
@@ -636,19 +658,13 @@ def run_interleaving(steps, backend) -> None:
                            **SHAPES[step[2]])
             served = server.submit_explain(**request).result()
             assert table_fields(served.value) == \
-                table_fields(cold(served, backend, **request))
+                table_fields(cold(served, **request))
 
 
 @settings(max_examples=60, deadline=None)
 @given(steps=STEPS)
 def test_interleavings_equal_cold_evaluation(steps):
-    run_interleaving(steps, backend=None)
-
-
-@settings(max_examples=5, deadline=None)
-@given(steps=STEPS)
-def test_interleavings_equal_cold_evaluation_process_backend(steps):
-    run_interleaving(steps, backend="process")
+    run_interleaving(steps)
 
 
 def test_concurrent_explains_under_writes_equal_cold_evaluation():
@@ -696,4 +712,4 @@ def test_concurrent_explains_under_writes_equal_cold_evaluation():
     with rounded_corr():
         for request, result in served:
             assert table_fields(result.value) == \
-                table_fields(cold(result, None, **request))
+                table_fields(cold(result, **request))

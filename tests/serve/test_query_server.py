@@ -1,12 +1,9 @@
 """QueryServer: pinned-version serving, caching, invalidation, staleness."""
 
-import os
-import signal
 import struct
 import sys
 import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -15,14 +12,12 @@ from repro.core.engine import ExplainItSession
 from repro.core.families import families_from_store
 from repro.core.hypothesis import generate_hypotheses
 from repro.core.ranking import rank_families
-from repro.scoring import get_scorer
 from repro.scoring.base import ScoringError
 from repro.serve import QueryServer
 from repro.sql import Database
 from repro.tsdb.adapter import register_store
 from repro.tsdb.model import SeriesId
 from repro.tsdb.storage import TimeSeriesStore
-from tests.engine_exec.test_shm import shm_mappings
 from tests.scoring.reference import assert_matches_oracle, reference_rank
 
 N = 96
@@ -332,9 +327,8 @@ def test_explain_cache_invalidated_by_ingest(server, store):
     assert second.version > first.version
 
 
-@pytest.mark.parametrize("backend", [None, "process"])
 @pytest.mark.parametrize("scorer", ["L2", "L2-P50"])
-def test_too_short_a_target_is_a_scoring_error(backend, scorer):
+def test_too_short_a_target_is_a_scoring_error(scorer):
     """Three samples cannot fill five cross-validation folds: the server
     raises the scorer's ScoringError, not the splitter's ValueError."""
     short = TimeSeriesStore()
@@ -342,86 +336,10 @@ def test_too_short_a_target_is_a_scoring_error(backend, scorer):
                          ("cause", [0.5, 1.0, 2.5])]:
         short.insert_array(SeriesId.make(name), np.arange(3, dtype=np.int64),
                            np.asarray(values))
-    with QueryServer(short, backend=backend, rank_workers=1) as server:
+    with QueryServer(short) as server:
         with pytest.raises(ScoringError,
                            match=r"3 rows.*5 cross-validation folds"):
             server.explain("target", scorer=scorer)
-
-
-def test_process_backend_publishes_matrices_once_per_version(store):
-    with QueryServer(store, backend="process", rank_workers=2) as server:
-        a = server.explain("target_metric", scorer="L2-P50")
-        segments_after_first = server.stats()["shm_segments"]
-        assert segments_after_first > 0
-        # A different scorer misses the result cache but reuses the
-        # already-published matrices: no new segments appear.
-        b = server.explain("target_metric", scorer="L2")
-        assert server.stats()["shm_segments"] == segments_after_first
-        assert [r.family for r in a.results]  # both produced rankings
-        assert [r.family for r in b.results]
-        # Bitwise parity against the same backend run standalone, and
-        # the oracle's parity contract against the sequential oracle.
-        hypotheses = generate_hypotheses(
-            families_from_store(store.snapshot(), group_by="name"),
-            "target_metric")
-        direct = rank_families(hypotheses, scorer="L2-P50",
-                               backend="process", n_workers=2)
-        assert rank_fields(a) == rank_fields(direct)
-        assert_matches_oracle(a, reference_rank(hypotheses, "L2-P50"))
-
-
-def test_single_rank_worker_still_uses_the_shared_pool(store):
-    """One rank worker is a pool of one, not a different code path."""
-    with QueryServer(store, backend="process", rank_workers=1) as server:
-        table = server.explain("target_metric", scorer="CorrMax")
-        assert server.stats()["shm_segments"] > 0
-        with QueryServer(store) as in_process:
-            assert rank_fields(table) == rank_fields(
-                in_process.explain("target_metric", scorer="CorrMax"))
-
-
-def test_live_scorer_requests_leave_no_segments_mapped_in_the_worker(store):
-    """A live Scorer object is not cacheable, so each request publishes
-    run-scoped segments and unlinks them when done; the long-lived rank
-    worker must not keep mapping them."""
-    scorer = get_scorer("CorrMax")
-    with QueryServer(store, backend="process", rank_workers=1) as server:
-        worker = server._process_pool().submit(os.getpid).result()
-        idle = shm_mappings(worker)
-        for _ in range(4):
-            server.explain("target_metric", scorer=scorer)
-            assert shm_mappings(worker) == idle
-        assert server.stats()["shm_segments"] == 0
-
-
-def test_published_segments_stay_with_the_server_not_the_worker(store):
-    """Per-version segments outlive requests in the server; an idle rank
-    worker maps none of them, at the current version or a retired one."""
-    with QueryServer(store, backend="process", rank_workers=1) as server:
-        worker = server._process_pool().submit(os.getpid).result()
-        idle = shm_mappings(worker)
-        for i in range(3):
-            server.explain("target_metric", scorer="CorrMax")
-            assert server.stats()["shm_segments"] > 0
-            assert shm_mappings(worker) == idle
-            store.insert(SeriesId.make("bump_metric"), i, 1.0)
-
-
-def test_a_dead_rank_worker_fails_one_request_then_is_replaced(store):
-    with QueryServer(store, backend="process", rank_workers=1) as server, \
-            QueryServer(store) as in_process:
-        server.explain("target_metric", scorer="CorrMax")
-        published = server.stats()["shm_segments"]
-        worker = server._process_pool().submit(os.getpid).result()
-        os.kill(worker, signal.SIGKILL)
-        with pytest.raises(BrokenProcessPool):
-            server.explain("target_metric", scorer="L2")
-        # The next request forks a fresh pool, which scores from the
-        # segments the version state published before the kill.
-        table = server.explain("target_metric", scorer="L2")
-        assert server.stats()["shm_segments"] == published
-        assert rank_fields(table) == rank_fields(
-            in_process.explain("target_metric", scorer="L2"))
 
 
 def test_old_version_states_retire(store):
