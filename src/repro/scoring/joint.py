@@ -138,6 +138,10 @@ class L1Scorer(Scorer):
         if not len(xs):
             return out
         validated, y_v, z_v = validate_batch(xs, y, z)
+        if y_v.shape[0] < self.n_splits:
+            raise ScoringError(
+                f"Y has {y_v.shape[0]} rows, fewer than the "
+                f"{self.n_splits} cross-validation folds (n_splits)")
         y_v = StandardScaler().fit_transform(y_v)
         if z_v is not None:
             z_v = StandardScaler().fit_transform(z_v)

@@ -11,6 +11,7 @@ name-ordered among themselves.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.families import FamilySet, FeatureFamily
@@ -20,6 +21,7 @@ from repro.core.ranking import (
     rank_families,
     ranking_sort_key,
 )
+from repro.scoring import list_scorers
 from repro.scoring.table import rank_scores
 
 #: Deliberately non-alphabetical insertion order.
@@ -98,9 +100,12 @@ class TestTiedScores:
             rankings.append([r.family for r in table.results])
         assert rankings[0] == rankings[1] == rankings[2] == sorted(TIED_NAMES)
 
-    def test_tie_break_is_by_name_for_stacked_scores(self):
+    @pytest.mark.parametrize("scorer", list_scorers())
+    def test_tie_break_is_by_name_for_stacked_scores(self, scorer):
+        """Identical candidates stacked into one call score bitwise alike
+        under every registered scorer, so their order is by name."""
         hyps = generate_hypotheses(tied_families(), "target")
-        table = rank_families(hyps, scorer="L2")
+        table = rank_families(hyps, scorer=scorer)
         assert [r.family for r in table.results] == sorted(TIED_NAMES)
 
 

@@ -8,7 +8,7 @@ import pytest
 from repro.core.families import FamilySet, FeatureFamily
 from repro.core.hypothesis import generate_hypotheses
 from repro.engine_exec import execute_batches, plan_batches
-from repro.scoring import get_scorer
+from repro.scoring import get_scorer, list_scorers
 from tests.scoring.reference import assert_matches_oracle, reference_for
 
 
@@ -225,3 +225,44 @@ class TestAttributedTimings:
         assert calls == [3, 3, 1]
         assert np.array_equal(split, whole)
         assert attributed.tolist() == [True] * 6 + [False]
+
+
+def _scored_families(rng, condition, n=7, n_samples=40):
+    """Same-shaped candidates (one shape group), with or without a Z."""
+    families = list(_families(rng, n=n, n_samples=n_samples))
+    if condition:
+        families.append(FeatureFamily(
+            "cond", rng.standard_normal((n_samples, 2)), ["z:0", "z:1"],
+            np.arange(n_samples)))
+    return generate_hypotheses(FamilySet(families), "target",
+                               condition="cond" if condition else None)
+
+
+@pytest.mark.parametrize("condition", [False, True],
+                         ids=["plain", "conditioned"])
+@pytest.mark.parametrize("scorer_name", list_scorers())
+class TestCompositionIndependence:
+    """A hypothesis's score does not depend on what it is stacked with:
+    every registered scorer gives bitwise the same scores whether a shape
+    group is scored in one call or in several, and in any order."""
+
+    def test_split_group_scores_like_one_call(self, rng, monkeypatch,
+                                              scorer_name, condition):
+        from repro.engine_exec import batch as batch_module
+
+        hypotheses = _scored_families(rng, condition)
+        whole, _, _ = execute_batches(hypotheses, get_scorer(scorer_name))
+        x_size = hypotheses[0].x.matrix.size
+        monkeypatch.setattr(batch_module, "STACK_ELEMENTS", 2 * x_size)
+        split, _, attributed = execute_batches(hypotheses,
+                                               get_scorer(scorer_name))
+        assert attributed.tolist() == [True] * 6 + [False]
+        assert np.array_equal(split, whole, equal_nan=True)
+
+    def test_hypothesis_order_changes_no_score(self, rng, scorer_name,
+                                               condition):
+        hypotheses = _scored_families(rng, condition)
+        forward, _, _ = execute_batches(hypotheses, get_scorer(scorer_name))
+        backward, _, _ = execute_batches(hypotheses[::-1],
+                                         get_scorer(scorer_name))
+        assert np.array_equal(backward[::-1], forward, equal_nan=True)

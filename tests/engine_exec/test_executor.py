@@ -7,7 +7,7 @@ from repro.core.families import FamilySet, FeatureFamily
 from repro.core.hypothesis import generate_hypotheses
 from repro.core.ranking import rank_families
 from repro.engine_exec import SerializationAccounting, execute_batches
-from repro.scoring import get_scorer
+from repro.scoring import Scorer, get_scorer
 from tests.scoring.reference import reference_rank
 
 
@@ -84,3 +84,76 @@ class TestExecuteBatches:
         scores, seconds, attributed = execute_batches(
             [], get_scorer("CorrMax"))
         assert len(scores) == len(seconds) == len(attributed) == 0
+
+
+class _Failing(Scorer):
+    """Prepares Y (or refuses to) and fails on every X."""
+
+    name = "failing"
+
+    def __init__(self, fail_prepare: bool = False) -> None:
+        self.fail_prepare = fail_prepare
+
+    def prepare(self, y, z=None):
+        if self.fail_prepare:
+            raise ArithmeticError("prepare bug")
+        return super().prepare(y, z)
+
+    def score(self, x, y, z=None):
+        raise ArithmeticError("scorer bug")
+
+
+class TestScorerErrors:
+    def test_scorer_error_reaches_the_caller(self, hypotheses):
+        targets = {}
+        with pytest.raises(ArithmeticError, match="scorer bug"):
+            execute_batches(hypotheses, _Failing(), targets=targets)
+        # Preparing succeeded, so the target stays usable by the next run.
+        assert len(targets) == 1
+
+    def test_failed_prepare_memoises_nothing(self, hypotheses):
+        targets = {}
+        with pytest.raises(ArithmeticError, match="prepare bug"):
+            execute_batches(hypotheses, _Failing(fail_prepare=True),
+                            targets=targets)
+        assert targets == {}
+
+
+class TestTargetMemo:
+    def test_each_group_is_prepared_once_across_runs(self, hypotheses,
+                                                     monkeypatch):
+        scorer = get_scorer("L2")
+        prepared = []
+        real = scorer.prepare
+        monkeypatch.setattr(scorer, "prepare",
+                            lambda y, z=None: prepared.append(1) or real(y, z))
+        targets = {}
+        first, _, _ = execute_batches(hypotheses, scorer, targets=targets)
+        second, _, _ = execute_batches(hypotheses, scorer, targets=targets)
+        assert len(prepared) == 1
+        assert np.array_equal(first, second)
+        assert np.array_equal(first, execute_batches(hypotheses,
+                                                     get_scorer("L2"))[0])
+
+
+def test_accounting_moves_every_hypothesis_matrix_once(rng):
+    """One round trip per hypothesis, carrying its X, Y and Z bytes."""
+    n = 40
+    grid = np.arange(n)
+    families = FamilySet([
+        FeatureFamily("target", rng.standard_normal((n, 1)), ["t:0"], grid),
+        FeatureFamily("cond", rng.standard_normal((n, 2)), ["z:0", "z:1"],
+                      grid),
+        FeatureFamily("a", rng.standard_normal((n, 3)),
+                      ["a:0", "a:1", "a:2"], grid),
+        FeatureFamily("b", rng.standard_normal((n, 1)), ["b:0"], grid),
+    ])
+    hypotheses = generate_hypotheses(families, "target", condition="cond")
+    accounting = SerializationAccounting()
+    scores, _, _ = execute_batches(hypotheses, get_scorer("CorrMax"),
+                                   accounting=accounting)
+    assert accounting.calls == len(hypotheses) == 2
+    assert accounting.bytes_moved == sum(
+        (h.x.matrix.size + n * 1 + n * 2) * 8 for h in hypotheses)
+    assert np.array_equal(
+        scores, execute_batches(hypotheses, get_scorer("CorrMax"))[0])

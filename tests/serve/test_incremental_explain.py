@@ -22,7 +22,7 @@ import repro.core.families as families_module
 import repro.scoring.base as scoring_base
 import repro.serve.server as server_module
 from repro.core.families import families_from_store
-from repro.scoring import get_scorer
+from repro.scoring import get_scorer, list_scorers
 from repro.scoring.base import Scorer
 from repro.serve import QueryServer
 from repro.tsdb.model import SeriesId
@@ -83,8 +83,8 @@ class RoundedCorr(Scorer):
 
 @contextmanager
 def rounded_corr():
-    """``RoundedCorr`` in the scorer registry (forked pool workers
-    inherit it), for the duration of the block."""
+    """``RoundedCorr`` in the scorer registry, for the duration of the
+    block."""
     scoring_base._REGISTRY["roundedcorr"] = RoundedCorr
     try:
         yield
@@ -131,9 +131,10 @@ def stacked(monkeypatch):
 # Only what a write touched is scored
 # ---------------------------------------------------------------------------
 
-def test_only_touched_hypotheses_are_scored(scored):
+@pytest.mark.parametrize("scorer", list_scorers())
+def test_only_touched_hypotheses_are_scored(scorer, scored):
     store = build_store()
-    request = dict(target="target", scorer="CorrMax")
+    request = dict(target="target", scorer=scorer)
     with QueryServer(store) as server:
         server.explain(**request)
         assert sorted(scored[-1]) == ["cause", "decoy_0", "decoy_1", "late"]
@@ -161,9 +162,10 @@ def test_only_touched_hypotheses_are_scored(scored):
 
         # Nothing written: a new scorer scores, a known one does not.
         calls = len(scored)
-        server.explain("target", scorer="CorrMax", top_k=2)
+        server.explain("target", scorer=scorer, top_k=2)
         assert len(scored) == calls
-        server.explain("target", scorer="L2")
+        other = "L2" if scorer == "corrmax" else "CorrMax"
+        server.explain("target", scorer=other)
         assert len(scored) == calls + 1
 
 
@@ -534,6 +536,41 @@ def test_family_build_does_not_stall_other_requests(monkeypatch):
         finally:
             release.set()
         assert explain.result(timeout=30).value.n_hypotheses == 4
+
+
+def test_a_request_outlives_the_state_it_pinned(monkeypatch):
+    """A request keeps the version state it pinned even after newer
+    versions drop that state from the server: it answers as a cold run
+    at its own version, and the state is not brought back."""
+    store = build_store()
+    started, release = threading.Event(), threading.Event()
+    scorer_type = type(get_scorer("CorrMax"))
+    real = scorer_type.score_prepared
+
+    def gated(self, xs, target):
+        started.set()
+        release.wait(30)
+        return real(self, xs, target)
+
+    monkeypatch.setattr(scorer_type, "score_prepared", gated)
+    request = dict(target="target", scorer="CorrMax")
+    with QueryServer(store, n_workers=4) as server:
+        try:
+            explain = server.submit_explain(**request)
+            assert started.wait(10)
+            for i in range(server_module.KEEP_VERSIONS):
+                store.insert(SeriesId.make("bump"), i, 1.0)
+                server.submit_sql(GROUP_QUERY).result(timeout=5)
+            assert not explain.done()
+        finally:
+            release.set()
+        result = explain.result(timeout=30)
+        assert result.version not in server.stats()["warm_versions"]
+        assert table_fields(result.value) == \
+            table_fields(cold(result, **request))
+        latest = server.submit_explain(**request).result(timeout=30)
+        assert latest.version == store.version
+        assert result.version not in server.stats()["warm_versions"]
 
 
 # ---------------------------------------------------------------------------

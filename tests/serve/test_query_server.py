@@ -12,7 +12,7 @@ from repro.core.engine import ExplainItSession
 from repro.core.families import families_from_store
 from repro.core.hypothesis import generate_hypotheses
 from repro.core.ranking import rank_families
-from repro.scoring.base import ScoringError
+from repro.scoring.base import Scorer, ScoringError
 from repro.serve import QueryServer
 from repro.sql import Database
 from repro.tsdb.adapter import register_store
@@ -327,7 +327,8 @@ def test_explain_cache_invalidated_by_ingest(server, store):
     assert second.version > first.version
 
 
-@pytest.mark.parametrize("scorer", ["L2", "L2-P50"])
+@pytest.mark.parametrize("scorer", ["L1", "L2", "L2-P50", "L2-P500",
+                                    "L2-PCA50", "L2-lag2"])
 def test_too_short_a_target_is_a_scoring_error(scorer):
     """Three samples cannot fill five cross-validation folds: the server
     raises the scorer's ScoringError, not the splitter's ValueError."""
@@ -340,6 +341,26 @@ def test_too_short_a_target_is_a_scoring_error(scorer):
         with pytest.raises(ScoringError,
                            match=r"3 rows.*5 cross-validation folds"):
             server.explain("target", scorer=scorer)
+
+
+def test_a_failing_scorer_fails_its_request_alone(store):
+    """Scoring runs on the request's own thread: an exception in a
+    scorer reaches that request's caller, and the server keeps
+    answering — the same version, the same target — with a sound one."""
+
+    class Broken(Scorer):
+        name = "Broken"
+
+        def score(self, x, y, z=None):
+            raise ArithmeticError("scorer bug")
+
+    with QueryServer(store, n_workers=2) as server:
+        failed = server.submit_explain("target_metric", scorer=Broken())
+        with pytest.raises(ArithmeticError, match="scorer bug"):
+            failed.result(timeout=30)
+        served = server.explain("target_metric", scorer="CorrMax")
+        assert served.results[0].family == "cause_metric"
+        assert server.stats()["warm_versions"] == [store.version]
 
 
 def test_old_version_states_retire(store):
