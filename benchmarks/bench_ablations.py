@@ -200,7 +200,7 @@ class TestRankFusionAblation:
 
     def test_fusion_at_least_as_good_as_median_scorer(self, incidents,
                                                       benchmark):
-        from repro.core.aggregate import reciprocal_rank_fusion
+        from rank_fusion import reciprocal_rank_fusion
         from repro.core.hypothesis import generate_hypotheses
         from repro.core.ranking import rank_families
         from repro.evalkit.metrics import discounted_gain, summarize_gains

@@ -2,8 +2,9 @@
 
 Builds the end-to-end workload's store and server, then times OPS
 served explains, each after one heartbeat append inside the horizon
-(the workload's own op), and splits every op into the server's steps
-by wrapping the functions it calls:
+(the workload's own op), and splits every op into the steps of the
+explain core (``repro.core.explain``) by wrapping the functions it
+calls:
 
 - ``snapshot``: ``TimeSeriesStore.read_view`` (freezing the new view);
 - ``families``: ``families_from_store``;
@@ -11,7 +12,7 @@ by wrapping the functions it calls:
   prepared targets across versions);
 - ``hypotheses``: ``generate_hypotheses`` (0 calls in an op whose
   request shape has a carried answer);
-- ``scoring``: ``execute_batches`` as the server calls it;
+- ``scoring``: ``execute_batches`` as the core calls it;
 - ``prepare``: ``L2Scorer.prepare`` (the target's (Y, Z) preparation,
   inside ``scoring``; 0 calls in an op that finds it carried over);
 - ``score_table``: ranking into the Score Table — ``build_score_table``,
@@ -25,9 +26,9 @@ the hypotheses scored and the member lookups (series ids passed to
 ``StoreView.get`` and ``StoreView.get_many``), and the series written
 (one per op).
 
-Run from the repository root (any commit that has the wrapped names;
-one whose server scores through ``HypothesisExecutor.score`` needs its
-own copy of this script)::
+Run from the repository root (any commit that has the wrapped names in
+``repro.core.explain``; older commits, whose server module held them,
+need their own copy of this script)::
 
     python3 benchmarks/bench_explain_steps.py SEED OPS [--check]
 
@@ -59,7 +60,7 @@ sys.path.insert(0, str(harness.REPO / "src"))
 import sizes  # noqa: E402
 import wl_explain  # noqa: E402
 import repro.core.families as families_module  # noqa: E402
-import repro.serve.server as server_module  # noqa: E402
+import repro.core.explain as explain_module  # noqa: E402
 from repro.scoring.joint import L2Scorer  # noqa: E402
 from repro.scoring.table import Ranking  # noqa: E402
 from repro.tsdb.query import ScanQuery  # noqa: E402
@@ -68,13 +69,13 @@ from repro.tsdb.storage import StoreView, TimeSeriesStore  # noqa: E402
 WARMUP_OPS = 5
 STEPS = {
     "snapshot": [(TimeSeriesStore, "read_view")],
-    "families": [(server_module, "families_from_store")],
-    "inherit": [(server_module._Generation, "inherit")],
-    "hypotheses": [(server_module, "generate_hypotheses")],
-    "scoring": [(server_module, "execute_batches")],
+    "families": [(explain_module, "families_from_store")],
+    "inherit": [(explain_module._Generation, "inherit")],
+    "hypotheses": [(explain_module, "generate_hypotheses")],
+    "scoring": [(explain_module, "execute_batches")],
     "prepare": [(L2Scorer, "prepare")],
-    "score_table": [(server_module, "build_score_table"),
-                    (server_module, "rank_scores"),
+    "score_table": [(explain_module, "build_score_table"),
+                    (explain_module, "rank_scores"),
                     (Ranking, "rescored"), (Ranking, "table")],
 }
 
@@ -82,7 +83,7 @@ STEPS = {
 COUNTS = {
     "scans": (ScanQuery, "run", lambda *args: 1),
     "aligned": (families_module, "align_to_grid", lambda *args: 1),
-    "scored": (server_module, "execute_batches",
+    "scored": (explain_module, "execute_batches",
                lambda hypotheses, *rest: len(hypotheses)),
     "lookups": (StoreView, "get", lambda view, series: 1),
 }

@@ -74,8 +74,8 @@ class TestPcBaselineBlowup:
 
     def test_pc_cost_grows_much_faster_than_ranking(self, benchmark):
         benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-        from repro.causal import pc_skeleton
-        # Untimed: the CI test imports scipy on its first call.
+        from pc_baseline import pc_skeleton
+        # Untimed: the first call pays one-off warm-up costs.
         pc_skeleton(np.random.default_rng(1).standard_normal((50, 3)),
                     alpha=0.01)
         rng = np.random.default_rng(0)

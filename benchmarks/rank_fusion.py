@@ -14,7 +14,8 @@ different time ranges.  This module fuses them:
   scorer (e.g. different seeds or time ranges).
 
 Families missing from a table (filtered search space) simply contribute
-nothing for that table.
+nothing for that table.  The module lives beside ``bench_ablations.py``,
+its one user.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ Two of the paper's 'lessons learnt' (Appendix D) and future-work items
 
 1. A high score is not an explanation — the CPU-temperature family of
    Figure 14 scores well on the runtime's sawtooth but completely misses
-   the spike the operator cares about.  The diagnostic overlay and the
-   event-residual check catch it.
+   the spike the operator cares about.  The session's event lift — how
+   anomalous a family is inside the event window — tells the two apart.
 2. The engine can pick the scoring method itself from the shape of the
    search space (family widths vs sample count).
 
@@ -16,7 +16,6 @@ Run:  python examples/diagnostics_and_autoselect.py
 from repro.core.autoselect import choose_scorer, score_with_auto_selection
 from repro.core.hypothesis import generate_hypotheses
 from repro.core.ranking import rank_families
-from repro.core.report import DiagnosticReport
 from repro.workloads.scenarios import sawtooth_temperature_scenario
 
 
@@ -29,17 +28,13 @@ def main() -> None:
     table = rank_families(hypotheses, scorer="L2")
     print(table.render(5))
 
-    print("\n--- diagnostics for the top 2 hypotheses ---")
-    report = DiagnosticReport.for_ranking(
-        hypotheses, table, k=2, event_window=scenario.fault_window)
-    print(report.render(width=60, height=7))
-
-    flagged = report.suspicious()
-    print(f"\n{len(flagged)} hypothesis(es) flagged as Figure-14 "
-          f"patterns (high score, unexplained event):")
-    for diag in flagged:
-        print(f"  - {diag.family} (score {diag.score:.2f}, event "
-              f"residual {diag.event_residual_ratio():.1f}x)")
+    print("\n--- event lift of the top 3 families ---")
+    session = scenario.session()
+    first, last = scenario.store.time_range()
+    session.set_time_ranges(first, last + 1, *scenario.fault_window)
+    for row in table.top(3):
+        print(f"  {row.family:<24} score {row.score:.2f}  event lift "
+              f"{session.event_lift(row.family):.1f}")
 
     print("\n--- automatic scorer selection ---")
     decision = choose_scorer(hypotheses)

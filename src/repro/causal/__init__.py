@@ -10,30 +10,16 @@ provides the machinery the reproduction needs around that model:
 - :mod:`repro.causal.scm` — linear-Gaussian structural causal models that
   *generate* time series from a DAG, including interventions (``do()``)
   — the ground truth generator for every synthetic scenario.
-- :mod:`repro.causal.independence` — partial-correlation conditional
-  independence tests on data.
-- :mod:`repro.causal.pc` — the PC skeleton-discovery algorithm the paper
-  cites as the classical full-structure alternative (§7), used as a
-  baseline to show why full structure learning is unnecessary for RCA.
+
+The PC skeleton baseline of §7 lives beside ``bench_scalability.py``
+(``benchmarks/pc_baseline.py``): the engine never learns a DAG.
 """
 
 from repro.causal.dag import CausalDag
 from repro.causal.scm import LinearGaussianScm, NoiseSpec
-from repro.causal.independence import partial_correlation, ci_test
-from repro.causal.pc import pc_skeleton
-from repro.causal.granger import GrangerResult, granger_direction, granger_test
-from repro.causal.lingam import DirectionEstimate, direction as lingam_direction
 
 __all__ = [
     "CausalDag",
     "LinearGaussianScm",
     "NoiseSpec",
-    "partial_correlation",
-    "ci_test",
-    "pc_skeleton",
-    "GrangerResult",
-    "granger_test",
-    "granger_direction",
-    "DirectionEstimate",
-    "lingam_direction",
 ]

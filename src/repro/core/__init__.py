@@ -8,6 +8,9 @@
   pseudocause derivation (§3.4, Figure 3).
 - :mod:`repro.core.ranking` — scoring loops, the Score Table, top-k
   selection, and significance annotation (§3.5).
+- :mod:`repro.core.explain` — :class:`~repro.core.explain.ExplainCore`,
+  the rank step that carries families and answers across store versions,
+  shared by the session and the serving tier.
 - :mod:`repro.core.pipeline` — the three-stage declarative pipeline of
   Figure 4 over the SQL substrate.
 - :mod:`repro.core.engine` — :class:`~repro.core.engine.ExplainItSession`,
@@ -27,7 +30,6 @@ from repro.core.ranking import RankedFamily, ScoreTable, rank_families
 from repro.core.engine import ExplainItSession
 from repro.core.pipeline import DeclarativePipeline
 from repro.core.events import EventWindow, detect_spikes, suggest_explain_range
-from repro.core.report import DiagnosticReport, diagnose
 from repro.core.autoselect import AutoScorer, choose_scorer
 
 __all__ = [
@@ -49,8 +51,6 @@ __all__ = [
     "EventWindow",
     "detect_spikes",
     "suggest_explain_range",
-    "DiagnosticReport",
-    "diagnose",
     "AutoScorer",
     "choose_scorer",
 ]

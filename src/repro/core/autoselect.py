@@ -81,28 +81,36 @@ class AutoScorer(Scorer):
         self._univariate = CorrMaxScorer()
         self._joint = L2Scorer(n_splits=n_splits)
         self._projected_cache: dict[int, ProjectedL2Scorer] = {}
-        self.decisions: list[str] = []
+
+    @staticmethod
+    def route(x: np.ndarray, z: np.ndarray | None = None) -> str:
+        """The method ``score`` uses for X (and Z): ``"univariate"``,
+        ``"joint"`` or ``"projected-<d>"``."""
+        x = np.asarray(x)
+        n_samples = x.shape[0]
+        width = 1 if x.ndim == 1 else x.shape[1]
+        if width == 1 and z is None:
+            return "univariate"
+        budget = max(10, n_samples // 4)
+        if width > budget:
+            return f"projected-{min(50, budget)}"
+        return "joint"
 
     def score(self, x: np.ndarray, y: np.ndarray,
               z: np.ndarray | None = None) -> float:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 1:
             x = x[:, None]
-        n_samples, width = x.shape
-        if width == 1 and z is None:
-            self.decisions.append("univariate")
+        route = self.route(x, z)
+        if route == "univariate":
             return self._univariate.score(x, y, z)
-        budget = max(10, n_samples // 4)
-        if width > budget:
-            d = min(50, budget)
-            scorer = self._projected_cache.get(d)
-            if scorer is None:
-                scorer = ProjectedL2Scorer(d=d)
-                self._projected_cache[d] = scorer
-            self.decisions.append(f"projected-{d}")
-            return scorer.score(x, y, z)
-        self.decisions.append("joint")
-        return self._joint.score(x, y, z)
+        if route == "joint":
+            return self._joint.score(x, y, z)
+        d = int(route.removeprefix("projected-"))
+        scorer = self._projected_cache.get(d)
+        if scorer is None:
+            scorer = self._projected_cache[d] = ProjectedL2Scorer(d=d)
+        return scorer.score(x, y, z)
 
 
 def score_with_auto_selection(hypotheses: list[Hypothesis],

@@ -9,6 +9,10 @@ The three user steps of §1:
 A session wraps a :class:`~repro.tsdb.TimeSeriesStore` (and/or a
 :class:`~repro.sql.Database`), holds the Y/Z selections and the two time
 ranges of Figure 2, and exposes ``explain()`` as the ranking entry point.
+The ranking itself — and the family set and answers it carries across
+store versions — is the explain core's
+(:class:`~repro.core.explain.ExplainCore`), the same one
+:class:`~repro.serve.server.QueryServer` serves from.
 """
 
 from __future__ import annotations
@@ -18,20 +22,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.families import (
-    FamilyError,
-    FamilySet,
-    FeatureFamily,
-    families_from_store,
-)
-from repro.core.hypothesis import generate_hypotheses
+from repro.core.explain import ExplainCore, _Generation
+from repro.core.families import FamilyError, FamilySet, FeatureFamily
 from repro.core.pseudocause import pseudocauses
-from repro.core.ranking import DEFAULT_TOP_K, ScoreTable, rank_families
+from repro.core.ranking import DEFAULT_TOP_K, ScoreTable
 from repro.scoring.base import Scorer
 from repro.sql.catalog import Database
 from repro.tsdb.adapter import register_store
 from repro.tsdb.storage import StoreView
-from repro.versioned import VersionedCache
 
 
 @dataclass
@@ -79,8 +77,7 @@ class ExplainItSession:
         self._ranges: TimeRanges | None = None
         self._target: str | None = None
         self._condition: str | FeatureFamily | None = None
-        self._families = VersionedCache(1)
-        self._last_families: FamilySet | None = None
+        self._core = ExplainCore(group_by)
         self.history: list[ScoreTable] = []
 
     # ------------------------------------------------------------------
@@ -106,7 +103,7 @@ class ExplainItSession:
 
     def condition_on_pseudocause(self, period: int | None = None) -> None:
         """Condition on the target's own trend+seasonal components (§3.4)."""
-        families = self._ensure_families()
+        families = self.families()
         if self._target is None:
             raise FamilyError("set_target before conditioning")
         target = families[self._target]
@@ -119,8 +116,9 @@ class ExplainItSession:
         )
 
     def families(self) -> FamilySet:
-        """The current family set (grouped per ``group_by``)."""
-        return self._ensure_families()
+        """The family set (grouped per ``group_by``) for the current
+        horizon at the store's version."""
+        return self._generation().families
 
     # ------------------------------------------------------------------
     # Step 3: ranking
@@ -132,16 +130,14 @@ class ExplainItSession:
         """Run one iteration of Algorithm 1 and return the Score Table.
 
         The target/condition-side work is shared across all candidate
-        families in stacked numpy calls.
+        families in stacked numpy calls, and a repeat after a write
+        scores only the hypotheses the write touched
+        (:meth:`ExplainCore.rank <repro.core.explain.ExplainCore.rank>`).
         """
         if self._target is None:
             raise FamilyError("set_target before explain()")
-        families = self._ensure_families()
-        hypotheses = generate_hypotheses(
-            families, self._target, condition=self._condition,
-            search=search, exclude=exclude,
-        )
-        table = rank_families(hypotheses, scorer=scorer, top_k=top_k)
+        table = self._core.rank(self._generation(), self._target, scorer,
+                                self._condition, search, exclude, top_k)
         self.db.register("score", table.to_table())
         self.history.append(table)
         return table
@@ -164,7 +160,7 @@ class ExplainItSession:
         from repro.core.events import suggest_explain_range
         if self._target is None:
             raise FamilyError("set_target before suggest_event_window()")
-        families = self._ensure_families()
+        families = self.families()
         target = families[self._target]
         series = target.matrix.mean(axis=1)
         event = suggest_explain_range(series, window=window,
@@ -193,7 +189,7 @@ class ExplainItSession:
         """
         if self._ranges is None:
             raise FamilyError("set_time_ranges before event_lift()")
-        families = self._ensure_families()
+        families = self.families()
         fam = families[family]
         lo, hi = self._ranges.explain
         inside = (fam.grid >= lo) & (fam.grid < hi)
@@ -214,19 +210,12 @@ class ExplainItSession:
         lo, hi = view.time_range()
         return TimeRanges(lo, hi + 1)
 
-    def _ensure_families(self) -> FamilySet:
-        """The family set for the current horizon at the store's version.
-
-        A version bump refreshes the previous set: families whose member
-        series were not written since are reused, the rest re-aligned
-        (see :func:`~repro.core.families.families_from_store`).
-        """
+    def _generation(self) -> _Generation:
+        """The core's generation for the current horizon at the store's
+        version: a version bump refreshes the previous one, reusing the
+        families (and scores) no write touched."""
         view = self.store.read_view()
         ranges = self._horizon(view)
-        self._last_families = self._families.get_or_build(
-            (ranges.total_start, ranges.total_end), view.version,
-            lambda: families_from_store(
-                view, group_by=self.group_by,
-                start=ranges.total_start, end=ranges.total_end,
-                previous=self._last_families))
-        return self._last_families
+        return self._core.generation(view, ranges.total_start,
+                                     ranges.total_end)
+

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.causal import ci_test, partial_correlation
-from repro.causal.independence import IndependenceTestError
+from tests.bench_modules import load_bench_module
+
+_baseline = load_bench_module("pc_baseline.py")
+IndependenceTestError = _baseline.IndependenceTestError
+ci_test = _baseline.ci_test
+partial_correlation = _baseline.partial_correlation
 
 
 class TestPartialCorrelation:

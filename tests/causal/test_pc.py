@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.causal import LinearGaussianScm, NoiseSpec, pc_skeleton
+from repro.causal import LinearGaussianScm, NoiseSpec
+from tests.bench_modules import load_bench_module
+
+pc_skeleton = load_bench_module("pc_baseline.py").pc_skeleton
 
 
 def _simulate(edges, n=3000, seed=0, noise=0.4):

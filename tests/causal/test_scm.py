@@ -120,7 +120,9 @@ class TestScmSimulation:
     def test_faithfulness_to_dag(self):
         """Generated data respects d-separation: chain z->y->x gives
         partial correlation(z, x | y) ~ 0 but corr(z, x) != 0."""
-        from repro.causal import partial_correlation
+        from tests.bench_modules import load_bench_module
+        partial_correlation = load_bench_module(
+            "pc_baseline.py").partial_correlation
         scm = LinearGaussianScm()
         scm.add_variable("z", NoiseSpec(std=1.0))
         scm.add_variable("y", NoiseSpec(std=0.3))

@@ -1,13 +1,15 @@
-"""Unit tests for multi-query rank aggregation."""
+"""Unit tests for multi-query rank aggregation (``benchmarks/rank_fusion.py``,
+beside ``bench_ablations.py``, its one user)."""
 
 import pytest
 
-from repro.core.aggregate import (
-    borda_fusion,
-    mean_score_fusion,
-    reciprocal_rank_fusion,
-)
 from repro.core.ranking import RankedFamily, ScoreTable
+from tests.bench_modules import load_bench_module
+
+_fusion = load_bench_module("rank_fusion.py")
+borda_fusion = _fusion.borda_fusion
+mean_score_fusion = _fusion.mean_score_fusion
+reciprocal_rank_fusion = _fusion.reciprocal_rank_fusion
 
 
 def table(scorer: str, ordered: list[tuple[str, float]]) -> ScoreTable:

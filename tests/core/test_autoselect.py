@@ -53,11 +53,11 @@ class TestChooseScorer:
 class TestAutoScorer:
     def test_routes_by_width(self, rng):
         scorer = AutoScorer()
-        y = rng.standard_normal((200, 1))
-        scorer.score(rng.standard_normal(200), y)            # univariate
-        scorer.score(rng.standard_normal((200, 8)), y)       # joint
-        scorer.score(rng.standard_normal((200, 300)), y)     # projected
-        assert scorer.decisions == ["univariate", "joint", "projected-50"]
+        xs = [rng.standard_normal(200),                      # univariate
+              rng.standard_normal((200, 8)),                 # joint
+              rng.standard_normal((200, 300))]               # projected
+        assert [scorer.route(x) for x in xs] == \
+            ["univariate", "joint", "projected-50"]
 
     def test_scores_sane(self, rng):
         scorer = AutoScorer()
@@ -72,7 +72,7 @@ class TestAutoScorer:
         x = z + 0.3 * rng.standard_normal((300, 1))
         y = z + 0.3 * rng.standard_normal((300, 1))
         assert scorer.score(x, y, z) < 0.15
-        assert scorer.decisions[-1] == "joint"
+        assert scorer.route(x, z) == "joint"
 
 
 class TestScoreWithAutoSelection:
@@ -107,3 +107,43 @@ class TestRegistry:
         session.set_target("kpi")
         table = session.explain(scorer="Auto")
         assert table.results[0].family == "cause"
+
+
+class TestServedAuto:
+    def test_scorer_state_does_not_grow_across_served_explains(self, rng):
+        """The server carries one ``Auto`` scorer across versions; 200
+        explains, each after a write, leave its state as the first left
+        it."""
+        from repro.serve import QueryServer
+        from repro.tsdb import SeriesId, TimeSeriesStore
+        n = 60                                   # projection budget: 15
+        stamps = np.arange(n)
+        store = TimeSeriesStore()
+        kpi = rng.standard_normal(n)
+        store.insert_array(SeriesId.make("kpi"), stamps, kpi)
+        written = []
+        for name, width in (("cause", 1), ("joint", 3), ("wide", 16)):
+            for j in range(width):
+                series = SeriesId.make(name, {"j": str(j)})
+                store.insert_array(series, stamps, rng.standard_normal(n))
+                written.append(series)
+
+        def footprint(scorer):
+            return {name: len(value) if hasattr(value, "__len__")
+                    else type(value).__name__
+                    for name, value in vars(scorer).items()}
+
+        with QueryServer(store, n_workers=1) as server:
+            server.explain("kpi", scorer="Auto")
+            scorer = server._core._latest.scorers["auto"]
+            assert sorted(scorer.route(h.x.matrix) for h in server._core
+                          ._latest.answers[("kpi", None, None, (), "auto")]
+                          .hypotheses) == ["joint", "projected-15",
+                                           "univariate"]
+            first = footprint(scorer)
+            for k in range(200):
+                store.apply(written[k % len(written)],
+                            lambda ts, vs: vs + 0.01)
+                server.explain("kpi", scorer="Auto")
+            assert server._core._latest.scorers["auto"] is scorer
+            assert footprint(scorer) == first

@@ -1,5 +1,5 @@
-"""Integration tests for the workflow extras: auto event windows,
-diagnostics on real scenarios, and the temporal baselines side by side."""
+"""Integration tests for the workflow extras: auto event windows and
+lag-augmented scoring on a real scenario."""
 
 import numpy as np
 import pytest
@@ -35,37 +35,7 @@ class TestAutoEventWindow:
         assert session.suggest_event_window(threshold=6.0) is None
 
 
-class TestDiagnosticsOnScenario:
-    def test_top_causes_pass_event_residual_check(self, scenario):
-        """Unlike Figure 14's temperature family, the real causes also
-        explain the event window."""
-        from repro.core.hypothesis import generate_hypotheses
-        from repro.core.ranking import rank_families
-        from repro.core.report import DiagnosticReport
-        families = scenario.families()
-        hypotheses = generate_hypotheses(families, scenario.target)
-        table = rank_families(hypotheses, scorer="CorrMax")
-        report = DiagnosticReport.for_ranking(
-            hypotheses, table, k=5, event_window=scenario.fault_window)
-        cause_diagnostics = [d for d in report.diagnostics
-                             if d.family in scenario.causes]
-        assert cause_diagnostics
-        for diag in cause_diagnostics:
-            assert diag.event_residual_ratio() < 3.0, diag.family
-
-
 class TestTemporalBaselines:
-    def test_granger_confirms_runtime_to_latency(self, scenario):
-        """The SCM's lagged runtime->latency edge is visible to Granger,
-        demonstrating the temporal-precedence baseline on engine data."""
-        from repro.causal import granger_test
-        from repro.tsdb import SeriesId
-        _, runtime = scenario.store.arrays(SeriesId.make(
-            "pipeline_runtime", {"pipeline_name": "pipeline-1"}))
-        _, latency = scenario.store.arrays(SeriesId.make(
-            "pipeline_latency", {"pipeline_name": "pipeline-1"}))
-        assert granger_test(runtime, latency, order=2).significant()
-
     def test_lagged_scorer_on_latency_family(self, scenario):
         """pipeline_latency lags runtime by one step; lag-augmented
         scoring must not do worse than instantaneous scoring."""

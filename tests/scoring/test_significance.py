@@ -6,9 +6,6 @@ path), so these tests load ``benchmarks/bench_figure12_13_null.py`` by
 path: the benchmark tree is not an importable package.
 """
 
-import importlib.util
-import pathlib
-
 import numpy as np
 import pytest
 
@@ -20,21 +17,11 @@ from repro.scoring import (
     sample_null_r2_ridge_cv,
 )
 from repro.scoring.significance import var_adjusted_r2
-
-BENCH_PATH = (pathlib.Path(__file__).resolve().parents[2]
-              / "benchmarks" / "bench_figure12_13_null.py")
-
-
-def _load_bench_module():
-    spec = importlib.util.spec_from_file_location(
-        "bench_figure12_13_null_tests", BENCH_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
+from tests.bench_modules import load_bench_module
 
 def null_r2_distribution(n_samples: int, n_predictors: int):
-    return _load_bench_module().null_r2_distribution(n_samples, n_predictors)
+    return load_bench_module("bench_figure12_13_null.py").null_r2_distribution(
+        n_samples, n_predictors)
 
 
 class TestNullDistribution:

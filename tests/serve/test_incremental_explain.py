@@ -1,10 +1,11 @@
-"""QueryServer across versions: an explain recomputes only what a write touched.
+"""Explains across versions recompute only what a write touched.
 
-A new version's explain state refreshes the latest one built: families whose
+``QueryServer`` and ``ExplainItSession`` rank through one explain core. A
+new version's explain state refreshes the latest one built: families whose
 member columns were not written are reused as objects, and a hypothesis
 whose (X, Y, Z) families are all reused keeps its score.  None of that
 may show in a result — every served Score Table must equal what a fresh
-server computes cold at the same version, bit for bit.
+server (or session) computes cold at the same version, bit for bit.
 """
 
 import gc
@@ -18,9 +19,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.explain as explain_module
 import repro.core.families as families_module
+import repro.core.ranking as ranking_module
 import repro.scoring.base as scoring_base
 import repro.serve.server as server_module
+from repro.core.engine import ExplainItSession
 from repro.core.families import families_from_store
 from repro.scoring import get_scorer, list_scorers
 from repro.scoring.base import Scorer
@@ -98,17 +102,33 @@ def cold(served, **request):
         return fresh.explain(**request)
 
 
+def session_explain(session, target, scorer, condition=None, search=None):
+    """``request`` (as :meth:`QueryServer.explain` takes it) through an
+    ``ExplainItSession``."""
+    session.set_target(target)
+    session.set_condition(condition)
+    return session.explain(scorer=scorer, search=search)
+
+
+def cold_session(view, **request):
+    """The same request on a fresh session over a frozen ``view``."""
+    return session_explain(ExplainItSession(view), **request)
+
+
 @pytest.fixture
 def scored(monkeypatch):
-    """Names of the hypotheses each scoring call received."""
+    """Names of the hypotheses each scoring call received, from the
+    explain core's carried answers and from the plain ``rank_families``
+    call a live scorer or family object takes."""
     calls: list[list[str]] = []
-    real = server_module.execute_batches
+    real = explain_module.execute_batches
 
     def spy(hypotheses, *args, **kwargs):
         calls.append([h.name for h in hypotheses])
         return real(hypotheses, *args, **kwargs)
 
-    monkeypatch.setattr(server_module, "execute_batches", spy)
+    monkeypatch.setattr(explain_module, "execute_batches", spy)
+    monkeypatch.setattr(ranking_module, "execute_batches", spy)
     return calls
 
 
@@ -188,13 +208,13 @@ def test_replaced_families_are_released(monkeypatch):
     """Once its state is dropped, a family a write replaced is unreachable:
     neither the latest generation nor its inherited scores keep it."""
     built = []
-    real = server_module.families_from_store
+    real = explain_module.families_from_store
 
     def spy(*args, **kwargs):
         built.append(real(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(server_module, "families_from_store", spy)
+    monkeypatch.setattr(explain_module, "families_from_store", spy)
     store = build_store()
     with QueryServer(store) as server:
         server.explain("target", scorer="CorrMax")
@@ -229,6 +249,26 @@ def test_live_scorer_objects_are_never_reused(scored):
     assert [sorted(names) for names in scored] == \
         [["cause", "decoy_0", "decoy_1", "late"]] * 2
     assert table_fields(first) == table_fields(second)
+
+
+def test_session_scores_only_what_a_write_touched(scored):
+    """The session ranks through the same core: after an in-horizon
+    write it scores the hypotheses whose X was written, and a repeat at
+    the same version scores nothing."""
+    store = build_store()
+    session = ExplainItSession(store)
+    session.set_target("target")
+    session.explain(scorer="CorrMax")
+    assert sorted(scored[-1]) == ["cause", "decoy_0", "decoy_1", "late"]
+    store.insert(LATE, N - 8, 0.25)                  # inside the horizon
+    table = session.explain(scorer="CorrMax")
+    assert scored[-1] == ["late"]
+    calls = len(scored)
+    assert table_fields(session.explain(scorer="CorrMax")) == \
+        table_fields(table)
+    assert len(scored) == calls
+    assert table_fields(table) == table_fields(cold_session(
+        store.read_view(), target="target", scorer="CorrMax"))
 
 
 def test_grid_move_rescores_everything(scored):
@@ -311,25 +351,25 @@ def test_live_scorer_objects_bypass_the_prepared_targets(prepared):
     live = get_scorer("L2-P50")
     with QueryServer(store) as server:
         server.explain("target", scorer=live)
-        assert len(prepared) == 1 and not server._latest.targets
+        assert len(prepared) == 1 and not server._core._latest.targets
         server.explain("target", scorer="L2-P50")
         assert len(prepared) == 2
-        memo = dict(server._latest.targets)
+        memo = dict(server._core._latest.targets)
         assert len(memo) == 1
         server.explain("target", scorer=live)       # reads nothing
         assert len(prepared) == 3
-        assert server._latest.targets == memo       # fills nothing
+        assert server._core._latest.targets == memo       # fills nothing
 
 
 def test_replaced_targets_are_dropped_from_the_generation(prepared):
     store = build_store()
     with QueryServer(store) as server:
         server.explain("target", scorer="L2-P50")
-        (key,) = server._latest.targets
+        (key,) = server._core._latest.targets
         store.apply(SeriesId.make("target", {"host": "h1"}),
                     lambda ts, vs: vs - 1.0)
         server.explain("target", scorer="L2-P50")
-        (newer,) = server._latest.targets
+        (newer,) = server._core._latest.targets
         assert newer[0] == key[0] and newer[1] is not key[1]
 
 
@@ -338,13 +378,13 @@ def test_each_scorer_is_instantiated_once(monkeypatch, scored):
     across versions with the targets it prepared: repeats that score
     nothing, in-horizon writes and a grid move create none again."""
     made = []
-    real = server_module.get_scorer
+    real = explain_module.get_scorer
 
     def spy(name):
         made.append(name)
         return real(name)
 
-    monkeypatch.setattr(server_module, "get_scorer", spy)
+    monkeypatch.setattr(explain_module, "get_scorer", spy)
     store = build_store()
     with QueryServer(store) as server:
         for top_k in (3, 4, 5):                      # carried, no stale rows
@@ -516,14 +556,14 @@ def test_refreshed_families_equal_a_cold_build(kwargs, refresh_scans,
 def test_family_build_does_not_stall_other_requests(monkeypatch):
     store = build_store()
     started, release = threading.Event(), threading.Event()
-    real = server_module.families_from_store
+    real = explain_module.families_from_store
 
     def blocked(*args, **kwargs):
         started.set()
         release.wait(30)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(server_module, "families_from_store", blocked)
+    monkeypatch.setattr(explain_module, "families_from_store", blocked)
     with QueryServer(store, n_workers=4) as server:
         try:
             explain = server.submit_explain("target", scorer="CorrMax")
@@ -685,7 +725,10 @@ class Interleaving:
 
 
 def run_interleaving(steps) -> None:
+    """Each request is served by a server and by a session over the same
+    store; each table must equal its cold counterpart's."""
     state = Interleaving()
+    session = ExplainItSession(state.store)
     with rounded_corr(), QueryServer(state.store) as server:
         for step in list(steps) + [("explain", "CorrMax", "plain")]:
             if step[0] != "explain":
@@ -696,6 +739,9 @@ def run_interleaving(steps) -> None:
             served = server.submit_explain(**request).result()
             assert table_fields(served.value) == \
                 table_fields(cold(served, **request))
+            table = session_explain(session, **request)
+            assert table_fields(table) == table_fields(
+                cold_session(state.store.read_view(), **request))
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,10 +2,9 @@
 
 These are the seed (pre-columnar) algorithms, kept verbatim as the
 executable specification the vectorized tier is verified against: the
-parity property tests and the ingest/query benchmark both assert the
-fast paths are *bitwise* identical to these loops.  They are reference
-semantics, not production paths — nothing in the engine should call
-them outside tests and benchmarks.
+parity property tests assert the fast paths are *bitwise* identical to
+these loops.  They are reference semantics, not production paths, so
+they live with the tests.
 """
 
 from __future__ import annotations

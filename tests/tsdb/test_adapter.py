@@ -15,7 +15,7 @@ from repro.tsdb import SeriesId, TimeSeriesStore, adapter, tsdb_table
 from repro.tsdb.adapter import TSDB_COLUMNS, register_store, scan_store
 from repro.tsdb.model import SeriesData
 from repro.tsdb.storage import DERIVED_VIEWS
-from repro.tsdb.reference import naive_tsdb_table_rows
+from tests.tsdb.reference import naive_tsdb_table_rows
 
 
 def _store():

@@ -19,7 +19,7 @@ from repro.tsdb import (
 )
 from repro.tsdb.adapter import TSDB_COLUMNS, observations_to_table
 from repro.tsdb.model import CHUNK_TARGET, SeriesData, SeriesFormatError
-from repro.tsdb.reference import naive_downsample, naive_tsdb_table_rows
+from tests.tsdb.reference import naive_downsample, naive_tsdb_table_rows
 
 ALL_AGGS = ["avg", "sum", "min", "max", "count", "median", "p95", "p99"]
 

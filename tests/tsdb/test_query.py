@@ -5,8 +5,8 @@ import pytest
 
 from repro.tsdb.model import SeriesFormatError, SeriesId
 from repro.tsdb.query import Downsampler, ScanQuery, align_to_grid, aggregator
-from repro.tsdb.reference import naive_downsample
 from repro.tsdb.storage import TimeSeriesStore
+from tests.tsdb.reference import naive_downsample
 
 
 class TestAggregator:

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 
 from repro.tsdb.query import Downsampler
-from repro.tsdb.reference import naive_downsample
+from tests.tsdb.reference import naive_downsample
 
 
 def _bitwise_equal(a: np.ndarray, b: np.ndarray,

@@ -3,10 +3,12 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.causal import partial_correlation
 from repro.workloads.datacenter import ClusterConfig, DataCenterModel
 from repro.workloads.incidents import CAUSE_KINDS, IncidentSpec, make_incident
 from repro.workloads.signals import periodic_windows, window
+from tests.bench_modules import load_bench_module
+
+partial_correlation = load_bench_module("pc_baseline.py").partial_correlation
 
 
 class TestSignalProperties:
