@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -59,6 +60,13 @@ from repro.tsdb.storage import StoreView
 
 #: The (score, seconds, p-value) of a hypothesis not scored yet.
 _UNKNOWN = (np.nan, np.nan, np.nan)
+
+#: How many request shapes' answers a generation keeps, least recently
+#: asked first out: :meth:`_Generation.inherit` walks every one at each
+#: new version.  The end-to-end benchmark asks at most 2 shapes per
+#: generation; a shape asked again after its eviction takes the values
+#: the kept answers know and scores the rest.
+ANSWERS = 32
 
 
 class _Answer(NamedTuple):
@@ -122,16 +130,18 @@ class _Generation:
     by registry name) — every answer is over this
     generation's families, and :class:`FeatureFamily` hashes by
     identity, so a target key matches only the very same families.
-    An answer is dropped only when its Y or Z family is replaced
-    (:meth:`inherit`), so every shape asked keeps costing what a write
-    touched.  It holds no view, so the core's reference to the latest
+    An answer is dropped when its Y or Z family is replaced
+    (:meth:`inherit`) or when :data:`ANSWERS` shapes were asked since,
+    so every shape asked recently keeps costing what a write touched.
+    It holds no view, so the core's reference to the latest
     built generation keeps no other per-version state alive.
     """
 
     def __init__(self, families: FamilySet, key: tuple) -> None:
         self.families = families
         self.key = key
-        self.answers: dict[tuple, _Answer] = {}
+        #: least recently asked first
+        self.answers: OrderedDict[tuple, _Answer] = OrderedDict()
         self.targets: dict[tuple, Any] = {}
         self.scorers: dict[str, Scorer] = {}
         # guards ``answers``, ``targets`` and ``scorers``
@@ -183,6 +193,7 @@ class _Generation:
         with self.lock:
             answer = self.answers.get(shape)
             if answer is not None:
+                self.answers.move_to_end(shape)
                 return answer
             others = list(self.answers.items())
         target, condition, search, exclude, scorer = shape
@@ -200,6 +211,9 @@ class _Generation:
     def keep(self, shape: tuple, answer: _Answer) -> None:
         with self.lock:
             self.answers[shape] = answer
+            self.answers.move_to_end(shape)
+            while len(self.answers) > ANSWERS:
+                self.answers.popitem(last=False)
 
     def prepared(self, scorer: str) -> "_PreparedTargets":
         """``scorer``'s prepared targets, as the executor's memo."""

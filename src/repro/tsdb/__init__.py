@@ -9,8 +9,8 @@ Druid.  This package provides the equivalent substrate for the reproduction:
   chunked-numpy :class:`~repro.tsdb.model.SeriesData` columns (append
   buffer + sealed int64/float64 chunks + cached consolidated view).
 - :mod:`repro.tsdb.storage` — :class:`~repro.tsdb.storage.TimeSeriesStore`,
-  the one mutable store: hash-sharded columnar columns with inverted
-  indexes on metric names and tags, one lock per shard, a monotonic
+  the one mutable store: columnar columns with inverted indexes on
+  metric names and tags, one lock for every write, a monotonic
   mutation ``version`` that derived caches key on, and an optional WAL
   with checkpoints; and :class:`~repro.tsdb.storage.StoreView`, the
   frozen per-version view every read goes through.

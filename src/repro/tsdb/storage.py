@@ -1,27 +1,23 @@
 """The time series store: one mutable class, one frozen read view.
 
-:class:`TimeSeriesStore` is the only mutable store.  Each series lives
-on one of ``n_shards`` shards (a private :class:`_Shard`: chunked numpy
+:class:`TimeSeriesStore` is the only mutable store: chunked numpy
 columns, inverted indexes on metric names and tags, time bounds and one
-lock), so writers on different shards never contend.  **Routing** is
-``crc32(str(series)) % n_shards`` — stable across processes, so a WAL
-replays into the same placement anywhere — memoised per series on its
-first write, so a point insert pays one dict lookup.
+lock that every write takes.
 
 **Reads** are written once, on :class:`StoreView`: a store frozen at one
-version (merged indexes plus :meth:`SeriesData.freeze` clones, which
-copy chunk references, never data, and never reshape the source).  Each
-read method starts from ``self.read_view()``: a view answers from
-itself, the store from the view cached for its current version — one
-lock-free version comparison while no writer lands.
+version (index copies plus :meth:`SeriesData.freeze` clones, which copy
+chunk references, never data, and never reshape the source).  Each read
+method starts from ``self.read_view()``: a view answers from itself, the
+store from the view cached for its current version — one lock-free
+version comparison while no writer lands.
 
-**Versioning**: one monotonic count, the sum of per-shard counters, each
-bumped under its shard's lock after the mutation (and its WAL record)
-lands.  It also moves when ``apply`` rewrites values in place, so every
-derived cache keys on it, never on ``num_points()``.
+**Versioning**: one monotonic counter, bumped under the lock after the
+mutation (and its WAL record) lands.  It also moves when ``apply``
+rewrites values in place, so every derived cache keys on it, never on
+``num_points()``.
 
 **Durability** is optional: with ``wal=`` every write is logged inside
-its shard lock.  :meth:`TimeSeriesStore.checkpoint` writes a chunkfile
+the lock.  :meth:`TimeSeriesStore.checkpoint` writes a chunkfile
 recording which WAL records it covers before truncating the log, and
 :meth:`TimeSeriesStore.open` adopts its memmap'd columns and replays
 only the rest, so a crash anywhere in a checkpoint recovers every
@@ -33,9 +29,7 @@ from __future__ import annotations
 import os
 import threading
 import weakref
-import zlib
 from collections import OrderedDict, defaultdict
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
@@ -51,7 +45,6 @@ from repro.tsdb.model import (
 )
 from repro.tsdb.wal import WriteAheadLog, replace_durably
 
-DEFAULT_SHARDS = 8
 T = TypeVar("T")
 
 #: How many views keep what :meth:`StoreView.derived` built for them,
@@ -73,16 +66,6 @@ _derived_lock = threading.RLock()
 #: A refresh from further back compares every member column instead
 #: (~0.26 ms for 605 series), which stays correct.
 WRITE_LOG_VIEWS = 8
-
-
-def shard_index(series: SeriesId, n_shards: int) -> int:
-    """Deterministic shard routing: ``crc32`` of the canonical series text.
-
-    ``str(series)`` renders the metric name plus the *sorted* tag pairs,
-    so equal series ids land on the same shard regardless of tag
-    insertion order, process, or interpreter hash seed.
-    """
-    return zlib.crc32(str(series).encode("utf-8")) % n_shards
 
 
 class StoreView:
@@ -204,8 +187,8 @@ class StoreView:
 
         O(total chunks) over the zone columns, touching no data column.
         ``None`` when the store holds no non-NaN value.  Of equal
-        extremes (``0.0`` and ``-0.0``) the first chunk's, in the view's
-        column order, wins.
+        extremes (``0.0`` and ``-0.0``) the first chunk's wins, in the
+        view's column order: series in first-write order.
         """
         columns = [column.zone_columns()[1]
                    for column in self.read_view()._columns.values()]
@@ -373,59 +356,26 @@ def _intersect(sets: list[set[SeriesId]]) -> set[SeriesId]:
     return result
 
 
-class _Shard:
-    """One shard's write state: columns, inverted indexes, time bounds."""
-
-    __slots__ = ("lock", "columns", "by_name", "by_tag", "tag_values",
-                 "min_ts", "max_ts", "version", "written")
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.columns: dict[SeriesId, SeriesData] = {}
-        self.by_name: dict[str, set[SeriesId]] = defaultdict(set)
-        self.by_tag: dict[tuple[str, str], set[SeriesId]] = defaultdict(set)
-        #: tag key -> observed values, so ``tag_keys``/``tag_values``
-        #: never scan every (key, value) pair.
-        self.tag_values: dict[str, set[str]] = defaultdict(set)
-        self.min_ts: int | None = None
-        self.max_ts: int | None = None
-        #: mutations landed on this shard; bumped under ``lock``.
-        self.version = 0
-        #: columns written since the store's last view was frozen, in
-        #: first-write order (a dict used as an ordered set); added to
-        #: under ``lock``, drained by the next view into its columns
-        #: and its write log.
-        self.written: dict[SeriesData, None] = {}
-
-    def register(self, column: SeriesData) -> None:
-        series = column.series
-        self.columns[series] = column
-        self.by_name[series.name].add(series)
-        for key, value in series.tags:
-            self.by_tag[(key, value)].add(series)
-            self.tag_values[key].add(value)
-
-    def observe(self, column: SeriesData) -> None:
-        lo, hi = column.min_timestamp, column.max_timestamp
-        if lo is None:
-            return
-        if self.min_ts is None or lo < self.min_ts:
-            self.min_ts = lo
-        if self.max_ts is None or hi > self.max_ts:
-            self.max_ts = hi
-
-
 class TimeSeriesStore(StoreView):
-    """Hash-sharded, lock-per-shard store with frozen views and a WAL."""
+    """The mutable store: one lock over its columns, indexes and WAL."""
 
-    def __init__(self, n_shards: int = DEFAULT_SHARDS,
-                 wal: str | Path | WriteAheadLog | None = None,
+    def __init__(self, wal: str | Path | WriteAheadLog | None = None,
                  fsync_every: int = 64) -> None:
-        if n_shards <= 0:
-            raise SeriesFormatError("n_shards must be positive")
-        self._shards = [_Shard() for _ in range(n_shards)]
-        #: series -> (shard, column), filled on a series' first write.
-        self._route: dict[SeriesId, tuple[_Shard, SeriesData]] = {}
+        self._lock = threading.Lock()
+        #: series -> live column, filled on a series' first write.
+        self._live: dict[SeriesId, SeriesData] = {}
+        #: name -> series, (tag key, value) -> series, tag key -> values;
+        #: a view copies them when a series joined.
+        self._indexes: tuple[dict, dict, dict] = (
+            defaultdict(set), defaultdict(set), defaultdict(set))
+        self._min_ts: int | None = None
+        self._max_ts: int | None = None
+        #: mutations landed so far; bumped under ``_lock``.
+        self._version = 0
+        #: columns written since the last view was frozen, in first-write
+        #: order (a dict used as an ordered set); drained by the next
+        #: view into its columns and its write log.
+        self._written: dict[SeriesData, None] = {}
         self._view = StoreView({}, {}, {}, {}, None, 0)
         if wal is None or isinstance(wal, WriteAheadLog):
             self._wal = wal
@@ -433,21 +383,20 @@ class TimeSeriesStore(StoreView):
             self._wal = WriteAheadLog(wal, fsync_every=fsync_every)
 
     @classmethod
-    def open(cls, wal_path: str | Path, n_shards: int = DEFAULT_SHARDS,
-             fsync_every: int = 64,
+    def open(cls, wal_path: str | Path, fsync_every: int = 64,
              snapshot: str | Path | None = None) -> "TimeSeriesStore":
         """Open (or create) a WAL-backed store — the crash-recovery path.
 
         ``snapshot`` names a checkpoint chunkfile (see
         :meth:`checkpoint`); when it exists its memmap'd columns are
-        adopted into their shards without a copy.  The WAL then replays
-        every record the snapshot does not already cover, *before* the
-        log is attached, so recovered records are not re-appended.  A
-        missing snapshot file is not an error (no checkpoint has
-        happened yet): recovery is then WAL-only.
+        adopted without a copy.  The WAL then replays every record the
+        snapshot does not already cover, *before* the log is attached,
+        so recovered records are not re-appended.  A missing snapshot
+        file is not an error (no checkpoint has happened yet): recovery
+        is then WAL-only.
         """
         from repro.tsdb.chunkfile import load_chunkfile
-        store = cls(n_shards=n_shards)
+        store = cls()
         covered = None
         if snapshot is not None and Path(snapshot).exists():
             covered = load_chunkfile(store, snapshot)
@@ -458,68 +407,39 @@ class TimeSeriesStore(StoreView):
 
     @classmethod
     def from_arrays(cls, series_arrays: Mapping[
-            SeriesId, tuple[Iterable[int], Iterable[float]]],
-            n_shards: int = DEFAULT_SHARDS) -> "TimeSeriesStore":
+            SeriesId, tuple[Iterable[int], Iterable[float]]]
+            ) -> "TimeSeriesStore":
         """Build a store from ``{series: (timestamps, values)}`` columns,
         one bulk ``insert_array`` per series."""
-        store = cls(n_shards=n_shards)
+        store = cls()
         for series, (timestamps, values) in series_arrays.items():
             store.insert_array(series, timestamps, values)
         return store
 
-    @property
-    def version(self) -> int:
-        """Mutations so far: the sum of the per-shard counters.
-
-        Read without locks.  Every counter only grows, so a sum equal to
-        a view's (taken under every lock) means no shard has moved.
-        """
-        return sum(shard.version for shard in self._shards)
-
     # ------------------------------------------------------------------
-    # Sharding introspection
-    # ------------------------------------------------------------------
-    @property
-    def n_shards(self) -> int:
-        return len(self._shards)
-
-    def shard_of(self, series: SeriesId) -> int:
-        """The shard index a series routes to (stable across processes)."""
-        return shard_index(series, len(self._shards))
-
-    def shard_sizes(self) -> list[int]:
-        """Points per shard — the balance the hash routing achieved."""
-        sizes = []
-        for shard in self._shards:
-            with shard.lock:
-                sizes.append(sum(len(c) for c in shard.columns.values()))
-        return sizes
-
-    # ------------------------------------------------------------------
-    # Ingest (one lock per shard; WAL + version bump inside the lock)
+    # Ingest (one lock; WAL + version bump inside it)
     # ------------------------------------------------------------------
     def insert(self, series: SeriesId, timestamp: int, value: float) -> None:
         """Insert one observation; timestamps per series must be sorted."""
-        route = self._route.get(series)
-        if route is None:
-            self._first_write(series, [timestamp], [value],
-                              lambda c: c.append(timestamp, value))
+        column = self._live.get(series)
+        if column is None:
+            self._write(series, [timestamp], [value],
+                        lambda c: c.append(timestamp, value))
             return
-        shard, column = route
         # acquire/release rather than ``with``: this is the per-point
         # hot path, and the context-manager protocol costs more than
         # the rest of the bookkeeping.
-        shard.lock.acquire()
+        self._lock.acquire()
         try:
             column.append(timestamp, value)
-            if timestamp > shard.max_ts:   # an existing series: min stays
-                shard.max_ts = int(timestamp)
-            shard.written[column] = None
+            if timestamp > self._max_ts:   # an existing series: min stays
+                self._max_ts = int(timestamp)
+            self._written[column] = None
             if self._wal is not None:
                 self._wal.append_array(series, [timestamp], [value])
-            shard.version += 1
+            self._version += 1
         finally:
-            shard.lock.release()
+            self._lock.release()
 
     def insert_point(self, point: DataPoint) -> None:
         """Insert a :class:`DataPoint`."""
@@ -529,10 +449,10 @@ class TimeSeriesStore(StoreView):
                      values: Iterable[float]) -> None:
         """Bulk-insert one column pair as one sealed chunk.
 
-        Validation and the zone-map seal run under the series' shard
-        lock only; the batch is logged before the lock is released so
-        log order matches per-series apply order.  Empty input is a
-        no-op: nothing is logged or registered, the version stays.
+        Validation and the zone-map seal run under the store's lock; the
+        batch is logged before the lock is released so log order matches
+        per-series apply order.  Empty input is a no-op: nothing is
+        logged or registered, the version stays.
         """
         ts = (timestamps if isinstance(timestamps, np.ndarray)
               else np.asarray(list(timestamps)))
@@ -540,49 +460,50 @@ class TimeSeriesStore(StoreView):
                 else np.asarray(list(values)))
         if ts.size == 0 and vals.size == 0:
             return
-        route = self._route.get(series)
-        if route is None:
-            self._first_write(series, ts, vals, lambda c: c.extend(ts, vals))
-            return
-        shard, column = route
-        with shard.lock:
-            column.extend(ts, vals)
-            self._commit(shard, column, ts, vals)
+        self._write(series, ts, vals, lambda c: c.extend(ts, vals))
 
-    def _first_write(self, series: SeriesId, ts, vals,
-                     write: Callable[[SeriesData], object]) -> None:
-        """A series' first write: the column registers only once
-        ``write`` succeeded, and routing is memoised from then on."""
-        shard = self._shards[shard_index(series, len(self._shards))]
-        with shard.lock:
-            column = shard.columns.get(series)   # another writer won
+    def _write(self, series: SeriesId, ts, vals,
+               write: Callable[[SeriesData], object]) -> None:
+        """``write`` to ``series``' column under the lock, then log it
+        and bump the version; a series' first write registers its column
+        only once ``write`` succeeded."""
+        with self._lock:
+            column = self._live.get(series)
             if column is None:
                 column = SeriesData(series=series)
                 write(column)
-                shard.register(column)
-                self._route[series] = (shard, column)
+                self._register(column)
             else:
                 write(column)
-            self._commit(shard, column, ts, vals)
-
-    def _commit(self, shard: _Shard, column: SeriesData, ts, vals) -> None:
-        """Bookkeeping after a landed write; caller holds ``shard.lock``."""
-        shard.observe(column)
-        shard.written[column] = None
-        if self._wal is not None:
-            self._wal.append_array(column.series, ts, vals)
-        shard.version += 1
+            self._observe(column)
+            self._written[column] = None
+            if self._wal is not None:
+                self._wal.append_array(series, ts, vals)
+            self._version += 1
 
     def _adopt(self, column: SeriesData) -> None:
         """Register an already-built column without copying its data —
         the chunkfile load path; counts as one mutation."""
-        shard = self._shards[shard_index(column.series, len(self._shards))]
-        with shard.lock:
-            shard.register(column)
-            self._route[column.series] = (shard, column)
-            shard.observe(column)
-            shard.written[column] = None
-            shard.version += 1
+        with self._lock:
+            self._register(column)
+            self._observe(column)
+            self._written[column] = None
+            self._version += 1
+
+    def _register(self, column: SeriesData) -> None:
+        series = column.series
+        by_name, by_tag, tag_values = self._indexes
+        self._live[series] = column
+        by_name[series.name].add(series)
+        for key, value in series.tags:
+            by_tag[(key, value)].add(series)
+            tag_values[key].add(value)
+
+    def _observe(self, column: SeriesData) -> None:
+        lo, hi = column.min_timestamp, column.max_timestamp
+        if lo is not None:
+            self._min_ts = lo if self._min_ts is None else min(self._min_ts, lo)
+            self._max_ts = hi if self._max_ts is None else max(self._max_ts, hi)
 
     def apply(self, series: SeriesId,
               transform: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -596,11 +517,10 @@ class TimeSeriesStore(StoreView):
         log's durability scope is ingest, transforms are replayable
         experiment steps.
         """
-        route = self._route.get(series)
-        if route is None:
-            raise SeriesFormatError(f"unknown series: {series}")
-        shard, column = route
-        with shard.lock:
+        with self._lock:
+            column = self._live.get(series)
+            if column is None:
+                raise SeriesFormatError(f"unknown series: {series}")
             ts, values = column.arrays()
             new_values = np.asarray(transform(ts, values.copy()),
                                     dtype=np.float64)
@@ -609,8 +529,8 @@ class TimeSeriesStore(StoreView):
                     f"transform changed length of {series}: "
                     f"{values.shape} -> {new_values.shape}")
             column.replace_values(new_values)
-            shard.written[column] = None
-            shard.version += 1
+            self._written[column] = None
+            self._version += 1
 
     def merge(self, other: StoreView) -> None:
         """Merge another store's contents, one bulk chunk per series."""
@@ -625,74 +545,41 @@ class TimeSeriesStore(StoreView):
 
         At an unchanged version this is one comparison and takes no
         lock: a mutation still in flight has not bumped the version, so
-        the cached view is still exact.  After a bump, every shard lock
-        is taken and a new view is frozen from all shards.
+        the cached view is still exact.  After a bump the lock is taken
+        and a new view is frozen.
         """
         view = self._view
-        if view._version == self.version:
+        if view._version == self._version:
             return view
-        with self._all_locks():
+        with self._lock:
             return self._view_locked()
 
-    @contextmanager
-    def _all_locks(self) -> Iterator[None]:
-        """Every shard lock, taken in index order (no writer holds more
-        than its own shard's, so this cannot deadlock)."""
-        for shard in self._shards:
-            shard.lock.acquire()
-        try:
-            yield
-        finally:
-            for shard in reversed(self._shards):
-                shard.lock.release()
-
     def _view_locked(self) -> StoreView:
-        """View at the current version; caller holds every shard lock.
+        """View at the current version; caller holds the lock.
 
-        The cost is O(series written since the last view): the last
-        view's columns dict is copied and only the columns each shard
-        recorded as written are frozen anew — every other column is
-        still the clone :meth:`SeriesData.freeze` returned before — in
-        shard order, then first-write order, so a view's column order
-        is the same in every process.  The written series also become
-        the new view's write-log entry.  The merged indexes are reused
-        while no series has registered — series are never removed, so
-        an equal count means equal sets.
+        O(series written since the last view): the last view's columns
+        dict is copied and only the written columns are frozen anew (every
+        other one is still its earlier :meth:`SeriesData.freeze` clone),
+        in first-write order; their series are the view's write-log entry.
+        The indexes are copied only when a series joined: series are
+        never removed, so an equal count means equal sets.
         """
-        old, version = self._view, self.version
-        if old._version == version:
+        old = self._view
+        if old._version == self._version:
             return old
         columns = dict(old._columns)
-        written = []
-        for shard in self._shards:
-            for column in shard.written:
-                columns[column.series] = column.freeze()
-                written.append(column.series)
-            shard.written.clear()
+        for column in self._written:
+            columns[column.series] = column.freeze()
         log = old._log[1 - WRITE_LOG_VIEWS:] + (
-            (old._version, tuple(written)),)
+            (old._version, tuple(column.series for column in self._written)),)
+        self._written.clear()
         indexes = (old._by_name, old._by_tag, old._tag_values)
         if len(columns) != len(old._columns):
-            indexes = self._merged_indexes()
-        bounds = [(s.min_ts, s.max_ts) for s in self._shards
-                  if s.min_ts is not None]
-        span = (min(lo for lo, _ in bounds),
-                max(hi for _, hi in bounds)) if bounds else None
-        self._view = StoreView(columns, *indexes, span, version, log)
+            indexes = tuple({key: set(ids) for key, ids in index.items()}
+                            for index in self._indexes)
+        span = None if self._min_ts is None else (self._min_ts, self._max_ts)
+        self._view = StoreView(columns, *indexes, span, self._version, log)
         return self._view
-
-    def _merged_indexes(self) -> tuple[dict, dict, dict]:
-        by_name: dict[str, set[SeriesId]] = defaultdict(set)
-        by_tag: dict[tuple[str, str], set[SeriesId]] = defaultdict(set)
-        tag_values: dict[str, set[str]] = defaultdict(set)
-        for shard in self._shards:
-            for name, ids in shard.by_name.items():
-                by_name[name] |= ids
-            for pair, ids in shard.by_tag.items():
-                by_tag[pair] |= ids
-            for key, values in shard.tag_values.items():
-                tag_values[key] |= values
-        return by_name, by_tag, tag_values
 
     # ------------------------------------------------------------------
     # WAL lifecycle
@@ -704,7 +591,7 @@ class TimeSeriesStore(StoreView):
     def checkpoint(self, path: str | Path) -> int:
         """Persist a consistent cut to ``path`` and truncate the WAL.
 
-        Under every shard lock (so the log cannot advance) it writes the
+        Under the store's lock (so the log cannot advance) it writes the
         current view as a chunkfile recording the log's ``(generation,
         records)`` position, fsyncs and renames it over ``path``, and
         only then truncates the log.  ``open(wal_path, snapshot=path)``
@@ -714,7 +601,7 @@ class TimeSeriesStore(StoreView):
         from repro.tsdb.chunkfile import write_chunkfile
         path = Path(path)
         tmp = path.with_name(path.name + ".tmp")
-        with self._all_locks():
+        with self._lock:
             covered = None
             if self._wal is not None:
                 self._wal.flush()

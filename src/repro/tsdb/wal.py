@@ -182,7 +182,7 @@ class WriteAheadLog:
     methods are thread-safe; appends from multiple ingest threads are
     serialised by an internal lock, which is also what gives the log a
     total order consistent with per-series insertion order when callers
-    append while holding their shard lock.
+    append while holding the store's lock.
     """
 
     def __init__(self, path: str | Path, fsync_every: int = 64) -> None:

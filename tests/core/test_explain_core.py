@@ -7,6 +7,7 @@ it returns must be the table a plain
 set at the same version, bit for bit.
 """
 
+import itertools
 import struct
 import subprocess
 import sys
@@ -52,7 +53,7 @@ def build_store(seed=0):
     ``late``, which ends inside the horizon so it can grow without
     moving the grid."""
     rng = np.random.default_rng(seed)
-    store = TimeSeriesStore(n_shards=2)
+    store = TimeSeriesStore()
     ts = np.arange(N, dtype=np.int64)
     cause = np.cumsum(rng.standard_normal(N))
     for host in ("h0", "h1"):
@@ -490,6 +491,34 @@ class TestSessionOnTheCore:
         rows = session.db.sql("SELECT family FROM score ORDER BY rank")
         assert [row["family"] for row in rows.to_dicts()] == \
             [r.family for r in latest.results]
+
+    def test_carried_answers_stay_within_the_bound(self):
+        """Distinct drill-downs, each after a write, keep only the
+        :data:`ANSWERS` shapes asked last, and every table is the one a
+        cold session returns."""
+        rng = np.random.default_rng(3)
+        store = TimeSeriesStore()
+        ts = np.arange(N, dtype=np.int64)
+        names = [f"f{i}" for i in range(8)]
+        for name in ["target", *names]:
+            store.insert_array(SeriesId.make(name, {"host": "h0"}), ts,
+                               rng.standard_normal(N))
+        searches = [c for k in (2, 3, 4)
+                    for c in itertools.combinations(names, k)][:100]
+        session = ExplainItSession(store)
+        session.set_target("target")
+        for i, search in enumerate(searches):
+            store.apply(SeriesId.make(names[i % 8], {"host": "h0"}),
+                        lambda ts, vs: np.roll(vs, 1))
+            table = session.drill_down(search, scorer="CorrMax")
+            cold = ExplainItSession(store)
+            cold.set_target("target")
+            assert table_fields(table) == \
+                table_fields(cold.drill_down(search, scorer="CorrMax"))
+            assert len(session._core._latest.answers) <= \
+                explain_module.ANSWERS
+        kept = [shape[2] for shape in session._core._latest.answers]
+        assert kept == searches[-explain_module.ANSWERS:]
 
     def test_group_by_reaches_the_core(self):
         session = ExplainItSession(build_store(), group_by="tag:host")

@@ -44,7 +44,7 @@ LATE = SeriesId.make("late", {"host": "h0"})
 
 def build_store(seed=0):
     rng = np.random.default_rng(seed)
-    store = TimeSeriesStore(n_shards=2)
+    store = TimeSeriesStore()
     ts = np.arange(N, dtype=np.int64)
     cause = np.cumsum(rng.standard_normal(N))
     for host in ("h0", "h1"):

@@ -56,7 +56,7 @@ def assert_bitwise_equal(a, b):
 
 @pytest.fixture()
 def store():
-    return fill(TimeSeriesStore(n_shards=4))
+    return fill(TimeSeriesStore())
 
 
 @pytest.fixture()
@@ -170,12 +170,11 @@ def test_mutation_invalidates_cached_results(server, store, mutate):
 
 
 def test_wal_replay_invalidates_cached_results(tmp_path):
-    source = fill(TimeSeriesStore(
-        n_shards=2, wal=tmp_path / "source.wal"))
+    source = fill(TimeSeriesStore(wal=tmp_path / "source.wal"))
     source.flush()
     # Disjoint hosts: replayed series append cleanly instead of landing
     # behind the target's existing timestamps.
-    target = fill(TimeSeriesStore(n_shards=2), seed=1,
+    target = fill(TimeSeriesStore(), seed=1,
                   hosts=("t0", "t1"))
     with QueryServer(target) as server:
         before = server.query(GROUP_QUERY)
@@ -197,7 +196,7 @@ def test_plain_store_sweeps_lazily_on_next_request():
         assert not second.cached
         assert second.version > first.version
         # The sweep happened when the next request observed the new
-        # version — the same single trigger as for the sharded store.
+        # version — the same single trigger as for a direct write.
         assert server.cache.stats.invalidations >= 1
 
 

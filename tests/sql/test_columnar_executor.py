@@ -603,8 +603,8 @@ class TestPlanRecordsExecution:
 
 
 def _served_store(n: int = 48) -> TimeSeriesStore:
-    """A small sharded store with the benchmark stores' series shapes."""
-    store = TimeSeriesStore(n_shards=4)
+    """A small store with the benchmark stores' series shapes."""
+    store = TimeSeriesStore()
     rng = np.random.default_rng(11)
     ts = np.arange(n, dtype=np.int64)
     for metric in ("frontend_latency", "db_latency", "db_io_wait",

@@ -174,7 +174,7 @@ def two_views(draw):
     within a series; a chunk may be all NaN, and a series may be empty
     (registered as a snapshot load adopts it, with no points).
     """
-    store = TimeSeriesStore(n_shards=draw(st.sampled_from([1, 4])))
+    store = TimeSeriesStore()
     for i in range(draw(st.integers(1, 5))):
         series = SeriesId.make(draw(names), {"host": draw(hosts),
                                              "i": str(i)})

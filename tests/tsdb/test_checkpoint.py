@@ -28,7 +28,7 @@ def contents(store):
 def test_checkpoint_writes_snapshot_and_truncates_wal(tmp_path):
     wal_path = tmp_path / "store.wal"
     snap_path = tmp_path / "store.chunk"
-    store = fill(TimeSeriesStore.open(wal_path, n_shards=4))
+    store = fill(TimeSeriesStore.open(wal_path))
     assert wal_path.stat().st_size > len(MAGIC)
     n_bytes = store.checkpoint(snap_path)
     assert n_bytes > 0
@@ -41,14 +41,14 @@ def test_checkpoint_writes_snapshot_and_truncates_wal(tmp_path):
 def test_recovery_from_snapshot_plus_wal_is_identical(tmp_path):
     wal_path = tmp_path / "store.wal"
     snap_path = tmp_path / "store.chunk"
-    store = fill(TimeSeriesStore.open(wal_path, n_shards=4))
+    store = fill(TimeSeriesStore.open(wal_path))
     store.checkpoint(snap_path)
     # Post-checkpoint appends land only in the (now short) WAL.
     fill(store, n_series=2, offset=64)
     expected = contents(store)
     store.close()
 
-    recovered = TimeSeriesStore.open(wal_path, n_shards=4,
+    recovered = TimeSeriesStore.open(wal_path,
                                             snapshot=snap_path)
     assert contents(recovered) == expected
     recovered.close()
@@ -56,21 +56,21 @@ def test_recovery_from_snapshot_plus_wal_is_identical(tmp_path):
 
 def test_recovery_without_snapshot_file_is_wal_only(tmp_path):
     wal_path = tmp_path / "store.wal"
-    store = fill(TimeSeriesStore.open(wal_path, n_shards=2))
+    store = fill(TimeSeriesStore.open(wal_path))
     expected = contents(store)
     store.close()
     recovered = TimeSeriesStore.open(
-        wal_path, n_shards=2, snapshot=tmp_path / "never_written.chunk")
+        wal_path, snapshot=tmp_path / "never_written.chunk")
     assert contents(recovered) == expected
     recovered.close()
 
 
 def test_checkpoint_without_wal_still_writes_snapshot(tmp_path):
     snap_path = tmp_path / "plain.chunk"
-    store = fill(TimeSeriesStore(n_shards=2))
+    store = fill(TimeSeriesStore())
     assert store.checkpoint(snap_path) > 0
     recovered = TimeSeriesStore.open(tmp_path / "empty.wal",
-                                            n_shards=2, snapshot=snap_path)
+                                            snapshot=snap_path)
     assert contents(recovered) == contents(store)
     recovered.close()
 
@@ -78,14 +78,14 @@ def test_checkpoint_without_wal_still_writes_snapshot(tmp_path):
 def test_repeated_checkpoints_keep_snapshot_plus_wal_complete(tmp_path):
     wal_path = tmp_path / "store.wal"
     snap_path = tmp_path / "store.chunk"
-    store = TimeSeriesStore.open(wal_path, n_shards=4)
+    store = TimeSeriesStore.open(wal_path)
     for round_no in range(3):
         fill(store, n_series=3, offset=round_no * 64)
         store.checkpoint(snap_path)
     fill(store, n_series=1, offset=3 * 64)
     expected = contents(store)
     store.close()
-    recovered = TimeSeriesStore.open(wal_path, n_shards=4,
+    recovered = TimeSeriesStore.open(wal_path,
                                             snapshot=snap_path)
     assert contents(recovered) == expected
     recovered.close()
@@ -94,7 +94,7 @@ def test_repeated_checkpoints_keep_snapshot_plus_wal_complete(tmp_path):
 def test_checkpoint_under_concurrent_writers(tmp_path):
     wal_path = tmp_path / "store.wal"
     snap_path = tmp_path / "store.chunk"
-    store = fill(TimeSeriesStore.open(wal_path, n_shards=4))
+    store = fill(TimeSeriesStore.open(wal_path))
     stop = threading.Event()
     errors = []
 
@@ -122,7 +122,7 @@ def test_checkpoint_under_concurrent_writers(tmp_path):
     assert not errors
     expected = contents(store)
     store.close()
-    recovered = TimeSeriesStore.open(wal_path, n_shards=4,
+    recovered = TimeSeriesStore.open(wal_path,
                                             snapshot=snap_path)
     assert contents(recovered) == expected
     recovered.close()
@@ -179,7 +179,7 @@ def test_checkpoint_crash_recovers_acknowledged_writes_once(
         tmp_path, monkeypatch, point):
     wal_path = tmp_path / "store.wal"
     snap_path = tmp_path / "store.chunk"
-    store = fill(TimeSeriesStore.open(wal_path, n_shards=4))
+    store = fill(TimeSeriesStore.open(wal_path))
     store.checkpoint(snap_path)                   # an earlier, clean cut
     fill(store, n_series=3, offset=64)            # what the crash covers
     store.flush()                                 # acknowledged
@@ -188,14 +188,14 @@ def test_checkpoint_crash_recovers_acknowledged_writes_once(
     with pytest.raises(_Crash):
         store.checkpoint(snap_path)
     monkeypatch.undo()
-    recovered = TimeSeriesStore.open(wal_path, n_shards=4,
+    recovered = TimeSeriesStore.open(wal_path,
                                      snapshot=snap_path)
     assert contents(recovered) == expected
     # Writing on after recovery and crashing again loses nothing either.
     fill(recovered, n_series=1, offset=128)
     expected = contents(recovered)
     recovered.flush()
-    again = TimeSeriesStore.open(wal_path, n_shards=4, snapshot=snap_path)
+    again = TimeSeriesStore.open(wal_path, snapshot=snap_path)
     assert contents(again) == expected
     again.close()
 

@@ -124,16 +124,16 @@ class TestRoundTrip:
         loaded = read_chunkfile(path)
         assert len(loaded) == 0 and loaded.num_points() == 0
 
-    def test_sharded_store_writes_consistent_cut(self, tmp_path):
-        sharded = TimeSeriesStore(n_shards=4)
+    def test_live_store_writes_consistent_cut(self, tmp_path):
+        store = TimeSeriesStore()
         for i in range(6):
-            sharded.insert_array(
+            store.insert_array(
                 SeriesId.make("cpu", {"host": f"h{i}"}),
                 np.arange(100, dtype=np.int64),
                 np.sin(np.arange(100) / (i + 1.0)))
-        path = tmp_path / "sharded.tsdb"
-        write_chunkfile(sharded, path)
-        _assert_bitwise_equal_stores(sharded.snapshot(),
+        path = tmp_path / "live.tsdb"
+        write_chunkfile(store, path)
+        _assert_bitwise_equal_stores(store.snapshot(),
                                      read_chunkfile(path))
 
 

@@ -75,7 +75,7 @@ class TestChunkedSeriesData:
             ChunkStats(t, t + 1, ColumnStats(t, t), ColumnStats(None, None)
                        if np.isnan(v) else ColumnStats(float(v), float(v)))
             for t, v in enumerate(values.tolist())]
-        store = TimeSeriesStore(n_shards=1)
+        store = TimeSeriesStore()
         series = SeriesId.make("beat")
         col = SeriesData(series)
         for t in range(n):

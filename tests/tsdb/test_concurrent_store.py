@@ -1,14 +1,14 @@
-"""Sharding in the store: routing, snapshots, thread stress.
+"""The store under concurrent writers: snapshots, thread stress, WAL.
 
 The contract under test: writers touching different series interleave
-freely, yet any snapshot is a frozen view whose bytes never change —
-and a snapshot taken at version ``v`` is bitwise identical to a
-quiesced store that stopped at ``v``-equivalent contents.  A
-single-shard store fed sequentially is the reference.
+freely under the store's one lock, yet any snapshot is a frozen view
+whose bytes never change — and a snapshot taken at version ``v`` is
+bitwise identical to a quiesced store that stopped at
+``v``-equivalent contents.  A store fed sequentially is the reference,
+and a write the store rejects leaves no trace.
 """
 
 import threading
-import zlib
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ import pytest
 from repro.sql import Database
 from repro.tsdb import SeriesId, TimeSeriesStore, register_store
 from repro.tsdb.model import SeriesFormatError
-from repro.tsdb.storage import shard_index
 
 
 def _series(i: int) -> SeriesId:
@@ -42,7 +41,7 @@ def _workload(n_series=12, n_batches=6, batch=200, seed=7):
 
 
 def _sequential_store(workload) -> TimeSeriesStore:
-    store = TimeSeriesStore(n_shards=1)
+    store = TimeSeriesStore()
     for series, batches in workload.items():
         for ts, vals in batches:
             store.insert_array(series, ts, vals)
@@ -59,66 +58,35 @@ def _assert_same_contents(a, b):
         assert a.chunk_stats(series) == b.chunk_stats(series)
 
 
-class TestRouting:
-    def test_routing_matches_documented_formula(self):
-        store = TimeSeriesStore(n_shards=8)
-        for i in range(40):
-            series = _series(i)
-            expected = zlib.crc32(str(series).encode("utf-8")) % 8
-            assert store.shard_of(series) == expected
-            assert shard_index(series, 8) == expected
-
-    def test_routing_is_tag_order_independent(self):
-        a = SeriesId.make("m", {"x": "1", "y": "2"})
-        b = SeriesId.make("m", {"y": "2", "x": "1"})
-        assert shard_index(a, 16) == shard_index(b, 16)
-
-    def test_every_point_lands_on_its_shard(self):
-        workload = _workload(n_series=16)
-        store = TimeSeriesStore(n_shards=4)
-        for series, batches in workload.items():
-            for ts, vals in batches:
-                store.insert_array(series, ts, vals)
-        sizes = store.shard_sizes()
-        assert sum(sizes) == store.num_points()
-        for series in workload:
-            idx = store.shard_of(series)
-            assert series in store._shards[idx].columns
-
-    def test_invalid_shard_count(self):
-        with pytest.raises(SeriesFormatError):
-            TimeSeriesStore(n_shards=0)
-
-
 class TestDropInParity:
-    """Single-threaded use: the default 8-shard store answers every
-    read identically to a single-shard store fed the same batches."""
+    """Single-threaded use: a store fed batch by batch answers every
+    read identically to the sequential reference."""
 
     def test_reads_match_sequential_store(self):
         workload = _workload()
         plain = _sequential_store(workload)
-        sharded = TimeSeriesStore()
+        batched = TimeSeriesStore()
         for series, batches in workload.items():
             for ts, vals in batches:
-                sharded.insert_array(series, ts, vals)
-        _assert_same_contents(sharded, plain)
-        assert sharded.num_points() == plain.num_points()
-        assert sharded.metric_names() == plain.metric_names()
-        assert sharded.tag_keys() == plain.tag_keys()
-        assert sharded.tag_values("dc") == plain.tag_values("dc")
-        assert sharded.time_range() == plain.time_range()
-        assert sharded.value_range() == plain.value_range()
-        assert sharded.find(name="cpu.util") == plain.find(name="cpu.util")
-        assert (sharded.find_exact(tags={"dc": "east"})
+                batched.insert_array(series, ts, vals)
+        _assert_same_contents(batched, plain)
+        assert batched.num_points() == plain.num_points()
+        assert batched.metric_names() == plain.metric_names()
+        assert batched.tag_keys() == plain.tag_keys()
+        assert batched.tag_values("dc") == plain.tag_values("dc")
+        assert batched.time_range() == plain.time_range()
+        assert batched.value_range() == plain.value_range()
+        assert batched.find(name="cpu.util") == plain.find(name="cpu.util")
+        assert (batched.find_exact(tags={"dc": "east"})
                 == plain.find_exact(tags={"dc": "east"}))
         s = _series(0)
-        got = sharded.arrays(s, start=10, end=40)
+        got = batched.arrays(s, start=10, end=40)
         want = plain.arrays(s, start=10, end=40)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1], equal_nan=True)
 
     def test_version_counts_mutations(self):
-        store = TimeSeriesStore(n_shards=2)
+        store = TimeSeriesStore()
         assert store.version == 0
         store.insert(_series(0), 1, 1.0)
         store.insert_array(_series(1), [2, 3], [1.0, 2.0])
@@ -127,17 +95,17 @@ class TestDropInParity:
         assert store.version == 3
 
     def test_apply_matches_plain_store(self):
-        sharded = TimeSeriesStore()
-        plain = TimeSeriesStore(n_shards=1)
-        for target in (sharded, plain):
+        batched = TimeSeriesStore()
+        plain = TimeSeriesStore()
+        for target in (batched, plain):
             target.insert_array(_series(0), [1, 2, 3], [1.0, 2.0, 3.0])
             target.apply(_series(0), lambda ts, vals: vals * 2.0)
-        _assert_same_contents(sharded, plain)
+        _assert_same_contents(batched, plain)
 
 
 class TestSnapshots:
     def test_snapshot_cached_per_version(self):
-        store = TimeSeriesStore(n_shards=2)
+        store = TimeSeriesStore()
         store.insert_array(_series(0), [1, 2], [1.0, 2.0])
         snap = store.snapshot()
         assert store.snapshot() is snap          # no writer: same object
@@ -147,7 +115,7 @@ class TestSnapshots:
         assert snap2.version == store.version
 
     def test_snapshot_is_bitwise_stable_while_source_mutates(self):
-        store = TimeSeriesStore(n_shards=2)
+        store = TimeSeriesStore()
         store.insert_array(_series(0), [1, 2], [1.0, 2.0])
         snap = store.snapshot()
         before_ts, before_vals = snap.arrays(_series(0))
@@ -160,10 +128,10 @@ class TestSnapshots:
                               frozen[1].view(np.int64))
         assert len(snap) == 1 and _series(1) not in snap
 
-    def test_cached_read_takes_no_shard_lock(self):
+    def test_cached_read_takes_no_lock(self):
         """At an unchanged version a read returns the cached view at
-        once, even while a writer holds a shard lock."""
-        store = TimeSeriesStore(n_shards=4)
+        once, even while a writer holds the store's lock."""
+        store = TimeSeriesStore()
         store.insert_array(_series(0), [1, 2], [1.0, 2.0])
         view = store.read_view()
         got = []
@@ -171,23 +139,62 @@ class TestSnapshots:
         def reader():
             got.append((store.read_view(), store.arrays(_series(0))))
 
-        with store._shards[store.shard_of(_series(0))].lock:
+        with store._lock:
             thread = threading.Thread(target=reader)
             thread.start()
             thread.join(timeout=5.0)
-            assert not thread.is_alive(), "read blocked on a shard lock"
+            assert not thread.is_alive(), "read blocked on the lock"
         assert got[0][0] is view
         assert got[0][1][0].tolist() == [1, 2]
+
+
+REJECTED_WRITES = {
+    "first-unequal": lambda s: s.insert_array(_series(1), [1, 2], [1.0]),
+    "first-unsorted": lambda s: s.insert_array(_series(1), [2, 1],
+                                               [1.0, 2.0]),
+    "later-unequal": lambda s: s.insert_array(_series(0), [4, 5], [1.0]),
+    "later-before-last": lambda s: s.insert_array(_series(0), [2, 5],
+                                                  [1.0, 2.0]),
+    "later-unsorted": lambda s: s.insert_array(_series(0), [6, 5],
+                                               [1.0, 2.0]),
+    "point-out-of-order": lambda s: s.insert(_series(0), 2, 9.0),
+    "apply-changes-length": lambda s: s.apply(_series(0),
+                                              lambda ts, vals: vals[:-1]),
+}
+
+
+@pytest.mark.parametrize("write", REJECTED_WRITES.values(),
+                         ids=REJECTED_WRITES.keys())
+def test_a_rejected_write_leaves_no_trace(write, tmp_path):
+    """The version, the series, the cached view and the WAL stay as
+    they were; a rejected first write registers no column, so the next
+    landed write adds only its own series."""
+    with TimeSeriesStore.open(tmp_path / "store.wal") as store:
+        store.insert_array(_series(0), [1, 2, 3], [1.0, 2.0, 3.0])
+        view = store.read_view()
+        version, ids = store.version, store.series_ids()
+        records = store.wal.records_written
+        with pytest.raises(SeriesFormatError):
+            write(store)
+        assert store.version == version
+        assert store.series_ids() == ids
+        assert store.read_view() is view
+        assert store.wal.records_written == records
+        store.insert(_series(2), 1, 1.0)
+        assert store.series_ids() == [_series(0), _series(2)]
+        assert store.find_exact(name="cpu.util") == store.series_ids()
+        assert store.tag_values("host") == ["host-00", "host-02"]
+        assert store.wal.records_written == records + 1
 
 
 class TestThreadedStress:
     N_WRITERS = 4
 
-    def _run_threaded(self, workload, readers=0, n_shards=8):
+    def _run_threaded(self, workload, readers=0):
         """Ingest with N writer threads (each owns a series subset so
         per-series order is preserved); optional reader threads take
         snapshots and record (snapshot, version, result) mid-ingest."""
-        store = TimeSeriesStore(n_shards=n_shards)
+        store = TimeSeriesStore()
         series_list = list(workload)
         errors = []
         observations = []
@@ -266,7 +273,7 @@ class TestThreadedStress:
                 by_version[version] = (points, columns)
 
 
-class TestSqlOverShardedStore:
+class TestSqlOverConcurrentStore:
     QUERY = ("SELECT metric_name, COUNT(*) AS n, MIN(value) AS lo "
              "FROM tsdb WHERE timestamp BETWEEN 20 AND 180 "
              "AND tag['dc'] = 'east' GROUP BY metric_name")
@@ -274,14 +281,14 @@ class TestSqlOverShardedStore:
     def test_sql_results_match_plain_store(self):
         workload = _workload()
         plain = _sequential_store(workload)
-        sharded = TimeSeriesStore()
+        batched = TimeSeriesStore()
         for series, batches in workload.items():
             for ts, vals in batches:
-                sharded.insert_array(series, ts, vals)
-        db_plain, db_sharded = Database(), Database()
+                batched.insert_array(series, ts, vals)
+        db_plain, db_batched = Database(), Database()
         register_store(db_plain, plain)
-        register_store(db_sharded, sharded)
-        assert (db_sharded.sql(self.QUERY).rows
+        register_store(db_batched, batched)
+        assert (db_batched.sql(self.QUERY).rows
                 == db_plain.sql(self.QUERY).rows)
 
     def test_sql_during_ingest_matches_quiesced_run_at_same_version(self):
@@ -290,7 +297,7 @@ class TestSqlOverShardedStore:
         that same snapshot after every writer has quiesced — the
         snapshot *is* the store at ``v``, and its answers never move."""
         workload = _workload(n_series=12, n_batches=6)
-        store = TimeSeriesStore(n_shards=4)
+        store = TimeSeriesStore()
         live_db = Database()
         register_store(live_db, store)
         captured = []
@@ -348,13 +355,11 @@ class TestWalIntegration:
     def test_open_replays_and_continues(self, tmp_path):
         path = tmp_path / "store.wal"
         workload = _workload(n_series=6, n_batches=3)
-        with TimeSeriesStore.open(path, n_shards=4) as store:
+        with TimeSeriesStore.open(path) as store:
             for series, batches in workload.items():
                 for ts, vals in batches:
                     store.insert_array(series, ts, vals)
-        # Reopen into a different shard count: routing changes, data
-        # must not.
-        with TimeSeriesStore.open(path, n_shards=2) as reopened:
+        with TimeSeriesStore.open(path) as reopened:
             _assert_same_contents(reopened, _sequential_store(workload))
             assert reopened.wal.records_written == 0  # replay, not re-log
             reopened.insert_array(
@@ -378,7 +383,7 @@ class TestWalIntegration:
     def test_concurrent_writers_produce_replayable_log(self, tmp_path):
         path = tmp_path / "store.wal"
         workload = _workload(n_series=8, n_batches=4)
-        store = TimeSeriesStore.open(path, n_shards=4)
+        store = TimeSeriesStore.open(path)
         series_list = list(workload)
         threads = [
             threading.Thread(target=lambda k=k: [

@@ -1,5 +1,7 @@
 """Unit tests for the columnar time series store."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -153,10 +155,20 @@ def _build(kind, tmp_path):
     from repro.tsdb.chunkfile import read_chunkfile, write_chunkfile
     batches = _parity_batches()
     n_series = len({s for s, _, _ in batches})
-    if kind == "shards1":
-        return _fed(TimeSeriesStore(n_shards=1), batches), len(batches)
-    if kind == "shards8":
+    if kind == "store":
         return _fed(TimeSeriesStore(), batches), len(batches)
+    if kind == "threaded":
+        # two writers, each owning half the series (so per-series order
+        # holds), land in one store in whatever order they interleave
+        store = TimeSeriesStore()
+        owners = list(dict.fromkeys(s for s, _, _ in batches))
+        writers = [threading.Thread(target=_fed, args=(store, [
+            b for b in batches if b[0] in owners[k::2]])) for k in range(2)]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join()
+        return store, len(batches)
     if kind == "read_view":
         return _fed(TimeSeriesStore(), batches).read_view(), len(batches)
     if kind == "chunkfile":
@@ -164,11 +176,11 @@ def _build(kind, tmp_path):
         return read_chunkfile(tmp_path / "c"), n_series
     wal = tmp_path / "store.wal"
     if kind == "wal":
-        _fed(TimeSeriesStore.open(wal, n_shards=3), batches).close()
+        _fed(TimeSeriesStore.open(wal), batches).close()
         return TimeSeriesStore.open(wal), len(batches)
     assert kind == "snapshot+wal"
     head, tail = batches[:len(batches) // 2], batches[len(batches) // 2:]
-    store = _fed(TimeSeriesStore.open(wal, n_shards=3), head)
+    store = _fed(TimeSeriesStore.open(wal), head)
     store.checkpoint(tmp_path / "snap")
     _fed(store, tail).close()
     recovered = TimeSeriesStore.open(wal, snapshot=tmp_path / "snap")
@@ -208,14 +220,14 @@ def _read_everything(store):
     }
 
 
-PARITY_KINDS = ["shards1", "shards8", "read_view", "chunkfile", "wal",
+PARITY_KINDS = ["store", "threaded", "read_view", "chunkfile", "wal",
                 "snapshot+wal"]
 
 
 class TestReadApiParity:
     @pytest.mark.parametrize("kind", PARITY_KINDS)
     def test_every_read_is_bitwise_equal(self, kind, tmp_path):
-        reference, _ = _build("shards1", tmp_path / "ref")
+        reference, _ = _build("store", tmp_path / "ref")
         store, _ = _build(kind, tmp_path)
         got, want = _read_everything(store), _read_everything(reference)
         for method in want:
@@ -244,13 +256,12 @@ class TestReadApiParity:
         assert "__len__" in vars(StoreView)
         assert "__contains__" in vars(StoreView)
 
-    @pytest.mark.parametrize("n_shards", [1, 8])
-    def test_reads_never_reshape_the_store(self, n_shards):
+    def test_reads_never_reshape_the_store(self):
         """Zone-map layout after per-point inserts interleaved with reads
         equals the layout with no reads: only writes decide it."""
         series = [SeriesId.make("m", {"h": f"s{i}"}) for i in range(5)]
-        quiet = TimeSeriesStore(n_shards=n_shards)
-        busy = TimeSeriesStore(n_shards=n_shards)
+        quiet = TimeSeriesStore()
+        busy = TimeSeriesStore()
         for r in range(300):
             for s in series:
                 quiet.insert(s, r, float(r % 7))
@@ -266,7 +277,7 @@ class TestReadApiParity:
         """Per-point ``insert`` and one ``insert_array`` per series hold
         the same points, byte for byte."""
         points = TimeSeriesStore()
-        bulk = TimeSeriesStore(n_shards=1)
+        bulk = TimeSeriesStore()
         for series, ts, vals in _parity_batches():
             for t, v in zip(ts.tolist(), vals.tolist()):
                 points.insert(series, t, v)

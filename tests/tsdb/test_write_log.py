@@ -1,6 +1,6 @@
 """What a store's views record about the writes between them.
 
-``_view_locked`` drains each shard's written columns into the new view,
+``_view_locked`` drains the store's written columns into the new view,
 in write order, and logs their series: ``StoreView.written_since`` then
 names what changed since an older view without comparing any column,
 and answers ``None`` once the log no longer reaches back.
@@ -20,7 +20,7 @@ B = SeriesId.make("b")
 
 def test_series_first_written_in_one_version_keep_write_order():
     for first, second in ((A, B), (B, A)):
-        store = TimeSeriesStore(n_shards=1)
+        store = TimeSeriesStore()
         store.insert(first, 0, 0.0)
         store.insert(second, 0, -0.0)
         view = store.read_view()
@@ -31,7 +31,7 @@ def test_series_first_written_in_one_version_keep_write_order():
 
 
 def test_written_since_names_the_series_written_between_views():
-    store = TimeSeriesStore(n_shards=2)
+    store = TimeSeriesStore()
     store.insert_array(A, [0, 1, 2], [1.0, 2.0, 3.0])
     store.insert_array(B, [0, 1, 2], [1.0, 2.0, 3.0])
     old = store.read_view()
@@ -86,12 +86,12 @@ OPS = st.lists(st.one_of(
 
 
 @settings(max_examples=150, deadline=None)
-@given(ops=OPS, n_shards=st.sampled_from([1, 3]))
-def test_written_since_equals_the_identity_comparison(ops, n_shards):
+@given(ops=OPS)
+def test_written_since_equals_the_identity_comparison(ops):
     """Against every older view the log still reaches, the written set
     is exactly the series whose frozen column is not the identical
     object (plus the series that joined)."""
-    store = TimeSeriesStore(n_shards=n_shards)
+    store = TimeSeriesStore()
     last = {}
     views = [store.read_view()]
     for op in ops:

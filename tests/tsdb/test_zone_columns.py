@@ -149,7 +149,7 @@ class TestZoneColumnsMatchOracle:
     def test_every_view_matches_the_oracle(self, ops, seed):
         """Views taken mid-sequence keep reporting what they saw while
         the store writes on (the zone columns are shared, not copied)."""
-        frozen = _run(TimeSeriesStore(n_shards=2), ops, seed)
+        frozen = _run(TimeSeriesStore(), ops, seed)
         for view, expected in frozen:
             _assert_view(view, expected)
 
@@ -189,7 +189,7 @@ class TestConcurrentViews:
         every view's zone columns stay what it first returned, tile its
         points and match the oracle, although clones share them with
         the columns still being written."""
-        store = TimeSeriesStore(n_shards=2)
+        store = TimeSeriesStore()
         series = [SeriesId.make("stress", {"s": str(i)}) for i in range(4)]
         errors, seen = [], []
         done = threading.Event()
@@ -265,7 +265,7 @@ class TestValueRange:
     bit for bit, down to which of ``0.0`` / ``-0.0`` it returns."""
 
     def _store(self, *chunks):
-        store = TimeSeriesStore(n_shards=1)
+        store = TimeSeriesStore()
         for i, (name, values) in enumerate(chunks):
             store.insert_array(SeriesId.make(name), [i] * len(values), values)
         return store
