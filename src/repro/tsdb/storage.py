@@ -69,7 +69,7 @@ WRITE_LOG_VIEWS = 8
 
 
 class StoreView:
-    """A read-only store at one version: frozen columns + merged indexes.
+    """A read-only store at one version: frozen columns + indexes.
 
     Holds no lock and has no mutators.  Every read method is defined
     here, once, and starts from :meth:`read_view` — a view returns
@@ -366,8 +366,7 @@ class TimeSeriesStore(StoreView):
         self._live: dict[SeriesId, SeriesData] = {}
         #: name -> series, (tag key, value) -> series, tag key -> values;
         #: a view copies them when a series joined.
-        self._indexes: tuple[dict, dict, dict] = (
-            defaultdict(set), defaultdict(set), defaultdict(set))
+        self._indexes = tuple(defaultdict(set) for _ in range(3))
         self._min_ts: int | None = None
         self._max_ts: int | None = None
         #: mutations landed so far; bumped under ``_lock``.
@@ -501,9 +500,10 @@ class TimeSeriesStore(StoreView):
 
     def _observe(self, column: SeriesData) -> None:
         lo, hi = column.min_timestamp, column.max_timestamp
+        if lo is not None and self._min_ts is not None:
+            lo, hi = min(lo, self._min_ts), max(hi, self._max_ts)
         if lo is not None:
-            self._min_ts = lo if self._min_ts is None else min(self._min_ts, lo)
-            self._max_ts = hi if self._max_ts is None else max(self._max_ts, hi)
+            self._min_ts, self._max_ts = lo, hi
 
     def apply(self, series: SeriesId,
               transform: Callable[[np.ndarray, np.ndarray], np.ndarray]

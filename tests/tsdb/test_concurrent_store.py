@@ -48,6 +48,15 @@ def _sequential_store(workload) -> TimeSeriesStore:
     return store
 
 
+def _interleaved_store(workload) -> TimeSeriesStore:
+    """The same batches, round-robin across series: another write order."""
+    store = TimeSeriesStore()
+    for batches in zip(*workload.values()):
+        for series, (ts, vals) in zip(workload, batches):
+            store.insert_array(series, ts, vals)
+    return store
+
+
 def _assert_same_contents(a, b):
     assert a.series_ids() == b.series_ids()
     for series in a.series_ids():
@@ -58,29 +67,26 @@ def _assert_same_contents(a, b):
         assert a.chunk_stats(series) == b.chunk_stats(series)
 
 
-class TestDropInParity:
-    """Single-threaded use: a store fed batch by batch answers every
-    read identically to the sequential reference."""
+class TestWriteOrderParity:
+    """Single-threaded use: a store fed in another series order answers
+    every read identically to the sequential reference."""
 
     def test_reads_match_sequential_store(self):
         workload = _workload()
         plain = _sequential_store(workload)
-        batched = TimeSeriesStore()
-        for series, batches in workload.items():
-            for ts, vals in batches:
-                batched.insert_array(series, ts, vals)
-        _assert_same_contents(batched, plain)
-        assert batched.num_points() == plain.num_points()
-        assert batched.metric_names() == plain.metric_names()
-        assert batched.tag_keys() == plain.tag_keys()
-        assert batched.tag_values("dc") == plain.tag_values("dc")
-        assert batched.time_range() == plain.time_range()
-        assert batched.value_range() == plain.value_range()
-        assert batched.find(name="cpu.util") == plain.find(name="cpu.util")
-        assert (batched.find_exact(tags={"dc": "east"})
+        interleaved = _interleaved_store(workload)
+        _assert_same_contents(interleaved, plain)
+        assert interleaved.num_points() == plain.num_points()
+        assert interleaved.metric_names() == plain.metric_names()
+        assert interleaved.tag_keys() == plain.tag_keys()
+        assert interleaved.tag_values("dc") == plain.tag_values("dc")
+        assert interleaved.time_range() == plain.time_range()
+        assert interleaved.value_range() == plain.value_range()
+        assert interleaved.find(name="cpu.util") == plain.find(name="cpu.util")
+        assert (interleaved.find_exact(tags={"dc": "east"})
                 == plain.find_exact(tags={"dc": "east"}))
         s = _series(0)
-        got = batched.arrays(s, start=10, end=40)
+        got = interleaved.arrays(s, start=10, end=40)
         want = plain.arrays(s, start=10, end=40)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1], equal_nan=True)
@@ -95,12 +101,12 @@ class TestDropInParity:
         assert store.version == 3
 
     def test_apply_matches_plain_store(self):
-        batched = TimeSeriesStore()
+        applied = TimeSeriesStore()
         plain = TimeSeriesStore()
-        for target in (batched, plain):
-            target.insert_array(_series(0), [1, 2, 3], [1.0, 2.0, 3.0])
-            target.apply(_series(0), lambda ts, vals: vals * 2.0)
-        _assert_same_contents(batched, plain)
+        applied.insert_array(_series(0), [1, 2, 3], [1.0, 2.0, 3.0])
+        applied.apply(_series(0), lambda ts, vals: vals * 2.0)
+        plain.insert_array(_series(0), [1, 2, 3], [2.0, 4.0, 6.0])
+        _assert_same_contents(applied, plain)
 
 
 class TestSnapshots:
@@ -281,14 +287,11 @@ class TestSqlOverConcurrentStore:
     def test_sql_results_match_plain_store(self):
         workload = _workload()
         plain = _sequential_store(workload)
-        batched = TimeSeriesStore()
-        for series, batches in workload.items():
-            for ts, vals in batches:
-                batched.insert_array(series, ts, vals)
-        db_plain, db_batched = Database(), Database()
+        interleaved = _interleaved_store(workload)
+        db_plain, db_interleaved = Database(), Database()
         register_store(db_plain, plain)
-        register_store(db_batched, batched)
-        assert (db_batched.sql(self.QUERY).rows
+        register_store(db_interleaved, interleaved)
+        assert (db_interleaved.sql(self.QUERY).rows
                 == db_plain.sql(self.QUERY).rows)
 
     def test_sql_during_ingest_matches_quiesced_run_at_same_version(self):
