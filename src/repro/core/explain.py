@@ -15,9 +15,9 @@ refresh of it:
 - each request shape's answer is carried with only the positions whose
   X family was replaced marked for rescoring, and an answer whose Y or Z
   was replaced is dropped;
-- a prepared target and a scorer are carried while their families
-  survive, so a write that leaves the target's families alone prepares
-  nothing and no scorer is instantiated twice.
+- a prepared target is carried while a carried answer uses it, and a
+  scorer always, so a write that leaves the target's families alone
+  prepares nothing and no scorer is instantiated twice.
 
 So an explain after a write re-aligns, re-scores and re-ranks only what
 the write touched, as long as the write leaves the time grid in place
@@ -132,7 +132,8 @@ class _Generation:
     identity, so a target key matches only the very same families.
     An answer is dropped when its Y or Z family is replaced
     (:meth:`inherit`) or when :data:`ANSWERS` shapes were asked since,
-    so every shape asked recently keeps costing what a write touched.
+    so every shape asked recently keeps costing what a write touched;
+    a prepared target goes with the last answer that uses it.
     It holds no view, so the core's reference to the latest
     built generation keeps no other per-version state alive.
     """
@@ -157,8 +158,9 @@ class _Generation:
         each replaced X swapped for its new family and marked stale: it
         costs what the refresh re-aligned.  After a full build every
         answer is regenerated, keeping the values of the hypotheses that
-        survived as objects.  Either way an answer or target over a
-        replaced Y or Z is dropped.
+        survived as objects.  Either way an answer over a replaced Y or
+        Z is dropped, and only the targets a carried answer uses are
+        carried.
         """
         families = self.families
         realigned = families.origin.realigned
@@ -168,8 +170,7 @@ class _Generation:
             replaced = set(older.families).difference(families)
         with older.lock:
             answers = list(older.answers.items())
-            targets = [(key, target) for key, target in older.targets.items()
-                       if replaced.isdisjoint(key[1:])]
+            targets = dict(older.targets)
             scorers = dict(older.scorers)
         carried = []
         for shape, answer in answers:
@@ -181,9 +182,11 @@ class _Generation:
                 answer = _rebuilt(answer, families, shape)
             if answer is not None:
                 carried.append((shape, answer))
+        used = {_target_key(*item) for item in carried}
         with self.lock:
             self.answers.update(carried)
-            self.targets.update(targets)
+            self.targets.update((key, targets[key]) for key in used
+                                if key in targets)
             self.scorers.update(scorers)
 
     def answer(self, shape: tuple) -> _Answer:
@@ -209,11 +212,16 @@ class _Generation:
         return _new_answer(self.families, shape, hypotheses, known)
 
     def keep(self, shape: tuple, answer: _Answer) -> None:
+        """Keep ``shape``'s answer, evicting the least recently asked
+        beyond :data:`ANSWERS` and each target no kept answer uses."""
         with self.lock:
             self.answers[shape] = answer
             self.answers.move_to_end(shape)
             while len(self.answers) > ANSWERS:
-                self.answers.popitem(last=False)
+                key = _target_key(*self.answers.popitem(last=False))
+                if all(_target_key(*item) != key
+                       for item in self.answers.items()):
+                    self.targets.pop(key, None)
 
     def prepared(self, scorer: str) -> "_PreparedTargets":
         """``scorer``'s prepared targets, as the executor's memo."""
@@ -227,6 +235,11 @@ class _Generation:
             if scorer is None:
                 scorer = self.scorers[name] = get_scorer(name)
             return scorer
+
+
+def _target_key(shape: tuple, answer: _Answer) -> tuple:
+    """The key of the prepared target ``answer`` is scored against."""
+    return shape[-1], answer.y, answer.z
 
 
 def _refreshed(answer: _Answer, families: FamilySet,

@@ -24,9 +24,17 @@ arrive.  ``QueryServer`` is the long-lived front end for that workload:
 - a bounded **result cache** — a
   :class:`~repro.versioned.VersionedCache` keyed on the normalized
   query or the explain shape — returns the identical result object for
-  repeat requests at the same version, and the first request to observe
-  a newer version drops the superseded results: a result computed at
-  version ``v`` is never served to a request that observed a later one.
+  repeat requests.  A SQL result records the series its scans read
+  (:meth:`~repro.sql.Database.sql_with_reads`: the pruned scans'
+  series filters, or everything for a full-table read); an explain
+  result reads everything.  The first request to observe a newer
+  version sweeps the cache with what its pinned view's write log says
+  was written since (:meth:`~repro.tsdb.StoreView.written_since`): a
+  result whose reads were written — a new series its filter matches
+  included — or any result when the log does not reach back, is
+  dropped, and the rest are served at the newer version.  So a result
+  is never served to a request whose version it differs from a fresh
+  evaluation at.
 
 Results must be treated as read-only: cache hits share one
 :class:`~repro.sql.table.Table` / score-table object across callers.
@@ -266,17 +274,21 @@ class QueryServer:
     # -- request bodies (run on the worker pool) ------------------------
     def _serve(self, kind: str, key: Hashable | None, started: float,
                compute) -> ServedResult:
-        """Pin a version, answer from the result cache or ``compute(state)``.
+        """Pin a version, answer from the result cache or ``compute(state)``,
+        which returns the value and what it read (``None``: everything).
 
-        ``key=None`` marks a request shape that is not cacheable.
+        ``key=None`` marks a request shape that is not cacheable.  The
+        lookup passes the pinned view's write log, so the sweep it may
+        trigger keeps every result whose reads were not written.
         """
         state = self._pin()
-        value = None if key is None else self._cache.get(key, state.version)
+        value = None if key is None else self._cache.get(
+            key, state.version, state.snapshot.written_since)
         cached = value is not None
         if not cached:
-            value = compute(state)
+            value, reads = compute(state)
             if key is not None:
-                self._cache.put(key, state.version, value)
+                self._cache.put(key, state.version, value, reads)
         return ServedResult(
             kind=kind, value=value, version=state.version,
             cached=cached, seconds=time.perf_counter() - started,
@@ -285,7 +297,7 @@ class QueryServer:
     def _run_sql(self, query: str, started: float) -> ServedResult:
         self._count("sql")
         return self._serve("sql", ("sql", normalize_query(query)), started,
-                           lambda state: state.db.sql(query))
+                           lambda state: state.db.sql_with_reads(query))
 
     def _run_explain(self, kind: str, target: str, scorer: Any,
                      condition: Any, search: tuple | None, exclude: tuple,
@@ -296,9 +308,9 @@ class QueryServer:
         key = ("explain", target, scorer, condition, search, exclude, top_k)
         return self._serve(
             kind, key if shareable(scorer, condition) else None, started,
-            lambda state: self._core.rank(
+            lambda state: (self._core.rank(
                 self._generation(state), target, scorer, condition, search,
-                exclude, top_k))
+                exclude, top_k), None))
 
     def _generation(self, state: _VersionState) -> _Generation:
         """``state``'s generation, built by the core on first use."""

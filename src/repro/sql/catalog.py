@@ -184,10 +184,21 @@ class Database:
     # ------------------------------------------------------------------
     def sql(self, query: str) -> Table:
         """Parse, optimise, plan and execute one SQL statement."""
+        return self.sql_with_reads(query)[0]
+
+    def sql_with_reads(self, query: str) -> tuple[Table, frozenset | None]:
+        """:meth:`sql`, and what the statement read of the catalog.
+
+        The reads are the union of its pruned scans' series filters
+        (:attr:`ScanReport.reads`), or ``None`` when any read took a
+        whole table or a scan pruned no series — what a cache of the
+        result must be swept by.  They are the call's own: concurrent
+        requests share one Database.
+        """
         stmt = parse(query)
         if self._optimize:
             stmt = optimize(stmt)
-        return self.execute_ast(stmt)
+        return self._execute(stmt)
 
     def execute_ast(self, stmt: Node) -> Table:
         """Plan and execute an already-parsed statement.
@@ -195,11 +206,31 @@ class Database:
         The plan (with per-stage actuals filled in by the run) stays
         available as :attr:`last_plan` until the next query.
         """
+        return self._execute(stmt)[0]
+
+    def _execute(self, stmt: Node) -> tuple[Table, frozenset | None]:
         plan = Planner().plan(stmt)
         self.last_plan = plan
-        executor = Executor(self.table, self._udfs, columnar=self._columnar,
-                            plan=plan, scan_table=self.scan_table)
-        return executor.execute(stmt)
+        reads: set | None = set()
+
+        def resolve(name: str) -> Table:
+            nonlocal reads
+            reads = None
+            return self.table(name)
+
+        def scan(name: str, predicate: ScanPredicate
+                 ) -> tuple[Table, ScanReport] | None:
+            nonlocal reads
+            pruned = self.scan_table(name, predicate)
+            if pruned is not None and reads is not None:
+                scanned = pruned[1].reads
+                reads = None if scanned is None else reads | scanned
+            return pruned
+
+        executor = Executor(resolve, self._udfs, columnar=self._columnar,
+                            plan=plan, scan_table=scan)
+        table = executor.execute(stmt)
+        return table, None if reads is None else frozenset(reads)
 
     def create_temp_table(self, name: str, query: str) -> Table:
         """Run a query and save its result under ``name`` (session temp table)."""

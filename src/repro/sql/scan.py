@@ -64,13 +64,20 @@ class ScanPredicate:
 
 @dataclass(frozen=True)
 class ScanReport:
-    """What a pruned scan actually did, for EXPLAIN and benchmarks."""
+    """What a pruned scan actually did, for EXPLAIN and benchmarks.
+
+    ``reads`` is what the scan read, for caches of its results: filters
+    a written series passes if the scan read it (or would read it now),
+    empty when it read nothing; ``None`` — every series — unless the
+    provider pruned by series.
+    """
 
     rows: int
     series_total: int = 0
     series_scanned: int = 0
     chunks_scanned: int = 0
     chunks_pruned: int = 0
+    reads: frozenset | None = None
 
     @property
     def series_pruned(self) -> int:

@@ -20,6 +20,8 @@ historical per-point explosion (a stable sort by ``(timestamp,
 metric_name)`` over series in ``series_ids()`` order).  A view builds
 it once (:meth:`StoreView.derived`), with each series' row positions in
 it, and every pruned scan of the view selects rows of it: no scan sorts.
+A later view of the same series set patches an earlier view's instead
+of sorting again: only the written series' rows are merged in.
 
 The column vectors built here are what the columnar SQL executor
 (:mod:`repro.sql.columnar`) consumes directly: ``timestamp``/``value``
@@ -100,15 +102,30 @@ class _Index:
     """A view's table and its sorted timestamp column; per series with
     rows, its dictionary code, its ascending row positions there and its
     own timestamps; per sealed chunk, its series code and its zone map
-    as int64 timestamp and float64 value min/max (NaN when all are)."""
+    as int64 timestamp and float64 value min/max (NaN when all are).
+
+    ``positions`` holds every series' row positions, concatenated in
+    code order, and ``ends`` where each series' share of it ends; the
+    positions in ``series`` are slices of it.
+    """
 
     table: Table
     timestamps: np.ndarray
     series: dict[SeriesId, tuple[int, np.ndarray, np.ndarray]]
     zones: tuple[np.ndarray, ...]
+    positions: np.ndarray
+    ends: np.ndarray
 
 
 def _build_index(view: StoreView) -> _Index:
+    """The view's index: patched from an earlier view's when one is kept
+    and only its written series changed (:func:`_patched_index`), else
+    built from every column."""
+    earlier = view.derived_before(_build_index)
+    if earlier is not None:
+        index = _patched_index(view, *earlier)
+        if index is not None:
+            return index
     items = [item for item in view.iter_arrays() if item[1].size]
     table, order = _sorted_table(items)
     # Each series' rows are the inverse permutation at its input offsets.
@@ -125,7 +142,142 @@ def _build_index(view: StoreView) -> _Index:
         table, position[:0] if not items else table.column_vectors()[0],
         {series: (code, position[end - ts.size:end], ts)
          for code, ((series, ts, _), end) in enumerate(zip(items, ends))},
-        (zone_series, ints[:, 2], ints[:, 3], floats[:, 0], floats[:, 1]))
+        (zone_series, ints[:, 2], ints[:, 3], floats[:, 0], floats[:, 1]),
+        position, ends)
+
+
+def _patched_index(view: StoreView, old: _Index,
+                   written: set[SeriesId]) -> _Index | None:
+    """``view``'s index derived from ``old``, an earlier view's of the
+    same series set, when only ``written`` changed since — equal, field
+    for field, to the one built from every column.
+
+    A written series' rows past its old ones are merged in at their
+    ``(timestamp, code)`` places (codes order like the metric-name
+    ranks the table is sorted by, and like series within a name), after
+    the old rows of their own series at an equal timestamp; its value
+    rows are all rewritten (``apply`` changes old ones), and its zone
+    rows replaced.  Every other series keeps its timestamps and zone
+    rows, and its positions shift by the rows merged in before them.
+    ``old`` is only read: requests pinned to its view still use it.
+    ``None`` when a written series had no rows before, or lost or
+    changed any of them.
+    """
+    changed = []
+    for series in written:
+        entry = old.series.get(series)
+        if entry is None:
+            return None
+        code, _, before = entry
+        ts, values = view.arrays(series)
+        if ts.size < before.size \
+                or not np.array_equal(ts[:before.size], before):
+            return None
+        changed.append((code, series, before.size, ts, values))
+    changed.sort(key=lambda item: item[0])
+    old_ts, names, tags, old_values = old.table.column_vectors()
+    grown = [ts.size - n for _, _, n, ts, _ in changed]
+    new_ts = np.concatenate([ts[n:] for _, _, n, ts, _ in changed]
+                            or [old_ts[:0]])
+    written_codes = np.asarray([item[0] for item in changed],
+                               dtype=np.intp)
+    new_codes = np.repeat(written_codes, grown)
+    order = np.lexsort((new_codes, new_ts))     # stable: in-series order
+    merged = _merge_positions(old_ts, names.codes, new_ts[order],
+                              new_codes[order], len(old.series))
+    merged += np.arange(merged.size)            # their rows in the result
+    size = old_ts.size + merged.size
+    kept = np.ones(size, dtype=bool)
+    kept[merged] = False
+    timestamps = np.empty(size, dtype=np.int64)
+    timestamps[kept] = old_ts
+    timestamps[merged] = new_ts[order]
+    codes = np.empty(size, dtype=names.codes.dtype)
+    codes[kept] = names.codes
+    codes[merged] = new_codes[order]
+    # Old rows' new places; each written series' new rows, in its order.
+    moved = np.flatnonzero(kept)
+    appended = np.empty_like(merged)
+    appended[order] = merged
+    positions = np.insert(moved[old.positions],
+                          np.repeat(old.ends[written_codes], grown), appended)
+    growth = np.zeros(len(old.series), dtype=np.intp)
+    growth[written_codes] = grown
+    ends = old.ends + np.cumsum(growth)
+    values = np.empty(size, dtype=np.float64)
+    values[kept] = old_values
+    series = {}
+    start = 0
+    for item, end in zip(old.series.items(), ends.tolist()):
+        name, (code, _, ts) = item
+        series[name] = (code, positions[start:end], ts)
+        start = end
+    zones = [[] for _ in old.zones]
+    done = 0
+    for code, name, _, ts, vals in changed:
+        rows = series[name][1]
+        values[rows] = vals
+        series[name] = (code, rows, ts)
+        lo, hi = np.searchsorted(old.zones[0], [code, code + 1])
+        ints, floats = view.get(name).zone_columns()
+        fresh = (np.full(len(ints), code, dtype=np.intp), ints[:, 2],
+                 ints[:, 3], floats[:, 0], floats[:, 1])
+        for parts, column, part in zip(zones, old.zones, fresh):
+            parts += (column[done:lo], part)
+        done = hi
+    table = Table.from_columns(
+        TSDB_COLUMNS, [timestamps, DictColumn(codes, names.values),
+                       DictColumn(codes, tags.values), values])
+    return _Index(table, timestamps, series,
+                  tuple(np.concatenate(parts + [column[done:]])
+                        for parts, column in zip(zones, old.zones)),
+                  positions, ends)
+
+
+def _merge_positions(timestamps: np.ndarray, codes: np.ndarray,
+                     new_ts: np.ndarray, new_codes: np.ndarray,
+                     n_codes: int) -> np.ndarray:
+    """For rows ``(new_ts, new_codes)`` sorted by ``(timestamp, code)``,
+    the number of rows of a table sorted that way (``timestamps``,
+    ``codes``) that sort at or before each — where each goes.
+
+    Two ``searchsorted`` probes: on the timestamps, then, over the
+    table rows whose timestamps the new ones span, on ``(timestamp
+    block, code)`` keys that sort like the rows.
+    """
+    lo = np.searchsorted(timestamps, new_ts)
+    if not new_ts.size:
+        return lo
+    first = int(lo[0])
+    region = timestamps[first:np.searchsorted(timestamps, new_ts[-1],
+                                              side="right")]
+    if not region.size:
+        return lo
+    block = np.zeros(region.size, dtype=np.int64)
+    np.cumsum(region[1:] != region[:-1], out=block[1:])
+    keys = block * n_codes + codes[first:first + region.size]
+    at = np.minimum(lo - first, region.size - 1)
+    present = (lo - first < region.size) & (region[at] == new_ts)
+    probes = block[at] * n_codes + new_codes
+    return np.where(present,
+                    first + np.searchsorted(keys, probes, side="right"),
+                    lo)
+
+
+@dataclass(frozen=True)
+class SeriesFilter:
+    """The series a pruned scan read: those named ``name`` (any name
+    when ``None``) carrying every ``tags`` pair — what
+    :meth:`StoreView.find_exact` matched, and would match of a series
+    that joins later.  Called on a written series, it tells whether a
+    result of the scan read it (:attr:`ScanReport.reads`)."""
+
+    name: str | None
+    tags: tuple[tuple[str, str], ...]
+
+    def __call__(self, series: SeriesId) -> bool:
+        return (self.name is None or series.name == self.name) \
+            and all(series.tag(key) == value for key, value in self.tags)
 
 
 def tsdb_table(store: StoreView,
@@ -155,7 +307,9 @@ def scan_store(store: StoreView, predicate: ScanPredicate
       sealed chunks whose zone maps can meet the time and value ranges
       as scanned, the others as pruned.
 
-    Constraints on columns the provider cannot act on are ignored.
+    Constraints on columns the provider cannot act on are ignored.  The
+    report's ``reads`` is the series filter (:class:`SeriesFilter`), or
+    none for an impossible equality; ``None`` without one.
     """
     view = store.read_view()
     index = view.derived(_build_index)
@@ -181,8 +335,10 @@ def scan_store(store: StoreView, predicate: ScanPredicate
         kept = [] if impossible else view.find_exact(name, tags)
         picked = [index.series[s] for s in kept if s in index.series]
         mine = np.isin(code, [series_code for series_code, _, _ in picked])
+        reads = frozenset() if impossible else frozenset(
+            {SeriesFilter(name, tuple(sorted(tags.items())))})
     else:
-        kept, mine = None, np.ones(code.size, dtype=bool)
+        kept, mine, reads = None, np.ones(code.size, dtype=bool), None
     meets = mine.copy()
     value_lo, value_hi = predicate.range_for("value")
     if start is not None:
@@ -206,7 +362,8 @@ def scan_store(store: StoreView, predicate: ScanPredicate
     report = ScanReport(rows=len(table), series_total=len(view),
                         series_scanned=len(view if kept is None else kept),
                         chunks_scanned=scanned,
-                        chunks_pruned=int(np.count_nonzero(mine)) - scanned)
+                        chunks_pruned=int(np.count_nonzero(mine)) - scanned,
+                        reads=reads)
     return table, report
 
 

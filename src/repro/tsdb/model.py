@@ -25,7 +25,7 @@ import re
 import threading
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -187,6 +187,10 @@ ZONE_INTS = 4
 ZONE_FLOATS = 2
 _NO_ZONE_INTS = np.empty((0, ZONE_INTS), dtype=np.int64)
 _NO_ZONE_FLOATS = np.empty((0, ZONE_FLOATS), dtype=np.float64)
+
+#: What a write logs before it lands: ``(series, timestamps, values)``
+#: (the store passes its WAL's ``append_array``).
+WriteLog = Callable[["SeriesId", object, object], None]
 
 
 def _value_range(vals: np.ndarray) -> tuple[float, float]:
@@ -383,8 +387,14 @@ class SeriesData:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def append(self, timestamp: int, value: float) -> None:
-        """Append one point; timestamps must be non-decreasing."""
+    def append(self, timestamp: int, value: float,
+               log: WriteLog | None = None) -> None:
+        """Append one point; timestamps must be non-decreasing.
+
+        ``log``, when given, is called as ``log(series, [timestamp],
+        [value])`` once the point is validated and before the column
+        changes, so a log that raises leaves the column as it was.
+        """
         timestamp = int(timestamp)
         buf = self._buf_ts
         last = buf[-1] if buf else self.max_timestamp
@@ -393,6 +403,8 @@ class SeriesData:
                 f"out-of-order append to {self.series}: "
                 f"{timestamp} < {last}"
             )
+        if log is not None:
+            log(self.series, [timestamp], [value])
         buf.append(timestamp)
         self._buf_vals.append(float(value))
         self._length += 1
@@ -401,12 +413,15 @@ class SeriesData:
             self._seal_buffer()
 
     def extend(self, timestamps: Iterable[int] | np.ndarray,
-               values: Iterable[float] | np.ndarray) -> int:
+               values: Iterable[float] | np.ndarray,
+               log: WriteLog | None = None) -> int:
         """Bulk-append a column pair as one sealed logical chunk.
 
         Monotonicity is checked vectorized; returns the number of points
-        appended.  The chunk gets its own zone map; when it holds fewer
-        than :data:`SMALL_WRITE` points and the trailing physical chunk
+        appended.  ``log`` is called as in :meth:`append`, with the
+        validated int64 / float64 columns, before the column changes.
+        The chunk gets its own zone map; when it holds fewer than
+        :data:`SMALL_WRITE` points and the trailing physical chunk
         fewer than :data:`CHUNK_TARGET`, the two are merged into one
         fresh array (clones keep the old one), so many small writes
         leave few physical chunks for every frozen clone to copy and
@@ -439,6 +454,8 @@ class SeriesData:
                     f"out-of-order append to {self.series}: "
                     f"{int(ts[i])} < {int(ts[i - 1])}"
                 )
+        if log is not None:
+            log(self.series, ts, vals)
         n = int(ts.size)
         self._seal_buffer()
         self._length += n

@@ -17,8 +17,10 @@ rewrites values in place, so every derived cache keys on it, never on
 ``num_points()``.
 
 **Durability** is optional: with ``wal=`` every write is logged inside
-the lock.  :meth:`TimeSeriesStore.checkpoint` writes a chunkfile
-recording which WAL records it covers before truncating the log, and
+the lock, after it is validated and before the column changes, so a
+write whose log append fails is not served either.
+:meth:`TimeSeriesStore.checkpoint` writes a chunkfile recording which
+WAL records it covers before truncating the log, and
 :meth:`TimeSeriesStore.open` adopts its memmap'd columns and replays
 only the rest, so a crash anywhere in a checkpoint recovers every
 acknowledged write exactly once.
@@ -41,6 +43,7 @@ from repro.tsdb.model import (
     SeriesData,
     SeriesFormatError,
     SeriesId,
+    WriteLog,
     series_sort_key,
 )
 from repro.tsdb.wal import WriteAheadLog, replace_durably
@@ -122,6 +125,37 @@ class StoreView:
                 if old is not None:
                     old._derived.clear()
             return view._derived[build]
+
+    def derived_before(self, build: Callable[["StoreView"], T]
+                       ) -> tuple[T, set[SeriesId]] | None:
+        """What ``build`` built for the newest earlier view of this
+        store that still keeps it (see :meth:`derived`), with the series
+        written since that view — for a ``build`` that can derive its
+        value from an earlier one instead of starting over.
+
+        ``None`` when no kept view is older, a series joined since
+        (:attr:`series_token` differs) or the write log no longer
+        reaches back to it.  A view refers to no other view: the
+        earlier value is found through the :data:`DERIVED_VIEWS`
+        registry, so at most that many stay alive.
+        """
+        view = self.read_view()
+        with _derived_lock:
+            earlier = None
+            for ref in _derived_views.values():
+                old = ref()
+                if old is not None and build in old._derived \
+                        and old._by_name is view._by_name \
+                        and old._version < view._version \
+                        and (earlier is None
+                             or old._version > earlier._version):
+                    earlier = old
+            if earlier is None:
+                return None
+            written = view.written_since(earlier._version)
+            if written is None:
+                return None
+            return earlier._derived[build], written
 
     @property
     def version(self) -> int:
@@ -422,20 +456,18 @@ class TimeSeriesStore(StoreView):
         """Insert one observation; timestamps per series must be sorted."""
         column = self._live.get(series)
         if column is None:
-            self._write(series, [timestamp], [value],
-                        lambda c: c.append(timestamp, value))
+            self._write(series, lambda c, log: c.append(timestamp, value, log))
             return
         # acquire/release rather than ``with``: this is the per-point
         # hot path, and the context-manager protocol costs more than
         # the rest of the bookkeeping.
         self._lock.acquire()
         try:
-            column.append(timestamp, value)
+            column.append(timestamp, value, None if self._wal is None
+                          else self._wal.append_array)
             if timestamp > self._max_ts:   # an existing series: min stays
                 self._max_ts = int(timestamp)
             self._written[column] = None
-            if self._wal is not None:
-                self._wal.append_array(series, [timestamp], [value])
             self._version += 1
         finally:
             self._lock.release()
@@ -449,9 +481,10 @@ class TimeSeriesStore(StoreView):
         """Bulk-insert one column pair as one sealed chunk.
 
         Validation and the zone-map seal run under the store's lock; the
-        batch is logged before the lock is released so log order matches
-        per-series apply order.  Empty input is a no-op: nothing is
-        logged or registered, the version stays.
+        batch is logged between the two, so log order matches per-series
+        apply order and a batch that fails validation or logging leaves
+        no trace.  Empty input is a no-op: nothing is logged or
+        registered, the version stays.
         """
         ts = (timestamps if isinstance(timestamps, np.ndarray)
               else np.asarray(list(timestamps)))
@@ -459,25 +492,28 @@ class TimeSeriesStore(StoreView):
                 else np.asarray(list(values)))
         if ts.size == 0 and vals.size == 0:
             return
-        self._write(series, ts, vals, lambda c: c.extend(ts, vals))
+        self._write(series, lambda c, log: c.extend(ts, vals, log))
 
-    def _write(self, series: SeriesId, ts, vals,
-               write: Callable[[SeriesData], object]) -> None:
-        """``write`` to ``series``' column under the lock, then log it
-        and bump the version; a series' first write registers its column
-        only once ``write`` succeeded."""
+    def _write(self, series: SeriesId,
+               write: Callable[[SeriesData, WriteLog | None], object]
+               ) -> None:
+        """``write(column, log)`` to ``series``' column under the lock,
+        then bump the version.  The column calls ``log`` (the WAL's
+        append, if any) after validating and before changing anything,
+        so a write that fails either leaves the column as it was; a
+        series' first write registers its column only once ``write``
+        succeeded."""
         with self._lock:
+            log = None if self._wal is None else self._wal.append_array
             column = self._live.get(series)
             if column is None:
                 column = SeriesData(series=series)
-                write(column)
+                write(column, log)
                 self._register(column)
             else:
-                write(column)
+                write(column, log)
             self._observe(column)
             self._written[column] = None
-            if self._wal is not None:
-                self._wal.append_array(series, ts, vals)
             self._version += 1
 
     def _adopt(self, column: SeriesData) -> None:

@@ -520,6 +520,34 @@ class TestSessionOnTheCore:
         kept = [shape[2] for shape in session._core._latest.answers]
         assert kept == searches[-explain_module.ANSWERS:]
 
+    def test_prepared_targets_stay_within_the_bound(self):
+        """Sixty distinct targets, each explained after a write to a
+        series none of them is, leave prepared only the targets of the
+        :data:`ANSWERS` answers kept, and every table is the one a cold
+        session returns."""
+        rng = np.random.default_rng(4)
+        store = TimeSeriesStore()
+        ts = np.arange(N, dtype=np.int64)
+        targets = [f"t{i}" for i in range(60)]
+        bystander = SeriesId.make("bystander", {"host": "h0"})
+        for series in [bystander, *(SeriesId.make(name, {"host": "h0"})
+                                    for name in targets)]:
+            store.insert_array(series, ts, rng.standard_normal(N))
+        session = ExplainItSession(store)
+        for target in targets:
+            store.apply(bystander, lambda ts, vs: np.roll(vs, 1))
+            session.set_target(target)
+            table = session.explain(scorer="L2")
+            cold = ExplainItSession(store)
+            cold.set_target(target)
+            assert table_fields(table) == \
+                table_fields(cold.explain(scorer="L2"))
+            latest = session._core._latest
+            assert len(latest.targets) <= explain_module.ANSWERS
+            assert set(latest.targets) == {
+                ("l2", answer.y, answer.z)
+                for answer in latest.answers.values()}
+
     def test_group_by_reaches_the_core(self):
         session = ExplainItSession(build_store(), group_by="tag:host")
         session.set_target("h0")

@@ -1,4 +1,8 @@
-"""QueryServer: pinned-version serving, caching, invalidation, staleness."""
+"""QueryServer: pinned-version serving, caching, invalidation, staleness.
+
+A cached result is dropped by the first request that observes a write
+to a series the result read (a full-table read or an explain reads
+every series); every other result is served on at the new version."""
 
 import struct
 import sys
@@ -118,8 +122,13 @@ def test_closed_server_rejects_requests(store):
 
 
 # ---------------------------------------------------------------------------
-# Invalidation: every version-bump path drops cached results
+# Invalidation: every version-bump path drops the results that read what
+# it wrote, and only those
 # ---------------------------------------------------------------------------
+
+#: A pruned result that no mutation below writes.
+UNTOUCHED = ("SELECT COUNT(*) AS n, AVG(value) AS v FROM tsdb "
+             "WHERE metric_name = 'decoy_1'")
 
 def _merge_store():
     other = TimeSeriesStore()
@@ -154,14 +163,19 @@ def test_mutation_invalidates_cached_results(server, store, mutate):
     session.set_target("target_metric")
     session_view(session)
     before = server.query(GROUP_QUERY)
+    untouched = server.query(UNTOUCHED)
     mutate(store)
     after = server.query(GROUP_QUERY)
     assert not after.cached
     assert after.version > before.version
     assert after.version == store.version
     # The re-query observed the new version, which dropped the
-    # superseded entry: lookup is the one invalidation trigger.
-    assert server.cache.stats.invalidations >= 1
+    # full-table result (lookup is the one invalidation trigger) and
+    # kept the one that read none of the written series.
+    assert server.cache.stats.invalidations == 1
+    kept = server.query(UNTOUCHED)
+    assert kept.cached and kept.value is untouched.value
+    assert kept.version == store.version
     # A long-lived session is one more consumer of store-derived state:
     # its family matrices follow the mutation like a fresh session's.
     fresh = ExplainItSession(store)
@@ -198,6 +212,92 @@ def test_plain_store_sweeps_lazily_on_next_request():
         # The sweep happened when the next request observed the new
         # version — the same single trigger as for a direct write.
         assert server.cache.stats.invalidations >= 1
+
+
+PER_METRIC = ("SELECT COUNT(*) AS n, AVG(value) AS v FROM tsdb "
+              "WHERE metric_name = 'cause_metric'")
+PER_HOST = ("SELECT metric_name, COUNT(*) AS n FROM tsdb "
+            "WHERE tag['host'] = 'h1' GROUP BY metric_name "
+            "ORDER BY metric_name")
+
+#: A write, and which of the two pruned results above it must drop.
+READ_WRITES = {
+    "unread-series-append": (
+        lambda s: s.insert(SeriesId.make("decoy_0", {"host": "h0"}), N, 1.0),
+        set()),
+    "read-series-append": (
+        lambda s: s.insert(SeriesId.make("cause_metric", {"host": "h1"}),
+                           N, 1.0),
+        {PER_METRIC, PER_HOST}),
+    "read-series-apply": (
+        lambda s: s.apply(SeriesId.make("cause_metric", {"host": "h0"}),
+                          lambda ts, vs: vs * 3.0),
+        {PER_METRIC}),
+    "matching-metric-joins": (
+        lambda s: s.insert(SeriesId.make("cause_metric", {"host": "h9"}),
+                           0, 1.0),
+        {PER_METRIC}),
+    "matching-host-joins": (
+        lambda s: s.insert(SeriesId.make("new_metric", {"host": "h1"}),
+                           0, 1.0),
+        {PER_HOST}),
+    "unmatched-series-joins": (
+        lambda s: s.insert(SeriesId.make("new_metric", {"host": "h7"}),
+                           0, 1.0),
+        set()),
+}
+
+
+@pytest.mark.parametrize("write,dropped", READ_WRITES.values(),
+                         ids=READ_WRITES.keys())
+def test_a_result_survives_every_write_it_did_not_read(store, write,
+                                                       dropped):
+    """A new series its filter matches counts as written, like an
+    append or an ``apply``; a kept result is the same object, served at
+    the new version, and equals a fresh evaluation there."""
+    with QueryServer(store) as server:
+        first = {query: server.query(query)
+                 for query in (PER_METRIC, PER_HOST)}
+        write(store)
+        for query, was in first.items():
+            now = server.query(query)
+            assert now.version == store.version > was.version
+            assert now.cached == (query not in dropped)
+            if now.cached:
+                assert now.value is was.value
+            check = Database()
+            register_store(check, now.snapshot)
+            assert_bitwise_equal(now.value, check.sql(query))
+        assert server.cache.stats.invalidations == len(dropped)
+
+
+def test_a_write_log_that_no_longer_reaches_back_drops_every_result(store):
+    from repro.tsdb.storage import WRITE_LOG_VIEWS
+    decoy = SeriesId.make("decoy_0", {"host": "h0"})
+    with QueryServer(store) as server:
+        server.query(PER_METRIC)
+        for i in range(WRITE_LOG_VIEWS + 1):
+            store.insert(decoy, N + i, 1.0)
+            store.read_view()                 # one view per write
+        assert not server.query(PER_METRIC).cached
+        assert server.cache.stats.invalidations == 1
+
+
+def test_an_impossible_filter_reads_nothing(server, store):
+    query = ("SELECT COUNT(*) AS n FROM tsdb "
+             "WHERE metric_name = 'a' AND metric_name = 'b'")
+    first = server.query(query)
+    store.insert(SeriesId.make("a", {"host": "h0"}), 0, 1.0)
+    again = server.query(query)
+    assert again.cached and again.value is first.value
+    assert again.version == store.version
+
+
+def test_an_explain_result_reads_every_series(server, store):
+    first = server.submit_explain("target_metric").result()
+    store.insert(SeriesId.make("decoy_0", {"host": "h0"}), N, 1.0)
+    second = server.submit_explain("target_metric").result()
+    assert not second.cached and second.version > first.version
 
 
 def test_stale_cache_entry_never_served_after_version_moves(server, store):

@@ -143,3 +143,69 @@ def test_get_or_build_propagates_build_errors_and_recovers():
     with pytest.raises(KeyError):
         cache.get_or_build("k", 1, lambda: {}["boom"])
     assert cache.get_or_build("k", 1, lambda: "ok") == "ok"
+
+
+# ---------------------------------------------------------------------------
+# Read sets: an entry survives every write it did not read
+# ---------------------------------------------------------------------------
+
+def reads(*wanted):
+    """Read predicates accepting exactly the ``wanted`` items."""
+    return frozenset({wanted.__contains__})
+
+
+def writes(log):
+    """``written`` for lookups: what ``log`` says was written since."""
+    return lambda older: log.get(older)
+
+
+def test_an_entry_whose_reads_were_not_written_moves_to_the_new_version():
+    cache = VersionedCache()
+    value = object()
+    cache.put("a", 1, value, reads("x"))
+    assert cache.get("a", 2, writes({1: {"y"}})) is value
+    assert cache.stats.invalidations == 0
+    # The survivor is valid at version 2, not at 1 any more.
+    assert cache.get("a", 1) is None
+    assert cache.get("a", 2) is value
+
+
+def test_the_sweep_drops_exactly_the_entries_whose_reads_were_written():
+    cache = VersionedCache()
+    cache.put("x", 1, "X", reads("x"))
+    cache.put("xy", 1, "XY", reads("x", "y"))
+    cache.put("z", 1, "Z", reads("z"))
+    cache.put("none", 1, "N", frozenset())          # read nothing
+    cache.put("all", 1, "A")                         # read everything
+    assert cache.get("z", 2, writes({1: {"y", "w"}})) == "Z"
+    assert cache.get("x", 2) == "X" and cache.get("none", 2) == "N"
+    assert cache.get("xy", 2) is None and cache.get("all", 2) is None
+    assert cache.stats.invalidations == 2
+
+
+def test_an_unknown_write_set_drops_every_entry():
+    cache = VersionedCache()
+    cache.put("x", 1, "X", reads("x"))
+    cache.put("none", 1, "N", frozenset())
+    assert cache.get("x", 3, writes({})) is None     # the log is too short
+    assert len(cache) == 0
+    assert cache.stats.invalidations == 2
+
+
+def test_a_lookup_that_cannot_say_what_was_written_drops_every_entry():
+    cache = VersionedCache()
+    cache.put("x", 1, "X", reads("x"))
+    cache.put("y", 2, "Y", reads("y"))               # put sweeps blind
+    assert cache.get("x", 2) is None
+    assert cache.get("y", 2) == "Y"
+    assert cache.get_or_build("y", 3, lambda: "Y3") == "Y3"
+    assert cache.stats.invalidations == 2
+
+
+def test_the_sweep_asks_for_the_writes_since_the_cache_version():
+    cache = VersionedCache()
+    asked = []
+    cache.put("x", 4, "X", reads("x"))
+    cache.get("x", 7, lambda older: asked.append(older) or set())
+    cache.get("x", 7, lambda older: asked.append(older) or set())
+    assert asked == [4]

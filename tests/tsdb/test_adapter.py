@@ -3,6 +3,7 @@
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -271,7 +272,8 @@ class TestScanIsARowSelection:
     def test_rows_and_report(self, views, predicate):
         """The scan is the full table restricted to the kept series and
         the time window, in table order, bit for bit; the report is a
-        per-series zone-map walk."""
+        per-series zone-map walk, and its reads select exactly the kept
+        series (``None``, every series, without an equality)."""
         for view in views:
             table, report = scan_store(view, predicate)
             kept = _kept(view, predicate)
@@ -282,10 +284,15 @@ class TestScanIsARowSelection:
                     and _in_window(row[0], lo, hi)]
             assert _bits(table.rows) == _bits(want)
             scanned, pruned = _zone_walk(view, kept, predicate)
-            assert report == ScanReport(
+            assert replace(report, reads=None) == ScanReport(
                 rows=len(want), series_total=len(view),
                 series_scanned=len(kept), chunks_scanned=scanned,
                 chunks_pruned=pruned)
+            if not (predicate.equals or predicate.map_equals):
+                assert report.reads is None
+            else:
+                assert [s for s in view.series_ids()
+                        if any(read(s) for read in report.reads)] == kept
 
     def test_a_view_builds_its_table_once(self):
         store = _store()

@@ -169,28 +169,68 @@ REJECTED_WRITES = {
 }
 
 
-@pytest.mark.parametrize("write", REJECTED_WRITES.values(),
-                         ids=REJECTED_WRITES.keys())
-def test_a_rejected_write_leaves_no_trace(write, tmp_path):
-    """The version, the series, the cached view and the WAL stay as
-    they were; a rejected first write registers no column, so the next
-    landed write adds only its own series."""
-    with TimeSeriesStore.open(tmp_path / "store.wal") as store:
+#: Valid writes whose WAL append raises (a full disk, say).
+FAILED_APPENDS = {
+    "first-batch-log-fails": lambda s: s.insert_array(_series(1), [1, 2],
+                                                      [1.0, 2.0]),
+    "later-batch-log-fails": lambda s: s.insert_array(_series(0), [4, 5],
+                                                      [4.0, 5.0]),
+    "first-point-log-fails": lambda s: s.insert(_series(1), 1, 1.0),
+    "later-point-log-fails": lambda s: s.insert(_series(0), 4, 4.0),
+}
+
+REJECTIONS = {
+    **{name: (write, SeriesFormatError, False)
+       for name, write in REJECTED_WRITES.items()},
+    **{name: (write, OSError, True)
+       for name, write in FAILED_APPENDS.items()},
+}
+
+
+def _failing_append(*_):
+    raise OSError("no space left on device")
+
+
+def _contents(store):
+    return {series: tuple(column.tolist() for column in store.arrays(series))
+            for series in store.series_ids()}
+
+
+@pytest.mark.parametrize("write,error,log_fails", REJECTIONS.values(),
+                         ids=REJECTIONS.keys())
+def test_a_rejected_write_leaves_no_trace(write, error, log_fails, tmp_path,
+                                          monkeypatch):
+    """The version, the series, the cached view, the live column and
+    the WAL stay as they were, whether validation or the WAL append
+    failed; a rejected first write registers no column, so the next
+    landed write adds only its own series, and reopening the WAL
+    recovers exactly the acknowledged writes."""
+    path = tmp_path / "store.wal"
+    with TimeSeriesStore.open(path) as store:
         store.insert_array(_series(0), [1, 2, 3], [1.0, 2.0, 3.0])
         view = store.read_view()
         version, ids = store.version, store.series_ids()
         records = store.wal.records_written
-        with pytest.raises(SeriesFormatError):
+        if log_fails:
+            monkeypatch.setattr(store.wal, "append_array", _failing_append)
+        with pytest.raises(error):
             write(store)
+        monkeypatch.undo()
         assert store.version == version
         assert store.series_ids() == ids
         assert store.read_view() is view
+        assert {s: len(c) for s, c in store._live.items()} == {_series(0): 3}
         assert store.wal.records_written == records
         store.insert(_series(2), 1, 1.0)
         assert store.series_ids() == [_series(0), _series(2)]
         assert store.find_exact(name="cpu.util") == store.series_ids()
         assert store.tag_values("host") == ["host-00", "host-02"]
         assert store.wal.records_written == records + 1
+        acknowledged = _contents(store)
+        assert acknowledged == {_series(0): ([1, 2, 3], [1.0, 2.0, 3.0]),
+                                _series(2): ([1], [1.0])}
+    with TimeSeriesStore.open(path) as reopened:
+        assert _contents(reopened) == acknowledged
 
 
 class TestThreadedStress:

@@ -247,7 +247,8 @@ class TestReadApiParity:
         assert view.read_view() is view and view.snapshot() is view
         public = {name for name in dir(StoreView) if not name.startswith("_")}
         assert public == {
-            "arrays", "chunk_stats", "derived", "find", "find_exact", "get",
+            "arrays", "chunk_stats", "derived", "derived_before", "find",
+            "find_exact", "get",
             "get_many", "iter_arrays", "iter_points", "metric_names",
             "num_points", "read_view", "series_ids", "series_token",
             "snapshot",
