@@ -32,9 +32,9 @@ arrive.  ``QueryServer`` is the long-lived front end for that workload:
   was written since (:meth:`~repro.tsdb.StoreView.written_since`): a
   result whose reads were written — a new series its filter matches
   included — or any result when the log does not reach back, is
-  dropped, and the rest are served at the newer version.  So a result
-  is never served to a request whose version it differs from a fresh
-  evaluation at.
+  dropped, and the rest are served at the newer version.  So every
+  result served equals a fresh evaluation at the request's pinned
+  version.
 
 Results must be treated as read-only: cache hits share one
 :class:`~repro.sql.table.Table` / score-table object across callers.

@@ -100,21 +100,24 @@ def _sorted_table(items: list[tuple[SeriesId, np.ndarray, np.ndarray]]
 @dataclass(frozen=True)
 class _Index:
     """A view's table and its sorted timestamp column; per series with
-    rows, its dictionary code, its ascending row positions there and its
-    own timestamps; per sealed chunk, its series code and its zone map
-    as int64 timestamp and float64 value min/max (NaN when all are).
-
-    ``positions`` holds every series' row positions, concatenated in
-    code order, and ``ends`` where each series' share of it ends; the
-    positions in ``series`` are slices of it.
-    """
+    rows, its dictionary code and its own timestamps; every series' row
+    positions in the table, ascending per series and concatenated in
+    code order, and where each series' share of them ends; per sealed
+    chunk, its series code and its zone map as int64 timestamp and
+    float64 value min/max (NaN when all are)."""
 
     table: Table
     timestamps: np.ndarray
-    series: dict[SeriesId, tuple[int, np.ndarray, np.ndarray]]
+    series: dict[SeriesId, tuple[int, np.ndarray]]
     zones: tuple[np.ndarray, ...]
     positions: np.ndarray
     ends: np.ndarray
+
+    def rows(self, code: int, timestamps: np.ndarray) -> np.ndarray:
+        """The row positions of the series with ``code`` and
+        ``timestamps``."""
+        end = self.ends[code]
+        return self.positions[end - timestamps.size:end]
 
 
 def _build_index(view: StoreView) -> _Index:
@@ -140,8 +143,7 @@ def _build_index(view: StoreView) -> _Index:
                             [len(z_ints) for z_ints, _ in zones])
     return _Index(
         table, position[:0] if not items else table.column_vectors()[0],
-        {series: (code, position[end - ts.size:end], ts)
-         for code, ((series, ts, _), end) in enumerate(zip(items, ends))},
+        {series: (code, ts) for code, (series, ts, _) in enumerate(items)},
         (zone_series, ints[:, 2], ints[:, 3], floats[:, 0], floats[:, 1]),
         position, ends)
 
@@ -168,7 +170,7 @@ def _patched_index(view: StoreView, old: _Index,
         entry = old.series.get(series)
         if entry is None:
             return None
-        code, _, before = entry
+        code, before = entry
         ts, values = view.arrays(series)
         if ts.size < before.size \
                 or not np.array_equal(ts[:before.size], before):
@@ -185,6 +187,10 @@ def _patched_index(view: StoreView, old: _Index,
     order = np.lexsort((new_codes, new_ts))     # stable: in-series order
     merged = _merge_positions(old_ts, names.codes, new_ts[order],
                               new_codes[order], len(old.series))
+    # Old rows move down by the new rows merged in before them.
+    shift = np.repeat(np.arange(merged.size + 1,
+                                dtype=np.min_scalar_type(merged.size)),
+                      np.diff(merged, prepend=0, append=old_ts.size))
     merged += np.arange(merged.size)            # their rows in the result
     size = old_ts.size + merged.size
     kept = np.ones(size, dtype=bool)
@@ -195,29 +201,28 @@ def _patched_index(view: StoreView, old: _Index,
     codes = np.empty(size, dtype=names.codes.dtype)
     codes[kept] = names.codes
     codes[merged] = new_codes[order]
-    # Old rows' new places; each written series' new rows, in its order.
-    moved = np.flatnonzero(kept)
+    values = np.empty(size, dtype=np.float64)
+    values[kept] = old_values
+    # Each written series' new rows, in its order, go after its old ones.
     appended = np.empty_like(merged)
     appended[order] = merged
-    positions = np.insert(moved[old.positions],
-                          np.repeat(old.ends[written_codes], grown), appended)
+    shifted = old.positions + shift[old.positions]
+    pieces, src = [], 0
+    for code, rows in zip(written_codes.tolist(),
+                          np.split(appended, np.cumsum(grown)[:-1])):
+        end = old.ends[code]
+        pieces += (shifted[src:end], rows)
+        src = end
+    positions = np.concatenate(pieces + [shifted[src:]])
     growth = np.zeros(len(old.series), dtype=np.intp)
     growth[written_codes] = grown
     ends = old.ends + np.cumsum(growth)
-    values = np.empty(size, dtype=np.float64)
-    values[kept] = old_values
-    series = {}
-    start = 0
-    for item, end in zip(old.series.items(), ends.tolist()):
-        name, (code, _, ts) = item
-        series[name] = (code, positions[start:end], ts)
-        start = end
+    series = dict(old.series)
     zones = [[] for _ in old.zones]
     done = 0
     for code, name, _, ts, vals in changed:
-        rows = series[name][1]
-        values[rows] = vals
-        series[name] = (code, rows, ts)
+        series[name] = (code, ts)
+        values[positions[ends[code] - ts.size:ends[code]]] = vals
         lo, hi = np.searchsorted(old.zones[0], [code, code + 1])
         ints, floats = view.get(name).zone_columns()
         fresh = (np.full(len(ints), code, dtype=np.intp), ints[:, 2],
@@ -334,7 +339,7 @@ def scan_store(store: StoreView, predicate: ScanPredicate
     if impossible or name is not None or tags:
         kept = [] if impossible else view.find_exact(name, tags)
         picked = [index.series[s] for s in kept if s in index.series]
-        mine = np.isin(code, [series_code for series_code, _, _ in picked])
+        mine = np.isin(code, [series_code for series_code, _ in picked])
         reads = frozenset() if impossible else frozenset(
             {SeriesFilter(name, tuple(sorted(tags.items())))})
     else:
@@ -353,8 +358,9 @@ def scan_store(store: StoreView, predicate: ScanPredicate
         table = index.table.slice_rows(
             *_row_range(index.timestamps, start, end))
     else:
-        parts = [positions[slice(*_row_range(ts, start, end))]
-                 for _, positions, ts in picked]
+        parts = [index.rows(series_code, ts)[
+                     slice(*_row_range(ts, start, end))]
+                 for series_code, ts in picked]
         rows = np.concatenate(parts) if parts else np.empty(0, np.intp)
         table = index.table.gather(np.sort(rows) if len(parts) > 1
                                    else rows)

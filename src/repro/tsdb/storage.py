@@ -500,9 +500,9 @@ class TimeSeriesStore(StoreView):
         """``write(column, log)`` to ``series``' column under the lock,
         then bump the version.  The column calls ``log`` (the WAL's
         append, if any) after validating and before changing anything,
-        so a write that fails either leaves the column as it was; a
-        series' first write registers its column only once ``write``
-        succeeded."""
+        so a write that fails validation or logging leaves the column as
+        it was; a series' first write registers its column only once
+        ``write`` succeeded."""
         with self._lock:
             log = None if self._wal is None else self._wal.append_array
             column = self._live.get(series)

@@ -38,12 +38,11 @@ def assert_index_equal(got, want):
     assert got.timestamps.dtype == want.timestamps.dtype
     assert _bytes(got.timestamps) == _bytes(want.timestamps)
     assert list(got.series) == list(want.series)
-    for series, (code, positions, ts) in want.series.items():
-        got_code, got_positions, got_ts = got.series[series]
+    for series, (code, ts) in want.series.items():
+        got_code, got_ts = got.series[series]
         assert got_code == code
-        assert got_positions.dtype == positions.dtype
-        assert _bytes(got_positions) == _bytes(positions)
         assert _bytes(got_ts) == _bytes(ts)
+        assert _bytes(got.rows(code, ts)) == _bytes(want.rows(code, ts))
     assert len(got.zones) == len(want.zones)
     for got_zone, want_zone in zip(got.zones, want.zones):
         assert got_zone.dtype == want_zone.dtype

@@ -59,7 +59,7 @@ def frozen_bytes(index):
     columns = index.table.column_vectors()
     parts = [columns[0], columns[1].codes, columns[2].codes, columns[3],
              index.positions, index.ends, *index.zones]
-    parts += [positions for _, positions, _ in index.series.values()]
+    parts += [ts for _, ts in index.series.values()]
     return [np.ascontiguousarray(part).tobytes() for part in parts]
 
 
