@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.linmodel.crossval import ShuffledKFold, TimeSeriesKFold
-from repro.linmodel.model_selection import cross_val_r2
+from repro.linmodel.batched import batched_cross_val_r2
 from repro.scoring import L2Scorer, L1Scorer
 from repro.scoring.projection import PcaL2Scorer, ProjectedL2Scorer
 
@@ -38,7 +38,8 @@ class TestCvFoldAblation:
         y = ar1(0.98, n)
 
         def score(splitter):
-            return cross_val_r2(x, y, splitter=splitter).best_score
+            return batched_cross_val_r2(x[None], y,
+                                        splitter=splitter)[0].best_score
 
         contiguous = benchmark.pedantic(
             score, args=(TimeSeriesKFold(5),), rounds=1, iterations=1)

@@ -8,17 +8,88 @@ r²; with cross-validated λ it concentrates near 0 with smaller variance.
 
 We run a scaled-down version (n=200, p=100) so the bench completes in
 seconds; the distributional facts are scale-free.
+
+The Beta law, Wherry's adjustment and the two NULL samplers live here,
+beside their one benchmark (the tests load this file by path).  The
+OLS and ridge fits are the row-space estimators of
+``tests/linmodel/estimators.py``, loaded by path too.
 """
+
+import importlib.util
+from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from repro.linmodel import LinearRegression, Ridge
-from repro.linmodel.metrics import adjusted_r2, r2_score
-from repro.scoring import sample_null_r2_ols, sample_null_r2_ridge_cv
+from repro.linmodel.batched import signed_cv_r2
 
 N, P, DRAWS = 200, 100, 40
+
+
+def load_estimators():
+    """The module ``tests/linmodel/estimators.py``."""
+    path = (Path(__file__).resolve().parents[1] / "tests" / "linmodel"
+            / "estimators.py")
+    spec = importlib.util.spec_from_file_location("linmodel_estimators",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ESTIMATORS = load_estimators()
+
+
+def adjusted_r2(r2: float, n_samples: int, n_predictors: int) -> float:
+    """Wherry's adjustment (Appendix A): r²_adj = 1 - (1-r²)(n-1)/(n-p).
+
+    For p >= n the adjustment is undefined; we return the conservative 0.0
+    because an OLS fit with p >= n interpolates and carries no evidence.
+    """
+    if n_samples <= n_predictors:
+        return 0.0
+    factor = (n_samples - 1) / (n_samples - n_predictors)
+    return 1.0 - (1.0 - r2) * factor
+
+
+def sample_null_r2_ols(n_samples: int, n_predictors: int, n_draws: int,
+                       seed: int = 0, adjusted: bool = False) -> np.ndarray:
+    """Empirical NULL r² (or r²_adj) draws for OLS — Figure 12's data."""
+    rng = np.random.default_rng(seed)
+    out = np.empty(n_draws)
+    for i in range(n_draws):
+        x = rng.standard_normal((n_samples, n_predictors))
+        y = rng.standard_normal(n_samples)
+        model = ESTIMATORS.LinearRegression().fit(x, y)
+        r2 = ESTIMATORS.r2_score(y, model.predict(x))
+        out[i] = adjusted_r2(r2, n_samples, n_predictors) if adjusted else r2
+    return out
+
+
+def sample_null_r2_ridge_cv(n_samples: int, n_predictors: int, n_draws: int,
+                            alphas: Sequence[float] = (0.1, 1e2, 1e4, 1e6),
+                            seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical NULL cross-validated ridge r² — Figure 13's data.
+
+    Returns ``(scores, chosen_alphas)``.  With CV-selected λ the score
+    concentrates near 0 with small variance, behaving like OLS r²_adj;
+    the bimodality the paper observed arises when different draws select
+    different λ values.  Scores are the signed pooled r² (no clipping at
+    0) so the NULL density around zero is visible, as in the paper's
+    figure; ties between penalties go to the heavier one.
+    """
+    rng = np.random.default_rng(seed)
+    scores = np.empty(n_draws)
+    chosen = np.empty(n_draws)
+    for i in range(n_draws):
+        x = rng.standard_normal((n_samples, n_predictors))
+        y = rng.standard_normal(n_samples)
+        by_alpha = dict(zip(alphas, signed_cv_r2(x[None], y, alphas)[:, 0]))
+        chosen[i] = max(by_alpha, key=lambda a: (by_alpha[a], a))
+        scores[i] = by_alpha[chosen[i]]
+    return scores, chosen
 
 
 def null_r2_distribution(n_samples: int, n_predictors: int):
@@ -82,8 +153,8 @@ def ridge_draws():
     for i in range(DRAWS):
         x = rng.standard_normal((N, P))
         y = rng.standard_normal(N)
-        model = Ridge(alpha=0.1).fit(x, y)
-        small_lambda[i] = r2_score(y, model.predict(x))
+        model = ESTIMATORS.Ridge(alpha=0.1).fit(x, y)
+        small_lambda[i] = ESTIMATORS.r2_score(y, model.predict(x))
     cv_scores, chosen = sample_null_r2_ridge_cv(N, P, DRAWS, seed=8)
     return small_lambda, cv_scores, chosen
 

@@ -135,9 +135,9 @@ class TestFigure14ScoreWithoutExplanation:
         _, temp = store.arrays(SeriesId.make(
             "cpu_temperature", {"host": "server-1"}))
 
-        from repro.linmodel import Ridge
+        from bench_figure12_13_null import ESTIMATORS
         model = benchmark.pedantic(
-            lambda: Ridge(alpha=1.0).fit(temp[:, None], runtime),
+            lambda: ESTIMATORS.Ridge(alpha=1.0).fit(temp[:, None], runtime),
             rounds=1, iterations=1)
         pred = model.predict(temp[:, None])
         spike_lo, spike_hi = scenario.fault_window
@@ -159,16 +159,15 @@ class TestFigure15ResidualFit:
         """Spikes above the mean are explained by retransmissions;
         dips below are not (Appendix D's observation)."""
         from repro.core.families import families_from_store
-        from repro.scoring.conditional import residualize
-        from repro.linmodel import Ridge
+        from bench_figure12_13_null import ESTIMATORS
         families = families_from_store(scenario_52.store)
         y = families["pipeline_runtime"].matrix
         z = families["pipeline_input_rate"].matrix
         x = families["tcp_retransmits"].matrix
-        y_res = residualize(y, z)
-        x_res = residualize(x, z)
+        y_res = ESTIMATORS.residualize(y, z)
+        x_res = ESTIMATORS.residualize(x, z)
         model = benchmark.pedantic(
-            lambda: Ridge(alpha=1.0).fit(x_res, y_res),
+            lambda: ESTIMATORS.Ridge(alpha=1.0).fit(x_res, y_res),
             rounds=1, iterations=1)
         pred = model.predict(x_res)
         target = y_res.mean(axis=1)

@@ -1,43 +1,39 @@
 """Linear-model substrate (replaces scikit-learn in the paper's stack).
 
 ExplainIt! scores hypotheses with penalised linear regressions selected by
-k-fold cross-validation (section 3.5).  This package provides the required
-estimators from scratch on numpy:
+k-fold cross-validation (section 3.5).  This package provides them on
+numpy as one kernel, stacked over every hypothesis of a shape group:
 
-- :mod:`repro.linmodel.linear` — ordinary least squares.
-- :mod:`repro.linmodel.ridge` — Ridge regression with an SVD-factorised
-  path over the penalty grid (one SVD serves every λ, the optimisation
-  that makes grid search cheap).
-- :mod:`repro.linmodel.lasso` — Lasso via cyclical coordinate descent.
+- :mod:`repro.linmodel.batched` — the cross-validation kernel.  Its fold
+  statistics (each fold's training Gram and cross-products, and the
+  held-out block's) are built in one pass over the rows, then solved
+  for the penalty: ridge by one stacked ``eigh`` (the paper's L2), Lasso
+  by stacked covariance-update coordinate descent (L1).  Beside it, the
+  standardisation and the residualisation on Z that every scorer uses.
 - :mod:`repro.linmodel.crossval` — contiguous (non-shuffled) k-fold splits
   for autocorrelated time series, per the paper's §3.5 requirement that
   validation ranges do not overlap training ranges.
-- :mod:`repro.linmodel.model_selection` — grid-search CV producing
-  out-of-fold r² estimates (the "adjusted r²" the engine reports).
-- :mod:`repro.linmodel.preprocessing` — standardisation and interpolation.
-- :mod:`repro.linmodel.metrics` — r², MSE, explained variance.
+- :mod:`repro.linmodel.preprocessing` — missing-value interpolation.
+
+The row-space estimators this kernel replaced (``Ridge``, ``Lasso``,
+``LinearRegression``, ``StandardScaler``, the §3.5 conditional
+procedure) live on in ``tests/linmodel/estimators.py`` as the oracles
+the kernel is tested against.
 """
 
-from repro.linmodel.linear import LinearRegression
-from repro.linmodel.ridge import Ridge, ridge_path
-from repro.linmodel.lasso import Lasso
-from repro.linmodel.crossval import TimeSeriesKFold, train_test_split_time
-from repro.linmodel.model_selection import GridSearchCV, cross_val_r2
-from repro.linmodel.preprocessing import StandardScaler, interpolate_missing
-from repro.linmodel.metrics import mse, r2_score, explained_variance
+from repro.linmodel.batched import (
+    DEFAULT_ALPHAS,
+    CvResult,
+    batched_cross_val_r2,
+)
+from repro.linmodel.crossval import ShuffledKFold, TimeSeriesKFold
+from repro.linmodel.preprocessing import interpolate_missing
 
 __all__ = [
-    "LinearRegression",
-    "Ridge",
-    "ridge_path",
-    "Lasso",
+    "DEFAULT_ALPHAS",
+    "CvResult",
+    "batched_cross_val_r2",
+    "ShuffledKFold",
     "TimeSeriesKFold",
-    "train_test_split_time",
-    "GridSearchCV",
-    "cross_val_r2",
-    "StandardScaler",
     "interpolate_missing",
-    "mse",
-    "r2_score",
-    "explained_variance",
 ]

@@ -1,21 +1,29 @@
 """Batched linear-model kernels for vectorized hypothesis scoring.
 
-In-process scoring (:mod:`repro.engine_exec.batch`) groups hypotheses
-that share the same (Y, Z) matrices and scores each group in stacked
-``numpy`` operations instead of one Python-level call per hypothesis:
+Scoring (:mod:`repro.scoring`) groups hypotheses that share the same
+(Y, Z) matrices and scores each group in stacked ``numpy`` operations
+instead of one Python-level call per hypothesis:
 
-- :func:`batched_standardize` — per-slice ``StandardScaler``.
-- :func:`batched_residualize` — residualise ``H`` targets on one shared
-  ``Z``, computing the SVD of ``Z`` once (conditional scoring); a
-  :class:`ResidualBasis` keeps that SVD for every stack of one target.
-- :func:`batched_cross_val_r2` — the grid-searched k-fold CV of §3.5,
-  the only CV algorithm (``cross_val_r2`` is its batch of one), in Gram
-  form: one pass over the rows collects per-validation-block sums and
-  cross-products, a fold's training statistics are the totals minus
-  its block, all K folds solve in one stacked (K, H, F, F) ``eigh``,
-  and each penalty is a diagonal rescale of that eigenbasis.  Its Y
-  side — the partition and Y's per-block statistics — is a
-  :class:`CvTarget`, prepared once per target by :func:`cv_target`.
+- :func:`standardize` / :func:`batched_standardize` — zero mean, unit
+  variance per column, of one matrix / of every slice of a stack.
+- :class:`ResidualBasis` — residualise stacks of targets on one shared
+  ``Z``, computing the SVD of ``Z`` once per target (conditional
+  scoring).
+- :func:`signed_cv_r2` — the grid-searched k-fold CV of §3.5, the only
+  CV algorithm (:func:`batched_cross_val_r2` wraps it in
+  :class:`CvResult`), in Gram form and in two parts.
+  :func:`fold_statistics` makes one pass over the rows, collecting
+  per-validation-block sums and cross-products; a fold's training
+  statistics are the totals minus its block.  A solve then turns them
+  into coefficients for every (penalty, fold, design):
+  :func:`ridge_coefficients` is one stacked (K, H, F, F) ``eigh`` with
+  each penalty a diagonal rescale of that eigenbasis, and
+  :func:`lasso_coefficients` is covariance-update coordinate descent
+  (Friedman, Hastie & Tibshirani, J. Stat. Softw. 2010) over every
+  (penalty, fold, design, Y column) slice at once.  The held-out RSS of
+  either is read off the same block statistics.  Its Y side — the
+  partition and Y's per-block statistics — is a :class:`CvTarget`,
+  prepared once per target by :func:`cv_target`.
 - :func:`batched_pca_truncate` — the PCA truncation of
   :class:`~repro.scoring.projection.PcaL2Scorer` as one stacked SVD.
 
@@ -26,33 +34,48 @@ is identical to the same matrix scored alone or in any other batch.
 numpy's linalg gufuncs (``svd``, ``eigh``, ``matmul``) loop LAPACK/BLAS
 over the leading axes with the same per-slice shapes and strides,
 elementwise ops keep a per-slice evaluation order, and the one stacked
-op that could take another BLAS path (``batched_residualize``'s
+op that could take another BLAS path (``ResidualBasis.residualize``'s
 intercept GEMV) runs per slice.  Stacking the folds is bitwise too:
 sums over the fold axis add in fold order, exactly as a loop over the
 folds does (``tests/linmodel/fold_loop.py`` keeps that loop as the
 oracle).
 
-*Parity with the per-fold SVD oracle* (``tests/scoring/reference.py``)
-*is |Δscore| ≤ 1e-9*: the Gram form is algebraically equal but rounds
-differently.  Two requirements keep the gap at rounding level.  Columns
-are centred on their full-sample means before any Gram is formed — raw
-block sums of a column with a large offset cancel catastrophically when
-training means are downdated.  Penalties are strictly positive, which
-bounds each solve's condition number by ``κ(C + αI) ≤ 1 + λ_max / α``
-and makes rank-deficient designs (duplicated or constant columns, more
-columns than training rows) as safe as full-rank ones.
+*Parity with the row-space oracles* (``tests/scoring/reference.py``:
+a per-fold SVD for ridge, a per-fold ``Lasso`` for L1) *is |Δscore| ≤
+1e-9*: the Gram form is algebraically equal but rounds differently.
+Two requirements keep the gap at rounding level.  Columns are centred
+on their full-sample means before any Gram is formed — raw block sums
+of a column with a large offset cancel catastrophically when training
+means are downdated.  Penalties are finite and strictly positive, which
+bounds each ridge solve's condition number by ``κ(C + αI) ≤ 1 +
+λ_max / α``, makes rank-deficient designs (duplicated or constant
+columns, more columns than training rows) as safe as full-rank ones,
+and keeps a coordinate that rounding leaves barely non-constant at
+zero under the L1 threshold.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.linmodel.crossval import TimeSeriesKFold
-from repro.linmodel.ridge import DEFAULT_ALPHAS
+
+#: Default ridge penalty grid; the paper uses L = 3-5 grid points.
+DEFAULT_ALPHAS = (0.1, 10.0, 1000.0)
+
+#: Tiny ridge penalty of the residualising regressions on Z: near-OLS,
+#: but numerically safe when Z has collinear columns.
+RESIDUAL_ALPHA = 1e-6
+
+#: Coordinate descent stops a slice after this many sweeps, or once a
+#: sweep moves no coefficient by ``LASSO_TOL`` or more.
+LASSO_MAX_ITER = 500
+LASSO_TOL = 1e-6
 
 
 @dataclass
@@ -85,10 +108,12 @@ class CvResult:
 
 
 def positive_alphas(alphas: Sequence[float]) -> tuple[float, ...]:
-    """The ridge grid as floats; every penalty must be strictly positive."""
+    """A penalty grid as floats: non-empty, every penalty finite and
+    strictly positive (a NaN compares false both ways, so it is tested
+    for explicitly)."""
     alphas = tuple(float(a) for a in alphas)
-    if not alphas or min(alphas) <= 0.0:
-        raise ValueError(f"ridge penalties must be > 0, got {alphas}")
+    if not alphas or not all(math.isfinite(a) and a > 0.0 for a in alphas):
+        raise ValueError(f"penalties must be finite and > 0, got {alphas}")
     return alphas
 
 
@@ -106,8 +131,17 @@ def _column_sums(stack: np.ndarray) -> np.ndarray:
     return np.ones(stack.shape[1]) @ stack
 
 
+def standardize(matrix: np.ndarray) -> np.ndarray:
+    """Columns of a (T, F) matrix at zero mean and unit variance; a
+    constant column (standard deviation ≤ 1e-12) is only centred."""
+    mean = matrix.mean(axis=0)
+    std = matrix.std(axis=0)
+    return (matrix - mean) / np.where(std > 1e-12, std, 1.0)
+
+
 def batched_standardize(stack: np.ndarray) -> np.ndarray:
-    """Per-slice ``StandardScaler().fit_transform`` of a (H, T, F) stack."""
+    """:func:`standardize` of every slice of a (H, T, F) stack, with the
+    column sums as GEMVs (within rounding of it, not bitwise)."""
     n_samples = stack.shape[1]
     centred = stack - (_column_sums(stack) / n_samples)[:, None, :]
     std = np.sqrt(_column_sums(centred * centred) / n_samples)
@@ -117,8 +151,15 @@ def batched_standardize(stack: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ResidualBasis:
-    """The shared-``Z`` half of :func:`batched_residualize`: Z's column
-    means and the shrunk SVD of the centred Z, computed once per Z."""
+    """Residualises stacked targets on one shared design ``Z``: Z's
+    column means and the shrunk SVD of the centred Z, computed once per
+    Z — the shared residual-projection precompute that makes conditional
+    batch scoring cheap.
+
+    Per slice, :meth:`residualize` is bitwise the residual of a ridge
+    fit ``target ~ Z`` through the thin SVD of the centred ``Z``
+    (``residualize`` in ``tests/linmodel/estimators.py``).
+    """
 
     z: np.ndarray
     z_mean: np.ndarray
@@ -149,19 +190,6 @@ class ResidualBasis:
                               for h in range(targets.shape[0])])
         pred = self.z @ coef + intercept[:, None, :]
         return targets - pred
-
-
-def batched_residualize(targets: np.ndarray, z: np.ndarray,
-                        alpha: float) -> np.ndarray:
-    """Residualise H stacked targets on one shared design ``Z``.
-
-    Per-slice bitwise equal to
-    :func:`repro.scoring.conditional.residualize`, but the SVD of the
-    (centred) ``Z`` is computed once for the whole stack — the shared
-    residual-projection precompute that makes conditional batch scoring
-    cheap; a :class:`ResidualBasis` keeps it for many stacks.
-    """
-    return ResidualBasis.of(z, alpha).residualize(targets)
 
 
 def batched_pca_truncate(stack: np.ndarray, d: int) -> np.ndarray:
@@ -302,28 +330,28 @@ def cv_target(y: np.ndarray, n_splits: int = 5,
                     np.stack(rests), np.asarray(tss_b), tss)
 
 
-def signed_cv_r2(x_stack: np.ndarray, y: np.ndarray | CvTarget,
-                 alphas: Sequence[float] = DEFAULT_ALPHAS,
-                 n_splits: int = 5, splitter=None) -> np.ndarray:
-    """Unclipped pooled out-of-fold r², shape ``(len(alphas), H)``.
+@dataclass(frozen=True)
+class FoldStatistics:
+    """What a penalty's solve and its held-out RSS need from X and Y,
+    per fold and design: the training Gram and cross-products, centred
+    on the fold's training means, and the held-out block's own, re-centred
+    on those means."""
 
-    ``1 - RSS/TSS`` pooled over every held-out row, with each fold's
-    *training* mean of Y as the baseline predictor; 0 where Y has no
-    variance.  Negative where a penalty overfits — the NULL density of
-    Figure 13 — which :func:`batched_cross_val_r2` clips.  ``y`` may be
-    a :class:`CvTarget` already prepared (``n_splits`` and ``splitter``
-    are then those it was prepared with).
+    gram: np.ndarray                 # (K, H, F, F)
+    cross: np.ndarray                # (K, H, F, ny)
+    q_b: np.ndarray                  # (K, H, F, F)
+    p_b: np.ndarray                  # (K, H, F, ny)
+    n_train: np.ndarray              # (K,)
 
-    All K folds are solved together: each block's statistics stack into
-    ``(K, H, ...)`` arrays, one ``eigh`` runs over ``(K, H, F, F)``, and
-    the penalties and the RSS broadcast over the fold axis.  Every
-    per-fold slice is computed with the same operands, shapes and
-    strides as a loop over the folds would use, so the result is
-    bitwise that loop's.
+
+def fold_statistics(x_stack: np.ndarray, target: CvTarget) -> FoldStatistics:
+    """The :class:`FoldStatistics` of a (H, T, F) stack against a
+    prepared Y.
+
+    Each block's statistics stack into ``(K, H, ...)`` arrays with the
+    same operands, shapes and strides as a loop over the folds would
+    use, so every fold is bitwise that loop's.
     """
-    alphas = np.asarray(positive_alphas(alphas))
-    target = y if isinstance(y, CvTarget) else cv_target(y, n_splits,
-                                                         splitter)
     x_stack = np.ascontiguousarray(x_stack, dtype=np.float64)
     n_stack, n_samples, n_features = x_stack.shape
     if n_samples != target.partition.n_samples:
@@ -367,15 +395,117 @@ def signed_cv_r2(x_stack: np.ndarray, y: np.ndarray | CvTarget,
            - mx[..., :, None] * (sx_b - n_b * mx)[..., None, :])
     p_b = (cross_b - sx_b[..., None] * my
            - mx[..., None] * target.held_sum[:, None, None, :])
-    lam, vec = np.linalg.eigh(gram)
+    return FoldStatistics(gram, cross, q_b, p_b, target.n_train)
+
+
+def ridge_coefficients(stats: FoldStatistics,
+                       alphas: np.ndarray) -> np.ndarray:
+    """Ridge coefficients ``(C + αI)⁻¹c`` of every fold, penalty and
+    design, shape ``(K, A, H, F, ny)``: one ``eigh`` over ``(K, H, F,
+    F)``, each penalty a diagonal rescale of its eigenbasis."""
+    lam, vec = np.linalg.eigh(stats.gram)
     shrink = 1.0 / (np.maximum(lam, 0.0)[:, None]
                     + alphas[:, None, None])            # (K, A, H, F)
-    coef = vec[:, None] @ (shrink[..., None]
-                           * (np.swapaxes(vec, 2, 3) @ cross)[:, None])
+    return vec[:, None] @ (shrink[..., None]
+                           * (np.swapaxes(vec, 2, 3) @ stats.cross)[:, None])
+
+
+def lasso_coefficients(stats: FoldStatistics,
+                       alphas: np.ndarray) -> np.ndarray:
+    """Lasso coefficients of every fold, penalty, design and Y column,
+    shape ``(K, A, H, F, ny)``.
+
+    Minimises ``‖y − Xβ‖² / (2n) + α‖β‖₁`` over each fold's ``n``
+    centred training rows by cyclical coordinate descent in covariance
+    form: ``g = Xᵀ(y − Xβ)`` is kept per slice and a coordinate's move
+    ``δ`` updates it by ``−G[:, j]·δ``.  Every slice starts from zero,
+    sweeps the coordinates in column order, and stops on its own after
+    the first sweep that moves no coefficient by :data:`LASSO_TOL` or
+    more, or after :data:`LASSO_MAX_ITER` sweeps.  A column constant on
+    the training rows (``G[j, j] / n ≤ 1e-15``) keeps a zero coefficient.
+    """
+    gram, cross = stats.gram, stats.cross
+    n_folds, n_stack, n_features, n_cols = cross.shape
+    grams = gram.reshape(-1, n_features, n_features)       # (K·H, F, F)
+    n_t = np.repeat(stats.n_train, n_stack)                # (K·H,)
+    col_sq = np.diagonal(grams, axis1=1, axis2=2) / n_t[:, None]
+    active = col_sq > 1e-15
+    # A coordinate that never moves must not move the others either.
+    grams = grams * active[:, :, None] * active[:, None, :]
+    g0 = cross.reshape(-1, n_features, n_cols) * active[:, :, None]
+    scale = np.where(active, col_sq, 1.0)
+    # Slices in (fold, penalty, design, Y column) order; coordinate-major
+    # arrays (F, S) make each coordinate's row contiguous.
+    shape = (n_folds, alphas.size, n_stack, n_cols)
+    design = np.broadcast_to(
+        np.arange(n_folds * n_stack).reshape(n_folds, 1, n_stack, 1),
+        shape).ravel()
+    y_col = np.broadcast_to(np.arange(n_cols), shape).ravel()
+    alpha = np.broadcast_to(alphas[:, None, None], shape).ravel()
+    live = np.arange(design.size)
+    n = n_t[design]
+    g = np.ascontiguousarray(g0[design, :, y_col].T)
+    col_sq, scale = col_sq[design].T, scale[design].T
+    gram_cols = np.ascontiguousarray(grams.transpose(2, 1, 0))  # [j]: G[:, j]
+    beta = np.zeros_like(g)
+    out = np.zeros((design.size, n_features))
+    for _ in range(LASSO_MAX_ITER):
+        step = np.zeros(live.size)
+        for j in range(n_features):
+            old = beta[j]
+            rho = g[j] / n + col_sq[j] * old
+            new = np.copysign(np.maximum(np.abs(rho) - alpha, 0.0),
+                              rho) / scale[j]
+            delta = new - old
+            moved = gram_cols[j][:, design]
+            moved *= delta
+            g -= moved
+            beta[j] = new
+            np.maximum(step, np.abs(delta), out=step)
+        done = step < LASSO_TOL
+        if done.any():
+            out[live[done]] = beta[:, done].T
+            keep = ~done
+            live, design, alpha, n = (a[keep] for a in (live, design,
+                                                       alpha, n))
+            g, beta, col_sq, scale = (a[:, keep] for a in (g, beta, col_sq,
+                                                          scale))
+            if not live.size:
+                break
+    out[live] = beta.T
+    return np.ascontiguousarray(
+        out.reshape(shape + (n_features,)).swapaxes(3, 4))
+
+
+def signed_cv_r2(x_stack: np.ndarray, y: np.ndarray | CvTarget,
+                 alphas: Sequence[float] = DEFAULT_ALPHAS,
+                 n_splits: int = 5, splitter=None,
+                 solve: Callable[[FoldStatistics, np.ndarray],
+                                 np.ndarray] = ridge_coefficients
+                 ) -> np.ndarray:
+    """Unclipped pooled out-of-fold r², shape ``(len(alphas), H)``.
+
+    ``1 - RSS/TSS`` pooled over every held-out row, with each fold's
+    *training* mean of Y as the baseline predictor; 0 where Y has no
+    variance.  Negative where a penalty overfits — the NULL density of
+    Figure 13 — which :func:`batched_cross_val_r2` clips.  ``y`` may be
+    a :class:`CvTarget` already prepared (``n_splits`` and ``splitter``
+    are then those it was prepared with).  ``solve`` maps the
+    :func:`fold_statistics` to coefficients: ridge by default, or
+    :func:`lasso_coefficients`.
+
+    All K folds are solved together and the RSS broadcasts over the fold
+    axis, so for ridge the result is bitwise a loop over the folds.
+    """
+    alphas = np.asarray(positive_alphas(alphas))
+    target = y if isinstance(y, CvTarget) else cv_target(y, n_splits,
+                                                         splitter)
+    stats = fold_statistics(x_stack, target)
+    coef = solve(stats, alphas)
     rss = _fold_total(
         target.held_tss[:, None, None]
-        - 2.0 * np.sum(coef * p_b[:, None], axis=(3, 4))
-        + np.sum(coef * (q_b[:, None] @ coef), axis=(3, 4)))
+        - 2.0 * np.sum(coef * stats.p_b[:, None], axis=(3, 4))
+        + np.sum(coef * (stats.q_b[:, None] @ coef), axis=(3, 4)))
     if target.tss <= 1e-12:
         return np.zeros_like(rss)
     return 1.0 - rss / target.tss

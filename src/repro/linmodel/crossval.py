@@ -68,17 +68,3 @@ class ShuffledKFold:
             train = np.concatenate([permutation[:start], permutation[stop:]])
             yield np.sort(train), np.sort(validation)
             start = stop
-
-
-def train_test_split_time(n_samples: int,
-                          test_fraction: float = 0.25
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Single chronological split: the last ``test_fraction`` is held out."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(
-            f"test_fraction must be in (0, 1), got {test_fraction}"
-        )
-    cut = int(round(n_samples * (1.0 - test_fraction)))
-    cut = max(1, min(cut, n_samples - 1))
-    indices = np.arange(n_samples)
-    return indices[:cut], indices[cut:]

@@ -1,58 +1,12 @@
-"""Preprocessing: standardisation and missing-value interpolation.
+"""Preprocessing: missing-value interpolation.
 
 ExplainIt! interpolates missing observations to the closest non-null
-neighbour before scoring (Appendix C) and standardises features so the
-ridge penalty treats all metrics on a comparable scale.
+neighbour before scoring (Appendix C).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-class StandardScaler:
-    """Column-wise zero-mean / unit-variance scaling.
-
-    Constant columns get a scale of 1 (they standardise to zero rather
-    than dividing by zero), which is the safe behaviour for the always-
-    flat metrics common in monitoring data.
-    """
-
-    def __init__(self) -> None:
-        self.mean_: np.ndarray | None = None
-        self.scale_: np.ndarray | None = None
-
-    def fit(self, x: np.ndarray) -> "StandardScaler":
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[:, None]
-        self.mean_ = x.mean(axis=0)
-        std = x.std(axis=0)
-        self.scale_ = np.where(std > 1e-12, std, 1.0)
-        return self
-
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        if self.mean_ is None or self.scale_ is None:
-            raise RuntimeError("call fit() before transform()")
-        x = np.asarray(x, dtype=np.float64)
-        was_1d = x.ndim == 1
-        if was_1d:
-            x = x[:, None]
-        out = (x - self.mean_) / self.scale_
-        return out[:, 0] if was_1d else out
-
-    def fit_transform(self, x: np.ndarray) -> np.ndarray:
-        return self.fit(x).transform(x)
-
-    def inverse_transform(self, x: np.ndarray) -> np.ndarray:
-        if self.mean_ is None or self.scale_ is None:
-            raise RuntimeError("call fit() before inverse_transform()")
-        x = np.asarray(x, dtype=np.float64)
-        was_1d = x.ndim == 1
-        if was_1d:
-            x = x[:, None]
-        out = x * self.scale_ + self.mean_
-        return out[:, 0] if was_1d else out
 
 
 def interpolate_missing(matrix: np.ndarray) -> np.ndarray:

@@ -8,15 +8,19 @@ A scorer maps a hypothesis triple of dense matrices ``(X, Y, Z)`` — shapes
   :class:`~repro.scoring.univariate.CorrMaxScorer` — mean/max absolute
   pairwise Pearson correlation (marginal dependence only).
 - :class:`~repro.scoring.joint.L2Scorer` — cross-validated ridge r²
-  (joint dependence), the paper's ``L2``.
+  (joint dependence), the paper's ``L2``; ``L1Scorer`` is its Lasso
+  variant.
 - :class:`~repro.scoring.projection.ProjectedL2Scorer` — ``L2-P50`` /
   ``L2-P500``: random projection to at most d dimensions first.
 - Conditional scoring (Z non-empty) runs the three-regression residual
-  procedure of §3.5, proved correct for jointly-normal data in Appendix B.
+  procedure of §3.5, proved correct for jointly-normal data in Appendix B:
+  every scorer residualises Y and X on Z through one
+  :class:`~repro.linmodel.batched.ResidualBasis` per target.
 
-:mod:`repro.scoring.significance` implements Appendix A: the Beta null
-distribution of r², Wherry's adjustment, Chebyshev p-values, and the
-Bonferroni / Benjamini-Hochberg multiple-testing corrections.
+:mod:`repro.scoring.significance` implements Appendix A's false-positive
+control: Chebyshev p-values from the variance of the adjusted r² under
+the NULL, and the Bonferroni / Benjamini-Hochberg multiple-testing
+corrections.
 """
 
 from repro.scoring.base import (
@@ -32,14 +36,11 @@ from repro.scoring.projection import (
     ProjectedL2Scorer,
     random_projection,
 )
-from repro.scoring.conditional import conditional_score, residualize
 from repro.scoring.lagged import LaggedScorer, best_lag, lag_matrix
 from repro.scoring.significance import (
     benjamini_hochberg,
     bonferroni,
     p_value_chebyshev,
-    sample_null_r2_ols,
-    sample_null_r2_ridge_cv,
 )
 
 __all__ = [
@@ -55,14 +56,10 @@ __all__ = [
     "PcaL2Scorer",
     "ProjectedL2Scorer",
     "random_projection",
-    "conditional_score",
-    "residualize",
     "LaggedScorer",
     "best_lag",
     "lag_matrix",
     "p_value_chebyshev",
-    "sample_null_r2_ols",
-    "sample_null_r2_ridge_cv",
     "bonferroni",
     "benjamini_hochberg",
 ]

@@ -1,21 +1,20 @@
 """Joint multivariate scoring with penalised regression (the paper's L2).
 
-The score is the cross-validated r² of a ridge regression ``Y ~ X`` —
-"the percentage of variance in Y explained by X on unseen data" — with a
-grid search over the penalty inside contiguous k-fold CV (§3.5).  With a
-non-empty Z the three-regression conditional procedure is used instead.
+The score is the cross-validated r² of a penalised regression ``Y ~ X``
+— "the percentage of variance in Y explained by X on unseen data" — with
+a grid search over the penalty inside contiguous k-fold CV (§3.5).  With
+a non-empty Z the three-regression conditional procedure is used
+instead: Y and every X are residualised on Z first.
 
-``L1Scorer`` is the Lasso variant the paper also experimented with; it is
-slower (no shared factorisation across the penalty path) but yields
-similar rankings, which the ablation benchmark confirms.
-
-``L2Scorer.prepare`` does all the (Y, Z) work once per target — it
-standardises Y and Z, residualises Y on Z, and collects Y's per-block
-cross-validation statistics — and ``score_prepared`` cross-validates
-each shape group of X against it in one Gram-form call.  ``L1Scorer.score_batch`` cannot stack the X-side work
-(coordinate descent shares no factorisation across designs); it
-standardises and residualises Y once per batch and cross-validates each
-X with :func:`~repro.linmodel.model_selection.lasso_cross_val_r2`.
+``L2Scorer`` is ridge, the paper's choice; ``L1Scorer`` is the Lasso
+variant the paper also experimented with.  Both are one scorer over one
+kernel and differ only in the solve: ``prepare`` does all the (Y, Z)
+work once per target — it standardises Y and Z, residualises Y on Z,
+and collects Y's per-block cross-validation statistics — and
+``score_prepared`` cross-validates each shape group of X against it in
+one call of :func:`~repro.linmodel.batched.signed_cv_r2`, which builds
+the fold statistics once and solves them with ridge's stacked ``eigh``
+or L1's stacked coordinate descent.
 """
 
 from __future__ import annotations
@@ -26,28 +25,28 @@ from typing import Sequence
 import numpy as np
 
 from repro.linmodel.batched import (
+    DEFAULT_ALPHAS,
+    RESIDUAL_ALPHA,
     CvTarget,
     ResidualBasis,
     as_stack,
     batched_standardize,
     best_cv_scores,
     cv_target,
+    lasso_coefficients,
     positive_alphas,
+    ridge_coefficients,
     signed_cv_r2,
+    standardize,
 )
-from repro.linmodel.model_selection import lasso_cross_val_r2
-from repro.linmodel.preprocessing import StandardScaler
-from repro.linmodel.ridge import DEFAULT_ALPHAS
 from repro.scoring.base import (
     Scorer,
     ScoringError,
     group_by_shape,
     register_scorer,
-    validate_batch,
     validate_target,
     validate_xs,
 )
-from repro.scoring.conditional import RESIDUAL_ALPHA, residualize
 
 
 @dataclass(frozen=True)
@@ -65,6 +64,7 @@ class L2Scorer(Scorer):
     """Joint ridge-regression scoring (grid-searched, cross-validated)."""
 
     name = "L2"
+    _solve = staticmethod(ridge_coefficients)
 
     def __init__(self, alphas: Sequence[float] = DEFAULT_ALPHAS,
                  n_splits: int = 5, standardize: bool = True) -> None:
@@ -88,9 +88,9 @@ class L2Scorer(Scorer):
                 f"Y has {y_v.shape[0]} rows, fewer than the "
                 f"{self.n_splits} cross-validation folds (n_splits)")
         if self.standardize:
-            y_v = StandardScaler().fit_transform(y_v)
+            y_v = standardize(y_v)
             if z_v is not None:
-                z_v = StandardScaler().fit_transform(z_v)
+                z_v = standardize(z_v)
         z_basis = None
         if z_v is not None:
             z_basis = ResidualBasis.of(z_v, RESIDUAL_ALPHA)
@@ -116,43 +116,22 @@ class L2Scorer(Scorer):
                 stack = batched_standardize(stack)
             if target.z_basis is not None:
                 stack = target.z_basis.residualize(stack)
-            signed = signed_cv_r2(stack, target.cv, self.alphas)
+            signed = signed_cv_r2(stack, target.cv, self.alphas,
+                                  solve=self._solve)
             out[indices] = np.clip(best_cv_scores(signed), 0.0, 1.0)
         return out
 
 
-class L1Scorer(Scorer):
-    """Joint Lasso scoring (penalty ablation variant)."""
+class L1Scorer(L2Scorer):
+    """Joint Lasso scoring (penalty ablation variant): L2's scorer with
+    the coordinate-descent solve, always standardised."""
 
     name = "L1"
+    _solve = staticmethod(lasso_coefficients)
 
     def __init__(self, alphas: Sequence[float] = (0.001, 0.01, 0.1),
                  n_splits: int = 5) -> None:
-        self.alphas = tuple(float(a) for a in alphas)
-        self.n_splits = n_splits
-
-    def score_batch(self, xs: Sequence[np.ndarray], y: np.ndarray,
-                    z: np.ndarray | None = None) -> np.ndarray:
-        """One Lasso CV per hypothesis against a once-prepared Y."""
-        out = np.empty(len(xs))
-        if not len(xs):
-            return out
-        validated, y_v, z_v = validate_batch(xs, y, z)
-        if y_v.shape[0] < self.n_splits:
-            raise ScoringError(
-                f"Y has {y_v.shape[0]} rows, fewer than the "
-                f"{self.n_splits} cross-validation folds (n_splits)")
-        y_v = StandardScaler().fit_transform(y_v)
-        if z_v is not None:
-            z_v = StandardScaler().fit_transform(z_v)
-            y_v = residualize(y_v, z_v)
-        for i, x in enumerate(validated):
-            x_s = StandardScaler().fit_transform(x)
-            if z_v is not None:
-                x_s = residualize(x_s, z_v)
-            result = lasso_cross_val_r2(x_s, y_v, self.alphas, self.n_splits)
-            out[i] = float(np.clip(result.best_score, 0.0, 1.0))
-        return out
+        super().__init__(alphas, n_splits)
 
 
 register_scorer("L2", L2Scorer)

@@ -34,8 +34,11 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.linmodel.batched import as_stack, batched_pca_truncate
-from repro.linmodel.ridge import DEFAULT_ALPHAS
+from repro.linmodel.batched import (
+    DEFAULT_ALPHAS,
+    as_stack,
+    batched_pca_truncate,
+)
 from repro.scoring.base import (
     Scorer,
     Target,

@@ -8,10 +8,10 @@ observed score into a conservative p-value
     P(r²_adj >= s) <= 2(p-1) / ((n-p)(n-1) s²),
 
 and Bonferroni / Benjamini-Hochberg corrections account for the engine
-scoring thousands of hypotheses simultaneously.  The sampling helpers
-regenerate Figures 12 and 13; the Beta law itself lives beside them in
-``benchmarks/bench_figure12_13_null.py``, so scipy stays off the
-engine's import path.
+scoring thousands of hypotheses simultaneously.  The Beta law itself,
+Wherry's adjustment of one r², and the samplers that regenerate Figures
+12 and 13 live in ``benchmarks/bench_figure12_13_null.py``, their one
+user, so scipy stays off the engine's import path.
 """
 
 from __future__ import annotations
@@ -19,10 +19,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-
-from repro.linmodel.batched import signed_cv_r2
-from repro.linmodel.linear import LinearRegression
-from repro.linmodel.metrics import adjusted_r2, r2_score
 
 
 def var_adjusted_r2(n_samples: int, n_predictors: int) -> float:
@@ -72,41 +68,3 @@ def benjamini_hochberg(p_values: Sequence[float],
         cutoff = int(np.max(np.nonzero(passed)[0]))
         mask[order[: cutoff + 1]] = True
     return mask
-
-
-def sample_null_r2_ols(n_samples: int, n_predictors: int, n_draws: int,
-                       seed: int = 0, adjusted: bool = False) -> np.ndarray:
-    """Empirical NULL r² (or r²_adj) draws for OLS — Figure 12's data."""
-    rng = np.random.default_rng(seed)
-    out = np.empty(n_draws)
-    for i in range(n_draws):
-        x = rng.standard_normal((n_samples, n_predictors))
-        y = rng.standard_normal(n_samples)
-        model = LinearRegression().fit(x, y)
-        r2 = r2_score(y, model.predict(x))
-        out[i] = adjusted_r2(r2, n_samples, n_predictors) if adjusted else r2
-    return out
-
-
-def sample_null_r2_ridge_cv(n_samples: int, n_predictors: int, n_draws: int,
-                            alphas: Sequence[float] = (0.1, 1e2, 1e4, 1e6),
-                            seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical NULL cross-validated ridge r² — Figure 13's data.
-
-    Returns ``(scores, chosen_alphas)``.  With CV-selected λ the score
-    concentrates near 0 with small variance, behaving like OLS r²_adj;
-    the bimodality the paper observed arises when different draws select
-    different λ values.  Scores are the signed pooled r² (no clipping at
-    0) so the NULL density around zero is visible, as in the paper's
-    figure; ties between penalties go to the heavier one.
-    """
-    rng = np.random.default_rng(seed)
-    scores = np.empty(n_draws)
-    chosen = np.empty(n_draws)
-    for i in range(n_draws):
-        x = rng.standard_normal((n_samples, n_predictors))
-        y = rng.standard_normal(n_samples)
-        by_alpha = dict(zip(alphas, signed_cv_r2(x[None], y, alphas)[:, 0]))
-        chosen[i] = max(by_alpha, key=lambda a: (by_alpha[a], a))
-        scores[i] = by_alpha[chosen[i]]
-    return scores, chosen

@@ -10,9 +10,10 @@ to the unified conditional mechanism: X and Y are first residualised on Z
 and the correlations are computed between the residuals (which for a
 single pair is exactly the partial correlation).
 
-``score_batch`` centres/normalises Y once per batch, projects the whole
-batch of X matrices through one shared SVD of Z when conditioning, and
-computes all cross-correlation matrices as stacked 3-D matmuls.
+``score_batch`` centres/normalises Y once per batch, residualises Y and
+the whole batch of X matrices through one shared SVD of Z when
+conditioning, and computes all cross-correlation matrices as stacked 3-D
+matmuls.
 """
 
 from __future__ import annotations
@@ -21,14 +22,13 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.linmodel.batched import as_stack, batched_residualize
+from repro.linmodel.batched import RESIDUAL_ALPHA, ResidualBasis, as_stack
 from repro.scoring.base import (
     Scorer,
     group_by_shape,
     register_scorer,
     validate_batch,
 )
-from repro.scoring.conditional import RESIDUAL_ALPHA, residualize
 
 
 def correlation_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -70,14 +70,16 @@ class _CorrScorer(Scorer):
         if not len(xs):
             return out
         validated, y_v, z_v = validate_batch(xs, y, z)
+        z_basis = None
         if z_v is not None:
-            y_v = residualize(y_v, z_v)
+            z_basis = ResidualBasis.of(z_v, RESIDUAL_ALPHA)
+            y_v = z_basis.residualize(y_v[None])[0]
         yc = y_v - y_v.mean(axis=0)
         y_norm = np.sqrt(np.einsum("ij,ij->j", yc, yc))
         for _, indices in group_by_shape(validated).items():
             stack = as_stack([validated[i] for i in indices])
-            if z_v is not None:
-                stack = batched_residualize(stack, z_v, RESIDUAL_ALPHA)
+            if z_basis is not None:
+                stack = z_basis.residualize(stack)
             xc = stack - stack.mean(axis=1)[:, None, :]
             x_norm = np.sqrt(np.einsum("hij,hij->hj", xc, xc))
             denom = x_norm[:, :, None] * y_norm[None, None, :]

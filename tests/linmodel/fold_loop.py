@@ -14,9 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.linmodel.batched import positive_alphas
+from repro.linmodel.batched import DEFAULT_ALPHAS, positive_alphas
 from repro.linmodel.crossval import TimeSeriesKFold
-from repro.linmodel.ridge import DEFAULT_ALPHAS
 
 
 def _column_sums(stack: np.ndarray) -> np.ndarray:

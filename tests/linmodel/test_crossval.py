@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.linmodel import TimeSeriesKFold, train_test_split_time
-from repro.linmodel.crossval import ShuffledKFold
+from repro.linmodel.crossval import ShuffledKFold, TimeSeriesKFold
 
 
 class TestTimeSeriesKFold:
@@ -54,18 +53,3 @@ class TestShuffledKFold:
             for _, v in ShuffledKFold(4, seed=0).split(40)
         )
         assert not contiguous
-
-
-class TestTrainTestSplitTime:
-    def test_chronological(self):
-        train, test = train_test_split_time(100, 0.25)
-        assert train.tolist() == list(range(75))
-        assert test.tolist() == list(range(75, 100))
-
-    def test_extremes_clamped(self):
-        train, test = train_test_split_time(2, 0.99)
-        assert len(train) >= 1 and len(test) >= 1
-
-    def test_bad_fraction(self):
-        with pytest.raises(ValueError):
-            train_test_split_time(10, 1.5)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.linmodel import Lasso, LinearRegression
+from tests.linmodel.estimators import Lasso, LinearRegression
 
 
 class TestLasso:

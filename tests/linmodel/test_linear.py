@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.linmodel import LinearRegression
-from repro.linmodel.linear import NotFittedError
+from tests.linmodel.estimators import LinearRegression, NotFittedError
 
 
 class TestFit:

@@ -4,8 +4,12 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.linmodel import LinearRegression, Ridge, StandardScaler
-from repro.linmodel.metrics import r2_score
+from tests.linmodel.estimators import (
+    LinearRegression,
+    Ridge,
+    StandardScaler,
+    r2_score,
+)
 
 matrix_strategy = arrays(
     np.float64, shape=st.tuples(st.integers(12, 40), st.integers(1, 5)),

@@ -1,10 +1,19 @@
-"""Unit tests for regression metrics."""
+"""Unit tests for the r² oracle and for Wherry's adjustment.
+
+``adjusted_r2`` lives beside its one user, the Figure 12 bench, and is
+loaded from it by path.
+"""
 
 import numpy as np
 import pytest
 
-from repro.linmodel import explained_variance, mse, r2_score
-from repro.linmodel.metrics import adjusted_r2
+from tests.bench_modules import load_bench_module
+from tests.linmodel.estimators import r2_score
+
+
+def adjusted_r2(r2, n_samples, n_predictors):
+    return load_bench_module("bench_figure12_13_null.py").adjusted_r2(
+        r2, n_samples, n_predictors)
 
 
 class TestR2:
@@ -45,20 +54,7 @@ class TestR2:
             r2_score(np.zeros(3), np.zeros(4))
 
 
-class TestMse:
-    def test_basic(self):
-        assert mse(np.array([1.0, 2.0]), np.array([2.0, 4.0])) == 2.5
-
-    def test_zero_for_perfect(self):
-        y = np.arange(5.0)
-        assert mse(y, y) == 0.0
-
-
 class TestExplainedVariance:
-    def test_offset_insensitive(self):
-        y = np.arange(10.0)
-        assert explained_variance(y, y + 100.0) == pytest.approx(1.0)
-
     def test_r2_penalises_offset(self):
         y = np.arange(10.0)
         assert r2_score(y, y + 100.0) < 0.0

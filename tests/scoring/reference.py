@@ -3,15 +3,16 @@
 Until the stacked ``score_batch`` kernels became the only implementation
 in ``src/``, every built-in scorer also carried a hand-written 2-D
 ``score(x, y, z)`` and ``rank_families`` scored hypotheses one at a time
-in-line.  Those bodies live on here, verbatim, composed from the public
-2-D ``linmodel`` / ``scoring.conditional`` functions: one hypothesis at
-a time, no stacking, nothing shared across hypotheses.
+in-line.  Those bodies live on here, verbatim, composed from the 2-D
+row-space estimators of ``tests/linmodel/estimators.py``: one
+hypothesis at a time, no stacking, nothing shared across hypotheses.
 
 - :func:`reference_cross_val_r2` is the per-fold SVD cross-validation
   that ``src/`` replaced with the Gram form; ``ReferenceL2`` uses it in
-  both branches, so the oracle shares no CV code with ``src/``.
+  both branches, and ``ReferenceL1`` fits one row-space ``Lasso`` per
+  fold and penalty, so neither oracle shares CV code with ``src/``.
   :func:`assert_matches_oracle` is the one parity contract for scores
-  that pass through it (|Δscore| ≤ 1e-9, same ``best_alpha``, same
+  that pass through either (|Δscore| ≤ 1e-9, same ``best_alpha``, same
   order wherever the oracle separates two scores).  Every other
   reference is compared bit for bit.
 
@@ -31,13 +32,9 @@ import numpy as np
 
 from repro.core.autoselect import AutoScorer
 from repro.core.ranking import RankedFamily, ScoreTable, ranking_sort_key
+from repro.linmodel.batched import DEFAULT_ALPHAS, CvResult
 from repro.linmodel.crossval import TimeSeriesKFold
-from repro.linmodel.lasso import Lasso
-from repro.linmodel.model_selection import CvResult
-from repro.linmodel.preprocessing import StandardScaler
-from repro.linmodel.ridge import DEFAULT_ALPHAS, RidgeSvdFactor
 from repro.scoring.base import Scorer, get_scorer, validate_triple
-from repro.scoring.conditional import residualize
 from repro.scoring.joint import L1Scorer, L2Scorer
 from repro.scoring.lagged import LaggedScorer, lag_matrix
 from repro.scoring.projection import (
@@ -51,9 +48,16 @@ from repro.scoring.significance import (
     p_value_chebyshev,
 )
 from repro.scoring.univariate import _CorrScorer, correlation_matrix
+from tests.linmodel.estimators import (
+    Lasso,
+    RidgeSvdFactor,
+    StandardScaler,
+    residualize,
+)
 
 
-#: Largest |Δscore| allowed between a Gram-form score and the SVD oracle.
+#: Largest |Δscore| allowed between a Gram-form score and its row-space
+#: oracle.
 SCORE_TOLERANCE = 1e-9
 
 
@@ -117,7 +121,8 @@ def _keyed_scores(value):
 
 
 def assert_matches_oracle(actual, expected):
-    """The parity contract between a Gram-form result and the SVD oracle.
+    """The parity contract between a Gram-form result and its row-space
+    oracle (the per-fold SVD for ridge, the per-fold ``Lasso`` for L1).
 
     ``actual`` / ``expected`` are a :class:`CvResult`, a Score Table, a
     ``{name: score}`` mapping, or a float or array of floats.  Every
@@ -295,10 +300,10 @@ def reference_for(scorer):
     """The sequential reference of a production scorer (or its name)."""
     if isinstance(scorer, str):
         scorer = get_scorer(scorer)
-    if isinstance(scorer, L2Scorer):
-        return ReferenceL2(scorer.alphas, scorer.n_splits, scorer.standardize)
     if isinstance(scorer, L1Scorer):
         return ReferenceL1(scorer.alphas, scorer.n_splits)
+    if isinstance(scorer, L2Scorer):
+        return ReferenceL2(scorer.alphas, scorer.n_splits, scorer.standardize)
     if isinstance(scorer, _CorrScorer):
         return ReferenceCorr(scorer._mode)
     if isinstance(scorer, LaggedScorer):

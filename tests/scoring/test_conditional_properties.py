@@ -3,14 +3,16 @@
 Appendix B proves: for jointly multivariate-normal (X, Y, Z) with OLS
 regressions, the residual cross-covariance equals Σxy − Σxz Σzz⁻¹ Σzy,
 and the score is zero iff X ⊥ Y | Z.  These tests generate structured
-Gaussian systems and check both directions.
+Gaussian systems and check both directions, for the row-space oracle
+``conditional_score`` and for the stacked scorers that replaced it.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.scoring.conditional import (
+from repro.scoring import L1Scorer, L2Scorer
+from tests.linmodel.estimators import (
     conditional_score,
     residual_cross_covariance,
     residualize,
@@ -53,27 +55,38 @@ class TestResidualCrossCovariance:
         assert np.abs(cov).max() < 0.05
 
 
-class TestConditionalScore:
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=10, deadline=None)
-    def test_conditional_independence_scores_near_zero(self, seed):
-        x, y, z = _chain_data(600, seed)
-        assert conditional_score(x, y, z) < 0.1
+#: The three-regression score: the oracle, and the stacked ridge and
+#: Lasso scorers.
+CONDITIONAL_SCORES = {
+    "oracle": conditional_score,
+    "l2": L2Scorer(standardize=False).score,
+    "l1": L1Scorer().score,
+}
 
-    @given(st.integers(0, 10_000))
+
+@pytest.mark.parametrize("score", CONDITIONAL_SCORES.values(),
+                         ids=CONDITIONAL_SCORES.keys())
+class TestConditionalScore:
+    @given(seed=st.integers(0, 10_000))
     @settings(max_examples=10, deadline=None)
-    def test_direct_edge_survives_conditioning(self, seed):
+    def test_conditional_independence_scores_near_zero(self, seed, score):
+        x, y, z = _chain_data(600, seed)
+        assert score(x, y, z) < 0.1
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=10, deadline=None)
+    def test_direct_edge_survives_conditioning(self, seed, score):
         """X -> Y directly, Z an independent variable: score stays high."""
         rng = np.random.default_rng(seed)
         n = 500
         x = rng.standard_normal((n, 1))
         y = x + 0.3 * rng.standard_normal((n, 1))
         z = rng.standard_normal((n, 1))
-        assert conditional_score(x, y, z) > 0.5
+        assert score(x, y, z) > 0.5
 
-    @given(st.integers(0, 10_000))
+    @given(seed=st.integers(0, 10_000))
     @settings(max_examples=10, deadline=None)
-    def test_collider_conditioning_opens_path(self, seed):
+    def test_collider_conditioning_opens_path(self, seed, score):
         """X -> Z <- Y: X ⊥ Y marginally, but NOT given the collider Z.
 
         This is the subtle causal structure of §3.1 — conditioning on a
@@ -85,8 +98,8 @@ class TestConditionalScore:
         y = rng.standard_normal((n, 1))
         z_collider = x + y + 0.2 * rng.standard_normal((n, 1))
         z_unrelated = rng.standard_normal((n, 1))
-        blocked = conditional_score(x, y, z_unrelated)
-        opened = conditional_score(x, y, z_collider)
+        blocked = score(x, y, z_unrelated)
+        opened = score(x, y, z_collider)
         assert blocked < 0.1
         assert opened > 0.3
 

@@ -105,7 +105,7 @@ class TestLaggedBatchPath:
         assert scorer.score_batch(xs, y).tolist() == expected
         assert [scorer.score(x, y) for x in xs] == expected
 
-    def test_inner_that_cannot_stack_still_scores(self, rng):
+    def test_lasso_inner_matches_its_oracle(self, rng):
         from repro.scoring.joint import L1Scorer
         scorer = LaggedScorer(lags=(0, 1), inner=L1Scorer())
         reference = reference_for(scorer)
@@ -113,7 +113,7 @@ class TestLaggedBatchPath:
         xs = [rng.standard_normal((50, 2)) for _ in range(3)]
         batch = scorer.score_batch(xs, y)
         sequential = np.array([reference.score(x, y) for x in xs])
-        assert np.array_equal(batch, sequential)
+        assert_matches_oracle(batch, sequential)
 
     def test_empty_batch(self):
         assert LaggedScorer().score_batch([], np.zeros((5, 1))).size == 0

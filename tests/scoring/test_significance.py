@@ -1,9 +1,10 @@
 """Unit tests for Appendix A: null distributions and corrections.
 
-The Beta law of the NULL r² lives beside the Figure 12/13 bench (it is
-the only caller, and its scipy import stays off the engine's import
-path), so these tests load ``benchmarks/bench_figure12_13_null.py`` by
-path: the benchmark tree is not an importable package.
+The Beta law of the NULL r² and the NULL samplers live beside the
+Figure 12/13 bench (it is their only caller, and its scipy import stays
+off the engine's import path), so these tests load
+``benchmarks/bench_figure12_13_null.py`` by path: the benchmark tree is
+not an importable package.
 """
 
 import numpy as np
@@ -13,47 +14,46 @@ from repro.scoring import (
     benjamini_hochberg,
     bonferroni,
     p_value_chebyshev,
-    sample_null_r2_ols,
-    sample_null_r2_ridge_cv,
 )
 from repro.scoring.significance import var_adjusted_r2
 from tests.bench_modules import load_bench_module
 
-def null_r2_distribution(n_samples: int, n_predictors: int):
-    return load_bench_module("bench_figure12_13_null.py").null_r2_distribution(
-        n_samples, n_predictors)
+
+def null_bench():
+    """The module ``benchmarks/bench_figure12_13_null.py``."""
+    return load_bench_module("bench_figure12_13_null.py")
 
 
 class TestNullDistribution:
     def test_beta_mean_formula(self):
         """E[r²] = (p-1)/(n-1) under the NULL (Appendix A.1)."""
-        dist = null_r2_distribution(1000, 500)
+        dist = null_bench().null_r2_distribution(1000, 500)
         assert dist.mean() == pytest.approx(499 / 999, abs=1e-9)
 
     def test_mean_tends_to_one_as_p_approaches_n(self):
-        low = null_r2_distribution(1000, 10).mean()
-        high = null_r2_distribution(1000, 990).mean()
+        low = null_bench().null_r2_distribution(1000, 10).mean()
+        high = null_bench().null_r2_distribution(1000, 990).mean()
         assert high > 0.9 > 0.1 > low
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            null_r2_distribution(10, 10)
+            null_bench().null_r2_distribution(10, 10)
         with pytest.raises(ValueError):
-            null_r2_distribution(10, 1)
+            null_bench().null_r2_distribution(10, 1)
 
     def test_empirical_ols_matches_beta(self):
         """Figure 12: simulated OLS r² draws follow the Beta law."""
         n, p = 200, 50
-        draws = sample_null_r2_ols(n, p, n_draws=60, seed=1)
-        dist = null_r2_distribution(n, p)
+        draws = null_bench().sample_null_r2_ols(n, p, n_draws=60, seed=1)
+        dist = null_bench().null_r2_distribution(n, p)
         assert draws.mean() == pytest.approx(dist.mean(), abs=0.03)
         # Two-sided coverage: most draws within the central 99% band.
         lo, hi = dist.ppf(0.005), dist.ppf(0.995)
         assert np.mean((draws >= lo) & (draws <= hi)) > 0.9
 
     def test_adjusted_draws_centred_at_zero(self):
-        draws = sample_null_r2_ols(200, 50, n_draws=60, seed=2,
-                                   adjusted=True)
+        draws = null_bench().sample_null_r2_ols(200, 50, n_draws=60, seed=2,
+                                                adjusted=True)
         assert abs(draws.mean()) < 0.05
 
 
@@ -109,18 +109,20 @@ class TestCorrections:
 class TestRidgeNull:
     def test_cv_ridge_null_concentrates_near_zero(self):
         """Figure 13: cross-validated λ keeps the NULL score near 0."""
-        scores, chosen = sample_null_r2_ridge_cv(
+        scores, chosen = null_bench().sample_null_r2_ridge_cv(
             150, 60, n_draws=8, seed=0)
         assert np.mean(scores) < 0.1
         assert np.all(chosen >= 0.1)
 
     def test_cv_prefers_large_lambda_under_null(self):
-        _, chosen = sample_null_r2_ridge_cv(150, 60, n_draws=8, seed=1)
+        _, chosen = null_bench().sample_null_r2_ridge_cv(150, 60, n_draws=8,
+                                                         seed=1)
         assert np.median(chosen) >= 1e2
 
     def test_null_density_keeps_its_sign(self):
         """Figure 13 plots the signed pooled score: a penalty that
         overfits the NULL scores below 0 instead of being clipped to 0."""
-        scores, _ = sample_null_r2_ridge_cv(150, 60, n_draws=40, seed=8)
+        scores, _ = null_bench().sample_null_r2_ridge_cv(150, 60, n_draws=40,
+                                                         seed=8)
         assert scores.min() < 0.0
         assert np.mean(scores == 0.0) < 0.5

@@ -30,6 +30,14 @@ class TestFaultInjectionScenario:
         rank = table.rank_of("tcp_retransmits")
         assert rank is not None and rank <= 6
 
+    def test_l1_top_five(self, scenario):
+        """The Lasso ranking of Table 3's families, pinned to the order
+        the row-space coordinate descent gave before L1 was stacked."""
+        table = scenario.session().explain(scorer="L1")
+        assert [r.family for r in table.results[:5]] == [
+            "pipeline_latency", "hdfs_save_time", "pipeline_input_rate",
+            "namenode_rpc_rate", "disk_write_latency"]
+
     def test_runtime_spike_visible(self, scenario):
         """Figure 5's shape: the fault window dominates the runtime."""
         start, end = scenario.fault_window
