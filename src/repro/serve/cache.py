@@ -9,13 +9,21 @@ tokenise identically — modulo whitespace, keyword case and comments —
 share one entry.  The normalised text is rebuilt *from the token
 stream*, so it parses to exactly the AST of the original
 (property-tested); no semantic guessing is involved.
+
+A request is lexed once (:func:`lex_query`): the same tokens give the
+key and are what the server parses, and repeated text (a dashboard's
+panels) skips the lexer altogether.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 
 from repro.sql.lexer import KEYWORDS, Token, tokenize
+
+#: Distinct statement texts :func:`lex_query` remembers.
+LEXED_TEXTS = 256
 
 _PLAIN_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -54,7 +62,16 @@ def normalize_query(sql: str) -> str:
     :class:`~repro.sql.errors.ParseError` on input the lexer rejects
     (the server lets that propagate like any bad query).
     """
-    tokens = [t for t in tokenize(sql) if t.kind != "EOF"]
+    return lex_query(sql)[0]
+
+
+@functools.lru_cache(maxsize=LEXED_TEXTS)
+def lex_query(sql: str) -> tuple[str, tuple[Token, ...]]:
+    """``(normalize_query(sql), tokens)`` from one pass of the lexer —
+    the tokens, EOF included, are what
+    :func:`~repro.sql.parser.parse_tokens` takes — remembered for the
+    :data:`LEXED_TEXTS` texts asked most recently."""
+    tokens = tuple(tokenize(sql))
     return " ".join(
-        _render_token(token, tokens[i + 1] if i + 1 < len(tokens) else None)
-        for i, token in enumerate(tokens))
+        _render_token(token, tokens[i + 1] if i + 2 < len(tokens) else None)
+        for i, token in enumerate(tokens[:-1])), tokens

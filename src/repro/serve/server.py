@@ -6,8 +6,10 @@ dominated by *repeat* SQL / ``explain`` / ``drill_down`` requests
 against a store whose version moves much more slowly than requests
 arrive.  ``QueryServer`` is the long-lived front end for that workload:
 
-- a **worker pool** (threads; the hot paths — columnar SQL, stacked
-  numpy scoring — release the GIL) executes requests concurrently;
+- synchronous requests (``sql``, ``query``, ``explain``,
+  ``drill_down``) run on the caller's thread, and a **worker pool**
+  (threads; the hot paths — columnar SQL, stacked numpy scoring —
+  release the GIL) executes the ``submit_*`` ones concurrently;
 - every request is served against a **pinned snapshot**: the store
   version observed at request start selects a per-version
   :class:`_VersionState` holding a frozen snapshot, a
@@ -23,8 +25,10 @@ arrive.  ``QueryServer`` is the long-lived front end for that workload:
   asks first;
 - a bounded **result cache** — a
   :class:`~repro.versioned.VersionedCache` keyed on the normalized
-  query or the explain shape — returns the identical result object for
-  repeat requests.  A SQL result records the series its scans read
+  query (:func:`~repro.serve.cache.lex_query`: the tokens the key is
+  rendered from are the ones parsed) or the explain shape — returns the
+  identical result object for repeat requests.  A SQL result records
+  the series its scans read
   (:meth:`~repro.sql.Database.sql_with_reads`: the pruned scans'
   series filters, or everything for a full-table read); an explain
   result reads everything.  The first request to observe a newer
@@ -55,7 +59,7 @@ from typing import Any, Hashable, Iterable, Sequence
 
 from repro.core.explain import ExplainCore, _Generation, shareable
 from repro.core.ranking import DEFAULT_TOP_K, ScoreTable
-from repro.serve.cache import normalize_query
+from repro.serve.cache import lex_query
 from repro.sql.catalog import Database
 from repro.sql.table import Table
 from repro.tsdb.adapter import register_store
@@ -78,8 +82,9 @@ class ServedResult:
     pinned read view the request ran against (holding it keeps that
     version's bytes reachable, which the parity tests use to re-verify
     mid-ingest answers after quiesce).  ``cached`` marks a result-cache
-    hit; ``seconds`` is the serving wall time including queueing inside
-    the worker pool.
+    hit; ``seconds`` is the serving wall time: from the call for a
+    synchronous request, from the submission (so including queueing in
+    the worker pool) for a ``submit_*`` one.
     """
 
     kind: str                    # "sql" | "explain" | "drill_down"
@@ -124,7 +129,8 @@ class QueryServer:
         ``StoreView``).  Snapshots pin each request to the
         version observed at its start.
     n_workers:
-        Size of the request worker pool (threads).
+        Size of the worker pool (threads) that runs ``submit_*``
+        requests; synchronous requests run on the caller's thread.
     cache_entries:
         Bound of the version-keyed result cache.
     group_by:
@@ -151,6 +157,9 @@ class QueryServer:
         self._states: dict[Any, _VersionState] = {}
         self._state_lock = threading.Lock()
         self._closed = False
+        #: Synchronous requests in flight, which ``close`` waits for.
+        self._running = 0
+        self._idle = threading.Condition(threading.Lock())
         self._requests = {"sql": 0, "explain": 0, "drill_down": 0}
         self._started = time.monotonic()
 
@@ -158,11 +167,15 @@ class QueryServer:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Drain the worker pool and drop every per-version state."""
-        if self._closed:
-            return
-        self._closed = True
+        """Drain the worker pool, wait for the synchronous requests in
+        flight, and drop every per-version state."""
+        with self._idle:
+            if self._closed:
+                return
+            self._closed = True
         self._pool.shutdown(wait=True)
+        with self._idle:
+            self._idle.wait_for(lambda: not self._running)
         with self._state_lock:
             self._states.clear()
         self._core.clear()
@@ -183,7 +196,7 @@ class QueryServer:
 
     def query(self, query: str) -> ServedResult:
         """Like :meth:`sql`, returning the full serving metadata."""
-        return self.submit_sql(query).result()
+        return self._direct(self._run_sql, query)
 
     def submit_sql(self, query: str) -> "Future[ServedResult]":
         """Enqueue a SQL request on the worker pool."""
@@ -197,9 +210,10 @@ class QueryServer:
                 exclude: Iterable[str] = (),
                 top_k: int = DEFAULT_TOP_K) -> ScoreTable:
         """Rank candidate causes for ``target`` (Algorithm 1, served)."""
-        return self.submit_explain(
-            target, scorer=scorer, condition=condition, search=search,
-            exclude=exclude, top_k=top_k).result().value
+        return self._direct(
+            self._run_explain, "explain", target, scorer, condition,
+            None if search is None else tuple(search), tuple(exclude),
+            top_k).value
 
     def submit_explain(self, target: str, scorer: Any = "L2-P50",
                        condition: Any = None,
@@ -218,9 +232,9 @@ class QueryServer:
                    scorer: Any = "L2-P50",
                    top_k: int = DEFAULT_TOP_K) -> ScoreTable:
         """Re-rank within a narrowed search space (the §5.4 workflow)."""
-        return self.submit_explain(
-            target, scorer=scorer, search=families, top_k=top_k,
-            kind="drill_down").result().value
+        return self._direct(
+            self._run_explain, "drill_down", target, scorer, None,
+            tuple(families), (), top_k).value
 
     # ------------------------------------------------------------------
     # Introspection
@@ -249,8 +263,23 @@ class QueryServer:
         if self._closed:
             raise RuntimeError("QueryServer is closed")
 
+    def _direct(self, body, *args) -> ServedResult:
+        """Run a request body on the caller's thread; ``close`` waits
+        for it."""
+        started = time.perf_counter()
+        with self._idle:
+            self._check_open()
+            self._running += 1
+        try:
+            return body(*args, started)
+        finally:
+            with self._idle:
+                self._running -= 1
+                if not self._running:
+                    self._idle.notify_all()
+
     def _count(self, kind: str) -> None:
-        # Request bodies run on pool threads, and ``+=`` on a dict slot
+        # Request bodies run on several threads, and ``+=`` on a dict slot
         # is a read-modify-write that nothing makes atomic.
         with self._state_lock:
             self._requests[kind] += 1
@@ -271,7 +300,7 @@ class QueryServer:
                         del self._states[old]
         return state
 
-    # -- request bodies (run on the worker pool) ------------------------
+    # -- request bodies (on the caller's thread or the worker pool) -----
     def _serve(self, kind: str, key: Hashable | None, started: float,
                compute) -> ServedResult:
         """Pin a version, answer from the result cache or ``compute(state)``,
@@ -296,8 +325,10 @@ class QueryServer:
 
     def _run_sql(self, query: str, started: float) -> ServedResult:
         self._count("sql")
-        return self._serve("sql", ("sql", normalize_query(query)), started,
-                           lambda state: state.db.sql_with_reads(query))
+        key, tokens = lex_query(query)
+        return self._serve("sql", ("sql", key), started,
+                           lambda state: state.db.sql_with_reads(query,
+                                                                 tokens))
 
     def _run_explain(self, kind: str, target: str, scorer: Any,
                      condition: Any, search: tuple | None, exclude: tuple,

@@ -16,13 +16,14 @@ match.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.sql.errors import SchemaError
 from repro.sql.executor import Executor
+from repro.sql.lexer import Token
 from repro.sql.nodes import Node
 from repro.sql.optimizer import optimize
-from repro.sql.parser import parse
+from repro.sql.parser import parse, parse_tokens
 from repro.sql.planner import Plan, Planner
 from repro.sql.scan import ScanPredicate, ScanReport
 from repro.sql.table import Table
@@ -107,11 +108,15 @@ class Database:
         """A versioned provider that can additionally *scan*.
 
         ``scan_fn(predicate)`` returns a pruned ``(table, report)`` pair
-        — any superset of the rows matching the predicate, in the same
-        order the full table presents them (the executor re-applies the
-        full WHERE) — keyed on ``version_fn()`` like the full
-        materialisation.  ``stats_fn`` fed the former cardinality
-        estimator; it is accepted and never called.
+        — any superset of the rows matching the predicate, exact for the
+        constraints ``report.exact`` names (the columnar executor
+        re-applies only the WHERE conjuncts those do not imply, the row
+        executor the full WHERE), in the order the full table presents
+        them, or clustered by ``predicate.group_by`` when
+        ``report.groups`` says so — keyed on ``version_fn()`` like the
+        full materialisation.  A provider that reports neither gets the
+        full WHERE and its own grouping.  ``stats_fn`` fed the former
+        cardinality estimator; it is accepted and never called.
         """
         self._tables.pop(name.lower(), None)
         self._sources[name.lower()] = _Source(provider, version_fn, scan_fn)
@@ -160,10 +165,15 @@ class Database:
         Results are cached per predicate in a small LRU *per source*,
         so repeated dashboard queries skip the scan entirely; a scan
         that observes a newer version drops the superseded entries.
+        A grouped scan (``predicate.group_by``) is not cached: its rows
+        are a copy clustered for one aggregate, beside the provider's
+        own clustered layout.
         """
         source = self._sources.get(name.lower())
         if source is None or source.scan_fn is None:
             return None
+        if predicate.group_by:
+            return source.scan_fn(predicate)
         return source.scans.get_or_build(
             predicate, source.version_fn(),
             lambda: source.scan_fn(predicate))
@@ -186,16 +196,19 @@ class Database:
         """Parse, optimise, plan and execute one SQL statement."""
         return self.sql_with_reads(query)[0]
 
-    def sql_with_reads(self, query: str) -> tuple[Table, frozenset | None]:
+    def sql_with_reads(self, query: str, tokens: Sequence[Token] | None = None
+                       ) -> tuple[Table, frozenset | None]:
         """:meth:`sql`, and what the statement read of the catalog.
 
         The reads are the union of its pruned scans' series filters
         (:attr:`ScanReport.reads`), or ``None`` when any read took a
         whole table or a scan pruned no series — what a cache of the
         result must be swept by.  They are the call's own: concurrent
-        requests share one Database.
+        requests share one Database.  ``tokens``, when given, are
+        ``query``'s (:func:`~repro.sql.lexer.tokenize`), and are parsed
+        instead of lexing it again.
         """
-        stmt = parse(query)
+        stmt = parse(query) if tokens is None else parse_tokens(tokens)
         if self._optimize:
             stmt = optimize(stmt)
         return self._execute(stmt)

@@ -116,6 +116,7 @@ from repro.sql.semantics import (
     sql_cast,
     sql_compare,
 )
+from repro.sql.scan import ScanGroups
 from repro.sql.table import DictColumn, Table, _column_cells, _hashable_row
 
 
@@ -1138,9 +1139,10 @@ def try_filter(relation, where: Node):
     """Vectorize a WHERE clause; returns a filtered relation or None.
 
     Rows are kept where the compiled predicate is *true* (NULL and false
-    both drop the row, per SQL).  On any ineligible construct — or a
-    schema/type error, which the row path must surface (or legitimately
-    avoid via short-circuiting) — returns None.
+    both drop the row, per SQL); a grouped scan's rows stay clustered.
+    On any ineligible construct — or a schema/type error, which the row
+    path must surface (or legitimately avoid via short-circuiting) —
+    returns None.
     """
     from repro.sql.executor import _Relation
 
@@ -1150,7 +1152,9 @@ def try_filter(relation, where: Node):
     except _FALLBACK:
         return None
     return _Relation(relation.columns,
-                     coldata=[col[true] for col in relation.coldata])
+                     coldata=[col[true] for col in relation.coldata],
+                     groups=None if relation.groups is None
+                     else relation.groups.select(true))
 
 
 def try_project(stmt: Select, relation):
@@ -1216,7 +1220,9 @@ def try_aggregate(stmt: Select, relation):
     re-rooted on a synthetic per-group relation.  HAVING keeps groups
     where its compiled mask is true; ORDER BY lexsorts the group rows.
     GROUP BY keys are any row-local expressions (Listing 1's
-    ``tag['tenant']``), compiled like any other value.
+    ``tag['tenant']``), compiled like any other value — unless the rows
+    come from a grouped scan (``relation.groups``), already clustered
+    by exactly these keys.
     """
     from repro.sql.executor import Executor
 
@@ -1232,8 +1238,11 @@ def try_aggregate(stmt: Select, relation):
         columns = Executor._dedupe_columns(
             [Executor._output_name(item, idx)
              for idx, item in enumerate(stmt.items)])
-        groups = _Groups(ctx, _key_codes(
-            [_compile_any(expr, ctx) for expr in stmt.group_by], ctx.n))
+        if relation.groups is not None:
+            groups = _Groups(ctx, layout=relation.groups)
+        else:
+            groups = _Groups(ctx, _key_codes(
+                [_compile_any(expr, ctx) for expr in stmt.group_by], ctx.n))
         n_groups = groups.n_groups
         item_vals = [groups.compile(item.expr) for item in stmt.items]
         keep: np.ndarray | None = None
@@ -1308,27 +1317,45 @@ class _Groups:
     ordinary compilers evaluate them per *group* instead of per row.
     """
 
-    def __init__(self, ctx: _Ctx, codes: np.ndarray) -> None:
-        """Segment the rows by ``codes`` (:func:`_key_codes`).
+    def __init__(self, ctx: _Ctx, codes: np.ndarray | None = None,
+                 layout: ScanGroups | None = None) -> None:
+        """Segment the rows by ``codes`` (:func:`_key_codes`), or as a
+        grouped scan's ``layout`` clustered them.
 
         One stable sort (a radix sort, :func:`_radix_keys`) lays every
         group out as a contiguous segment of ``order`` (``starts``/
         ``ends``, ascending by code), the layout ``reduceat`` and the
-        sorted-segment kernels need.  The row path emits groups in
-        first-occurrence order instead: a segment's first element is its
-        group's first row, so ``emit`` (the argsort of those rows, one
-        entry per group) is the gather to output order.
+        sorted-segment kernels need; ``order`` is ``None`` (the rows as
+        they are) when the codes are already non-decreasing or the scan
+        clustered them.  The row path emits groups in first-occurrence
+        order instead: a segment's first element is its group's first
+        row, so ``emit`` (the argsort of those rows' table positions,
+        one entry per group) is the gather to output order.
         """
         self.ctx = ctx
-        keys = _radix_keys(codes)
-        self.order = np.argsort(keys, kind="stable")
-        self.starts, self.ends = segment_bounds(keys[self.order])
+        self.order = None
+        if layout is not None:
+            self.ends = layout.ends
+            self.starts = layout.starts()
+            first = layout.positions[self.starts]
+        else:
+            keys = _radix_keys(codes)
+            if not (keys[1:] >= keys[:-1]).all():
+                self.order = np.argsort(keys, kind="stable")
+                keys = keys[self.order]
+            self.starts, self.ends = segment_bounds(keys)
+            first = (self.starts if self.order is None
+                     else self.order[self.starts])
         self.counts = (self.ends - self.starts).astype(np.int64)
         self.n_groups = int(self.starts.size)
-        first = self.order[self.starts]
         self.emit = np.argsort(first)
-        self.first_rows = first[self.emit]
+        self.first_rows = (self.starts if layout is not None
+                           else first)[self.emit]
         self.vals_ctx = _SynthCtx(self.n_groups)
+
+    def _ordered(self, rows: np.ndarray) -> np.ndarray:
+        """A per-row vector (or row indices) in segment order."""
+        return rows if self.order is None else rows[self.order]
 
     def compile(self, expr: Node) -> _Val:
         return _compile_any(self.rewrite(expr, None, None), self.vals_ctx)
@@ -1422,7 +1449,7 @@ class _Groups:
         null = _flat_null(val)
         counts = self.counts
         if null is not None and null.any():
-            ordered_null = null[self.order]
+            ordered_null = self._ordered(null)
             counts = counts - np.add.reduceat(
                 ordered_null.astype(np.int64), self.starts)
         else:
@@ -1449,7 +1476,7 @@ class _Groups:
             accepted = dtype.kind in _NUMERIC_KINDS
         if not accepted:
             raise _Ineligible
-        kept = _decode(val).data[self.order]
+        kept = self._ordered(_decode(val).data)
         if null is not None:
             kept = kept[~ordered_null]
         if name in ("MIN", "MAX"):
@@ -1487,10 +1514,10 @@ class _Groups:
         size = max(size, 1)
         segment = np.repeat(np.arange(self.n_groups, dtype=np.int64),
                             self.counts)
-        pairs = segment * size + codes[self.order]
+        pairs = segment * size + self._ordered(codes)
         null = _flat_null(val)
         if null is not None:
-            pairs = pairs[~null[self.order]]
+            pairs = pairs[~self._ordered(null)]
         return _Val(data=np.bincount(
             np.unique(pairs) // size,
             minlength=self.n_groups).astype(np.int64))

@@ -25,12 +25,22 @@ report.  Execution itself is identical with and without a plan.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
 from repro.sql.errors import ExecutionError, SchemaError
-from repro.sql.scan import ScanPredicate, ScanReport, extract_scan_predicate
+from repro.sql.scan import (
+    ScanGroups,
+    ScanPredicate,
+    ScanReport,
+    extract_scan_predicate,
+    group_keys,
+    residual_where,
+)
 from repro.sql.functions import (
     AGGREGATES,
     SCALARS,
@@ -90,16 +100,23 @@ class _Relation:
     the columnar fast path filters and aggregates them without ever
     building row tuples, while the row interpreter transparently
     materialises ``.rows`` on first access.
+
+    ``groups`` is set on the rows of a grouped scan: clustered by the
+    statement's GROUP BY keys instead of in table order.  Only the
+    columnar tier reads such a relation (:meth:`in_table_order` hands
+    the row interpreter its rows in table order).
     """
 
     def __init__(self, columns: list[tuple[str | None, str]],
                  rows: list[tuple] | None = None,
-                 coldata: list | None = None) -> None:
+                 coldata: list | None = None,
+                 groups: ScanGroups | None = None) -> None:
         self.columns = columns
         if rows is None and coldata is None:
             rows = []
         self._rows = rows
         self.coldata = coldata
+        self.groups = groups
         self._lookup: dict[tuple[str | None, str], int] = {}
         self._bare: dict[str, list[int]] = {}
         for idx, (qual, name) in enumerate(columns):
@@ -134,6 +151,14 @@ class _Relation:
             rows = list(table.rows) if table.is_materialised() else None
             return cls(columns, rows=rows, coldata=vectors)
         return cls(columns, list(table.rows))
+
+    def in_table_order(self) -> "_Relation":
+        """This relation with a grouped scan's rows back in table order."""
+        if self.groups is None:
+            return self
+        order = np.argsort(self.groups.positions)
+        return _Relation(self.columns,
+                         coldata=[col[order] for col in self.coldata])
 
     def resolve(self, name: str, qualifier: str | None) -> int:
         """Resolve a column reference to a row index."""
@@ -256,8 +281,11 @@ class Executor:
     actual rows, engine and scan report into it so EXPLAIN shows what
     ran.  ``scan_table(name, predicate)`` is the predicate-pushdown
     hook: given the sargable part of a WHERE it may return a pruned
-    ``(table, report)`` superset for a TableRef scan (the full WHERE is
-    still re-applied afterwards, so pruning never changes results).
+    ``(table, report)`` superset for a TableRef scan.  The row tier
+    re-applies the full WHERE to it; the columnar tier only what the
+    report's exact constraints do not imply (:func:`residual_where`),
+    and asks for rows clustered by series-constant GROUP BY keys, which
+    its aggregate then groups without a sort.
     """
 
     def __init__(self, resolve_table: Callable[[str], Table],
@@ -315,19 +343,26 @@ class Executor:
     # SELECT
     # ------------------------------------------------------------------
     def _execute_select(self, stmt: Select) -> Table:
-        relation = self._build_source(stmt.source, where=stmt.where)
+        relation, where = self._select_source(stmt)
         if stmt.where is not None:
             self._reject_aggregates(stmt.where, "WHERE")
-            filtered = (columnar.try_filter(relation, stmt.where)
+        if where is not None:
+            filtered = (columnar.try_filter(relation, where)
                         if self._vectorizes(relation) else None)
             engine = "columnar"
             if filtered is None:
                 engine = "row"
+                relation = relation.in_table_order()
                 rows = [row for row in relation.rows
-                        if self._eval(stmt.where, relation, row) is True]
+                        if self._eval(where, relation, row) is True]
                 filtered = _Relation(relation.columns, rows)
             relation = filtered
-            self._record(stmt, "filter", len(relation), engine)
+            self._record(stmt, "filter", len(relation), engine,
+                         "" if where is stmt.where
+                         else f"residual={render(where)}")
+        elif stmt.where is not None:
+            self._record(stmt, "filter", len(relation), None,
+                         "applied by scan")
 
         aggregate_query = bool(stmt.group_by) or any(
             self._contains_aggregate(item.expr) for item in stmt.items
@@ -342,7 +377,8 @@ class Executor:
                           if vectorize else None)
             if aggregated is None:
                 engine = "row"
-                aggregated = self._execute_aggregate(stmt, relation)
+                aggregated = self._execute_aggregate(
+                    stmt, relation.in_table_order())
             table, n_groups = aggregated
             self._record(stmt, "aggregate", n_groups, engine)
             self._record(stmt, "having", len(table))
@@ -371,15 +407,20 @@ class Executor:
     # ------------------------------------------------------------------
     # FROM clause
     # ------------------------------------------------------------------
-    def _build_source(self, source: Node | None,
-                      where: Node | None = None) -> _Relation:
+    def _select_source(self, stmt: Select) -> tuple[_Relation, Node | None]:
+        """A SELECT's input, pruned by a scan where one can, and the part
+        of its WHERE left to apply."""
+        if isinstance(stmt.source, TableRef):
+            pruned = self._scan_pruned(stmt.source, stmt)
+            if pruned is not None:
+                return pruned
+        return self._build_source(stmt.source), stmt.where
+
+    def _build_source(self, source: Node | None) -> _Relation:
         if source is None:
             return _Relation([], [()])  # one empty row: SELECT 1+1
         if isinstance(source, TableRef):
             qualifier = source.alias or source.name
-            pruned = self._scan_pruned(source, where, qualifier)
-            if pruned is not None:
-                return pruned
             table = self._resolve_table(source.name)
             self._record(source, "scan", len(table))
             return _Relation.from_table(table, qualifier)
@@ -391,18 +432,27 @@ class Executor:
             return self._execute_join(source)
         raise ExecutionError(f"unsupported FROM element {type(source).__name__}")
 
-    def _scan_pruned(self, source: TableRef, where: Node | None,
-                     qualifier: str) -> _Relation | None:
-        """Pushed-down scan of a scannable provider, or ``None``.
+    def _scan_pruned(self, source: TableRef, stmt: Select
+                     ) -> tuple[_Relation, Node | None] | None:
+        """Pushed-down scan of a scannable provider and the WHERE left
+        to apply, or ``None``.
 
-        The provider returns a superset of the rows the WHERE keeps (in
-        the full table's row order); the caller re-applies the complete
-        WHERE, so results are identical to scanning everything.
+        The provider returns a superset of the rows the WHERE keeps,
+        and names the constraints every row it returns satisfies.  The
+        row tier re-applies the complete WHERE to rows in the full
+        table's order, so results are identical to scanning everything.
+        The columnar tier also asks for rows clustered by the GROUP BY
+        keys, and re-applies only the residual WHERE.
         """
-        if self._scan_table is None or where is None:
+        if self._scan_table is None:
             return None
-        predicate = extract_scan_predicate(where, qualifier)
-        if predicate is None or predicate.is_empty():
+        qualifier = source.alias or source.name
+        predicate = (extract_scan_predicate(stmt.where, qualifier)
+                     or ScanPredicate())
+        if self._columnar and stmt.group_by:
+            predicate = dataclasses.replace(
+                predicate, group_by=group_keys(stmt.group_by, qualifier))
+        if predicate.is_empty() and not predicate.group_by:
             return None
         pruned = self._scan_table(source.name, predicate)
         if pruned is None:
@@ -410,7 +460,12 @@ class Executor:
         table, report = pruned
         if self._plan is not None:
             self._plan.record_scan(source, report)
-        return _Relation.from_table(table, qualifier)
+        relation = _Relation.from_table(table, qualifier)
+        if not self._columnar or relation.coldata is None:
+            return relation, stmt.where
+        relation.groups = report.groups
+        return relation, (None if stmt.where is None else
+                          residual_where(stmt.where, qualifier, report.exact))
 
     def _execute_join(self, join: Join) -> _Relation:
         left = self._build_source(join.left)

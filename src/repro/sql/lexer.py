@@ -8,6 +8,7 @@ are supported for columns containing special characters.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from repro.sql.errors import ParseError
@@ -41,8 +42,61 @@ class Token:
         return self.kind == "OP" and self.text in ops
 
 
+#: One token (or run of whitespace, or comment) of ASCII text, as the
+#: character loop below reads it.
+_ASCII_TOKEN = re.compile(r"""
+    (?P<space>[ \t\n\r\x0b\x0c\x1c-\x1f]+)
+  | (?P<comment>--[^\n]*\n?)
+  | '(?P<string>(?:[^']|'')*+)'
+  | "(?P<quoted>[^"]*)"
+  | (?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+  | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<op><>|!=|<=|>=|\|\||[-<>=+*/%(),.\[\]])
+""", re.VERBOSE)
+
+
 def tokenize(sql: str) -> list[Token]:
-    """Tokenise SQL text, raising :class:`ParseError` on bad input."""
+    """Tokenise SQL text, raising :class:`ParseError` on bad input.
+
+    ASCII text (every statement the workloads send) is read one token
+    per regular-expression match; other text character by character,
+    with ``str``'s Unicode classes.  Both read the same tokens.
+    """
+    if not sql.isascii():
+        return _tokenize_chars(sql)
+    tokens: list[Token] = []
+    match = _ASCII_TOKEN.match
+    i, n = 0, len(sql)
+    while i < n:
+        found = match(sql, i)
+        if found is None:
+            if sql[i] == "'":
+                raise ParseError("unterminated string literal", i)
+            if sql[i] == '"':
+                raise ParseError("unterminated quoted identifier", i)
+            raise ParseError(f"unexpected character {sql[i]!r}", i)
+        kind, end = found.lastgroup, found.end()
+        if kind == "word":
+            word = found.group(kind)
+            upper = word.upper()
+            tokens.append(Token("KEYWORD", upper, i) if upper in KEYWORDS
+                          else Token("IDENT", word, i))
+        elif kind == "op":
+            tokens.append(Token("OP", found.group(kind), i))
+        elif kind == "number":
+            tokens.append(Token("NUMBER", found.group(kind), end))
+        elif kind == "string":
+            tokens.append(Token("STRING",
+                                found.group(kind).replace("''", "'"), end))
+        elif kind == "quoted":
+            tokens.append(Token("IDENT", found.group(kind), i))
+        i = end
+    tokens.append(Token("EOF", "", n))
+    return tokens
+
+
+def _tokenize_chars(sql: str) -> list[Token]:
+    """:func:`tokenize`, one character at a time."""
     tokens: list[Token] = []
     i = 0
     n = len(sql)

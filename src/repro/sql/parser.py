@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.sql.errors import ParseError
 from repro.sql.lexer import Token, tokenize
 from repro.sql.nodes import (
@@ -32,14 +34,20 @@ from repro.sql.nodes import (
 
 def parse(sql: str) -> Node:
     """Parse one SQL statement (SELECT, possibly UNIONed) into an AST."""
-    parser = _Parser(tokenize(sql))
+    return parse_tokens(tokenize(sql))
+
+
+def parse_tokens(tokens: Sequence[Token]) -> Node:
+    """Parse one statement from :func:`~repro.sql.lexer.tokenize`'s
+    tokens (the EOF token included), for a caller that lexed already."""
+    parser = _Parser(tokens)
     stmt = parser.parse_statement()
     parser.expect_eof()
     return stmt
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]) -> None:
+    def __init__(self, tokens: Sequence[Token]) -> None:
         self._tokens = tokens
         self._pos = 0
 
@@ -57,13 +65,18 @@ class _Parser:
         return token
 
     def _accept_keyword(self, *names: str) -> Token | None:
-        if self._current.is_keyword(*names):
-            return self._advance()
+        # The two hottest helpers, inlined: a match is never EOF.
+        token = self._tokens[self._pos]
+        if token.kind == "KEYWORD" and token.text in names:
+            self._pos += 1
+            return token
         return None
 
     def _accept_op(self, *ops: str) -> Token | None:
-        if self._current.is_op(*ops):
-            return self._advance()
+        token = self._tokens[self._pos]
+        if token.kind == "OP" and token.text in ops:
+            self._pos += 1
+            return token
         return None
 
     def _expect_keyword(self, name: str) -> Token:

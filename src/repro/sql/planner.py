@@ -74,6 +74,8 @@ class PlanNode:
             if self.scan.series_total:
                 parts.append(f"series={self.scan.series_scanned}"
                              f"/{self.scan.series_total}")
+            if self.scan.groups is not None:
+                parts.append(f"grouped={self.scan.groups.ends.size} groups")
         return f" ({', '.join(parts)})" if parts else ""
 
 

@@ -6,19 +6,30 @@ top-level AND conjuncts of the form ``column <op> literal`` (plus
 on instead of handing over the whole table — a row range of a sorted
 table, or whole series via inverted indexes.  Extraction is purely
 syntactic and conservative: conjuncts that don't fit stay behind in the
-WHERE, and the executor re-applies the **full** WHERE to whatever the
-scan returns, so a provider is free to answer with any superset of the
-matching rows (the tsdb provider selects no rows by value range).
+WHERE.  A provider answers with any superset of the matching rows, and
+reports (:attr:`ScanReport.exact`) which constraints every returned row
+satisfies; the columnar executor re-applies only the conjuncts those do
+not imply (:func:`residual_where`), the row interpreter the full WHERE.
 
-That superset contract is what makes pushdown bitwise-safe: pruning can
-only drop rows that no conjunct combination could keep, and the final
-filter is the same code path the unpruned query runs.
+A predicate may also ask for rows clustered by series-constant GROUP BY
+keys (:attr:`ScanPredicate.group_by`); a provider that can answers with
+each group's rows contiguous and in table order, and says where each
+group ends and where each row sits in table order
+(:class:`ScanGroups`), so grouping needs no sort.
+
+That contract is what makes pushdown bitwise-safe: pruning can only
+drop rows that no conjunct combination could keep, a conjunct is left
+out only where every returned row satisfies it, and the final filter
+and every aggregate run the same code paths the unpruned query runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 from typing import Any
+
+import numpy as np
 
 from repro.sql.nodes import (
     Between,
@@ -44,11 +55,16 @@ class ScanPredicate:
     ``map_equals`` holds ``column['key'] = literal`` map lookups (the
     tsdb ``tag`` column).  Columns are stored lower-cased; a provider
     ignores entries for columns it cannot act on.
+
+    ``group_by`` asks for the rows clustered by GROUP BY keys, each
+    ``(column, None)`` or ``(column, 'key')`` for ``column['key']``; a
+    provider that cannot group by all of them ignores it.
     """
 
     ranges: tuple[tuple[str, float | int | None, float | int | None], ...] = ()
     equals: tuple[tuple[str, Any], ...] = ()
     map_equals: tuple[tuple[str, str, Any], ...] = ()
+    group_by: tuple[tuple[str, str | None], ...] = ()
 
     def is_empty(self) -> bool:
         return not (self.ranges or self.equals or self.map_equals)
@@ -62,6 +78,30 @@ class ScanPredicate:
         return None, None
 
 
+@dataclass(frozen=True, eq=False)
+class ScanGroups:
+    """The layout of a grouped scan's rows: clustered by group, each
+    group's rows contiguous and in table order.
+
+    ``ends`` is where each group's rows end (ascending; no group is
+    empty); ``positions`` is each row's place in the table's order —
+    what orders groups by their first table row, and the rows back
+    into table order.
+    """
+
+    ends: np.ndarray
+    positions: np.ndarray
+
+    def starts(self) -> np.ndarray:
+        return self.ends - np.diff(self.ends, prepend=0)
+
+    def select(self, keep: np.ndarray) -> "ScanGroups":
+        """The layout of the rows a boolean mask keeps; groups left
+        empty vanish."""
+        kept = np.concatenate(([0], np.cumsum(keep)))[self.ends]
+        return ScanGroups(np.unique(kept[kept > 0]), self.positions[keep])
+
+
 @dataclass(frozen=True)
 class ScanReport:
     """What a pruned scan actually did, for EXPLAIN and benchmarks.
@@ -70,6 +110,12 @@ class ScanReport:
     a written series passes if the scan read it (or would read it now),
     empty when it read nothing; ``None`` — every series — unless the
     provider pruned by series.
+
+    ``exact`` names the predicate's constraints every returned row
+    satisfies: ``("range", column)`` for a column's interval,
+    ``("equals", column, value)`` and ``("map_equals", column, key,
+    value)`` for equalities.  ``groups`` is set when the rows are
+    clustered as :attr:`ScanPredicate.group_by` asked.
     """
 
     rows: int
@@ -78,6 +124,8 @@ class ScanReport:
     chunks_scanned: int = 0
     chunks_pruned: int = 0
     reads: frozenset | None = None
+    exact: frozenset = frozenset()
+    groups: ScanGroups | None = field(default=None, compare=False)
 
     @property
     def series_pruned(self) -> int:
@@ -107,6 +155,74 @@ def extract_scan_predicate(where: Node | None,
         equals=tuple(equals),
         map_equals=tuple(map_equals),
     )
+
+
+def group_keys(group_by, qualifier: str | None
+               ) -> tuple[tuple[str, str | None], ...]:
+    """GROUP BY expressions as :attr:`ScanPredicate.group_by` keys, or
+    ``()`` unless every one is a column or a ``column['key']`` lookup."""
+    keys = []
+    for expr in group_by:
+        if isinstance(expr, Subscript) and isinstance(expr.index, Literal) \
+                and isinstance(expr.index.value, str):
+            key = (_own_column(expr.base, qualifier), expr.index.value)
+        else:
+            key = (_own_column(expr, qualifier), None)
+        if key[0] is None:
+            return ()
+        keys.append(key)
+    return tuple(keys)
+
+
+def residual_where(where: Node, qualifier: str | None,
+                   exact: frozenset) -> Node | None:
+    """The conjuncts of ``where`` a scan that applied ``exact``
+    (:attr:`ScanReport.exact`) leaves to re-apply, ANDed in their
+    order, or ``None`` when none is left.
+
+    A conjunct is implied only when it says no more than what was
+    applied: a non-strict comparison, equality or ``BETWEEN`` against
+    an int literal for an applied range (the interval is their
+    intersection), an equality against a string literal that was
+    applied as such.  Strict and float bounds stay, since the interval
+    widens them.
+    """
+    if not exact:
+        return where
+    kept = [conjunct for conjunct in flatten_and(where)
+            if _implied_by(conjunct, qualifier) not in exact]
+    if not kept:
+        return None
+    return reduce(lambda left, right: BinaryOp("AND", left, right), kept)
+
+
+def _implied_by(node: Node, qualifier: str | None) -> tuple | None:
+    """The :attr:`ScanReport.exact` entry that implies a conjunct."""
+    if isinstance(node, Between):
+        column = _own_column(node.expr, qualifier)
+        if column is not None and not node.negated \
+                and _int_literal(node.low) and _int_literal(node.high):
+            return ("range", column)
+        return None
+    if not isinstance(node, BinaryOp) or node.op not in ("=", "<=", ">="):
+        return None
+    column, _, value = _column_op_literal(node, qualifier)
+    if column is not None:
+        if type(value) is int:
+            return ("range", column)
+        if node.op == "=" and isinstance(value, str):
+            return ("equals", column, value)
+        return None
+    if node.op == "=":
+        entry = (_map_equality(node.left, node.right, qualifier)
+                 or _map_equality(node.right, node.left, qualifier))
+        if entry is not None and isinstance(entry[2], str):
+            return ("map_equals",) + entry
+    return None
+
+
+def _int_literal(node: Node) -> bool:
+    return isinstance(node, Literal) and type(node.value) is int
 
 
 def _extract_conjunct(node: Node, qualifier: str | None,

@@ -200,12 +200,23 @@ class Table:
         ``table.gather(np.asarray(table.column("value")) > 0)``).
         Stays columnar for column-backed tables (each vector is gathered
         with one numpy fancy-index); row-built tables fall back to a
-        Python row gather.  Row order follows the selector.
+        Python row gather.  Row order follows the selector.  Dictionary
+        columns that share one code vector (the tsdb ``metric_name`` and
+        ``tag``) still share one after the gather.
         """
         if self._coldata is not None:
-            vectors = self.column_vectors()
+            taken: dict[int, np.ndarray] = {}
+
+            def take(col):
+                if not isinstance(col, DictColumn):
+                    return col[selector]
+                codes = taken.get(id(col.codes))
+                if codes is None:
+                    codes = taken[id(col.codes)] = col.codes[selector]
+                return DictColumn(codes, col.values)
+
             return Table.from_columns(
-                self.columns, [col[selector] for col in vectors])
+                self.columns, [take(col) for col in self.column_vectors()])
         selector = np.asarray(selector)
         if selector.dtype == bool:
             selector = np.flatnonzero(selector)

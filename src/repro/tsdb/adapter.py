@@ -19,7 +19,8 @@ asks for ``.rows``.  Row ordering and cell values are identical to the
 historical per-point explosion (a stable sort by ``(timestamp,
 metric_name)`` over series in ``series_ids()`` order).  A view builds
 it once (:meth:`StoreView.derived`), with each series' row positions in
-it, and every pruned scan of the view selects rows of it: no scan sorts.
+it, and every pruned scan of the view selects rows of it: no scan sorts
+the table (a grouped scan reads a clustered copy built once per view).
 A later view of the same series set patches an earlier view's instead
 of sorting again: only the written series' rows are merged in.
 
@@ -39,12 +40,13 @@ per-observation Python object exist.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from repro.sql.scan import ScanPredicate, ScanReport
+from repro.sql.scan import ScanGroups, ScanPredicate, ScanReport
 from repro.sql.table import DictColumn, Table
 from repro.tsdb.model import ZONE_FLOATS, ZONE_INTS, SeriesId
 from repro.tsdb.storage import StoreView
@@ -299,18 +301,28 @@ def tsdb_table(store: StoreView,
 def scan_store(store: StoreView, predicate: ScanPredicate
                ) -> tuple[Table, ScanReport]:
     """Pruned read of the ``tsdb`` table: rows of the view's table
-    (:func:`tsdb_table`), in its order and never sorted again — a
-    superset of the rows the full WHERE keeps, so re-filtering gives
+    (:func:`tsdb_table`), never sorted again, and exact for the
+    constraints the report names (:attr:`ScanReport.exact`): a
+    superset of the rows the full WHERE keeps, and a subset of those
+    its exact conjuncts keep, so the residual WHERE gives
     bitwise-identical results.
 
     - An exact ``metric_name = '...'`` / ``tag['key'] = '...'`` keeps
       the series the store's inverted indexes match: their row
       positions, concatenated (and sorted when there are several).
+      String equalities are exact.
     - The time range is a row range (``searchsorted``) of the table, or
-      of each kept series.
+      of each kept series: exact for int64 timestamps.
     - Value ranges select no rows.  The report counts the kept series'
       sealed chunks whose zone maps can meet the time and value ranges
       as scanned, the others as pruned.
+    - When every :attr:`~ScanPredicate.group_by` key is a series
+      constant (``metric_name``, ``tag['key']``), the rows come
+      clustered by group, each group's rows in table order
+      (:attr:`ScanReport.groups`): per-group runs of the kept series'
+      positions, or per-group slices of the view's clustered layout
+      (:func:`_layout`) when no series is pruned.  Otherwise rows come
+      in table order.
 
     Constraints on columns the provider cannot act on are ignored.  The
     report's ``reads`` is the series filter (:class:`SeriesFilter`), or
@@ -321,12 +333,14 @@ def scan_store(store: StoreView, predicate: ScanPredicate
     name = None
     tags: dict[str, str] = {}
     impossible = False
+    exact = set()
     for column, value in predicate.equals:
         if column == "metric_name":
             if isinstance(value, str):
                 if name is not None and value != name:
                     impossible = True
                 name = value
+                exact.add(("equals", column, value))
             else:
                 impossible = True        # metric_name = non-string: no rows
     for column, key, value in predicate.map_equals:
@@ -334,12 +348,16 @@ def scan_store(store: StoreView, predicate: ScanPredicate
             if key in tags and tags[key] != value:
                 impossible = True
             tags[key] = value
+            exact.add(("map_equals", column, key, value))
+    if predicate.range_for("timestamp") != (None, None):
+        exact.add(("range", "timestamp"))
     start, end = _time_window(predicate)
     code, ts_min, ts_max, val_min, val_max = index.zones
     if impossible or name is not None or tags:
         kept = [] if impossible else view.find_exact(name, tags)
-        picked = [index.series[s] for s in kept if s in index.series]
-        mine = np.isin(code, [series_code for series_code, _ in picked])
+        picked = sorted(((index.series[s], s) for s in kept
+                         if s in index.series), key=lambda item: item[0][0])
+        mine = np.isin(code, [series_code for (series_code, _), _ in picked])
         reads = frozenset() if impossible else frozenset(
             {SeriesFilter(name, tuple(sorted(tags.items())))})
     else:
@@ -354,23 +372,139 @@ def scan_store(store: StoreView, predicate: ScanPredicate
         meets &= val_max >= _float(value_lo)
     if value_hi is not None:
         meets &= val_min <= _float(value_hi)
+    keys = _series_keys(predicate.group_by)
+    groups = None
     if kept is None:
-        table = index.table.slice_rows(
-            *_row_range(index.timestamps, start, end))
+        rows = _row_range(index.timestamps, start, end)
+        if keys is None:
+            table = index.table.slice_rows(*rows)
+        else:
+            table, groups = _layout(view, index, predicate.group_by,
+                                    keys).window(*rows)
     else:
-        parts = [index.rows(series_code, ts)[
-                     slice(*_row_range(ts, start, end))]
-                 for series_code, ts in picked]
+        runs: dict = {}
+        for (series_code, ts), series in picked:
+            part = index.rows(series_code, ts)[
+                slice(*_row_range(ts, start, end))]
+            if part.size:
+                group = () if keys is None else tuple(
+                    key(series) for key in keys)
+                runs.setdefault(group, []).append(part)
+        parts = [part[0] if len(part) == 1 else np.sort(np.concatenate(part))
+                 for part in runs.values()]
         rows = np.concatenate(parts) if parts else np.empty(0, np.intp)
-        table = index.table.gather(np.sort(rows) if len(parts) > 1
-                                   else rows)
+        table = index.table.gather(rows)
+        if keys is not None:
+            groups = ScanGroups(
+                np.cumsum([part.size for part in parts], dtype=np.intp), rows)
     scanned = int(np.count_nonzero(meets))
     report = ScanReport(rows=len(table), series_total=len(view),
                         series_scanned=len(view if kept is None else kept),
                         chunks_scanned=scanned,
                         chunks_pruned=int(np.count_nonzero(mine)) - scanned,
-                        reads=reads)
+                        reads=reads, exact=frozenset(exact), groups=groups)
     return table, report
+
+
+def _series_keys(group_by: tuple) -> list[Callable[[SeriesId], Any]] | None:
+    """Per-series getters of ``group_by``'s keys (a row's
+    ``metric_name`` / ``tag['key']`` cell), or ``None`` unless every key
+    is one of those series constants."""
+    if not group_by:
+        return None
+    keys = []
+    for column, key in group_by:
+        if column == "metric_name" and key is None:
+            keys.append(lambda series: series.name)
+        elif column == "tag" and key is not None:
+            keys.append(lambda series, key=key: series.tag(key))
+        else:
+            return None
+    return keys
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """A view's table with its rows clustered by one set of GROUP BY
+    keys (each group's rows in table order), where each row sits in
+    the table, and where each group ends."""
+
+    table: Table
+    positions: np.ndarray
+    ends: np.ndarray
+
+    def window(self, lo: int, hi: int) -> tuple[Table, ScanGroups]:
+        """Table rows ``[lo, hi)``, clustered: per group, the slice of
+        its rows whose table positions fall there."""
+        if lo == 0 and hi == self.positions.size:
+            return self.table, ScanGroups(self.ends, self.positions)
+        starts = self.ends - np.diff(self.ends, prepend=0)
+        bounds = np.array(
+            [start + np.searchsorted(self.positions[start:stop], (lo, hi))
+             for start, stop in zip(starts.tolist(), self.ends.tolist())],
+            dtype=np.intp).reshape(-1, 2)
+        firsts, lasts = bounds[bounds[:, 1] > bounds[:, 0]].T
+        lengths = lasts - firsts
+        ends = np.cumsum(lengths)
+        rows = np.arange(ends[-1] if ends.size else 0, dtype=np.intp) \
+            + np.repeat(firsts - (ends - lengths), lengths)
+        return (self.table.gather(rows),
+                ScanGroups(ends, self.positions[rows]))
+
+
+class _Layouts(dict):
+    """A view's clustered layouts, by ``group_by``, filled on demand
+    under its lock."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.lock = threading.Lock()
+
+
+def _layouts(view: StoreView) -> _Layouts:
+    return _Layouts()
+
+
+def _layout(view: StoreView, index: _Index, group_by: tuple,
+            keys: list[Callable[[SeriesId], Any]]) -> _Layout:
+    """The view's table clustered by ``group_by``, built once per view
+    and set of keys: series are grouped by their key cells and the rows
+    stable-sorted by group (a radix sort of one small code per row).
+
+    Each layout copies the table, and a new version builds its own, so
+    a view's first layout drops those of the newest earlier view of
+    the same series (:meth:`StoreView.derived_before`)."""
+    layouts = view.derived(_layouts)
+    layout = layouts.get(group_by)
+    if layout is not None:
+        return layout
+    with layouts.lock:
+        layout = layouts.get(group_by)
+        if layout is not None:
+            return layout
+        if not layouts:
+            earlier = view.derived_before(_layouts)
+            if earlier is not None:
+                earlier[0].clear()
+        if not index.series:
+            empty = np.empty(0, dtype=np.intp)
+            layout = _Layout(index.table, empty, empty)
+        else:
+            found: dict[tuple, int] = {}
+            group_of = np.empty(len(index.series), dtype=np.intp)
+            for series, (code, _) in index.series.items():
+                group_of[code] = found.setdefault(
+                    tuple(key(series) for key in keys), len(found))
+            row_group = group_of.astype(np.min_scalar_type(len(found)))[
+                index.table.column_vectors()[1].codes]
+            positions = np.argsort(row_group, kind="stable").astype(
+                np.int32 if row_group.size < 2 ** 31 else np.intp)
+            layout = _Layout(
+                index.table.gather(positions), positions,
+                np.cumsum(np.bincount(row_group, minlength=len(found)),
+                          dtype=np.intp))
+        layouts[group_by] = layout
+    return layout
 
 
 def _row_range(timestamps: np.ndarray, start: int | None,
@@ -427,7 +561,9 @@ def register_store(db, store: StoreView, name: str = "tsdb") -> None:
     on first query and re-materialises only after the store mutates
     (including in-place ``apply`` fault overlays, which leave
     ``num_points()`` unchanged).  Time-range / metric / tag / value
-    predicates are pushed into the store scan (:func:`scan_store`).
+    predicates and series-constant GROUP BY keys are pushed into the
+    store scan (:func:`scan_store`), exact for the conjuncts it reports
+    and clustered when asked.
 
     Every provider callback reads from one ``store.read_view()`` taken
     at entry, so the full table and every scan of a version read the

@@ -29,6 +29,7 @@ ENTRY_POINTS = {
     "repro.linmodel.crossval.ShuffledKFold",
     "repro.scoring.base.validate_triple",
     "repro.scoring.univariate.correlation_matrix",
+    "repro.serve.cache.normalize_query",
     "repro.sql.optimizer.count_pushed_filters",
     "repro.tsdb.adapter.store_stats",
     "repro.tsdb.model.unique_names",

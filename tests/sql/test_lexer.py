@@ -1,9 +1,10 @@
 """Unit tests for the SQL tokeniser."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sql.errors import ParseError
-from repro.sql.lexer import Token, tokenize
+from repro.sql.lexer import Token, _tokenize_chars, tokenize
 
 
 def kinds(sql: str) -> list[str]:
@@ -67,3 +68,25 @@ class TestTokenize:
         token = Token("KEYWORD", "SELECT", 0)
         assert token.is_keyword("SELECT", "FROM")
         assert not token.is_op("(")
+
+
+def _lexed(lex, sql):
+    try:
+        return lex(sql)
+    except ParseError as error:
+        return ("error", str(error))
+
+
+@given(st.text(st.sampled_from(list(
+    " \t\r\n\x0b\x0c\x1c\x1d\x1fabXY_019.eE+-'\"<>=!|*/%(),[]#;\\")), max_size=40))
+@settings(max_examples=500, deadline=None)
+def test_ascii_text_lexes_as_the_character_loop_reads_it(sql):
+    """The one-match-per-token path reads exactly the tokens (kinds,
+    texts, positions) and errors of the character loop."""
+    assert _lexed(tokenize, sql) == _lexed(_tokenize_chars, sql)
+
+
+def test_non_ascii_text_takes_the_character_loop():
+    tokens = tokenize("SELECT caf\u00e9, '\u00fc' FROM t")
+    assert [t.text for t in tokens[:-1]] == [
+        "SELECT", "caf\u00e9", ",", "\u00fc", "FROM", "t"]

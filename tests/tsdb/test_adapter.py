@@ -239,6 +239,16 @@ def _kept(view, predicate):
                     for key, values in tags_wanted.items())]
 
 
+def _exact(predicate):
+    """What a scan applies exactly: its time range, string equalities."""
+    exact = {("equals", column, value) for column, value in predicate.equals
+             if isinstance(value, str)}
+    exact |= {("map_equals",) + entry for entry in predicate.map_equals}
+    if predicate.range_for("timestamp") != (None, None):
+        exact.add(("range", "timestamp"))
+    return frozenset(exact)
+
+
 def _in_window(ts, lo, hi):
     return (lo is None or ts >= lo) and (hi is None or ts <= hi)
 
@@ -287,7 +297,7 @@ class TestScanIsARowSelection:
             assert replace(report, reads=None) == ScanReport(
                 rows=len(want), series_total=len(view),
                 series_scanned=len(kept), chunks_scanned=scanned,
-                chunks_pruned=pruned)
+                chunks_pruned=pruned, exact=_exact(predicate))
             if not (predicate.equals or predicate.map_equals):
                 assert report.reads is None
             else:
