@@ -14,7 +14,7 @@ arrive.  ``QueryServer`` is the long-lived front end for that workload:
   version observed at request start selects a per-version
   :class:`_VersionState` holding a frozen snapshot, a
   :class:`~repro.sql.Database` registered over it, and the explain
-  generation — so materialised tables and scan caches amortise
+  generation — so the view's table, scan index and layouts amortise
   across every request at that version instead of being rebuilt
   per query;
 - explains are ranked by one :class:`~repro.core.explain.ExplainCore`,

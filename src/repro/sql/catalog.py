@@ -15,7 +15,7 @@ match.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.sql.errors import SchemaError
@@ -27,32 +27,20 @@ from repro.sql.parser import parse, parse_tokens
 from repro.sql.planner import Plan, Planner
 from repro.sql.scan import ScanPredicate, ScanReport
 from repro.sql.table import Table
-from repro.versioned import VersionedCache
 
 TableProvider = Callable[[], Table]
 ScanFn = Callable[[ScanPredicate], "tuple[Table, ScanReport]"]
 
-#: Pruned scan results are cached per predicate, bounded *per source* —
-#: a dashboard re-issuing the same selective query hits memory, the cap
-#: bounds the footprint when predicates vary, and one source's cold-scan
-#: churn can never evict another's hot entries.
-_SCAN_CACHE_SIZE = 8
-
 
 @dataclass
 class _Source:
-    """One lazily materialised table: its callbacks and what they built.
-
-    The full table lives in its own single-slot cache so that scan churn
-    can never evict it; both caches are keyed on ``version_fn()``.
-    """
+    """One lazily materialised table: its callbacks, and the table the
+    provider last built with the version it was built at."""
 
     provider: TableProvider
     version_fn: Callable[[], Any]
     scan_fn: ScanFn | None = None
-    table: VersionedCache = field(default_factory=lambda: VersionedCache(1))
-    scans: VersionedCache = field(
-        default_factory=lambda: VersionedCache(_SCAN_CACHE_SIZE))
+    built: tuple[Any, Table] | None = None
 
 
 class Database:
@@ -64,8 +52,11 @@ class Database:
     for bit.  The plan is built in both modes (it only records).
 
     Serving runs many worker threads through one Database: the read
-    path only reads the catalog dicts, and every cache it fills is a
-    leaf-locked :class:`~repro.versioned.VersionedCache`.
+    path only reads the catalog dicts and swaps a source's built table
+    in one assignment, so racing requests can at worst build a version
+    twice.  Scans are not cached here; a store's table and layouts are
+    kept per view by :meth:`~repro.tsdb.storage.StoreView.derived`, and
+    served results by the server's result cache.
     """
 
     def __init__(self, optimize_queries: bool = True,
@@ -94,8 +85,8 @@ class Database:
         """Register a lazy provider whose result is keyed on a version.
 
         The provider materialises on first reference and is re-invoked
-        once ``version_fn()`` returns a newer value than the one the
-        cached table was built at — the cache-coherence hook for tables
+        once ``version_fn()`` returns another value than the one the
+        kept table was built at — the cache-coherence hook for tables
         backed by a mutable store (``store.version``).
         """
         self._tables.pop(name.lower(), None)
@@ -113,10 +104,11 @@ class Database:
         re-applies only the WHERE conjuncts those do not imply, the row
         executor the full WHERE), in the order the full table presents
         them, or clustered by ``predicate.group_by`` when
-        ``report.groups`` says so — keyed on ``version_fn()`` like the
-        full materialisation.  A provider that reports neither gets the
-        full WHERE and its own grouping.  ``stats_fn`` fed the former
-        cardinality estimator; it is accepted and never called.
+        ``report.groups`` says so.  It runs on every scan; only the
+        full materialisation is kept per ``version_fn()``.  A provider
+        that reports neither gets the full WHERE and its own grouping.
+        ``stats_fn`` fed the former cardinality estimator; it is
+        accepted and never called.
         """
         self._tables.pop(name.lower(), None)
         self._sources[name.lower()] = _Source(provider, version_fn, scan_fn)
@@ -144,8 +136,11 @@ class Database:
             raise SchemaError(
                 f"unknown table {name!r}; registered: {self.table_names()}"
             )
-        return source.table.get_or_build(
-            None, source.version_fn(), source.provider)
+        version = source.version_fn()
+        built = source.built
+        if built is None or built[0] != version:
+            built = source.built = (version, source.provider())
+        return built[1]
 
     # ------------------------------------------------------------------
     # Executor hooks
@@ -160,34 +155,11 @@ class Database:
 
     def scan_table(self, name: str, predicate: ScanPredicate
                    ) -> tuple[Table, ScanReport] | None:
-        """Pruned scan through a scannable provider, or ``None``.
-
-        Results are cached per predicate in a small LRU *per source*,
-        so repeated dashboard queries skip the scan entirely; a scan
-        that observes a newer version drops the superseded entries.
-        A grouped scan (``predicate.group_by``) is not cached: its rows
-        are a copy clustered for one aggregate, beside the provider's
-        own clustered layout.
-        """
+        """Pruned scan through a scannable provider, or ``None``."""
         source = self._sources.get(name.lower())
         if source is None or source.scan_fn is None:
             return None
-        if predicate.group_by:
-            return source.scan_fn(predicate)
-        return source.scans.get_or_build(
-            predicate, source.version_fn(),
-            lambda: source.scan_fn(predicate))
-
-    def cache_info(self) -> dict[str, Any]:
-        """Scan-cache behaviour: hit/miss totals and entries per source."""
-        scans = {name: source.scans.stats
-                 for name, source in self._sources.items()
-                 if source.scan_fn is not None}
-        return {
-            "scan_hits": sum(s.hits for s in scans.values()),
-            "scan_misses": sum(s.misses for s in scans.values()),
-            "scan_entries": {name: s.entries for name, s in scans.items()},
-        }
+        return source.scan_fn(predicate)
 
     # ------------------------------------------------------------------
     # Query execution

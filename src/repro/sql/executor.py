@@ -11,8 +11,8 @@ Execution is two-tier, and this module is the only place a physical
 choice is made — always from relations it already holds, never from an
 estimate.  A stage attempts the columnar tier of
 :mod:`repro.sql.columnar` whenever its input is column-backed (built
-with :meth:`~repro.sql.table.Table.from_columns` — the tsdb adapter and
-rollup views build these; columnar stages emit them); an INNER
+with :meth:`~repro.sql.table.Table.from_columns` — the tsdb adapter
+builds these; columnar stages emit them); an INNER
 equi-join hashes whichever side is smaller.  The
 compiler's ``try_*`` entry points returning ``None`` are the single
 definition of what the columnar tier cannot express; the stage then

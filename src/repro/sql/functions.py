@@ -258,9 +258,7 @@ def segmented_order_stat(values: np.ndarray, starts: np.ndarray,
     this stable sort does.  There this kernel's result is the
     semantics; the property tests pin everything else against the
     per-segment loop (on zeros of one sign and NaNs of one payload).
-    Serves both the SQL tier's
-    ``MEDIAN``/``PERCENTILE`` and the tsdb ``Downsampler``'s ragged
-    ``median``/``pNN`` buckets.
+    Serves the SQL tier's ``MEDIAN``/``PERCENTILE``.
     """
     ordered = _sorted_segments(values, starts, sizes)
     last = ordered[starts + sizes - 1]

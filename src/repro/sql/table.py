@@ -9,8 +9,7 @@ accessed with ``tag['pipeline_name']`` subscripts.
 Tables can also be built *columnar* via :meth:`Table.from_columns`: the
 column vectors (numpy arrays or plain sequences) are stored as-is and the
 row tuples are materialised lazily on first access to ``.rows``.  Bulk
-producers — the tsdb adapter, rollup materialisation — build numpy
-columns directly and skip the per-observation tuple explosion entirely
+producers — the tsdb adapter — build numpy columns directly and skip the per-observation tuple explosion entirely
 until (unless) a row-oriented consumer needs it; ``column()`` reads are
 served from the stored vectors either way.
 

@@ -14,12 +14,10 @@ Druid.  This package provides the equivalent substrate for the reproduction:
   mutation ``version`` that derived caches key on, and an optional WAL
   with checkpoints; and :class:`~repro.tsdb.storage.StoreView`, the
   frozen per-version view every read goes through.
-- :mod:`repro.tsdb.query` — scan, filter, vectorized downsample and
-  aggregation helpers.
+- :mod:`repro.tsdb.query` — series scans and grid alignment.
 - :mod:`repro.tsdb.ingest` — a line-protocol parser for bulk loading.
 - :mod:`repro.tsdb.adapter` — exposes the store as the relational ``tsdb``
   table used by the paper's SQL listings (Appendix C), built columnar.
-- :mod:`repro.tsdb.rollup` — version-invalidated materialised rollup views.
 - :mod:`repro.tsdb.wal` — append-only write-ahead log with crash-safe
   replay.
 - :mod:`repro.tsdb.chunkfile` — memmap'd binary snapshot format
@@ -28,10 +26,9 @@ Druid.  This package provides the equivalent substrate for the reproduction:
 
 from repro.tsdb.model import DataPoint, SeriesId, parse_series_expr
 from repro.tsdb.storage import StoreView, TimeSeriesStore
-from repro.tsdb.query import Downsampler, ScanQuery
+from repro.tsdb.query import ScanQuery
 from repro.tsdb.ingest import parse_line, load_lines
 from repro.tsdb.adapter import register_store, tsdb_table
-from repro.tsdb.rollup import RollupCatalog, RollupSpec
 from repro.tsdb.wal import WriteAheadLog
 
 __all__ = [
@@ -41,12 +38,9 @@ __all__ = [
     "StoreView",
     "TimeSeriesStore",
     "WriteAheadLog",
-    "Downsampler",
     "ScanQuery",
     "parse_line",
     "load_lines",
     "register_store",
     "tsdb_table",
-    "RollupCatalog",
-    "RollupSpec",
 ]

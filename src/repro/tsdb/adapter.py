@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -54,19 +54,6 @@ from repro.tsdb.storage import StoreView
 TSDB_COLUMNS = ["timestamp", "metric_name", "tag", "value"]
 
 _INT64 = np.iinfo(np.int64)
-
-
-def observations_to_table(
-        items: Iterable[tuple[SeriesId, np.ndarray, np.ndarray]]) -> Table:
-    """Build the ``(timestamp, metric_name, tag, value)`` table columnar.
-
-    ``items`` yields per-series ``(series, timestamps, values)`` column
-    triples; the result is ordered by ``(timestamp, metric_name)`` with
-    ties keeping the input series order (the ordering the row-explode
-    path produced with a stable Python sort).  Each series' rows share
-    one tag dict, as before.
-    """
-    return _sorted_table([item for item in items if item[1].size])[0]
 
 
 def _sorted_table(items: list[tuple[SeriesId, np.ndarray, np.ndarray]]
@@ -309,7 +296,7 @@ def scan_store(store: StoreView, predicate: ScanPredicate
 
     - An exact ``metric_name = '...'`` / ``tag['key'] = '...'`` keeps
       the series the store's inverted indexes match: their row
-      positions, concatenated (and sorted when there are several).
+      positions, concatenated (and merged when there are several).
       String equalities are exact.
     - The time range is a row range (``searchsorted``) of the table, or
       of each kept series: exact for int64 timestamps.
@@ -390,7 +377,10 @@ def scan_store(store: StoreView, predicate: ScanPredicate
                 group = () if keys is None else tuple(
                     key(series) for key in keys)
                 runs.setdefault(group, []).append(part)
-        parts = [part[0] if len(part) == 1 else np.sort(np.concatenate(part))
+        # Each series' positions ascend: a stable sort (timsort) merges
+        # the runs instead of sorting from scratch.
+        parts = [part[0] if len(part) == 1
+                 else np.sort(np.concatenate(part), kind="stable")
                  for part in runs.values()]
         rows = np.concatenate(parts) if parts else np.empty(0, np.intp)
         table = index.table.gather(rows)

@@ -162,12 +162,13 @@ class StoreView:
         """Monotonic mutation counter — the cache-coherence contract.
 
         Bumped by every ``insert``/``insert_array``/``apply``/``merge``
-        call that changes stored data.  Any value derived from the
-        store (rollup tables, the lazy ``tsdb`` SQL provider, score
-        matrices, …) belongs in a
-        :class:`~repro.versioned.VersionedCache` keyed on it; never key
-        on ``num_points()``, which misses in-place ``apply`` rewrites.
-        Equal versions guarantee identical contents.
+        call that changes stored data.  A value derived from the store
+        at one version (the ``tsdb`` table and its scan index, clustered
+        layouts) belongs to that version's view
+        (:meth:`StoreView.derived`), and a served result to the
+        server's :class:`~repro.versioned.VersionedCache`, keyed on it;
+        never key on ``num_points()``, which misses in-place ``apply``
+        rewrites.  Equal versions guarantee identical contents.
         """
         return self._version
 

@@ -1,21 +1,21 @@
-"""The one version-coherence mechanism: :class:`VersionedCache`.
+"""The served-result cache: :class:`VersionedCache`.
 
-Everything derived from a store — the materialised ``tsdb`` table, zone
-map statistics, pruned scans, rollup views, family matrices, served
-results — is computed at one ``store.version``.  This module is the
-only place the policy for keeping it is written:
+A served answer is computed at one ``store.version``; the query
+server keeps its results here (what a store's view derives for itself,
+such as the ``tsdb`` index, lives on the view instead:
+:meth:`~repro.tsdb.storage.StoreView.derived`).  This module is the
+only place the policy for keeping them is written:
 
 - an entry **hits** only for a lookup at the cache's current version:
   a value is returned to a request pinned at that version or not at
   all, so a request that observed a later version never sees one that
   a write since has made stale;
 - **invalidation** has one trigger, the lookup itself: the first
-  ``get``/``put``/``get_or_build`` that observes a strictly newer
-  version sweeps the entries.  An entry survives the sweep when it
-  records what it read (``reads``) and the lookup can say what was
-  written since the cache's version (``written``) and none of it was
-  read; the survivors are valid at the newer version, which the cache
-  moves to.  Every other entry is dropped (counted as
+  ``get``/``put`` that observes a strictly newer version sweeps the
+  entries.  An entry survives the sweep when it records what it read
+  (``reads``) and the lookup can say what was written since the
+  cache's version (``written``) and none of it was read; the survivors
+  are valid at the newer version, which the cache moves to.  Every other entry is dropped (counted as
   ``invalidations``).  An operation at an *older* version — a request
   still pinned to a superseded snapshot — misses and stores nothing,
   and never disturbs the newer entries;
@@ -27,14 +27,13 @@ Versions only need to be mutually orderable; every store hands out
 monotonic integers.  What was written and what was read are opaque
 here: a read set is a collection of predicates, each called on every
 written item.  The module imports nothing from the rest of the
-package, so ``sql``, ``tsdb``, ``core`` and ``serve`` can all sit on it.
+package.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from concurrent.futures import Future
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Collection, Hashable
 
@@ -66,8 +65,7 @@ class VersionedCache:
     ``None`` is the miss marker, so it cannot be cached as a value.
     All operations take an internal lock.  Holding it, the cache calls
     only a lookup's ``written`` and the entries' read predicates, which
-    must take no lock; ``get_or_build`` runs ``build`` unlocked.  So
-    the cache is a leaf in any lock order.
+    must take no lock.  So the cache is a leaf in any lock order.
     """
 
     def __init__(self, max_entries: int = DEFAULT_CACHE_ENTRIES) -> None:
@@ -77,7 +75,6 @@ class VersionedCache:
         #: key -> (value, reads), every entry valid at ``_version``
         self._entries: OrderedDict[Hashable, tuple[Any, Reads]] = \
             OrderedDict()
-        self._building: dict[tuple[Hashable, Any], Future] = {}
         self._lock = threading.Lock()
         self._stats = CacheStats(max_entries=max_entries)
 
@@ -108,25 +105,6 @@ class VersionedCache:
             self._version = version
         return version == self._version
 
-    def _lookup(self, key: Hashable, version: Any,
-                written: Written | None = None) -> Any:
-        if self._observe(version, written) and key in self._entries:
-            self._entries.move_to_end(key)
-            self._stats.hits += 1
-            return self._entries[key][0]
-        self._stats.misses += 1
-        return None
-
-    def _store(self, key: Hashable, version: Any, value: Any,
-               reads: Reads = None) -> None:
-        if not self._observe(version):
-            return
-        self._entries[key] = (value, reads)
-        self._entries.move_to_end(key)
-        while len(self._entries) > self._stats.max_entries:
-            self._entries.popitem(last=False)
-            self._stats.evictions += 1
-
     def get(self, key: Hashable, version: Any,
             written: Written | None = None) -> Any | None:
         """The cached value for ``key`` at exactly ``version``, or None.
@@ -136,7 +114,12 @@ class VersionedCache:
         sweep this lookup may trigger keeps what was not read.
         """
         with self._lock:
-            return self._lookup(key, version, written)
+            if self._observe(version, written) and key in self._entries:
+                self._entries.move_to_end(key)
+                self._stats.hits += 1
+                return self._entries[key][0]
+            self._stats.misses += 1
+            return None
 
     def put(self, key: Hashable, version: Any, value: Any,
             reads: Reads = None) -> None:
@@ -144,43 +127,13 @@ class VersionedCache:
         the predicates a written item fails unless the value read it
         (``None``: the value read everything)."""
         with self._lock:
-            self._store(key, version, value, reads)
-
-    def get_or_build(self, key: Hashable, version: Any,
-                     build: Callable[[], Any]) -> Any:
-        """The value for ``key`` at ``version``, calling ``build()`` on a miss.
-
-        ``build`` runs outside the lock, once per ``(key, version)``:
-        threads racing the same miss wait for the first builder's
-        result (or its exception) instead of duplicating the work, and
-        lookups of other keys are never blocked behind it.
-        """
-        with self._lock:
-            value = self._lookup(key, version)
-            if value is not None:
-                return value
-            pending = self._building.get((key, version))
-            if pending is None:
-                mine = self._building[(key, version)] = Future()
-        if pending is not None:
-            return pending.result()
-        try:
-            value = build()
-        except BaseException as exc:
-            with self._lock:
-                del self._building[(key, version)]
-            mine.set_exception(exc)
-            raise
-        with self._lock:
-            del self._building[(key, version)]
-            self._store(key, version, value)
-        mine.set_result(value)
-        return value
-
-    def discard(self, key: Hashable) -> None:
-        """Forget ``key`` (its definition changed, not the store)."""
-        with self._lock:
-            self._entries.pop(key, None)
+            if not self._observe(version):
+                return
+            self._entries[key] = (value, reads)
+            self._entries.move_to_end(key)
+            while len(self._entries) > self._stats.max_entries:
+                self._entries.popitem(last=False)
+                self._stats.evictions += 1
 
     def clear(self) -> None:
         """Drop every entry; counters and the observed version stay."""

@@ -37,7 +37,6 @@ ENTRY_POINTS = {
     "repro.tsdb.persist.loads_store",
     "repro.tsdb.persist.read_store",
     "repro.tsdb.persist.save_store",
-    "repro.tsdb.rollup.RollupCatalog",
     "repro.workloads.faults.GcPressureFault",
     "repro.workloads.faults.InputSkewFault",
     "repro.workloads.faults.MemoryLeakFault",

@@ -1,7 +1,6 @@
 """VersionedCache: hits, LRU eviction, version invalidation, thread safety."""
 
 import threading
-import time
 
 import pytest
 
@@ -65,7 +64,8 @@ def test_older_version_never_evicts_newer_entries():
     cache.put("a", 3, "A3")
     assert cache.get("a", 1) is None
     cache.put("a", 1, "A1")              # superseded on arrival: dropped
-    assert cache.get_or_build("b", 1, lambda: "B1") == "B1"
+    assert cache.get("b", 1) is None
+    cache.put("b", 1, "B1")              # dropped too
     assert cache.get("a", 3) == "A3"
     assert cache.get("b", 3) is None
     assert cache.stats.invalidations == 0
@@ -108,41 +108,6 @@ def test_concurrent_puts_gets_and_sweeps_stay_consistent():
     assert not any(thread.is_alive() for thread in threads)
     assert not errors
     assert len(cache) <= 64
-
-
-def test_get_or_build_builds_once_per_key_and_version_under_races():
-    cache = VersionedCache()
-    built = []                           # list.append is atomic
-
-    def build(version):
-        built.append(version)
-        time.sleep(0.02)     # hold the build open so every racer arrives
-        return object()
-
-    for version in (1, 2):
-        gate = threading.Barrier(8)
-        seen = []
-
-        def worker():
-            gate.wait(timeout=30)
-            seen.append(cache.get_or_build(
-                "k", version, lambda: build(version)))
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-        assert not any(thread.is_alive() for thread in threads)
-        assert len(seen) == 8 and len({id(value) for value in seen}) == 1
-    assert built == [1, 2]
-
-
-def test_get_or_build_propagates_build_errors_and_recovers():
-    cache = VersionedCache()
-    with pytest.raises(KeyError):
-        cache.get_or_build("k", 1, lambda: {}["boom"])
-    assert cache.get_or_build("k", 1, lambda: "ok") == "ok"
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +163,9 @@ def test_a_lookup_that_cannot_say_what_was_written_drops_every_entry():
     cache.put("y", 2, "Y", reads("y"))               # put sweeps blind
     assert cache.get("x", 2) is None
     assert cache.get("y", 2) == "Y"
-    assert cache.get_or_build("y", 3, lambda: "Y3") == "Y3"
+    assert cache.get("y", 3) is None                 # no ``written``
+    cache.put("y", 3, "Y3")
+    assert cache.get("y", 3) == "Y3"
     assert cache.stats.invalidations == 2
 
 

@@ -1,10 +1,15 @@
-"""Database table/scan caches: per-provider bounds + version eviction."""
+"""Database providers: a table is built once per version, and every scan
+runs the provider's scan (nothing below the server caches scans)."""
+
+import sys
+import threading
+import time
 
 import numpy as np
 
 from repro.sql import Database
-from repro.sql.catalog import _SCAN_CACHE_SIZE
 from repro.sql.scan import ScanPredicate
+from repro.sql.table import Table
 from repro.tsdb.adapter import (
     register_store,
     scan_store,
@@ -28,48 +33,6 @@ def pred(lo, hi):
     return ScanPredicate(ranges=(("timestamp", lo, hi),))
 
 
-def test_scan_cache_hit_on_repeat_predicate():
-    db = Database()
-    register_store(db, make_store())
-    first = db.scan_table("tsdb", pred(0, 10))
-    second = db.scan_table("tsdb", pred(0, 10))
-    assert first is not None
-    assert second[0] is first[0]
-    info = db.cache_info()
-    assert info["scan_hits"] == 1 and info["scan_misses"] == 1
-
-
-def test_scan_cache_bounded_per_provider():
-    db = Database()
-    register_store(db, make_store(), name="hot")
-    register_store(db, make_store(), name="cold")
-    db.scan_table("hot", pred(0, 1))
-    # A predicate storm on "cold" overflows only its own LRU...
-    for i in range(3 * _SCAN_CACHE_SIZE):
-        db.scan_table("cold", pred(i, i + 1))
-    info = db.cache_info()
-    assert info["scan_entries"]["cold"] == _SCAN_CACHE_SIZE
-    # ...while "hot"'s entry survives untouched and still hits.
-    assert info["scan_entries"]["hot"] == 1
-    before = info["scan_hits"]
-    db.scan_table("hot", pred(0, 1))
-    assert db.cache_info()["scan_hits"] == before + 1
-
-
-def test_superseded_version_entries_evicted_on_next_scan():
-    db = Database()
-    store = make_store()
-    register_store(db, store)
-    for i in range(4):
-        db.scan_table("tsdb", pred(i, i + 10))
-    assert db.cache_info()["scan_entries"]["tsdb"] == 4
-    store.insert(SeriesId.make("metric_0", {"host": "h0"}), 10_000, 1.0)
-    db.scan_table("tsdb", pred(0, 10))
-    # The version moved: every old-version entry is gone, only the new
-    # scan remains — no squatting until LRU pressure.
-    assert db.cache_info()["scan_entries"]["tsdb"] == 1
-
-
 def test_scan_results_track_store_version():
     db = Database()
     store = make_store(n_series=1)
@@ -81,41 +44,76 @@ def test_scan_results_track_store_version():
     assert len(table) == rows_before + 1
 
 
-def test_drop_clears_provider_caches():
-    db = Database()
-    register_store(db, make_store())
-    db.scan_table("tsdb", pred(0, 10))
-    db.sql("SELECT COUNT(*) FROM tsdb")
-    db.drop("tsdb")
-    assert db.cache_info()["scan_entries"] == {}
-
-
-def test_scan_churn_never_evicts_or_rebuilds_table():
+def test_scans_rerun_and_the_table_builds_once_per_version():
     store = make_store()
-    calls = {"table": 0, "stats": 0}
+    calls = {"table": 0, "stats": 0, "scan": 0}
 
     def counted(kind, fn):
-        def run():
+        def run(*args):
             calls[kind] += 1
-            return fn(store)
+            return fn(store, *args)
         return run
 
     db = Database()
     db.register_scannable_provider(
         "tsdb", provider=counted("table", tsdb_table),
         version_fn=lambda: store.version,
-        scan_fn=lambda predicate: scan_store(store, predicate),
+        scan_fn=counted("scan", scan_store),
         stats_fn=counted("stats", store_stats))
     table = db.table("tsdb")
+    first, _ = db.scan_table("tsdb", pred(0, 10))
+    again, _ = db.scan_table("tsdb", pred(0, 10))
+    # A repeated scan calls the provider again; it is not cached.
+    assert calls["scan"] == 2
+    assert again.rows == first.rows
     for i in range(20):
         db.scan_table("tsdb", pred(i, i + 1))
-    assert db.cache_info()["scan_entries"]["tsdb"] == _SCAN_CACHE_SIZE
     assert db.table("tsdb") is table
     # Only a version bump rebuilds the table, once; the legacy stats_fn
     # is accepted but nothing ever calls it.
     db.explain("SELECT COUNT(*) FROM tsdb WHERE timestamp < 5")
     store.insert(SeriesId.make("metric_0", {"host": "h0"}), 10_000, 1.0)
     assert db.table("tsdb") is not table
-    assert calls == {"table": 2, "stats": 0}
+    assert calls["table"] == 2 and calls["stats"] == 0
     assert db.stats_for("tsdb") is None
 
+
+def test_racing_readers_never_get_a_table_older_than_they_observed():
+    """Readers race a version counter through one Database; each gets a
+    table built at the version it observed or later."""
+    state = {"version": 0}
+    db = Database()
+    db.register_versioned_provider(
+        "t", lambda: Table(["version"], [(state["version"],)]),
+        lambda: state["version"])
+    reads, stale = [], []
+    go, stop = threading.Event(), threading.Event()
+
+    def read():
+        go.wait(timeout=30)
+        while not stop.is_set():
+            observed = state["version"]
+            built = db.table("t").rows[0][0]
+            reads.append(built)
+            if built < observed:
+                stale.append((observed, built))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    readers = [threading.Thread(target=read) for _ in range(8)]
+    try:
+        for reader in readers:
+            reader.start()
+        go.set()
+        deadline = time.monotonic() + 0.2
+        while time.monotonic() < deadline:
+            state["version"] += 1
+    finally:
+        go.set()
+        stop.set()
+        for reader in readers:
+            reader.join(timeout=30)
+        sys.setswitchinterval(switch)
+    assert not any(reader.is_alive() for reader in readers)
+    assert not stale
+    assert len(set(reads)) > 1

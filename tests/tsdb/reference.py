@@ -9,28 +9,7 @@ they live with the tests.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.tsdb.query import aggregator
 from repro.tsdb.storage import StoreView
-
-
-def naive_downsample(interval: int, agg: str, timestamps: np.ndarray,
-                     values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The seed ``Downsampler.apply``: a Python loop over bucket runs."""
-    fn = aggregator(agg)
-    if timestamps.size == 0:
-        return timestamps.copy(), values.copy()
-    buckets = (timestamps // interval) * interval
-    out_ts: list[int] = []
-    out_vals: list[float] = []
-    start = 0
-    for idx in range(1, buckets.size + 1):
-        if idx == buckets.size or buckets[idx] != buckets[start]:
-            out_ts.append(int(buckets[start]))
-            out_vals.append(fn(values[start:idx]))
-            start = idx
-    return np.asarray(out_ts, dtype=np.int64), np.asarray(out_vals)
 
 
 def naive_tsdb_table_rows(store: StoreView,

@@ -1,6 +1,6 @@
-"""Columnar fast-path tests: chunked storage, vectorized downsampling,
-and columnar table materialisation must be *bitwise* identical to the
-seed per-point substrate."""
+"""Columnar fast-path tests: chunked storage and columnar table
+materialisation must be *bitwise* identical to the seed per-point
+substrate."""
 
 import numpy as np
 import pytest
@@ -8,35 +8,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sql import Database
 from repro.tsdb import (
-    Downsampler,
-    RollupCatalog,
-    RollupSpec,
-    ScanQuery,
     SeriesId,
+    StoreView,
     TimeSeriesStore,
     register_store,
     tsdb_table,
 )
-from repro.tsdb.adapter import TSDB_COLUMNS, observations_to_table
+from repro.tsdb.adapter import TSDB_COLUMNS
 from repro.tsdb.model import CHUNK_TARGET, SeriesData, SeriesFormatError
-from tests.tsdb.reference import naive_downsample, naive_tsdb_table_rows
-
-ALL_AGGS = ["avg", "sum", "min", "max", "count", "median", "p95", "p99"]
+from tests.tsdb.reference import naive_tsdb_table_rows
 
 finite_values = st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False)
-
-
-def naive_rollup_rows(store, spec):
-    result = ScanQuery(name=spec.metric, tags=spec.tags,
-                       downsample=Downsampler(spec.interval, spec.agg)
-                       ).run(store)
-    rows = []
-    for series, (ts_arr, values) in result.columns.items():
-        tags = series.tag_map()
-        for t, v in zip(ts_arr.tolist(), values.tolist()):
-            rows.append((int(t), series.name, tags, float(v)))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return rows
 
 
 # ----------------------------------------------------------------------
@@ -218,72 +200,7 @@ class TestChunkedSeriesData:
 
 
 # ----------------------------------------------------------------------
-# Vectorized Downsampler
-# ----------------------------------------------------------------------
-class TestDownsamplerBitwiseParity:
-    @pytest.mark.parametrize("agg", ALL_AGGS)
-    def test_dense_equal_width_buckets(self, agg):
-        rng = np.random.default_rng(7)
-        ts = np.arange(720, dtype=np.int64)
-        vals = rng.standard_normal(720) * 1e3
-        for interval in (1, 2, 5, 60, 720, 1000):
-            ref = naive_downsample(interval, agg, ts, vals)
-            got = Downsampler(interval, agg).apply(ts, vals)
-            assert np.array_equal(ref[0], got[0]), (agg, interval)
-            assert np.array_equal(ref[1], got[1]), (agg, interval)
-
-    @given(st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_property_gappy_and_duplicate_timestamps(self, data):
-        """Parity on gappy series with duplicate timestamps.
-
-        Bitwise for every aggregate except ragged-bucket sum/avg, whose
-        segmented ``reduceat`` accumulates left-to-right while the
-        reference ``np.sum`` is pairwise — those carry a documented
-        1e-9 relative tolerance (see tests/tsdb/test_ragged_downsample).
-        """
-        n = data.draw(st.integers(1, 80))
-        ts = np.sort(np.asarray(
-            data.draw(st.lists(st.integers(0, 200), min_size=n, max_size=n)),
-            dtype=np.int64))
-        vals = np.asarray(
-            data.draw(st.lists(finite_values, min_size=n, max_size=n)))
-        interval = data.draw(st.integers(1, 25))
-        agg = data.draw(st.sampled_from(ALL_AGGS))
-        ref = naive_downsample(interval, agg, ts, vals)
-        got = Downsampler(interval, agg).apply(ts, vals)
-        assert np.array_equal(ref[0], got[0])
-        if agg in ("sum", "avg"):
-            assert np.allclose(ref[1], got[1], rtol=1e-9, atol=0.0)
-        else:
-            assert np.array_equal(ref[1], got[1])
-
-    @pytest.mark.parametrize("agg", ALL_AGGS)
-    def test_empty_input(self, agg):
-        out_ts, out_vals = Downsampler(5, agg).apply(
-            np.empty(0, dtype=np.int64), np.empty(0))
-        assert out_ts.size == 0 and out_vals.size == 0
-
-    @pytest.mark.parametrize("agg", ALL_AGGS)
-    def test_empty_scan_range(self, agg):
-        """A scan clipped to an empty window downsamples to empty."""
-        store = TimeSeriesStore()
-        store.insert_array(SeriesId.make("m"), range(10), np.ones(10))
-        result = ScanQuery(name="m", start=100, end=200,
-                           downsample=Downsampler(5, agg)).run(store)
-        ts, vals = result.columns[SeriesId.make("m")]
-        assert ts.size == 0 and vals.size == 0
-
-    def test_single_point(self):
-        for agg in ALL_AGGS:
-            ref = naive_downsample(7, agg, np.array([13]), np.array([2.5]))
-            got = Downsampler(7, agg).apply(np.array([13]), np.array([2.5]))
-            assert np.array_equal(ref[0], got[0])
-            assert np.array_equal(ref[1], got[1])
-
-
-# ----------------------------------------------------------------------
-# Columnar tsdb_table / rollups
+# Columnar tsdb_table
 # ----------------------------------------------------------------------
 def _mixed_store(seed=0, n_series=12, horizon=60):
     rng = np.random.default_rng(seed)
@@ -337,35 +254,24 @@ class TestColumnarTsdbTable:
         assert table.columns == TSDB_COLUMNS
         assert len(table) == 0 and table.rows == []
 
-    def test_observations_to_table_empty_series_skipped(self):
+    def test_empty_series_skipped(self):
+        """A view's series without observations contribute no rows:
+        neither when every series is empty nor beside populated ones."""
         store = _mixed_store()
-        items = [(s, np.empty(0, dtype=np.int64), np.empty(0))
-                 for s in store.series_ids()]
-        assert len(observations_to_table(items)) == 0
+        empty = {series: SeriesData(series) for series in
+                 (SeriesId.make("idle"), SeriesId.make("disk", {"host": "x"}))}
+        alone = StoreView(dict(empty), {}, {}, {}, None, 0)
+        assert alone.series_ids() and len(tsdb_table(alone)) == 0
+        mixed = StoreView(
+            {**empty, **{s: store.get(s) for s in store.series_ids()}},
+            {}, {}, {}, None, 0)
+        assert tsdb_table(mixed).rows == naive_tsdb_table_rows(store)
 
     @given(st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)
     def test_property_random_stores_match_naive(self, seed):
         store = _mixed_store(seed=seed, n_series=6, horizon=30)
         assert tsdb_table(store).rows == naive_tsdb_table_rows(store)
-
-
-class TestColumnarRollups:
-    @pytest.mark.parametrize("agg", ALL_AGGS)
-    def test_rollup_identical_to_naive(self, agg):
-        store = _mixed_store(seed=3)
-        spec = RollupSpec(f"r_{agg}", interval=10, agg=agg, metric="disk")
-        catalog = RollupCatalog(store)
-        catalog.define(spec)
-        assert catalog.table(spec.name).rows == naive_rollup_rows(store, spec)
-
-    def test_rollup_with_tag_filter(self):
-        store = _mixed_store(seed=4)
-        spec = RollupSpec("h1", interval=15, agg="p95", metric="cpu",
-                          tags={"host": "h1"})
-        catalog = RollupCatalog(store)
-        catalog.define(spec)
-        assert catalog.table("h1").rows == naive_rollup_rows(store, spec)
 
 
 # ----------------------------------------------------------------------
@@ -394,25 +300,6 @@ class TestStoreVersion:
         assert len(store) == 0
         assert SeriesId.make("m") not in store
 
-    def test_rollup_stale_after_value_mutation(self):
-        """Regression: ``num_points`` keying left rollups stale after a
-        value-mutating ``apply`` (fault injection) because the point
-        count does not change.  Version keying must refresh them."""
-        store = TimeSeriesStore()
-        sid = SeriesId.make("latency", {"host": "h1"})
-        store.insert_array(sid, range(20), np.ones(20))
-        catalog = RollupCatalog(store)
-        catalog.define(RollupSpec("lat", interval=10, agg="avg",
-                                  metric="latency"))
-        before = catalog.table("lat")
-        assert [r[3] for r in before.rows] == [1.0, 1.0]
-        points_before = store.num_points()
-        store.apply(sid, lambda ts, vals: vals + 9.0)   # inject a fault
-        assert store.num_points() == points_before       # count unchanged!
-        assert not catalog.is_cached("lat")
-        after = catalog.table("lat")
-        assert [r[3] for r in after.rows] == [10.0, 10.0]
-
     def test_sql_tsdb_provider_refreshes_after_mutation(self):
         store = TimeSeriesStore()
         sid = SeriesId.make("m")
@@ -424,18 +311,6 @@ class TestStoreVersion:
         assert db.sql("SELECT SUM(value) s FROM tsdb").rows == [(12.0,)]
         store.insert(sid, 4, 1.0)
         assert db.sql("SELECT SUM(value) s FROM tsdb").rows == [(13.0,)]
-
-    def test_sql_rollup_provider_refreshes_after_mutation(self):
-        store = TimeSeriesStore()
-        sid = SeriesId.make("m")
-        store.insert_array(sid, range(10), np.ones(10))
-        catalog = RollupCatalog(store)
-        catalog.define(RollupSpec("m_5", interval=5, agg="sum", metric="m"))
-        db = Database()
-        catalog.register_all(db)
-        assert db.sql("SELECT SUM(value) s FROM m_5").rows == [(10.0,)]
-        store.apply(sid, lambda ts, vals: vals * 2)
-        assert db.sql("SELECT SUM(value) s FROM m_5").rows == [(20.0,)]
 
     def test_versioned_provider_not_reinvoked_when_unchanged(self):
         store = TimeSeriesStore()

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.tsdb import SeriesId, TimeSeriesStore
 from repro.tsdb.persist import dumps_store, loads_store
-from repro.tsdb.query import Downsampler, align_to_grid
+from repro.tsdb.query import align_to_grid
 
 metric_names = st.sampled_from(["cpu", "disk", "runtime", "latency"])
 tag_values = st.sampled_from(["h1", "h2", "h3"])
@@ -55,40 +55,6 @@ class TestStoreProperties:
             assert set(ts_clip.tolist()) <= set(ts_all.tolist())
             assert all(start <= t < start + width
                        for t in ts_clip.tolist())
-
-
-class TestDownsamplerProperties:
-    @given(st.lists(values, min_size=1, max_size=40),
-           st.integers(1, 10))
-    @settings(max_examples=40, deadline=None)
-    def test_sum_preserved_by_sum_aggregator(self, vals, interval):
-        ts = np.arange(len(vals))
-        arr = np.asarray(vals)
-        _, out = Downsampler(interval, "sum").apply(ts, arr)
-        assert float(out.sum()) == np.float64(arr.sum()) or \
-            abs(float(out.sum()) - float(arr.sum())) <= 1e-6 * max(
-                1.0, abs(float(arr.sum())))
-
-    @given(st.lists(values, min_size=1, max_size=40),
-           st.integers(1, 10))
-    @settings(max_examples=40, deadline=None)
-    def test_minmax_bracket_avg(self, vals, interval):
-        ts = np.arange(len(vals))
-        arr = np.asarray(vals)
-        _, lo = Downsampler(interval, "min").apply(ts, arr)
-        _, hi = Downsampler(interval, "max").apply(ts, arr)
-        _, mid = Downsampler(interval, "avg").apply(ts, arr)
-        assert np.all(lo <= mid + 1e-9)
-        assert np.all(mid <= hi + 1e-9)
-
-    @given(st.lists(values, min_size=1, max_size=40))
-    @settings(max_examples=40, deadline=None)
-    def test_interval_one_is_identity(self, vals):
-        ts = np.arange(len(vals))
-        arr = np.asarray(vals)
-        out_ts, out_vals = Downsampler(1, "avg").apply(ts, arr)
-        assert np.array_equal(out_ts, ts)
-        assert np.allclose(out_vals, arr)
 
 
 class TestAlignmentProperties:
